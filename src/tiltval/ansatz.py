@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError
 from .tilt import TiltElement, is_prime, tilt_frobenius, tilt_pow, tilt_val
-from .witt import PrimitiveDeg1
+from .witt import PrimitiveDeg1, primitive_pow_family
 
 __all__ = [
     "AnsatzPoint",
@@ -71,14 +71,7 @@ class AnsatzPoint:
 
 def make_ansatz(a: TiltElement, ell: int) -> AnsatzPoint:
     """Build the family ([a^(j^2)] - p)_j for j = 1 .. (ell - 1)/2."""
-    if not is_prime(ell) or ell == 2:
-        raise DomainError(f"ell must be an odd prime, got {ell}")
-    if ell == a.p:
-        raise DomainError(f"ell must differ from the residue characteristic {a.p}")
-    PrimitiveDeg1(a)  # 0 < v(a) < +inf, checked before any powering
-    ell_star = (ell - 1) // 2
-    members = tuple(PrimitiveDeg1(tilt_pow(a, j * j)) for j in range(1, ell_star + 1))
-    return AnsatzPoint(a=a, ell=ell, members=members)
+    return AnsatzPoint(a=a, ell=ell, members=primitive_pow_family(a, ell))
 
 
 def is_member(members: Sequence[PrimitiveDeg1]) -> bool:

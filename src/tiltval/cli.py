@@ -47,7 +47,7 @@ from .theta import (
     check_theta_value_laurent,
     theta_value,
 )
-from .tilt import TiltElement, is_prime, tilt_mul, tilt_pow, tilt_rescale_t
+from .tilt import TiltElement, _is_p_power, is_prime, tilt_mul, tilt_pow, tilt_rescale_t
 from .witt import PrimitiveDeg1, RhoWeight, eta_val
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -142,7 +142,7 @@ def load_config(path: str | None) -> RunConfig:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if "schema" in data and data["schema"] != 1:
+    if "schema" in data and (isinstance(data["schema"], bool) or data["schema"] != 1):
         raise ConfigError(f"unsupported config schema {data['schema']!r}")
     merged: dict = {}
     for key in _INT_KEYS:
@@ -288,17 +288,11 @@ def cmd_bound(cfg: RunConfig) -> Report:
     )
 
 
-def _is_pow_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def cmd_ansatz(cfg: RunConfig) -> Report:
     """The witness square-power family: profiles, orbits, membership, sizes."""
     started = time.perf_counter()
     ell_star = (cfg.ell - 1) // 2
-    if not _is_pow_of(ell_star, cfg.p):
+    if not _is_p_power(ell_star, cfg.p):
         raise ConfigError(
             f"the witness generator t^(1/{ell_star * ell_star}) needs ell* = {ell_star} to be a"
             f" power of p = {cfg.p}; choose p and ell accordingly"

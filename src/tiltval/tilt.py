@@ -9,6 +9,12 @@ under multiplication.  Frobenius raises coefficients to the p-th power
 (the identity on F_p) and multiplies every exponent by p; the exponent
 lattice is p-divisible, so Frobenius is invertible here.
 
+Because Frobenius is the p-th power map, an integer power follows the
+base-p digits of its exponent: with k = sum_i d_i p^i and every d_i < p,
+x^k = prod_i phi^i(x^(d_i)).  :func:`tilt_pow` uses that identity, so
+the only powers it multiplies out are x^d with d < p; the rest is
+exponent scaling.
+
 Valuations are returned as :class:`TiltVal`, a totally ordered wrapper
 around Fraction with a single infinite value reserved for the valuation
 of zero.
@@ -241,29 +247,55 @@ def _require_same_p(x: TiltElement, y: TiltElement) -> int:
     return x.p
 
 
+def _convolve(a: Mapping, b: Mapping, p: int) -> dict:
+    """Product of two exponent -> coefficient maps, reduced mod p, zeros dropped.
+
+    Exponents may be Fractions or plain ints, as long as both maps use
+    the same scale.
+    """
+    acc: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            acc[e] = (acc.get(e, 0) + ca * cb) % p
+    return {e: c for e, c in acc.items() if c}
+
+
 def tilt_mul(x: TiltElement, y: TiltElement) -> TiltElement:
     """Exact product; valuations add because F_p is an integral domain."""
     p = _require_same_p(x, y)
-    acc: dict[Fraction, int] = {}
-    for ex, cx in x.terms:
-        for ey, cy in y.terms:
-            e = ex + ey
-            acc[e] = (acc.get(e, 0) + cx * cy) % p
-    return TiltElement.from_terms(p, acc)
+    return TiltElement.from_terms(p, _convolve(dict(x.terms), dict(y.terms), p))
 
 
 def tilt_pow(x: TiltElement, k: int) -> TiltElement:
-    """k-th power for k >= 0 by repeated squaring; k = 0 is the empty product."""
-    if not isinstance(k, int) or k < 0:
+    """k-th power for k >= 0 by the base-p digits of k; k = 0 is the empty product.
+
+    Writes k = sum_i d_i p^i with 0 <= d_i < p and forms
+    x^k = prod_i phi^i(x^(d_i)), where phi^i multiplies every exponent by
+    p^i.  Each x^d is built once, by repeated products, for d up to the
+    largest digit.  All of it runs on integer exponents over the largest
+    exponent denominator of x, which is the lcm of them all because each
+    is a power of p; the one element built at the end is fully validated.
+    """
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"exponent must be a nonnegative integer, got {k!r}")
-    result = TiltElement.one(x.p)
-    base = x
+    p = x.p
+    den = max((e.denominator for e, _ in x.terms), default=1)
+    base = {e.numerator * (den // e.denominator): c for e, c in x.terms}
+    digits = []
     while k:
-        if k & 1:
-            result = tilt_mul(result, base)
-        base = tilt_mul(base, base)
-        k >>= 1
-    return result
+        k, d = divmod(k, p)
+        digits.append(d)
+    powers = [{0: 1}]  # powers[d] = x^d
+    for _ in range(max(digits, default=0)):
+        powers.append(_convolve(powers[-1], base, p))
+    result = {0: 1}
+    scale = 1
+    for d in digits:
+        if d:
+            result = _convolve(result, {e * scale: c for e, c in powers[d].items()}, p)
+        scale *= p
+    return TiltElement.from_terms(p, {Fraction(e, den): c for e, c in result.items()})
 
 
 def tilt_frobenius(x: TiltElement, n: int = 1) -> TiltElement:
@@ -272,7 +304,7 @@ def tilt_frobenius(x: TiltElement, n: int = 1) -> TiltElement:
     Coefficients are fixed because c**p = c on F_p.  Negative n applies
     the inverse; exponent denominators stay p-powers either way.
     """
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise DomainError(f"Frobenius power must be an integer, got {n!r}")
     scale = Fraction(x.p) ** n
     return TiltElement.from_terms(x.p, {e * scale: c for e, c in x.terms})

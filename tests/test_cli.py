@@ -45,6 +45,7 @@ def test_load_config_rejections(tmp_path):
         "constant.json": '{"v_q": NaN}',
         "bool.json": '{"p": true}',
         "schema.json": '{"schema": 2}',
+        "schemabool.json": '{"schema": true}',
         "number.json": '{"v_q": 3}',
         "notobj.json": "[1, 2]",
         "syntax.json": "{",

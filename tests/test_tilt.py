@@ -102,6 +102,54 @@ def test_pow_matches_repeated_mul():
         tilt_pow(TiltElement.one(2), -1)
 
 
+def _pow_by_squaring(x, k):
+    """Reference k-th power by repeated squaring through tilt_mul."""
+    result = TiltElement.one(x.p)
+    base = x
+    while k:
+        if k & 1:
+            result = tilt_mul(result, base)
+        k >>= 1
+        if k:
+            base = tilt_mul(base, base)
+    return result
+
+
+def _element_with_terms(rng, p, n_terms):
+    """Exactly n_terms nonzero terms, exponent denominators p^0..p^2.
+
+    Numerators stay in 0..2: the squaring reference pays for every term
+    of its intermediate powers, and at p = 7 a four-term element with
+    wider exponents keeps it busy for seconds per exponent.
+    """
+    exponents = set()
+    while len(exponents) < n_terms:
+        exponents.add(Fraction(rng.randint(0, 2), p ** rng.randint(0, 2)))
+    return TiltElement.from_terms(p, {e: rng.randint(1, p - 1) for e in exponents})
+
+
+def test_pow_by_digits_matches_squaring():
+    rng = random.Random(2303)
+    for p in (2, 3, 5, 7):
+        for n_terms in range(5):
+            x = _element_with_terms(rng, p, n_terms)
+            for k in (0, 1, p - 1, p, p + 1, p * p, rng.randint(0, p**3)):
+                power = tilt_pow(x, k)
+                assert power == _pow_by_squaring(x, k), (x, k)
+                n = rng.randint(-2, 2)
+                assert tilt_frobenius(power, n) == tilt_pow(tilt_frobenius(x, n), k)
+                assert tilt_val(power) == (TiltVal(0) if k == 0 else tilt_val(x) * k)
+
+
+def test_bool_exponents_rejected():
+    x = TiltElement.monomial(3, Fraction(1, 3))
+    for flag in (True, False):
+        with pytest.raises(DomainError):
+            tilt_pow(x, flag)
+        with pytest.raises(DomainError):
+            tilt_frobenius(x, flag)
+
+
 def test_rescale_t_frozen():
     # Over F_3: t -> 2t sends t^(1/3) to 2 t^(1/3), consistently with cubing.
     t = TiltElement.monomial(3, 1)
