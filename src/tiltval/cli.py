@@ -381,12 +381,6 @@ def cmd_ansatz(cfg: RunConfig) -> Report:
     )
 
 
-def _random_principal_unit(rng: random.Random, p: int, precision: int) -> PadicUnit:
-    if p == 2:
-        return PadicUnit.of(2, precision, 1 + 4 * rng.randrange(2 ** (precision - 2)))
-    return PadicUnit.of(p, precision, 1 + p * rng.randrange(p ** (precision - 1)))
-
-
 def cmd_loglink(cfg: RunConfig) -> Report:
     """Chain structure, epsilon thresholds, and exact log functional equations."""
     started = time.perf_counter()
@@ -445,8 +439,8 @@ def cmd_loglink(cfg: RunConfig) -> Report:
     trials = 100
     product_failures = 0
     for _ in range(trials):
-        u = _random_principal_unit(rng, p, precision)
-        w = _random_principal_unit(rng, p, precision)
+        u = PadicUnit.random(rng, p, precision)
+        w = PadicUnit.random(rng, p, precision)
         if padic_log(u.mul(w)) != (padic_log(u) + padic_log(w)) % modulus:
             product_failures += 1
     checks.append(
@@ -459,7 +453,7 @@ def cmd_loglink(cfg: RunConfig) -> Report:
     )
     power_failures = 0
     for _ in range(trials):
-        u = _random_principal_unit(rng, p, precision)
+        u = PadicUnit.random(rng, p, precision)
         if padic_log(u.pow(p)) != (p * padic_log(u)) % modulus:
             power_failures += 1
     checks.append(
@@ -518,7 +512,7 @@ def cmd_sweep_ell(cfg: RunConfig) -> Report:
     checks.append(make_check("sweep.threshold_by_sweep", by_sweep == 5, threshold=by_sweep))
     by_roots = threshold_ell_by_root_analysis(cfg.ell_sweep_max)
     checks.append(make_check("sweep.threshold_by_root_analysis", by_roots == 5, threshold=by_roots))
-    agreed = threshold_ell()
+    agreed = threshold_ell(cfg.ell_sweep_max)
     checks.append(make_check("sweep.threshold_routes_agree", agreed == by_sweep == by_roots, threshold=agreed))
     return Report(
         suite="sweep-ell",

@@ -1,14 +1,21 @@
 """Exact p-adic logarithms of principal units and valuation chains.
 
-The logarithm is computed from the alternating series log(1 + x) =
-sum_k (-1)^(k+1) x^k / k as an exact rational, then reduced once mod
-p^N.  Convergence bookkeeping: for a principal unit (u = 1 mod p for
-odd p, u = 1 mod 4 for p = 2) the k-th term has valuation at least
-k*v - v_p(k) with v = 1 resp. 2, and k*v - floor(log_p k) never
-decreases, so the cutoff is the first index where that lower bound
-reaches N.  Every dropped term is divisible by p^N, so the reduction is
-exact, and the reduced denominator is prime to p, so the single modular
-inversion is legitimate.
+The logarithm is computed in integers, never in rationals.  For a
+principal unit u (u = 1 mod p for odd p, u = 1 mod 4 for p = 2) at
+precision N, first reduce the argument: with m = isqrt(N), the power y =
+u^(p^m) mod p^(N+m) satisfies v(y - 1) = v(u - 1) + m, so x = y - 1 has
+valuation at least w = m + 1 (m + 2 for p = 2), and log(y) = p^m log(u)
+mod p^(N+m).  Then log(1 + x) = sum_k (-1)^(k+1) x^k / k is summed mod
+p^(N+m).  The k-th term has valuation at least k*w - v_p(k) >= k*w -
+floor(log_p k), and that bound never decreases in k, so the cutoff is
+the first k where it reaches N + m; every dropped term is divisible by
+p^(N+m).  Each x^k is kept mod p^(N+m+e), e the largest v_p(k) before
+the cutoff, so that dividing it exactly by p^(v_p(k)) still leaves it
+correct mod p^(N+m); what is left is multiplied by the inverse of k's
+unit part.  Finally the sum is divided exactly by p^m and reduced mod
+p^N.  Each of these divisions is checked: a remainder, or an x that
+vanishes for u != 1, raises VerificationError instead of returning a
+wrong class.
 
 The result always lands in p Z/p^N (4 Z/2^N for p = 2); that subgroup
 membership is re-checked on every call.  On these subgroups log turns
@@ -21,8 +28,10 @@ catching up to a proximity epsilon takes m(epsilon) steps with
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import ConfigError, DomainError, PrecisionError, VerificationError
 from .tilt import is_prime
@@ -72,6 +81,13 @@ class PadicUnit:
             raise PrecisionError("precision must be at least 1", required=1)
         return cls(p, precision, value % p**precision)
 
+    @classmethod
+    def random(cls, rng: random.Random, p: int, precision: int) -> "PadicUnit":
+        """A uniformly drawn principal unit of Z/p^precision, one draw from rng."""
+        if p == 2:
+            return cls.of(2, precision, 1 + 4 * rng.randrange(2 ** (precision - 2)))
+        return cls.of(p, precision, 1 + p * rng.randrange(p ** (precision - 1)))
+
     @property
     def modulus(self) -> int:
         return self.p**self.precision
@@ -99,27 +115,51 @@ def _floor_log(n: int, p: int) -> int:
 
 
 def padic_log(u: PadicUnit) -> int:
-    """log(u) mod p^precision as a reduced integer in p Z/p^N (4 Z/2^N)."""
+    """log(u) mod p^precision as a reduced integer in p Z/p^N (4 Z/2^N).
+
+    With m = isqrt(N), y = u^(p^m) mod p^(N+m) and x = y - 1, the
+    integer series sum_k (-1)^(k+1) x^k / k mod p^(N+m) is
+    log(y) = p^m log(u) mod p^(N+m); it is divided by p^m exactly and
+    reduced mod p^N.  The cutoff is the first k with
+    k*w - floor(log_p k) >= N + m, where w = m + 1 (m + 2 for p = 2)
+    bounds v(x) from below.  Each x^k is kept mod p^(N+m+e), e the
+    largest v_p(k) before the cutoff, divided exactly by p^(v_p(k)) and
+    multiplied by the inverse of k's unit part.  A division that leaves
+    a remainder raises VerificationError.
+    """
     p, n_prec = u.p, u.precision
-    modulus = u.modulus
-    x = (u.value - 1) % modulus
-    if x == 0:
+    if u.value == 1:
         return 0
-    v = 2 if p == 2 else 1
-    # First k where even the worst case k*v - floor(log_p k) reaches N;
-    # the bound never decreases with k, so everything beyond is dropped.
+    m = isqrt(n_prec)
+    reduced = n_prec + m
+    reduced_mod = p**reduced
+    x = (pow(u.value, p**m, reduced_mod) - 1) % reduced_mod
+    if x == 0:
+        # v(u^(p^m) - 1) = v(u - 1) + m < N + m for u != 1.
+        raise VerificationError(f"u^(p^{m}) collapsed to 1 mod {p}^{reduced} for u != 1")
+    w = m + 2 if p == 2 else m + 1
     cutoff = 1
-    while cutoff * v - _floor_log(cutoff, p) < n_prec:
+    while cutoff * w - _floor_log(cutoff, p) < reduced:
         cutoff += 1
-    total = Fraction(0)
+    work_mod = p ** (reduced + _floor_log(cutoff - 1, p))
+    total = 0
     x_pow = 1
     for k in range(1, cutoff):
-        x_pow *= x
-        term = Fraction(x_pow, k)
+        x_pow = x_pow * x % work_mod
+        unit, shift = k, 1
+        while unit % p == 0:
+            unit //= p
+            shift *= p
+        term, rest = divmod(x_pow, shift)
+        if rest:
+            raise VerificationError(f"x^{k} is not divisible by {shift}")
+        term = term * pow(unit, -1, reduced_mod)
         total = total + term if k % 2 else total - term
-    if total.denominator % p == 0:
-        raise VerificationError("series denominator picked up a factor of p")
-    result = (total.numerator * pow(total.denominator, -1, modulus)) % modulus
+    total %= reduced_mod
+    scale = p**m
+    if total % scale:
+        raise VerificationError(f"log(u^(p^{m})) is not divisible by p^{m}")
+    result = total // scale % u.modulus
     subgroup = 4 if p == 2 else p
     if result % subgroup:
         raise VerificationError(f"log left the expected subgroup {subgroup}Z/{p}^{n_prec}")

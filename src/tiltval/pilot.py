@@ -187,6 +187,16 @@ def _require_bound_inputs(ell: int, v_q: Fraction) -> None:
         raise DomainError(f"v_q must be a positive Fraction, got {v_q!r}")
 
 
+def _lhs_termwise(ell: int, v_q: Fraction) -> Fraction:
+    """The lhs as the sum of its terms j^2/(ell*^2 2ell) v_q, j = 1..ell*.
+
+    The numerators share one denominator, so the integers j^2 are summed
+    and divided once; no closed form is used.
+    """
+    ls = (ell - 1) // 2
+    return Fraction(sum(j * j for j in range(1, ls + 1)), ls * ls * 2 * ell) * v_q
+
+
 def main_bound_derivation(ell: int, v_q: Fraction) -> tuple[DerivationStep, ...]:
     """Every intermediate identity of the size bound as a checkable step.
 
@@ -203,7 +213,7 @@ def main_bound_derivation(ell: int, v_q: Fraction) -> tuple[DerivationStep, ...]
     square_closed = ls * (ls + 1) * (2 * ls + 1) // 6
     steps.append(DerivationStep("square_sum_closed_form", Fraction(square_closed), square_sum == square_closed))
 
-    lhs_sum = sum((Fraction(j * j, ls * ls * 2 * ell) for j in range(1, ls + 1)), Fraction(0)) * v_q
+    lhs_sum = _lhs_termwise(ell, v_q)
     lhs_closed = Fraction(1, 12) * (1 + Fraction(1, ls)) * v_q
     steps.append(DerivationStep("lhs_termwise", lhs_sum, True))
     steps.append(DerivationStep("lhs_closed_form", lhs_closed, lhs_closed == lhs_sum))
@@ -227,7 +237,7 @@ def main_bound_check(ell: int, v_q: Fraction) -> BoundReport:
     """Strict comparison of the two sides of the size bound at (ell, v_q)."""
     _require_bound_inputs(ell, v_q)
     ls = (ell - 1) // 2
-    lhs_sum = sum((Fraction(j * j, ls * ls * 2 * ell) for j in range(1, ls + 1)), Fraction(0)) * v_q
+    lhs_sum = _lhs_termwise(ell, v_q)
     lhs = Fraction(1, 12) * (1 + Fraction(1, ls)) * v_q
     if lhs != lhs_sum:
         raise VerificationError(f"lhs routes disagree at ell = {ell}: {lhs} != {lhs_sum}")
@@ -269,10 +279,10 @@ def threshold_ell_by_root_analysis(limit: int = 97) -> int:
     raise VerificationError(f"no odd prime up to {limit} clears the factored margin")
 
 
-def threshold_ell() -> int:
-    """The threshold prime, cross-checked between the two routes."""
-    by_sweep = threshold_ell_by_sweep()
-    by_roots = threshold_ell_by_root_analysis()
+def threshold_ell(limit: int = 97) -> int:
+    """The threshold prime up to ``limit``, cross-checked between the two routes."""
+    by_sweep = threshold_ell_by_sweep(limit)
+    by_roots = threshold_ell_by_root_analysis(limit)
     if by_sweep != by_roots:
         raise VerificationError(f"threshold routes disagree: sweep {by_sweep}, roots {by_roots}")
     return by_sweep

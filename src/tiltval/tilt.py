@@ -53,7 +53,8 @@ def is_prime(n: int) -> bool:
     if n % 2 == 0:
         return False
     d = 3
-    while d <= isqrt(n):
+    root = isqrt(n)
+    while d <= root:
         if n % d == 0:
             return False
         d += 2

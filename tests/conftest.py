@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-from tiltval.loglink import PadicUnit
 from tiltval.tilt import TiltElement
 
 
@@ -23,9 +22,3 @@ def random_element(rng: random.Random, p: int, max_terms: int = 4) -> TiltElemen
         den = p ** rng.randint(0, 3)
         terms[Fraction(num, den)] = rng.randint(0, p - 1)
     return TiltElement.from_terms(p, terms)
-
-
-def random_principal_unit(rng: random.Random, p: int, precision: int) -> PadicUnit:
-    if p == 2:
-        return PadicUnit.of(2, precision, 1 + 4 * rng.randrange(2 ** (precision - 2)))
-    return PadicUnit.of(p, precision, 1 + p * rng.randrange(p ** (precision - 1)))

@@ -10,11 +10,11 @@ import json
 import random
 from fractions import Fraction
 
-from conftest import random_monomial, random_principal_unit
+from conftest import random_monomial
 
 from tiltval.ansatz import frobenius_orbit, is_member, make_ansatz, valuation_profile
 from tiltval.cli import main
-from tiltval.loglink import chain_build, m_of_epsilon, padic_log
+from tiltval.loglink import PadicUnit, chain_build, m_of_epsilon, padic_log
 from tiltval.pilot import (
     build_pilot,
     main_bound_check,
@@ -177,8 +177,8 @@ def test_criterion_09_loglink_chains_epsilon_and_log_rules():
     for p, precision in ((3, 12), (5, 12), (2, 14)):
         modulus = p**precision
         for _ in range(500):
-            u = random_principal_unit(rng, p, precision)
-            w = random_principal_unit(rng, p, precision)
+            u = PadicUnit.random(rng, p, precision)
+            w = PadicUnit.random(rng, p, precision)
             log_u = padic_log(u)
             assert (padic_log(u.mul(w)) - log_u - padic_log(w)) % modulus == 0
             assert (padic_log(u.pow(p)) - p * log_u) % modulus == 0

@@ -180,3 +180,14 @@ def test_every_text_line_is_gated(capsys):
     assert len(check_lines) >= 40
     assert all(line.startswith("[PASS] ") for line in check_lines)
     assert any(line.startswith("overall: PASS (") for line in lines)
+
+
+def test_non_homomorphic_log_fails_the_log_rules(monkeypatch, capsys):
+    # u - 1 lands in the right subgroup but turns no product into a sum.
+    monkeypatch.setattr("tiltval.cli.padic_log", lambda u: (u.value - 1) % u.modulus)
+    code, out, _ = run_cli(capsys, "loglink", "--format", "json")
+    assert code == 1
+    verdicts = {check["id"]: check["passed"] for check in json.loads(out)["checks"]}
+    assert verdicts["loglink.log_at_one_is_zero"]
+    assert not verdicts["loglink.log_product_rule_trials"]
+    assert not verdicts["loglink.log_p_power_rule_trials"]

@@ -1,21 +1,24 @@
 """p-adic log, valuation chains, and the epsilon step count.
 
-The log oracle here is the truncated exponential: exp_mod below is an
-independent implementation of the inverse map on the same subgroups, so
+There are two log oracles here.  exp_mod below is an independent
+implementation of the inverse map on the same subgroups, so
 exp_mod(p, N, padic_log(u)) == u.value is a roundtrip through two
-different series with separately justified cutoffs.
+different series with separately justified cutoffs.  _log_by_fractions
+is the plain log series summed as an exact Fraction with no argument
+reduction, which padic_log must match class for class.
 """
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
-from conftest import random_principal_unit
 
 from tiltval.errors import ConfigError, DomainError, PrecisionError, VerificationError
 from tiltval.loglink import (
     LogLinkChain,
     PadicUnit,
+    _floor_log,
     chain_build,
     kummer_shift,
     m_of_epsilon,
@@ -46,6 +49,32 @@ def exp_mod(p: int, precision: int, y: int) -> int:
     return (total.numerator * pow(total.denominator, -1, modulus)) % modulus
 
 
+def _log_by_fractions(u: PadicUnit) -> int:
+    """log(u) mod p^N from the unreduced series summed as one exact Fraction.
+
+    Term k has valuation at least k*v - floor(log_p k), v = 1 (2 for
+    p = 2), which never decreases; the first k where it reaches N is the
+    cutoff.  The Fraction's denominator stays prime to p, so one modular
+    inversion reduces it.
+    """
+    p, precision, modulus = u.p, u.precision, u.modulus
+    x = (u.value - 1) % modulus
+    if x == 0:
+        return 0
+    v = 2 if p == 2 else 1
+    cutoff = 1
+    while cutoff * v - _floor_log(cutoff, p) < precision:
+        cutoff += 1
+    total = Fraction(0)
+    x_pow = 1
+    for k in range(1, cutoff):
+        x_pow *= x
+        term = Fraction(x_pow, k)
+        total = total + term if k % 2 else total - term
+    assert total.denominator % p != 0
+    return (total.numerator * pow(total.denominator, -1, modulus)) % modulus
+
+
 def test_unit_validation():
     with pytest.raises(DomainError):
         PadicUnit(5, 4, 7)  # not 1 mod 5
@@ -72,6 +101,40 @@ def test_log_frozen_and_exp_roundtrip():
     assert exp_mod(5, 4, 555) == 6
 
 
+def _precision_floor(p: int) -> int:
+    return 3 if p == 2 else 2
+
+
+def test_log_matches_fraction_series_randomized():
+    rng = random.Random(4111)
+    for p in (2, 3, 5, 7, 11):
+        for precision in chain(range(_precision_floor(p), 17), (24, 32, 48, 64, 96, 128)):
+            edge = (1, 1 + p ** (precision - 1))
+            units = [PadicUnit(p, precision, value) for value in edge]
+            units += [PadicUnit.random(rng, p, precision) for _ in range(4)]
+            for u in units:
+                assert padic_log(u) == _log_by_fractions(u), (p, precision, u.value)
+
+
+def test_log_matches_fraction_series_exhaustively():
+    for p, top in ((2, 8), (3, 6), (5, 4)):
+        step = 4 if p == 2 else p
+        for precision in range(_precision_floor(p), top + 1):
+            for value in range(1, p**precision, step):
+                u = PadicUnit(p, precision, value)
+                assert padic_log(u) == _log_by_fractions(u), (p, precision, value)
+
+
+def test_random_unit_takes_one_draw_per_unit():
+    # The loglink trials' units, and so the reports, depend on these draws.
+    for p, precision in ((2, 9), (3, 6), (5, 4)):
+        drawn, replay = random.Random(7), random.Random(7)
+        step = 4 if p == 2 else p
+        for _ in range(20):
+            u = PadicUnit.random(drawn, p, precision)
+            assert u.value == 1 + step * replay.randrange(p**precision // step)
+
+
 def test_log_of_one_is_zero():
     assert padic_log(PadicUnit(5, 4, 1)) == 0
     assert padic_log(PadicUnit(2, 8, 1)) == 0
@@ -82,7 +145,7 @@ def test_log_lands_in_subgroup():
     rng = random.Random(23)
     for p, precision in ((2, 12), (3, 8), (5, 8)):
         for _ in range(30):
-            u = random_principal_unit(rng, p, precision)
+            u = PadicUnit.random(rng, p, precision)
             assert padic_log(u) % (4 if p == 2 else p) == 0
 
 
@@ -90,7 +153,7 @@ def test_exp_log_roundtrip_randomized():
     rng = random.Random(29)
     for p, precision in ((2, 12), (3, 8), (5, 8)):
         for _ in range(60):
-            u = random_principal_unit(rng, p, precision)
+            u = PadicUnit.random(rng, p, precision)
             assert exp_mod(p, precision, padic_log(u)) == u.value
 
 
@@ -102,8 +165,8 @@ def test_log_is_a_homomorphism():
     for p, precision in ((2, 10), (3, 7), (5, 6)):
         modulus = p**precision
         for _ in range(40):
-            a = random_principal_unit(rng, p, precision)
-            b = random_principal_unit(rng, p, precision)
+            a = PadicUnit.random(rng, p, precision)
+            b = PadicUnit.random(rng, p, precision)
             assert padic_log(a.mul(b)) == (padic_log(a) + padic_log(b)) % modulus
 
 

@@ -10,6 +10,7 @@ from tiltval.ansatz import make_ansatz
 from tiltval.errors import DomainError, VerificationError
 from tiltval.pilot import (
     PilotTuple,
+    _lhs_termwise,
     ThetaSetSample,
     build_pilot,
     corollary_c_check,
@@ -22,7 +23,7 @@ from tiltval.pilot import (
     threshold_ell_by_root_analysis,
     threshold_ell_by_sweep,
 )
-from tiltval.tilt import TiltElement
+from tiltval.tilt import TiltElement, is_prime
 from tiltval.witt import RhoWeight
 
 
@@ -144,10 +145,30 @@ def test_derivation_steps_all_check_out():
         assert by_label["strict_inequality"].ok == (ell >= 5)
 
 
+def _lhs_by_fractions(ell, v_q):
+    ls = (ell - 1) // 2
+    return sum((Fraction(j * j, ls * ls * 2 * ell) for j in range(1, ls + 1)), Fraction(0)) * v_q
+
+
+def test_lhs_termwise_matches_fraction_sum():
+    for ell in range(3, 201, 2):
+        if not is_prime(ell):
+            continue
+        for v_q in (Fraction(1), Fraction(7, 3)):
+            expected = _lhs_by_fractions(ell, v_q)
+            assert _lhs_termwise(ell, v_q) == expected, ell
+            steps = {step.label: step for step in main_bound_derivation(ell, v_q)}
+            assert steps["lhs_termwise"].value == expected, ell
+            assert main_bound_check(ell, v_q).lhs_log == expected, ell
+
+
 def test_threshold_routes():
     assert threshold_ell_by_sweep() == 5
     assert threshold_ell_by_root_analysis() == 5
     assert threshold_ell() == 5
+    assert threshold_ell(5) == 5
+    with pytest.raises(VerificationError):
+        threshold_ell(4)  # the limit reaches both routes
     with pytest.raises(VerificationError):
         threshold_ell_by_sweep(limit=4)  # only ell = 3 in range, which fails
 
