@@ -10,8 +10,9 @@ first entry and the remaining entries must equal its j^2-th powers on
 the nose.  There is no root extraction anywhere, so no numerical
 tolerance either.
 
-Frobenius acts on a point through the generator; valuations scale by
-p^n, while the shape of the valuation profile, the quadratic progression
+Frobenius acts on a point member by member, and the images must again
+be the square powers of the image generator; valuations scale by p^n,
+while the shape of the valuation profile, the quadratic progression
 j^2 * v(a), is preserved.  The profile is also invariant under every
 exponent-preserving coefficient substitution, such as t -> u*t for a
 unit u of F_p, and that invariance is checkable.
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from .tilt import TiltElement, is_prime, tilt_frobenius, tilt_pow, tilt_val
-from .witt import PrimitiveDeg1, primitive_pow_family
+from .witt import PrimitiveDeg1, primitive_frobenius, primitive_pow_family
 
 __all__ = [
     "AnsatzPoint",
@@ -91,11 +92,25 @@ def is_member(members: Sequence[PrimitiveDeg1]) -> bool:
 
 
 def frobenius_orbit(point: AnsatzPoint, window: tuple[int, int]) -> tuple[AnsatzPoint, ...]:
-    """The points over phi^n(a) for n in the inclusive window."""
+    """The points over phi^n(a) for n in the inclusive window.
+
+    Each point's members are the images phi^n([a^(j^2)] - p) of the
+    given point's members; the constructor then checks them against
+    (phi^n a)^(j^2), so every orbit point verifies that Frobenius
+    commutes with the square powers.  A mismatch there is a kernel
+    fault, not bad input, and raises VerificationError.
+    """
     lo, hi = window
     if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
         raise DomainError(f"window must be an inclusive integer range, got {window!r}")
-    return tuple(make_ansatz(tilt_frobenius(point.a, n), point.ell) for n in range(lo, hi + 1))
+    orbit = []
+    for n in range(lo, hi + 1):
+        members = tuple(primitive_frobenius(m, n) for m in point.members)
+        try:
+            orbit.append(AnsatzPoint(a=tilt_frobenius(point.a, n), ell=point.ell, members=members))
+        except DomainError as exc:
+            raise VerificationError(f"Frobenius translate n = {n} left the ansatz: {exc}") from exc
+    return tuple(orbit)
 
 
 def valuation_profile(point: AnsatzPoint) -> tuple[Fraction, ...]:

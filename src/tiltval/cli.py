@@ -36,7 +36,6 @@ from .pilot import (
     size_estimate,
     sum_log_norms,
     theta_set_sample,
-    threshold_ell,
     threshold_ell_by_root_analysis,
     threshold_ell_by_sweep,
 )
@@ -512,8 +511,7 @@ def cmd_sweep_ell(cfg: RunConfig) -> Report:
     checks.append(make_check("sweep.threshold_by_sweep", by_sweep == 5, threshold=by_sweep))
     by_roots = threshold_ell_by_root_analysis(cfg.ell_sweep_max)
     checks.append(make_check("sweep.threshold_by_root_analysis", by_roots == 5, threshold=by_roots))
-    agreed = threshold_ell(cfg.ell_sweep_max)
-    checks.append(make_check("sweep.threshold_routes_agree", agreed == by_sweep == by_roots, threshold=agreed))
+    checks.append(make_check("sweep.threshold_routes_agree", by_sweep == by_roots, threshold=by_sweep))
     return Report(
         suite="sweep-ell",
         config_echo=cfg.echo(),

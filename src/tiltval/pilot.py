@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .ansatz import AnsatzPoint, frobenius_orbit
 from .errors import DomainError, VerificationError
-from .tilt import is_prime, tilt_val
+from .tilt import is_prime, tilt_frobenius, tilt_val
 from .witt import RhoWeight
 
 __all__ = [
@@ -104,8 +104,10 @@ def sum_log_norms(pilot: PilotTuple, rho: RhoWeight) -> Fraction:
 class ThetaSetSample:
     """A deduplicated, deterministically ordered set of pilot tuples.
 
-    Closed under Frobenius to the stated depth by construction; the
-    factory re-checks that before handing the sample out.
+    Closed under Frobenius to the stated depth by construction.  The
+    factory checks each orbit step by step before handing the sample
+    out: the point at n + 1 has generator phi(a_n), and its lifts are p
+    times the lifts at n.
     """
 
     generators: tuple[AnsatzPoint, ...]
@@ -133,12 +135,17 @@ def theta_set_sample(
         raise DomainError(f"depth must be a nonnegative integer, got {depth!r}")
     seen: set[PilotTuple] = set()
     for point in generators:
-        for orbit_point in frobenius_orbit(point, (-depth, depth)):
-            seen.add(build_pilot(orbit_point, xi_val))
-    for point in generators:  # closure re-check on the finished set
-        for orbit_point in frobenius_orbit(point, (-depth, depth)):
-            if build_pilot(orbit_point, xi_val) not in seen:
-                raise VerificationError("sample lost a Frobenius translate")
+        prev = None
+        for n, orbit_point in enumerate(frobenius_orbit(point, (-depth, depth)), start=-depth):
+            pilot = build_pilot(orbit_point, xi_val)
+            if prev is not None:
+                if orbit_point.a != tilt_frobenius(prev.ansatz.a, 1):
+                    raise VerificationError(f"orbit point {n} is not phi of point {n - 1}")
+                p = orbit_point.a.p
+                if pilot.lifts != tuple(p * e for e in prev.lifts):
+                    raise VerificationError(f"lifts at orbit point {n} are not {p} times those at {n - 1}")
+            seen.add(pilot)
+            prev = pilot
     ordered = tuple(sorted(seen, key=_pilot_sort_key))
     return ThetaSetSample(generators=tuple(generators), frobenius_depth=depth, tuples=ordered)
 

@@ -24,13 +24,18 @@ x^ell, and in Laurent polynomials over that ring in a parameter s with
 s^2 = q^(1/ell); evaluation therefore uses the base parameter q^(1/ell),
 in which the leading-exponent drop of theta(q^(j/2) zeta^k) against
 theta(zeta^k) is exactly -j^2 for every j, matching the symbolic
-q-exponent j^2/(2 ell) of :func:`theta_value`.
+q-exponent j^2/(2 ell) of :func:`theta_value`.  The evaluation keeps
+one plain integer row of ell - 1 coefficients per s-exponent and adds
+each term +-x^e into it directly: x^ell = -1 folds e below ell, and only
+e = ell - 1 needs the cyclotomic relation, which touches the whole row.
+One validated ring element is built per surviving exponent at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping
 
 from .errors import DomainError, WindowError
@@ -74,6 +79,22 @@ def _reduce_mod_cyclo(ell: int, coeffs: list[int]) -> tuple[int, ...]:
     return tuple(out[:deg])
 
 
+def _add_root_pow(row: list[int], ell: int, e: int, c: int) -> None:
+    """Add c * x^e to a length ell - 1 coefficient row, for 0 <= e < 2 ell.
+
+    x^ell = -1 folds e into 0 .. ell - 1, and only e = ell - 1 leaves the
+    basis: x^(ell-1) = -sum_{i<ell-1} (-1)^i x^i touches every entry.
+    """
+    if e >= ell:
+        e -= ell
+        c = -c
+    if e < ell - 1:
+        row[e] += c
+    else:
+        row[0::2] = [v - c for v in row[0::2]]
+        row[1::2] = [v + c for v in row[1::2]]
+
+
 @dataclass(frozen=True)
 class CycloElt:
     """Element of Z[x]/(Phi_2ell(x)) in the basis 1, x, ..., x^(ell-2).
@@ -90,7 +111,7 @@ class CycloElt:
         _require_odd_prime(self.ell)
         if len(self.coeffs) != self.ell - 1:
             raise DomainError(f"expected {self.ell - 1} coefficients, got {len(self.coeffs)}")
-        if not all(isinstance(c, int) for c in self.coeffs):
+        if not all(map(isinstance, self.coeffs, repeat(int))):
             raise DomainError("coefficients must be integers")
 
     @classmethod
@@ -104,8 +125,9 @@ class CycloElt:
     @classmethod
     def root_pow(cls, ell: int, k: int) -> "CycloElt":
         """The class of x^k, any integer k (x has order 2ell)."""
-        k %= 2 * ell
-        return cls(ell, _reduce_mod_cyclo(ell, [0] * k + [1]))
+        row = [0] * (ell - 1)
+        _add_root_pow(row, ell, k % (2 * ell), 1)
+        return cls(ell, tuple(row))
 
     @property
     def is_zero(self) -> bool:
@@ -422,20 +444,24 @@ def eval_theta_laurent(j: int, k: int, ell: int, n_max: int, signed: bool = True
 
     s is a formal square root of the base parameter q^(1/ell), so the
     term at index n contributes s^(n(n+1) + j(2n+1)) with coefficient
-    (-1)^n zeta^(k(2n+1)).  Collisions between indices are summed in the
-    ring, which is where the exact cancellations happen.
+    (-1)^n zeta^(k(2n+1)).  Collisions between indices are summed on
+    plain integer coefficient rows, which is where the exact
+    cancellations happen; one ring element is built per surviving
+    exponent at the end.
     """
     _require_odd_prime(ell)
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError(f"truncation radius must be a nonnegative integer, got {n_max!r}")
-    acc: dict[int, CycloElt] = {}
+    two_ell = 2 * ell
+    acc: dict[int, list[int]] = {}
     for n in range(-n_max, n_max + 1):
         s_exp = n * (n + 1) + j * (2 * n + 1)
-        coeff = zeta_ell_pow(ell, k * (2 * n + 1))
-        if signed and n % 2:
-            coeff = -coeff
-        acc[s_exp] = acc[s_exp] + coeff if s_exp in acc else coeff
-    return QLaurent.from_terms(ell, acc)
+        row = acc.get(s_exp)
+        if row is None:
+            row = acc[s_exp] = [0] * (ell - 1)
+        # zeta = x^2, so zeta^(k(2n+1)) is x^(2k(2n+1))
+        _add_root_pow(row, ell, 2 * k * (2 * n + 1) % two_ell, -1 if signed and n % 2 else 1)
+    return QLaurent.from_terms(ell, {e: CycloElt(ell, tuple(row)) for e, row in acc.items() if any(row)})
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.cli import RunConfig, load_config, main, parse_rational
-from tiltval.errors import ConfigError, PrecisionError
+from tiltval.errors import ConfigError, PrecisionError, VerificationError
+from tiltval.theta import eval_theta_laurent
+from tiltval.tilt import TiltElement
+from tiltval.witt import primitive_frobenius
 
 
 def run_cli(capsys, *argv):
@@ -191,3 +195,38 @@ def test_non_homomorphic_log_fails_the_log_rules(monkeypatch, capsys):
     assert verdicts["loglink.log_at_one_is_zero"]
     assert not verdicts["loglink.log_product_rule_trials"]
     assert not verdicts["loglink.log_p_power_rule_trials"]
+
+
+def test_unsigned_evaluation_fails_the_laurent_ratio(monkeypatch, capsys):
+    # Without (-1)^n the lowest coefficients no longer differ by the sign of xi_j.
+    monkeypatch.setattr(
+        "tiltval.theta.eval_theta_laurent",
+        lambda j, k, ell, n_max, signed=True: eval_theta_laurent(j, k, ell, n_max, signed=False),
+    )
+    code, out, _ = run_cli(capsys, "verify-theta", "--format", "json")
+    assert code == 1
+    verdicts = {check["id"]: check["passed"] for check in json.loads(out)["checks"]}
+    assert not verdicts["theta.value_laurent_ratio.j1"]
+    assert verdicts["theta.inversion_antisymmetry"]
+
+
+def test_mistwisted_frobenius_is_a_verification_failure(monkeypatch, capsys):
+    monkeypatch.setattr("tiltval.ansatz.primitive_frobenius", lambda w, n=1: primitive_frobenius(w, n + 1))
+    point = make_ansatz(TiltElement.monomial(2, 1), 5)
+    with pytest.raises(VerificationError):
+        frobenius_orbit(point, (-1, 1))
+    code, out, err = run_cli(capsys, "ansatz")
+    assert code == 1
+    assert out == "" and "internal check failed" in err
+
+
+def test_threshold_route_disagreement_is_a_failed_check(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("tiltval.cli.threshold_ell_by_root_analysis", lambda limit: 7)
+    target = tmp_path / "sweep.json"
+    code, out, _ = run_cli(capsys, "sweep-ell", "--format", "json", "--output", str(target))
+    assert code == 1 and out == ""
+    checks = {check["id"]: check for check in json.loads(target.read_text(encoding="utf-8"))["checks"]}
+    assert checks["sweep.threshold_by_sweep"]["passed"]
+    assert not checks["sweep.threshold_by_root_analysis"]["passed"]
+    agree = checks["sweep.threshold_routes_agree"]
+    assert not agree["passed"] and agree["witness"] == {"threshold": "5"}

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import random_monomial
 
-from tiltval.ansatz import make_ansatz
+from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.errors import DomainError, VerificationError
 from tiltval.pilot import (
     PilotTuple,
@@ -84,6 +84,17 @@ def test_sample_scaling_along_orbit():
     sums = [sum_log_norms(t, RhoWeight.of(1)) for t in sample.tuples]
     assert sums == sorted(sums)
     assert sums[0] * 16 == sums[-1]  # p^(2 depth) spread
+
+
+def test_sample_checks_each_orbit_step(monkeypatch):
+    def swapped(point, window):
+        orbit = list(frobenius_orbit(point, window))
+        orbit[0], orbit[1] = orbit[1], orbit[0]
+        return tuple(orbit)
+
+    monkeypatch.setattr("tiltval.pilot.frobenius_orbit", swapped)
+    with pytest.raises(VerificationError):
+        theta_set_sample([_point()], Fraction(1, 10), 1)
 
 
 def test_sample_validation():

@@ -8,6 +8,7 @@ import pytest
 from tiltval.errors import DomainError, WindowError
 from tiltval.theta import (
     CycloElt,
+    _reduce_mod_cyclo,
     QLaurent,
     ThetaTerm,
     check_inversion_antisymmetry,
@@ -18,6 +19,23 @@ from tiltval.theta import (
     theta_value,
     zeta_ell_pow,
 )
+
+
+def _root_pow_by_reduction(ell, k):
+    """x^k through the full reduction cascade of a length k + 1 list."""
+    return CycloElt(ell, _reduce_mod_cyclo(ell, [0] * (k % (2 * ell)) + [1]))
+
+
+def _eval_by_ring_ops(j, k, ell, n_max, signed=True):
+    """The truncated evaluation as one ring element per term, summed in the ring."""
+    acc = {}
+    for n in range(-n_max, n_max + 1):
+        s_exp = n * (n + 1) + j * (2 * n + 1)
+        coeff = _root_pow_by_reduction(ell, 2 * k * (2 * n + 1))
+        if signed and n % 2:
+            coeff = -coeff
+        acc[s_exp] = acc[s_exp] + coeff if s_exp in acc else coeff
+    return QLaurent.from_terms(ell, acc)
 
 
 def _coeff_table(n_max, signed=True):
@@ -254,3 +272,21 @@ def test_laurent_ratio_guards():
         check_theta_value_laurent(1, 5, 5, n_max=6)  # k = 0 mod ell degenerates
     with pytest.raises(DomainError):
         eval_theta_laurent(0, 1, 9, 4)
+
+
+def test_eval_matches_ring_ops_randomized():
+    rng = random.Random(4409)
+    primes = [ell for ell in range(3, 114, 2) if all(ell % d for d in range(3, ell, 2))]
+    assert primes[0] == 3 and primes[-1] == 113
+    for ell in primes:
+        for k in range(-2 * ell, 2 * ell + 1):
+            assert CycloElt.root_pow(ell, k) == _root_pow_by_reduction(ell, k), (ell, k)
+        ell_star = (ell - 1) // 2
+        for _ in range(5):
+            j = rng.randint(0, ell_star)
+            k = rng.choice((0, ell, -ell, rng.randint(-3 * ell, 3 * ell)))
+            n_max = rng.randint(0, 2 * ell)
+            signed = rng.random() < 0.5
+            assert eval_theta_laurent(j, k, ell, n_max, signed) == _eval_by_ring_ops(
+                j, k, ell, n_max, signed
+            ), (j, k, ell, n_max, signed)
