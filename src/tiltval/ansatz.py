@@ -20,10 +20,10 @@ unit u of F_p, and that invariance is checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from ._record import Record
 from .errors import DomainError, VerificationError
 from .tilt import TiltElement, is_prime, tilt_frobenius, tilt_pow, tilt_val
 from .witt import PrimitiveDeg1, primitive_frobenius, primitive_pow_family
@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AnsatzPoint:
+class AnsatzPoint(Record):
     """A generator a together with its square-power family for ell.
 
     The constructor re-derives every member from ``a`` and refuses
@@ -49,21 +48,25 @@ class AnsatzPoint:
     be trusted wherever it came from.
     """
 
+    __slots__ = ("a", "ell", "members")
     a: TiltElement
     ell: int
     members: tuple[PrimitiveDeg1, ...]
 
-    def __post_init__(self):
-        if not is_prime(self.ell) or self.ell == 2:
-            raise DomainError(f"ell must be an odd prime, got {self.ell}")
-        if self.ell == self.a.p:
-            raise DomainError(f"ell must differ from the residue characteristic {self.a.p}")
-        ell_star = (self.ell - 1) // 2
-        if len(self.members) != ell_star:
-            raise DomainError(f"expected {ell_star} members for ell = {self.ell}")
-        for j, member in enumerate(self.members, start=1):
-            if member.a != tilt_pow(self.a, j * j):
+    def __init__(self, a: TiltElement, ell: int, members: tuple[PrimitiveDeg1, ...]):
+        if not is_prime(ell) or ell == 2:
+            raise DomainError(f"ell must be an odd prime, got {ell}")
+        if ell == a.p:
+            raise DomainError(f"ell must differ from the residue characteristic {a.p}")
+        ell_star = (ell - 1) // 2
+        if len(members) != ell_star:
+            raise DomainError(f"expected {ell_star} members for ell = {ell}")
+        for j, member in enumerate(members, start=1):
+            if member.a != tilt_pow(a, j * j):
                 raise DomainError(f"member {j} is not the {j * j}-th power of the generator")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "members", members)
 
     @property
     def ell_star(self) -> int:
@@ -143,20 +146,23 @@ def scale_invariance_check(
     return new_profile == valuation_profile(point)
 
 
-@dataclass(frozen=True)
-class HolomorphoidRecord:
+class HolomorphoidRecord(Record):
     """One untilt attached to a family member: a label, its Tate-style
     parameter valuation, and the member index it came from."""
 
+    __slots__ = ("label", "member_index", "tate_valuation")
     label: str
     member_index: int
     tate_valuation: Fraction
 
-    def __post_init__(self):
-        if self.member_index < 1:
+    def __init__(self, label: str, member_index: int, tate_valuation: Fraction):
+        if member_index < 1:
             raise DomainError("member index counts from 1")
-        if self.tate_valuation <= 0:
+        if tate_valuation <= 0:
             raise DomainError("the Tate parameter valuation must be positive")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "member_index", member_index)
+        object.__setattr__(self, "tate_valuation", tate_valuation)
 
 
 def untilt_records(point: AnsatzPoint, v_q: Fraction, label: str) -> tuple[HolomorphoidRecord, ...]:

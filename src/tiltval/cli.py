@@ -16,9 +16,9 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
+from ._record import Record
 from .ansatz import (
     frobenius_orbit,
     is_member,
@@ -55,20 +55,47 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 _FORMATS = ("json", "csv", "text")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Validated run parameters; every field has a working default."""
 
-    p: int = 2
-    ell: int = 5
-    ell_sweep_max: int = 97
-    v_q: Fraction = Fraction(1)
-    theta_truncation: int = 12
-    frobenius_depth: int = 2
-    rho_weight: Fraction = Fraction(1)
-    padic_precision: int = 14
-    output_format: str = "text"
-    seed: int = 0
+    __slots__ = (
+        "p", "ell", "ell_sweep_max", "v_q", "theta_truncation", "frobenius_depth", "rho_weight",
+        "padic_precision", "output_format", "seed",
+    )
+    p: int
+    ell: int
+    ell_sweep_max: int
+    v_q: Fraction
+    theta_truncation: int
+    frobenius_depth: int
+    rho_weight: Fraction
+    padic_precision: int
+    output_format: str
+    seed: int
+
+    def __init__(
+        self,
+        p: int = 2,
+        ell: int = 5,
+        ell_sweep_max: int = 97,
+        v_q: Fraction = Fraction(1),
+        theta_truncation: int = 12,
+        frobenius_depth: int = 2,
+        rho_weight: Fraction = Fraction(1),
+        padic_precision: int = 14,
+        output_format: str = "text",
+        seed: int = 0,
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "ell_sweep_max", ell_sweep_max)
+        object.__setattr__(self, "v_q", v_q)
+        object.__setattr__(self, "theta_truncation", theta_truncation)
+        object.__setattr__(self, "frobenius_depth", frobenius_depth)
+        object.__setattr__(self, "rho_weight", rho_weight)
+        object.__setattr__(self, "padic_precision", padic_precision)
+        object.__setattr__(self, "output_format", output_format)
+        object.__setattr__(self, "seed", seed)
 
     def validate(self) -> "RunConfig":
         if not is_prime(self.p):
@@ -99,13 +126,19 @@ class RunConfig:
 
     def echo(self) -> tuple[tuple[str, str], ...]:
         pairs = []
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for name in self.__slots__:
+            value = getattr(self, name)
             if isinstance(value, Fraction):
-                pairs.append((field.name, f"{value.numerator}/{value.denominator}"))
+                pairs.append((name, f"{value.numerator}/{value.denominator}"))
             else:
-                pairs.append((field.name, str(value)))
+                pairs.append((name, str(value)))
         return tuple(pairs)
+
+    def override(self, **changes: object) -> "RunConfig":
+        """A copy with the given fields replaced; a change of None keeps the field."""
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values.update((name, value) for name, value in changes.items() if value is not None)
+        return RunConfig(**values)
 
 
 def parse_rational(text: object) -> Fraction:
@@ -575,11 +608,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.fmt is not None:
-            cfg = replace(cfg, output_format=args.fmt)
+        cfg = load_config(args.config).override(seed=args.seed, output_format=args.fmt)
         report = _DISPATCH[args.command](cfg)
     except (ConfigError, WindowError, PrecisionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

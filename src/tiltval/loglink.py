@@ -29,10 +29,10 @@ catching up to a proximity epsilon takes m(epsilon) steps with
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from ._record import Record
 from .errors import ConfigError, DomainError, PrecisionError, VerificationError
 from .tilt import is_prime
 
@@ -46,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PadicUnit:
+class PadicUnit(Record):
     """A principal unit of Z/p^N: value = 1 mod p (mod 4 when p = 2).
 
     ``precision`` is N.  The floor N >= 2 for odd p and N >= 3 for p = 2
@@ -55,24 +54,28 @@ class PadicUnit:
     congruence classes carry no information.
     """
 
+    __slots__ = ("p", "precision", "value")
     p: int
     precision: int
     value: int
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"p must be prime, got {self.p}")
-        floor = 3 if self.p == 2 else 2
-        if self.precision < floor:
+    def __init__(self, p: int, precision: int, value: int):
+        if not is_prime(p):
+            raise DomainError(f"p must be prime, got {p}")
+        floor = 3 if p == 2 else 2
+        if precision < floor:
             raise PrecisionError(
-                f"precision {self.precision} is below the minimum {floor} for p = {self.p}",
+                f"precision {precision} is below the minimum {floor} for p = {p}",
                 required=floor,
             )
-        if not isinstance(self.value, int) or not 0 <= self.value < self.modulus:
-            raise DomainError(f"value must be reduced mod {self.p}^{self.precision}")
-        congruence = 4 if self.p == 2 else self.p
-        if self.value % congruence != 1:
-            raise DomainError(f"not a principal unit: {self.value} != 1 mod {congruence}")
+        if not isinstance(value, int) or not 0 <= value < p**precision:
+            raise DomainError(f"value must be reduced mod {p}^{precision}")
+        congruence = 4 if p == 2 else p
+        if value % congruence != 1:
+            raise DomainError(f"not a principal unit: {value} != 1 mod {congruence}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def of(cls, p: int, precision: int, value: int) -> "PadicUnit":
@@ -166,8 +169,7 @@ def padic_log(u: PadicUnit) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class LogLinkChain:
+class LogLinkChain(Record):
     """Valuations v_n = v0 * p^n of the same prime along a chain window.
 
     Moving one step toward smaller n divides the valuation by p: the
@@ -175,28 +177,33 @@ class LogLinkChain:
     with no operation that would identify different indices.
     """
 
+    __slots__ = ("p", "v0", "window", "entries")
     p: int
     v0: Fraction
     window: tuple[int, int]
     entries: tuple[tuple[int, Fraction], ...]
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"p must be prime, got {self.p}")
-        if not isinstance(self.v0, Fraction) or self.v0 <= 0:
-            raise DomainError(f"v0 must be a positive Fraction, got {self.v0!r}")
-        lo, hi = self.window
+    def __init__(self, p: int, v0: Fraction, window: tuple[int, int], entries: tuple[tuple[int, Fraction], ...]):
+        if not is_prime(p):
+            raise DomainError(f"p must be prime, got {p}")
+        if not isinstance(v0, Fraction) or v0 <= 0:
+            raise DomainError(f"v0 must be a positive Fraction, got {v0!r}")
+        lo, hi = window
         if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
-            raise DomainError(f"window must be an inclusive integer range, got {self.window!r}")
+            raise DomainError(f"window must be an inclusive integer range, got {window!r}")
         expected_indexes = tuple(range(lo, hi + 1))
-        if tuple(n for n, _ in self.entries) != expected_indexes:
+        if tuple(n for n, _ in entries) != expected_indexes:
             raise DomainError("entries must cover the window exactly once, in order")
-        for n, value in self.entries:
+        for n, value in entries:
             if value <= 0:
                 raise DomainError(f"valuation at index {n} must be positive")
-        for (_, prev), (_, cur) in zip(self.entries, self.entries[1:]):
-            if cur != prev * self.p:
+        for (_, prev), (_, cur) in zip(entries, entries[1:]):
+            if cur != prev * p:
                 raise VerificationError("adjacent chain entries must differ by a factor of p")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "v0", v0)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "entries", entries)
 
     def value_at(self, n: int) -> Fraction:
         lo, hi = self.window

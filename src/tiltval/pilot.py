@@ -21,10 +21,10 @@ ell = 3.  Both routes must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .ansatz import AnsatzPoint, frobenius_orbit
 from .errors import DomainError, VerificationError
 from .tilt import is_prime, tilt_frobenius, tilt_val
@@ -48,29 +48,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PilotTuple:
+class PilotTuple(Record):
     """An ansatz point with the log-norms of its lifted members.
 
     lifts[j-1] = e_j = xi_val_K1 * v(a) * j^2 > 0; the quadratic law is
     re-verified on construction.
     """
 
+    __slots__ = ("ansatz", "xi_val_K1", "lifts")
     ansatz: AnsatzPoint
     xi_val_K1: Fraction
     lifts: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if self.xi_val_K1 <= 0:
+    def __init__(self, ansatz: AnsatzPoint, xi_val_K1: Fraction, lifts: tuple[Fraction, ...]):
+        if xi_val_K1 <= 0:
             raise DomainError("the reference multiplier valuation must be positive")
-        if len(self.lifts) != self.ansatz.ell_star:
+        if len(lifts) != ansatz.ell_star:
             raise DomainError("one lift per family member")
-        e1 = self.lifts[0]
-        for j, e in enumerate(self.lifts, start=1):
+        e1 = lifts[0]
+        for j, e in enumerate(lifts, start=1):
             if e <= 0:
                 raise DomainError(f"lift {j} must be positive, got {e}")
             if e != e1 * j * j:
                 raise DomainError(f"lift {j} breaks the square law e_j = j^2 e_1")
+        object.__setattr__(self, "ansatz", ansatz)
+        object.__setattr__(self, "xi_val_K1", xi_val_K1)
+        object.__setattr__(self, "lifts", lifts)
 
 
 def build_pilot(point: AnsatzPoint, xi_val: Fraction) -> PilotTuple:
@@ -100,8 +103,7 @@ def sum_log_norms(pilot: PilotTuple, rho: RhoWeight) -> Fraction:
     return direct
 
 
-@dataclass(frozen=True)
-class ThetaSetSample:
+class ThetaSetSample(Record):
     """A deduplicated, deterministically ordered set of pilot tuples.
 
     Closed under Frobenius to the stated depth by construction.  The
@@ -110,9 +112,15 @@ class ThetaSetSample:
     times the lifts at n.
     """
 
+    __slots__ = ("generators", "frobenius_depth", "tuples")
     generators: tuple[AnsatzPoint, ...]
     frobenius_depth: int
     tuples: tuple[PilotTuple, ...]
+
+    def __init__(self, generators: tuple[AnsatzPoint, ...], frobenius_depth: int, tuples: tuple[PilotTuple, ...]):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "frobenius_depth", frobenius_depth)
+        object.__setattr__(self, "tuples", tuples)
 
 
 def _pilot_sort_key(pilot: PilotTuple):
@@ -167,24 +175,37 @@ def size_estimate(sample: ThetaSetSample, rho: RhoWeight) -> Fraction:
     return min(sums)
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(Record):
     """One labeled exact quantity in the bound derivation, with its own
     pass flag where the step asserts an identity."""
 
+    __slots__ = ("label", "value", "ok")
     label: str
     value: Fraction
     ok: bool
 
+    def __init__(self, label: str, value: Fraction, ok: bool):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "ok", ok)
 
-@dataclass(frozen=True)
-class BoundReport:
+
+class BoundReport(Record):
+    __slots__ = ("ell", "v_q", "lhs_log", "rhs_log", "margin", "passed")
     ell: int
     v_q: Fraction
     lhs_log: Fraction
     rhs_log: Fraction
     margin: Fraction
     passed: bool
+
+    def __init__(self, ell: int, v_q: Fraction, lhs_log: Fraction, rhs_log: Fraction, margin: Fraction, passed: bool):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "v_q", v_q)
+        object.__setattr__(self, "lhs_log", lhs_log)
+        object.__setattr__(self, "rhs_log", rhs_log)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "passed", passed)
 
 
 def _require_bound_inputs(ell: int, v_q: Fraction) -> None:

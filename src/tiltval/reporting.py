@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._record import Record
 from .errors import VerificationError
 
 __all__ = [
@@ -65,13 +65,18 @@ def assert_no_floats(obj: object) -> None:
             assert_no_floats(value)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(Record):
     """One named pass/fail outcome with an exact witness."""
 
+    __slots__ = ("check_id", "passed", "witness")
     check_id: str
     passed: bool
     witness: tuple[tuple[str, str], ...]
+
+    def __init__(self, check_id: str, passed: bool, witness: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
 
 
 def make_check(check_id: str, passed: bool, **witness: object) -> CheckRecord:
@@ -80,16 +85,32 @@ def make_check(check_id: str, passed: bool, **witness: object) -> CheckRecord:
     return CheckRecord(check_id=check_id, passed=bool(passed), witness=rendered)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """A suite run: configuration echo, gauge notes, ordered checks."""
 
+    __slots__ = ("suite", "config_echo", "gauges", "checks", "wall_ms", "schema")
     suite: str
     config_echo: tuple[tuple[str, str], ...]
     gauges: tuple[str, ...]
     checks: tuple[CheckRecord, ...]
-    wall_ms: int | None = None
-    schema: int = 1
+    wall_ms: int | None
+    schema: int
+
+    def __init__(
+        self,
+        suite: str,
+        config_echo: tuple[tuple[str, str], ...],
+        gauges: tuple[str, ...],
+        checks: tuple[CheckRecord, ...],
+        wall_ms: int | None = None,
+        schema: int = 1,
+    ):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "config_echo", config_echo)
+        object.__setattr__(self, "gauges", gauges)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "wall_ms", wall_ms)
+        object.__setattr__(self, "schema", schema)
 
     @property
     def passed(self) -> bool:
@@ -117,15 +138,29 @@ class Report:
         return [(self.suite, check) for check in self.checks]
 
 
-@dataclass(frozen=True)
-class CombinedReport:
+class CombinedReport(Record):
     """Several suites under one configuration, reported as one run."""
 
+    __slots__ = ("suites", "config_echo", "gauges", "wall_ms", "schema")
     suites: tuple[Report, ...]
     config_echo: tuple[tuple[str, str], ...]
     gauges: tuple[str, ...]
-    wall_ms: int | None = None
-    schema: int = 1
+    wall_ms: int | None
+    schema: int
+
+    def __init__(
+        self,
+        suites: tuple[Report, ...],
+        config_echo: tuple[tuple[str, str], ...],
+        gauges: tuple[str, ...],
+        wall_ms: int | None = None,
+        schema: int = 1,
+    ):
+        object.__setattr__(self, "suites", suites)
+        object.__setattr__(self, "config_echo", config_echo)
+        object.__setattr__(self, "gauges", gauges)
+        object.__setattr__(self, "wall_ms", wall_ms)
+        object.__setattr__(self, "schema", schema)
 
     @property
     def passed(self) -> bool:
@@ -181,7 +216,10 @@ def _render_text_suite(report: Report, lines: list[str], show_header: bool) -> N
         for note in report.gauges:
             lines.append(f"gauge: {note}")
     else:
-        lines.append(f"-- {report.suite} --")
+        header = f"-- {report.suite} --"
+        if report.wall_ms is not None:
+            header += f" wall: {report.wall_ms} ms"
+        lines.append(header)
     for check in report.checks:
         flag = "PASS" if check.passed else "FAIL"
         witness = "  ".join(f"{key}={value}" for key, value in check.witness)

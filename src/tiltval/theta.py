@@ -33,11 +33,11 @@ One validated ring element is built per surviving exponent at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Mapping
 
+from ._record import Record
 from .errors import DomainError, WindowError
 from .tilt import is_prime
 
@@ -95,8 +95,7 @@ def _add_root_pow(row: list[int], ell: int, e: int, c: int) -> None:
         row[1::2] = [v + c for v in row[1::2]]
 
 
-@dataclass(frozen=True)
-class CycloElt:
+class CycloElt(Record):
     """Element of Z[x]/(Phi_2ell(x)) in the basis 1, x, ..., x^(ell-2).
 
     x is a primitive 2ell-th root of unity, so x^ell = -1 and zeta = x^2
@@ -104,15 +103,18 @@ class CycloElt:
     which makes equality and zero-testing exact.
     """
 
+    __slots__ = ("ell", "coeffs")
     ell: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        _require_odd_prime(self.ell)
-        if len(self.coeffs) != self.ell - 1:
-            raise DomainError(f"expected {self.ell - 1} coefficients, got {len(self.coeffs)}")
-        if not all(map(isinstance, self.coeffs, repeat(int))):
+    def __init__(self, ell: int, coeffs: tuple[int, ...]):
+        _require_odd_prime(ell)
+        if len(coeffs) != ell - 1:
+            raise DomainError(f"expected {ell - 1} coefficients, got {len(coeffs)}")
+        if not all(map(isinstance, coeffs, repeat(int))):
             raise DomainError("coefficients must be integers")
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls, ell: int) -> "CycloElt":
@@ -167,8 +169,7 @@ def zeta_ell_pow(ell: int, k: int) -> CycloElt:
     return CycloElt.root_pow(ell, 2 * k)
 
 
-@dataclass(frozen=True)
-class QLaurent:
+class QLaurent(Record):
     """Laurent polynomial over Z[x]/(Phi_2ell) in the half-parameter s.
 
     Exponents are integers of either sign; s^2 plays the role of the
@@ -176,22 +177,25 @@ class QLaurent:
     stored, so the lowest term is well defined whenever terms exist.
     """
 
+    __slots__ = ("ell", "terms")
     ell: int
     terms: tuple[tuple[int, CycloElt], ...]
 
-    def __post_init__(self):
-        _require_odd_prime(self.ell)
+    def __init__(self, ell: int, terms: tuple[tuple[int, CycloElt], ...]):
+        _require_odd_prime(ell)
         prev = None
-        for exponent, coeff in self.terms:
+        for exponent, coeff in terms:
             if not isinstance(exponent, int):
                 raise DomainError("s-exponents must be integers")
-            if not isinstance(coeff, CycloElt) or coeff.ell != self.ell:
+            if not isinstance(coeff, CycloElt) or coeff.ell != ell:
                 raise DomainError("coefficients must live in the matching cyclotomic ring")
             if coeff.is_zero:
                 raise DomainError("zero coefficients must be dropped")
             if prev is not None and exponent <= prev:
                 raise DomainError("terms must be strictly increasing in the exponent")
             prev = exponent
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_terms(cls, ell: int, terms: Mapping[int, CycloElt]) -> "QLaurent":
@@ -216,32 +220,41 @@ class QLaurent:
         return self.terms[0]
 
 
-@dataclass(frozen=True)
-class ThetaTerm:
+class ThetaTerm(Record):
     """One series term: sign * q^(q_exp) * u^(u_exp) at index n."""
 
+    __slots__ = ("n", "sign", "q_exp", "u_exp")
     n: int
     sign: int
     q_exp: int
     u_exp: int
 
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise DomainError(f"sign must be +-1, got {self.sign}")
-        if self.u_exp != 2 * self.n + 1:
-            raise DomainError(f"u-exponent {self.u_exp} does not match index {self.n}")
+    def __init__(self, n: int, sign: int, q_exp: int, u_exp: int):
+        if sign not in (-1, 1):
+            raise DomainError(f"sign must be +-1, got {sign}")
+        if u_exp != 2 * n + 1:
+            raise DomainError(f"u-exponent {u_exp} does not match index {n}")
         # n(n+1)/2 = ((2n+1)^2 - 1)/8: the absorbed q^(-1/8) prefactor in integer form
-        if 8 * self.q_exp != self.u_exp * self.u_exp - 1:
-            raise DomainError(f"q-exponent {self.q_exp} does not match index {self.n}")
+        if 8 * q_exp != u_exp * u_exp - 1:
+            raise DomainError(f"q-exponent {q_exp} does not match index {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "q_exp", q_exp)
+        object.__setattr__(self, "u_exp", u_exp)
 
 
-@dataclass(frozen=True)
-class ThetaSeriesTrunc:
+class ThetaSeriesTrunc(Record):
     """The terms with |n| <= n_max, in increasing index order."""
 
+    __slots__ = ("n_max", "signed", "terms")
     n_max: int
     signed: bool
     terms: tuple[ThetaTerm, ...]
+
+    def __init__(self, n_max: int, signed: bool, terms: tuple[ThetaTerm, ...]):
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "signed", signed)
+        object.__setattr__(self, "terms", terms)
 
     def term_at(self, n: int) -> ThetaTerm:
         if abs(n) > self.n_max:
@@ -260,8 +273,7 @@ def theta_terms(n_max: int, signed: bool = True) -> ThetaSeriesTrunc:
     return ThetaSeriesTrunc(n_max=n_max, signed=signed, terms=tuple(terms))
 
 
-@dataclass(frozen=True)
-class InversionCheck:
+class InversionCheck(Record):
     """Outcome of the u -> 1/u antisymmetry check on a truncation window.
 
     The window [-N, N] splits into N pairs (n, -n-1) plus the single
@@ -272,6 +284,9 @@ class InversionCheck:
     theta(1) = 0.
     """
 
+    __slots__ = (
+        "passed", "n_max", "signed", "pairs_matched", "boundary_terms", "pairs_cancel_at_one", "first_mismatch"
+    )
     passed: bool
     n_max: int
     signed: bool
@@ -279,6 +294,24 @@ class InversionCheck:
     boundary_terms: int
     pairs_cancel_at_one: bool
     first_mismatch: str | None
+
+    def __init__(
+        self,
+        passed: bool,
+        n_max: int,
+        signed: bool,
+        pairs_matched: int,
+        boundary_terms: int,
+        pairs_cancel_at_one: bool,
+        first_mismatch: str | None,
+    ):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "signed", signed)
+        object.__setattr__(self, "pairs_matched", pairs_matched)
+        object.__setattr__(self, "boundary_terms", boundary_terms)
+        object.__setattr__(self, "pairs_cancel_at_one", pairs_cancel_at_one)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
 
 
 def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> InversionCheck:
@@ -324,8 +357,7 @@ def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> InversionCh
     )
 
 
-@dataclass(frozen=True)
-class QuasiPeriodicityCheck:
+class QuasiPeriodicityCheck(Record):
     """Outcome of the shift identity at step j on the symmetric overlap window.
 
     Compares theta(q^(j/2) u) against (-1)^j q^(-j^2/2) u^(-2j) theta(u)
@@ -334,6 +366,10 @@ class QuasiPeriodicityCheck:
     half-integer shifts stay in integer arithmetic.
     """
 
+    __slots__ = (
+        "passed", "j", "n_max", "signed", "overlap_lo", "overlap_hi", "terms_checked", "q_shift_doubled",
+        "first_mismatch",
+    )
     passed: bool
     j: int
     n_max: int
@@ -343,6 +379,28 @@ class QuasiPeriodicityCheck:
     terms_checked: int
     q_shift_doubled: int
     first_mismatch: str | None
+
+    def __init__(
+        self,
+        passed: bool,
+        j: int,
+        n_max: int,
+        signed: bool,
+        overlap_lo: int,
+        overlap_hi: int,
+        terms_checked: int,
+        q_shift_doubled: int,
+        first_mismatch: str | None,
+    ):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "signed", signed)
+        object.__setattr__(self, "overlap_lo", overlap_lo)
+        object.__setattr__(self, "overlap_hi", overlap_hi)
+        object.__setattr__(self, "terms_checked", terms_checked)
+        object.__setattr__(self, "q_shift_doubled", q_shift_doubled)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
 
 
 def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> QuasiPeriodicityCheck:
@@ -387,8 +445,7 @@ def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> QuasiPer
     )
 
 
-@dataclass(frozen=True)
-class ThetaValue:
+class ThetaValue(Record):
     """Symbolic value (-1)^j q^(j^2 / 2ell) zeta^(2j) of the shifted ratio.
 
     This is the multiplier xi_j with theta(q^(j/2) zeta^k) = theta(zeta^k) / xi_j
@@ -396,20 +453,26 @@ class ThetaValue:
     ``inverse_*`` properties.  Only 1 <= j <= (ell - 1) / 2 is meaningful.
     """
 
+    __slots__ = ("j", "ell", "sign", "q_exponent", "zeta_exponent")
     j: int
     ell: int
     sign: int
     q_exponent: Fraction
     zeta_exponent: int
 
-    def __post_init__(self):
-        _require_odd_prime(self.ell)
-        if self.q_exponent <= 0:
+    def __init__(self, j: int, ell: int, sign: int, q_exponent: Fraction, zeta_exponent: int):
+        _require_odd_prime(ell)
+        if q_exponent <= 0:
             raise DomainError("the q-exponent of a special value is positive")
-        if self.sign not in (-1, 1):
-            raise DomainError(f"sign must be +-1, got {self.sign}")
-        if not 0 <= self.zeta_exponent < self.ell:
+        if sign not in (-1, 1):
+            raise DomainError(f"sign must be +-1, got {sign}")
+        if not 0 <= zeta_exponent < ell:
             raise DomainError("zeta exponent must be reduced mod ell")
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "q_exponent", q_exponent)
+        object.__setattr__(self, "zeta_exponent", zeta_exponent)
 
     @property
     def inverse_q_exponent(self) -> Fraction:
@@ -464,8 +527,7 @@ def eval_theta_laurent(j: int, k: int, ell: int, n_max: int, signed: bool = True
     return QLaurent.from_terms(ell, {e: CycloElt(ell, tuple(row)) for e, row in acc.items() if any(row)})
 
 
-@dataclass(frozen=True)
-class LaurentRatioCheck:
+class LaurentRatioCheck(Record):
     """Consistency of :func:`theta_value` against truncated evaluation.
 
     The evaluation at u = s^j zeta^k must sit lower than the one at
@@ -474,6 +536,7 @@ class LaurentRatioCheck:
     reciprocal of the symbolic multiplier.
     """
 
+    __slots__ = ("passed", "j", "k", "ell", "n_max", "s_exponent_gap", "expected_gap", "coeff_relation_holds")
     passed: bool
     j: int
     k: int
@@ -482,6 +545,26 @@ class LaurentRatioCheck:
     s_exponent_gap: int
     expected_gap: int
     coeff_relation_holds: bool
+
+    def __init__(
+        self,
+        passed: bool,
+        j: int,
+        k: int,
+        ell: int,
+        n_max: int,
+        s_exponent_gap: int,
+        expected_gap: int,
+        coeff_relation_holds: bool,
+    ):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "s_exponent_gap", s_exponent_gap)
+        object.__setattr__(self, "expected_gap", expected_gap)
+        object.__setattr__(self, "coeff_relation_holds", coeff_relation_holds)
 
 
 def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> LaurentRatioCheck:

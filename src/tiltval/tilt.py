@@ -22,12 +22,12 @@ of zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import isqrt
 from typing import Mapping, Union
 
+from ._record import Record
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -71,8 +71,7 @@ _RatLike = Union[Fraction, int]
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
-class TiltVal:
+class TiltVal(Record):
     """A valuation value: an exact rational, or infinite for the zero element.
 
     ``value is None`` encodes +infinity.  Comparisons and addition accept
@@ -80,15 +79,15 @@ class TiltVal:
     reads naturally in callers.
     """
 
+    __slots__ = ("value",)
     value: Fraction | None
 
-    def __post_init__(self):
-        if self.value is None or isinstance(self.value, Fraction):
-            return
-        if isinstance(self.value, int):
-            object.__setattr__(self, "value", Fraction(self.value))
-            return
-        raise DomainError(f"valuation must be a Fraction, int, or None, got {type(self.value).__name__}")
+    def __init__(self, value: Fraction | int | None):
+        if value is not None and not isinstance(value, Fraction):
+            if not isinstance(value, int):
+                raise DomainError(f"valuation must be a Fraction, int, or None, got {type(value).__name__}")
+            value = Fraction(value)
+        object.__setattr__(self, "value", value)
 
     @property
     def is_infinite(self) -> bool:
@@ -154,8 +153,7 @@ class TiltVal:
 INF_VAL = TiltVal(None)
 
 
-@dataclass(frozen=True)
-class TiltElement:
+class TiltElement(Record):
     """Finite F_p-combination of powers t^e with e in Z[1/p], e >= 0.
 
     ``terms`` holds (exponent, coefficient) pairs in strictly increasing
@@ -165,27 +163,28 @@ class TiltElement:
     raw tuple; the validator runs either way.
     """
 
+    __slots__ = ("p", "terms")
     p: int
     terms: tuple[tuple[Fraction, int], ...]
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"coefficient characteristic must be prime, got {self.p}")
+    def __init__(self, p: int, terms: tuple[tuple[Fraction, int], ...]):
+        if not is_prime(p):
+            raise DomainError(f"coefficient characteristic must be prime, got {p}")
         prev = None
-        for exponent, coeff in self.terms:
+        for exponent, coeff in terms:
             if not isinstance(exponent, Fraction):
                 raise DomainError("exponents must be Fraction instances")
             if exponent < 0:
                 raise DomainError(f"exponent {exponent} is negative")
-            if not _is_p_power(exponent.denominator, self.p):
-                raise DomainError(
-                    f"exponent denominator {exponent.denominator} is not a power of {self.p}"
-                )
-            if not isinstance(coeff, int) or not 0 < coeff < self.p:
-                raise DomainError(f"coefficient {coeff!r} is not reduced to 1..{self.p - 1}")
+            if not _is_p_power(exponent.denominator, p):
+                raise DomainError(f"exponent denominator {exponent.denominator} is not a power of {p}")
+            if not isinstance(coeff, int) or not 0 < coeff < p:
+                raise DomainError(f"coefficient {coeff!r} is not reduced to 1..{p - 1}")
             if prev is not None and exponent <= prev:
                 raise DomainError("terms must be strictly increasing in the exponent")
             prev = exponent
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_terms(cls, p: int, terms: Mapping[_RatLike, int]) -> "TiltElement":
@@ -277,10 +276,14 @@ def tilt_pow(x: TiltElement, k: int) -> TiltElement:
     largest digit.  All of it runs on integer exponents over the largest
     exponent denominator of x, which is the lcm of them all because each
     is a power of p; the one element built at the end is fully validated.
+    A single term c*t^e needs none of that: its k-th power is c^k t^(ke).
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"exponent must be a nonnegative integer, got {k!r}")
     p = x.p
+    if len(x.terms) == 1:
+        e, c = x.terms[0]
+        return TiltElement(p, ((e * k, pow(c, k, p)),))
     den = max((e.denominator for e, _ in x.terms), default=1)
     base = {e.numerator * (den // e.denominator): c for e, c in x.terms}
     digits = []

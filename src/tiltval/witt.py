@@ -20,10 +20,10 @@ smuggled through the same code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
+from ._record import Record
 from .errors import ConfigError, DomainError
 from .tilt import INF_VAL, TiltElement, TiltVal, is_prime, tilt_frobenius, tilt_pow, tilt_val
 
@@ -74,25 +74,27 @@ class _NegativeInfinity:
 NEG_INF = _NegativeInfinity()
 
 
-@dataclass(frozen=True)
-class RhoWeight:
+class RhoWeight(Record):
     """Weight r selecting the Gauss norm with rho = |t|^r.
 
     Interior points of the relevant disk have r > 0; the boundary norm at
     rho = 1 is selected by ``at_one`` with the weight pinned to 0.
     """
 
+    __slots__ = ("r", "at_one")
     r: Fraction
-    at_one: bool = False
+    at_one: bool
 
-    def __post_init__(self):
-        if not isinstance(self.r, Fraction):
+    def __init__(self, r: Fraction, at_one: bool = False):
+        if not isinstance(r, Fraction):
             raise DomainError("weight must be a Fraction")
-        if self.at_one:
-            if self.r != 0:
+        if at_one:
+            if r != 0:
                 raise DomainError("the boundary norm carries weight 0")
-        elif self.r <= 0:
-            raise DomainError(f"interior weight must be positive, got {self.r}")
+        elif r <= 0:
+            raise DomainError(f"interior weight must be positive, got {r}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "at_one", at_one)
 
     @classmethod
     def of(cls, r: Union[Fraction, int]) -> "RhoWeight":
@@ -107,27 +109,29 @@ class RhoWeight:
         return Fraction(0) if self.at_one else self.r
 
 
-@dataclass(frozen=True)
-class WittExpr:
+class WittExpr(Record):
     """A presentation sum_i [x_i] * p^i with nonzero tilt entries x_i."""
 
+    __slots__ = ("p", "terms")
     p: int
     terms: tuple[tuple[int, TiltElement], ...]
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"residue characteristic must be prime, got {self.p}")
+    def __init__(self, p: int, terms: tuple[tuple[int, TiltElement], ...]):
+        if not is_prime(p):
+            raise DomainError(f"residue characteristic must be prime, got {p}")
         prev = None
-        for slot, x in self.terms:
+        for slot, x in terms:
             if not isinstance(slot, int) or slot < 0:
                 raise DomainError(f"slot index must be a nonnegative integer, got {slot!r}")
             if prev is not None and slot <= prev:
                 raise DomainError("slots must be strictly increasing")
-            if not isinstance(x, TiltElement) or x.p != self.p:
-                raise ConfigError(f"slot {slot} entry is not a tilt element over F_{self.p}")
+            if not isinstance(x, TiltElement) or x.p != p:
+                raise ConfigError(f"slot {slot} entry is not a tilt element over F_{p}")
             if x.is_zero:
                 raise DomainError(f"slot {slot} holds zero; drop empty slots instead")
             prev = slot
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_terms(cls, p: int, terms: Mapping[int, TiltElement]) -> "WittExpr":
@@ -159,8 +163,7 @@ def gauss_log_norm(w: WittExpr, rho: RhoWeight) -> Union[Fraction, _NegativeInfi
     return min(tilt_val(x).as_fraction() + slot * wt for slot, x in w.terms)
 
 
-@dataclass(frozen=True)
-class PrimitiveDeg1:
+class PrimitiveDeg1(Record):
     """Generator data [a] - p of a degree-one prime, with 0 < v(a) < +inf.
 
     Only ``a`` is stored; the constructor enforces that a is a nonzero
@@ -168,12 +171,14 @@ class PrimitiveDeg1:
     [a] - p to be primitive of degree one.
     """
 
+    __slots__ = ("a",)
     a: TiltElement
 
-    def __post_init__(self):
-        v = tilt_val(self.a)
+    def __init__(self, a: TiltElement):
+        v = tilt_val(a)
         if v.is_infinite or v.as_fraction() <= 0:
             raise DomainError("generator must satisfy 0 < v(a) < +inf")
+        object.__setattr__(self, "a", a)
 
 
 def primitive_pow_family(a: TiltElement, ell: int) -> tuple[PrimitiveDeg1, ...]:

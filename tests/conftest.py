@@ -1,7 +1,11 @@
 """Shared deterministic generators for the test suite."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
+
+import pytest
 
 from tiltval.tilt import TiltElement
 
@@ -22,3 +26,26 @@ def random_element(rng: random.Random, p: int, max_terms: int = 4) -> TiltElemen
         den = p ** rng.randint(0, 3)
         terms[Fraction(num, den)] = rng.randint(0, p - 1)
     return TiltElement.from_terms(p, terms)
+
+
+def assert_immutable_value(make) -> None:
+    """Two records built by make() behave as one immutable value.
+
+    They compare and hash equal; every field refuses assignment and
+    deletion, and no new attribute can be added; copies and pickles
+    rebuild an equal record through the validating constructor.
+    """
+    first, second = make(), make()
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    for name in type(first).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(first, name, getattr(second, name))
+        with pytest.raises(AttributeError):
+            delattr(first, name)
+    with pytest.raises(AttributeError):
+        first.not_a_field = 1
+    assert first == second
+    assert copy.copy(first) == copy.deepcopy(first) == first
+    assert pickle.loads(pickle.dumps(first)) == first

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_monomial
+from conftest import assert_immutable_value, random_monomial
 
 from tiltval.ansatz import (
     AnsatzPoint,
@@ -151,3 +151,10 @@ def test_untilt_records():
         HolomorphoidRecord(label="y", member_index=0, tate_valuation=Fraction(1))
     with pytest.raises(DomainError):
         HolomorphoidRecord(label="y", member_index=1, tate_valuation=Fraction(-1))
+
+
+def test_records_are_immutable_values():
+    assert_immutable_value(lambda: make_ansatz(_t(3, Fraction(1, 3), 2), 7))
+    assert_immutable_value(lambda: HolomorphoidRecord("y.1", 1, Fraction(3, 2)))
+    point = make_ansatz(_t(2, Fraction(1, 4)), 5)
+    assert AnsatzPoint(a=point.a, ell=5, members=point.members) == point

@@ -1,13 +1,21 @@
 """Config parsing, exit codes, and report rendering through the real entry point."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from conftest import assert_immutable_value
 
+import tiltval
 from tiltval.ansatz import frobenius_orbit, make_ansatz
-from tiltval.cli import RunConfig, load_config, main, parse_rational
+from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
 from tiltval.errors import ConfigError, PrecisionError, VerificationError
+from tiltval.reporting import CheckRecord, CombinedReport, Report, make_check
 from tiltval.theta import eval_theta_laurent
 from tiltval.tilt import TiltElement
 from tiltval.witt import primitive_frobenius
@@ -42,6 +50,63 @@ def test_load_config_defaults_and_overrides(tmp_path):
     assert cfg.theta_truncation == 12  # untouched default
 
 
+def test_run_config_is_an_immutable_value():
+    assert_immutable_value(RunConfig)
+    assert_immutable_value(lambda: RunConfig(p=3, ell=7, v_q=Fraction(3, 2), seed=9))
+    assert RunConfig(3) == RunConfig(p=3) != RunConfig()
+    assert RunConfig().override(seed=None, output_format=None) == RunConfig()
+    changed = RunConfig(p=3, ell=7).override(seed=5, output_format="json")
+    assert changed == RunConfig(p=3, ell=7, seed=5, output_format="json")
+    with pytest.raises(TypeError):
+        RunConfig().override(elll=7)
+
+
+def test_config_echo_keeps_field_order():
+    assert [name for name, _ in RunConfig().echo()] == [
+        "p",
+        "ell",
+        "ell_sweep_max",
+        "v_q",
+        "theta_truncation",
+        "frobenius_depth",
+        "rho_weight",
+        "padic_precision",
+        "output_format",
+        "seed",
+    ]
+
+
+def test_flags_override_the_config_file(tmp_path, capsys):
+    path = write_config(tmp_path, "f.json", '{"p": 3, "ell": 7, "seed": 3, "output_format": "csv"}')
+    code, out, _ = run_cli(capsys, "loglink", "--config", path, "--seed", "7", "--format", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["p"], config["ell"], config["seed"], config["output_format"]) == ("3", "7", "7", "json")
+    code, out, _ = run_cli(capsys, "loglink", "--config", path)
+    assert code == 0 and out.startswith("suite,check,passed,witness\n")
+
+
+def test_report_records_are_immutable_values():
+    assert_immutable_value(lambda: make_check("x.y", True, value=Fraction(1, 2)))
+    run = cmd_all(RunConfig())  # wall times differ between runs, so both copies come from one
+    bound = run.suites[1]
+    assert_immutable_value(lambda: Report(bound.suite, bound.config_echo, bound.gauges, bound.checks, bound.wall_ms))
+    assert_immutable_value(lambda: CombinedReport(run.suites, run.config_echo, run.gauges, wall_ms=run.wall_ms))
+    assert Report("bound", (), (), ()) == Report("bound", (), (), (), wall_ms=None, schema=1)
+    assert CheckRecord("x.y", True, ()) != CheckRecord("x.y", False, ())
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # A fresh interpreter: pytest itself has already imported both here.
+    src = str(Path(tiltval.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = "import tiltval.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_load_config_rejections(tmp_path):
     cases = {
         "unknown.json": '{"elll": 7}',
@@ -71,7 +136,8 @@ def test_bound_passes_by_default(capsys):
     assert code == 0
     assert "[PASS] bound.strict_inequality" in out
     assert "overall: PASS" in out
-    assert "wall:" in out  # timing is text-only
+    assert re.fullmatch(r"wall: \d+ ms", out.splitlines()[-1])  # timing is text-only
+    assert not any(line.startswith("-- ") for line in out.splitlines())  # a single suite has no suite headers
 
 
 def test_bound_equality_prime_exits_one(tmp_path, capsys):
@@ -184,6 +250,14 @@ def test_every_text_line_is_gated(capsys):
     assert len(check_lines) >= 40
     assert all(line.startswith("[PASS] ") for line in check_lines)
     assert any(line.startswith("overall: PASS (") for line in lines)
+    # Each suite header carries that suite's time; together they fit inside the total.
+    headers = [re.fullmatch(r"-- ([a-z-]+) -- wall: (\d+) ms", line) for line in lines if line.startswith("-- ")]
+    assert [m.group(1) for m in headers] == ["verify-theta", "bound", "ansatz", "loglink", "sweep-ell"]
+    total = re.fullmatch(r"wall: (\d+) ms", lines[-1])
+    assert sum(int(m.group(2)) for m in headers) <= int(total.group(1))
+    for fmt in ("json", "csv"):
+        code, out, _ = run_cli(capsys, "all", "--format", fmt)
+        assert code == 0 and "wall" not in out and " ms" not in out
 
 
 def test_non_homomorphic_log_fails_the_log_rules(monkeypatch, capsys):

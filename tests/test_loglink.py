@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
+from conftest import assert_immutable_value
 
 from tiltval.errors import ConfigError, DomainError, PrecisionError, VerificationError
 from tiltval.loglink import (
@@ -182,6 +183,12 @@ def test_mixed_groups_rejected():
         PadicUnit(3, 5, 4).mul(PadicUnit(3, 4, 4))
     with pytest.raises(ConfigError):
         PadicUnit(3, 5, 4).mul(PadicUnit(5, 5, 6))
+
+
+def test_records_are_immutable_values():
+    assert_immutable_value(lambda: PadicUnit(3, 5, 4))
+    assert_immutable_value(lambda: chain_build(2, Fraction(1, 4), (-2, 2)))
+    assert PadicUnit(3, 5, 4) != PadicUnit(3, 4, 4)
 
 
 def test_chain_frozen():

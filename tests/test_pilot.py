@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_monomial
+from conftest import assert_immutable_value, random_monomial
 
 from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.errors import DomainError, VerificationError
@@ -204,3 +204,11 @@ def test_pilot_sums_track_random_generators():
         pilot = build_pilot(point, xi)
         assert pilot.lifts[0] > 0
         assert sum_log_norms(pilot, rho) == sum(pilot.lifts)
+
+
+def test_records_are_immutable_values():
+    point = _point()
+    assert_immutable_value(lambda: build_pilot(point, Fraction(1, 5)))
+    assert_immutable_value(lambda: theta_set_sample([point], Fraction(1, 5), 1))
+    assert_immutable_value(lambda: main_bound_derivation(7, Fraction(2))[0])
+    assert_immutable_value(lambda: main_bound_check(7, Fraction(2)))

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import assert_immutable_value
 
 from tiltval.errors import DomainError, WindowError
 from tiltval.theta import (
@@ -174,6 +175,19 @@ def test_cyclotomic_ring_structure():
         CycloElt(9, (0,) * 8)
     with pytest.raises(DomainError):
         CycloElt(5, (1, 0))
+
+
+def test_records_are_immutable_values():
+    ell = 7
+    assert_immutable_value(lambda: zeta_ell_pow(ell, 3))
+    assert_immutable_value(lambda: eval_theta_laurent(1, 1, ell, 4))
+    assert_immutable_value(lambda: ThetaTerm(n=-2, sign=1, q_exp=1, u_exp=-3))
+    assert_immutable_value(lambda: theta_terms(3))
+    assert_immutable_value(lambda: check_inversion_antisymmetry(4))
+    assert_immutable_value(lambda: check_quasi_periodicity(2, 4))
+    assert_immutable_value(lambda: theta_value(2, ell))
+    assert_immutable_value(lambda: check_theta_value_laurent(1, 1, ell, 4))
+    assert ThetaTerm(0, 1, 0, 1) == theta_terms(0).terms[0]
 
 
 def test_qlaurent_basics():

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_element, random_monomial
+from conftest import assert_immutable_value, random_element, random_monomial
 
 from tiltval.errors import ConfigError, DomainError
+from tiltval.witt import WittExpr
 from tiltval.tilt import (
     INF_VAL,
     TiltElement,
@@ -139,6 +140,12 @@ def test_pow_by_digits_matches_squaring():
                 n = rng.randint(-2, 2)
                 assert tilt_frobenius(power, n) == tilt_pow(tilt_frobenius(x, n), k)
                 assert tilt_val(power) == (TiltVal(0) if k == 0 else tilt_val(x) * k)
+    # One term c*t^e takes the shortcut c^k t^(ke); p - 1 is a coefficient other than 1 for p >= 3.
+    for p in (2, 3, 5, 7):
+        for coeff in sorted({1, p - 1}):
+            x = TiltElement.monomial(p, Fraction(rng.randint(1, 5), p ** rng.randint(0, 2)), coeff)
+            for k in (0, 1, p, p * p + 1):
+                assert tilt_pow(x, k) == _pow_by_squaring(x, k), (x, k)
 
 
 def test_bool_exponents_rejected():
@@ -198,6 +205,21 @@ def test_construction_validation():
         TiltElement(3, ((Fraction(2), 1), (Fraction(1), 1)))  # unsorted
     with pytest.raises(DomainError):
         TiltElement(3, ((0.5, 1),))  # float exponent
+
+
+def test_records_are_immutable_values():
+    assert_immutable_value(lambda: TiltElement.from_terms(3, {Fraction(1, 3): 2, 4: 1}))
+    assert_immutable_value(lambda: TiltElement.zero(2))
+    assert_immutable_value(lambda: TiltVal(Fraction(1, 2)))
+    assert_immutable_value(lambda: TiltVal(None))
+    # Same field values, different classes: never equal.
+    assert TiltElement(2, ()) != WittExpr(2, ())
+    assert TiltElement(2, ()) != (2, ())
+    assert repr(TiltElement.monomial(2, 1)) == "TiltElement(p=2, terms=((Fraction(1, 1), 1),))"
+    # An int valuation is stored as a Fraction and still equals the int.
+    assert type(TiltVal(3).value) is Fraction and TiltVal(3) == 3 and hash(TiltVal(3)) == hash(3)
+    with pytest.raises(DomainError):
+        TiltVal(0.5)
 
 
 def test_from_terms_reduces_mod_p():

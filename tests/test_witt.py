@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_monomial
+from conftest import assert_immutable_value, random_monomial
 
 from tiltval.errors import DomainError
 from tiltval.tilt import INF_VAL, TiltElement, tilt_frobenius, tilt_mul, tilt_val
@@ -61,6 +61,15 @@ def test_rho_weight_validation():
         RhoWeight.of(Fraction(-1, 2))
     with pytest.raises(DomainError):
         RhoWeight(Fraction(1), at_one=True)  # the boundary flag pins the weight to 0
+
+
+def test_records_are_immutable_values():
+    assert_immutable_value(lambda: RhoWeight.of(Fraction(1, 3)))
+    assert_immutable_value(lambda: RhoWeight(r=Fraction(0), at_one=True))
+    assert_immutable_value(lambda: WittExpr(2, ((0, _t(2)), (2, _t(2, 3)))))
+    assert_immutable_value(lambda: PrimitiveDeg1(_t(3, Fraction(1, 3), 2)))
+    assert RhoWeight(Fraction(2)) == RhoWeight(Fraction(2), False) == RhoWeight(r=Fraction(2), at_one=False)
+    assert repr(RhoWeight.one()) == "RhoWeight(r=Fraction(0, 1), at_one=True)"
 
 
 def test_witt_expr_validation():
