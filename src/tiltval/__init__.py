@@ -1,7 +1,8 @@
 """Exact-arithmetic verification of valuation identities over a tilt model.
 
 Everything here computes with Python ints and Fractions; there is no
-float anywhere and no tolerance parameter on any check.  Module map:
+float anywhere and no tolerance parameter on any check.  Import from the
+submodules:
 
     tilt      characteristic-p valuation model and Frobenius
     witt      Teichmuller-style presentations, Gauss log-norms, degree-one primes
@@ -10,116 +11,10 @@ float anywhere and no tolerance parameter on any check.  Module map:
     pilot     lifted tuples, size functionals, the strict inequality engine
     loglink   p-adic logarithm, valuation chains, epsilon thresholds
     cli       configured suites with deterministic reports
-
-The most used names are re-exported below; the submodules stay the
-canonical home.
 """
 
-from .ansatz import AnsatzPoint, frobenius_orbit, is_member, make_ansatz, valuation_profile
-from .errors import (
-    ConfigError,
-    DomainError,
-    PrecisionError,
-    TiltvalError,
-    VerificationError,
-    WindowError,
-)
-from .loglink import LogLinkChain, PadicUnit, chain_build, kummer_shift, m_of_epsilon, padic_log
-from .pilot import (
-    BoundReport,
-    PilotTuple,
-    ThetaSetSample,
-    build_pilot,
-    corollary_c_check,
-    main_bound_check,
-    size_estimate,
-    sum_log_norms,
-    theta_set_sample,
-    threshold_ell,
-)
-from .theta import (
-    ThetaValue,
-    check_inversion_antisymmetry,
-    check_quasi_periodicity,
-    eval_theta_laurent,
-    theta_terms,
-    theta_value,
-)
-from .tilt import (
-    INF_VAL,
-    TiltElement,
-    TiltVal,
-    tilt_frobenius,
-    tilt_mul,
-    tilt_pow,
-    tilt_rescale_t,
-    tilt_val,
-    untilt_val_compare,
-)
-from .witt import (
-    NEG_INF,
-    PrimitiveDeg1,
-    RhoWeight,
-    WittExpr,
-    eta_val,
-    gauss_log_norm,
-    primitive_frobenius,
-    primitive_pow_family,
-    teichmuller,
-)
+# The benchmark self-test (perfbench/selftest.py) checks that its tracer
+# patches tilt_pow in every tiltval namespace, this one included.
+from .tilt import tilt_pow  # noqa: F401
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnsatzPoint",
-    "BoundReport",
-    "ConfigError",
-    "DomainError",
-    "INF_VAL",
-    "LogLinkChain",
-    "NEG_INF",
-    "PadicUnit",
-    "PilotTuple",
-    "PrecisionError",
-    "PrimitiveDeg1",
-    "RhoWeight",
-    "ThetaSetSample",
-    "ThetaValue",
-    "TiltElement",
-    "TiltVal",
-    "TiltvalError",
-    "VerificationError",
-    "WindowError",
-    "WittExpr",
-    "build_pilot",
-    "chain_build",
-    "check_inversion_antisymmetry",
-    "check_quasi_periodicity",
-    "corollary_c_check",
-    "eta_val",
-    "eval_theta_laurent",
-    "frobenius_orbit",
-    "gauss_log_norm",
-    "is_member",
-    "kummer_shift",
-    "m_of_epsilon",
-    "main_bound_check",
-    "make_ansatz",
-    "padic_log",
-    "primitive_frobenius",
-    "primitive_pow_family",
-    "size_estimate",
-    "sum_log_norms",
-    "teichmuller",
-    "theta_set_sample",
-    "theta_terms",
-    "theta_value",
-    "threshold_ell",
-    "tilt_frobenius",
-    "tilt_mul",
-    "tilt_pow",
-    "tilt_rescale_t",
-    "tilt_val",
-    "untilt_val_compare",
-    "valuation_profile",
-]

@@ -2,8 +2,11 @@
 
 A record names its fields in ``__slots__`` and takes them, in that
 order, as the parameters of its own ``__init__``.  The constructor
-validates first and then assigns each field through
-``object.__setattr__``.  This class supplies the rest of a frozen value:
+validates first and then hands every field value, in slot order, to
+``self._assign(...)``, which stores them through the slot descriptors
+captured once per class; a call with one value too few or too many
+raises ValueError before any field is set.  This class supplies the
+rest of a frozen value:
 
 * equality by field values, between instances of the same class only;
 * a hash that agrees with that equality;
@@ -22,6 +25,16 @@ __all__ = ["Record"]
 
 class Record:
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _assign(self, *values: object) -> None:
+        setters = self._setters
+        if len(values) != len(setters):  # measured faster than zip(..., strict=True)
+            raise ValueError(f"{type(self).__name__} takes {len(setters)} field values, got {len(values)}")
+        for setter, value in zip(setters, values):
+            setter(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

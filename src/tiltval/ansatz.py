@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 from ._record import Record
 from .errors import DomainError, VerificationError
-from .tilt import TiltElement, is_prime, tilt_frobenius, tilt_pow, tilt_val
-from .witt import PrimitiveDeg1, primitive_frobenius, primitive_pow_family
+from .tilt import TiltElement, _require_window, tilt_frobenius, tilt_pow, tilt_val
+from .witt import PrimitiveDeg1, _require_family_ell, primitive_frobenius, primitive_pow_family
 
 __all__ = [
     "AnsatzPoint",
@@ -54,19 +54,14 @@ class AnsatzPoint(Record):
     members: tuple[PrimitiveDeg1, ...]
 
     def __init__(self, a: TiltElement, ell: int, members: tuple[PrimitiveDeg1, ...]):
-        if not is_prime(ell) or ell == 2:
-            raise DomainError(f"ell must be an odd prime, got {ell}")
-        if ell == a.p:
-            raise DomainError(f"ell must differ from the residue characteristic {a.p}")
+        _require_family_ell(ell, a.p)
         ell_star = (ell - 1) // 2
         if len(members) != ell_star:
             raise DomainError(f"expected {ell_star} members for ell = {ell}")
         for j, member in enumerate(members, start=1):
             if member.a != tilt_pow(a, j * j):
                 raise DomainError(f"member {j} is not the {j * j}-th power of the generator")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "members", members)
+        self._assign(a, ell, members)
 
     @property
     def ell_star(self) -> int:
@@ -103,9 +98,7 @@ def frobenius_orbit(point: AnsatzPoint, window: tuple[int, int]) -> tuple[Ansatz
     commutes with the square powers.  A mismatch there is a kernel
     fault, not bad input, and raises VerificationError.
     """
-    lo, hi = window
-    if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
-        raise DomainError(f"window must be an inclusive integer range, got {window!r}")
+    lo, hi = _require_window(window)
     orbit = []
     for n in range(lo, hi + 1):
         members = tuple(primitive_frobenius(m, n) for m in point.members)
@@ -160,9 +153,7 @@ class HolomorphoidRecord(Record):
             raise DomainError("member index counts from 1")
         if tate_valuation <= 0:
             raise DomainError("the Tate parameter valuation must be positive")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "member_index", member_index)
-        object.__setattr__(self, "tate_valuation", tate_valuation)
+        self._assign(label, member_index, tate_valuation)
 
 
 def untilt_records(point: AnsatzPoint, v_q: Fraction, label: str) -> tuple[HolomorphoidRecord, ...]:

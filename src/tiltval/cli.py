@@ -17,6 +17,8 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import wraps
+from typing import Callable
 
 from ._record import Record
 from .ansatz import (
@@ -28,7 +30,7 @@ from .ansatz import (
     scale_invariance_check,
 )
 from .errors import ConfigError, DomainError, PrecisionError, VerificationError, WindowError
-from .loglink import PadicUnit, chain_build, kummer_shift, m_of_epsilon, padic_log
+from .loglink import PadicUnit, _require_precision, chain_build, kummer_shift, m_of_epsilon, padic_log
 from .pilot import (
     corollary_c_check,
     main_bound_check,
@@ -39,14 +41,14 @@ from .pilot import (
     threshold_ell_by_root_analysis,
     threshold_ell_by_sweep,
 )
-from .reporting import GAUGE_NOTES, CombinedReport, Report, make_check, render_report
+from .reporting import GAUGE_NOTES, AnyReport, CheckRecord, CombinedReport, Report, make_check, render_report
 from .theta import (
     check_inversion_antisymmetry,
     check_quasi_periodicity,
     check_theta_value_laurent,
     theta_value,
 )
-from .tilt import TiltElement, _is_p_power, is_prime, tilt_mul, tilt_pow, tilt_rescale_t
+from .tilt import TiltElement, _is_p_power, _require_odd_prime, is_prime, tilt_mul, tilt_pow, tilt_rescale_t
 from .witt import PrimitiveDeg1, RhoWeight, eta_val
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -86,22 +88,15 @@ class RunConfig(Record):
         output_format: str = "text",
         seed: int = 0,
     ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "ell_sweep_max", ell_sweep_max)
-        object.__setattr__(self, "v_q", v_q)
-        object.__setattr__(self, "theta_truncation", theta_truncation)
-        object.__setattr__(self, "frobenius_depth", frobenius_depth)
-        object.__setattr__(self, "rho_weight", rho_weight)
-        object.__setattr__(self, "padic_precision", padic_precision)
-        object.__setattr__(self, "output_format", output_format)
-        object.__setattr__(self, "seed", seed)
+        self._assign(
+            p, ell, ell_sweep_max, v_q, theta_truncation, frobenius_depth, rho_weight, padic_precision,
+            output_format, seed,
+        )
 
     def validate(self) -> "RunConfig":
         if not is_prime(self.p):
             raise ConfigError(f"p must be prime, got {self.p}")
-        if not is_prime(self.ell) or self.ell == 2:
-            raise ConfigError(f"ell must be an odd prime, got {self.ell}")
+        _require_odd_prime(self.ell, ConfigError)
         if self.ell == self.p:
             raise ConfigError("ell must differ from p")
         if self.ell_sweep_max < 5:
@@ -114,12 +109,7 @@ class RunConfig(Record):
             raise ConfigError(f"theta_truncation must be at least 1, got {self.theta_truncation}")
         if self.frobenius_depth < 0:
             raise ConfigError(f"frobenius_depth must be nonnegative, got {self.frobenius_depth}")
-        floor = 3 if self.p == 2 else 2
-        if self.padic_precision < floor:
-            raise PrecisionError(
-                f"padic_precision {self.padic_precision} is below the minimum {floor} for p = {self.p}",
-                required=floor,
-            )
+        _require_precision(self.p, self.padic_precision, "padic_precision")
         if self.output_format not in _FORMATS:
             raise ConfigError(f"output_format must be one of {_FORMATS}, got {self.output_format!r}")
         return self
@@ -194,13 +184,41 @@ def load_config(path: str | None) -> RunConfig:
     return RunConfig(**merged).validate()
 
 
+# Suite name -> help text, in the order `all` runs them.  Each runs as the module attribute
+# cmd_<name with "-" as "_">, looked up per call, so a wrapper set on that attribute sees every run.
+_SUITES = {
+    "verify-theta": "theta-series inversion, quasi-periodicity, special values",
+    "bound": "the strict size inequality at the configured (ell, v_q)",
+    "ansatz": "witness square-power family, orbits, membership, sizes",
+    "loglink": "p-adic log rules, valuation chains, epsilon thresholds",
+    "sweep-ell": "bound threshold over all odd primes up to the limit",
+}
+
+
+def _command(name: str) -> Callable[[RunConfig], AnyReport]:
+    return globals()["cmd_" + name.replace("-", "_")]
+
+
 def _wall_ms(started: float) -> int:
     return int((time.perf_counter() - started) * 1000)
 
 
-def cmd_verify_theta(cfg: RunConfig) -> Report:
+def _suite(build: Callable[[RunConfig], list[CheckRecord]]) -> Callable[[RunConfig], Report]:
+    """Make a suite command from a check builder: time it and wrap its checks in a Report."""
+    name = build.__name__.removeprefix("cmd_").replace("_", "-")
+
+    @wraps(build)
+    def run(cfg: RunConfig) -> Report:
+        started = time.perf_counter()
+        checks = tuple(build(cfg))
+        return Report(suite=name, config_echo=cfg.echo(), gauges=GAUGE_NOTES, checks=checks, wall_ms=_wall_ms(started))
+
+    return run
+
+
+@_suite
+def cmd_verify_theta(cfg: RunConfig) -> list[CheckRecord]:
     """Inversion antisymmetry, quasi-periodicity, and special-value consistency."""
-    started = time.perf_counter()
     n_max = cfg.theta_truncation
     ell_star = (cfg.ell - 1) // 2
     if n_max < ell_star:
@@ -266,18 +284,12 @@ def cmd_verify_theta(cfg: RunConfig) -> Report:
                 coeff_relation_holds=lr.coeff_relation_holds,
             )
         )
-    return Report(
-        suite="verify-theta",
-        config_echo=cfg.echo(),
-        gauges=GAUGE_NOTES,
-        checks=tuple(checks),
-        wall_ms=_wall_ms(started),
-    )
+    return checks
 
 
-def cmd_bound(cfg: RunConfig) -> Report:
+@_suite
+def cmd_bound(cfg: RunConfig) -> list[CheckRecord]:
     """The strict size inequality at (ell, v_q), every identity step shown."""
-    started = time.perf_counter()
     checks = []
     for step in main_bound_derivation(cfg.ell, cfg.v_q):
         if step.label == "strict_inequality":
@@ -311,18 +323,12 @@ def cmd_bound(cfg: RunConfig) -> Report:
                     contradiction=contradiction,
                 )
             )
-    return Report(
-        suite="bound",
-        config_echo=cfg.echo(),
-        gauges=GAUGE_NOTES,
-        checks=tuple(checks),
-        wall_ms=_wall_ms(started),
-    )
+    return checks
 
 
-def cmd_ansatz(cfg: RunConfig) -> Report:
+@_suite
+def cmd_ansatz(cfg: RunConfig) -> list[CheckRecord]:
     """The witness square-power family: profiles, orbits, membership, sizes."""
-    started = time.perf_counter()
     ell_star = (cfg.ell - 1) // 2
     if not _is_p_power(ell_star, cfg.p):
         raise ConfigError(
@@ -404,18 +410,12 @@ def cmd_ansatz(cfg: RunConfig) -> Report:
     )
     boundary = size_estimate(sample, RhoWeight.one())
     checks.append(make_check("ansatz.boundary_cap_nonnegative", boundary >= 0, log_size_at_one=boundary))
-    return Report(
-        suite="ansatz",
-        config_echo=cfg.echo(),
-        gauges=GAUGE_NOTES,
-        checks=tuple(checks),
-        wall_ms=_wall_ms(started),
-    )
+    return checks
 
 
-def cmd_loglink(cfg: RunConfig) -> Report:
+@_suite
+def cmd_loglink(cfg: RunConfig) -> list[CheckRecord]:
     """Chain structure, epsilon thresholds, and exact log functional equations."""
-    started = time.perf_counter()
     depth = cfg.frobenius_depth
     window = (-depth, depth)
     chain = chain_build(cfg.p, Fraction(1), window)
@@ -496,18 +496,12 @@ def cmd_loglink(cfg: RunConfig) -> Report:
             failures=power_failures,
         )
     )
-    return Report(
-        suite="loglink",
-        config_echo=cfg.echo(),
-        gauges=GAUGE_NOTES,
-        checks=tuple(checks),
-        wall_ms=_wall_ms(started),
-    )
+    return checks
 
 
-def cmd_sweep_ell(cfg: RunConfig) -> Report:
+@_suite
+def cmd_sweep_ell(cfg: RunConfig) -> list[CheckRecord]:
     """Threshold behavior of the bound over all odd primes up to the limit."""
-    started = time.perf_counter()
     checks = []
     report3 = main_bound_check(3, cfg.v_q)
     checks.append(
@@ -545,41 +539,14 @@ def cmd_sweep_ell(cfg: RunConfig) -> Report:
     by_roots = threshold_ell_by_root_analysis(cfg.ell_sweep_max)
     checks.append(make_check("sweep.threshold_by_root_analysis", by_roots == 5, threshold=by_roots))
     checks.append(make_check("sweep.threshold_routes_agree", by_sweep == by_roots, threshold=by_sweep))
-    return Report(
-        suite="sweep-ell",
-        config_echo=cfg.echo(),
-        gauges=GAUGE_NOTES,
-        checks=tuple(checks),
-        wall_ms=_wall_ms(started),
-    )
+    return checks
 
 
 def cmd_all(cfg: RunConfig) -> CombinedReport:
     """Every suite in order under one configuration."""
     started = time.perf_counter()
-    suites = (
-        cmd_verify_theta(cfg),
-        cmd_bound(cfg),
-        cmd_ansatz(cfg),
-        cmd_loglink(cfg),
-        cmd_sweep_ell(cfg),
-    )
-    return CombinedReport(
-        suites=suites,
-        config_echo=cfg.echo(),
-        gauges=GAUGE_NOTES,
-        wall_ms=_wall_ms(started),
-    )
-
-
-_DISPATCH = {
-    "verify-theta": cmd_verify_theta,
-    "bound": cmd_bound,
-    "ansatz": cmd_ansatz,
-    "loglink": cmd_loglink,
-    "sweep-ell": cmd_sweep_ell,
-    "all": cmd_all,
-}
+    suites = tuple(_command(name)(cfg) for name in _SUITES)
+    return CombinedReport(suites=suites, config_echo=cfg.echo(), gauges=GAUGE_NOTES, wall_ms=_wall_ms(started))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -588,15 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification suites for tilt valuations, theta identities, and log chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "verify-theta": "theta-series inversion, quasi-periodicity, special values",
-        "bound": "the strict size inequality at the configured (ell, v_q)",
-        "ansatz": "witness square-power family, orbits, membership, sizes",
-        "loglink": "p-adic log rules, valuation chains, epsilon thresholds",
-        "sweep-ell": "bound threshold over all odd primes up to the limit",
-        "all": "every suite in order",
-    }
-    for name, help_text in descriptions.items():
+    for name, help_text in (*_SUITES.items(), ("all", "every suite in order")):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH", help="JSON config file")
         sp.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
@@ -609,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config).override(seed=args.seed, output_format=args.fmt)
-        report = _DISPATCH[args.command](cfg)
+        report = _command(args.command)(cfg)
     except (ConfigError, WindowError, PrecisionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ from math import isqrt
 
 from ._record import Record
 from .errors import ConfigError, DomainError, PrecisionError, VerificationError
-from .tilt import is_prime
+from .tilt import _require_window, is_prime
 
 __all__ = [
     "LogLinkChain",
@@ -44,6 +44,12 @@ __all__ = [
     "m_of_epsilon",
     "padic_log",
 ]
+
+
+def _require_precision(p: int, precision: int, name: str = "precision") -> None:
+    floor = 3 if p == 2 else 2
+    if precision < floor:
+        raise PrecisionError(f"{name} {precision} is below the minimum {floor} for p = {p}", required=floor)
 
 
 class PadicUnit(Record):
@@ -62,26 +68,17 @@ class PadicUnit(Record):
     def __init__(self, p: int, precision: int, value: int):
         if not is_prime(p):
             raise DomainError(f"p must be prime, got {p}")
-        floor = 3 if p == 2 else 2
-        if precision < floor:
-            raise PrecisionError(
-                f"precision {precision} is below the minimum {floor} for p = {p}",
-                required=floor,
-            )
+        _require_precision(p, precision)
         if not isinstance(value, int) or not 0 <= value < p**precision:
             raise DomainError(f"value must be reduced mod {p}^{precision}")
         congruence = 4 if p == 2 else p
         if value % congruence != 1:
             raise DomainError(f"not a principal unit: {value} != 1 mod {congruence}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "value", value)
+        self._assign(p, precision, value)
 
     @classmethod
     def of(cls, p: int, precision: int, value: int) -> "PadicUnit":
         """Reduce an integer mod p^precision and wrap it."""
-        if precision < 1:
-            raise PrecisionError("precision must be at least 1", required=1)
         return cls(p, precision, value % p**precision)
 
     @classmethod
@@ -188,9 +185,7 @@ class LogLinkChain(Record):
             raise DomainError(f"p must be prime, got {p}")
         if not isinstance(v0, Fraction) or v0 <= 0:
             raise DomainError(f"v0 must be a positive Fraction, got {v0!r}")
-        lo, hi = window
-        if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
-            raise DomainError(f"window must be an inclusive integer range, got {window!r}")
+        lo, hi = _require_window(window)
         expected_indexes = tuple(range(lo, hi + 1))
         if tuple(n for n, _ in entries) != expected_indexes:
             raise DomainError("entries must cover the window exactly once, in order")
@@ -200,10 +195,7 @@ class LogLinkChain(Record):
         for (_, prev), (_, cur) in zip(entries, entries[1:]):
             if cur != prev * p:
                 raise VerificationError("adjacent chain entries must differ by a factor of p")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "v0", v0)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "entries", entries)
+        self._assign(p, v0, window, entries)
 
     def value_at(self, n: int) -> Fraction:
         lo, hi = self.window
@@ -214,13 +206,7 @@ class LogLinkChain(Record):
 
 def chain_build(p: int, v0: Fraction, window: tuple[int, int]) -> LogLinkChain:
     """Build the chain v_n = v0 * p^n over an inclusive index window."""
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
-    if not isinstance(v0, Fraction) or v0 <= 0:
-        raise DomainError(f"v0 must be a positive Fraction, got {v0!r}")
-    lo, hi = window
-    if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
-        raise DomainError(f"window must be an inclusive integer range, got {window!r}")
+    lo, hi = _require_window(window)
     entries = tuple((n, v0 * Fraction(p) ** n) for n in range(lo, hi + 1))
     return LogLinkChain(p=p, v0=v0, window=(lo, hi), entries=entries)
 

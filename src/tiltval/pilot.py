@@ -27,7 +27,7 @@ from typing import Sequence
 from ._record import Record
 from .ansatz import AnsatzPoint, frobenius_orbit
 from .errors import DomainError, VerificationError
-from .tilt import is_prime, tilt_frobenius, tilt_val
+from .tilt import _require_odd_prime, is_prime, tilt_frobenius, tilt_val
 from .witt import RhoWeight
 
 __all__ = [
@@ -71,9 +71,7 @@ class PilotTuple(Record):
                 raise DomainError(f"lift {j} must be positive, got {e}")
             if e != e1 * j * j:
                 raise DomainError(f"lift {j} breaks the square law e_j = j^2 e_1")
-        object.__setattr__(self, "ansatz", ansatz)
-        object.__setattr__(self, "xi_val_K1", xi_val_K1)
-        object.__setattr__(self, "lifts", lifts)
+        self._assign(ansatz, xi_val_K1, lifts)
 
 
 def build_pilot(point: AnsatzPoint, xi_val: Fraction) -> PilotTuple:
@@ -118,9 +116,7 @@ class ThetaSetSample(Record):
     tuples: tuple[PilotTuple, ...]
 
     def __init__(self, generators: tuple[AnsatzPoint, ...], frobenius_depth: int, tuples: tuple[PilotTuple, ...]):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "frobenius_depth", frobenius_depth)
-        object.__setattr__(self, "tuples", tuples)
+        self._assign(generators, frobenius_depth, tuples)
 
 
 def _pilot_sort_key(pilot: PilotTuple):
@@ -185,9 +181,7 @@ class DerivationStep(Record):
     ok: bool
 
     def __init__(self, label: str, value: Fraction, ok: bool):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "ok", ok)
+        self._assign(label, value, ok)
 
 
 class BoundReport(Record):
@@ -200,17 +194,11 @@ class BoundReport(Record):
     passed: bool
 
     def __init__(self, ell: int, v_q: Fraction, lhs_log: Fraction, rhs_log: Fraction, margin: Fraction, passed: bool):
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "v_q", v_q)
-        object.__setattr__(self, "lhs_log", lhs_log)
-        object.__setattr__(self, "rhs_log", rhs_log)
-        object.__setattr__(self, "margin", margin)
-        object.__setattr__(self, "passed", passed)
+        self._assign(ell, v_q, lhs_log, rhs_log, margin, passed)
 
 
 def _require_bound_inputs(ell: int, v_q: Fraction) -> None:
-    if not is_prime(ell) or ell == 2:
-        raise DomainError(f"ell must be an odd prime, got {ell}")
+    _require_odd_prime(ell)
     if not isinstance(v_q, Fraction) or v_q <= 0:
         raise DomainError(f"v_q must be a positive Fraction, got {v_q!r}")
 

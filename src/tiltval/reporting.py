@@ -74,9 +74,7 @@ class CheckRecord(Record):
     witness: tuple[tuple[str, str], ...]
 
     def __init__(self, check_id: str, passed: bool, witness: tuple[tuple[str, str], ...]):
-        object.__setattr__(self, "check_id", check_id)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witness", witness)
+        self._assign(check_id, passed, witness)
 
 
 def make_check(check_id: str, passed: bool, **witness: object) -> CheckRecord:
@@ -105,12 +103,7 @@ class Report(Record):
         wall_ms: int | None = None,
         schema: int = 1,
     ):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "config_echo", config_echo)
-        object.__setattr__(self, "gauges", gauges)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "wall_ms", wall_ms)
-        object.__setattr__(self, "schema", schema)
+        self._assign(suite, config_echo, gauges, checks, wall_ms, schema)
 
     @property
     def passed(self) -> bool:
@@ -156,11 +149,7 @@ class CombinedReport(Record):
         wall_ms: int | None = None,
         schema: int = 1,
     ):
-        object.__setattr__(self, "suites", suites)
-        object.__setattr__(self, "config_echo", config_echo)
-        object.__setattr__(self, "gauges", gauges)
-        object.__setattr__(self, "wall_ms", wall_ms)
-        object.__setattr__(self, "schema", schema)
+        self._assign(suites, config_echo, gauges, wall_ms, schema)
 
     @property
     def passed(self) -> bool:
@@ -209,34 +198,21 @@ def _render_csv(report: AnyReport) -> str:
     return out.getvalue()
 
 
-def _render_text_suite(report: Report, lines: list[str], show_header: bool) -> None:
-    if show_header:
-        lines.append(f"suite: {report.suite}")
-        lines.append("config: " + "  ".join(f"{k}={v}" for k, v in report.config_echo))
-        for note in report.gauges:
-            lines.append(f"gauge: {note}")
-    else:
-        header = f"-- {report.suite} --"
-        if report.wall_ms is not None:
-            header += f" wall: {report.wall_ms} ms"
-        lines.append(header)
-    for check in report.checks:
-        flag = "PASS" if check.passed else "FAIL"
-        witness = "  ".join(f"{key}={value}" for key, value in check.witness)
-        lines.append(f"[{flag}] {check.check_id}" + (f"  {witness}" if witness else ""))
-
-
 def _render_text(report: AnyReport) -> str:
-    lines: list[str] = []
-    if isinstance(report, Report):
-        _render_text_suite(report, lines, show_header=True)
-    else:
-        lines.append("suite: all")
-        lines.append("config: " + "  ".join(f"{k}={v}" for k, v in report.config_echo))
-        for note in report.gauges:
-            lines.append(f"gauge: {note}")
-        for sub in report.suites:
-            _render_text_suite(sub, lines, show_header=False)
+    combined = isinstance(report, CombinedReport)
+    lines = [
+        f"suite: {'all' if combined else report.suite}",
+        "config: " + "  ".join(f"{k}={v}" for k, v in report.config_echo),
+        *(f"gauge: {note}" for note in report.gauges),
+    ]
+    for sub in report.suites if combined else (report,):
+        if combined:
+            wall = "" if sub.wall_ms is None else f" wall: {sub.wall_ms} ms"
+            lines.append(f"-- {sub.suite} --{wall}")
+        for check in sub.checks:
+            flag = "PASS" if check.passed else "FAIL"
+            witness = "  ".join(f"{key}={value}" for key, value in check.witness)
+            lines.append(f"[{flag}] {check.check_id}" + (f"  {witness}" if witness else ""))
     good, total = report.counts()
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'} ({good}/{total} checks)")
     if report.wall_ms is not None:

@@ -39,7 +39,7 @@ from typing import Mapping
 
 from ._record import Record
 from .errors import DomainError, WindowError
-from .tilt import is_prime
+from .tilt import _require_odd_prime
 
 __all__ = [
     "CycloElt",
@@ -58,11 +58,6 @@ __all__ = [
     "theta_value",
     "zeta_ell_pow",
 ]
-
-
-def _require_odd_prime(ell: int) -> None:
-    if not is_prime(ell) or ell == 2:
-        raise DomainError(f"ell must be an odd prime, got {ell}")
 
 
 def _reduce_mod_cyclo(ell: int, coeffs: list[int]) -> tuple[int, ...]:
@@ -113,8 +108,7 @@ class CycloElt(Record):
             raise DomainError(f"expected {ell - 1} coefficients, got {len(coeffs)}")
         if not all(map(isinstance, coeffs, repeat(int))):
             raise DomainError("coefficients must be integers")
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "coeffs", coeffs)
+        self._assign(ell, coeffs)
 
     @classmethod
     def zero(cls, ell: int) -> "CycloElt":
@@ -194,8 +188,7 @@ class QLaurent(Record):
             if prev is not None and exponent <= prev:
                 raise DomainError("terms must be strictly increasing in the exponent")
             prev = exponent
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "terms", terms)
+        self._assign(ell, terms)
 
     @classmethod
     def from_terms(cls, ell: int, terms: Mapping[int, CycloElt]) -> "QLaurent":
@@ -237,10 +230,7 @@ class ThetaTerm(Record):
         # n(n+1)/2 = ((2n+1)^2 - 1)/8: the absorbed q^(-1/8) prefactor in integer form
         if 8 * q_exp != u_exp * u_exp - 1:
             raise DomainError(f"q-exponent {q_exp} does not match index {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "q_exp", q_exp)
-        object.__setattr__(self, "u_exp", u_exp)
+        self._assign(n, sign, q_exp, u_exp)
 
 
 class ThetaSeriesTrunc(Record):
@@ -252,9 +242,7 @@ class ThetaSeriesTrunc(Record):
     terms: tuple[ThetaTerm, ...]
 
     def __init__(self, n_max: int, signed: bool, terms: tuple[ThetaTerm, ...]):
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "signed", signed)
-        object.__setattr__(self, "terms", terms)
+        self._assign(n_max, signed, terms)
 
     def term_at(self, n: int) -> ThetaTerm:
         if abs(n) > self.n_max:
@@ -305,13 +293,7 @@ class InversionCheck(Record):
         pairs_cancel_at_one: bool,
         first_mismatch: str | None,
     ):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "signed", signed)
-        object.__setattr__(self, "pairs_matched", pairs_matched)
-        object.__setattr__(self, "boundary_terms", boundary_terms)
-        object.__setattr__(self, "pairs_cancel_at_one", pairs_cancel_at_one)
-        object.__setattr__(self, "first_mismatch", first_mismatch)
+        self._assign(passed, n_max, signed, pairs_matched, boundary_terms, pairs_cancel_at_one, first_mismatch)
 
 
 def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> InversionCheck:
@@ -392,15 +374,7 @@ class QuasiPeriodicityCheck(Record):
         q_shift_doubled: int,
         first_mismatch: str | None,
     ):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "signed", signed)
-        object.__setattr__(self, "overlap_lo", overlap_lo)
-        object.__setattr__(self, "overlap_hi", overlap_hi)
-        object.__setattr__(self, "terms_checked", terms_checked)
-        object.__setattr__(self, "q_shift_doubled", q_shift_doubled)
-        object.__setattr__(self, "first_mismatch", first_mismatch)
+        self._assign(passed, j, n_max, signed, overlap_lo, overlap_hi, terms_checked, q_shift_doubled, first_mismatch)
 
 
 def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> QuasiPeriodicityCheck:
@@ -468,11 +442,7 @@ class ThetaValue(Record):
             raise DomainError(f"sign must be +-1, got {sign}")
         if not 0 <= zeta_exponent < ell:
             raise DomainError("zeta exponent must be reduced mod ell")
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "q_exponent", q_exponent)
-        object.__setattr__(self, "zeta_exponent", zeta_exponent)
+        self._assign(j, ell, sign, q_exponent, zeta_exponent)
 
     @property
     def inverse_q_exponent(self) -> Fraction:
@@ -557,14 +527,7 @@ class LaurentRatioCheck(Record):
         expected_gap: int,
         coeff_relation_holds: bool,
     ):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "s_exponent_gap", s_exponent_gap)
-        object.__setattr__(self, "expected_gap", expected_gap)
-        object.__setattr__(self, "coeff_relation_holds", coeff_relation_holds)
+        self._assign(passed, j, k, ell, n_max, s_exponent_gap, expected_gap, coeff_relation_holds)
 
 
 def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> LaurentRatioCheck:

@@ -28,7 +28,7 @@ from math import isqrt
 from typing import Mapping, Union
 
 from ._record import Record
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, TiltvalError
 
 __all__ = [
     "INF_VAL",
@@ -40,7 +40,6 @@ __all__ = [
     "tilt_pow",
     "tilt_rescale_t",
     "tilt_val",
-    "untilt_val_compare",
 ]
 
 
@@ -59,6 +58,18 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _require_odd_prime(ell: int, error: type[TiltvalError] = DomainError) -> None:
+    if not is_prime(ell) or ell == 2:
+        raise error(f"ell must be an odd prime, got {ell}")
+
+
+def _require_window(window: tuple[int, int]) -> tuple[int, int]:
+    lo, hi = window
+    if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
+        raise DomainError(f"window must be an inclusive integer range, got {window!r}")
+    return lo, hi
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -87,7 +98,7 @@ class TiltVal(Record):
             if not isinstance(value, int):
                 raise DomainError(f"valuation must be a Fraction, int, or None, got {type(value).__name__}")
             value = Fraction(value)
-        object.__setattr__(self, "value", value)
+        self._assign(value)
 
     @property
     def is_infinite(self) -> bool:
@@ -183,8 +194,7 @@ class TiltElement(Record):
             if prev is not None and exponent <= prev:
                 raise DomainError("terms must be strictly increasing in the exponent")
             prev = exponent
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", terms)
+        self._assign(p, terms)
 
     @classmethod
     def from_terms(cls, p: int, terms: Mapping[_RatLike, int]) -> "TiltElement":
@@ -312,13 +322,6 @@ def tilt_frobenius(x: TiltElement, n: int = 1) -> TiltElement:
         raise DomainError(f"Frobenius power must be an integer, got {n!r}")
     scale = Fraction(x.p) ** n
     return TiltElement.from_terms(x.p, {e * scale: c for e, c in x.terms})
-
-
-def untilt_val_compare(vx: TiltVal, vy: TiltVal) -> int:
-    """Three-way comparison (-1, 0, 1) in the shared totally ordered value group."""
-    if vx == vy:
-        return 0
-    return -1 if vx < vy else 1
 
 
 def tilt_rescale_t(x: TiltElement, u: int) -> TiltElement:

@@ -25,7 +25,7 @@ from typing import Mapping, Union
 
 from ._record import Record
 from .errors import ConfigError, DomainError
-from .tilt import INF_VAL, TiltElement, TiltVal, is_prime, tilt_frobenius, tilt_pow, tilt_val
+from .tilt import INF_VAL, TiltElement, TiltVal, _require_odd_prime, is_prime, tilt_frobenius, tilt_pow, tilt_val
 
 __all__ = [
     "NEG_INF",
@@ -93,8 +93,7 @@ class RhoWeight(Record):
                 raise DomainError("the boundary norm carries weight 0")
         elif r <= 0:
             raise DomainError(f"interior weight must be positive, got {r}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "at_one", at_one)
+        self._assign(r, at_one)
 
     @classmethod
     def of(cls, r: Union[Fraction, int]) -> "RhoWeight":
@@ -130,8 +129,7 @@ class WittExpr(Record):
             if x.is_zero:
                 raise DomainError(f"slot {slot} holds zero; drop empty slots instead")
             prev = slot
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", terms)
+        self._assign(p, terms)
 
     @classmethod
     def from_terms(cls, p: int, terms: Mapping[int, TiltElement]) -> "WittExpr":
@@ -178,7 +176,13 @@ class PrimitiveDeg1(Record):
         v = tilt_val(a)
         if v.is_infinite or v.as_fraction() <= 0:
             raise DomainError("generator must satisfy 0 < v(a) < +inf")
-        object.__setattr__(self, "a", a)
+        self._assign(a)
+
+
+def _require_family_ell(ell: int, p: int) -> None:
+    _require_odd_prime(ell)
+    if ell == p:
+        raise DomainError(f"ell must differ from the residue characteristic {p}")
 
 
 def primitive_pow_family(a: TiltElement, ell: int) -> tuple[PrimitiveDeg1, ...]:
@@ -188,10 +192,7 @@ def primitive_pow_family(a: TiltElement, ell: int) -> tuple[PrimitiveDeg1, ...]:
     Valuations scale by j^2 because v is additive and a^(j^2) never
     cancels below its lowest term.
     """
-    if not is_prime(ell) or ell == 2:
-        raise DomainError(f"ell must be an odd prime, got {ell}")
-    if ell == a.p:
-        raise DomainError(f"ell must differ from the residue characteristic {a.p}")
+    _require_family_ell(ell, a.p)
     PrimitiveDeg1(a)  # validate 0 < v(a) < +inf before powering
     ell_star = (ell - 1) // 2
     return tuple(PrimitiveDeg1(tilt_pow(a, j * j)) for j in range(1, ell_star + 1))

@@ -12,6 +12,7 @@ import pytest
 from conftest import assert_immutable_value
 
 import tiltval
+from tiltval import cli
 from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
 from tiltval.errors import ConfigError, PrecisionError, VerificationError
@@ -175,6 +176,32 @@ def test_argparse_usage_exits_two(capsys):
         main(["bound", "--format", "yaml"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_help_lists_the_six_commands_in_table_order(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "{verify-theta,bound,ansatz,loglink,sweep-ell,all}" in capsys.readouterr().out
+
+
+def test_commands_reach_each_suite_through_its_module_attribute(monkeypatch, capsys):
+    # perfbench/tracer.py times a suite by replacing cli.cmd_<suite>.
+    real = cli.cmd_bound
+    calls = []
+
+    def recording(cfg):
+        calls.append(cfg.seed)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "cmd_bound", recording)
+    code, out, _ = run_cli(capsys, "all", "--format", "json", "--seed", "3")
+    assert code == 0 and calls == [3]
+    assert [suite["suite"] for suite in json.loads(out)["suites"]] == [
+        "verify-theta", "bound", "ansatz", "loglink", "sweep-ell"
+    ]
+    code, out, _ = run_cli(capsys, "bound", "--format", "json", "--seed", "4")
+    assert code == 0 and calls == [3, 4] and json.loads(out)["suite"] == "bound"
 
 
 def test_json_report_shape(capsys):

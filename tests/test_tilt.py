@@ -18,7 +18,6 @@ from tiltval.tilt import (
     tilt_pow,
     tilt_rescale_t,
     tilt_val,
-    untilt_val_compare,
 )
 
 
@@ -37,10 +36,10 @@ def test_zero_has_infinite_valuation():
 
 
 def test_valuation_total_order():
-    assert untilt_val_compare(TiltVal(Fraction(1, 4)), TiltVal(Fraction(1, 3))) == -1
-    assert untilt_val_compare(TiltVal(Fraction(2, 2)), TiltVal(Fraction(1))) == 0
-    assert untilt_val_compare(INF_VAL, TiltVal(Fraction(10**9))) == 1
-    assert untilt_val_compare(INF_VAL, INF_VAL) == 0
+    assert TiltVal(Fraction(1, 4)) < TiltVal(Fraction(1, 3))
+    assert TiltVal(Fraction(2, 2)) == TiltVal(Fraction(1))
+    assert INF_VAL > TiltVal(Fraction(10**9))
+    assert INF_VAL == INF_VAL
     assert TiltVal(Fraction(1, 2)) < INF_VAL
     assert TiltVal(Fraction(1, 2)) < 1
     assert INF_VAL + Fraction(5) == INF_VAL
