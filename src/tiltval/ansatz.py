@@ -48,7 +48,6 @@ class AnsatzPoint(Record):
     be trusted wherever it came from.
     """
 
-    __slots__ = ("a", "ell", "members")
     a: TiltElement
     ell: int
     members: tuple[PrimitiveDeg1, ...]
@@ -143,7 +142,6 @@ class HolomorphoidRecord(Record):
     """One untilt attached to a family member: a label, its Tate-style
     parameter valuation, and the member index it came from."""
 
-    __slots__ = ("label", "member_index", "tate_valuation")
     label: str
     member_index: int
     tate_valuation: Fraction

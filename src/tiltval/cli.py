@@ -60,38 +60,16 @@ _FORMATS = ("json", "csv", "text")
 class RunConfig(Record):
     """Validated run parameters; every field has a working default."""
 
-    __slots__ = (
-        "p", "ell", "ell_sweep_max", "v_q", "theta_truncation", "frobenius_depth", "rho_weight",
-        "padic_precision", "output_format", "seed",
-    )
-    p: int
-    ell: int
-    ell_sweep_max: int
-    v_q: Fraction
-    theta_truncation: int
-    frobenius_depth: int
-    rho_weight: Fraction
-    padic_precision: int
-    output_format: str
-    seed: int
-
-    def __init__(
-        self,
-        p: int = 2,
-        ell: int = 5,
-        ell_sweep_max: int = 97,
-        v_q: Fraction = Fraction(1),
-        theta_truncation: int = 12,
-        frobenius_depth: int = 2,
-        rho_weight: Fraction = Fraction(1),
-        padic_precision: int = 14,
-        output_format: str = "text",
-        seed: int = 0,
-    ):
-        self._assign(
-            p, ell, ell_sweep_max, v_q, theta_truncation, frobenius_depth, rho_weight, padic_precision,
-            output_format, seed,
-        )
+    p: int = 2
+    ell: int = 5
+    ell_sweep_max: int = 97
+    v_q: Fraction = Fraction(1)
+    theta_truncation: int = 12
+    frobenius_depth: int = 2
+    rho_weight: Fraction = Fraction(1)
+    padic_precision: int = 14
+    output_format: str = "text"
+    seed: int = 0
 
     def validate(self) -> "RunConfig":
         if not is_prime(self.p):
@@ -145,10 +123,6 @@ def _reject_float(literal: str) -> None:
     raise ConfigError(f'float literal {literal!r} is not allowed; use "num/den" strings')
 
 
-_INT_KEYS = ("p", "ell", "ell_sweep_max", "theta_truncation", "frobenius_depth", "padic_precision", "seed")
-_RATIONAL_KEYS = ("v_q", "rho_weight")
-
-
 def load_config(path: str | None) -> RunConfig:
     """Defaults overlaid with a JSON config file, strictly validated."""
     if path is None:
@@ -160,27 +134,22 @@ def load_config(path: str | None) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"schema", "output_format", *_INT_KEYS, *_RATIONAL_KEYS}
+    known = {"schema", *RunConfig.__slots__}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "schema" in data and (isinstance(data["schema"], bool) or data["schema"] != 1):
         raise ConfigError(f"unsupported config schema {data['schema']!r}")
     merged: dict = {}
-    for key in _INT_KEYS:
-        if key in data:
-            value = data[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-            merged[key] = value
-    for key in _RATIONAL_KEYS:
-        if key in data:
-            merged[key] = parse_rational(data[key])
-    if "output_format" in data:
-        value = data["output_format"]
-        if not isinstance(value, str):
-            raise ConfigError(f"output_format must be a string, got {value!r}")
-        merged["output_format"] = value
+    for key in RunConfig.__slots__:
+        if key not in data:
+            continue
+        value, kind = data[key], type(RunConfig._defaults[key])  # int, Fraction or str
+        if kind is Fraction:
+            value = parse_rational(value)
+        elif isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a string'}, got {value!r}")
+        merged[key] = value
     return RunConfig(**merged).validate()
 
 

@@ -60,7 +60,6 @@ class PadicUnit(Record):
     congruence classes carry no information.
     """
 
-    __slots__ = ("p", "precision", "value")
     p: int
     precision: int
     value: int
@@ -84,6 +83,7 @@ class PadicUnit(Record):
     @classmethod
     def random(cls, rng: random.Random, p: int, precision: int) -> "PadicUnit":
         """A uniformly drawn principal unit of Z/p^precision, one draw from rng."""
+        _require_precision(p, precision)
         if p == 2:
             return cls.of(2, precision, 1 + 4 * rng.randrange(2 ** (precision - 2)))
         return cls.of(p, precision, 1 + p * rng.randrange(p ** (precision - 1)))
@@ -166,6 +166,13 @@ def padic_log(u: PadicUnit) -> int:
     return result
 
 
+def _require_chain_base(p: int, v0: Fraction) -> None:
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
+    if not isinstance(v0, Fraction) or v0 <= 0:
+        raise DomainError(f"v0 must be a positive Fraction, got {v0!r}")
+
+
 class LogLinkChain(Record):
     """Valuations v_n = v0 * p^n of the same prime along a chain window.
 
@@ -174,17 +181,13 @@ class LogLinkChain(Record):
     with no operation that would identify different indices.
     """
 
-    __slots__ = ("p", "v0", "window", "entries")
     p: int
     v0: Fraction
     window: tuple[int, int]
     entries: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, p: int, v0: Fraction, window: tuple[int, int], entries: tuple[tuple[int, Fraction], ...]):
-        if not is_prime(p):
-            raise DomainError(f"p must be prime, got {p}")
-        if not isinstance(v0, Fraction) or v0 <= 0:
-            raise DomainError(f"v0 must be a positive Fraction, got {v0!r}")
+        _require_chain_base(p, v0)
         lo, hi = _require_window(window)
         expected_indexes = tuple(range(lo, hi + 1))
         if tuple(n for n, _ in entries) != expected_indexes:
@@ -206,6 +209,7 @@ class LogLinkChain(Record):
 
 def chain_build(p: int, v0: Fraction, window: tuple[int, int]) -> LogLinkChain:
     """Build the chain v_n = v0 * p^n over an inclusive index window."""
+    _require_chain_base(p, v0)
     lo, hi = _require_window(window)
     entries = tuple((n, v0 * Fraction(p) ** n) for n in range(lo, hi + 1))
     return LogLinkChain(p=p, v0=v0, window=(lo, hi), entries=entries)

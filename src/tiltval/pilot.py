@@ -55,7 +55,6 @@ class PilotTuple(Record):
     re-verified on construction.
     """
 
-    __slots__ = ("ansatz", "xi_val_K1", "lifts")
     ansatz: AnsatzPoint
     xi_val_K1: Fraction
     lifts: tuple[Fraction, ...]
@@ -110,13 +109,9 @@ class ThetaSetSample(Record):
     times the lifts at n.
     """
 
-    __slots__ = ("generators", "frobenius_depth", "tuples")
     generators: tuple[AnsatzPoint, ...]
     frobenius_depth: int
     tuples: tuple[PilotTuple, ...]
-
-    def __init__(self, generators: tuple[AnsatzPoint, ...], frobenius_depth: int, tuples: tuple[PilotTuple, ...]):
-        self._assign(generators, frobenius_depth, tuples)
 
 
 def _pilot_sort_key(pilot: PilotTuple):
@@ -175,32 +170,18 @@ class DerivationStep(Record):
     """One labeled exact quantity in the bound derivation, with its own
     pass flag where the step asserts an identity."""
 
-    __slots__ = ("label", "value", "ok")
     label: str
     value: Fraction
     ok: bool
 
-    def __init__(self, label: str, value: Fraction, ok: bool):
-        self._assign(label, value, ok)
-
 
 class BoundReport(Record):
-    __slots__ = ("ell", "v_q", "lhs_log", "rhs_log", "margin", "passed")
     ell: int
     v_q: Fraction
     lhs_log: Fraction
     rhs_log: Fraction
     margin: Fraction
     passed: bool
-
-    def __init__(self, ell: int, v_q: Fraction, lhs_log: Fraction, rhs_log: Fraction, margin: Fraction, passed: bool):
-        self._assign(ell, v_q, lhs_log, rhs_log, margin, passed)
-
-
-def _require_bound_inputs(ell: int, v_q: Fraction) -> None:
-    _require_odd_prime(ell)
-    if not isinstance(v_q, Fraction) or v_q <= 0:
-        raise DomainError(f"v_q must be a positive Fraction, got {v_q!r}")
 
 
 def _lhs_termwise(ell: int, v_q: Fraction) -> Fraction:
@@ -213,6 +194,21 @@ def _lhs_termwise(ell: int, v_q: Fraction) -> Fraction:
     return Fraction(sum(j * j for j in range(1, ls + 1)), ls * ls * 2 * ell) * v_q
 
 
+def _bound_routes(ell: int, v_q: Fraction) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Validate (ell, v_q) and return the lhs termwise and in closed form,
+    then the rhs in product and in ratio form."""
+    _require_odd_prime(ell)
+    if not isinstance(v_q, Fraction) or v_q <= 0:
+        raise DomainError(f"v_q must be a positive Fraction, got {v_q!r}")
+    ls = (ell - 1) // 2
+    return (
+        _lhs_termwise(ell, v_q),
+        Fraction(1, 12) * (1 + Fraction(1, ls)) * v_q,
+        Fraction(1, 4) * (1 - Fraction(1, ell)) * v_q,
+        Fraction(ls, 2 * ell) * v_q,
+    )
+
+
 def main_bound_derivation(ell: int, v_q: Fraction) -> tuple[DerivationStep, ...]:
     """Every intermediate identity of the size bound as a checkable step.
 
@@ -221,7 +217,7 @@ def main_bound_derivation(ell: int, v_q: Fraction) -> tuple[DerivationStep, ...]
     Steps whose label ends in a quantity name carry ok = True by
     definition; identity steps carry the actual comparison.
     """
-    _require_bound_inputs(ell, v_q)
+    lhs_sum, lhs_closed, rhs_product, rhs_ratio = _bound_routes(ell, v_q)
     ls = (ell - 1) // 2
     steps: list[DerivationStep] = []
 
@@ -229,13 +225,9 @@ def main_bound_derivation(ell: int, v_q: Fraction) -> tuple[DerivationStep, ...]
     square_closed = ls * (ls + 1) * (2 * ls + 1) // 6
     steps.append(DerivationStep("square_sum_closed_form", Fraction(square_closed), square_sum == square_closed))
 
-    lhs_sum = _lhs_termwise(ell, v_q)
-    lhs_closed = Fraction(1, 12) * (1 + Fraction(1, ls)) * v_q
     steps.append(DerivationStep("lhs_termwise", lhs_sum, True))
     steps.append(DerivationStep("lhs_closed_form", lhs_closed, lhs_closed == lhs_sum))
 
-    rhs_product = Fraction(1, 4) * (1 - Fraction(1, ell)) * v_q
-    rhs_ratio = Fraction(ls, 2 * ell) * v_q
     steps.append(DerivationStep("rhs_product_form", rhs_product, True))
     steps.append(DerivationStep("rhs_ratio_form", rhs_ratio, rhs_ratio == rhs_product))
 
@@ -251,18 +243,12 @@ def main_bound_derivation(ell: int, v_q: Fraction) -> tuple[DerivationStep, ...]
 
 def main_bound_check(ell: int, v_q: Fraction) -> BoundReport:
     """Strict comparison of the two sides of the size bound at (ell, v_q)."""
-    _require_bound_inputs(ell, v_q)
-    ls = (ell - 1) // 2
-    lhs_sum = _lhs_termwise(ell, v_q)
-    lhs = Fraction(1, 12) * (1 + Fraction(1, ls)) * v_q
+    lhs_sum, lhs, rhs, rhs_ratio = _bound_routes(ell, v_q)
     if lhs != lhs_sum:
         raise VerificationError(f"lhs routes disagree at ell = {ell}: {lhs} != {lhs_sum}")
-    rhs = Fraction(1, 4) * (1 - Fraction(1, ell)) * v_q
-    rhs_ratio = Fraction(ls, 2 * ell) * v_q
     if rhs != rhs_ratio:
         raise VerificationError(f"rhs routes disagree at ell = {ell}: {rhs} != {rhs_ratio}")
-    margin = rhs - lhs
-    return BoundReport(ell=ell, v_q=v_q, lhs_log=lhs, rhs_log=rhs, margin=margin, passed=lhs < rhs)
+    return BoundReport(ell, v_q, lhs, rhs, rhs - lhs, lhs < rhs)
 
 
 def _odd_primes_upto(limit: int):

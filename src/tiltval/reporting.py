@@ -68,13 +68,9 @@ def assert_no_floats(obj: object) -> None:
 class CheckRecord(Record):
     """One named pass/fail outcome with an exact witness."""
 
-    __slots__ = ("check_id", "passed", "witness")
     check_id: str
     passed: bool
     witness: tuple[tuple[str, str], ...]
-
-    def __init__(self, check_id: str, passed: bool, witness: tuple[tuple[str, str], ...]):
-        self._assign(check_id, passed, witness)
 
 
 def make_check(check_id: str, passed: bool, **witness: object) -> CheckRecord:
@@ -86,24 +82,11 @@ def make_check(check_id: str, passed: bool, **witness: object) -> CheckRecord:
 class Report(Record):
     """A suite run: configuration echo, gauge notes, ordered checks."""
 
-    __slots__ = ("suite", "config_echo", "gauges", "checks", "wall_ms", "schema")
     suite: str
     config_echo: tuple[tuple[str, str], ...]
     gauges: tuple[str, ...]
     checks: tuple[CheckRecord, ...]
-    wall_ms: int | None
-    schema: int
-
-    def __init__(
-        self,
-        suite: str,
-        config_echo: tuple[tuple[str, str], ...],
-        gauges: tuple[str, ...],
-        checks: tuple[CheckRecord, ...],
-        wall_ms: int | None = None,
-        schema: int = 1,
-    ):
-        self._assign(suite, config_echo, gauges, checks, wall_ms, schema)
+    wall_ms: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -114,7 +97,7 @@ class Report(Record):
         return good, len(self.checks)
 
     def to_dict(self, include_config: bool = True) -> dict:
-        body: dict = {"schema": self.schema, "suite": self.suite}
+        body: dict = {"schema": 1, "suite": self.suite}
         if include_config:
             body["config"] = dict(self.config_echo)
             body["gauges"] = list(self.gauges)
@@ -134,22 +117,10 @@ class Report(Record):
 class CombinedReport(Record):
     """Several suites under one configuration, reported as one run."""
 
-    __slots__ = ("suites", "config_echo", "gauges", "wall_ms", "schema")
     suites: tuple[Report, ...]
     config_echo: tuple[tuple[str, str], ...]
     gauges: tuple[str, ...]
-    wall_ms: int | None
-    schema: int
-
-    def __init__(
-        self,
-        suites: tuple[Report, ...],
-        config_echo: tuple[tuple[str, str], ...],
-        gauges: tuple[str, ...],
-        wall_ms: int | None = None,
-        schema: int = 1,
-    ):
-        self._assign(suites, config_echo, gauges, wall_ms, schema)
+    wall_ms: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -163,7 +134,7 @@ class CombinedReport(Record):
     def to_dict(self) -> dict:
         good, total = self.counts()
         return {
-            "schema": self.schema,
+            "schema": 1,
             "suite": "all",
             "config": dict(self.config_echo),
             "gauges": list(self.gauges),

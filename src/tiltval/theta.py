@@ -98,7 +98,6 @@ class CycloElt(Record):
     which makes equality and zero-testing exact.
     """
 
-    __slots__ = ("ell", "coeffs")
     ell: int
     coeffs: tuple[int, ...]
 
@@ -171,7 +170,6 @@ class QLaurent(Record):
     stored, so the lowest term is well defined whenever terms exist.
     """
 
-    __slots__ = ("ell", "terms")
     ell: int
     terms: tuple[tuple[int, CycloElt], ...]
 
@@ -216,7 +214,6 @@ class QLaurent(Record):
 class ThetaTerm(Record):
     """One series term: sign * q^(q_exp) * u^(u_exp) at index n."""
 
-    __slots__ = ("n", "sign", "q_exp", "u_exp")
     n: int
     sign: int
     q_exp: int
@@ -236,13 +233,9 @@ class ThetaTerm(Record):
 class ThetaSeriesTrunc(Record):
     """The terms with |n| <= n_max, in increasing index order."""
 
-    __slots__ = ("n_max", "signed", "terms")
     n_max: int
     signed: bool
     terms: tuple[ThetaTerm, ...]
-
-    def __init__(self, n_max: int, signed: bool, terms: tuple[ThetaTerm, ...]):
-        self._assign(n_max, signed, terms)
 
     def term_at(self, n: int) -> ThetaTerm:
         if abs(n) > self.n_max:
@@ -272,9 +265,6 @@ class InversionCheck(Record):
     theta(1) = 0.
     """
 
-    __slots__ = (
-        "passed", "n_max", "signed", "pairs_matched", "boundary_terms", "pairs_cancel_at_one", "first_mismatch"
-    )
     passed: bool
     n_max: int
     signed: bool
@@ -282,18 +272,6 @@ class InversionCheck(Record):
     boundary_terms: int
     pairs_cancel_at_one: bool
     first_mismatch: str | None
-
-    def __init__(
-        self,
-        passed: bool,
-        n_max: int,
-        signed: bool,
-        pairs_matched: int,
-        boundary_terms: int,
-        pairs_cancel_at_one: bool,
-        first_mismatch: str | None,
-    ):
-        self._assign(passed, n_max, signed, pairs_matched, boundary_terms, pairs_cancel_at_one, first_mismatch)
 
 
 def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> InversionCheck:
@@ -348,10 +326,6 @@ class QuasiPeriodicityCheck(Record):
     half-integer shifts stay in integer arithmetic.
     """
 
-    __slots__ = (
-        "passed", "j", "n_max", "signed", "overlap_lo", "overlap_hi", "terms_checked", "q_shift_doubled",
-        "first_mismatch",
-    )
     passed: bool
     j: int
     n_max: int
@@ -361,20 +335,6 @@ class QuasiPeriodicityCheck(Record):
     terms_checked: int
     q_shift_doubled: int
     first_mismatch: str | None
-
-    def __init__(
-        self,
-        passed: bool,
-        j: int,
-        n_max: int,
-        signed: bool,
-        overlap_lo: int,
-        overlap_hi: int,
-        terms_checked: int,
-        q_shift_doubled: int,
-        first_mismatch: str | None,
-    ):
-        self._assign(passed, j, n_max, signed, overlap_lo, overlap_hi, terms_checked, q_shift_doubled, first_mismatch)
 
 
 def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> QuasiPeriodicityCheck:
@@ -427,7 +387,6 @@ class ThetaValue(Record):
     ``inverse_*`` properties.  Only 1 <= j <= (ell - 1) / 2 is meaningful.
     """
 
-    __slots__ = ("j", "ell", "sign", "q_exponent", "zeta_exponent")
     j: int
     ell: int
     sign: int
@@ -506,7 +465,6 @@ class LaurentRatioCheck(Record):
     reciprocal of the symbolic multiplier.
     """
 
-    __slots__ = ("passed", "j", "k", "ell", "n_max", "s_exponent_gap", "expected_gap", "coeff_relation_holds")
     passed: bool
     j: int
     k: int
@@ -515,19 +473,6 @@ class LaurentRatioCheck(Record):
     s_exponent_gap: int
     expected_gap: int
     coeff_relation_holds: bool
-
-    def __init__(
-        self,
-        passed: bool,
-        j: int,
-        k: int,
-        ell: int,
-        n_max: int,
-        s_exponent_gap: int,
-        expected_gap: int,
-        coeff_relation_holds: bool,
-    ):
-        self._assign(passed, j, k, ell, n_max, s_exponent_gap, expected_gap, coeff_relation_holds)
 
 
 def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> LaurentRatioCheck:

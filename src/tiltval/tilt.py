@@ -90,7 +90,6 @@ class TiltVal(Record):
     reads naturally in callers.
     """
 
-    __slots__ = ("value",)
     value: Fraction | None
 
     def __init__(self, value: Fraction | int | None):
@@ -174,7 +173,6 @@ class TiltElement(Record):
     raw tuple; the validator runs either way.
     """
 
-    __slots__ = ("p", "terms")
     p: int
     terms: tuple[tuple[Fraction, int], ...]
 
@@ -229,19 +227,6 @@ class TiltElement(Record):
     def support(self) -> tuple[Fraction, ...]:
         """The exponents carrying a nonzero coefficient, in increasing order."""
         return tuple(e for e, _ in self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(f"t^({e})")
-            else:
-                parts.append(f"{c}*t^({e})")
-        return " + ".join(parts)
 
 
 def tilt_val(x: TiltElement) -> TiltVal:

@@ -13,9 +13,12 @@ rho = |t|^r the log-norm of a presentation is
     lambda = min_i ( v(x_i) + i * r )
 
 so lambda >= 0 says the presentation certifies membership in the ring of
-integral elements for that rho.  The boundary norm at rho = 1 is the
-degenerate weight r = 0 and gets its own flag rather than a zero weight
-smuggled through the same code path.
+integral elements for that rho.  The empty presentation denotes zero; its
+minimum runs over no slots, so its log-norm is +infinity (``INF_VAL``,
+the valuation of zero), which is >= 0 as the integrality of zero
+demands.  The boundary norm at rho = 1 is the degenerate weight r = 0 and
+gets its own flag rather than a zero weight smuggled through the same
+code path.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import ConfigError, DomainError
 from .tilt import INF_VAL, TiltElement, TiltVal, _require_odd_prime, is_prime, tilt_frobenius, tilt_pow, tilt_val
 
 __all__ = [
-    "NEG_INF",
     "PrimitiveDeg1",
     "RhoWeight",
     "WittExpr",
@@ -40,40 +42,6 @@ __all__ = [
 ]
 
 
-class _NegativeInfinity:
-    """Sentinel below every rational; the log-norm of the empty presentation.
-
-    The empty presentation denotes zero, whose norm is 0; in log form
-    that is -infinity, kept distinct from every finite Fraction.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _NegativeInfinity)
-
-    def __lt__(self, other: object) -> bool:
-        return not isinstance(other, _NegativeInfinity)
-
-    def __le__(self, other: object) -> bool:
-        return True
-
-    def __gt__(self, other: object) -> bool:
-        return False
-
-    def __ge__(self, other: object) -> bool:
-        return isinstance(other, _NegativeInfinity)
-
-    def __hash__(self) -> int:
-        return hash("tiltval.NEG_INF")
-
-    def __repr__(self) -> str:
-        return "NEG_INF"
-
-
-NEG_INF = _NegativeInfinity()
-
-
 class RhoWeight(Record):
     """Weight r selecting the Gauss norm with rho = |t|^r.
 
@@ -81,7 +49,6 @@ class RhoWeight(Record):
     rho = 1 is selected by ``at_one`` with the weight pinned to 0.
     """
 
-    __slots__ = ("r", "at_one")
     r: Fraction
     at_one: bool
 
@@ -111,7 +78,6 @@ class RhoWeight(Record):
 class WittExpr(Record):
     """A presentation sum_i [x_i] * p^i with nonzero tilt entries x_i."""
 
-    __slots__ = ("p", "terms")
     p: int
     terms: tuple[tuple[int, TiltElement], ...]
 
@@ -148,15 +114,16 @@ def teichmuller(x: TiltElement) -> WittExpr:
     return WittExpr(x.p, ((0, x),))
 
 
-def gauss_log_norm(w: WittExpr, rho: RhoWeight) -> Union[Fraction, _NegativeInfinity]:
+def gauss_log_norm(w: WittExpr, rho: RhoWeight) -> Union[Fraction, TiltVal]:
     """Additive Gauss norm min_i (v(x_i) + i*r) of a presentation.
 
-    Returns :data:`NEG_INF` for the empty presentation (norm 0 in
-    multiplicative terms).  Exact on Teichmuller terms, an upper bound
-    for the denoted element otherwise; see the module docstring.
+    Returns :data:`~tiltval.tilt.INF_VAL` for the empty presentation, the
+    minimum over no slots (norm 0 in multiplicative terms).  Exact on
+    Teichmuller terms, an upper bound for the denoted element otherwise;
+    see the module docstring.
     """
     if w.is_zero:
-        return NEG_INF
+        return INF_VAL
     wt = rho.weight
     return min(tilt_val(x).as_fraction() + slot * wt for slot, x in w.terms)
 
@@ -169,7 +136,6 @@ class PrimitiveDeg1(Record):
     [a] - p to be primitive of degree one.
     """
 
-    __slots__ = ("a",)
     a: TiltElement
 
     def __init__(self, a: TiltElement):

@@ -93,7 +93,7 @@ def test_report_records_are_immutable_values():
     bound = run.suites[1]
     assert_immutable_value(lambda: Report(bound.suite, bound.config_echo, bound.gauges, bound.checks, bound.wall_ms))
     assert_immutable_value(lambda: CombinedReport(run.suites, run.config_echo, run.gauges, wall_ms=run.wall_ms))
-    assert Report("bound", (), (), ()) == Report("bound", (), (), (), wall_ms=None, schema=1)
+    assert Report("bound", (), (), ()) == Report("bound", (), (), (), wall_ms=None)
     assert CheckRecord("x.y", True, ()) != CheckRecord("x.y", False, ())
 
 

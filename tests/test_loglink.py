@@ -136,6 +136,16 @@ def test_random_unit_takes_one_draw_per_unit():
             assert u.value == 1 + step * replay.randrange(p**precision // step)
 
 
+def test_random_unit_checks_the_precision_floor_before_drawing():
+    rng = random.Random(7)
+    state = rng.getstate()
+    for p, precision, required in ((2, 1, 3), (3, 0, 2)):
+        with pytest.raises(PrecisionError) as info:
+            PadicUnit.random(rng, p, precision)
+        assert info.value.required == required
+    assert rng.getstate() == state
+
+
 def test_log_of_one_is_zero():
     assert padic_log(PadicUnit(5, 4, 1)) == 0
     assert padic_log(PadicUnit(2, 8, 1)) == 0
@@ -215,6 +225,10 @@ def test_chain_validation():
         chain_build(2, 0.25, (0, 2))
     with pytest.raises(DomainError):
         chain_build(2, Fraction(1), (2, 0))
+    with pytest.raises(DomainError):
+        chain_build(0, Fraction(1), (-1, 1))  # p is checked before any p^n is formed
+    with pytest.raises(DomainError):
+        chain_build(2, None, (0, 1))
     good = chain_build(3, Fraction(1, 3), (0, 2)).entries
     with pytest.raises(VerificationError):
         LogLinkChain(p=3, v0=Fraction(1, 3), window=(0, 2), entries=(good[0], (1, Fraction(2, 3)), good[2]))
