@@ -32,6 +32,7 @@ from .ansatz import (
 from .errors import ConfigError, DomainError, PrecisionError, VerificationError, WindowError
 from .loglink import PadicUnit, _require_precision, chain_build, kummer_shift, m_of_epsilon, padic_log
 from .pilot import (
+    _odd_primes_upto,
     corollary_c_check,
     main_bound_check,
     main_bound_derivation,
@@ -483,12 +484,9 @@ def cmd_sweep_ell(cfg: RunConfig) -> list[CheckRecord]:
         )
     )
     failures = []
-    count = 0
+    primes = [ell for ell in _odd_primes_upto(cfg.ell_sweep_max) if ell != 3]
     last_margin = Fraction(0)
-    for ell in range(5, cfg.ell_sweep_max + 1, 2):
-        if not is_prime(ell):
-            continue
-        count += 1
+    for ell in primes:
         rep = main_bound_check(ell, cfg.v_q)
         last_margin = rep.margin
         if not rep.passed:
@@ -497,7 +495,7 @@ def cmd_sweep_ell(cfg: RunConfig) -> list[CheckRecord]:
         make_check(
             "sweep.all_primes_from_5_pass",
             not failures,
-            primes_checked=count,
+            primes_checked=len(primes),
             limit=cfg.ell_sweep_max,
             failures=tuple(failures),
             last_margin=last_margin,
@@ -538,10 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config).override(seed=args.seed, output_format=args.fmt)
         report = _command(args.command)(cfg)
-    except (ConfigError, WindowError, PrecisionError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, DomainError, PrecisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -20,22 +20,20 @@ square root.
 Special values live at u = q^(j/2) zeta^k for a primitive ell-th root of
 unity zeta (ell an odd prime).  Numerics for those run in the cyclotomic
 ring Z[x]/(Phi_2ell(x)), with zeta the class of x^2 and -1 the class of
-x^ell, and in Laurent polynomials over that ring in a parameter s with
-s^2 = q^(1/ell); evaluation therefore uses the base parameter q^(1/ell),
-in which the leading-exponent drop of theta(q^(j/2) zeta^k) against
-theta(zeta^k) is exactly -j^2 for every j, matching the symbolic
-q-exponent j^2/(2 ell) of :func:`theta_value`.  The evaluation keeps
-one plain integer row of ell - 1 coefficients per s-exponent and adds
-each term +-x^e into it directly: x^ell = -1 folds e below ell, and only
-e = ell - 1 needs the cyclotomic relation, which touches the whole row.
-One validated ring element is built per surviving exponent at the end.
+x^ell, in a parameter s with s^2 = q^(1/ell); evaluation therefore uses
+the base parameter q^(1/ell), in which the leading-exponent drop of
+theta(q^(j/2) zeta^k) against theta(zeta^k) is exactly -j^2 for every j,
+matching the symbolic q-exponent j^2/(2 ell) of :func:`theta_value`.
+The evaluation keeps each s-coefficient as a sparse sum of root powers
+x^e with 0 <= e < ell; at most two indices share an s-exponent, so no
+coefficient needs the cyclotomic relation to be tested for zero.  Ring
+elements are built only for the two lowest coefficients a check compares.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from typing import Mapping
 
 from ._record import Record
 from .errors import DomainError, WindowError
@@ -45,7 +43,6 @@ __all__ = [
     "CycloElt",
     "InversionCheck",
     "LaurentRatioCheck",
-    "QLaurent",
     "QuasiPeriodicityCheck",
     "ThetaSeriesTrunc",
     "ThetaTerm",
@@ -58,20 +55,6 @@ __all__ = [
     "theta_value",
     "zeta_ell_pow",
 ]
-
-
-def _reduce_mod_cyclo(ell: int, coeffs: list[int]) -> tuple[int, ...]:
-    # Phi_2ell(x) = sum_{i<ell} (-1)^i x^i is monic of degree ell - 1, so
-    # x^(ell-1) = sum_{i<ell-1} -(-1)^i x^i closes the reduction.
-    deg = ell - 1
-    for d in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[d]
-        if c:
-            coeffs[d] = 0
-            for i in range(deg):
-                coeffs[d - deg + i] -= c * (-1) ** i
-    out = coeffs[:deg] + [0] * (deg - len(coeffs))
-    return tuple(out[:deg])
 
 
 def _add_root_pow(row: list[int], ell: int, e: int, c: int) -> None:
@@ -118,11 +101,17 @@ class CycloElt(Record):
         return cls(ell, (1,) + (0,) * (ell - 2))
 
     @classmethod
+    def from_root_pows(cls, ell: int, pows: dict[int, int]) -> "CycloElt":
+        """The class of sum c * x^e over pows = {e: c}, any integer e."""
+        row = [0] * (ell - 1)
+        for e, c in pows.items():
+            _add_root_pow(row, ell, e % (2 * ell), c)
+        return cls(ell, tuple(row))
+
+    @classmethod
     def root_pow(cls, ell: int, k: int) -> "CycloElt":
         """The class of x^k, any integer k (x has order 2ell)."""
-        row = [0] * (ell - 1)
-        _add_root_pow(row, ell, k % (2 * ell), 1)
-        return cls(ell, tuple(row))
+        return cls.from_root_pows(ell, {k: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -152,7 +141,7 @@ class CycloElt(Record):
             if a:
                 for j, b in enumerate(other.coeffs):
                     prod[i + j] += a * b
-        return CycloElt(self.ell, _reduce_mod_cyclo(self.ell, prod))
+        return CycloElt.from_root_pows(self.ell, dict(enumerate(prod)))
 
     __rmul__ = __mul__
 
@@ -160,55 +149,6 @@ class CycloElt(Record):
 def zeta_ell_pow(ell: int, k: int) -> CycloElt:
     """The class of zeta^k for the primitive ell-th root zeta = x^2."""
     return CycloElt.root_pow(ell, 2 * k)
-
-
-class QLaurent(Record):
-    """Laurent polynomial over Z[x]/(Phi_2ell) in the half-parameter s.
-
-    Exponents are integers of either sign; s^2 plays the role of the
-    evaluation base parameter q^(1/ell).  Zero coefficients are never
-    stored, so the lowest term is well defined whenever terms exist.
-    """
-
-    ell: int
-    terms: tuple[tuple[int, CycloElt], ...]
-
-    def __init__(self, ell: int, terms: tuple[tuple[int, CycloElt], ...]):
-        _require_odd_prime(ell)
-        prev = None
-        for exponent, coeff in terms:
-            if not isinstance(exponent, int):
-                raise DomainError("s-exponents must be integers")
-            if not isinstance(coeff, CycloElt) or coeff.ell != ell:
-                raise DomainError("coefficients must live in the matching cyclotomic ring")
-            if coeff.is_zero:
-                raise DomainError("zero coefficients must be dropped")
-            if prev is not None and exponent <= prev:
-                raise DomainError("terms must be strictly increasing in the exponent")
-            prev = exponent
-        self._assign(ell, terms)
-
-    @classmethod
-    def from_terms(cls, ell: int, terms: Mapping[int, CycloElt]) -> "QLaurent":
-        kept = tuple(sorted((e, c) for e, c in terms.items() if not c.is_zero))
-        return cls(ell, kept)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "QLaurent") -> "QLaurent":
-        if self.ell != other.ell:
-            raise DomainError(f"mixed cyclotomic rings: ell = {self.ell} vs {other.ell}")
-        acc = {e: c for e, c in self.terms}
-        for e, c in other.terms:
-            acc[e] = acc[e] + c if e in acc else c
-        return QLaurent.from_terms(self.ell, acc)
-
-    def lowest_term(self) -> tuple[int, CycloElt]:
-        if not self.terms:
-            raise DomainError("the zero Laurent polynomial has no lowest term")
-        return self.terms[0]
 
 
 class ThetaTerm(Record):
@@ -431,29 +371,35 @@ def theta_value(j: int, ell: int) -> ThetaValue:
     )
 
 
-def eval_theta_laurent(j: int, k: int, ell: int, n_max: int, signed: bool = True) -> QLaurent:
-    """Exact truncated evaluation at u = s^j zeta^k over Z[x]/(Phi_2ell).
+def eval_theta_laurent(j: int, k: int, ell: int, n_max: int, signed: bool = True) -> dict[int, dict[int, int]]:
+    """Exact truncated evaluation at u = s^j zeta^k, as {s_exponent: {e: c}}.
 
     s is a formal square root of the base parameter q^(1/ell), so the
     term at index n contributes s^(n(n+1) + j(2n+1)) with coefficient
-    (-1)^n zeta^(k(2n+1)).  Collisions between indices are summed on
-    plain integer coefficient rows, which is where the exact
-    cancellations happen; one ring element is built per surviving
-    exponent at the end.
+    (-1)^n zeta^(k(2n+1)).  Each coefficient is the sum of c * x^e over
+    its map, 0 <= e < ell, holding only nonzero c; exponents with a zero
+    coefficient are dropped and the rest come in increasing order.
     """
     _require_odd_prime(ell)
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError(f"truncation radius must be a nonnegative integer, got {n_max!r}")
-    two_ell = 2 * ell
-    acc: dict[int, list[int]] = {}
+    # s(n) = s(m) only for m = n or m = -n - 2j - 1, so a coefficient sums at
+    # most two root powers x^e, e < ell.  Below degree ell the only relation
+    # is Phi_2ell = sum_{i<ell} (-1)^i x^i, which has ell nonzero entries, so
+    # a sum of fewer than ell root powers is zero exactly when its entries
+    # cancel outright: dropping zero entries is the whole zero test.
+    acc: dict[int, dict[int, int]] = {}
     for n in range(-n_max, n_max + 1):
-        s_exp = n * (n + 1) + j * (2 * n + 1)
-        row = acc.get(s_exp)
-        if row is None:
-            row = acc[s_exp] = [0] * (ell - 1)
-        # zeta = x^2, so zeta^(k(2n+1)) is x^(2k(2n+1))
-        _add_root_pow(row, ell, 2 * k * (2 * n + 1) % two_ell, -1 if signed and n % 2 else 1)
-    return QLaurent.from_terms(ell, {e: CycloElt(ell, tuple(row)) for e, row in acc.items() if any(row)})
+        # zeta = x^2, so zeta^(k(2n+1)) is x^(2k(2n+1)); x^ell = -1 folds it below ell
+        e = 2 * k * (2 * n + 1) % (2 * ell)
+        c = -1 if signed and n % 2 else 1
+        if e >= ell:
+            e, c = e - ell, -c
+        coeff = acc.setdefault(n * (n + 1) + j * (2 * n + 1), {})
+        c += coeff.pop(e, 0)
+        if c:
+            coeff[e] = c
+    return {s_exp: acc[s_exp] for s_exp in sorted(acc) if acc[s_exp]}
 
 
 class LaurentRatioCheck(Record):
@@ -462,7 +408,7 @@ class LaurentRatioCheck(Record):
     The evaluation at u = s^j zeta^k must sit lower than the one at
     u = zeta^k by exactly j^2 s-steps, i.e. by q^(-j^2 / 2ell), and the
     two lowest coefficients must differ by sign * zeta^(-2jk), the
-    reciprocal of the symbolic multiplier.
+    reciprocal of the multiplier :func:`theta_value` states.
     """
 
     passed: bool
@@ -484,12 +430,13 @@ def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> LaurentRa
         raise WindowError(f"need n_max >= {j + 1} so both lowest indices -j and -j-1 are in window")
     shifted = eval_theta_laurent(j, k, ell, n_max)
     base = eval_theta_laurent(0, k, ell, n_max)
-    lo_s, lo_c = shifted.lowest_term()
-    base_s, base_c = base.lowest_term()
+    lo_s, base_s = min(shifted), min(base)
+    lo_c = CycloElt.from_root_pows(ell, shifted[lo_s])
+    base_c = CycloElt.from_root_pows(ell, base[base_s])
     gap = lo_s - base_s
     # 2*ell times the symbolic q-exponent j^2/(2*ell) is the integer j^2.
     expected_gap = -(2 * ell * tv.q_exponent.numerator) // tv.q_exponent.denominator
-    expected_coeff = tv.sign * (zeta_ell_pow(ell, -2 * j * k) * base_c)
+    expected_coeff = tv.sign * (zeta_ell_pow(ell, k * tv.inverse_zeta_exponent) * base_c)
     coeff_ok = (lo_c - expected_coeff).is_zero
     passed = gap == expected_gap and coeff_ok
     return LaurentRatioCheck(

@@ -17,7 +17,7 @@ from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
 from tiltval.errors import ConfigError, PrecisionError, VerificationError
 from tiltval.reporting import CheckRecord, CombinedReport, Report, make_check
-from tiltval.theta import eval_theta_laurent
+from tiltval.theta import ThetaValue, eval_theta_laurent, theta_value
 from tiltval.tilt import TiltElement
 from tiltval.witt import primitive_frobenius
 
@@ -98,10 +98,14 @@ def test_report_records_are_immutable_values():
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    # A fresh interpreter: pytest itself has already imported both here.
+    # A fresh interpreter: pytest itself has already imported both here.  Only
+    # the modules the import adds count; site set-up may load inspect itself.
     src = str(Path(tiltval.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = "import tiltval.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = (
+        "import sys; before = set(sys.modules); import tiltval.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
@@ -309,6 +313,21 @@ def test_unsigned_evaluation_fails_the_laurent_ratio(monkeypatch, capsys):
     verdicts = {check["id"]: check["passed"] for check in json.loads(out)["checks"]}
     assert not verdicts["theta.value_laurent_ratio.j1"]
     assert verdicts["theta.inversion_antisymmetry"]
+
+
+def test_wrong_zeta_exponent_fails_the_laurent_ratio(monkeypatch, capsys):
+    # The coefficient relation must take zeta^(-2jk) from the symbolic value.
+    def off_by_one(j, ell):
+        tv = theta_value(j, ell)
+        return ThetaValue(tv.j, tv.ell, tv.sign, tv.q_exponent, (tv.zeta_exponent + 1) % ell)
+
+    monkeypatch.setattr("tiltval.theta.theta_value", off_by_one)
+    code, out, _ = run_cli(capsys, "verify-theta", "--format", "json")
+    assert code == 1
+    checks = {check["id"]: check for check in json.loads(out)["checks"]}
+    assert not checks["theta.value_laurent_ratio.j1"]["passed"]
+    assert checks["theta.value_laurent_ratio.j1"]["witness"]["coeff_relation_holds"] == "false"
+    assert checks["theta.value_q_exponent_scaling"]["passed"]
 
 
 def test_mistwisted_frobenius_is_a_verification_failure(monkeypatch, capsys):

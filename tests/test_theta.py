@@ -9,8 +9,6 @@ from conftest import assert_immutable_value
 from tiltval.errors import DomainError, WindowError
 from tiltval.theta import (
     CycloElt,
-    _reduce_mod_cyclo,
-    QLaurent,
     ThetaTerm,
     check_inversion_antisymmetry,
     check_quasi_periodicity,
@@ -22,13 +20,28 @@ from tiltval.theta import (
 )
 
 
+def _reduce_mod_cyclo(ell, coeffs):
+    """Reduce a coefficient list of any length mod Phi_2ell, top degree first."""
+    # Phi_2ell(x) = sum_{i<ell} (-1)^i x^i is monic of degree ell - 1, so
+    # x^(ell-1) = sum_{i<ell-1} -(-1)^i x^i closes the reduction.
+    deg = ell - 1
+    for d in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs[d]
+        if c:
+            coeffs[d] = 0
+            for i in range(deg):
+                coeffs[d - deg + i] -= c * (-1) ** i
+    out = coeffs[:deg] + [0] * (deg - len(coeffs))
+    return tuple(out[:deg])
+
+
 def _root_pow_by_reduction(ell, k):
     """x^k through the full reduction cascade of a length k + 1 list."""
     return CycloElt(ell, _reduce_mod_cyclo(ell, [0] * (k % (2 * ell)) + [1]))
 
 
 def _eval_by_ring_ops(j, k, ell, n_max, signed=True):
-    """The truncated evaluation as one ring element per term, summed in the ring."""
+    """The truncated evaluation as {s: CycloElt}, one ring element per term summed in the ring."""
     acc = {}
     for n in range(-n_max, n_max + 1):
         s_exp = n * (n + 1) + j * (2 * n + 1)
@@ -36,7 +49,7 @@ def _eval_by_ring_ops(j, k, ell, n_max, signed=True):
         if signed and n % 2:
             coeff = -coeff
         acc[s_exp] = acc[s_exp] + coeff if s_exp in acc else coeff
-    return QLaurent.from_terms(ell, acc)
+    return {s_exp: c for s_exp, c in acc.items() if not c.is_zero}
 
 
 def _coeff_table(n_max, signed=True):
@@ -180,7 +193,6 @@ def test_cyclotomic_ring_structure():
 def test_records_are_immutable_values():
     ell = 7
     assert_immutable_value(lambda: zeta_ell_pow(ell, 3))
-    assert_immutable_value(lambda: eval_theta_laurent(1, 1, ell, 4))
     assert_immutable_value(lambda: ThetaTerm(n=-2, sign=1, q_exp=1, u_exp=-3))
     assert_immutable_value(lambda: theta_terms(3))
     assert_immutable_value(lambda: check_inversion_antisymmetry(4))
@@ -190,25 +202,13 @@ def test_records_are_immutable_values():
     assert ThetaTerm(0, 1, 0, 1) == theta_terms(0).terms[0]
 
 
-def test_qlaurent_basics():
-    ell = 5
-    poly = QLaurent.from_terms(ell, {3: CycloElt.one(ell), -2: zeta_ell_pow(ell, 1)})
-    assert poly.lowest_term() == (-2, zeta_ell_pow(ell, 1))
-    cancel = QLaurent.from_terms(ell, {-2: -zeta_ell_pow(ell, 1)})
-    summed = poly + cancel
-    assert summed.terms == ((3, CycloElt.one(ell)),)
-    assert QLaurent.from_terms(ell, {0: CycloElt.zero(ell)}).is_zero
-    with pytest.raises(DomainError):
-        QLaurent.from_terms(ell, {}).lowest_term()
-
-
 def test_eval_cancels_to_boundary_term_at_one():
     # At u = 1 (j = k = 0) every in-window pair cancels exactly; only the
     # unpaired boundary index n = N survives.
     for n_max in (2, 5):
         value = eval_theta_laurent(0, 0, 5, n_max)
         sign = 1 if n_max % 2 == 0 else -1
-        assert value.terms == ((n_max * (n_max + 1), sign * CycloElt.one(5)),)
+        assert value == {n_max * (n_max + 1): {0: sign}}
 
 
 def test_eval_vanishing_at_power_points_matches_pair_bookkeeping():
@@ -222,20 +222,22 @@ def test_eval_vanishing_at_power_points_matches_pair_bookkeeping():
             partner = -n - 1 - 2 * m
             if -n_max <= partner <= n_max:
                 continue
-            s_exp = n * (n + 1) + m * (2 * n + 1)
-            coeff = CycloElt.one(ell) if n % 2 == 0 else -CycloElt.one(ell)
-            expected[s_exp] = expected.get(s_exp, CycloElt.zero(ell)) + coeff
-        assert value == QLaurent.from_terms(ell, expected)
-        assert len(value.terms) == 2 * m + 1  # the indexes n = N-2m .. N survive
+            expected[n * (n + 1) + m * (2 * n + 1)] = {0: 1 if n % 2 == 0 else -1}
+        assert value == expected
+        assert list(value) == sorted(expected)
+        assert len(value) == 2 * m + 1  # the indexes n = N-2m .. N survive
 
 
 def test_eval_lowest_terms_frozen():
     ell = 5
+    # zeta = x^2 and x^5 = -1: zeta^-1 = x^8 = -x^3 and zeta^-3 = x^4.
     base = eval_theta_laurent(0, 1, ell, 6)
-    assert base.lowest_term() == (0, zeta_ell_pow(ell, 1) - zeta_ell_pow(ell, -1))
+    assert next(iter(base.items())) == (0, {2: 1, 3: 1})
+    assert CycloElt.from_root_pows(ell, base[0]) == zeta_ell_pow(ell, 1) - zeta_ell_pow(ell, -1)
     shifted = eval_theta_laurent(1, 1, ell, 6)
+    assert next(iter(shifted.items())) == (-1, {3: 1, 4: 1})
     expected = -zeta_ell_pow(ell, -1) + zeta_ell_pow(ell, -3)
-    assert shifted.lowest_term() == (-1, expected)
+    assert CycloElt.from_root_pows(ell, shifted[-1]) == expected
 
 
 def test_theta_value_frozen():
@@ -301,6 +303,25 @@ def test_eval_matches_ring_ops_randomized():
             k = rng.choice((0, ell, -ell, rng.randint(-3 * ell, 3 * ell)))
             n_max = rng.randint(0, 2 * ell)
             signed = rng.random() < 0.5
-            assert eval_theta_laurent(j, k, ell, n_max, signed) == _eval_by_ring_ops(
-                j, k, ell, n_max, signed
-            ), (j, k, ell, n_max, signed)
+            value = eval_theta_laurent(j, k, ell, n_max, signed)
+            case = (j, k, ell, n_max, signed)
+            assert list(value) == sorted(value), case
+            for coeff in value.values():
+                assert 1 <= len(coeff) <= 2 and all(c and 0 <= e < ell for e, c in coeff.items()), case
+            as_ring = {s_exp: CycloElt.from_root_pows(ell, coeff) for s_exp, coeff in value.items()}
+            assert as_ring == _eval_by_ring_ops(*case), case
+
+
+def test_cyclo_mul_matches_reduction_cascade_randomized():
+    rng = random.Random(6151)
+    for ell in (3, 5, 7, 11, 13, 31, 61):
+        for _ in range(20):
+            a = tuple(rng.randint(-50, 50) for _ in range(ell - 1))
+            b = tuple(rng.choice((0, 0, rng.randint(-50, 50))) for _ in range(ell - 1))
+            prod = [0] * (2 * ell - 3)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+            expected = CycloElt(ell, _reduce_mod_cyclo(ell, prod))
+            assert CycloElt(ell, a) * CycloElt(ell, b) == expected, (ell, a, b)
+            assert CycloElt(ell, b) * CycloElt(ell, a) == expected, (ell, a, b)
