@@ -21,14 +21,7 @@ from functools import wraps
 from typing import Callable
 
 from ._record import Record
-from .ansatz import (
-    frobenius_orbit,
-    is_member,
-    make_ansatz,
-    untilt_records,
-    valuation_profile,
-    scale_invariance_check,
-)
+from .ansatz import is_member, make_ansatz, untilt_records, valuation_profile, scale_invariance_check
 from .errors import ConfigError, DomainError, PrecisionError, VerificationError, WindowError
 from .loglink import PadicUnit, _require_precision, chain_build, kummer_shift, m_of_epsilon, padic_log
 from .pilot import (
@@ -45,8 +38,8 @@ from .pilot import (
 from .reporting import GAUGE_NOTES, AnyReport, CheckRecord, CombinedReport, Report, make_check, render_report
 from .theta import (
     check_inversion_antisymmetry,
-    check_quasi_periodicity,
-    check_theta_value_laurent,
+    check_quasi_periodicity_upto,
+    check_theta_value_laurent_upto,
     theta_value,
 )
 from .tilt import TiltElement, _is_p_power, _require_odd_prime, is_prime, tilt_mul, tilt_pow, tilt_rescale_t
@@ -216,11 +209,10 @@ def cmd_verify_theta(cfg: RunConfig) -> list[CheckRecord]:
             first_mismatch=control.first_mismatch or "none",
         )
     )
-    for j in range(1, min(ell_star, n_max) + 1):
-        qp = check_quasi_periodicity(j, n_max)
+    for qp in check_quasi_periodicity_upto(min(ell_star, n_max), n_max):
         checks.append(
             make_check(
-                f"theta.quasi_periodicity.j{j}",
+                f"theta.quasi_periodicity.j{qp.j}",
                 qp.passed,
                 overlap=(qp.overlap_lo, qp.overlap_hi),
                 terms_checked=qp.terms_checked,
@@ -243,11 +235,10 @@ def cmd_verify_theta(cfg: RunConfig) -> list[CheckRecord]:
             q_exponents=tuple(exponents),
         )
     )
-    for j in range(1, min(ell_star, n_max - 1) + 1):
-        lr = check_theta_value_laurent(j, 1, cfg.ell, n_max)
+    for lr in check_theta_value_laurent_upto(min(ell_star, n_max - 1), 1, cfg.ell, n_max):
         checks.append(
             make_check(
-                f"theta.value_laurent_ratio.j{j}",
+                f"theta.value_laurent_ratio.j{lr.j}",
                 lr.passed,
                 s_exponent_gap=lr.s_exponent_gap,
                 expected_gap=lr.expected_gap,
@@ -326,7 +317,10 @@ def cmd_ansatz(cfg: RunConfig) -> list[CheckRecord]:
         )
     )
     depth = cfg.frobenius_depth
-    orbit = frobenius_orbit(point, (-depth, depth))
+    xi_val = theta_value(1, cfg.ell).q_exponent * cfg.v_q
+    sample = theta_set_sample([point], xi_val, depth)
+    # One generator: the lifts scale by p^n, so the sample's sort order is the orbit's n order.
+    orbit = tuple(t.ansatz for t in sample.tuples)
     checks.append(
         make_check(
             "ansatz.orbit_membership",
@@ -365,8 +359,6 @@ def cmd_ansatz(cfg: RunConfig) -> list[CheckRecord]:
             records=tuple(f"{r.label}:{r.tate_valuation.numerator}/{r.tate_valuation.denominator}" for r in records),
         )
     )
-    xi_val = theta_value(1, cfg.ell).q_exponent * cfg.v_q
-    sample = theta_set_sample([point], xi_val, depth)
     rho = RhoWeight.of(cfg.rho_weight)
     sums = tuple(sum_log_norms(pilot, rho) for pilot in sample.tuples)
     estimate = size_estimate(sample, rho)

@@ -27,7 +27,11 @@ matching the symbolic q-exponent j^2/(2 ell) of :func:`theta_value`.
 The evaluation keeps each s-coefficient as a sparse sum of root powers
 x^e with 0 <= e < ell; at most two indices share an s-exponent, so no
 coefficient needs the cyclotomic relation to be tested for zero.  Ring
-elements are built only for the two lowest coefficients a check compares.
+elements are built only for the two lowest coefficients a check compares,
+and the expected one comes from the base coefficient by a root-power
+shift: zeta^m * sum c x^e is sum c x^(e + 2m), so no ring product is
+taken.  A suite of checks over j = 1 .. j_max builds the descriptor table
+once and evaluates the base series at zeta^k once.
 """
 
 from __future__ import annotations
@@ -49,7 +53,9 @@ __all__ = [
     "ThetaValue",
     "check_inversion_antisymmetry",
     "check_quasi_periodicity",
+    "check_quasi_periodicity_upto",
     "check_theta_value_laurent",
+    "check_theta_value_laurent_upto",
     "eval_theta_laurent",
     "theta_terms",
     "theta_value",
@@ -277,13 +283,13 @@ class QuasiPeriodicityCheck(Record):
     first_mismatch: str | None
 
 
-def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> QuasiPeriodicityCheck:
-    """Verify the shift identity u -> q^(j/2) u at integer step j."""
+def _quasi_periodicity(series: ThetaSeriesTrunc, j: int) -> QuasiPeriodicityCheck:
+    """The shift identity at step j on a prebuilt descriptor table."""
+    n_max = series.n_max
     if n_max < 1:
         raise DomainError("the check needs a window, so n_max >= 1")
     if abs(j) > n_max:
         raise WindowError(f"shift step |{j}| exceeds the truncation radius {n_max}")
-    series = theta_terms(n_max, signed)
     lo, hi = -n_max + abs(j), n_max - abs(j)
     shift_sign = (-1) ** (j % 2)
     mismatch: str | None = None
@@ -310,13 +316,24 @@ def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> QuasiPer
         passed=mismatch is None,
         j=j,
         n_max=n_max,
-        signed=signed,
+        signed=series.signed,
         overlap_lo=lo,
         overlap_hi=hi,
         terms_checked=checked,
         q_shift_doubled=-j * j,
         first_mismatch=mismatch,
     )
+
+
+def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> QuasiPeriodicityCheck:
+    """Verify the shift identity u -> q^(j/2) u at integer step j."""
+    return _quasi_periodicity(theta_terms(n_max, signed), j)
+
+
+def check_quasi_periodicity_upto(j_max: int, n_max: int) -> tuple[QuasiPeriodicityCheck, ...]:
+    """The signed shift identity at every step j = 1 .. j_max, on one descriptor table."""
+    series = theta_terms(n_max)
+    return tuple(_quasi_periodicity(series, j) for j in range(1, j_max + 1))
 
 
 class ThetaValue(Record):
@@ -421,23 +438,22 @@ class LaurentRatioCheck(Record):
     coeff_relation_holds: bool
 
 
-def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> LaurentRatioCheck:
-    """Compare the symbolic special value with exact series evaluation."""
+def _laurent_ratio(j: int, k: int, ell: int, n_max: int, base: dict[int, dict[int, int]]) -> LaurentRatioCheck:
+    """The check at (j, k), given the base evaluation at u = zeta^k."""
     tv = theta_value(j, ell)  # validates j and ell
     if k % ell == 0:
         raise DomainError("k must be nonzero mod ell; at zeta^0 the evaluation degenerates")
     if n_max < j + 1:
         raise WindowError(f"need n_max >= {j + 1} so both lowest indices -j and -j-1 are in window")
     shifted = eval_theta_laurent(j, k, ell, n_max)
-    base = eval_theta_laurent(0, k, ell, n_max)
     lo_s, base_s = min(shifted), min(base)
-    lo_c = CycloElt.from_root_pows(ell, shifted[lo_s])
-    base_c = CycloElt.from_root_pows(ell, base[base_s])
     gap = lo_s - base_s
     # 2*ell times the symbolic q-exponent j^2/(2*ell) is the integer j^2.
     expected_gap = -(2 * ell * tv.q_exponent.numerator) // tv.q_exponent.denominator
-    expected_coeff = tv.sign * (zeta_ell_pow(ell, k * tv.inverse_zeta_exponent) * base_c)
-    coeff_ok = (lo_c - expected_coeff).is_zero
+    # zeta^m = x^(2m) shifts every root power of the base coefficient by 2m.
+    shift = 2 * k * tv.inverse_zeta_exponent
+    expected_coeff = CycloElt.from_root_pows(ell, {e + shift: tv.sign * c for e, c in base[base_s].items()})
+    coeff_ok = (CycloElt.from_root_pows(ell, shifted[lo_s]) - expected_coeff).is_zero
     passed = gap == expected_gap and coeff_ok
     return LaurentRatioCheck(
         passed=passed,
@@ -449,3 +465,14 @@ def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> LaurentRa
         expected_gap=expected_gap,
         coeff_relation_holds=coeff_ok,
     )
+
+
+def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> LaurentRatioCheck:
+    """Compare the symbolic special value with exact series evaluation."""
+    return _laurent_ratio(j, k, ell, n_max, eval_theta_laurent(0, k, ell, n_max))
+
+
+def check_theta_value_laurent_upto(j_max: int, k: int, ell: int, n_max: int) -> tuple[LaurentRatioCheck, ...]:
+    """The special-value check at every j = 1 .. j_max, against one base evaluation."""
+    base = eval_theta_laurent(0, k, ell, n_max) if j_max > 0 else {}
+    return tuple(_laurent_ratio(j, k, ell, n_max, base) for j in range(1, j_max + 1))

@@ -306,7 +306,8 @@ def tilt_frobenius(x: TiltElement, n: int = 1) -> TiltElement:
     if isinstance(n, bool) or not isinstance(n, int):
         raise DomainError(f"Frobenius power must be an integer, got {n!r}")
     scale = Fraction(x.p) ** n
-    return TiltElement.from_terms(x.p, {e * scale: c for e, c in x.terms})
+    # scale > 0 keeps the exponent order, and the coefficients are already reduced
+    return TiltElement(x.p, tuple((e * scale, c) for e, c in x.terms))
 
 
 def tilt_rescale_t(x: TiltElement, u: int) -> TiltElement:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import wraps
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
 from tiltval.errors import ConfigError, PrecisionError, VerificationError
 from tiltval.reporting import CheckRecord, CombinedReport, Report, make_check
-from tiltval.theta import ThetaValue, eval_theta_laurent, theta_value
+from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
 from tiltval.tilt import TiltElement
 from tiltval.witt import primitive_frobenius
 
@@ -328,6 +329,53 @@ def test_wrong_zeta_exponent_fails_the_laurent_ratio(monkeypatch, capsys):
     assert not checks["theta.value_laurent_ratio.j1"]["passed"]
     assert checks["theta.value_laurent_ratio.j1"]["witness"]["coeff_relation_holds"] == "false"
     assert checks["theta.value_q_exponent_scaling"]["passed"]
+
+
+def test_unsigned_theta_table_fails_quasi_periodicity(monkeypatch, capsys):
+    # Without (-1)^n the shift identity loses its (-1)^j factor at every odd step.
+    monkeypatch.setattr("tiltval.theta.theta_terms", lambda n_max, signed=True: theta_terms(n_max, signed=False))
+    code, out, _ = run_cli(capsys, "verify-theta", "--format", "json")
+    assert code == 1
+    verdicts = {check["id"]: check["passed"] for check in json.loads(out)["checks"]}
+    assert not verdicts["theta.quasi_periodicity.j1"]
+    assert verdicts["theta.quasi_periodicity.j2"]
+
+
+def _count_calls(monkeypatch, func):
+    """Replace func under every name a tiltval module binds it to; return the list of calls."""
+    calls = []
+
+    @wraps(func)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "tiltval" or name.startswith("tiltval."):
+            for key, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_suites_build_their_invariants_once(monkeypatch, tmp_path, capsys):
+    tables = _count_calls(monkeypatch, theta_terms)
+    evaluations = _count_calls(monkeypatch, eval_theta_laurent)
+    orbits = _count_calls(monkeypatch, frobenius_orbit)
+    config = write_config(tmp_path, "theta.json", '{"ell": 11, "theta_truncation": 8}')
+    code, out, _ = run_cli(capsys, "verify-theta", "--format", "json", "--config", config)
+    assert code == 0
+    ids = [check["id"] for check in json.loads(out)["checks"]]
+    laurent = [i for i in ids if i.startswith("theta.value_laurent_ratio.")]
+    assert len(laurent) == 5 and sum(i.startswith("theta.quasi_periodicity.") for i in ids) == 5
+    # Signed and unsigned inversion take one table each; every shift shares the third.
+    assert len(tables) == 3
+    # One evaluation per shift plus one base evaluation for every shift.
+    assert len(evaluations) == len(laurent) + 1
+    assert sum(call[0] == 0 for call in evaluations) == 1
+    assert not orbits
+    code, _, _ = run_cli(capsys, "ansatz")
+    assert code == 0 and len(orbits) == 1
 
 
 def test_mistwisted_frobenius_is_a_verification_failure(monkeypatch, capsys):

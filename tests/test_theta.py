@@ -12,7 +12,9 @@ from tiltval.theta import (
     ThetaTerm,
     check_inversion_antisymmetry,
     check_quasi_periodicity,
+    check_quasi_periodicity_upto,
     check_theta_value_laurent,
+    check_theta_value_laurent_upto,
     eval_theta_laurent,
     theta_terms,
     theta_value,
@@ -288,6 +290,53 @@ def test_laurent_ratio_guards():
         check_theta_value_laurent(1, 5, 5, n_max=6)  # k = 0 mod ell degenerates
     with pytest.raises(DomainError):
         eval_theta_laurent(0, 1, 9, 4)
+
+
+def test_root_power_shift_matches_ring_product_randomized():
+    # The check shifts root powers where the ring route multiplies by zeta^m:
+    # zeta^m * sum c x^e = sum c x^(e + 2m).  CycloElt.__mul__ is the oracle.
+    rng = random.Random(7321)
+    for _ in range(80):
+        ell = rng.choice((3, 5, 7, 11, 13, 59, 211))
+        j = rng.randint(1, (ell - 1) // 2)
+        k = rng.randint(1, ell - 1) * rng.choice((1, -1)) + ell * rng.randint(-2, 2)
+        n_max = rng.randint(j + 1, j + 1 + ell)
+        tv = theta_value(j, ell)
+        base = eval_theta_laurent(0, k, ell, n_max)
+        base_coeff = base[min(base)]
+        base_c = CycloElt.from_root_pows(ell, base_coeff)
+        m = k * tv.inverse_zeta_exponent
+        by_shift = CycloElt.from_root_pows(ell, {e + 2 * m: tv.sign * c for e, c in base_coeff.items()})
+        by_product = tv.sign * (zeta_ell_pow(ell, m) * base_c)
+        case = (ell, j, k, n_max)
+        assert by_shift == by_product, case
+        for off in (1, rng.randint(2, ell - 1)):
+            moved = CycloElt.from_root_pows(ell, {e + 2 * (m + off): c for e, c in base_coeff.items()})
+            assert moved == zeta_ell_pow(ell, m + off) * base_c, case
+            assert moved != tv.sign * by_product, case
+        shifted = eval_theta_laurent(j, k, ell, n_max)
+        lo_c = CycloElt.from_root_pows(ell, shifted[min(shifted)])
+        outcome = check_theta_value_laurent(j, k, ell, n_max)
+        assert outcome.coeff_relation_holds == (lo_c == by_product), case
+
+
+@pytest.mark.parametrize("ell", (5, 59, 211))
+def test_suite_batches_match_the_per_step_checks(ell):
+    # One descriptor table and one base evaluation must give the same records
+    # as the public per-step checks, which rebuild both for every j.
+    ell_star = (ell - 1) // 2
+    for n_max in (ell_star, ell_star + 3):
+        j_max = min(ell_star, n_max)
+        per_step = tuple(check_quasi_periodicity(j, n_max) for j in range(1, j_max + 1))
+        assert check_quasi_periodicity_upto(j_max, n_max) == per_step
+        for k in (1, ell - 2):
+            j_max = min(ell_star, n_max - 1)
+            per_step = tuple(check_theta_value_laurent(j, k, ell, n_max) for j in range(1, j_max + 1))
+            assert check_theta_value_laurent_upto(j_max, k, ell, n_max) == per_step
+    assert check_quasi_periodicity_upto(0, 4) == ()
+    assert check_theta_value_laurent_upto(0, 1, ell, 1) == ()
+    with pytest.raises(WindowError):
+        check_theta_value_laurent_upto(ell_star, 1, ell, ell_star)  # j = ell* needs n_max >= ell* + 1
 
 
 def test_eval_matches_ring_ops_randomized():

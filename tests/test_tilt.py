@@ -80,6 +80,22 @@ def test_frobenius_valuation_scaling():
         assert tilt_val(tilt_frobenius(x, n)) == tilt_val(x) * Fraction(p) ** n
 
 
+def test_frobenius_matches_from_terms_route_randomized():
+    # tilt_frobenius builds its terms directly; from_terms re-sorts and re-reduces them.
+    rng = random.Random(5077)
+    multi_term = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(25):
+            x = random_element(rng, p, max_terms=6)
+            multi_term += len(x.terms) > 1
+            for n in range(-3, 4):
+                scale = Fraction(p) ** n
+                expected = TiltElement.from_terms(p, {e * scale: c for e, c in x.terms})
+                image = tilt_frobenius(x, n)
+                assert image == expected and image.terms == expected.terms, (p, x, n)
+    assert multi_term >= 50
+
+
 def test_mul_valuation_additive():
     rng = random.Random(7)
     for _ in range(300):
