@@ -25,10 +25,10 @@ from .ansatz import is_member, make_ansatz, untilt_records, valuation_profile, s
 from .errors import ConfigError, DomainError, PrecisionError, VerificationError, WindowError
 from .loglink import PadicUnit, _require_precision, chain_build, kummer_shift, m_of_epsilon, padic_log
 from .pilot import (
-    _odd_primes_upto,
     corollary_c_check,
     main_bound_check,
     main_bound_derivation,
+    main_bound_sweep,
     size_estimate,
     sum_log_norms,
     theta_set_sample,
@@ -475,22 +475,15 @@ def cmd_sweep_ell(cfg: RunConfig) -> list[CheckRecord]:
             diagnostic="lhs == rhs (equality)",
         )
     )
-    failures = []
-    primes = [ell for ell in _odd_primes_upto(cfg.ell_sweep_max) if ell != 3]
-    last_margin = Fraction(0)
-    for ell in primes:
-        rep = main_bound_check(ell, cfg.v_q)
-        last_margin = rep.margin
-        if not rep.passed:
-            failures.append(ell)
+    failures, checked, last = main_bound_sweep(cfg.ell_sweep_max)
     checks.append(
         make_check(
             "sweep.all_primes_from_5_pass",
             not failures,
-            primes_checked=len(primes),
+            primes_checked=checked,
             limit=cfg.ell_sweep_max,
-            failures=tuple(failures),
-            last_margin=last_margin,
+            failures=failures,
+            last_margin=Fraction(0) if last is None else main_bound_check(last, cfg.v_q).margin,
         )
     )
     by_sweep = threshold_ell_by_sweep(cfg.ell_sweep_max)

@@ -15,7 +15,8 @@ correct mod p^(N+m); what is left is multiplied by the inverse of k's
 unit part.  Finally the sum is divided exactly by p^m and reduced mod
 p^N.  Each of these divisions is checked: a remainder, or an x that
 vanishes for u != 1, raises VerificationError instead of returning a
-wrong class.
+wrong class.  Everything but the argument power and the powers of x
+depends on (p, N) alone and is computed once per pair.
 
 The result always lands in p Z/p^N (4 Z/2^N for p = 2); that subgroup
 membership is re-checked on every call.  On these subgroups log turns
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from ._record import Record
@@ -114,6 +116,33 @@ def _floor_log(n: int, p: int) -> int:
     return e
 
 
+@cache
+def _log_series(p: int, n_prec: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """The part of padic_log's series that depends only on (p, N).
+
+    Returns m = isqrt(N), p^(N+m), the working modulus p^(N+m+e) and,
+    for each k below the cutoff, the shift p^(v_p(k)) and
+    (-1)^(k+1) times the inverse of k's unit part mod p^(N+m).
+    """
+    m = isqrt(n_prec)
+    reduced = n_prec + m
+    reduced_mod = p**reduced
+    w = m + 2 if p == 2 else m + 1
+    cutoff = 1
+    while cutoff * w - _floor_log(cutoff, p) < reduced:
+        cutoff += 1
+    work_mod = p ** (reduced + _floor_log(cutoff - 1, p))
+    terms = []
+    for k in range(1, cutoff):
+        unit, shift = k, 1
+        while unit % p == 0:
+            unit //= p
+            shift *= p
+        inverse = pow(unit, -1, reduced_mod)
+        terms.append((shift, inverse if k % 2 else -inverse))
+    return m, reduced_mod, work_mod, tuple(terms)
+
+
 def padic_log(u: PadicUnit) -> int:
     """log(u) mod p^precision as a reduced integer in p Z/p^N (4 Z/2^N).
 
@@ -130,31 +159,19 @@ def padic_log(u: PadicUnit) -> int:
     p, n_prec = u.p, u.precision
     if u.value == 1:
         return 0
-    m = isqrt(n_prec)
-    reduced = n_prec + m
-    reduced_mod = p**reduced
+    m, reduced_mod, work_mod, terms = _log_series(p, n_prec)
     x = (pow(u.value, p**m, reduced_mod) - 1) % reduced_mod
     if x == 0:
         # v(u^(p^m) - 1) = v(u - 1) + m < N + m for u != 1.
-        raise VerificationError(f"u^(p^{m}) collapsed to 1 mod {p}^{reduced} for u != 1")
-    w = m + 2 if p == 2 else m + 1
-    cutoff = 1
-    while cutoff * w - _floor_log(cutoff, p) < reduced:
-        cutoff += 1
-    work_mod = p ** (reduced + _floor_log(cutoff - 1, p))
+        raise VerificationError(f"u^(p^{m}) collapsed to 1 mod {p}^{n_prec + m} for u != 1")
     total = 0
     x_pow = 1
-    for k in range(1, cutoff):
+    for k, (shift, signed_inverse) in enumerate(terms, start=1):
         x_pow = x_pow * x % work_mod
-        unit, shift = k, 1
-        while unit % p == 0:
-            unit //= p
-            shift *= p
         term, rest = divmod(x_pow, shift)
         if rest:
             raise VerificationError(f"x^{k} is not divisible by {shift}")
-        term = term * pow(unit, -1, reduced_mod)
-        total = total + term if k % 2 else total - term
+        total += term * signed_inverse
     total %= reduced_mod
     scale = p**m
     if total % scale:

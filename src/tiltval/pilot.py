@@ -39,6 +39,7 @@ __all__ = [
     "corollary_c_check",
     "main_bound_check",
     "main_bound_derivation",
+    "main_bound_sweep",
     "size_estimate",
     "sum_log_norms",
     "theta_set_sample",
@@ -251,8 +252,38 @@ def main_bound_check(ell: int, v_q: Fraction) -> BoundReport:
     return BoundReport(ell, v_q, lhs, rhs, rhs - lhs, lhs < rhs)
 
 
-def _odd_primes_upto(limit: int):
-    for n in range(3, limit + 1, 2):
+def main_bound_sweep(limit: int) -> tuple[tuple[int, ...], int, int | None]:
+    """The bound at every odd prime 5 <= ell <= limit, walked once in order.
+
+    Returns the failing primes, how many primes were checked and the last
+    one (None for none).  Per ell, in exact integers, a running sum of j^2
+    (the termwise lhs) must give 6 sum j^2 = ell ls (ls + 1) with
+    ls = (ell - 1)/2, and the rhs product form (ell - 1)/(4 ell) must equal
+    the ratio form ls/(2 ell), or VerificationError is raised; the strict
+    bound lhs < rhs is (ls + 1) 2 ell < 12 ls^2.
+    """
+    # Every side carries the factor v_q > 0, which cancels from each
+    # comparison, so the sweep needs no v_q.
+    failures = []
+    checked, last = 0, None
+    square_sum, summed_to = 0, 0
+    for ell in _odd_primes_upto(limit, 5):
+        ls = (ell - 1) // 2
+        for j in range(summed_to + 1, ls + 1):
+            square_sum += j * j
+        summed_to = ls
+        if 6 * square_sum != ell * ls * (ls + 1):
+            raise VerificationError(f"lhs routes disagree at ell = {ell}: 6 * {square_sum} != {ell * ls * (ls + 1)}")
+        if (ell - 1) * 2 * ell != ls * 4 * ell:
+            raise VerificationError(f"rhs routes disagree at ell = {ell}")
+        if not (ls + 1) * 2 * ell < 12 * ls * ls:
+            failures.append(ell)
+        checked, last = checked + 1, ell
+    return tuple(failures), checked, last
+
+
+def _odd_primes_upto(limit: int, start: int = 3):
+    for n in range(start, limit + 1, 2):
         if is_prime(n):
             yield n
 

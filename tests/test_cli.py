@@ -17,6 +17,7 @@ from tiltval import cli
 from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
 from tiltval.errors import ConfigError, PrecisionError, VerificationError
+from tiltval.pilot import _odd_primes_upto, main_bound_check
 from tiltval.reporting import CheckRecord, CombinedReport, Report, make_check
 from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
 from tiltval.tilt import TiltElement
@@ -339,6 +340,32 @@ def test_unsigned_theta_table_fails_quasi_periodicity(monkeypatch, capsys):
     verdicts = {check["id"]: check["passed"] for check in json.loads(out)["checks"]}
     assert not verdicts["theta.quasi_periodicity.j1"]
     assert verdicts["theta.quasi_periodicity.j2"]
+
+
+def test_sweep_witness_takes_the_last_primes_margin(tmp_path, capsys):
+    config = write_config(tmp_path, "sweep.json", '{"ell_sweep_max": 100, "v_q": "7/3"}')
+    code, out, _ = run_cli(capsys, "sweep-ell", "--format", "json", "--config", config)
+    assert code == 0
+    swept = {check["id"]: check for check in json.loads(out)["checks"]}["sweep.all_primes_from_5_pass"]
+    margin = main_bound_check(97, Fraction(7, 3)).margin
+    assert swept["witness"] == {
+        "primes_checked": "23",
+        "limit": "100",
+        "failures": "()",
+        "last_margin": f"{margin.numerator}/{margin.denominator}",
+    }
+
+
+def test_walk_through_ell3_fails_the_sweep(monkeypatch, capsys):
+    # A prime walk that lets ell = 3 through meets the equality prime, where the strict bound fails.
+    monkeypatch.setattr("tiltval.pilot._odd_primes_upto", lambda limit, start=3: _odd_primes_upto(limit))
+    code, out, _ = run_cli(capsys, "sweep-ell", "--format", "json")
+    assert code == 1
+    checks = {check["id"]: check for check in json.loads(out)["checks"]}
+    swept = checks.pop("sweep.all_primes_from_5_pass")
+    assert not swept["passed"]
+    assert swept["witness"]["failures"] == "(3)" and swept["witness"]["primes_checked"] == "24"
+    assert all(check["passed"] for check in checks.values())
 
 
 def _count_calls(monkeypatch, func):

@@ -1,25 +1,31 @@
 """p-adic log, valuation chains, and the epsilon step count.
 
-There are two log oracles here.  exp_mod below is an independent
+There are three log oracles here.  exp_mod below is an independent
 implementation of the inverse map on the same subgroups, so
 exp_mod(p, N, padic_log(u)) == u.value is a roundtrip through two
 different series with separately justified cutoffs.  _log_by_fractions
 is the plain log series summed as an exact Fraction with no argument
-reduction, which padic_log must match class for class.
+reduction, which padic_log must match class for class.  _log_per_call
+is padic_log's own integer series with its cutoff, shifts and inverses
+worked out afresh on every call, the route before they were computed
+once per (p, N).
 """
 
 import random
 from fractions import Fraction
 from itertools import chain
+from math import isqrt
 
 import pytest
 from conftest import assert_immutable_value
 
+from tiltval import cli
 from tiltval.errors import ConfigError, DomainError, PrecisionError, VerificationError
 from tiltval.loglink import (
     LogLinkChain,
     PadicUnit,
     _floor_log,
+    _log_series,
     chain_build,
     kummer_shift,
     m_of_epsilon,
@@ -76,6 +82,46 @@ def _log_by_fractions(u: PadicUnit) -> int:
     return (total.numerator * pow(total.denominator, -1, modulus)) % modulus
 
 
+def _log_per_call(u: PadicUnit) -> int:
+    """padic_log's integer series with every (p, N) quantity recomputed per call."""
+    p, n_prec = u.p, u.precision
+    if u.value == 1:
+        return 0
+    m = isqrt(n_prec)
+    reduced = n_prec + m
+    reduced_mod = p**reduced
+    x = (pow(u.value, p**m, reduced_mod) - 1) % reduced_mod
+    if x == 0:
+        raise VerificationError(f"u^(p^{m}) collapsed to 1 mod {p}^{reduced} for u != 1")
+    w = m + 2 if p == 2 else m + 1
+    cutoff = 1
+    while cutoff * w - _floor_log(cutoff, p) < reduced:
+        cutoff += 1
+    work_mod = p ** (reduced + _floor_log(cutoff - 1, p))
+    total = 0
+    x_pow = 1
+    for k in range(1, cutoff):
+        x_pow = x_pow * x % work_mod
+        unit, shift = k, 1
+        while unit % p == 0:
+            unit //= p
+            shift *= p
+        term, rest = divmod(x_pow, shift)
+        if rest:
+            raise VerificationError(f"x^{k} is not divisible by {shift}")
+        term = term * pow(unit, -1, reduced_mod)
+        total = total + term if k % 2 else total - term
+    total %= reduced_mod
+    scale = p**m
+    if total % scale:
+        raise VerificationError(f"log(u^(p^{m})) is not divisible by p^{m}")
+    result = total // scale % u.modulus
+    subgroup = 4 if p == 2 else p
+    if result % subgroup:
+        raise VerificationError(f"log left the expected subgroup {subgroup}Z/{p}^{n_prec}")
+    return result
+
+
 def test_unit_validation():
     with pytest.raises(DomainError):
         PadicUnit(5, 4, 7)  # not 1 mod 5
@@ -124,6 +170,29 @@ def test_log_matches_fraction_series_exhaustively():
             for value in range(1, p**precision, step):
                 u = PadicUnit(p, precision, value)
                 assert padic_log(u) == _log_by_fractions(u), (p, precision, value)
+
+
+def test_log_matches_the_per_call_series_randomized():
+    rng = random.Random(6113)
+    for p in (2, 3, 5, 7):
+        floor = _precision_floor(p)
+        precisions = sorted({floor, 300, *rng.sample(range(floor, 301), 12)})
+        for precision in precisions:
+            step = 4 if p == 2 else p
+            edge = (1, 1 + p ** (precision - 1), (1 - step) % p**precision)
+            units = [PadicUnit(p, precision, value) for value in edge]
+            units += [PadicUnit.random(rng, p, precision) for _ in range(5)]
+            for u in units:
+                assert padic_log(u) == _log_per_call(u), (p, precision, u.value)
+
+
+def test_loglink_run_builds_one_series_plan():
+    _log_series.cache_clear()
+    report = cli.cmd_loglink(cli.RunConfig(p=7, ell=5, padic_precision=61).validate())
+    assert all(check.passed for check in report.checks)
+    info = _log_series.cache_info()
+    # Every log but that of 1 reads the plan: 100 product trials take three, 100 power trials two.
+    assert (info.misses, info.hits) == (1, 499)
 
 
 def test_random_unit_takes_one_draw_per_unit():

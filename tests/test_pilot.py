@@ -1,21 +1,25 @@
 """Pilot tuples, size functionals, and the strict inequality engine."""
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import assert_immutable_value, random_monomial
 
+from tiltval import pilot
 from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.errors import DomainError, VerificationError
 from tiltval.pilot import (
     PilotTuple,
     _lhs_termwise,
+    _odd_primes_upto,
     ThetaSetSample,
     build_pilot,
     corollary_c_check,
     main_bound_check,
     main_bound_derivation,
+    main_bound_sweep,
     size_estimate,
     sum_log_norms,
     theta_set_sample,
@@ -171,6 +175,46 @@ def test_lhs_termwise_matches_fraction_sum():
             steps = {step.label: step for step in main_bound_derivation(ell, v_q)}
             assert steps["lhs_termwise"].value == expected, ell
             assert main_bound_check(ell, v_q).lhs_log == expected, ell
+
+
+def _sweep_by_bound_checks(primes, v_q):
+    """The per-ell main_bound_check loop: failures, primes checked, last margin."""
+    reports = [main_bound_check(ell, v_q) for ell in primes]
+    failures = tuple(report.ell for report in reports if not report.passed)
+    return failures, len(reports), reports[-1].margin if reports else None
+
+
+def test_bound_sweep_matches_the_per_prime_checks():
+    rng = random.Random(6047)
+    top = 3000
+    limits = sorted({4, 5, 6, 7, top, *(rng.randrange(5, top + 1) for _ in range(10))})
+    primes = [ell for ell in range(5, top + 1, 2) if is_prime(ell)]
+    for v_q in (Fraction(1), Fraction(7, 3)):
+        for limit in limits:
+            failures, checked, last = main_bound_sweep(limit)
+            margin = main_bound_check(last, v_q).margin if last is not None else None
+            expected = _sweep_by_bound_checks([ell for ell in primes if ell <= limit], v_q)
+            assert (failures, checked, margin) == expected, (limit, v_q)
+    assert main_bound_sweep(4) == ((), 0, None)
+
+
+def test_bound_sweep_reports_a_failing_prime(monkeypatch):
+    # A walk from 3 meets the equality prime, where the strict bound fails.
+    monkeypatch.setattr(pilot, "_odd_primes_upto", lambda limit, start: _odd_primes_upto(limit))
+    failures, checked, last = main_bound_sweep(100)
+    assert (failures, checked, last) == ((3,), 24, 97)
+    assert _sweep_by_bound_checks(list(_odd_primes_upto(100)), Fraction(7, 3))[:2] == (failures, checked)
+
+
+def test_bound_sweep_catches_a_skipped_square():
+    source = inspect.getsource(main_bound_sweep)
+    faulty = source.replace("square_sum += j * j", "square_sum += j * j * (j != 10)")
+    assert faulty != source
+    namespace = dict(vars(pilot))
+    exec(compile(faulty, pilot.__file__, "exec"), namespace)
+    with pytest.raises(VerificationError, match="lhs routes disagree at ell = 23"):
+        namespace["main_bound_sweep"](100)
+    assert main_bound_sweep(100) == ((), 23, 97)
 
 
 def test_threshold_routes():
