@@ -16,8 +16,12 @@ validates writes its own ``__init__`` with the fields, in order, as its
 parameters; it validates first and then hands every field value, in
 field order, to ``self._assign(...)``, which stores them through the slot
 descriptors captured once per class; a call with one value too few or too
-many raises ValueError before any field is set.  This class supplies the
-rest of a frozen value:
+many raises ValueError before any field is set.  ``Cls._trusted(*values)``
+assigns without running ``__init__``; only the module that owns a
+record's invariant may use it, for kernel results computed from
+validated operands that meet the invariant by construction.  Everything
+else goes through the public constructors, which keep every check.
+This class supplies the rest of a frozen value:
 
 * equality by field values, between instances of the same class only;
 * a hash that agrees with that equality;
@@ -64,6 +68,13 @@ class Record(metaclass=_RecordMeta):
             problem = "multiple values for" if field in fields else "an unexpected keyword"
             raise TypeError(f"{type(self).__name__}() got {problem} field {field!r}")
         self._assign(*values)
+
+    @classmethod
+    def _trusted(cls, *values: object):
+        """A record of these field values, with the class validator skipped."""
+        record = cls.__new__(cls)
+        record._assign(*values)
+        return record
 
     def _assign(self, *values: object) -> None:
         setters = self._setters

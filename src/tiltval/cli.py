@@ -275,7 +275,7 @@ def cmd_bound(cfg: RunConfig) -> list[CheckRecord]:
     )
     if report.passed:
         for c in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            contradiction = corollary_c_check(cfg.ell, cfg.v_q, c)
+            contradiction = corollary_c_check(report, c)
             checks.append(
                 make_check(
                     f"bound.corollary_c_{c.numerator}_{c.denominator}",

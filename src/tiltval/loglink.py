@@ -100,13 +100,14 @@ class PadicUnit(Record):
                 f"mixed unit groups: ({self.p}, {self.precision}) vs ({other.p}, {other.precision})"
             )
 
+    # Principal units form a group: products and powers need no validator.
     def mul(self, other: "PadicUnit") -> "PadicUnit":
         self._check_same(other)
-        return PadicUnit(self.p, self.precision, (self.value * other.value) % self.modulus)
+        return PadicUnit._trusted(self.p, self.precision, (self.value * other.value) % self.modulus)
 
     def pow(self, k: int) -> "PadicUnit":
         """k-th power, any integer k; units are invertible mod p^N."""
-        return PadicUnit(self.p, self.precision, pow(self.value, k, self.modulus))
+        return PadicUnit._trusted(self.p, self.precision, pow(self.value, k, self.modulus))
 
 
 def _floor_log(n: int, p: int) -> int:

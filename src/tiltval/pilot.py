@@ -321,16 +321,15 @@ def threshold_ell(limit: int = 97) -> int:
     return by_sweep
 
 
-def corollary_c_check(ell: int, v_q: Fraction, c: Fraction) -> bool:
+def corollary_c_check(report: BoundReport, c: Fraction) -> bool:
     """Whether a claimed size exponent c forces a contradiction.
 
-    Only meaningful once the strict bound holds at (ell, v_q); asking
-    below the threshold raises, it does not guess.  Past that, any
+    Only meaningful once the strict bound holds, as ``report`` says;
+    asking below the threshold raises, it does not guess.  Past that, any
     c < 1 contradicts the trivial unit-ball cap, and c >= 1 does not.
     """
     if not isinstance(c, Fraction) or c <= 0:
         raise DomainError(f"c must be a positive Fraction, got {c!r}")
-    report = main_bound_check(ell, v_q)
     if not report.passed:
-        raise DomainError(f"bound not established at ell = {ell}; the corollary needs it")
+        raise DomainError(f"bound not established at ell = {report.ell}; the corollary needs it")
     return c < 1

@@ -127,20 +127,21 @@ class CycloElt(Record):
         if self.ell != other.ell:
             raise DomainError(f"mixed cyclotomic rings: ell = {self.ell} vs {other.ell}")
 
+    # Entrywise results keep ell and ell - 1 integer coefficients: no validator.
     def __add__(self, other: "CycloElt") -> "CycloElt":
         self._check_ring(other)
-        return CycloElt(self.ell, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloElt._trusted(self.ell, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other: "CycloElt") -> "CycloElt":
         self._check_ring(other)
-        return CycloElt(self.ell, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloElt._trusted(self.ell, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "CycloElt":
-        return CycloElt(self.ell, tuple(-a for a in self.coeffs))
+        return CycloElt._trusted(self.ell, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other: "CycloElt | int") -> "CycloElt":
         if isinstance(other, int):
-            return CycloElt(self.ell, tuple(a * other for a in self.coeffs))
+            return CycloElt._trusted(self.ell, tuple([a * other for a in self.coeffs]))
         self._check_ring(other)
         prod = [0] * (2 * len(self.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -294,9 +295,10 @@ def _quasi_periodicity(series: ThetaSeriesTrunc, j: int) -> QuasiPeriodicityChec
     shift_sign = (-1) ** (j % 2)
     mismatch: str | None = None
     checked = 0
-    for n in range(lo, hi + 1):
-        tn = series.term_at(n)
-        ts = series.term_at(n + j)
+    # |j| <= n_max keeps every n and n + j, n in [lo, hi], inside the window.
+    left = series.terms[lo + n_max : hi + n_max + 1]
+    right = series.terms[lo + j + n_max : hi + j + n_max + 1]
+    for n, tn, ts in zip(range(lo, hi + 1), left, right):
         # Left side, term n of theta(q^(j/2) u), in doubled q-units.
         lhs_q2 = 2 * tn.q_exp + j * tn.u_exp
         lhs_sign = tn.sign

@@ -15,6 +15,11 @@ x^k = prod_i phi^i(x^(d_i)).  :func:`tilt_pow` uses that identity, so
 the only powers it multiplies out are x^d with d < p; the rest is
 exponent scaling.
 
+The product kernels run on integer exponents over the largest exponent
+denominator of their operands (the lcm of them all, each being a power
+of p) and turn back into sorted Fractions once.  Kernel results are
+valid by construction and skip the validator (``Record._trusted``).
+
 Valuations are returned as :class:`TiltVal`, a totally ordered wrapper
 around Fraction with a single infinite value reserved for the valuation
 of zero.
@@ -242,12 +247,18 @@ def _require_same_p(x: TiltElement, y: TiltElement) -> int:
     return x.p
 
 
-def _convolve(a: Mapping, b: Mapping, p: int) -> dict:
-    """Product of two exponent -> coefficient maps, reduced mod p, zeros dropped.
+def _scaled(x: TiltElement, den: int) -> dict[int, int]:
+    """x's terms as {e * den: c}; den is a multiple of every exponent denominator."""
+    return {e.numerator * (den // e.denominator): c for e, c in x.terms}
 
-    Exponents may be Fractions or plain ints, as long as both maps use
-    the same scale.
-    """
+
+def _from_scaled(p: int, scaled: Mapping[int, int], den: int) -> TiltElement:
+    """The element sum c * t^(e / den) over reduced, nonzero {e: c}, e >= 0, den a power of p."""
+    return TiltElement._trusted(p, tuple([(Fraction(e, den), scaled[e]) for e in sorted(scaled)]))
+
+
+def _convolve(a: Mapping[int, int], b: Mapping[int, int], p: int) -> dict[int, int]:
+    """Product of two integer exponent -> coefficient maps on one scale, reduced mod p, zeros dropped."""
     acc: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -259,7 +270,8 @@ def _convolve(a: Mapping, b: Mapping, p: int) -> dict:
 def tilt_mul(x: TiltElement, y: TiltElement) -> TiltElement:
     """Exact product; valuations add because F_p is an integral domain."""
     p = _require_same_p(x, y)
-    return TiltElement.from_terms(p, _convolve(dict(x.terms), dict(y.terms), p))
+    den = max((e.denominator for e, _ in x.terms + y.terms), default=1)
+    return _from_scaled(p, _convolve(_scaled(x, den), _scaled(y, den), p), den)
 
 
 def tilt_pow(x: TiltElement, k: int) -> TiltElement:
@@ -268,19 +280,17 @@ def tilt_pow(x: TiltElement, k: int) -> TiltElement:
     Writes k = sum_i d_i p^i with 0 <= d_i < p and forms
     x^k = prod_i phi^i(x^(d_i)), where phi^i multiplies every exponent by
     p^i.  Each x^d is built once, by repeated products, for d up to the
-    largest digit.  All of it runs on integer exponents over the largest
-    exponent denominator of x, which is the lcm of them all because each
-    is a power of p; the one element built at the end is fully validated.
-    A single term c*t^e needs none of that: its k-th power is c^k t^(ke).
+    largest digit, on integer exponents.  A single term c*t^e needs none
+    of that: its k-th power is c^k t^(ke).
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"exponent must be a nonnegative integer, got {k!r}")
     p = x.p
     if len(x.terms) == 1:
         e, c = x.terms[0]
-        return TiltElement(p, ((e * k, pow(c, k, p)),))
+        return TiltElement._trusted(p, ((e * k, pow(c, k, p)),))
     den = max((e.denominator for e, _ in x.terms), default=1)
-    base = {e.numerator * (den // e.denominator): c for e, c in x.terms}
+    base = _scaled(x, den)
     digits = []
     while k:
         k, d = divmod(k, p)
@@ -294,7 +304,7 @@ def tilt_pow(x: TiltElement, k: int) -> TiltElement:
         if d:
             result = _convolve(result, {e * scale: c for e, c in powers[d].items()}, p)
         scale *= p
-    return TiltElement.from_terms(p, {Fraction(e, den): c for e, c in result.items()})
+    return _from_scaled(p, result, den)
 
 
 def tilt_frobenius(x: TiltElement, n: int = 1) -> TiltElement:
@@ -307,7 +317,7 @@ def tilt_frobenius(x: TiltElement, n: int = 1) -> TiltElement:
         raise DomainError(f"Frobenius power must be an integer, got {n!r}")
     scale = Fraction(x.p) ** n
     # scale > 0 keeps the exponent order, and the coefficients are already reduced
-    return TiltElement(x.p, tuple((e * scale, c) for e, c in x.terms))
+    return TiltElement._trusted(x.p, tuple([(e * scale, c) for e, c in x.terms]))
 
 
 def tilt_rescale_t(x: TiltElement, u: int) -> TiltElement:
@@ -322,8 +332,9 @@ def tilt_rescale_t(x: TiltElement, u: int) -> TiltElement:
     if not isinstance(u, int) or not 0 < u < p:
         raise DomainError(f"substitution unit must be an integer in 1..{p - 1}, got {u!r}")
     m = p - 1
-    new: dict[Fraction, int] = {}
+    terms = []
     for e, c in x.terms:
         r = (e.numerator * pow(e.denominator, -1, m)) % m if m > 1 else 0
-        new[e] = (c * pow(u, r, p)) % p
-    return TiltElement.from_terms(p, new)
+        # u is a unit of F_p, so the coefficient stays in 1..p-1; exponents are unchanged
+        terms.append((e, c * pow(u, r, p) % p))
+    return TiltElement._trusted(p, tuple(terms))

@@ -257,6 +257,19 @@ def test_log_power_law():
         assert padic_log(u.pow(k)) == (k * base) % 3**5
 
 
+def test_unit_products_and_powers_pass_the_public_constructor_randomized():
+    rng = random.Random(4421)
+    for p in (2, 3, 5, 7):
+        for _ in range(20):
+            precision = rng.randint(3, 20)
+            a = PadicUnit.random(rng, p, precision)
+            b = PadicUnit.random(rng, p, precision)
+            results = [a.mul(b)] + [a.pow(k) for k in (rng.randint(-5, -1), 0, rng.randint(1, 60))]
+            for r in results:
+                assert PadicUnit(r.p, r.precision, r.value) == r
+            assert results[0] == PadicUnit.of(p, precision, a.value * b.value)
+
+
 def test_mixed_groups_rejected():
     with pytest.raises(ConfigError):
         PadicUnit(3, 5, 4).mul(PadicUnit(3, 4, 4))

@@ -229,13 +229,25 @@ def test_threshold_routes():
 
 
 def test_corollary_c_check():
-    assert corollary_c_check(5, Fraction(1), Fraction(1, 2))
-    assert not corollary_c_check(5, Fraction(1), Fraction(1))
-    assert not corollary_c_check(5, Fraction(1), Fraction(2))
+    report = main_bound_check(5, Fraction(1))
+    assert corollary_c_check(report, Fraction(1, 2))
+    assert not corollary_c_check(report, Fraction(1))
+    assert not corollary_c_check(report, Fraction(2))
     with pytest.raises(DomainError):
-        corollary_c_check(3, Fraction(1), Fraction(1, 2))  # bound not established
+        corollary_c_check(main_bound_check(3, Fraction(1)), Fraction(1, 2))  # bound not established
     with pytest.raises(DomainError):
-        corollary_c_check(5, Fraction(1), Fraction(0))
+        corollary_c_check(report, Fraction(0))
+
+
+def test_corollary_c_check_refuses_the_equality_report():
+    # At ell = 3 the two sides are equal, so the strict bound the corollary needs fails,
+    # whatever v_q and whichever c is asked.
+    for v_q in (Fraction(1), Fraction(7, 3)):
+        report = main_bound_check(3, v_q)
+        assert not report.passed and report.margin == 0
+        for c in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            with pytest.raises(DomainError, match="bound not established at ell = 3"):
+                corollary_c_check(report, c)
 
 
 def test_pilot_sums_track_random_generators():

@@ -1,6 +1,7 @@
 """The record base: fields are declared once, as annotations, and bound in that order."""
 
 import inspect
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,11 @@ import pytest
 import tiltval.cli  # noqa: F401  (imports every module that defines a record)
 from tiltval._record import Record
 from tiltval.cli import RunConfig
+from tiltval.errors import DomainError
+from tiltval.loglink import PadicUnit
 from tiltval.reporting import CheckRecord, Report
+from tiltval.theta import CycloElt
+from tiltval.tilt import TiltElement
 
 RECORDS = sorted(Record.__subclasses__(), key=lambda cls: (cls.__module__, cls.__qualname__))
 
@@ -64,3 +69,38 @@ def test_assign_takes_exactly_one_value_per_slot():
         record._assign("x.y", True, (), "extra")
     record._assign("x.y", True, ())
     assert record == CheckRecord("x.y", True, ())
+
+
+def test_trusted_path_builds_the_validated_record():
+    terms = ((Fraction(1, 3), 2), (Fraction(4), 1))
+    validated, trusted = TiltElement(3, terms), TiltElement._trusted(3, terms)
+    assert type(trusted) is TiltElement and trusted == validated and hash(trusted) == hash(validated)
+    assert PadicUnit._trusted(5, 4, 6) == PadicUnit(5, 4, 6)
+    assert CycloElt._trusted(5, (1, 0, 0, 0)) == CycloElt.one(5)
+    for name in TiltElement.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(trusted, name, getattr(validated, name))
+        with pytest.raises(AttributeError):
+            delattr(trusted, name)
+    with pytest.raises(ValueError):
+        TiltElement._trusted(3)  # one value per field, as _assign demands
+
+
+def test_public_constructors_keep_every_check():
+    with pytest.raises(DomainError):
+        TiltElement(4, ())  # composite characteristic
+    with pytest.raises(DomainError):
+        TiltElement(3, ((Fraction(2), 1), (Fraction(1), 1)))  # unsorted
+    with pytest.raises(DomainError):
+        TiltElement(3, ((Fraction(1), 3),))  # coefficient not reduced to 1..2
+    with pytest.raises(DomainError):
+        PadicUnit(9, 4, 1)
+    with pytest.raises(DomainError):
+        PadicUnit.of(4, 3, 1)
+    with pytest.raises(DomainError):
+        PadicUnit.random(random.Random(1), 6, 3)
+    for ell in (2, 9):
+        with pytest.raises(DomainError):
+            CycloElt(ell, (0,) * (ell - 1))
+        with pytest.raises(DomainError):
+            CycloElt.from_root_pows(ell, {1: 1})

@@ -320,6 +320,24 @@ def test_root_power_shift_matches_ring_product_randomized():
         assert outcome.coeff_relation_holds == (lo_c == by_product), case
 
 
+def test_ring_results_pass_the_public_constructor_randomized():
+    rng = random.Random(2687)
+    for _ in range(60):
+        ell = rng.choice((3, 5, 7, 11, 13))
+        a = CycloElt(ell, tuple(rng.randint(-9, 9) for _ in range(ell - 1)))
+        b = CycloElt(ell, tuple(rng.randint(-9, 9) for _ in range(ell - 1)))
+        n = rng.randint(-5, 5)
+        for r in (a + b, a - b, -a, a * n, n * a, a * b):
+            assert CycloElt(r.ell, r.coeffs) == r
+        assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+        assert (a - b) + b == a and -(-a) == a and a * n == n * a
+        assert a * n == a * CycloElt.from_root_pows(ell, {0: n})
+    with pytest.raises(DomainError):
+        CycloElt(5, (0,) * 4) + CycloElt(7, (0,) * 6)
+    with pytest.raises(DomainError):
+        CycloElt(5, (0,) * 4) - CycloElt(7, (0,) * 6)
+
+
 @pytest.mark.parametrize("ell", (5, 59, 211))
 def test_suite_batches_match_the_per_step_checks(ell):
     # One descriptor table and one base evaluation must give the same records

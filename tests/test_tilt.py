@@ -93,6 +93,7 @@ def test_frobenius_matches_from_terms_route_randomized():
                 expected = TiltElement.from_terms(p, {e * scale: c for e, c in x.terms})
                 image = tilt_frobenius(x, n)
                 assert image == expected and image.terms == expected.terms, (p, x, n)
+                assert TiltElement(p, image.terms) == image
     assert multi_term >= 50
 
 
@@ -163,6 +164,72 @@ def test_pow_by_digits_matches_squaring():
                 assert tilt_pow(x, k) == _pow_by_squaring(x, k), (x, k)
 
 
+def _convolve_fractions(a, b, p):
+    acc = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            acc[ea + eb] = (acc.get(ea + eb, 0) + ca * cb) % p
+    return {e: c for e, c in acc.items() if c}
+
+
+def _mul_by_from_terms(x, y):
+    """The product on Fraction exponents, built and validated through from_terms."""
+    return TiltElement.from_terms(x.p, _convolve_fractions(dict(x.terms), dict(y.terms), x.p))
+
+
+def _pow_by_from_terms(x, k):
+    """The k-th power by base-p digits on Fraction exponents, built through from_terms."""
+    p = x.p
+    if len(x.terms) == 1:
+        e, c = x.terms[0]
+        return TiltElement(p, ((e * k, pow(c, k, p)),))
+    digits = []
+    while k:
+        k, d = divmod(k, p)
+        digits.append(d)
+    powers = [{Fraction(0): 1}]
+    for _ in range(max(digits, default=0)):
+        powers.append(_convolve_fractions(powers[-1], dict(x.terms), p))
+    result = {Fraction(0): 1}
+    scale = 1
+    for d in digits:
+        if d:
+            result = _convolve_fractions(result, {e * scale: c for e, c in powers[d].items()}, p)
+        scale *= p
+    return TiltElement.from_terms(p, result)
+
+
+def _element_up_to_cubes(rng, p, n_terms):
+    """Exactly n_terms nonzero terms with exponent denominators p^0..p^3."""
+    exponents = set()
+    while len(exponents) < n_terms:
+        exponents.add(Fraction(rng.randint(0, 3 * p), p ** rng.randint(0, 3)))
+    return TiltElement.from_terms(p, {e: rng.randint(1, p - 1) for e in exponents})
+
+
+def _assert_kernel_result(result, expected):
+    # The kernel's terms tuple is the validated route's, and the public constructor accepts it.
+    assert result == expected and result.terms == expected.terms
+    assert TiltElement(result.p, result.terms) == result
+
+
+def test_kernels_match_the_from_terms_route_randomized():
+    rng = random.Random(1109)
+    for p in (2, 3, 5, 7):
+        for n_terms in range(1, 6):
+            for _ in range(3):
+                x = _element_up_to_cubes(rng, p, n_terms)
+                y = _element_up_to_cubes(rng, p, rng.randint(1, 5))
+                _assert_kernel_result(tilt_mul(x, y), _mul_by_from_terms(x, y))
+                _assert_kernel_result(tilt_mul(x, TiltElement.zero(p)), TiltElement.zero(p))
+                for k in (0, 1, p, rng.randint(2, 60)):
+                    _assert_kernel_result(tilt_pow(x, k), _pow_by_from_terms(x, k))
+                rescaled = tilt_rescale_t(x, rng.randint(1, p - 1))
+                assert TiltElement(p, rescaled.terms) == rescaled and rescaled.support() == x.support()
+    _assert_kernel_result(tilt_pow(TiltElement.zero(3), 0), TiltElement.one(3))
+    _assert_kernel_result(tilt_pow(TiltElement.zero(3), 4), TiltElement.zero(3))
+
+
 def test_bool_exponents_rejected():
     x = TiltElement.monomial(3, Fraction(1, 3))
     for flag in (True, False):
@@ -220,6 +287,10 @@ def test_construction_validation():
         TiltElement(3, ((Fraction(2), 1), (Fraction(1), 1)))  # unsorted
     with pytest.raises(DomainError):
         TiltElement(3, ((0.5, 1),))  # float exponent
+    with pytest.raises(DomainError):
+        TiltElement(3, ((Fraction(1), 4),))  # coefficient not reduced mod 3
+    with pytest.raises(DomainError):
+        TiltElement(3, ((Fraction(1), 1), (Fraction(1), 2)))  # repeated exponent
 
 
 def test_records_are_immutable_values():
