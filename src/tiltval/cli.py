@@ -328,10 +328,8 @@ def cmd_ansatz(cfg: RunConfig) -> list[CheckRecord]:
             orbit_size=len(orbit),
         )
     )
-    scaling_ok = all(
-        valuation_profile(o) == tuple(e * Fraction(cfg.p) ** n for e in profile)
-        for n, o in zip(range(-depth, depth + 1), orbit)
-    )
+    scales = (Fraction(cfg.p) ** n for n in range(-depth, depth + 1))
+    scaling_ok = all(valuation_profile(o) == tuple(e * scale for e in profile) for scale, o in zip(scales, orbit))
     checks.append(make_check("ansatz.orbit_profile_scaling", scaling_ok, depth=depth))
     t_mon = TiltElement.monomial(cfg.p, 1)
     bad_tail = PrimitiveDeg1(tilt_mul(tilt_pow(point.a, (ell_star + 1) ** 2), t_mon))

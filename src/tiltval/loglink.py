@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
+
+
 def _require_precision(p: int, precision: int, name: str = "precision") -> None:
     floor = 3 if p == 2 else 2
     if precision < floor:
@@ -67,8 +72,7 @@ class PadicUnit(Record):
     value: int
 
     def __init__(self, p: int, precision: int, value: int):
-        if not is_prime(p):
-            raise DomainError(f"p must be prime, got {p}")
+        _require_prime(p)
         _require_precision(p, precision)
         if not isinstance(value, int) or not 0 <= value < p**precision:
             raise DomainError(f"value must be reduced mod {p}^{precision}")
@@ -84,11 +88,15 @@ class PadicUnit(Record):
 
     @classmethod
     def random(cls, rng: random.Random, p: int, precision: int) -> "PadicUnit":
-        """A uniformly drawn principal unit of Z/p^precision, one draw from rng."""
+        """A uniformly drawn principal unit of Z/p^precision, one draw from rng.
+
+        1 + c*r with r < p^precision / c, c = 4 for p = 2 and p otherwise, is
+        reduced and principal by construction, so only p and N are checked.
+        """
         _require_precision(p, precision)
-        if p == 2:
-            return cls.of(2, precision, 1 + 4 * rng.randrange(2 ** (precision - 2)))
-        return cls.of(p, precision, 1 + p * rng.randrange(p ** (precision - 1)))
+        _require_prime(p)
+        c = 4 if p == 2 else p
+        return cls._trusted(p, precision, 1 + c * rng.randrange(p**precision // c))
 
     @property
     def modulus(self) -> int:
@@ -118,10 +126,10 @@ def _floor_log(n: int, p: int) -> int:
 
 
 @cache
-def _log_series(p: int, n_prec: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+def _log_series(p: int, n_prec: int) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
     """The part of padic_log's series that depends only on (p, N).
 
-    Returns m = isqrt(N), p^(N+m), the working modulus p^(N+m+e) and,
+    Returns m = isqrt(N), p^m, p^N, p^(N+m), the working modulus p^(N+m+e) and,
     for each k below the cutoff, the shift p^(v_p(k)) and
     (-1)^(k+1) times the inverse of k's unit part mod p^(N+m).
     """
@@ -141,7 +149,7 @@ def _log_series(p: int, n_prec: int) -> tuple[int, int, int, tuple[tuple[int, in
             shift *= p
         inverse = pow(unit, -1, reduced_mod)
         terms.append((shift, inverse if k % 2 else -inverse))
-    return m, reduced_mod, work_mod, tuple(terms)
+    return m, p**m, p**n_prec, reduced_mod, work_mod, tuple(terms)
 
 
 def padic_log(u: PadicUnit) -> int:
@@ -160,24 +168,24 @@ def padic_log(u: PadicUnit) -> int:
     p, n_prec = u.p, u.precision
     if u.value == 1:
         return 0
-    m, reduced_mod, work_mod, terms = _log_series(p, n_prec)
-    x = (pow(u.value, p**m, reduced_mod) - 1) % reduced_mod
+    m, scale, modulus, reduced_mod, work_mod, terms = _log_series(p, n_prec)
+    x = (pow(u.value, scale, reduced_mod) - 1) % reduced_mod
     if x == 0:
         # v(u^(p^m) - 1) = v(u - 1) + m < N + m for u != 1.
         raise VerificationError(f"u^(p^{m}) collapsed to 1 mod {p}^{n_prec + m} for u != 1")
     total = 0
     x_pow = 1
     for k, (shift, signed_inverse) in enumerate(terms, start=1):
-        x_pow = x_pow * x % work_mod
-        term, rest = divmod(x_pow, shift)
-        if rest:
-            raise VerificationError(f"x^{k} is not divisible by {shift}")
+        x_pow = term = x_pow * x % work_mod
+        if shift != 1:  # dividing by 1 leaves no remainder
+            term, rest = divmod(x_pow, shift)
+            if rest:
+                raise VerificationError(f"x^{k} is not divisible by {shift}")
         total += term * signed_inverse
     total %= reduced_mod
-    scale = p**m
     if total % scale:
         raise VerificationError(f"log(u^(p^{m})) is not divisible by p^{m}")
-    result = total // scale % u.modulus
+    result = total // scale % modulus
     subgroup = 4 if p == 2 else p
     if result % subgroup:
         raise VerificationError(f"log left the expected subgroup {subgroup}Z/{p}^{n_prec}")
@@ -185,8 +193,7 @@ def padic_log(u: PadicUnit) -> int:
 
 
 def _require_chain_base(p: int, v0: Fraction) -> None:
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
+    _require_prime(p)
     if not isinstance(v0, Fraction) or v0 <= 0:
         raise DomainError(f"v0 must be a positive Fraction, got {v0!r}")
 
@@ -239,8 +246,7 @@ def m_of_epsilon(p: int, eps: Fraction) -> int:
     A proximity demand of eps >= 1 is no demand at all and returns 0
     outright; eps <= 0 is meaningless.
     """
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
+    _require_prime(p)
     if not isinstance(eps, Fraction):
         raise DomainError(f"eps must be a Fraction, got {eps!r}")
     if eps <= 0:

@@ -22,6 +22,7 @@ ell = 3.  Both routes must agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from ._record import Record
@@ -65,11 +66,11 @@ class PilotTuple(Record):
             raise DomainError("the reference multiplier valuation must be positive")
         if len(lifts) != ansatz.ell_star:
             raise DomainError("one lift per family member")
-        e1 = lifts[0]
+        n1, d1 = lifts[0].numerator, lifts[0].denominator
         for j, e in enumerate(lifts, start=1):
             if e <= 0:
                 raise DomainError(f"lift {j} must be positive, got {e}")
-            if e != e1 * j * j:
+            if e.numerator * d1 != n1 * j * j * e.denominator:
                 raise DomainError(f"lift {j} breaks the square law e_j = j^2 e_1")
         self._assign(ansatz, xi_val_K1, lifts)
 
@@ -80,7 +81,8 @@ def build_pilot(point: AnsatzPoint, xi_val: Fraction) -> PilotTuple:
         raise DomainError(f"xi_val must be a positive Fraction, got {xi_val!r}")
     v_a = tilt_val(point.a).as_fraction()
     e1 = xi_val * v_a
-    lifts = tuple(e1 * j * j for j in range(1, point.ell_star + 1))
+    n1, d1 = e1.numerator, e1.denominator
+    lifts = tuple([Fraction(n1 * j * j, d1) for j in range(1, point.ell_star + 1)])
     return PilotTuple(ansatz=point, xi_val_K1=xi_val, lifts=lifts)
 
 
@@ -89,16 +91,18 @@ def sum_log_norms(pilot: PilotTuple, rho: RhoWeight) -> Fraction:
 
     For Teichmuller-style lifts the rho weight does not move the sum (all
     entries sit in slot zero); the argument pins the gauge the caller is
-    working in.  The direct sum must equal
-    e_1 * ell*(ell* + 1)(2 ell* + 1)/6 exactly or something is broken.
+    working in.  The direct sum, taken in integers over the lcm of the
+    lift denominators, must equal e_1 * ell*(ell* + 1)(2 ell* + 1)/6
+    exactly or something is broken.
     """
     del rho  # slot-zero lifts are weight independent; see docstring
-    direct = sum(pilot.lifts, Fraction(0))
-    ls = pilot.ansatz.ell_star
-    closed = pilot.lifts[0] * Fraction(ls * (ls + 1) * (2 * ls + 1), 6)
-    if direct != closed:
-        raise VerificationError(f"square-sum identity violated: {direct} != {closed}")
-    return direct
+    lifts, ls = pilot.lifts, pilot.ansatz.ell_star
+    den = lcm(*[e.denominator for e in lifts])
+    direct = sum([e.numerator * (den // e.denominator) for e in lifts])
+    closed, d6 = lifts[0].numerator * ls * (ls + 1) * (2 * ls + 1), 6 * lifts[0].denominator
+    if direct * d6 != closed * den:
+        raise VerificationError(f"square-sum identity violated: {Fraction(direct, den)} != {Fraction(closed, d6)}")
+    return Fraction(direct, den)
 
 
 class ThetaSetSample(Record):
@@ -142,7 +146,10 @@ def theta_set_sample(
                 if orbit_point.a != tilt_frobenius(prev.ansatz.a, 1):
                     raise VerificationError(f"orbit point {n} is not phi of point {n - 1}")
                 p = orbit_point.a.p
-                if pilot.lifts != tuple(p * e for e in prev.lifts):
+                if len(pilot.lifts) != len(prev.lifts) or any(
+                    e.numerator * f.denominator != p * f.numerator * e.denominator
+                    for e, f in zip(pilot.lifts, prev.lifts)
+                ):
                     raise VerificationError(f"lifts at orbit point {n} are not {p} times those at {n - 1}")
             seen.add(pilot)
             prev = pilot

@@ -78,6 +78,8 @@ def _require_window(window: tuple[int, int]) -> tuple[int, int]:
 
 
 def _is_p_power(n: int, p: int) -> bool:
+    if n < 1:
+        return False
     while n % p == 0:
         n //= p
     return n == 1
@@ -288,7 +290,7 @@ def tilt_pow(x: TiltElement, k: int) -> TiltElement:
     p = x.p
     if len(x.terms) == 1:
         e, c = x.terms[0]
-        return TiltElement._trusted(p, ((e * k, pow(c, k, p)),))
+        return TiltElement._trusted(p, ((Fraction(e.numerator * k, e.denominator), pow(c, k, p)),))
     den = max((e.denominator for e, _ in x.terms), default=1)
     base = _scaled(x, den)
     digits = []
@@ -315,9 +317,9 @@ def tilt_frobenius(x: TiltElement, n: int = 1) -> TiltElement:
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise DomainError(f"Frobenius power must be an integer, got {n!r}")
-    scale = Fraction(x.p) ** n
-    # scale > 0 keeps the exponent order, and the coefficients are already reduced
-    return TiltElement._trusted(x.p, tuple([(e * scale, c) for e, c in x.terms]))
+    up, down = (x.p**n, 1) if n >= 0 else (1, x.p**-n)
+    # p**n > 0 keeps the exponent order, and the coefficients are already reduced
+    return TiltElement._trusted(x.p, tuple([(Fraction(e.numerator * up, e.denominator * down), c) for e, c in x.terms]))
 
 
 def tilt_rescale_t(x: TiltElement, u: int) -> TiltElement:

@@ -215,6 +215,32 @@ def test_random_unit_checks_the_precision_floor_before_drawing():
     assert rng.getstate() == state
 
 
+def _random_by_of(rng, p, precision):
+    """The earlier draw route: one randrange, then the validating PadicUnit.of."""
+    if p == 2:
+        return PadicUnit.of(2, precision, 1 + 4 * rng.randrange(2 ** (precision - 2)))
+    return PadicUnit.of(p, precision, 1 + p * rng.randrange(p ** (precision - 1)))
+
+
+def test_random_units_match_the_validated_route_randomized():
+    for p in (2, 3, 5, 7, 11):
+        for precision in (_precision_floor(p), 5, 17, 64):
+            drawn, replay = random.Random(p * 1000 + precision), random.Random(p * 1000 + precision)
+            for _ in range(25):
+                u = PadicUnit.random(drawn, p, precision)
+                assert u == _random_by_of(replay, p, precision)
+                assert PadicUnit(u.p, u.precision, u.value) == u
+
+
+def test_random_unit_checks_p_before_drawing():
+    rng = random.Random(5)
+    state = rng.getstate()
+    for p in (1, 4, 9, 15):
+        with pytest.raises(DomainError, match="p must be prime"):
+            PadicUnit.random(rng, p, 4)
+    assert rng.getstate() == state
+
+
 def test_log_of_one_is_zero():
     assert padic_log(PadicUnit(5, 4, 1)) == 0
     assert padic_log(PadicUnit(2, 8, 1)) == 0

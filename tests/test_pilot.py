@@ -48,6 +48,39 @@ def test_pilot_square_law_reverified():
     point = _point()
     with pytest.raises(DomainError):
         PilotTuple(ansatz=point, xi_val_K1=Fraction(1), lifts=(Fraction(1, 4), Fraction(1, 2)))
+    with pytest.raises(DomainError, match="square law"):
+        PilotTuple(ansatz=point, xi_val_K1=Fraction(1), lifts=(Fraction(1, 4), Fraction(5, 4)))
+    for lifts in ((Fraction(0), Fraction(0)), (Fraction(-1, 4), Fraction(-1)), (Fraction(1, 4), Fraction(-1))):
+        with pytest.raises(DomainError, match="must be positive"):
+            PilotTuple(ansatz=point, xi_val_K1=Fraction(1), lifts=lifts)
+
+
+def test_sum_log_norms_catches_a_lift_off_by_one_over_its_denominator():
+    rng = random.Random(3061)
+    rho = RhoWeight.of(1)
+    for _ in range(30):
+        point = make_ansatz(random_monomial(rng, 3), rng.choice((5, 7, 11)))
+        good = build_pilot(point, Fraction(rng.randint(1, 30), rng.randint(1, 30)))
+        assert sum_log_norms(PilotTuple._trusted(*good._values()), rho) == sum(good.lifts, Fraction(0))
+        k = rng.randrange(point.ell_star)
+        shift = Fraction(rng.choice((-1, 1)), good.lifts[0].denominator)
+        lifts = good.lifts[:k] + (good.lifts[k] + shift,) + good.lifts[k + 1 :]
+        with pytest.raises(VerificationError, match="square-sum identity"):
+            sum_log_norms(PilotTuple._trusted(point, good.xi_val_K1, lifts), rho)
+
+
+def test_sample_checks_the_lift_scaling_of_each_orbit_step(monkeypatch):
+    real = pilot.build_pilot
+    calls = []
+
+    def drifting(point, xi_val):
+        # Doubles xi from the second orbit point on, so that step scales the lifts by 2p, not p.
+        calls.append(point)
+        return real(point, xi_val * (2 if len(calls) > 1 else 1))
+
+    monkeypatch.setattr(pilot, "build_pilot", drifting)
+    with pytest.raises(VerificationError, match="lifts at orbit point -1 are not 2 times those at -2"):
+        theta_set_sample([_point()], Fraction(1, 10), 2)
 
 
 def test_sum_log_norms_frozen():
@@ -259,7 +292,10 @@ def test_pilot_sums_track_random_generators():
         xi = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         pilot = build_pilot(point, xi)
         assert pilot.lifts[0] > 0
-        assert sum_log_norms(pilot, rho) == sum(pilot.lifts)
+        # Oracles: e1 * j * j per lift, and the Fraction sum of the lifts.
+        e1 = xi * point.a.terms[0][0]
+        assert pilot.lifts == tuple(e1 * j * j for j in range(1, point.ell_star + 1))
+        assert sum_log_norms(pilot, rho) == sum(pilot.lifts, Fraction(0))
 
 
 def test_records_are_immutable_values():

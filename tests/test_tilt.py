@@ -10,6 +10,7 @@ from tiltval.errors import ConfigError, DomainError
 from tiltval.witt import WittExpr
 from tiltval.tilt import (
     INF_VAL,
+    _is_p_power,
     TiltElement,
     TiltVal,
     is_prime,
@@ -95,6 +96,33 @@ def test_frobenius_matches_from_terms_route_randomized():
                 assert image == expected and image.terms == expected.terms, (p, x, n)
                 assert TiltElement(p, image.terms) == image
     assert multi_term >= 50
+
+
+def test_frobenius_and_one_term_pow_match_the_fraction_routes_randomized():
+    # Oracles: the exponent routes these kernels used before scaling integers, e * p**n and e * k.
+    rng = random.Random(7121)
+    for p in (2, 3, 5, 7):
+        for n_terms in range(1, 5):
+            for _ in range(6):
+                x = _element_up_to_cubes(rng, p, n_terms)
+                for n in range(-4, 5):
+                    scale = Fraction(p) ** n
+                    image = tilt_frobenius(x, n)
+                    assert image.terms == tuple((e * scale, c) for e, c in x.terms), (p, x, n)
+                    assert TiltElement(p, image.terms) == image
+        for _ in range(20):
+            x = random_monomial(rng, p)
+            (e, c), = x.terms
+            for k in (0, 1, p, rng.randint(2, 400)):
+                power = tilt_pow(x, k)
+                assert power.terms == ((e * k, pow(c, k, p)),), (p, x, k)
+                assert TiltElement(p, power.terms) == power
+
+
+def test_is_p_power_terminates_below_one():
+    for p in (2, 3, 5):
+        assert [n for n in range(-3, 2) if _is_p_power(n, p)] == [1]
+        assert [n for n in range(1, 130) if _is_p_power(n, p)] == [p**k for k in range(8) if p**k < 130]
 
 
 def test_mul_valuation_additive():
