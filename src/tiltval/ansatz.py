@@ -69,7 +69,8 @@ class AnsatzPoint(Record):
 
 def make_ansatz(a: TiltElement, ell: int) -> AnsatzPoint:
     """Build the family ([a^(j^2)] - p)_j for j = 1 .. (ell - 1)/2."""
-    return AnsatzPoint(a=a, ell=ell, members=primitive_pow_family(a, ell))
+    # primitive_pow_family validates a and ell and forms each a^(j^2): the constructor's check holds.
+    return AnsatzPoint._trusted(a, ell, primitive_pow_family(a, ell))
 
 
 def is_member(members: Sequence[PrimitiveDeg1]) -> bool:

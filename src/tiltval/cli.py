@@ -27,7 +27,6 @@ from .loglink import PadicUnit, _require_precision, chain_build, kummer_shift, m
 from .pilot import (
     corollary_c_check,
     main_bound_check,
-    main_bound_derivation,
     main_bound_sweep,
     size_estimate,
     sum_log_norms,
@@ -251,12 +250,8 @@ def cmd_verify_theta(cfg: RunConfig) -> list[CheckRecord]:
 @_suite
 def cmd_bound(cfg: RunConfig) -> list[CheckRecord]:
     """The strict size inequality at (ell, v_q), every identity step shown."""
-    checks = []
-    for step in main_bound_derivation(cfg.ell, cfg.v_q):
-        if step.label == "strict_inequality":
-            continue  # reported through the main comparison record below
-        checks.append(make_check(f"bound.{step.label}", step.ok, value=step.value))
     report = main_bound_check(cfg.ell, cfg.v_q)
+    checks = [make_check(f"bound.{label}", ok, value=value) for label, value, ok in report.steps]
     if report.margin > 0:
         comparison = "lhs < rhs (strict)"
     elif report.margin == 0:

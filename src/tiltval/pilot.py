@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Sequence
 
 from ._record import Record
@@ -33,13 +34,11 @@ from .witt import RhoWeight
 
 __all__ = [
     "BoundReport",
-    "DerivationStep",
     "PilotTuple",
     "ThetaSetSample",
     "build_pilot",
     "corollary_c_check",
     "main_bound_check",
-    "main_bound_derivation",
     "main_bound_sweep",
     "size_estimate",
     "sum_log_norms",
@@ -137,7 +136,7 @@ def theta_set_sample(
         raise DomainError("at least one generator point is required")
     if not isinstance(depth, int) or depth < 0:
         raise DomainError(f"depth must be a nonnegative integer, got {depth!r}")
-    seen: set[PilotTuple] = set()
+    pilots: list[PilotTuple] = []
     for point in generators:
         prev = None
         for n, orbit_point in enumerate(frobenius_orbit(point, (-depth, depth)), start=-depth):
@@ -151,9 +150,11 @@ def theta_set_sample(
                     for e, f in zip(pilot.lifts, prev.lifts)
                 ):
                     raise VerificationError(f"lifts at orbit point {n} are not {p} times those at {n - 1}")
-            seen.add(pilot)
+            pilots.append(pilot)
             prev = pilot
-    ordered = tuple(sorted(seen, key=_pilot_sort_key))
+    # Equal keys mean equal pilots. A set would chain on hash collisions: hash(2**61 * e) == hash(e).
+    keyed = sorted([(_pilot_sort_key(t), t) for t in pilots], key=itemgetter(0))
+    ordered = tuple(t for i, (key, t) in enumerate(keyed) if not i or key != keyed[i - 1][0])
     return ThetaSetSample(generators=tuple(generators), frobenius_depth=depth, tuples=ordered)
 
 
@@ -174,89 +175,54 @@ def size_estimate(sample: ThetaSetSample, rho: RhoWeight) -> Fraction:
     return min(sums)
 
 
-class DerivationStep(Record):
-    """One labeled exact quantity in the bound derivation, with its own
-    pass flag where the step asserts an identity."""
-
-    label: str
-    value: Fraction
-    ok: bool
-
-
 class BoundReport(Record):
+    """The bound at (ell, v_q), with each derivation step as (label, value, ok)."""
+
     ell: int
     v_q: Fraction
     lhs_log: Fraction
     rhs_log: Fraction
     margin: Fraction
     passed: bool
+    steps: tuple[tuple[str, Fraction, bool], ...]
 
 
-def _lhs_termwise(ell: int, v_q: Fraction) -> Fraction:
-    """The lhs as the sum of its terms j^2/(ell*^2 2ell) v_q, j = 1..ell*.
+def main_bound_check(ell: int, v_q: Fraction) -> BoundReport:
+    """Strict comparison of the two sides of the size bound at (ell, v_q).
 
-    The numerators share one denominator, so the integers j^2 are summed
-    and divided once; no closed form is used.
+    One pass sums j^2 over j = 1..ell*; the lhs is taken termwise from
+    that sum, as the terms j^2/(ell*^2 2ell) v_q share one denominator, and
+    in closed form; the rhs in product and in ratio form; the margin
+    directly and in factored form.  Identity steps carry their comparison,
+    quantity steps ok = True.  Disagreeing lhs or rhs routes raise
+    VerificationError.
     """
-    ls = (ell - 1) // 2
-    return Fraction(sum(j * j for j in range(1, ls + 1)), ls * ls * 2 * ell) * v_q
-
-
-def _bound_routes(ell: int, v_q: Fraction) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Validate (ell, v_q) and return the lhs termwise and in closed form,
-    then the rhs in product and in ratio form."""
     _require_odd_prime(ell)
     if not isinstance(v_q, Fraction) or v_q <= 0:
         raise DomainError(f"v_q must be a positive Fraction, got {v_q!r}")
     ls = (ell - 1) // 2
-    return (
-        _lhs_termwise(ell, v_q),
-        Fraction(1, 12) * (1 + Fraction(1, ls)) * v_q,
-        Fraction(1, 4) * (1 - Fraction(1, ell)) * v_q,
-        Fraction(ls, 2 * ell) * v_q,
-    )
-
-
-def main_bound_derivation(ell: int, v_q: Fraction) -> tuple[DerivationStep, ...]:
-    """Every intermediate identity of the size bound as a checkable step.
-
-    The two sides are each computed twice, once termwise and once in
-    closed form, and the margin is matched against its factored shape.
-    Steps whose label ends in a quantity name carry ok = True by
-    definition; identity steps carry the actual comparison.
-    """
-    lhs_sum, lhs_closed, rhs_product, rhs_ratio = _bound_routes(ell, v_q)
-    ls = (ell - 1) // 2
-    steps: list[DerivationStep] = []
-
     square_sum = sum(j * j for j in range(1, ls + 1))
     square_closed = ls * (ls + 1) * (2 * ls + 1) // 6
-    steps.append(DerivationStep("square_sum_closed_form", Fraction(square_closed), square_sum == square_closed))
-
-    steps.append(DerivationStep("lhs_termwise", lhs_sum, True))
-    steps.append(DerivationStep("lhs_closed_form", lhs_closed, lhs_closed == lhs_sum))
-
-    steps.append(DerivationStep("rhs_product_form", rhs_product, True))
-    steps.append(DerivationStep("rhs_ratio_form", rhs_ratio, rhs_ratio == rhs_product))
-
-    margin = rhs_product - lhs_closed
-    factored = Fraction((2 * ell - 1) * (ell - 3), 12 * ell * (ell - 1)) * v_q
-    steps.append(DerivationStep("margin", margin, True))
-    steps.append(DerivationStep("margin_factored", factored, factored == margin))
-
-    strict = lhs_closed < rhs_product
-    steps.append(DerivationStep("strict_inequality", Fraction(1 if strict else 0), strict))
-    return tuple(steps)
-
-
-def main_bound_check(ell: int, v_q: Fraction) -> BoundReport:
-    """Strict comparison of the two sides of the size bound at (ell, v_q)."""
-    lhs_sum, lhs, rhs, rhs_ratio = _bound_routes(ell, v_q)
+    lhs_sum = Fraction(square_sum, ls * ls * 2 * ell) * v_q
+    lhs = Fraction(1, 12) * (1 + Fraction(1, ls)) * v_q
+    rhs = Fraction(1, 4) * (1 - Fraction(1, ell)) * v_q
+    rhs_ratio = Fraction(ls, 2 * ell) * v_q
     if lhs != lhs_sum:
         raise VerificationError(f"lhs routes disagree at ell = {ell}: {lhs} != {lhs_sum}")
     if rhs != rhs_ratio:
         raise VerificationError(f"rhs routes disagree at ell = {ell}: {rhs} != {rhs_ratio}")
-    return BoundReport(ell, v_q, lhs, rhs, rhs - lhs, lhs < rhs)
+    margin = rhs - lhs
+    factored = Fraction((2 * ell - 1) * (ell - 3), 12 * ell * (ell - 1)) * v_q
+    steps = (
+        ("square_sum_closed_form", Fraction(square_closed), square_sum == square_closed),
+        ("lhs_termwise", lhs_sum, True),
+        ("lhs_closed_form", lhs, lhs == lhs_sum),
+        ("rhs_product_form", rhs, True),
+        ("rhs_ratio_form", rhs_ratio, rhs_ratio == rhs),
+        ("margin", margin, True),
+        ("margin_factored", factored, factored == margin),
+    )
+    return BoundReport(ell, v_q, lhs, rhs, margin, lhs < rhs, steps)
 
 
 def main_bound_sweep(limit: int) -> tuple[tuple[int, ...], int, int | None]:

@@ -77,6 +77,12 @@ def _require_window(window: tuple[int, int]) -> tuple[int, int]:
     return lo, hi
 
 
+def _exact(x: object, what: str) -> Fraction:
+    if not isinstance(x, (int, Fraction)):
+        raise DomainError(f"{what} must be an int or a Fraction, got {x!r}")
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def _is_p_power(n: int, p: int) -> bool:
     if n < 1:
         return False
@@ -100,11 +106,7 @@ class TiltVal(Record):
     value: Fraction | None
 
     def __init__(self, value: Fraction | int | None):
-        if value is not None and not isinstance(value, Fraction):
-            if not isinstance(value, int):
-                raise DomainError(f"valuation must be a Fraction, int, or None, got {type(value).__name__}")
-            value = Fraction(value)
-        self._assign(value)
+        self._assign(None if value is None else _exact(value, "valuation"))
 
     @property
     def is_infinite(self) -> bool:
@@ -210,14 +212,14 @@ class TiltElement(Record):
         """
         collected: dict[Fraction, int] = {}
         for exponent, coeff in terms.items():
-            e = Fraction(exponent)
+            e = _exact(exponent, "exponent")
             collected[e] = (collected.get(e, 0) + coeff) % p
         reduced = tuple(sorted((e, c) for e, c in collected.items() if c))
         return cls(p, reduced)
 
     @classmethod
     def monomial(cls, p: int, exponent: _RatLike, coeff: int = 1) -> "TiltElement":
-        return cls.from_terms(p, {Fraction(exponent): coeff})
+        return cls.from_terms(p, {exponent: coeff})
 
     @classmethod
     def zero(cls, p: int) -> "TiltElement":

@@ -28,7 +28,8 @@ from typing import Mapping, Union
 
 from ._record import Record
 from .errors import ConfigError, DomainError
-from .tilt import INF_VAL, TiltElement, TiltVal, _require_odd_prime, is_prime, tilt_frobenius, tilt_pow, tilt_val
+from .tilt import INF_VAL, TiltElement, TiltVal, _exact, _require_odd_prime, is_prime
+from .tilt import tilt_frobenius, tilt_pow, tilt_val
 
 __all__ = [
     "PrimitiveDeg1",
@@ -64,7 +65,7 @@ class RhoWeight(Record):
 
     @classmethod
     def of(cls, r: Union[Fraction, int]) -> "RhoWeight":
-        return cls(Fraction(r))
+        return cls(_exact(r, "weight"))
 
     @classmethod
     def one(cls) -> "RhoWeight":

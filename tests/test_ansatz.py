@@ -66,6 +66,24 @@ def test_make_validation():
         make_ansatz(TiltElement.zero(2), 5)
 
 
+def test_make_ansatz_forms_each_power_once(monkeypatch):
+    calls = []
+
+    def counted(x, k):
+        calls.append(k)
+        return tilt_pow(x, k)
+
+    monkeypatch.setattr("tiltval.witt.tilt_pow", counted)
+    monkeypatch.setattr("tiltval.ansatz.tilt_pow", counted)
+    rng = random.Random(811)
+    for ell in (5, 7, 11, 13):
+        a = tilt_mul(random_monomial(rng, 3), TiltElement.from_terms(3, {0: 1, Fraction(1, 3): 2}))
+        calls.clear()
+        point = make_ansatz(a, ell)
+        assert calls == [j * j for j in range(1, point.ell_star + 1)]
+        assert point == AnsatzPoint(a=a, ell=ell, members=point.members)  # the public check agrees
+
+
 def test_is_member_frozen():
     point = make_ansatz(_t(2), 5)
     assert is_member(point.members)

@@ -1,5 +1,6 @@
 """Config parsing, exit codes, and report rendering through the real entry point."""
 
+import inspect
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 from conftest import assert_immutable_value
 
 import tiltval
-from tiltval import cli
+from tiltval import cli, pilot
 from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
 from tiltval.errors import ConfigError, PrecisionError, VerificationError
@@ -403,6 +404,32 @@ def test_suites_build_their_invariants_once(monkeypatch, tmp_path, capsys):
     assert not orbits
     code, _, _ = run_cli(capsys, "ansatz")
     assert code == 0 and len(orbits) == 1
+    bounds = _count_calls(monkeypatch, main_bound_check)
+    code, _, _ = run_cli(capsys, "bound")
+    assert code == 0 and bounds == [(5, Fraction(1))]
+
+
+@pytest.mark.parametrize(
+    "step, original, mutated",
+    [
+        ("square_sum_closed_form", "(2 * ls + 1) // 6", "(2 * ls + 1) // 6 + 1"),
+        ("margin_factored", "(2 * ell - 1) * (ell - 3)", "(2 * ell - 1) * (ell - 2)"),
+    ],
+    ids=["square_sum_closed_form", "margin_factored"],
+)
+def test_a_broken_bound_identity_fails_its_step(monkeypatch, tmp_path, capsys, step, original, mutated):
+    source = inspect.getsource(pilot.main_bound_check)
+    faulty = source.replace(original, mutated)
+    assert faulty != source
+    namespace = dict(vars(pilot))
+    exec(compile(faulty, pilot.__file__, "exec"), namespace)
+    monkeypatch.setattr("tiltval.cli.main_bound_check", namespace["main_bound_check"])
+    target = tmp_path / "bound.json"
+    code, out, _ = run_cli(capsys, "bound", "--format", "json", "--output", str(target))
+    assert code == 1 and out == ""
+    verdicts = {check["id"]: check["passed"] for check in json.loads(target.read_text(encoding="utf-8"))["checks"]}
+    assert not verdicts.pop(f"bound.{step}")
+    assert all(verdicts.values()) and "bound.strict_inequality" in verdicts
 
 
 def test_mistwisted_frobenius_is_a_verification_failure(monkeypatch, capsys):

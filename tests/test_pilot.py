@@ -12,13 +12,12 @@ from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.errors import DomainError, VerificationError
 from tiltval.pilot import (
     PilotTuple,
-    _lhs_termwise,
     _odd_primes_upto,
+    _pilot_sort_key,
     ThetaSetSample,
     build_pilot,
     corollary_c_check,
     main_bound_check,
-    main_bound_derivation,
     main_bound_sweep,
     size_estimate,
     sum_log_norms,
@@ -116,6 +115,29 @@ def test_sample_orbit_union_dedups():
     assert again.tuples == sample.tuples  # deterministic order
 
 
+def _sample_by_set(generators, xi_val, depth):
+    """The set route: every orbit pilot into a set, then sorted."""
+    seen = {build_pilot(o, xi_val) for g in generators for o in frobenius_orbit(g, (-depth, depth))}
+    return tuple(sorted(seen, key=_pilot_sort_key))
+
+
+def test_sample_dedup_matches_the_set_route():
+    rng = random.Random(4421)
+    for _ in range(25):
+        p, ell = rng.choice(((2, 5), (3, 5), (2, 7), (5, 7)))
+        generators = [make_ansatz(random_monomial(rng, p), ell) for _ in range(rng.randint(2, 4))]
+        # phi-shifted copies overlap the orbits of the generators they twist; a repeat overlaps all of its own
+        shifted = [frobenius_orbit(g, (n, n))[0] for g, n in zip(generators, (1, -1))]
+        generators += [*shifted, generators[0]]
+        xi, depth = Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(0, 4)
+        sample = theta_set_sample(generators, xi, depth)
+        assert sample.tuples == _sample_by_set(generators, xi, depth)
+        assert len(sample.tuples) <= (len(generators) - 1) * (2 * depth + 1) - 4 * depth
+    # At p = 2 the orbit's exponents 2^n e hash alike with period 61 in n.
+    point = _point()
+    assert theta_set_sample([point], Fraction(1, 10), 70).tuples == _sample_by_set([point], Fraction(1, 10), 70)
+
+
 def test_sample_scaling_along_orbit():
     sample = theta_set_sample([_point()], Fraction(1, 10), 2)
     sums = [sum_log_norms(t, RhoWeight.of(1)) for t in sample.tuples]
@@ -186,11 +208,11 @@ def test_main_bound_validation():
 
 def test_derivation_steps_all_check_out():
     for ell in (3, 5, 7, 11, 13, 31, 53):
-        steps = main_bound_derivation(ell, Fraction(2, 3))
-        by_label = {step.label: step for step in steps}
+        report = main_bound_check(ell, Fraction(2, 3))
+        by_label = {label: ok for label, _, ok in report.steps}
         for label in ("square_sum_closed_form", "lhs_closed_form", "rhs_ratio_form", "margin_factored"):
-            assert by_label[label].ok, (ell, label)
-        assert by_label["strict_inequality"].ok == (ell >= 5)
+            assert by_label[label], (ell, label)
+        assert report.passed == (ell >= 5)
 
 
 def _lhs_by_fractions(ell, v_q):
@@ -204,10 +226,10 @@ def test_lhs_termwise_matches_fraction_sum():
             continue
         for v_q in (Fraction(1), Fraction(7, 3)):
             expected = _lhs_by_fractions(ell, v_q)
-            assert _lhs_termwise(ell, v_q) == expected, ell
-            steps = {step.label: step for step in main_bound_derivation(ell, v_q)}
-            assert steps["lhs_termwise"].value == expected, ell
-            assert main_bound_check(ell, v_q).lhs_log == expected, ell
+            report = main_bound_check(ell, v_q)
+            steps = {label: value for label, value, _ in report.steps}
+            assert steps["lhs_termwise"] == expected, ell
+            assert report.lhs_log == expected, ell
 
 
 def _sweep_by_bound_checks(primes, v_q):
@@ -302,5 +324,4 @@ def test_records_are_immutable_values():
     point = _point()
     assert_immutable_value(lambda: build_pilot(point, Fraction(1, 5)))
     assert_immutable_value(lambda: theta_set_sample([point], Fraction(1, 5), 1))
-    assert_immutable_value(lambda: main_bound_derivation(7, Fraction(2))[0])
     assert_immutable_value(lambda: main_bound_check(7, Fraction(2)))

@@ -1,6 +1,7 @@
 """Valuation model: construction discipline, exact arithmetic, Frobenius."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -315,6 +316,15 @@ def test_construction_validation():
         TiltElement(3, ((Fraction(2), 1), (Fraction(1), 1)))  # unsorted
     with pytest.raises(DomainError):
         TiltElement(3, ((0.5, 1),))  # float exponent
+    # Only ints and Fractions are exact: Fraction(0.1) would be 3602879701896397/2^55.
+    for inexact in (0.1, 0.5, "1/2", Decimal("0.5")):
+        for build in (
+            lambda e: TiltElement.monomial(2, e),
+            lambda e: TiltElement.from_terms(2, {e: 1}),
+            TiltVal,
+        ):
+            with pytest.raises(DomainError, match="must be an int or a Fraction"):
+                build(inexact)
     with pytest.raises(DomainError):
         TiltElement(3, ((Fraction(1), 4),))  # coefficient not reduced mod 3
     with pytest.raises(DomainError):

@@ -60,6 +60,9 @@ def test_rho_weight_validation():
         RhoWeight.of(Fraction(-1, 2))
     with pytest.raises(DomainError):
         RhoWeight(Fraction(1), at_one=True)  # the boundary flag pins the weight to 0
+    for inexact in (0.3, 0.5, "1/2"):  # RhoWeight.of(0.3) would weigh over 2^54
+        with pytest.raises(DomainError, match="must be an int or a Fraction"):
+            RhoWeight.of(inexact)
 
 
 def test_records_are_immutable_values():
