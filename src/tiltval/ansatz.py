@@ -30,11 +30,9 @@ from .witt import PrimitiveDeg1, _require_family_ell, primitive_frobenius, primi
 
 __all__ = [
     "AnsatzPoint",
-    "HolomorphoidRecord",
     "frobenius_orbit",
     "is_member",
     "make_ansatz",
-    "untilt_records",
     "valuation_profile",
     "scale_invariance_check",
 ]
@@ -137,37 +135,3 @@ def scale_invariance_check(
         return False
     new_profile = tuple(tilt_val(m.a).as_fraction() for m in new_members)
     return new_profile == valuation_profile(point)
-
-
-class HolomorphoidRecord(Record):
-    """One untilt attached to a family member: a label, its Tate-style
-    parameter valuation, and the member index it came from."""
-
-    label: str
-    member_index: int
-    tate_valuation: Fraction
-
-    def __init__(self, label: str, member_index: int, tate_valuation: Fraction):
-        if member_index < 1:
-            raise DomainError("member index counts from 1")
-        if tate_valuation <= 0:
-            raise DomainError("the Tate parameter valuation must be positive")
-        self._assign(label, member_index, tate_valuation)
-
-
-def untilt_records(point: AnsatzPoint, v_q: Fraction, label: str) -> tuple[HolomorphoidRecord, ...]:
-    """Tag each member with an untilt record at parameter valuation v_q * j^2.
-
-    Bookkeeping only: the j-th member's untilt sees the parameter with
-    valuation scaled by the same square law as the generator.
-    """
-    if v_q <= 0:
-        raise DomainError("v_q must be positive")
-    return tuple(
-        HolomorphoidRecord(
-            label=f"{label}.{j}",
-            member_index=j,
-            tate_valuation=v_q * j * j,
-        )
-        for j in range(1, point.ell_star + 1)
-    )

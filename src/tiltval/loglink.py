@@ -42,7 +42,6 @@ __all__ = [
     "LogLinkChain",
     "PadicUnit",
     "chain_build",
-    "kummer_shift",
     "m_of_epsilon",
     "padic_log",
 ]
@@ -257,10 +256,3 @@ def m_of_epsilon(p: int, eps: Fraction) -> int:
     while Fraction(1, p**m) >= eps:
         m += 1
     return m
-
-
-def kummer_shift(n1: int, n2: int) -> int:
-    """Index shift from chain position n1 to n2; shifts telescope."""
-    if not (isinstance(n1, int) and isinstance(n2, int)):
-        raise DomainError("chain positions are integers")
-    return n2 - n1

@@ -214,7 +214,6 @@ class InversionCheck(Record):
 
     passed: bool
     n_max: int
-    signed: bool
     pairs_matched: int
     boundary_terms: int
     pairs_cancel_at_one: bool
@@ -256,7 +255,6 @@ def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> InversionCh
     return InversionCheck(
         passed=passed,
         n_max=n_max,
-        signed=signed,
         pairs_matched=pairs,
         boundary_terms=1,
         pairs_cancel_at_one=cancel_at_one,
@@ -275,8 +273,6 @@ class QuasiPeriodicityCheck(Record):
 
     passed: bool
     j: int
-    n_max: int
-    signed: bool
     overlap_lo: int
     overlap_hi: int
     terms_checked: int
@@ -317,8 +313,6 @@ def _quasi_periodicity(series: ThetaSeriesTrunc, j: int) -> QuasiPeriodicityChec
     return QuasiPeriodicityCheck(
         passed=mismatch is None,
         j=j,
-        n_max=n_max,
-        signed=series.signed,
         overlap_lo=lo,
         overlap_hi=hi,
         terms_checked=checked,
@@ -432,9 +426,6 @@ class LaurentRatioCheck(Record):
 
     passed: bool
     j: int
-    k: int
-    ell: int
-    n_max: int
     s_exponent_gap: int
     expected_gap: int
     coeff_relation_holds: bool
@@ -460,9 +451,6 @@ def _laurent_ratio(j: int, k: int, ell: int, n_max: int, base: dict[int, dict[in
     return LaurentRatioCheck(
         passed=passed,
         j=j,
-        k=k,
-        ell=ell,
-        n_max=n_max,
         s_exponent_gap=gap,
         expected_gap=expected_gap,
         coeff_relation_holds=coeff_ok,

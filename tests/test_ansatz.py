@@ -8,11 +8,9 @@ from conftest import assert_immutable_value, random_monomial
 
 from tiltval.ansatz import (
     AnsatzPoint,
-    HolomorphoidRecord,
     frobenius_orbit,
     is_member,
     make_ansatz,
-    untilt_records,
     valuation_profile,
     scale_invariance_check,
 )
@@ -158,21 +156,7 @@ def test_scale_invariance_flags_broken_tuples():
     assert not scale_invariance_check(point, crooked)
 
 
-def test_untilt_records():
-    point = make_ansatz(_t(2, Fraction(1, 4)), 5)
-    records = untilt_records(point, Fraction(3, 2), label="y")
-    assert [r.label for r in records] == ["y.1", "y.2"]
-    assert [r.tate_valuation for r in records] == [Fraction(3, 2), Fraction(6)]
-    with pytest.raises(DomainError):
-        untilt_records(point, Fraction(0), label="y")
-    with pytest.raises(DomainError):
-        HolomorphoidRecord(label="y", member_index=0, tate_valuation=Fraction(1))
-    with pytest.raises(DomainError):
-        HolomorphoidRecord(label="y", member_index=1, tate_valuation=Fraction(-1))
-
-
 def test_records_are_immutable_values():
     assert_immutable_value(lambda: make_ansatz(_t(3, Fraction(1, 3), 2), 7))
-    assert_immutable_value(lambda: HolomorphoidRecord("y.1", 1, Fraction(3, 2)))
     point = make_ansatz(_t(2, Fraction(1, 4)), 5)
     assert AnsatzPoint(a=point.a, ell=5, members=point.members) == point

@@ -15,14 +15,15 @@ from conftest import assert_immutable_value
 
 import tiltval
 from tiltval import cli, pilot
-from tiltval.ansatz import frobenius_orbit, make_ansatz
+from tiltval.ansatz import frobenius_orbit, is_member, make_ansatz
 from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
 from tiltval.errors import ConfigError, PrecisionError, VerificationError
+from tiltval.loglink import padic_log
 from tiltval.pilot import _odd_primes_upto, main_bound_check
 from tiltval.reporting import CheckRecord, CombinedReport, Report, make_check
 from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
-from tiltval.tilt import TiltElement
-from tiltval.witt import primitive_frobenius
+from tiltval.tilt import TiltElement, TiltVal
+from tiltval.witt import eta_val, primitive_frobenius
 
 
 def run_cli(capsys, *argv):
@@ -131,10 +132,16 @@ def test_load_config_rejections(tmp_path):
         "format.json": '{"output_format": "xml"}',
         "fmtnum.json": '{"output_format": 3}',
         "zeroden.json": '{"v_q": "1/0"}',
+        "duplicate.json": '{"p": 2, "p": 3}',
+        "nested.json": "[" * 100_000,
     }
     for name, payload in cases.items():
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, name, payload))
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(str(latin))
     with pytest.raises(PrecisionError):
         load_config(write_config(tmp_path, "prec.json", '{"padic_precision": 2}'))
 
@@ -173,6 +180,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     # missing config file
     code, _, err = run_cli(capsys, "bound", "--config", str(tmp_path / "nope.json"))
     assert code == 2 and "error:" in err
+    # config bytes that are not UTF-8
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{")
+    code, _, err = run_cli(capsys, "bound", "--config", str(latin))
+    assert code == 2 and err.startswith("error: config is not UTF-8")
 
 
 def test_argparse_usage_exits_two(capsys):
@@ -402,8 +414,14 @@ def test_suites_build_their_invariants_once(monkeypatch, tmp_path, capsys):
     assert len(evaluations) == len(laurent) + 1
     assert sum(call[0] == 0 for call in evaluations) == 1
     assert not orbits
+    # The orbit is checked once, by its constructor; only the tampered tuple and the
+    # substituted family go through is_member, at any depth.
+    members = _count_calls(monkeypatch, is_member)
     code, _, _ = run_cli(capsys, "ansatz")
-    assert code == 0 and len(orbits) == 1
+    assert code == 0 and len(orbits) == 1 and len(members) == 2
+    deep = write_config(tmp_path, "deep.json", '{"frobenius_depth": 5}')
+    code, _, _ = run_cli(capsys, "ansatz", "--config", deep)
+    assert code == 0 and len(orbits) == 2 and len(members) == 4
     bounds = _count_calls(monkeypatch, main_bound_check)
     code, _, _ = run_cli(capsys, "bound")
     assert code == 0 and bounds == [(5, Fraction(1))]
@@ -430,6 +448,37 @@ def test_a_broken_bound_identity_fails_its_step(monkeypatch, tmp_path, capsys, s
     verdicts = {check["id"]: check["passed"] for check in json.loads(target.read_text(encoding="utf-8"))["checks"]}
     assert not verdicts.pop(f"bound.{step}")
     assert all(verdicts.values()) and "bound.strict_inequality" in verdicts
+
+
+@pytest.mark.parametrize(
+    "suite, target, fault, failed",
+    [
+        # Equal sort keys merge every pilot into one, so the sample loses the orbit.
+        ("ansatz", "tiltval.pilot._pilot_sort_key", lambda t: (t.ansatz.ell,), {"ansatz.orbit_membership"}),
+        # A log scaled by p still turns products into sums, but every valuation moves up by one.
+        (
+            "loglink",
+            "tiltval.cli.padic_log",
+            lambda u: padic_log(u) * u.p % u.modulus,
+            {"loglink.kummer_shift_telescoping"},
+        ),
+        # An eta off by one breaks the j^2 factor of every untilt, and the untilt gauge with it.
+        (
+            "ansatz",
+            "tiltval.cli.eta_val",
+            lambda prim, x: TiltVal(eta_val(prim, x).as_fraction() + 1),
+            {"ansatz.untilt_records", "ansatz.witness_untilt_gauge"},
+        ),
+    ],
+    ids=["orbit_membership", "kummer_shift", "untilt_records"],
+)
+def test_a_kernel_fault_fails_the_check_that_reads_it(monkeypatch, tmp_path, capsys, suite, target, fault, failed):
+    monkeypatch.setattr(target, fault)
+    report = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, suite, "--format", "json", "--output", str(report))
+    assert code == 1 and out == ""
+    verdicts = {check["id"]: check["passed"] for check in json.loads(report.read_text(encoding="utf-8"))["checks"]}
+    assert {check_id for check_id, passed in verdicts.items() if not passed} == failed
 
 
 def test_mistwisted_frobenius_is_a_verification_failure(monkeypatch, capsys):
