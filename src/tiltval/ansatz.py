@@ -109,7 +109,7 @@ def frobenius_orbit(point: AnsatzPoint, window: tuple[int, int]) -> tuple[Ansatz
 
 def valuation_profile(point: AnsatzPoint) -> tuple[Fraction, ...]:
     """The tuple (v(a^(j^2)))_j = (j^2 * v(a))_j in tilt units."""
-    return tuple(tilt_val(m.a).as_fraction() for m in point.members)
+    return tuple(tilt_val(m.a) for m in point.members)
 
 
 def scale_invariance_check(
@@ -133,5 +133,5 @@ def scale_invariance_check(
         new_members.append(PrimitiveDeg1(sub))
     if not is_member(new_members):
         return False
-    new_profile = tuple(tilt_val(m.a).as_fraction() for m in new_members)
+    new_profile = tuple(tilt_val(m.a) for m in new_members)
     return new_profile == valuation_profile(point)

@@ -321,7 +321,7 @@ def cmd_ansatz(cfg: RunConfig) -> list[CheckRecord]:
         make_check(
             "ansatz.witness_untilt_gauge",
             t_unit_val == ell_star * ell_star,
-            v_of_t_p_normalized=t_unit_val.as_fraction(),
+            v_of_t_p_normalized=t_unit_val,
         )
     )
     depth = cfg.frobenius_depth
@@ -330,10 +330,10 @@ def cmd_ansatz(cfg: RunConfig) -> list[CheckRecord]:
     # One generator: the lifts scale by p^n, so the sample's sort order is the orbit's n order.
     # frobenius_orbit built every point through the AnsatzPoint check against (phi^n a)^(j^2);
     # what is left to check is that the sample kept each of them.
-    orbit = tuple(t.ansatz for t in sample.tuples)
+    orbit = tuple(t.ansatz for t in sample)
     checks.append(make_check("ansatz.orbit_membership", len(orbit) == 2 * depth + 1, orbit_size=len(orbit)))
     scales = (Fraction(cfg.p) ** n for n in range(-depth, depth + 1))
-    scaling_ok = all(valuation_profile(o) == tuple(e * scale for e in profile) for scale, o in zip(scales, orbit))
+    scaling_ok = tuple(valuation_profile(o) for o in orbit) == tuple(tuple(e * s for e in profile) for s in scales)
     checks.append(make_check("ansatz.orbit_profile_scaling", scaling_ok, depth=depth))
     t_mon = TiltElement.monomial(cfg.p, 1)
     bad_tail = PrimitiveDeg1(tilt_mul(tilt_pow(point.a, (ell_star + 1) ** 2), t_mon))
@@ -354,7 +354,7 @@ def cmd_ansatz(cfg: RunConfig) -> list[CheckRecord]:
         )
     )
     # The untilt of member j sees the parameter at v_q times v(a^(j^2)) / v(a) = j^2.
-    untilts = tuple(cfg.v_q * eta_val(point.members[0], m.a).as_fraction() for m in point.members)
+    untilts = tuple(cfg.v_q * eta_val(point.members[0], m.a) for m in point.members)
     checks.append(
         make_check(
             "ansatz.untilt_records",
@@ -363,13 +363,13 @@ def cmd_ansatz(cfg: RunConfig) -> list[CheckRecord]:
         )
     )
     rho = RhoWeight.of(cfg.rho_weight)
-    sums = tuple(sum_log_norms(pilot, rho) for pilot in sample.tuples)
+    sums = tuple(sum_log_norms(pilot, rho) for pilot in sample)
     estimate = size_estimate(sample, rho)
     checks.append(
         make_check(
             "ansatz.sample_size_estimate",
             estimate == min(sums) and estimate > 0,
-            sample_size=len(sample.tuples),
+            sample_size=len(sample),
             log_size=estimate,
         )
     )

@@ -20,15 +20,15 @@ denominator of their operands (the lcm of them all, each being a power
 of p) and turn back into sorted Fractions once.  Kernel results are
 valid by construction and skip the validator (``Record._trusted``).
 
-Valuations are returned as :class:`TiltVal`, a totally ordered wrapper
-around Fraction with a single infinite value reserved for the valuation
-of zero.
+A valuation is a plain Fraction, and None stands for the +infinity of
+the zero element.  Every stored exponent is a Fraction already: the
+validator refuses anything else, and :meth:`TiltElement.from_terms`
+converts ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from math import isqrt
 from typing import Mapping, Union
 
@@ -36,9 +36,7 @@ from ._record import Record
 from .errors import ConfigError, DomainError, TiltvalError
 
 __all__ = [
-    "INF_VAL",
     "TiltElement",
-    "TiltVal",
     "is_prime",
     "tilt_frobenius",
     "tilt_mul",
@@ -92,84 +90,6 @@ def _is_p_power(n: int, p: int) -> bool:
 
 
 _RatLike = Union[Fraction, int]
-
-
-@total_ordering
-class TiltVal(Record):
-    """A valuation value: an exact rational, or infinite for the zero element.
-
-    ``value is None`` encodes +infinity.  Comparisons and addition accept
-    plain ints and Fractions on either side, so ``tilt_val(x) == Fraction(1, 4)``
-    reads naturally in callers.
-    """
-
-    value: Fraction | None
-
-    def __init__(self, value: Fraction | int | None):
-        self._assign(None if value is None else _exact(value, "valuation"))
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def as_fraction(self) -> Fraction:
-        if self.value is None:
-            raise DomainError("the zero element has no finite valuation")
-        return self.value
-
-    @staticmethod
-    def _coerce(other: object) -> "TiltVal | None":
-        if isinstance(other, TiltVal):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TiltVal(Fraction(other))
-        return None
-
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o.value
-
-    def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.value is None:
-            return False
-        if o.value is None:
-            return True
-        return self.value < o.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __add__(self, other: "TiltVal | _RatLike") -> "TiltVal":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.value is None or o.value is None:
-            return INF_VAL
-        return TiltVal(self.value + o.value)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar: _RatLike) -> "TiltVal":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if scalar <= 0:
-            raise DomainError("valuations only scale by positive factors")
-        if self.value is None:
-            return INF_VAL
-        return TiltVal(self.value * scalar)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return "TiltVal(+inf)" if self.value is None else f"TiltVal({self.value})"
-
-
-INF_VAL = TiltVal(None)
 
 
 class TiltElement(Record):
@@ -238,11 +158,9 @@ class TiltElement(Record):
         return tuple(e for e, _ in self.terms)
 
 
-def tilt_val(x: TiltElement) -> TiltVal:
-    """Gauss valuation with v(t) = 1; the zero element maps to +infinity."""
-    if not x.terms:
-        return INF_VAL
-    return TiltVal(x.terms[0][0])
+def tilt_val(x: TiltElement) -> Fraction | None:
+    """Gauss valuation with v(t) = 1; None for the zero element, whose valuation is +infinity."""
+    return x.terms[0][0] if x.terms else None
 
 
 def _require_same_p(x: TiltElement, y: TiltElement) -> int:

@@ -14,11 +14,10 @@ rho = |t|^r the log-norm of a presentation is
 
 so lambda >= 0 says the presentation certifies membership in the ring of
 integral elements for that rho.  The empty presentation denotes zero; its
-minimum runs over no slots, so its log-norm is +infinity (``INF_VAL``,
-the valuation of zero), which is >= 0 as the integrality of zero
-demands.  The boundary norm at rho = 1 is the degenerate weight r = 0 and
-gets its own flag rather than a zero weight smuggled through the same
-code path.
+minimum runs over no slots, so its log-norm is +infinity, returned as
+None like the valuation of zero; zero is integral for every rho.  The
+boundary norm at rho = 1 is the degenerate weight r = 0 and gets its own
+flag rather than a zero weight smuggled through the same code path.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Mapping, Union
 
 from ._record import Record
 from .errors import ConfigError, DomainError
-from .tilt import INF_VAL, TiltElement, TiltVal, _exact, _require_odd_prime, is_prime
+from .tilt import TiltElement, _exact, _require_odd_prime, is_prime
 from .tilt import tilt_frobenius, tilt_pow, tilt_val
 
 __all__ = [
@@ -115,18 +114,18 @@ def teichmuller(x: TiltElement) -> WittExpr:
     return WittExpr(x.p, ((0, x),))
 
 
-def gauss_log_norm(w: WittExpr, rho: RhoWeight) -> Union[Fraction, TiltVal]:
+def gauss_log_norm(w: WittExpr, rho: RhoWeight) -> Fraction | None:
     """Additive Gauss norm min_i (v(x_i) + i*r) of a presentation.
 
-    Returns :data:`~tiltval.tilt.INF_VAL` for the empty presentation, the
+    Returns None, meaning +infinity, for the empty presentation: the
     minimum over no slots (norm 0 in multiplicative terms).  Exact on
     Teichmuller terms, an upper bound for the denoted element otherwise;
     see the module docstring.
     """
     if w.is_zero:
-        return INF_VAL
+        return None
     wt = rho.weight
-    return min(tilt_val(x).as_fraction() + slot * wt for slot, x in w.terms)
+    return min(tilt_val(x) + slot * wt for slot, x in w.terms)
 
 
 class PrimitiveDeg1(Record):
@@ -141,7 +140,7 @@ class PrimitiveDeg1(Record):
 
     def __init__(self, a: TiltElement):
         v = tilt_val(a)
-        if v.is_infinite or v.as_fraction() <= 0:
+        if v is None or v <= 0:
             raise DomainError("generator must satisfy 0 < v(a) < +inf")
         self._assign(a)
 
@@ -170,13 +169,11 @@ def primitive_frobenius(w: PrimitiveDeg1, n: int = 1) -> PrimitiveDeg1:
     return PrimitiveDeg1(tilt_frobenius(w.a, n))
 
 
-def eta_val(prim: PrimitiveDeg1, x: TiltElement) -> TiltVal:
+def eta_val(prim: PrimitiveDeg1, x: TiltElement) -> Fraction | None:
     """Valuation of the image of [x] in the untilt cut out by [a] - p.
 
     Normalized so that v(p) = 1 there; concretely v(x) / v(a).  The zero
-    element maps to +infinity.
+    element maps to None, meaning +infinity.
     """
     vx = tilt_val(x)
-    if vx.is_infinite:
-        return INF_VAL
-    return TiltVal(vx.as_fraction() / tilt_val(prim.a).as_fraction())
+    return None if vx is None else vx / tilt_val(prim.a)

@@ -22,7 +22,7 @@ from tiltval.loglink import padic_log
 from tiltval.pilot import _odd_primes_upto, main_bound_check
 from tiltval.reporting import CheckRecord, CombinedReport, Report, make_check
 from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
-from tiltval.tilt import TiltElement, TiltVal
+from tiltval.tilt import TiltElement
 from tiltval.witt import eta_val, primitive_frobenius
 
 
@@ -432,8 +432,10 @@ def test_suites_build_their_invariants_once(monkeypatch, tmp_path, capsys):
     [
         ("square_sum_closed_form", "(2 * ls + 1) // 6", "(2 * ls + 1) // 6 + 1"),
         ("margin_factored", "(2 * ell - 1) * (ell - 3)", "(2 * ell - 1) * (ell - 2)"),
+        ("lhs_closed_form", "Fraction(square_sum, ls * ls * 2 * ell)", "Fraction(square_sum + 1, ls * ls * 2 * ell)"),
+        ("rhs_ratio_form", "Fraction(ls, 2 * ell) * v_q", "Fraction(ls + 1, 2 * ell) * v_q"),
     ],
-    ids=["square_sum_closed_form", "margin_factored"],
+    ids=["square_sum_closed_form", "margin_factored", "lhs_closed_form", "rhs_ratio_form"],
 )
 def test_a_broken_bound_identity_fails_its_step(monkeypatch, tmp_path, capsys, step, original, mutated):
     source = inspect.getsource(pilot.main_bound_check)
@@ -453,8 +455,20 @@ def test_a_broken_bound_identity_fails_its_step(monkeypatch, tmp_path, capsys, s
 @pytest.mark.parametrize(
     "suite, target, fault, failed",
     [
-        # Equal sort keys merge every pilot into one, so the sample loses the orbit.
-        ("ansatz", "tiltval.pilot._pilot_sort_key", lambda t: (t.ansatz.ell,), {"ansatz.orbit_membership"}),
+        # Equal sort keys merge every pilot into one, so the sample loses the orbit and its scaling.
+        (
+            "ansatz",
+            "tiltval.pilot._pilot_sort_key",
+            lambda t: (t.ansatz.ell,),
+            {"ansatz.orbit_membership", "ansatz.orbit_profile_scaling"},
+        ),
+        # Descending lifts keep every orbit point but list the orbit from n = depth down.
+        (
+            "ansatz",
+            "tiltval.pilot._pilot_sort_key",
+            lambda t: tuple(-e for e in t.lifts),
+            {"ansatz.orbit_profile_scaling"},
+        ),
         # A log scaled by p still turns products into sums, but every valuation moves up by one.
         (
             "loglink",
@@ -466,11 +480,11 @@ def test_a_broken_bound_identity_fails_its_step(monkeypatch, tmp_path, capsys, s
         (
             "ansatz",
             "tiltval.cli.eta_val",
-            lambda prim, x: TiltVal(eta_val(prim, x).as_fraction() + 1),
+            lambda prim, x: eta_val(prim, x) + 1,
             {"ansatz.untilt_records", "ansatz.witness_untilt_gauge"},
         ),
     ],
-    ids=["orbit_membership", "kummer_shift", "untilt_records"],
+    ids=["orbit_membership", "orbit_profile_scaling", "kummer_shift", "untilt_records"],
 )
 def test_a_kernel_fault_fails_the_check_that_reads_it(monkeypatch, tmp_path, capsys, suite, target, fault, failed):
     monkeypatch.setattr(target, fault)

@@ -14,7 +14,6 @@ from tiltval.pilot import (
     PilotTuple,
     _odd_primes_upto,
     _pilot_sort_key,
-    ThetaSetSample,
     build_pilot,
     corollary_c_check,
     main_bound_check,
@@ -108,11 +107,11 @@ def test_sample_orbit_union_dedups():
     shifted = make_ansatz(TiltElement.monomial(2, Fraction(1, 2)), 5)  # phi(base)
     sample = theta_set_sample([base, shifted], Fraction(1, 10), 1)
     # orbits {-1,0,1} around both generators overlap in two points
-    assert len(sample.tuples) == 4
+    assert len(sample) == 4
     solo = theta_set_sample([base], Fraction(1, 10), 0)
-    assert len(solo.tuples) == 1
+    assert len(solo) == 1
     again = theta_set_sample([base, shifted], Fraction(1, 10), 1)
-    assert again.tuples == sample.tuples  # deterministic order
+    assert again == sample  # deterministic order
 
 
 def _sample_by_set(generators, xi_val, depth):
@@ -131,16 +130,16 @@ def test_sample_dedup_matches_the_set_route():
         generators += [*shifted, generators[0]]
         xi, depth = Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(0, 4)
         sample = theta_set_sample(generators, xi, depth)
-        assert sample.tuples == _sample_by_set(generators, xi, depth)
-        assert len(sample.tuples) <= (len(generators) - 1) * (2 * depth + 1) - 4 * depth
+        assert sample == _sample_by_set(generators, xi, depth)
+        assert len(sample) <= (len(generators) - 1) * (2 * depth + 1) - 4 * depth
     # At p = 2 the orbit's exponents 2^n e hash alike with period 61 in n.
     point = _point()
-    assert theta_set_sample([point], Fraction(1, 10), 70).tuples == _sample_by_set([point], Fraction(1, 10), 70)
+    assert theta_set_sample([point], Fraction(1, 10), 70) == _sample_by_set([point], Fraction(1, 10), 70)
 
 
 def test_sample_scaling_along_orbit():
     sample = theta_set_sample([_point()], Fraction(1, 10), 2)
-    sums = [sum_log_norms(t, RhoWeight.of(1)) for t in sample.tuples]
+    sums = [sum_log_norms(t, RhoWeight.of(1)) for t in sample]
     assert sums == sorted(sums)
     assert sums[0] * 16 == sums[-1]  # p^(2 depth) spread
 
@@ -167,9 +166,8 @@ def test_size_estimate_frozen():
     sample = theta_set_sample([_point()], Fraction(1, 10), 2)
     assert size_estimate(sample, RhoWeight.of(1)) == Fraction(1, 32)
     assert size_estimate(sample, RhoWeight.one()) == Fraction(1, 32)
-    empty = ThetaSetSample(generators=(), frobenius_depth=0, tuples=())
     with pytest.raises(DomainError):
-        size_estimate(empty, RhoWeight.of(1))
+        size_estimate((), RhoWeight.of(1))
 
 
 def test_main_bound_frozen_values():
@@ -323,5 +321,4 @@ def test_pilot_sums_track_random_generators():
 def test_records_are_immutable_values():
     point = _point()
     assert_immutable_value(lambda: build_pilot(point, Fraction(1, 5)))
-    assert_immutable_value(lambda: theta_set_sample([point], Fraction(1, 5), 1))
     assert_immutable_value(lambda: main_bound_check(7, Fraction(2)))
