@@ -7,8 +7,9 @@ An ansatz point for an odd prime ell != p is the tuple
 attached to a generator a with 0 < v(a) < +inf.  Membership of a given
 tuple is decidable exactly: the candidate generator is read off the
 first entry and the remaining entries must equal its j^2-th powers on
-the nose.  There is no root extraction anywhere, so no numerical
-tolerance either.
+the nose, compared on integer exponents over a's exponent denominator,
+with the digit powers a^d (d < p) multiplied out once per generator.
+There is no root extraction anywhere, so no numerical tolerance either.
 
 Frobenius acts on a point member by member, and the images must again
 be the square powers of the image generator; valuations scale by p^n,
@@ -25,7 +26,8 @@ from typing import Callable, Sequence
 
 from ._record import Record
 from .errors import DomainError, VerificationError
-from .tilt import TiltElement, _require_window, tilt_frobenius, tilt_pow, tilt_val
+# No code here calls tilt_pow; perfbench/selftest.py checks that its tracer patches this name too.
+from .tilt import TiltElement, _power_check, _require_window, tilt_frobenius, tilt_pow, tilt_val  # noqa: F401
 from .witt import PrimitiveDeg1, _require_family_ell, primitive_frobenius, primitive_pow_family
 
 __all__ = [
@@ -43,7 +45,8 @@ class AnsatzPoint(Record):
 
     The constructor re-derives every member from ``a`` and refuses
     anything that is not exactly the j^2-th power, so an AnsatzPoint can
-    be trusted wherever it came from.
+    be trusted wherever it came from.  The powers are compared on integer
+    exponents, a's digit powers built once for all j (``_power_check``).
     """
 
     a: TiltElement
@@ -55,8 +58,9 @@ class AnsatzPoint(Record):
         ell_star = (ell - 1) // 2
         if len(members) != ell_star:
             raise DomainError(f"expected {ell_star} members for ell = {ell}")
+        is_power = _power_check(a)
         for j, member in enumerate(members, start=1):
-            if member.a != tilt_pow(a, j * j):
+            if not is_power(member.a, j * j):
                 raise DomainError(f"member {j} is not the {j * j}-th power of the generator")
         self._assign(a, ell, members)
 
@@ -76,15 +80,13 @@ def is_member(members: Sequence[PrimitiveDeg1]) -> bool:
 
     The only possible generator is the first entry's element, since the
     j = 1 member is a itself; every later entry is then compared against
-    the forced power.  Entries over mismatched ground fields simply fail.
+    the forced power on integer exponents, the generator's digit powers
+    built once for the whole tuple.  Mismatched ground fields simply fail.
     """
     if not members:
         raise DomainError("membership needs at least one entry")
-    candidate = members[0].a
-    for j, member in enumerate(members, start=1):
-        if member.a != tilt_pow(candidate, j * j):
-            return False
-    return True
+    is_power = _power_check(members[0].a)
+    return all(is_power(member.a, j * j) for j, member in enumerate(members, start=1))
 
 
 def frobenius_orbit(point: AnsatzPoint, window: tuple[int, int]) -> tuple[AnsatzPoint, ...]:
@@ -119,19 +121,14 @@ def scale_invariance_check(
 
     The substitution must preserve the support of every element it is
     applied to (anything of the t -> u*t kind does); that is enforced,
-    not assumed.  Returns True when the substituted tuple is still a
-    member and its valuation profile is unchanged.
+    not assumed, and it leaves the valuation profile unchanged, since a
+    valuation is the lowest exponent.  Returns True when the substituted
+    tuple is still a member; the generator is the first member.
     """
-    image = substitution(point.a)
-    if image.support() != point.a.support():
-        raise DomainError("substitution does not preserve the exponent support")
     new_members = []
     for member in point.members:
         sub = substitution(member.a)
         if sub.support() != member.a.support():
             raise DomainError("substitution does not preserve the exponent support")
         new_members.append(PrimitiveDeg1(sub))
-    if not is_member(new_members):
-        return False
-    new_profile = tuple(tilt_val(m.a) for m in new_members)
-    return new_profile == valuation_profile(point)
+    return is_member(new_members)

@@ -73,7 +73,7 @@ class PadicUnit(Record):
     def __init__(self, p: int, precision: int, value: int):
         _require_prime(p)
         _require_precision(p, precision)
-        if not isinstance(value, int) or not 0 <= value < p**precision:
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < p**precision:
             raise DomainError(f"value must be reduced mod {p}^{precision}")
         congruence = 4 if p == 2 else p
         if value % congruence != 1:
@@ -87,15 +87,10 @@ class PadicUnit(Record):
 
     @classmethod
     def random(cls, rng: random.Random, p: int, precision: int) -> "PadicUnit":
-        """A uniformly drawn principal unit of Z/p^precision, one draw from rng.
-
-        1 + c*r with r < p^precision / c, c = 4 for p = 2 and p otherwise, is
-        reduced and principal by construction, so only p and N are checked.
-        """
+        """A uniformly drawn principal unit of Z/p^precision, one draw from rng, after p and N are checked."""
         _require_precision(p, precision)
         _require_prime(p)
-        c = 4 if p == 2 else p
-        return cls._trusted(p, precision, 1 + c * rng.randrange(p**precision // c))
+        return _random_unit(rng, p, precision)
 
     @property
     def modulus(self) -> int:
@@ -115,6 +110,12 @@ class PadicUnit(Record):
     def pow(self, k: int) -> "PadicUnit":
         """k-th power, any integer k; units are invertible mod p^N."""
         return PadicUnit._trusted(self.p, self.precision, pow(self.value, k, self.modulus))
+
+
+def _random_unit(rng: random.Random, p: int, precision: int) -> PadicUnit:
+    """PadicUnit.random for a checked p and precision; 1 + c*r, c = 4 if p = 2 else p, is a unit as drawn."""
+    c = 4 if p == 2 else p
+    return PadicUnit._trusted(p, precision, 1 + c * rng.randrange(p**precision // c))
 
 
 def _floor_log(n: int, p: int) -> int:

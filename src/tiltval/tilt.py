@@ -19,6 +19,9 @@ The product kernels run on integer exponents over the largest exponent
 denominator of their operands (the lcm of them all, each being a power
 of p) and turn back into sorted Fractions once.  Kernel results are
 valid by construction and skip the validator (``Record._trusted``).
+The test "y == a^k" (:func:`_power_check`) builds no power as an element:
+it compares integers over a's exponent denominator and keeps a's digit
+powers a^d, so a whole square-power family costs one table of them.
 
 A valuation is a plain Fraction, and None stands for the +infinity of
 the zero element.  Every stored exponent is a Fraction already: the
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from ._record import Record
 from .errors import ConfigError, DomainError, TiltvalError
@@ -76,7 +79,7 @@ def _require_window(window: tuple[int, int]) -> tuple[int, int]:
 
 
 def _exact(x: object, what: str) -> Fraction:
-    if not isinstance(x, (int, Fraction)):
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise DomainError(f"{what} must be an int or a Fraction, got {x!r}")
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -116,7 +119,7 @@ class TiltElement(Record):
                 raise DomainError(f"exponent {exponent} is negative")
             if not _is_p_power(exponent.denominator, p):
                 raise DomainError(f"exponent denominator {exponent.denominator} is not a power of {p}")
-            if not isinstance(coeff, int) or not 0 < coeff < p:
+            if isinstance(coeff, bool) or not isinstance(coeff, int) or not 0 < coeff < p:
                 raise DomainError(f"coefficient {coeff!r} is not reduced to 1..{p - 1}")
             if prev is not None and exponent <= prev:
                 raise DomainError("terms must be strictly increasing in the exponent")
@@ -196,14 +199,26 @@ def tilt_mul(x: TiltElement, y: TiltElement) -> TiltElement:
     return _from_scaled(p, _convolve(_scaled(x, den), _scaled(y, den), p), den)
 
 
-def tilt_pow(x: TiltElement, k: int) -> TiltElement:
-    """k-th power for k >= 0 by the base-p digits of k; k = 0 is the empty product.
+def _pow_scaled(base: Mapping[int, int], k: int, p: int, powers: list[dict[int, int]]) -> dict[int, int]:
+    """base^k on integer exponents by the base-p digits of k; powers[d] = base^d, grown here as needed."""
+    digits = []
+    while k:
+        k, d = divmod(k, p)
+        digits.append(d)
+    for _ in range(len(powers), max(digits, default=0) + 1):
+        powers.append(_convolve(powers[-1], base, p))
+    result, scale = {0: 1}, 1
+    for d in digits:
+        if d:
+            result = _convolve(result, {e * scale: c for e, c in powers[d].items()}, p)
+        scale *= p
+    return result
 
-    Writes k = sum_i d_i p^i with 0 <= d_i < p and forms
-    x^k = prod_i phi^i(x^(d_i)), where phi^i multiplies every exponent by
-    p^i.  Each x^d is built once, by repeated products, for d up to the
-    largest digit, on integer exponents.  A single term c*t^e needs none
-    of that: its k-th power is c^k t^(ke).
+
+def tilt_pow(x: TiltElement, k: int) -> TiltElement:
+    """k-th power for k >= 0 by the base-p digits of k (see the module docstring); k = 0 is the empty product.
+
+    A single term c*t^e needs no digits: its k-th power is c^k t^(ke).
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise DomainError(f"exponent must be a nonnegative integer, got {k!r}")
@@ -212,21 +227,36 @@ def tilt_pow(x: TiltElement, k: int) -> TiltElement:
         e, c = x.terms[0]
         return TiltElement._trusted(p, ((Fraction(e.numerator * k, e.denominator), pow(c, k, p)),))
     den = max((e.denominator for e, _ in x.terms), default=1)
-    base = _scaled(x, den)
-    digits = []
-    while k:
-        k, d = divmod(k, p)
-        digits.append(d)
-    powers = [{0: 1}]  # powers[d] = x^d
-    for _ in range(max(digits, default=0)):
-        powers.append(_convolve(powers[-1], base, p))
-    result = {0: 1}
-    scale = 1
-    for d in digits:
-        if d:
-            result = _convolve(result, {e * scale: c for e, c in powers[d].items()}, p)
-        scale *= p
-    return _from_scaled(p, result, den)
+    return _from_scaled(p, _pow_scaled(_scaled(x, den), k, p, [{0: 1}]), den)
+
+
+def _power_check(a: TiltElement) -> Callable[[TiltElement, int], bool]:
+    """The predicate (y, k) -> y == tilt_pow(a, k) for ints k >= 0, decided on integers without building a^k."""
+    p = a.p
+    if len(a.terms) == 1:  # y must be one term c^k t^f with f == k*e, compared by cross-multiplying
+        (e, c), = a.terms
+
+        def check(y: TiltElement, k: int) -> bool:
+            if y.p != p or len(y.terms) != 1:
+                return False
+            f, cy = y.terms[0]
+            return cy == pow(c, k, p) and f.numerator * e.denominator == e.numerator * k * f.denominator
+
+        return check
+    den = max((e.denominator for e, _ in a.terms), default=1)
+    base, powers = _scaled(a, den), [{0: 1}]
+
+    def check(y: TiltElement, k: int) -> bool:
+        if y.p != p:
+            return False
+        scaled = {}
+        for f, cy in y.terms:
+            if den % f.denominator:  # no power of a has an exponent this fine
+                return False
+            scaled[f.numerator * (den // f.denominator)] = cy
+        return scaled == _pow_scaled(base, k, p, powers)
+
+    return check
 
 
 def tilt_frobenius(x: TiltElement, n: int = 1) -> TiltElement:

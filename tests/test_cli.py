@@ -22,7 +22,7 @@ from tiltval.loglink import padic_log
 from tiltval.pilot import _odd_primes_upto, main_bound_check
 from tiltval.reporting import CheckRecord, CombinedReport, Report, make_check
 from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
-from tiltval.tilt import TiltElement
+from tiltval.tilt import TiltElement, tilt_pow
 from tiltval.witt import eta_val, primitive_frobenius
 
 
@@ -101,17 +101,21 @@ def test_report_records_are_immutable_values():
     assert CheckRecord("x.y", True, ()) != CheckRecord("x.y", False, ())
 
 
+def _env_with_src():
+    """The environment for a fresh interpreter that imports this tiltval."""
+    src = str(Path(tiltval.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # A fresh interpreter: pytest itself has already imported both here.  Only
     # the modules the import adds count; site set-up may load inspect itself.
-    src = str(Path(tiltval.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     probe = (
         "import sys; before = set(sys.modules); import tiltval.cli; "
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", probe], env=_env_with_src(), capture_output=True, text=True, timeout=60, check=True
     )
     assert result.stdout.strip() == "[]"
 
@@ -195,6 +199,32 @@ def test_argparse_usage_exits_two(capsys):
         main(["bound", "--format", "yaml"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_repeated_main_calls_match_first_calls(tmp_path, capsys):
+    # main builds its parser once per process; each call must still behave like the first.
+    target = tmp_path / "report.csv"
+    calls = (
+        ["all", "--format", "json"],
+        ["loglink", "--format", "csv"],
+        ["bound", "--format", "yaml"],
+        ["loglink", "--format", "csv", "--seed", "3", "--output", str(target)],
+    )
+    for argv in calls:
+        first = subprocess.run(
+            [sys.executable, "-m", "tiltval", *argv], env=_env_with_src(), capture_output=True, timeout=60
+        )
+        written = target.read_bytes() if target.exists() else None
+        target.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == first.returncode, argv
+        assert captured.out.encode() == first.stdout and captured.err.encode() == first.stderr, argv
+        assert (target.read_bytes() if target.exists() else None) == written, argv
+    assert written  # the last call wrote its report to the file
 
 
 def test_help_lists_the_six_commands_in_table_order(capsys):
@@ -381,6 +411,15 @@ def test_walk_through_ell3_fails_the_sweep(monkeypatch, capsys):
     assert all(check["passed"] for check in checks.values())
 
 
+def _replace_everywhere(monkeypatch, func, replacement):
+    """Replace func under every name a tiltval module binds it to."""
+    for name, module in list(sys.modules.items()):
+        if name == "tiltval" or name.startswith("tiltval."):
+            for key, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, key, replacement)
+
+
 def _count_calls(monkeypatch, func):
     """Replace func under every name a tiltval module binds it to; return the list of calls."""
     calls = []
@@ -390,11 +429,7 @@ def _count_calls(monkeypatch, func):
         calls.append(args)
         return func(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "tiltval" or name.startswith("tiltval."):
-            for key, value in list(vars(module).items()):
-                if value is func:
-                    monkeypatch.setattr(module, key, counted)
+    _replace_everywhere(monkeypatch, func, counted)
     return calls
 
 
@@ -503,6 +538,19 @@ def test_mistwisted_frobenius_is_a_verification_failure(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "ansatz")
     assert code == 1
     assert out == "" and "internal check failed" in err
+
+
+def test_a_wrong_power_kernel_is_caught_by_the_orbit_check(monkeypatch, capsys):
+    # Membership computes its powers itself, so a tilt_pow returning a^(k+1) at every
+    # import site builds a family that the orbit constructor refuses.
+    _replace_everywhere(monkeypatch, tilt_pow, lambda x, k: tilt_pow(x, k + 1))
+    for p in (2, 3):
+        a = TiltElement.from_terms(p, {Fraction(1, p): 1, 1: 1})
+        with pytest.raises(VerificationError, match="left the ansatz"):
+            frobenius_orbit(make_ansatz(a, 7), (0, 0))
+    code, out, err = run_cli(capsys, "ansatz", "--format", "json")
+    assert code == 1 and out == ""
+    assert err.startswith("internal check failed: Frobenius translate") and "left the ansatz" in err
 
 
 def test_threshold_route_disagreement_is_a_failed_check(monkeypatch, tmp_path, capsys):

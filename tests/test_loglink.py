@@ -26,6 +26,7 @@ from tiltval.loglink import (
     PadicUnit,
     _floor_log,
     _log_series,
+    _require_prime,
     chain_build,
     m_of_epsilon,
     padic_log,
@@ -121,6 +122,13 @@ def _log_per_call(u: PadicUnit) -> int:
     return result
 
 
+def test_unit_value_refuses_bool():
+    # PadicUnit(3, 4, True) would pass the congruence check, since True % 3 == 1.
+    for flag in (True, False):
+        with pytest.raises(DomainError, match="value must be reduced"):
+            PadicUnit(3, 4, flag)
+
+
 def test_unit_validation():
     with pytest.raises(DomainError):
         PadicUnit(5, 4, 7)  # not 1 mod 5
@@ -193,6 +201,20 @@ def test_loglink_run_builds_one_series_plan():
     # Every log but that of 1 reads the plan: the Kummer shift takes three (n = 0, 1 and the
     # default depth 2), 100 product trials three each, 100 power trials two each.
     assert (info.misses, info.hits) == (1, 502)
+
+
+def test_loglink_run_checks_p_a_few_times(monkeypatch, capsys):
+    # The config validator proved p prime, so the 200 random units are drawn without re-checking it.
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return _require_prime(p)
+
+    monkeypatch.setattr("tiltval.loglink._require_prime", counted)
+    assert cli.main(["loglink"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 7
 
 
 def test_random_unit_takes_one_draw_per_unit():

@@ -11,6 +11,7 @@ from tiltval.errors import ConfigError, DomainError
 from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, eta_val, gauss_log_norm, teichmuller
 from tiltval.tilt import (
     _is_p_power,
+    _power_check,
     TiltElement,
     is_prime,
     tilt_frobenius,
@@ -275,6 +276,42 @@ def test_kernels_match_the_from_terms_route_randomized():
     _assert_kernel_result(tilt_pow(TiltElement.zero(3), 4), TiltElement.zero(3))
 
 
+def _near_misses(rng, power, den, p):
+    """Elements y to hold against a power of a generator whose exponent denominator is den."""
+    terms = dict(power.terms)
+    yield power
+    yield TiltElement.zero(p)
+    yield tilt_mul(power, TiltElement.monomial(p, 1))
+    yield TiltElement.from_terms(p, {**terms, Fraction(rng.randint(0, 50), den): 1})  # a term added or merged
+    other = 3 if p == 2 else 2
+    yield TiltElement(other, tuple((e, 1) for e in terms if e.denominator == 1))
+    if not terms:
+        return
+    e = rng.choice(sorted(terms))
+    rest = {f: c for f, c in terms.items() if f != e}
+    yield TiltElement.from_terms(p, rest)  # a term dropped
+    if p > 2:
+        yield TiltElement.from_terms(p, {**rest, e: terms[e] % (p - 1) + 1})  # a coefficient changed
+    for shift in (Fraction(1, den), Fraction(-1, den), Fraction(1, den * p)):  # the last one is finer than den
+        if e + shift >= 0:
+            yield TiltElement.from_terms(p, {**rest, e + shift: terms[e]})
+
+
+def test_power_check_agrees_with_tilt_pow_randomized():
+    rng = random.Random(1601)
+    for p in (2, 3, 5, 7):
+        for n_terms in range(1, 5):
+            for _ in range(2):
+                a = _element_with_terms(rng, p, n_terms)
+                den = max(e.denominator for e, _ in a.terms)
+                is_power = _power_check(a)  # one predicate, so its power table is reused across k
+                for k in (0, 1, p - 1, p, 4, 9, p * p + 1, rng.randint(2, 400), 400):
+                    power = tilt_pow(a, k)
+                    assert is_power(power, k)
+                    for y in (*_near_misses(rng, power, den, p), tilt_pow(a, k + 1)):
+                        assert is_power(y, k) == (y == power), (a, k, y)
+
+
 def test_bool_exponents_rejected():
     x = TiltElement.monomial(3, Fraction(1, 3))
     for flag in (True, False):
@@ -282,6 +319,21 @@ def test_bool_exponents_rejected():
             tilt_pow(x, flag)
         with pytest.raises(DomainError):
             tilt_frobenius(x, flag)
+
+
+def test_bool_coefficients_rejected():
+    # bool is an int subclass, but True is no residue mod p.
+    for flag in (True, False):
+        with pytest.raises(DomainError, match="coefficient"):
+            TiltElement(3, ((Fraction(1), flag),))
+
+
+def test_bool_exponents_rejected_by_from_terms():
+    for flag in (True, False):
+        with pytest.raises(DomainError, match="must be an int or a Fraction"):
+            TiltElement.from_terms(3, {flag: 1})
+        with pytest.raises(DomainError, match="must be an int or a Fraction"):
+            TiltElement.monomial(2, flag)
 
 
 def test_rescale_t_frozen():

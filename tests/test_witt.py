@@ -64,6 +64,11 @@ def test_rho_weight_validation():
             RhoWeight.of(inexact)
 
 
+def test_rho_weight_refuses_bool():
+    with pytest.raises(DomainError, match="must be an int or a Fraction"):
+        RhoWeight.of(True)
+
+
 def test_records_are_immutable_values():
     assert_immutable_value(lambda: RhoWeight.of(Fraction(1, 3)))
     assert_immutable_value(lambda: RhoWeight(r=Fraction(0), at_one=True))
