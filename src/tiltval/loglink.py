@@ -2,21 +2,22 @@
 
 The logarithm is computed in integers, never in rationals.  For a
 principal unit u (u = 1 mod p for odd p, u = 1 mod 4 for p = 2) at
-precision N, first reduce the argument: with m = isqrt(N), the power y =
+precision N, first reduce the argument: for a depth m, the power y =
 u^(p^m) mod p^(N+m) satisfies v(y - 1) = v(u - 1) + m, so x = y - 1 has
 valuation at least w = m + 1 (m + 2 for p = 2), and log(y) = p^m log(u)
-mod p^(N+m).  Then log(1 + x) = sum_k (-1)^(k+1) x^k / k is summed mod
-p^(N+m).  The k-th term has valuation at least k*w - v_p(k) >= k*w -
-floor(log_p k), and that bound never decreases in k, so the cutoff is
-the first k where it reaches N + m; every dropped term is divisible by
-p^(N+m).  Each x^k is kept mod p^(N+m+e), e the largest v_p(k) before
-the cutoff, so that dividing it exactly by p^(v_p(k)) still leaves it
-correct mod p^(N+m); what is left is multiplied by the inverse of k's
-unit part.  Finally the sum is divided exactly by p^m and reduced mod
-p^N.  Each of these divisions is checked: a remainder, or an x that
-vanishes for u != 1, raises VerificationError instead of returning a
-wrong class.  Everything but the argument power and the powers of x
-depends on (p, N) alone and is computed once per pair.
+mod p^(N+m).  That bound is checked by dividing x exactly by p^w, which
+leaves x'.  Then log(1 + x) = sum_k (-1)^(k+1) x^k / k is the integer
+polynomial sum_k d_k x'^k with d_k = (-1)^(k+1) u_k^-1 p^(k*w - v_p(k)),
+k = p^(v_p(k)) u_k, evaluated mod p^(N+m) in one Horner pass.  The k-th
+term has valuation at least k*w - floor(log_p k), and that bound never
+decreases in k, so the cutoff is the first k where it reaches N + m;
+every dropped term is divisible by p^(N+m).  Finally the sum is divided
+exactly by p^m.  Each of these divisions is checked: a remainder, or an
+x that vanishes for u != 1, raises VerificationError instead of
+returning a wrong class.  The class does not depend on m, only the
+work does, so the depth in 0 .. isqrt(N) that takes the fewest
+multiplications (argument power plus Horner pass) is chosen once per
+(p, N), together with the coefficients; at p >= 23 and N = 14 it is m = 0.
 
 The result always lands in p Z/p^N (4 Z/2^N for p = 2); that subgroup
 membership is re-checked on every call.  On these subgroups log turns
@@ -125,67 +126,68 @@ def _floor_log(n: int, p: int) -> int:
     return e
 
 
-@cache
-def _log_series(p: int, n_prec: int) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
-    """The part of padic_log's series that depends only on (p, N).
-
-    Returns m = isqrt(N), p^m, p^N, p^(N+m), the working modulus p^(N+m+e) and,
-    for each k below the cutoff, the shift p^(v_p(k)) and
-    (-1)^(k+1) times the inverse of k's unit part mod p^(N+m).
-    """
-    m = isqrt(n_prec)
-    reduced = n_prec + m
-    reduced_mod = p**reduced
+def _log_cutoff(p: int, n_prec: int, m: int) -> tuple[int, int]:
+    """w = m + 1 (m + 2 for p = 2) and the cutoff at depth m: the first k with k*w - floor(log_p k) >= N + m."""
     w = m + 2 if p == 2 else m + 1
-    cutoff = 1
-    while cutoff * w - _floor_log(cutoff, p) < reduced:
+    cutoff = -(-(n_prec + m) // w)  # no smaller k reaches N + m even before floor(log_p k) is taken off
+    while cutoff * w - _floor_log(cutoff, p) < n_prec + m:
         cutoff += 1
-    work_mod = p ** (reduced + _floor_log(cutoff - 1, p))
-    terms = []
-    for k in range(1, cutoff):
-        unit, shift = k, 1
+    return w, cutoff
+
+
+def _log_plan(p: int, n_prec: int, m: int) -> tuple[int, int, int, int, tuple[int, ...]]:
+    """padic_log's (p, N) plan at depth m: m, p^m, p^w, p^(N+m) and d_k for k = cutoff - 1 down to 1."""
+    w, cutoff = _log_cutoff(p, n_prec, m)
+    reduced_mod = p ** (n_prec + m)
+    coefficients = []
+    for k in range(cutoff - 1, 0, -1):
+        unit, v = k, 0
         while unit % p == 0:
-            unit //= p
-            shift *= p
-        inverse = pow(unit, -1, reduced_mod)
-        terms.append((shift, inverse if k % 2 else -inverse))
-    return m, p**m, p**n_prec, reduced_mod, work_mod, tuple(terms)
+            unit, v = unit // p, v + 1
+        term = pow(unit, -1, reduced_mod) * p ** (k * w - v)
+        coefficients.append((term if k % 2 else -term) % reduced_mod)
+    return m, p**m, p**w, reduced_mod, tuple(coefficients)
+
+
+@cache
+def _log_series(p: int, n_prec: int) -> tuple[int, int, int, int, tuple[int, ...]]:
+    """padic_log's plan for (p, N), at the depth m in 0 .. isqrt(N) needing the fewest multiplications.
+
+    A depth costs bit_length(p^m) + popcount(p^m) - 2 for the argument
+    power plus cutoff - 1 Horner steps; ties go to the smaller m.  Only
+    the cutoffs are compared, so coefficients are built for the winner alone.
+    """
+    depths = range(isqrt(n_prec) + 1)  # every cost below leaves out the same constant -3
+    costs = [(p**m).bit_length() + (p**m).bit_count() + _log_cutoff(p, n_prec, m)[1] for m in depths]
+    return _log_plan(p, n_prec, costs.index(min(costs)))
 
 
 def padic_log(u: PadicUnit) -> int:
     """log(u) mod p^precision as a reduced integer in p Z/p^N (4 Z/2^N).
 
-    With m = isqrt(N), y = u^(p^m) mod p^(N+m) and x = y - 1, the
-    integer series sum_k (-1)^(k+1) x^k / k mod p^(N+m) is
-    log(y) = p^m log(u) mod p^(N+m); it is divided by p^m exactly and
-    reduced mod p^N.  The cutoff is the first k with
-    k*w - floor(log_p k) >= N + m, where w = m + 1 (m + 2 for p = 2)
-    bounds v(x) from below.  Each x^k is kept mod p^(N+m+e), e the
-    largest v_p(k) before the cutoff, divided exactly by p^(v_p(k)) and
-    multiplied by the inverse of k's unit part.  A division that leaves
-    a remainder raises VerificationError.
+    With the (p, N) plan's depth m, x = u^(p^m) - 1 mod p^(N+m) must be
+    divisible by p^w, the bound the cutoff rests on.  One Horner pass
+    t = (t + d) * x' mod p^(N+m) over the coefficients, x' = x / p^w, gives
+    log(u^(p^m)) = p^m log(u), which is divided by p^m exactly.  A
+    division that leaves a remainder raises VerificationError.
     """
     p, n_prec = u.p, u.precision
     if u.value == 1:
         return 0
-    m, scale, modulus, reduced_mod, work_mod, terms = _log_series(p, n_prec)
-    x = (pow(u.value, scale, reduced_mod) - 1) % reduced_mod
+    m, scale, step, reduced_mod, coefficients = _log_series(p, n_prec)
+    x = pow(u.value, scale, reduced_mod) - 1
     if x == 0:
         # v(u^(p^m) - 1) = v(u - 1) + m < N + m for u != 1.
         raise VerificationError(f"u^(p^{m}) collapsed to 1 mod {p}^{n_prec + m} for u != 1")
+    x, rest = divmod(x, step)
+    if rest:
+        raise VerificationError(f"u^(p^{m}) - 1 is not divisible by {step}: u is not a principal unit")
     total = 0
-    x_pow = 1
-    for k, (shift, signed_inverse) in enumerate(terms, start=1):
-        x_pow = term = x_pow * x % work_mod
-        if shift != 1:  # dividing by 1 leaves no remainder
-            term, rest = divmod(x_pow, shift)
-            if rest:
-                raise VerificationError(f"x^{k} is not divisible by {shift}")
-        total += term * signed_inverse
-    total %= reduced_mod
+    for coefficient in coefficients:
+        total = (total + coefficient) * x % reduced_mod
     if total % scale:
         raise VerificationError(f"log(u^(p^{m})) is not divisible by p^{m}")
-    result = total // scale % modulus
+    result = total // scale
     subgroup = 4 if p == 2 else p
     if result % subgroup:
         raise VerificationError(f"log left the expected subgroup {subgroup}Z/{p}^{n_prec}")

@@ -18,7 +18,7 @@ from tiltval import cli, pilot
 from tiltval.ansatz import frobenius_orbit, is_member, make_ansatz
 from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
 from tiltval.errors import ConfigError, PrecisionError, VerificationError
-from tiltval.loglink import padic_log
+from tiltval.loglink import _log_series, padic_log
 from tiltval.pilot import _odd_primes_upto, main_bound_check
 from tiltval.reporting import CheckRecord, CombinedReport, Report, make_check
 from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
@@ -345,6 +345,33 @@ def test_non_homomorphic_log_fails_the_log_rules(monkeypatch, capsys):
     assert verdicts["loglink.log_at_one_is_zero"]
     assert not verdicts["loglink.log_product_rule_trials"]
     assert not verdicts["loglink.log_p_power_rule_trials"]
+
+
+def _linear_coefficient_off(p, precision):
+    """The (p, N) log plan with its linear coefficient moved by p^(w+m): log(u) moves by u^(p^m) - 1."""
+    m, scale, step, reduced_mod, coefficients = _log_series(p, precision)
+    return m, scale, step, reduced_mod, coefficients[:-1] + ((coefficients[-1] + step * scale) % reduced_mod,)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "{}",
+        '{"p": 29, "ell": 59, "theta_truncation": 29}',
+        '{"p": 3, "ell": 19, "frobenius_depth": 5, "v_q": "7/3", "rho_weight": "7/3"}',
+    ],
+    ids=["defaults", "wide", "f3"],
+)
+def test_a_wrong_log_plan_fails_the_log_rules(monkeypatch, tmp_path, capsys, config):
+    monkeypatch.setattr("tiltval.loglink._log_series", _linear_coefficient_off)
+    report = tmp_path / "all.json"
+    code, out, _ = run_cli(
+        capsys, "all", "--format", "json", "--config", write_config(tmp_path, "c.json", config), "--output", str(report)
+    )
+    assert code == 1 and out == ""
+    suites = json.loads(report.read_text(encoding="utf-8"))["suites"]
+    failed = {check["id"] for suite in suites for check in suite["checks"] if not check["passed"]}
+    assert failed == {"loglink.log_product_rule_trials", "loglink.log_p_power_rule_trials"}
 
 
 def test_unsigned_evaluation_fails_the_laurent_ratio(monkeypatch, capsys):

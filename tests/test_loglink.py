@@ -6,9 +6,9 @@ exp_mod(p, N, padic_log(u)) == u.value is a roundtrip through two
 different series with separately justified cutoffs.  _log_by_fractions
 is the plain log series summed as an exact Fraction with no argument
 reduction, which padic_log must match class for class.  _log_per_call
-is padic_log's own integer series with its cutoff, shifts and inverses
-worked out afresh on every call, the route before they were computed
-once per (p, N).
+is the integer series padic_log ran before its Horner plan: a fixed
+depth m = isqrt(N), one power of x per term divided exactly by
+p^(v_p(k)), and every (p, N) quantity worked out afresh on each call.
 """
 
 import random
@@ -25,6 +25,7 @@ from tiltval.loglink import (
     LogLinkChain,
     PadicUnit,
     _floor_log,
+    _log_plan,
     _log_series,
     _require_prime,
     chain_build,
@@ -83,7 +84,7 @@ def _log_by_fractions(u: PadicUnit) -> int:
 
 
 def _log_per_call(u: PadicUnit) -> int:
-    """padic_log's integer series with every (p, N) quantity recomputed per call."""
+    """The pre-Horner route, kept as an oracle: depth isqrt(N), per-term shifts and inverses, recomputed per call."""
     p, n_prec = u.p, u.precision
     if u.value == 1:
         return 0
@@ -191,6 +192,55 @@ def test_log_matches_the_per_call_series_randomized():
             units += [PadicUnit.random(rng, p, precision) for _ in range(5)]
             for u in units:
                 assert padic_log(u) == _log_per_call(u), (p, precision, u.value)
+
+
+def test_every_reduction_depth_gives_the_same_class(monkeypatch):
+    rng = random.Random(1709)
+    for p in (2, 3, 5, 7, 53):
+        step = 4 if p == 2 else p
+        for precision in (_precision_floor(p), 14, 48, 80, 96, 128, 300):
+            edge = (1 + p ** (precision - 1), (1 - step) % p**precision)
+            units = [PadicUnit(p, precision, value) for value in edge]
+            units += [PadicUnit.random(rng, p, precision) for _ in range(2)]
+            expected = [_log_by_fractions(u) for u in units]
+            assert [_log_per_call(u) for u in units] == expected, (p, precision)
+            for m in range(isqrt(precision) + 1):
+                monkeypatch.setattr("tiltval.loglink._log_series", lambda p, n, m=m: _log_plan(p, n, m))
+                assert [padic_log(u) for u in units] == expected, (p, precision, m)
+            monkeypatch.undo()
+
+
+def test_the_plan_takes_the_cheapest_depth_up_to_isqrt():
+    chosen = {(2, 14): 1, (2, 128): 8, (3, 96): 4, (5, 80): 4, (5, 48): 2, (23, 14): 0, (53, 14): 0}
+    for (p, precision), m in chosen.items():
+        assert _log_series(p, precision)[0] == m, (p, precision)
+    for p in (2, 3, 5, 7, 53):
+        for precision in range(_precision_floor(p), 301):
+            m = _log_series(p, precision)[0]
+            assert 0 <= m <= isqrt(precision), (p, precision)
+
+
+def test_a_non_principal_unit_fails_the_valuation_guard():
+    # 2 = -1 mod 3, so u^(3^m) - 1 = 1 mod 3 at every depth: x falls short of v(x) >= w.
+    with pytest.raises(VerificationError, match="not a principal unit"):
+        padic_log(PadicUnit._trusted(3, 10, 2))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_fraction_oracle_catches_a_plan_without_its_top_term(monkeypatch, p):
+    # At (3, 14), the F_3 config's precision, this plan passes every check of `all`: the
+    # dropped term moves only the top digit, and by an amount additive in u, so both log
+    # rules still hold.  At (2, 14) the top coefficient is 0 mod 2^15 and dropping it is
+    # no fault, so the top nonzero one goes.
+    plan = _log_series(p, 14)
+    *head, coefficients = plan
+    top = next(i for i, c in enumerate(coefficients) if c)
+    assert top == (0 if p == 3 else 1)
+    faulty = (*head, coefficients[:top] + coefficients[top + 1 :])
+    monkeypatch.setattr("tiltval.loglink._log_series", lambda p, n: faulty)
+    rng = random.Random(14)
+    units = [PadicUnit.random(rng, p, 14) for _ in range(20)]
+    assert any(padic_log(u) != _log_by_fractions(u) for u in units)
 
 
 def test_loglink_run_builds_one_series_plan():

@@ -2,6 +2,7 @@
 
 import inspect
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,14 @@ def test_bound_sweep_matches_the_per_prime_checks():
             expected = _sweep_by_bound_checks([ell for ell in primes if ell <= limit], v_q)
             assert (failures, checked, margin) == expected, (limit, v_q)
     assert main_bound_sweep(4) == ((), 0, None)
+
+
+def test_sieved_primes_match_trial_division_at_every_limit():
+    odd_primes = [n for n in range(3, 20_001, 2) if is_prime(n)]
+    for start in (3, 5, 7):
+        primes = odd_primes[odd_primes.index(start) :]
+        for limit in range(-1, 20_001):
+            assert list(_odd_primes_upto(limit, start)) == primes[: bisect_right(primes, limit)], (limit, start)
 
 
 def test_bound_sweep_reports_a_failing_prime(monkeypatch):
