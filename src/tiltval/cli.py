@@ -18,12 +18,12 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache, wraps
-from typing import Callable
+from typing import Callable, Iterator
 
 from ._record import Record
 from .ansatz import is_member, make_ansatz, valuation_profile, scale_invariance_check
 from .errors import ConfigError, DomainError, PrecisionError, VerificationError, WindowError
-from .loglink import PadicUnit, _random_unit, _require_precision, chain_build, m_of_epsilon, padic_log
+from .loglink import PadicUnit, _random_unit, _require_precision, _unit_level, chain_build, m_of_epsilon, padic_log
 from .pilot import (
     corollary_c_check,
     main_bound_check,
@@ -34,7 +34,9 @@ from .pilot import (
     threshold_ell_by_root_analysis,
     threshold_ell_by_sweep,
 )
-from .reporting import GAUGE_NOTES, AnyReport, CheckRecord, CombinedReport, Report, make_check, render_report
+from .reporting import (
+    GAUGE_NOTES, AnyReport, CheckRecord, CombinedReport, Report, format_exact, make_check, render_report
+)
 from .theta import (
     check_inversion_antisymmetry,
     check_quasi_periodicity_upto,
@@ -86,14 +88,7 @@ class RunConfig(Record):
         return self
 
     def echo(self) -> tuple[tuple[str, str], ...]:
-        pairs = []
-        for name in self.__slots__:
-            value = getattr(self, name)
-            if isinstance(value, Fraction):
-                pairs.append((name, f"{value.numerator}/{value.denominator}"))
-            else:
-                pairs.append((name, str(value)))
-        return tuple(pairs)
+        return tuple((name, format_exact(getattr(self, name))) for name in self.__slots__)
 
     def override(self, **changes: object) -> "RunConfig":
         """A copy with the given fields replaced; a change of None keeps the field."""
@@ -178,8 +173,11 @@ def _wall_ms(started: float) -> int:
     return int((time.perf_counter() - started) * 1000)
 
 
-def _suite(build: Callable[[RunConfig], list[CheckRecord]]) -> Callable[[RunConfig], Report]:
-    """Make a suite command from a check builder: time it and wrap its checks in a Report."""
+def _suite(build: Callable[[RunConfig], Iterator[CheckRecord]]) -> Callable[[RunConfig], Report]:
+    """Make a suite command from a builder that yields its checks: time the build, wrap them in a Report.
+
+    An error raised inside the builder escapes before any Report is made, so no part of a suite is reported.
+    """
     name = build.__name__.removeprefix("cmd_").replace("_", "-")
 
     @wraps(build)
@@ -192,7 +190,7 @@ def _suite(build: Callable[[RunConfig], list[CheckRecord]]) -> Callable[[RunConf
 
 
 @_suite
-def cmd_verify_theta(cfg: RunConfig) -> list[CheckRecord]:
+def cmd_verify_theta(cfg: RunConfig) -> Iterator[CheckRecord]:
     """Inversion antisymmetry, quasi-periodicity, and special-value consistency."""
     n_max = cfg.theta_truncation
     ell_star = (cfg.ell - 1) // 2
@@ -200,36 +198,29 @@ def cmd_verify_theta(cfg: RunConfig) -> list[CheckRecord]:
         raise WindowError(
             f"theta_truncation {n_max} is smaller than ell* = {ell_star}; raise it to cover every shift"
         )
-    checks = []
     inv = check_inversion_antisymmetry(n_max)
-    checks.append(
-        make_check(
-            "theta.inversion_antisymmetry",
-            inv.passed,
-            n_max=inv.n_max,
-            pairs_matched=inv.pairs_matched,
-            boundary_terms=inv.boundary_terms,
-            pairs_cancel_at_one=inv.pairs_cancel_at_one,
-        )
+    yield make_check(
+        "theta.inversion_antisymmetry",
+        inv.passed,
+        n_max=inv.n_max,
+        pairs_matched=inv.pairs_matched,
+        boundary_terms=inv.boundary_terms,
+        pairs_cancel_at_one=inv.pairs_cancel_at_one,
     )
     control = check_inversion_antisymmetry(n_max, signed=False)
-    checks.append(
-        make_check(
-            "theta.unsigned_control_fails_antisymmetry",
-            not control.passed,
-            n_max=control.n_max,
-            first_mismatch=control.first_mismatch or "none",
-        )
+    yield make_check(
+        "theta.unsigned_control_fails_antisymmetry",
+        not control.passed,
+        n_max=control.n_max,
+        first_mismatch=control.first_mismatch or "none",
     )
     for qp in check_quasi_periodicity_upto(min(ell_star, n_max), n_max):
-        checks.append(
-            make_check(
-                f"theta.quasi_periodicity.j{qp.j}",
-                qp.passed,
-                overlap=(qp.overlap_lo, qp.overlap_hi),
-                terms_checked=qp.terms_checked,
-                q_shift_doubled=qp.q_shift_doubled,
-            )
+        yield make_check(
+            f"theta.quasi_periodicity.j{qp.j}",
+            qp.passed,
+            overlap=(qp.overlap_lo, qp.overlap_hi),
+            terms_checked=qp.terms_checked,
+            q_shift_doubled=qp.q_shift_doubled,
         )
     base = theta_value(1, cfg.ell)
     scaling_ok = True
@@ -239,64 +230,55 @@ def cmd_verify_theta(cfg: RunConfig) -> list[CheckRecord]:
         exponents.append(tv.q_exponent)
         if tv.q_exponent != j * j * base.q_exponent:
             scaling_ok = False
-    checks.append(
-        make_check(
-            "theta.value_q_exponent_scaling",
-            scaling_ok,
-            ell=cfg.ell,
-            q_exponents=tuple(exponents),
-        )
+    yield make_check(
+        "theta.value_q_exponent_scaling",
+        scaling_ok,
+        ell=cfg.ell,
+        q_exponents=tuple(exponents),
     )
     for lr in check_theta_value_laurent_upto(min(ell_star, n_max - 1), 1, cfg.ell, n_max):
-        checks.append(
-            make_check(
-                f"theta.value_laurent_ratio.j{lr.j}",
-                lr.passed,
-                s_exponent_gap=lr.s_exponent_gap,
-                expected_gap=lr.expected_gap,
-                coeff_relation_holds=lr.coeff_relation_holds,
-            )
+        yield make_check(
+            f"theta.value_laurent_ratio.j{lr.j}",
+            lr.passed,
+            s_exponent_gap=lr.s_exponent_gap,
+            expected_gap=lr.expected_gap,
+            coeff_relation_holds=lr.coeff_relation_holds,
         )
-    return checks
 
 
 @_suite
-def cmd_bound(cfg: RunConfig) -> list[CheckRecord]:
+def cmd_bound(cfg: RunConfig) -> Iterator[CheckRecord]:
     """The strict size inequality at (ell, v_q), every identity step shown."""
     report = main_bound_check(cfg.ell, cfg.v_q)
-    checks = [make_check(f"bound.{label}", ok, value=value) for label, value, ok in report.steps]
+    for label, value, ok in report.steps:
+        yield make_check(f"bound.{label}", ok, value=value)
     if report.margin > 0:
         comparison = "lhs < rhs (strict)"
     elif report.margin == 0:
         comparison = "lhs == rhs (equality)"
     else:
         comparison = "lhs > rhs"
-    checks.append(
-        make_check(
-            "bound.strict_inequality",
-            report.passed,
-            lhs_log=report.lhs_log,
-            rhs_log=report.rhs_log,
-            margin=report.margin,
-            comparison=comparison,
-        )
+    yield make_check(
+        "bound.strict_inequality",
+        report.passed,
+        lhs_log=report.lhs_log,
+        rhs_log=report.rhs_log,
+        margin=report.margin,
+        comparison=comparison,
     )
     if report.passed:
         for c in (Fraction(1, 2), Fraction(1), Fraction(2)):
             contradiction = corollary_c_check(report, c)
-            checks.append(
-                make_check(
-                    f"bound.corollary_c_{c.numerator}_{c.denominator}",
-                    contradiction == (c < 1),
-                    c=c,
-                    contradiction=contradiction,
-                )
+            yield make_check(
+                f"bound.corollary_c_{c.numerator}_{c.denominator}",
+                contradiction == (c < 1),
+                c=c,
+                contradiction=contradiction,
             )
-    return checks
 
 
 @_suite
-def cmd_ansatz(cfg: RunConfig) -> list[CheckRecord]:
+def cmd_ansatz(cfg: RunConfig) -> Iterator[CheckRecord]:
     """The witness square-power family: profiles, orbits, membership, sizes."""
     ell_star = (cfg.ell - 1) // 2
     if not _is_p_power(ell_star, cfg.p):
@@ -306,23 +288,18 @@ def cmd_ansatz(cfg: RunConfig) -> list[CheckRecord]:
         )
     point = make_ansatz(TiltElement.monomial(cfg.p, Fraction(1, ell_star * ell_star)), cfg.ell)
     profile = valuation_profile(point)
-    checks = []
     expected_profile = tuple(Fraction(j * j, ell_star * ell_star) for j in range(1, ell_star + 1))
-    checks.append(
-        make_check(
-            "ansatz.witness_profile_squares",
-            profile == expected_profile,
-            profile=profile,
-        )
+    yield make_check(
+        "ansatz.witness_profile_squares",
+        profile == expected_profile,
+        profile=profile,
     )
-    checks.append(make_check("ansatz.witness_top_normalized", profile[-1] == 1, top=profile[-1]))
+    yield make_check("ansatz.witness_top_normalized", profile[-1] == 1, top=profile[-1])
     t_unit_val = eta_val(point.members[0], TiltElement.monomial(cfg.p, 1))
-    checks.append(
-        make_check(
-            "ansatz.witness_untilt_gauge",
-            t_unit_val == ell_star * ell_star,
-            v_of_t_p_normalized=t_unit_val,
-        )
+    yield make_check(
+        "ansatz.witness_untilt_gauge",
+        t_unit_val == ell_star * ell_star,
+        v_of_t_p_normalized=t_unit_val,
     )
     depth = cfg.frobenius_depth
     xi_val = theta_value(1, cfg.ell).q_exponent * cfg.v_q
@@ -331,74 +308,62 @@ def cmd_ansatz(cfg: RunConfig) -> list[CheckRecord]:
     # frobenius_orbit built every point through the AnsatzPoint check against (phi^n a)^(j^2);
     # what is left to check is that the sample kept each of them.
     orbit = tuple(t.ansatz for t in sample)
-    checks.append(make_check("ansatz.orbit_membership", len(orbit) == 2 * depth + 1, orbit_size=len(orbit)))
+    yield make_check("ansatz.orbit_membership", len(orbit) == 2 * depth + 1, orbit_size=len(orbit))
     scales = (Fraction(cfg.p) ** n for n in range(-depth, depth + 1))
     scaling_ok = tuple(valuation_profile(o) for o in orbit) == tuple(tuple(e * s for e in profile) for s in scales)
-    checks.append(make_check("ansatz.orbit_profile_scaling", scaling_ok, depth=depth))
+    yield make_check("ansatz.orbit_profile_scaling", scaling_ok, depth=depth)
     t_mon = TiltElement.monomial(cfg.p, 1)
     bad_tail = PrimitiveDeg1(tilt_mul(tilt_pow(point.a, (ell_star + 1) ** 2), t_mon))
     tampered = (*point.members, bad_tail)
-    checks.append(
-        make_check(
-            "ansatz.tampered_tuple_rejected",
-            not is_member(tampered),
-            tampered_length=len(tampered),
-        )
+    yield make_check(
+        "ansatz.tampered_tuple_rejected",
+        not is_member(tampered),
+        tampered_length=len(tampered),
     )
     unit = cfg.p - 1 if cfg.p > 2 else 1
-    checks.append(
-        make_check(
-            "ansatz.scale_invariance",
-            scale_invariance_check(point, lambda x: tilt_rescale_t(x, unit)),
-            substitution_unit=unit,
-        )
+    yield make_check(
+        "ansatz.scale_invariance",
+        scale_invariance_check(point, lambda x: tilt_rescale_t(x, unit)),
+        substitution_unit=unit,
     )
     # The untilt of member j sees the parameter at v_q times v(a^(j^2)) / v(a) = j^2.
     untilts = tuple(cfg.v_q * eta_val(point.members[0], m.a) for m in point.members)
-    checks.append(
-        make_check(
-            "ansatz.untilt_records",
-            untilts == tuple(cfg.v_q * j * j for j in range(1, ell_star + 1)),
-            records=tuple(f"untilt.{j}:{v.numerator}/{v.denominator}" for j, v in enumerate(untilts, start=1)),
-        )
+    yield make_check(
+        "ansatz.untilt_records",
+        untilts == tuple(cfg.v_q * j * j for j in range(1, ell_star + 1)),
+        records=tuple(f"untilt.{j}:{v.numerator}/{v.denominator}" for j, v in enumerate(untilts, start=1)),
     )
     rho = RhoWeight.of(cfg.rho_weight)
     sums = tuple(sum_log_norms(pilot, rho) for pilot in sample)
     estimate = size_estimate(sample, rho)
-    checks.append(
-        make_check(
-            "ansatz.sample_size_estimate",
-            estimate == min(sums) and estimate > 0,
-            sample_size=len(sample),
-            log_size=estimate,
-        )
+    yield make_check(
+        "ansatz.sample_size_estimate",
+        estimate == min(sums) and estimate > 0,
+        sample_size=len(sample),
+        log_size=estimate,
     )
     boundary = size_estimate(sample, RhoWeight.one())
-    checks.append(make_check("ansatz.boundary_cap_nonnegative", boundary >= 0, log_size_at_one=boundary))
-    return checks
+    yield make_check("ansatz.boundary_cap_nonnegative", boundary >= 0, log_size_at_one=boundary)
 
 
 @_suite
-def cmd_loglink(cfg: RunConfig) -> list[CheckRecord]:
+def cmd_loglink(cfg: RunConfig) -> Iterator[CheckRecord]:
     """Chain structure, epsilon thresholds, and exact log functional equations."""
     depth = cfg.frobenius_depth
     window = (-depth, depth)
     chain = chain_build(cfg.p, Fraction(1), window)
-    checks = []
     ratios_ok = all(
         chain.value_at(n + 1) == cfg.p * chain.value_at(n) for n in range(window[0], window[1])
     )
-    checks.append(
-        make_check(
-            "loglink.chain_ratio_is_p",
-            ratios_ok,
-            entries=tuple(value for _, value in chain.entries),
-        )
+    yield make_check(
+        "loglink.chain_ratio_is_p",
+        ratios_ok,
+        entries=tuple(value for _, value in chain.entries),
     )
     growth_ok = all(
         chain.value_at(n) < chain.value_at(n + 1) for n in range(window[0], window[1])
     )
-    checks.append(make_check("loglink.chain_strictly_increasing", growth_ok, window=window))
+    yield make_check("loglink.chain_strictly_increasing", growth_ok, window=window)
     eps_grid = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 10))
     ms = []
     minimal_ok = True
@@ -409,30 +374,26 @@ def cmd_loglink(cfg: RunConfig) -> list[CheckRecord]:
             minimal_ok = False
         if m > 0 and not Fraction(1, cfg.p ** (m - 1)) >= eps:
             minimal_ok = False
-    checks.append(
-        make_check(
-            "loglink.m_of_epsilon_grid",
-            minimal_ok,
-            eps=eps_grid,
-            m=tuple(ms),
-        )
+    yield make_check(
+        "loglink.m_of_epsilon_grid",
+        minimal_ok,
+        eps=eps_grid,
+        m=tuple(ms),
     )
     p, precision = cfg.p, cfg.padic_precision
-    # Kummer shift: u = 1 + p^v (v = 2 at p = 2, else 1) has v_p(log u) = v, and each p-th
+    # Kummer shift: u = 1 + p^v at the principal-unit level v has v_p(log u) = v, and each p-th
     # power of u adds one, so v_p(log(u^(p^n))) = v + n while that stays below N.
-    v = 2 if p == 2 else 1
+    v = _unit_level(p)
     base = PadicUnit.of(p, precision, 1 + p**v)
     shifts = [n for n in sorted({0, 1, depth}) if v + n < precision]  # depth is the window's top
     logs = [padic_log(base.pow(p**n)) for n in shifts]
     kummer_ok = all(x % p ** (v + n) == 0 and x % p ** (v + n + 1) != 0 for n, x in zip(shifts, logs))
-    checks.append(make_check("loglink.kummer_shift_telescoping", kummer_ok, window=window))
+    yield make_check("loglink.kummer_shift_telescoping", kummer_ok, window=window)
     modulus = p**precision
-    checks.append(
-        make_check(
-            "loglink.log_at_one_is_zero",
-            padic_log(PadicUnit.of(p, precision, 1)) == 0,
-            precision=precision,
-        )
+    yield make_check(
+        "loglink.log_at_one_is_zero",
+        padic_log(PadicUnit.of(p, precision, 1)) == 0,
+        precision=precision,
     )
     rng = random.Random(cfg.seed)  # validate() proved p prime and the precision at its floor or above
     trials = 100
@@ -442,61 +403,50 @@ def cmd_loglink(cfg: RunConfig) -> list[CheckRecord]:
         w = _random_unit(rng, p, precision)
         if padic_log(u.mul(w)) != (padic_log(u) + padic_log(w)) % modulus:
             product_failures += 1
-    checks.append(
-        make_check(
-            "loglink.log_product_rule_trials",
-            product_failures == 0,
-            trials=trials,
-            failures=product_failures,
-        )
+    yield make_check(
+        "loglink.log_product_rule_trials",
+        product_failures == 0,
+        trials=trials,
+        failures=product_failures,
     )
     power_failures = 0
     for _ in range(trials):
         u = _random_unit(rng, p, precision)
         if padic_log(u.pow(p)) != (p * padic_log(u)) % modulus:
             power_failures += 1
-    checks.append(
-        make_check(
-            "loglink.log_p_power_rule_trials",
-            power_failures == 0,
-            trials=trials,
-            failures=power_failures,
-        )
+    yield make_check(
+        "loglink.log_p_power_rule_trials",
+        power_failures == 0,
+        trials=trials,
+        failures=power_failures,
     )
-    return checks
 
 
 @_suite
-def cmd_sweep_ell(cfg: RunConfig) -> list[CheckRecord]:
+def cmd_sweep_ell(cfg: RunConfig) -> Iterator[CheckRecord]:
     """Threshold behavior of the bound over all odd primes up to the limit."""
-    checks = []
     report3 = main_bound_check(3, cfg.v_q)
-    checks.append(
-        make_check(
-            "sweep.ell3_boundary_equality",
-            (not report3.passed) and report3.lhs_log == report3.rhs_log == cfg.v_q / 6,
-            lhs_log=report3.lhs_log,
-            rhs_log=report3.rhs_log,
-            diagnostic="lhs == rhs (equality)",
-        )
+    yield make_check(
+        "sweep.ell3_boundary_equality",
+        (not report3.passed) and report3.lhs_log == report3.rhs_log == cfg.v_q / 6,
+        lhs_log=report3.lhs_log,
+        rhs_log=report3.rhs_log,
+        diagnostic="lhs == rhs (equality)",
     )
     failures, checked, last = main_bound_sweep(cfg.ell_sweep_max)
-    checks.append(
-        make_check(
-            "sweep.all_primes_from_5_pass",
-            not failures,
-            primes_checked=checked,
-            limit=cfg.ell_sweep_max,
-            failures=failures,
-            last_margin=Fraction(0) if last is None else main_bound_check(last, cfg.v_q).margin,
-        )
+    yield make_check(
+        "sweep.all_primes_from_5_pass",
+        not failures,
+        primes_checked=checked,
+        limit=cfg.ell_sweep_max,
+        failures=failures,
+        last_margin=Fraction(0) if last is None else main_bound_check(last, cfg.v_q).margin,
     )
     by_sweep = threshold_ell_by_sweep(cfg.ell_sweep_max)
-    checks.append(make_check("sweep.threshold_by_sweep", by_sweep == 5, threshold=by_sweep))
+    yield make_check("sweep.threshold_by_sweep", by_sweep == 5, threshold=by_sweep)
     by_roots = threshold_ell_by_root_analysis(cfg.ell_sweep_max)
-    checks.append(make_check("sweep.threshold_by_root_analysis", by_roots == 5, threshold=by_roots))
-    checks.append(make_check("sweep.threshold_routes_agree", by_sweep == by_roots, threshold=by_sweep))
-    return checks
+    yield make_check("sweep.threshold_by_root_analysis", by_roots == 5, threshold=by_roots)
+    yield make_check("sweep.threshold_routes_agree", by_sweep == by_roots, threshold=by_sweep)
 
 
 def cmd_all(cfg: RunConfig) -> CombinedReport:

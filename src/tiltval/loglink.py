@@ -53,8 +53,13 @@ def _require_prime(p: int) -> None:
         raise DomainError(f"p must be prime, got {p}")
 
 
+def _unit_level(p: int) -> int:
+    """v with principal units 1 + p^v Z_p: 2 at p = 2, else 1."""
+    return 2 if p == 2 else 1
+
+
 def _require_precision(p: int, precision: int, name: str = "precision") -> None:
-    floor = 3 if p == 2 else 2
+    floor = _unit_level(p) + 1
     if precision < floor:
         raise PrecisionError(f"{name} {precision} is below the minimum {floor} for p = {p}", required=floor)
 
@@ -76,7 +81,7 @@ class PadicUnit(Record):
         _require_precision(p, precision)
         if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < p**precision:
             raise DomainError(f"value must be reduced mod {p}^{precision}")
-        congruence = 4 if p == 2 else p
+        congruence = p ** _unit_level(p)
         if value % congruence != 1:
             raise DomainError(f"not a principal unit: {value} != 1 mod {congruence}")
         self._assign(p, precision, value)
@@ -114,8 +119,8 @@ class PadicUnit(Record):
 
 
 def _random_unit(rng: random.Random, p: int, precision: int) -> PadicUnit:
-    """PadicUnit.random for a checked p and precision; 1 + c*r, c = 4 if p = 2 else p, is a unit as drawn."""
-    c = 4 if p == 2 else p
+    """PadicUnit.random for a checked p and precision; 1 + c*r, c = p^_unit_level(p), is a unit as drawn."""
+    c = p ** _unit_level(p)
     return PadicUnit._trusted(p, precision, 1 + c * rng.randrange(p**precision // c))
 
 
@@ -127,8 +132,8 @@ def _floor_log(n: int, p: int) -> int:
 
 
 def _log_cutoff(p: int, n_prec: int, m: int) -> tuple[int, int]:
-    """w = m + 1 (m + 2 for p = 2) and the cutoff at depth m: the first k with k*w - floor(log_p k) >= N + m."""
-    w = m + 2 if p == 2 else m + 1
+    """w = m + _unit_level(p) and the cutoff at depth m: the first k with k*w - floor(log_p k) >= N + m."""
+    w = m + _unit_level(p)
     cutoff = -(-(n_prec + m) // w)  # no smaller k reaches N + m even before floor(log_p k) is taken off
     while cutoff * w - _floor_log(cutoff, p) < n_prec + m:
         cutoff += 1
@@ -144,6 +149,8 @@ def _log_plan(p: int, n_prec: int, m: int) -> tuple[int, int, int, int, tuple[in
         unit, v = k, 0
         while unit % p == 0:
             unit, v = unit // p, v + 1
+        if not coefficients and k * w - v >= n_prec + m:
+            continue  # a leading d_k = 0 mod p^(N+m) leaves t = 0 through its Horner step
         term = pow(unit, -1, reduced_mod) * p ** (k * w - v)
         coefficients.append((term if k % 2 else -term) % reduced_mod)
     return m, p**m, p**w, reduced_mod, tuple(coefficients)
@@ -188,7 +195,7 @@ def padic_log(u: PadicUnit) -> int:
     if total % scale:
         raise VerificationError(f"log(u^(p^{m})) is not divisible by p^{m}")
     result = total // scale
-    subgroup = 4 if p == 2 else p
+    subgroup = p ** _unit_level(p)
     if result % subgroup:
         raise VerificationError(f"log left the expected subgroup {subgroup}Z/{p}^{n_prec}")
     return result

@@ -336,8 +336,8 @@ class ThetaValue(Record):
     """Symbolic value (-1)^j q^(j^2 / 2ell) zeta^(2j) of the shifted ratio.
 
     This is the multiplier xi_j with theta(q^(j/2) zeta^k) = theta(zeta^k) / xi_j
-    on the nose; the reciprocal orientation is exposed through the
-    ``inverse_*`` properties.  Only 1 <= j <= (ell - 1) / 2 is meaningful.
+    on the nose; the reciprocal's zeta exponent is ``inverse_zeta_exponent``.
+    Only 1 <= j <= (ell - 1) / 2 is meaningful.
     """
 
     j: int
@@ -357,16 +357,8 @@ class ThetaValue(Record):
         self._assign(j, ell, sign, q_exponent, zeta_exponent)
 
     @property
-    def inverse_q_exponent(self) -> Fraction:
-        return -self.q_exponent
-
-    @property
     def inverse_zeta_exponent(self) -> int:
         return (-self.zeta_exponent) % self.ell
-
-    def zeta_part(self) -> CycloElt:
-        """sign * zeta^(zeta_exponent) as a cyclotomic ring element."""
-        return self.sign * zeta_ell_pow(self.ell, self.zeta_exponent)
 
 
 def theta_value(j: int, ell: int) -> ThetaValue:

@@ -191,6 +191,22 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert code == 2 and err.startswith("error: config is not UTF-8")
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ('{"p": 3}', "power of p = 3"),  # verify-theta and bound run, then ansatz refuses
+        ('{"ell": 7, "theta_truncation": 2}', "theta_truncation"),  # the first suite refuses
+    ],
+)
+def test_a_refusal_partway_through_all_writes_nothing(tmp_path, capsys, payload, message):
+    path = write_config(tmp_path, "r.json", payload)
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "all", "--format", "json", "--config", path, "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_argparse_usage_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -220,6 +220,14 @@ def test_the_plan_takes_the_cheapest_depth_up_to_isqrt():
             assert 0 <= m <= isqrt(precision), (p, precision)
 
 
+def test_no_plan_starts_with_a_zero_coefficient():
+    # A leading d_k that is 0 mod p^(N+m) would only spend a Horner step on t = 0.
+    for p in (2, 3, 5, 7, 53):
+        for precision in range(_precision_floor(p), 301):
+            coefficients = _log_series(p, precision)[-1]
+            assert coefficients and coefficients[0], (p, precision)
+
+
 def test_a_non_principal_unit_fails_the_valuation_guard():
     # 2 = -1 mod 3, so u^(3^m) - 1 = 1 mod 3 at every depth: x falls short of v(x) >= w.
     with pytest.raises(VerificationError, match="not a principal unit"):
@@ -230,12 +238,12 @@ def test_a_non_principal_unit_fails_the_valuation_guard():
 def test_the_fraction_oracle_catches_a_plan_without_its_top_term(monkeypatch, p):
     # At (3, 14), the F_3 config's precision, this plan passes every check of `all`: the
     # dropped term moves only the top digit, and by an amount additive in u, so both log
-    # rules still hold.  At (2, 14) the top coefficient is 0 mod 2^15 and dropping it is
-    # no fault, so the top nonzero one goes.
+    # rules still hold.  The plan keeps no leading coefficient that is 0 mod p^(N+m), so
+    # the top one is nonzero and dropping it is a fault.
     plan = _log_series(p, 14)
     *head, coefficients = plan
     top = next(i for i, c in enumerate(coefficients) if c)
-    assert top == (0 if p == 3 else 1)
+    assert top == 0
     faulty = (*head, coefficients[:top] + coefficients[top + 1 :])
     monkeypatch.setattr("tiltval.loglink._log_series", lambda p, n: faulty)
     rng = random.Random(14)
