@@ -477,13 +477,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config).override(seed=args.seed, output_format=args.fmt)
         report = _command(args.command)(cfg)
+        rendered = render_report(report, cfg.output_format)  # refuses a leaf that is not exact
     except (ConfigError, DomainError, PrecisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
-    rendered = render_report(report, cfg.output_format)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:

@@ -6,14 +6,20 @@ is always written, so "1/1" rather than "1"), booleans as "true"/"false",
 tuples in parentheses.  The machine formats (json, csv) are byte-stable
 for a fixed configuration: key order is construction order, check order
 is suite order, and wall-clock timing appears only in the text format.
+
+json is written by this module's own emitter in one pass: two-space
+indent, {} and [] when empty, strings escaped as ``json.dumps`` escapes
+them (ASCII only), ints by ``int.__repr__``, bools as true/false.  Any
+other json leaf, and any csv name or witness that is not a str, raises
+VerificationError, so a float never reaches either format.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Union
 
 from ._record import Record
@@ -24,7 +30,6 @@ __all__ = [
     "CheckRecord",
     "CombinedReport",
     "Report",
-    "assert_no_floats",
     "format_exact",
     "make_check",
     "render_report",
@@ -50,19 +55,6 @@ def format_exact(value: object) -> str:
     if isinstance(value, (tuple, list)):
         return "(" + ", ".join(format_exact(v) for v in value) + ")"
     raise TypeError(f"no exact rendering for {type(value).__name__}")
-
-
-def assert_no_floats(obj: object) -> None:
-    """Walk a to-be-serialized tree and refuse any float anywhere."""
-    if isinstance(obj, float):
-        raise VerificationError(f"float {obj!r} reached the serializer")
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            assert_no_floats(key)
-            assert_no_floats(value)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            assert_no_floats(value)
 
 
 class CheckRecord(Record):
@@ -96,20 +88,6 @@ class Report(Record):
         good = sum(1 for check in self.checks if check.passed)
         return good, len(self.checks)
 
-    def to_dict(self, include_config: bool = True) -> dict:
-        body: dict = {"schema": 1, "suite": self.suite}
-        if include_config:
-            body["config"] = dict(self.config_echo)
-            body["gauges"] = list(self.gauges)
-        body["checks"] = [
-            {"id": c.check_id, "passed": c.passed, "witness": dict(c.witness)}
-            for c in self.checks
-        ]
-        good, total = self.counts()
-        body["counts"] = {"total": total, "passed": good, "failed": total - good}
-        body["overall"] = "pass" if self.passed else "fail"
-        return body
-
     def check_rows(self) -> list[tuple[str, CheckRecord]]:
         return [(self.suite, check) for check in self.checks]
 
@@ -131,18 +109,6 @@ class CombinedReport(Record):
         total = sum(report.counts()[1] for report in self.suites)
         return good, total
 
-    def to_dict(self) -> dict:
-        good, total = self.counts()
-        return {
-            "schema": 1,
-            "suite": "all",
-            "config": dict(self.config_echo),
-            "gauges": list(self.gauges),
-            "suites": [report.to_dict(include_config=False) for report in self.suites],
-            "counts": {"total": total, "passed": good, "failed": total - good},
-            "overall": "pass" if self.passed else "fail",
-        }
-
     def check_rows(self) -> list[tuple[str, CheckRecord]]:
         rows: list[tuple[str, CheckRecord]] = []
         for report in self.suites:
@@ -153,10 +119,50 @@ class CombinedReport(Record):
 AnyReport = Union[Report, CombinedReport]
 
 
-def _render_json(report: AnyReport) -> str:
-    body = report.to_dict()
-    assert_no_floats(body)
-    return json.dumps(body, indent=2, sort_keys=False) + "\n"
+def _text(value: object) -> str:
+    if isinstance(value, str):
+        return value
+    raise VerificationError(f"{type(value).__name__} {value!r} reached the serializer")
+
+
+def _leaf(value: object) -> str:
+    """A json scalar: a bool, an int or a str; anything else is refused."""
+    if isinstance(value, int):
+        return ("true" if value else "false") if isinstance(value, bool) else int.__repr__(value)
+    return _quote(_text(value))
+
+
+def _block(items: list[str], pad: str, brackets: str = "{}") -> str:
+    """Rendered items between brackets, one per line two spaces past pad; bare brackets for none."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _pairs(pairs: tuple[tuple[str, str], ...], pad: str) -> str:
+    return _block([f"{_quote(_text(key))}: {_leaf(value)}" for key, value in pairs], pad)
+
+
+def _json(report: AnyReport, pad: str = "") -> str:
+    """A report's json object with its braces at indent pad; only the top level, pad "", echoes the config."""
+    inner = pad + "  "
+    if isinstance(report, CombinedReport):
+        name, key, items = "all", "suites", [_json(sub, inner + "  ") for sub in report.suites]
+    else:
+        name, key, items = report.suite, "checks", []
+        for c in report.checks:
+            witness = '"witness": ' + _pairs(c.witness, inner + "    ")
+            items.append(_block([f'"id": {_leaf(c.check_id)}', f'"passed": {_leaf(c.passed)}', witness], inner + "  "))
+    fields = ['"schema": 1', f'"suite": {_leaf(name)}']
+    if not pad:
+        gauges = _block([_leaf(g) for g in report.gauges], inner, "[]")
+        fields += ['"config": ' + _pairs(report.config_echo, inner), '"gauges": ' + gauges]
+    good, total = report.counts()
+    counts = _block([f'"total": {total}', f'"passed": {good}', f'"failed": {total - good}'], inner)
+    overall = '"pass"' if report.passed else '"fail"'
+    fields += [f'"{key}": ' + _block(items, inner, "[]"), '"counts": ' + counts, '"overall": ' + overall]
+    return _block(fields, pad)
 
 
 def _render_csv(report: AnyReport) -> str:
@@ -164,8 +170,8 @@ def _render_csv(report: AnyReport) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["suite", "check", "passed", "witness"])
     for suite, check in report.check_rows():
-        witness = "; ".join(f"{key}={value}" for key, value in check.witness)
-        writer.writerow([suite, check.check_id, "true" if check.passed else "false", witness])
+        witness = "; ".join(f"{_text(key)}={_text(value)}" for key, value in check.witness)
+        writer.writerow([_text(suite), _text(check.check_id), "true" if check.passed else "false", witness])
     return out.getvalue()
 
 
@@ -194,7 +200,7 @@ def _render_text(report: AnyReport) -> str:
 def render_report(report: AnyReport, output_format: str) -> str:
     """Render to one of json, csv, text; json and csv are byte-stable."""
     if output_format == "json":
-        return _render_json(report)
+        return _json(report) + "\n"
     if output_format == "csv":
         return _render_csv(report)
     if output_format == "text":

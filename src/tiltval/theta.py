@@ -26,17 +26,20 @@ theta(q^(j/2) zeta^k) against theta(zeta^k) is exactly -j^2 for every j,
 matching the symbolic q-exponent j^2/(2 ell) of :func:`theta_value`.
 The evaluation keeps each s-coefficient as a sparse sum of root powers
 x^e with 0 <= e < ell; at most two indices share an s-exponent, so no
-coefficient needs the cyclotomic relation to be tested for zero.  Ring
-elements are built only for the two lowest coefficients a check compares,
-and the expected one comes from the base coefficient by a root-power
-shift: zeta^m * sum c x^e is sum c x^(e + 2m), so no ring product is
-taken.  A suite of checks over j = 1 .. j_max builds the descriptor table
-once and evaluates the base series at zeta^k once.
+coefficient needs the cyclotomic relation to be tested for zero.  Each
+term's root power and sign do not depend on j, so they come from one
+cached table per (k, ell, N, signed); every evaluation still sums all
+2N + 1 terms.  A check builds one ring element: the lowest shifted
+coefficient minus the base one moved by a root-power shift, since
+zeta^m * sum c x^e is sum c x^(e + 2m), so no ring product is taken.  A
+suite of checks over j = 1 .. j_max builds the descriptor table once and
+evaluates the base series at zeta^k once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 
 from ._record import Record
@@ -376,6 +379,20 @@ def theta_value(j: int, ell: int) -> ThetaValue:
     )
 
 
+@cache
+def _root_terms(k: int, ell: int, n_max: int, signed: bool) -> tuple[tuple[int, int, int, int], ...]:
+    """(n(n+1), 2n+1, e, c) for n = -N .. N: at every shift j, term n is c * x^e times s^(n(n+1) + j(2n+1))."""
+    terms = []
+    for n in range(-n_max, n_max + 1):
+        # zeta = x^2, so zeta^(k(2n+1)) is x^(2k(2n+1)); x^ell = -1 folds it below ell
+        e = 2 * k * (2 * n + 1) % (2 * ell)
+        c = -1 if signed and n % 2 else 1
+        if e >= ell:
+            e, c = e - ell, -c
+        terms.append((n * (n + 1), 2 * n + 1, e, c))
+    return tuple(terms)
+
+
 def eval_theta_laurent(j: int, k: int, ell: int, n_max: int, signed: bool = True) -> dict[int, dict[int, int]]:
     """Exact truncated evaluation at u = s^j zeta^k, as {s_exponent: {e: c}}.
 
@@ -394,13 +411,8 @@ def eval_theta_laurent(j: int, k: int, ell: int, n_max: int, signed: bool = True
     # a sum of fewer than ell root powers is zero exactly when its entries
     # cancel outright: dropping zero entries is the whole zero test.
     acc: dict[int, dict[int, int]] = {}
-    for n in range(-n_max, n_max + 1):
-        # zeta = x^2, so zeta^(k(2n+1)) is x^(2k(2n+1)); x^ell = -1 folds it below ell
-        e = 2 * k * (2 * n + 1) % (2 * ell)
-        c = -1 if signed and n % 2 else 1
-        if e >= ell:
-            e, c = e - ell, -c
-        coeff = acc.setdefault(n * (n + 1) + j * (2 * n + 1), {})
+    for s_at_0, s_step, e, c in _root_terms(k, ell, n_max, signed):
+        coeff = acc.setdefault(s_at_0 + j * s_step, {})
         c += coeff.pop(e, 0)
         if c:
             coeff[e] = c
@@ -435,10 +447,12 @@ def _laurent_ratio(j: int, k: int, ell: int, n_max: int, base: dict[int, dict[in
     gap = lo_s - base_s
     # 2*ell times the symbolic q-exponent j^2/(2*ell) is the integer j^2.
     expected_gap = -(2 * ell * tv.q_exponent.numerator) // tv.q_exponent.denominator
-    # zeta^m = x^(2m) shifts every root power of the base coefficient by 2m.
+    # zeta^m = x^(2m) shifts every root power of the base coefficient by 2m; one row holds the difference.
     shift = 2 * k * tv.inverse_zeta_exponent
-    expected_coeff = CycloElt.from_root_pows(ell, {e + shift: tv.sign * c for e, c in base[base_s].items()})
-    coeff_ok = (CycloElt.from_root_pows(ell, shifted[lo_s]) - expected_coeff).is_zero
+    diff = dict(shifted[lo_s])
+    for e, c in base[base_s].items():
+        diff[e + shift] = diff.get(e + shift, 0) - tv.sign * c
+    coeff_ok = CycloElt.from_root_pows(ell, diff).is_zero
     passed = gap == expected_gap and coeff_ok
     return LaurentRatioCheck(
         passed=passed,

@@ -207,6 +207,23 @@ def test_a_refusal_partway_through_all_writes_nothing(tmp_path, capsys, payload,
     assert not target.exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_float_in_a_report_is_refused_before_anything_is_written(monkeypatch, tmp_path, capsys, fmt):
+    def with_float_margin(check_id, passed, **witness):
+        check = make_check(check_id, passed, **witness)
+        if check_id != "bound.strict_inequality":
+            return check
+        return CheckRecord(check.check_id, check.passed, (*check.witness, ("margin_float", 0.5)))
+
+    monkeypatch.setattr(cli, "make_check", with_float_margin)
+    target = tmp_path / f"report.{fmt}"
+    for output in (("--output", str(target)), ()):
+        code, out, err = run_cli(capsys, "bound", "--format", fmt, *output)
+        assert (code, out) == (1, "")
+        assert err == "internal check failed: float 0.5 reached the serializer\n"
+    assert not target.exists()
+
+
 def test_argparse_usage_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -1,0 +1,111 @@
+"""The json emitter against json.dumps, and the refusal of inexact leaves."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from tiltval import cli
+from tiltval.cli import RunConfig
+from tiltval.errors import VerificationError
+from tiltval.reporting import GAUGE_NOTES, CheckRecord, CombinedReport, Report, make_check, render_report
+
+
+def _as_dict(report, include_config=True):
+    """The report as the nested dict json.dumps used to serialize, key order included."""
+    good, total = report.counts()
+    body = {"schema": 1, "suite": "all" if isinstance(report, CombinedReport) else report.suite}
+    if include_config:
+        body["config"] = dict(report.config_echo)
+        body["gauges"] = list(report.gauges)
+    if isinstance(report, CombinedReport):
+        body["suites"] = [_as_dict(sub, include_config=False) for sub in report.suites]
+    else:
+        body["checks"] = [{"id": c.check_id, "passed": c.passed, "witness": dict(c.witness)} for c in report.checks]
+    body["counts"] = {"total": total, "passed": good, "failed": total - good}
+    body["overall"] = "pass" if report.passed else "fail"
+    return body
+
+
+def _by_dumps(report):
+    return json.dumps(_as_dict(report), indent=2) + "\n"
+
+
+CONFIGS = {
+    "defaults": RunConfig(),
+    "wide": RunConfig(p=29, ell=59, theta_truncation=29),
+    "f3": RunConfig(p=3, ell=19, frobenius_depth=5, v_q=Fraction(7, 3), rho_weight=Fraction(7, 3)),
+    "ell3": RunConfig(ell=3),
+}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_every_suite_report_matches_json_dumps(name):
+    cfg = CONFIGS[name].validate()
+    combined = cli.cmd_all(cfg)
+    assert combined.passed == (name != "ell3")
+    assert render_report(combined, "json") == _by_dumps(combined)
+    for suite in cli._SUITES:
+        report = cli._command(suite)(cfg)
+        assert render_report(report, "json") == _by_dumps(report), suite
+
+
+def _synthetic():
+    hard = 'quote " backslash \\ newline \n tab \t le ≤ zeta ζ'
+    checks = (
+        make_check("synthetic.empty_witness", True),
+        make_check("synthetic.failing", False, margin=-1, note=hard),
+        CheckRecord("synthetic.int_witness", True, (("count", 7), ("flag", False), ("kéy \\ \"", "v"))),
+    )
+    return (
+        Report("synthetic", (("p", "2"), ("text", hard)), GAUGE_NOTES, checks),
+        Report("no-checks", (("p", "2"),), GAUGE_NOTES, ()),
+        Report("bare", (), (), ()),
+        Report("bare-check", (), (), (make_check("only.check", False),)),
+    )
+
+
+def test_synthetic_reports_match_json_dumps():
+    reports = _synthetic()
+    assert not reports[0].passed and reports[1].passed
+    for report in reports:
+        assert render_report(report, "json") == _by_dumps(report), report.suite
+    for suites in (reports, reports[1:2], ()):
+        combined = CombinedReport(suites, (("seed", "0"),), GAUGE_NOTES)
+        assert render_report(combined, "json") == _by_dumps(combined)
+    empty = CombinedReport((), (), ())
+    assert render_report(empty, "json") == _by_dumps(empty)
+    assert '"checks": []' in render_report(reports[1], "json")
+    assert '"config": {}' in render_report(reports[2], "json")
+
+
+def _one_check(suite="bad", check_id="bad.check", witness=()):
+    return Report(suite, (), (), (CheckRecord(check_id, True, witness),))
+
+
+@pytest.mark.parametrize(
+    "leaf, shown",
+    [(0.5, "float 0.5"), (None, "NoneType None"), (b"x", "bytes b'x'"), (Fraction(1, 2), "Fraction")],
+)
+def test_a_leaf_that_is_not_exact_is_refused(leaf, shown):
+    refused = f"^{shown}.* reached the serializer$"
+    for report in (
+        _one_check(witness=(("margin", leaf),)),
+        _one_check(witness=((leaf, "1"),)),
+        _one_check(check_id=leaf),
+        _one_check(suite=leaf),
+        CombinedReport((_one_check(witness=(("margin", leaf),)),), (), ()),
+    ):
+        for fmt in ("json", "csv"):
+            with pytest.raises(VerificationError, match=refused):
+                render_report(report, fmt)
+    for report in (Report("bad", (("p", leaf),), (), ()), Report("bad", (), (leaf,), ())):  # csv has no config or gauges
+        with pytest.raises(VerificationError, match=refused):
+            render_report(report, "json")
+
+
+def test_csv_takes_only_str_cells_where_json_takes_ints():
+    counted = Report("ints", (), (), (CheckRecord("ints.count", True, (("count", 7),)),))
+    assert '"count": 7' in render_report(counted, "json")
+    with pytest.raises(VerificationError, match="^int 7 reached the serializer$"):
+        render_report(counted, "csv")

@@ -54,6 +54,27 @@ def _eval_by_ring_ops(j, k, ell, n_max, signed=True):
     return {s_exp: c for s_exp, c in acc.items() if not c.is_zero}
 
 
+def _eval_by_terms(j, k, ell, n_max, signed=True):
+    """The evaluation with every term's root power and sign worked out again for each j."""
+    acc = {}
+    for n in range(-n_max, n_max + 1):
+        # zeta = x^2, so zeta^(k(2n+1)) is x^(2k(2n+1)); x^ell = -1 folds it below ell
+        e = 2 * k * (2 * n + 1) % (2 * ell)
+        c = -1 if signed and n % 2 else 1
+        if e >= ell:
+            e, c = e - ell, -c
+        coeff = acc.setdefault(n * (n + 1) + j * (2 * n + 1), {})
+        c += coeff.pop(e, 0)
+        if c:
+            coeff[e] = c
+    return {s_exp: acc[s_exp] for s_exp in sorted(acc) if acc[s_exp]}
+
+
+def _in_order(value):
+    """A nested evaluation as lists of items, so comparing two compares their key order too."""
+    return [(s_exp, list(coeff.items())) for s_exp, coeff in value.items()]
+
+
 def _coeff_table(n_max, signed=True):
     """u-exponent -> (sign, q-exponent), built without the library descriptors."""
     table = {}
@@ -391,3 +412,22 @@ def test_cyclo_mul_matches_reduction_cascade_randomized():
             expected = CycloElt(ell, _reduce_mod_cyclo(ell, prod))
             assert CycloElt(ell, a) * CycloElt(ell, b) == expected, (ell, a, b)
             assert CycloElt(ell, b) * CycloElt(ell, a) == expected, (ell, a, b)
+
+
+@pytest.mark.parametrize("ell", (3, 5, 7, 11, 59))
+def test_eval_matches_the_per_term_loop(ell):
+    # The root-power table is shared by every j; the evaluation must still be the per-term loop's, key order included.
+    for n_max in (0, 1, 5, 29):
+        for k in (0, 1, 2, ell - 1, ell + 1, -3):
+            for signed in (True, False):
+                for j in range(n_max + 3):
+                    case = (j, k, ell, n_max, signed)
+                    assert _in_order(eval_theta_laurent(*case)) == _in_order(_eval_by_terms(*case)), case
+
+
+def test_signed_and_unsigned_evaluations_do_not_share_a_table():
+    # Same (k, ell, N) in both calls: a table cached without the sign flag would answer the second with the first.
+    for signed in (True, False):
+        case = (2, 4, 13, 9, signed)
+        assert _in_order(eval_theta_laurent(*case)) == _in_order(_eval_by_terms(*case)), case
+    assert eval_theta_laurent(2, 4, 13, 9) != eval_theta_laurent(2, 4, 13, 9, signed=False)
