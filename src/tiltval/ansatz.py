@@ -8,15 +8,17 @@ attached to a generator a with 0 < v(a) < +inf.  Membership of a given
 tuple is decidable exactly: the candidate generator is read off the
 first entry and the remaining entries must equal its j^2-th powers on
 the nose, compared on integer exponents over a's exponent denominator,
-with the digit powers a^d (d < p) multiplied out once per generator.
-There is no root extraction anywhere, so no numerical tolerance either.
+each power of a built once per generator.  There is no root extraction
+anywhere, so no numerical tolerance either.
 
 Frobenius acts on a point member by member, and the images must again
-be the square powers of the image generator; valuations scale by p^n,
-while the shape of the valuation profile, the quadratic progression
-j^2 * v(a), is preserved.  The profile is also invariant under every
-exponent-preserving coefficient substitution, such as t -> u*t for a
-unit u of F_p, and that invariance is checkable.
+be the square powers of the image generator.  Since phi^n(a) has a's
+exponents times p^n, a whole orbit is checked against one table of a's
+own powers, each a^(j^2) built once however many points the orbit has.
+Valuations scale by p^n, while the shape of the valuation profile, the
+quadratic progression j^2 * v(a), is preserved.  The profile is also
+invariant under every exponent-preserving coefficient substitution, such
+as t -> u*t for a unit u of F_p, and that invariance is checkable.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class AnsatzPoint(Record):
     The constructor re-derives every member from ``a`` and refuses
     anything that is not exactly the j^2-th power, so an AnsatzPoint can
     be trusted wherever it came from.  The powers are compared on integer
-    exponents, a's digit powers built once for all j (``_power_check``).
+    exponents, each power of a built once for all j (``_power_check``).
     """
 
     a: TiltElement
@@ -80,7 +82,7 @@ def is_member(members: Sequence[PrimitiveDeg1]) -> bool:
 
     The only possible generator is the first entry's element, since the
     j = 1 member is a itself; every later entry is then compared against
-    the forced power on integer exponents, the generator's digit powers
+    the forced power on integer exponents, each power of the generator
     built once for the whole tuple.  Mismatched ground fields simply fail.
     """
     if not members:
@@ -93,19 +95,23 @@ def frobenius_orbit(point: AnsatzPoint, window: tuple[int, int]) -> tuple[Ansatz
     """The points over phi^n(a) for n in the inclusive window.
 
     Each point's members are the images phi^n([a^(j^2)] - p) of the
-    given point's members; the constructor then checks them against
-    (phi^n a)^(j^2), so every orbit point verifies that Frobenius
-    commutes with the square powers.  A mismatch there is a kernel
-    fault, not bad input, and raises VerificationError.
+    given point's members.  One predicate on a (``_power_check``) makes
+    the ``AnsatzPoint`` constructor's comparisons for every n, each
+    a^(j^2) built once for the whole orbit, so every orbit point verifies
+    that Frobenius commutes with the square powers.  A mismatch there is
+    a kernel fault, not bad input, and raises VerificationError.
     """
     lo, hi = _require_window(window)
+    is_twisted_power = _power_check(point.a)
     orbit = []
     for n in range(lo, hi + 1):
+        a = tilt_frobenius(point.a, n)
         members = tuple(primitive_frobenius(m, n) for m in point.members)
-        try:
-            orbit.append(AnsatzPoint(a=tilt_frobenius(point.a, n), ell=point.ell, members=members))
-        except DomainError as exc:
-            raise VerificationError(f"Frobenius translate n = {n} left the ansatz: {exc}") from exc
+        # the generator must be phi^n(a), and member j must be phi^n(a^(j^2))
+        for k, y in ((1, a), *((j * j, m.a) for j, m in enumerate(members, start=1))):
+            if not is_twisted_power(y, k, n):
+                raise VerificationError(f"Frobenius translate n = {n} left the ansatz: phi^{n}(a^{k}) mismatched")
+        orbit.append(AnsatzPoint._trusted(a, point.ell, members))
     return tuple(orbit)
 
 

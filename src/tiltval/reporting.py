@@ -10,8 +10,8 @@ is suite order, and wall-clock timing appears only in the text format.
 json is written by this module's own emitter in one pass: two-space
 indent, {} and [] when empty, strings escaped as ``json.dumps`` escapes
 them (ASCII only), ints by ``int.__repr__``, bools as true/false.  Any
-other json leaf, and any csv name or witness that is not a str, raises
-VerificationError, so a float never reaches either format.
+other json leaf, and any csv or text name, config value or witness that
+is not a str, raises VerificationError, so a float reaches no format.
 """
 
 from __future__ import annotations
@@ -178,18 +178,18 @@ def _render_csv(report: AnyReport) -> str:
 def _render_text(report: AnyReport) -> str:
     combined = isinstance(report, CombinedReport)
     lines = [
-        f"suite: {'all' if combined else report.suite}",
-        "config: " + "  ".join(f"{k}={v}" for k, v in report.config_echo),
-        *(f"gauge: {note}" for note in report.gauges),
+        f"suite: {'all' if combined else _text(report.suite)}",
+        "config: " + "  ".join(f"{_text(k)}={_text(v)}" for k, v in report.config_echo),
+        *(f"gauge: {_text(note)}" for note in report.gauges),
     ]
     for sub in report.suites if combined else (report,):
         if combined:
             wall = "" if sub.wall_ms is None else f" wall: {sub.wall_ms} ms"
-            lines.append(f"-- {sub.suite} --{wall}")
+            lines.append(f"-- {_text(sub.suite)} --{wall}")
         for check in sub.checks:
             flag = "PASS" if check.passed else "FAIL"
-            witness = "  ".join(f"{key}={value}" for key, value in check.witness)
-            lines.append(f"[{flag}] {check.check_id}" + (f"  {witness}" if witness else ""))
+            witness = "  ".join(f"{_text(key)}={_text(value)}" for key, value in check.witness)
+            lines.append(f"[{flag}] {_text(check.check_id)}" + (f"  {witness}" if witness else ""))
     good, total = report.counts()
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'} ({good}/{total} checks)")
     if report.wall_ms is not None:

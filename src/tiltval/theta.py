@@ -370,13 +370,8 @@ def theta_value(j: int, ell: int) -> ThetaValue:
     ell_star = (ell - 1) // 2
     if not isinstance(j, int) or not 1 <= j <= ell_star:
         raise DomainError(f"j must lie in 1..{ell_star} for ell = {ell}, got {j!r}")
-    return ThetaValue(
-        j=j,
-        ell=ell,
-        sign=(-1) ** (j % 2),
-        q_exponent=Fraction(j * j, 2 * ell),
-        zeta_exponent=(2 * j) % ell,
-    )
+    # ell and j are validated above; the sign, q-exponent > 0 and reduced zeta exponent hold by construction
+    return ThetaValue._trusted(j, ell, (-1) ** (j % 2), Fraction(j * j, 2 * ell), (2 * j) % ell)
 
 
 @cache

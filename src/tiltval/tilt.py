@@ -10,18 +10,18 @@ under multiplication.  Frobenius raises coefficients to the p-th power
 lattice is p-divisible, so Frobenius is invertible here.
 
 Because Frobenius is the p-th power map, an integer power follows the
-base-p digits of its exponent: with k = sum_i d_i p^i and every d_i < p,
-x^k = prod_i phi^i(x^(d_i)).  :func:`tilt_pow` uses that identity, so
-the only powers it multiplies out are x^d with d < p; the rest is
-exponent scaling.
+base-p digits of its exponent, top-down: x^k = phi(x^(k // p)) * x^(k mod p).
+:func:`tilt_pow` uses that identity (``_powers``), so the only powers it
+multiplies out are the digit powers x^d with d < p; each further digit
+costs one exponent scaling and one product with a digit power.
 
 The product kernels run on integer exponents over the largest exponent
 denominator of their operands (the lcm of them all, each being a power
 of p) and turn back into sorted Fractions once.  Kernel results are
 valid by construction and skip the validator (``Record._trusted``).
-The test "y == a^k" (:func:`_power_check`) builds no power as an element:
-it compares integers over a's exponent denominator and keeps a's digit
-powers a^d, so a whole square-power family costs one table of them.
+The test "y == phi^n(a^k)" (:func:`_power_check`) builds no power as an
+element: it compares y's exponents, mapped into a's frame, with integers
+from one table of a's powers, remembered by that predicate only.
 
 A valuation is a plain Fraction, and None stands for the +infinity of
 the zero element.  Every stored exponent is a Fraction already: the
@@ -199,20 +199,26 @@ def tilt_mul(x: TiltElement, y: TiltElement) -> TiltElement:
     return _from_scaled(p, _convolve(_scaled(x, den), _scaled(y, den), p), den)
 
 
-def _pow_scaled(base: Mapping[int, int], k: int, p: int, powers: list[dict[int, int]]) -> dict[int, int]:
-    """base^k on integer exponents by the base-p digits of k; powers[d] = base^d, grown here as needed."""
-    digits = []
-    while k:
-        k, d = divmod(k, p)
-        digits.append(d)
-    for _ in range(len(powers), max(digits, default=0) + 1):
-        powers.append(_convolve(powers[-1], base, p))
-    result, scale = {0: 1}, 1
-    for d in digits:
-        if d:
-            result = _convolve(result, {e * scale: c for e, c in powers[d].items()}, p)
-        scale *= p
-    return result
+def _powers(base: Mapping[int, int], p: int) -> Callable[[int], Mapping[int, int]]:
+    """k -> base^k on integer exponents by a^k = phi(a^(k // p)) * a^(k mod p), keeping (and sharing) each one built."""
+    digits: list[Mapping[int, int]] = [{0: 1}, base]
+    table: dict[int, Mapping[int, int]] = {}
+
+    def power(k: int) -> Mapping[int, int]:
+        if k < p:
+            for _ in range(len(digits), k + 1):
+                digits.append(_convolve(digits[-1], base, p))
+            return digits[k]
+        got = table.get(k)
+        if got is None:
+            high, d = divmod(k, p)
+            got = {e * p: c for e, c in power(high).items()}
+            if d:
+                got = _convolve(got, power(d), p)
+            table[k] = got
+        return got
+
+    return power
 
 
 def tilt_pow(x: TiltElement, k: int) -> TiltElement:
@@ -227,34 +233,42 @@ def tilt_pow(x: TiltElement, k: int) -> TiltElement:
         e, c = x.terms[0]
         return TiltElement._trusted(p, ((Fraction(e.numerator * k, e.denominator), pow(c, k, p)),))
     den = max((e.denominator for e, _ in x.terms), default=1)
-    return _from_scaled(p, _pow_scaled(_scaled(x, den), k, p, [{0: 1}]), den)
+    return _from_scaled(p, _powers(_scaled(x, den), p)(k), den)
 
 
-def _power_check(a: TiltElement) -> Callable[[TiltElement, int], bool]:
-    """The predicate (y, k) -> y == tilt_pow(a, k) for ints k >= 0, decided on integers without building a^k."""
+def _power_check(a: TiltElement) -> Callable[..., bool]:
+    """The predicate (y, k, n=0) -> y == tilt_frobenius(tilt_pow(a, k), n) for ints k >= 0 and n.
+
+    No power is built as an element: y's exponents f go into a's frame as
+    f * den / p^n and meet the integers of a^k from one ``_powers`` table.
+    """
     p = a.p
-    if len(a.terms) == 1:  # y must be one term c^k t^f with f == k*e, compared by cross-multiplying
+    if len(a.terms) == 1:  # y must be one term c^k t^f with f == k*e*p^n, compared by cross-multiplying
         (e, c), = a.terms
 
-        def check(y: TiltElement, k: int) -> bool:
+        def check(y: TiltElement, k: int, n: int = 0) -> bool:
             if y.p != p or len(y.terms) != 1:
                 return False
             f, cy = y.terms[0]
-            return cy == pow(c, k, p) and f.numerator * e.denominator == e.numerator * k * f.denominator
+            up, down = (p**n, 1) if n >= 0 else (1, p**-n)
+            return cy == pow(c, k, p) and f.numerator * e.denominator * down == e.numerator * k * f.denominator * up
 
         return check
     den = max((e.denominator for e, _ in a.terms), default=1)
-    base, powers = _scaled(a, den), [{0: 1}]
+    power = _powers(_scaled(a, den), p)
 
-    def check(y: TiltElement, k: int) -> bool:
+    def check(y: TiltElement, k: int, n: int = 0) -> bool:
         if y.p != p:
             return False
-        scaled = {}
-        for f, cy in y.terms:
-            if den % f.denominator:  # no power of a has an exponent this fine
+        up, down = (den, p**n) if n >= 0 else (den * p**-n, 1)
+        target = power(k)
+        if len(y.terms) != len(target):
+            return False
+        for f, cy in y.terms:  # distinct exponents map to distinct integers, so matching each term suffices
+            g, fden = f.numerator * up, f.denominator * down
+            if g % fden or target.get(g // fden) != cy:  # a remainder: no twisted power of a is this fine
                 return False
-            scaled[f.numerator * (den // f.denominator)] = cy
-        return scaled == _pow_scaled(base, k, p, powers)
+        return True
 
     return check
 
@@ -267,6 +281,8 @@ def tilt_frobenius(x: TiltElement, n: int = 1) -> TiltElement:
     """
     if isinstance(n, bool) or not isinstance(n, int):
         raise DomainError(f"Frobenius power must be an integer, got {n!r}")
+    if n == 0:
+        return x
     up, down = (x.p**n, 1) if n >= 0 else (1, x.p**-n)
     # p**n > 0 keeps the exponent order, and the coefficients are already reduced
     return TiltElement._trusted(x.p, tuple([(Fraction(e.numerator * up, e.denominator * down), c) for e, c in x.terms]))

@@ -166,7 +166,8 @@ def primitive_pow_family(a: TiltElement, ell: int) -> tuple[PrimitiveDeg1, ...]:
 
 def primitive_frobenius(w: PrimitiveDeg1, n: int = 1) -> PrimitiveDeg1:
     """Frobenius on generator data: [a] - p maps to [a^(p^n)] - p."""
-    return PrimitiveDeg1(tilt_frobenius(w.a, n))
+    # Frobenius scales the valuation by p^n > 0, so 0 < v < +inf still holds
+    return PrimitiveDeg1._trusted(tilt_frobenius(w.a, n))
 
 
 def eta_val(prim: PrimitiveDeg1, x: TiltElement) -> Fraction | None:

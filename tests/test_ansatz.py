@@ -14,8 +14,8 @@ from tiltval.ansatz import (
     valuation_profile,
     scale_invariance_check,
 )
-from tiltval.errors import DomainError
-from tiltval.tilt import TiltElement, tilt_mul, tilt_pow, tilt_rescale_t
+from tiltval.errors import DomainError, VerificationError
+from tiltval.tilt import TiltElement, tilt_frobenius, tilt_mul, tilt_pow, tilt_rescale_t
 from tiltval.witt import PrimitiveDeg1
 
 
@@ -131,6 +131,61 @@ def test_multiterm_generator_families():
     assert valuation_profile(point) == (Fraction(1), Fraction(4), Fraction(9))
     orbit = frobenius_orbit(point, (0, 1))
     assert orbit[1].a == tilt_pow(a, 2)  # Frobenius is squaring over F_2
+
+
+def _multiterm_generators(seed):
+    """Seeded generators over F_2, F_3 and F_5 with 2-4 terms of positive exponent, each with an ell != p."""
+    rng = random.Random(seed)
+    for p, ell in ((2, 5), (2, 7), (3, 7), (3, 11), (5, 7), (5, 11)):
+        for n_terms in (2, 3, 4):
+            exponents = set()
+            while len(exponents) < n_terms:
+                exponents.add(Fraction(rng.randint(1, 2 * p), p ** rng.randint(0, 1)))
+            yield TiltElement.from_terms(p, {e: rng.randint(1, p - 1) for e in exponents}), ell
+
+
+def _orbit_by_constructor(point, window):
+    """The orbit as the public constructor builds it: every member revalidated and re-powered."""
+    return tuple(
+        AnsatzPoint(
+            a=tilt_frobenius(point.a, n),
+            ell=point.ell,
+            members=tuple(PrimitiveDeg1(tilt_frobenius(m.a, n)) for m in point.members),
+        )
+        for n in range(window[0], window[1] + 1)
+    )
+
+
+def test_orbit_matches_the_constructor_route_on_multiterm_generators():
+    for a, ell in _multiterm_generators(6007):
+        point = make_ansatz(a, ell)
+        for window in ((-2, 2), (0, 0), (1, 3)):
+            orbit = frobenius_orbit(point, window)
+            expected = _orbit_by_constructor(point, window)
+            assert orbit == expected, (a, ell, window)
+            for got, want in zip(orbit, expected):
+                assert got.a.terms == want.a.terms
+                assert [m.a.terms for m in got.members] == [m.a.terms for m in want.members]
+        assert frobenius_orbit(point, (0, 0)) == (point,)
+
+
+@pytest.mark.parametrize(
+    "target, fault",
+    [
+        ("tiltval.ansatz.primitive_frobenius", lambda w, n=1: PrimitiveDeg1(tilt_frobenius(w.a, n + 1))),
+        ("tiltval.ansatz.tilt_frobenius", lambda x, n=1: tilt_frobenius(x, n + 1)),
+        ("tiltval.ansatz.tilt_frobenius", lambda x, n=1: x),
+    ],
+    ids=["mistwisted-members", "mistwisted-generator", "frobenius-is-identity"],
+)
+def test_an_orbit_kernel_fault_is_a_verification_error(monkeypatch, target, fault):
+    points = [make_ansatz(_t(2), 5), make_ansatz(_t(3, Fraction(2, 3), 2), 7)]
+    points += [make_ansatz(a, ell) for a, ell in _multiterm_generators(6011)]
+    monkeypatch.setattr(target, fault)
+    for point in points:
+        for window in ((-2, 2), (1, 3), (-1, -1)):
+            with pytest.raises(VerificationError, match="left the ansatz"):
+                frobenius_orbit(point, window)
 
 
 def test_scale_invariance():

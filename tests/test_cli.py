@@ -207,7 +207,7 @@ def test_a_refusal_partway_through_all_writes_nothing(tmp_path, capsys, payload,
     assert not target.exists()
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_a_float_in_a_report_is_refused_before_anything_is_written(monkeypatch, tmp_path, capsys, fmt):
     def with_float_margin(check_id, passed, **witness):
         check = make_check(check_id, passed, **witness)

@@ -96,16 +96,19 @@ def test_a_leaf_that_is_not_exact_is_refused(leaf, shown):
         _one_check(suite=leaf),
         CombinedReport((_one_check(witness=(("margin", leaf),)),), (), ()),
     ):
-        for fmt in ("json", "csv"):
+        for fmt in ("json", "csv", "text"):
             with pytest.raises(VerificationError, match=refused):
                 render_report(report, fmt)
-    for report in (Report("bad", (("p", leaf),), (), ()), Report("bad", (), (leaf,), ())):  # csv has no config or gauges
-        with pytest.raises(VerificationError, match=refused):
-            render_report(report, "json")
+    config_leaves = (Report("bad", (("p", leaf),), (), ()), Report("bad", ((leaf, "2"),), (), ()))
+    for report in (*config_leaves, Report("bad", (), (leaf,), ())):  # csv has no config or gauges
+        for fmt in ("json", "text"):
+            with pytest.raises(VerificationError, match=refused):
+                render_report(report, fmt)
 
 
 def test_csv_takes_only_str_cells_where_json_takes_ints():
     counted = Report("ints", (), (), (CheckRecord("ints.count", True, (("count", 7),)),))
     assert '"count": 7' in render_report(counted, "json")
-    with pytest.raises(VerificationError, match="^int 7 reached the serializer$"):
-        render_report(counted, "csv")
+    for fmt in ("csv", "text"):
+        with pytest.raises(VerificationError, match="^int 7 reached the serializer$"):
+            render_report(counted, fmt)

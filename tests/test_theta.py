@@ -10,6 +10,7 @@ from tiltval.errors import DomainError, WindowError
 from tiltval.theta import (
     CycloElt,
     ThetaTerm,
+    ThetaValue,
     check_inversion_antisymmetry,
     check_quasi_periodicity,
     check_quasi_periodicity_upto,
@@ -280,6 +281,22 @@ def test_theta_value_validation():
         theta_value(1, 9)
     with pytest.raises(DomainError):
         theta_value(1, 2)
+
+
+def test_theta_value_equals_the_validating_constructor():
+    # theta_value skips the record validator after checking ell and j itself; the public constructor still checks.
+    for ell in (3, 5, 7, 11, 13, 59, 107):
+        for j in range(1, (ell - 1) // 2 + 1):
+            assert theta_value(j, ell) == ThetaValue(j, ell, (-1) ** (j % 2), Fraction(j * j, 2 * ell), (2 * j) % ell)
+        for j in (0, -1, (ell - 1) // 2 + 1, ell):
+            with pytest.raises(DomainError, match="j must lie in"):
+                theta_value(j, ell)
+    for ell in (2, 9, 15, 21, 1, 0, -7):
+        with pytest.raises(DomainError, match="ell must be an odd prime"):
+            theta_value(1, ell)
+    for fields in ((9, -1, Fraction(1, 18), 2), (5, 0, Fraction(1, 10), 2), (5, -1, 0, 2), (5, -1, Fraction(1, 10), 5)):
+        with pytest.raises(DomainError):
+            ThetaValue(1, *fields)
 
 
 def test_theta_value_square_scaling():

@@ -10,8 +10,12 @@ from conftest import assert_immutable_value, random_element, random_monomial
 from tiltval.errors import ConfigError, DomainError
 from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, eta_val, gauss_log_norm, teichmuller
 from tiltval.tilt import (
+    _convolve,
+    _from_scaled,
     _is_p_power,
     _power_check,
+    _powers,
+    _scaled,
     TiltElement,
     is_prime,
     tilt_frobenius,
@@ -304,12 +308,69 @@ def test_power_check_agrees_with_tilt_pow_randomized():
             for _ in range(2):
                 a = _element_with_terms(rng, p, n_terms)
                 den = max(e.denominator for e, _ in a.terms)
-                is_power = _power_check(a)  # one predicate, so its power table is reused across k
+                is_power = _power_check(a)  # one predicate, so its power table is reused across k and n
                 for k in (0, 1, p - 1, p, 4, 9, p * p + 1, rng.randint(2, 400), 400):
                     power = tilt_pow(a, k)
                     assert is_power(power, k)
                     for y in (*_near_misses(rng, power, den, p), tilt_pow(a, k + 1)):
                         assert is_power(y, k) == (y == power), (a, k, y)
+                    for n in range(-2, 3):
+                        twisted = tilt_frobenius(power, n)
+                        assert is_power(twisted, k, n), (a, k, n)
+                        if k and a.terms[-1][0] > 0:  # Frobenius fixes only the constants
+                            assert not is_power(tilt_frobenius(power, n + 1), k, n), (a, k, n)
+                        if k > p * p + 1:  # near misses of the large powers cost seconds to build
+                            continue
+                        near = (*_near_misses(rng, twisted, den * p ** max(-n, 0), p), tilt_frobenius(power, n + 1))
+                        for y in near:
+                            assert is_power(y, k, n) == (y == twisted), (a, k, n, y)
+
+
+def _pow_scaled(base, k, p, powers):
+    """The bottom-up oracle: base^k on integer exponents, low base-p digit first; powers[d] = base^d, grown here."""
+    digits = []
+    while k:
+        k, d = divmod(k, p)
+        digits.append(d)
+    for _ in range(len(powers), max(digits, default=0) + 1):
+        powers.append(_convolve(powers[-1], base, p))
+    result, scale = {0: 1}, 1
+    for d in digits:
+        if d:
+            result = _convolve(result, {e * scale: c for e, c in powers[d].items()}, p)
+        scale *= p
+    return result
+
+
+def test_power_table_and_shared_predicate_match_the_bottom_up_oracle_in_any_order():
+    rng = random.Random(2029)
+    for p in (2, 3, 5, 7):
+        for n_terms in range(1, 5):
+            a = _element_with_terms(rng, p, n_terms)
+            den = max(e.denominator for e, _ in a.terms)
+            base = _scaled(a, den)
+            ks = [0, 1, p - 1, p, p + 1, p * p - 1, 400, *rng.sample(range(2, 400), 6)]
+            digit_powers = [{0: 1}]
+            oracle = {k: _pow_scaled(base, k, p, digit_powers) for k in ks}
+            descending, ascending = sorted(ks, reverse=True), sorted(ks)
+            for order in (descending, ascending, ascending + descending + ks):
+                power, is_power = _powers(base, p), _power_check(a)
+                for k in order:
+                    expected = _from_scaled(p, oracle[k], den)
+                    assert power(k) == oracle[k], (a, k)
+                    assert tilt_pow(a, k) == expected, (a, k)
+                    assert is_power(expected, k), (a, k)
+                    assert not is_power(tilt_mul(expected, TiltElement.monomial(p, 1)), k), (a, k)
+
+
+def test_frobenius_by_zero_is_the_element_itself_and_twists_invert():
+    rng = random.Random(3307)
+    for p in (2, 3, 5, 7):
+        for _ in range(10):
+            x = random_element(rng, p, max_terms=6)
+            assert tilt_frobenius(x, 0) is x
+            for n in range(-3, 4):
+                assert tilt_frobenius(tilt_frobenius(x, n), -n) == x
 
 
 def test_bool_exponents_rejected():
