@@ -7,14 +7,14 @@ An ansatz point for an odd prime ell != p is the tuple
 attached to a generator a with 0 < v(a) < +inf.  Membership of a given
 tuple is decidable exactly: the candidate generator is read off the
 first entry and the remaining entries must equal its j^2-th powers on
-the nose, compared on integer exponents over a's exponent denominator,
-each power of a built once per generator.  There is no root extraction
-anywhere, so no numerical tolerance either.
+the nose, compared as integer numerators on a's exponent frame (see
+``tilt``), each power of a built once per generator.  No root is taken,
+so no numerical tolerance either.
 
 Frobenius acts on a point member by member, and the images must again
-be the square powers of the image generator.  Since phi^n(a) has a's
-exponents times p^n, a whole orbit is checked against one table of a's
-own powers, each a^(j^2) built once however many points the orbit has.
+be the square powers of the image generator.  phi^n(a) is a's numerators
+on a frame n steps coarser, so a whole orbit is checked against one table
+of a's own powers, each a^(j^2) built once however many points it has.
 Valuations scale by p^n, while the shape of the valuation profile, the
 quadratic progression j^2 * v(a), is preserved.  The profile is also
 invariant under every exponent-preserving coefficient substitution, such
@@ -134,7 +134,7 @@ def scale_invariance_check(
     new_members = []
     for member in point.members:
         sub = substitution(member.a)
-        if sub.support() != member.a.support():
+        if (sub.s, [m for m, _ in sub.nums]) != (member.a.s, [m for m, _ in member.a.nums]):  # the support, on frames
             raise DomainError("substitution does not preserve the exponent support")
         new_members.append(PrimitiveDeg1(sub))
     return is_member(new_members)

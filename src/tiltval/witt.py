@@ -139,8 +139,7 @@ class PrimitiveDeg1(Record):
     a: TiltElement
 
     def __init__(self, a: TiltElement):
-        v = tilt_val(a)
-        if v is None or v <= 0:
+        if a.is_zero or not a.nums[0][0]:  # v(a) is the lowest numerator over p^s
             raise DomainError("generator must satisfy 0 < v(a) < +inf")
         self._assign(a)
 
@@ -176,5 +175,7 @@ def eta_val(prim: PrimitiveDeg1, x: TiltElement) -> Fraction | None:
     Normalized so that v(p) = 1 there; concretely v(x) / v(a).  The zero
     element maps to None, meaning +infinity.
     """
-    vx = tilt_val(x)
-    return None if vx is None else vx / tilt_val(prim.a)
+    if x.is_zero:
+        return None
+    a = prim.a  # (m_x / p^s_x) / (m_a / p^s_a), built as one Fraction
+    return Fraction(x.nums[0][0] * a.p**a.s, a.nums[0][0] * x.p**x.s)

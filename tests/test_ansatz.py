@@ -195,6 +195,9 @@ def test_scale_invariance():
     with pytest.raises(DomainError):
         # shifting the support is not a coefficient substitution
         scale_invariance_check(point, lambda x: tilt_mul(x, _t(3)))
+    with pytest.raises(DomainError):
+        # the same numerators on a frame one step coarser: every exponent times 3
+        scale_invariance_check(point, lambda x: tilt_frobenius(x, 1))
 
 
 def test_scale_invariance_flags_broken_tuples():

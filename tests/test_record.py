@@ -72,8 +72,8 @@ def test_assign_takes_exactly_one_value_per_slot():
 
 
 def test_trusted_path_builds_the_validated_record():
-    terms = ((Fraction(1, 3), 2), (Fraction(4), 1))
-    validated, trusted = TiltElement(3, terms), TiltElement._trusted(3, terms)
+    nums = ((1, 2), (12, 1))  # 2 t^(1/3) + t^4 on the frame 3^1
+    validated, trusted = TiltElement(3, 1, nums), TiltElement._trusted(3, 1, nums)
     assert type(trusted) is TiltElement and trusted == validated and hash(trusted) == hash(validated)
     assert PadicUnit._trusted(5, 4, 6) == PadicUnit(5, 4, 6)
     assert CycloElt._trusted(5, (1, 0, 0, 0)) == CycloElt.one(5)
@@ -88,11 +88,13 @@ def test_trusted_path_builds_the_validated_record():
 
 def test_public_constructors_keep_every_check():
     with pytest.raises(DomainError):
-        TiltElement(4, ())  # composite characteristic
+        TiltElement(4, 0, ())  # composite characteristic
     with pytest.raises(DomainError):
-        TiltElement(3, ((Fraction(2), 1), (Fraction(1), 1)))  # unsorted
+        TiltElement(3, 0, ((2, 1), (1, 1)))  # unsorted
     with pytest.raises(DomainError):
-        TiltElement(3, ((Fraction(1), 3),))  # coefficient not reduced to 1..2
+        TiltElement(3, 0, ((1, 3),))  # coefficient not reduced to 1..2
+    with pytest.raises(DomainError):
+        TiltElement(3, 1, ((3, 1),))  # t on the frame 3^1: not minimal
     with pytest.raises(DomainError):
         PadicUnit(9, 4, 1)
     with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
 """Valuation model: construction discipline, exact arithmetic, Frobenius."""
 
+import copy
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -11,11 +13,9 @@ from tiltval.errors import ConfigError, DomainError
 from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, eta_val, gauss_log_norm, teichmuller
 from tiltval.tilt import (
     _convolve,
-    _from_scaled,
     _is_p_power,
     _power_check,
     _powers,
-    _scaled,
     TiltElement,
     is_prime,
     tilt_frobenius,
@@ -107,7 +107,7 @@ def test_frobenius_matches_from_terms_route_randomized():
                 expected = TiltElement.from_terms(p, {e * scale: c for e, c in x.terms})
                 image = tilt_frobenius(x, n)
                 assert image == expected and image.terms == expected.terms, (p, x, n)
-                assert TiltElement(p, image.terms) == image
+                assert _revalidated(image) == image
     assert multi_term >= 50
 
 
@@ -122,14 +122,19 @@ def test_frobenius_and_one_term_pow_match_the_fraction_routes_randomized():
                     scale = Fraction(p) ** n
                     image = tilt_frobenius(x, n)
                     assert image.terms == tuple((e * scale, c) for e, c in x.terms), (p, x, n)
-                    assert TiltElement(p, image.terms) == image
+                    assert _revalidated(image) == image
         for _ in range(20):
             x = random_monomial(rng, p)
             (e, c), = x.terms
             for k in (0, 1, p, rng.randint(2, 400)):
                 power = tilt_pow(x, k)
                 assert power.terms == ((e * k, pow(c, k, p)),), (p, x, k)
-                assert TiltElement(p, power.terms) == power
+                assert _revalidated(power) == power
+
+
+def _revalidated(x):
+    """x rebuilt through the validating constructor, which also refuses a frame that is not minimal."""
+    return TiltElement(x.p, x.s, x.nums)
 
 
 def test_is_p_power_terminates_below_one():
@@ -232,7 +237,7 @@ def _pow_by_from_terms(x, k):
     p = x.p
     if len(x.terms) == 1:
         e, c = x.terms[0]
-        return TiltElement(p, ((e * k, pow(c, k, p)),))
+        return TiltElement.from_terms(p, {e * k: pow(c, k, p)})
     digits = []
     while k:
         k, d = divmod(k, p)
@@ -258,9 +263,9 @@ def _element_up_to_cubes(rng, p, n_terms):
 
 
 def _assert_kernel_result(result, expected):
-    # The kernel's terms tuple is the validated route's, and the public constructor accepts it.
-    assert result == expected and result.terms == expected.terms
-    assert TiltElement(result.p, result.terms) == result
+    # The kernel's frame is the validated route's, and the public constructor accepts it.
+    assert result == expected and (result.s, result.nums) == (expected.s, expected.nums)
+    assert _revalidated(result) == result
 
 
 def test_kernels_match_the_from_terms_route_randomized():
@@ -275,7 +280,7 @@ def test_kernels_match_the_from_terms_route_randomized():
                 for k in (0, 1, p, rng.randint(2, 60)):
                     _assert_kernel_result(tilt_pow(x, k), _pow_by_from_terms(x, k))
                 rescaled = tilt_rescale_t(x, rng.randint(1, p - 1))
-                assert TiltElement(p, rescaled.terms) == rescaled and rescaled.support() == x.support()
+                assert _revalidated(rescaled) == rescaled and rescaled.support() == x.support()
     _assert_kernel_result(tilt_pow(TiltElement.zero(3), 0), TiltElement.one(3))
     _assert_kernel_result(tilt_pow(TiltElement.zero(3), 4), TiltElement.zero(3))
 
@@ -288,7 +293,7 @@ def _near_misses(rng, power, den, p):
     yield tilt_mul(power, TiltElement.monomial(p, 1))
     yield TiltElement.from_terms(p, {**terms, Fraction(rng.randint(0, 50), den): 1})  # a term added or merged
     other = 3 if p == 2 else 2
-    yield TiltElement(other, tuple((e, 1) for e in terms if e.denominator == 1))
+    yield TiltElement.from_terms(other, {e: 1 for e in terms if e.denominator == 1})
     if not terms:
         return
     e = rng.choice(sorted(terms))
@@ -347,8 +352,7 @@ def test_power_table_and_shared_predicate_match_the_bottom_up_oracle_in_any_orde
     for p in (2, 3, 5, 7):
         for n_terms in range(1, 5):
             a = _element_with_terms(rng, p, n_terms)
-            den = max(e.denominator for e, _ in a.terms)
-            base = _scaled(a, den)
+            den, base = p**a.s, dict(a.nums)
             ks = [0, 1, p - 1, p, p + 1, p * p - 1, 400, *rng.sample(range(2, 400), 6)]
             digit_powers = [{0: 1}]
             oracle = {k: _pow_scaled(base, k, p, digit_powers) for k in ks}
@@ -356,11 +360,153 @@ def test_power_table_and_shared_predicate_match_the_bottom_up_oracle_in_any_orde
             for order in (descending, ascending, ascending + descending + ks):
                 power, is_power = _powers(base, p), _power_check(a)
                 for k in order:
-                    expected = _from_scaled(p, oracle[k], den)
+                    expected = TiltElement.from_terms(p, {Fraction(e, den): c for e, c in oracle[k].items()})
                     assert power(k) == oracle[k], (a, k)
                     assert tilt_pow(a, k) == expected, (a, k)
                     assert is_power(expected, k), (a, k)
                     assert not is_power(tilt_mul(expected, TiltElement.monomial(p, 1)), k), (a, k)
+
+
+# The Fraction-term kernels that the integer frame replaced, kept as oracles.  They take and
+# return sorted (Fraction exponent, coefficient) tuples, the ``terms`` view of an element.
+
+
+def _old_scaled(terms, den):
+    return {e.numerator * (den // e.denominator): c for e, c in terms}
+
+
+def _old_from_scaled(scaled, den):
+    return tuple([(Fraction(e, den), scaled[e]) for e in sorted(scaled)])
+
+
+def _old_mul(p, x, y):
+    den = max((e.denominator for e, _ in x + y), default=1)
+    return _old_from_scaled(_convolve(_old_scaled(x, den), _old_scaled(y, den), p), den)
+
+
+def _old_pow(p, x, k):
+    if len(x) == 1:
+        (e, c), = x
+        return ((Fraction(e.numerator * k, e.denominator), pow(c, k, p)),)
+    den = max((e.denominator for e, _ in x), default=1)
+    return _old_from_scaled(_powers(_old_scaled(x, den), p)(k), den)
+
+
+def _old_frobenius(p, x, n):
+    up, down = (p**n, 1) if n >= 0 else (1, p**-n)
+    return tuple([(Fraction(e.numerator * up, e.denominator * down), c) for e, c in x])
+
+
+def _old_power_check(p, a):
+    """(y, k, n) -> y == phi^n(a^k) on terms tuples: y's exponents f go into a's frame as f * den / p^n."""
+    den = max((e.denominator for e, _ in a), default=1)
+    power = _powers(_old_scaled(a, den), p)
+
+    def check(y, k, n):
+        up, down = (den, p**n) if n >= 0 else (den * p**-n, 1)
+        target = power(k)
+        if len(y) != len(target):
+            return False
+        for f, cy in y:
+            g, fden = f.numerator * up, f.denominator * down
+            if g % fden or target.get(g // fden) != cy:
+                return False
+        return True
+
+    return check
+
+
+def _framed_element(rng, p, n_terms):
+    """n_terms terms with denominators p^0..p^3; one time in three every exponent is an integer multiple of p."""
+    exponents, multiple = set(), rng.randrange(3) == 0
+    while len(exponents) < n_terms:
+        num = rng.randint(0, 4 * p)
+        exponents.add(Fraction(num * p) if multiple else Fraction(num, p ** rng.randint(0, 3)))
+    return TiltElement.from_terms(p, {e: rng.randint(1, p - 1) for e in exponents})
+
+
+def _assert_canonical(x):
+    # The validator refuses a frame that is not minimal, and from_terms finds the same frame.
+    assert _revalidated(x) == x
+    assert TiltElement.from_terms(x.p, dict(x.terms)) == x  # field equality: the same s and nums
+    assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
+
+
+def test_frame_kernels_match_the_fraction_term_oracles_randomized():
+    rng = random.Random(2111)
+    for p in (2, 3, 5, 7):
+        results = []
+        for n_terms in range(1, 5):
+            for _ in range(3):
+                x, y = _framed_element(rng, p, n_terms), _framed_element(rng, p, rng.randint(1, 4))
+                product = tilt_mul(x, y)
+                assert product.terms == _old_mul(p, x.terms, y.terms), (x, y)
+                high = tilt_pow(x, p - 1)
+                frobenius_as_product = tilt_mul(high, x)  # x^p = phi(x), on a frame one step coarser than x's
+                assert frobenius_as_product.terms == _old_mul(p, high.terms, x.terms), (x, high)
+                results += [product, frobenius_as_product]
+                is_power, old_is_power = _power_check(x), _old_power_check(p, x.terms)
+                for k in (0, 1, 2, p, p + 1, rng.randint(2, 3 * p)):
+                    power = tilt_pow(x, k)
+                    assert power.terms == _old_pow(p, x.terms, k), (x, k)
+                    results.append(power)
+                    for n in range(-3, 4):
+                        image = tilt_frobenius(x, n)
+                        assert image.terms == _old_frobenius(p, x.terms, n), (x, n)
+                        twisted = tilt_frobenius(power, n)
+                        results += [image, twisted]
+                        for cand in (twisted, power, tilt_frobenius(power, n + 1), product, image, y):
+                            assert is_power(cand, k, n) == old_is_power(cand.terms, k, n), (x, k, n, cand)
+        for x in results:
+            _assert_canonical(x)
+        for x, y in zip(results, rng.sample(results, len(results))):
+            assert (x == y) == (x.terms == y.terms), (x, y)
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+def test_frame_edges():
+    # (t^(1/2) + 1)^2 = t + 1 over F_2: the product's frame shrinks from 2^1 to 2^0.
+    root = TiltElement.from_terms(2, {Fraction(1, 2): 1, 0: 1})
+    for square in (tilt_mul(root, root), tilt_pow(root, 2)):
+        assert square == TiltElement.from_terms(2, {1: 1, 0: 1}) and square.s == 0
+    for p in (2, 3, 5, 7):
+        # phi^-1(t^p) = t and phi^-2(t^p + t^(p^3)) = t^(1/p) + t^p, from s = 0 with p-divisible numerators
+        assert tilt_frobenius(TiltElement.monomial(p, p), -1) == TiltElement.monomial(p, 1)
+        two = TiltElement.from_terms(p, {p: 1, p**3: 1})
+        assert tilt_frobenius(two, -2) == TiltElement.from_terms(p, {Fraction(1, p): 1, p: 1})
+        assert tilt_frobenius(TiltElement.one(p), -3) == TiltElement.one(p)
+        # phi^n with n > s clears the frame; n <= s keeps the numerators, the same tuple
+        x = TiltElement.from_terms(p, {Fraction(1, p**2): 1, Fraction(2): 1})
+        assert tilt_frobenius(x, 3) == TiltElement.from_terms(p, {p: 1, 2 * p**3: 1}) and tilt_frobenius(x, 3).s == 0
+        assert tilt_frobenius(x, 2).nums is x.nums and tilt_frobenius(x, -1).nums is x.nums
+        # across frames: t^(1/p^2) * t^(p - 1/p^2) = t^p, whose frame is s = 0
+        y = TiltElement.monomial(p, p - Fraction(1, p**2))
+        assert tilt_mul(x, y) == TiltElement.from_terms(p, {p: 1, p + 2 - Fraction(1, p**2): 1})
+        assert tilt_mul(TiltElement.monomial(p, Fraction(1, p**2)), y) == TiltElement.monomial(p, p)
+        assert tilt_mul(TiltElement.monomial(p, Fraction(1, p**2)), y).s == 0
+        assert tilt_pow(TiltElement.monomial(p, Fraction(1, p)), p**2) == TiltElement.monomial(p, p)
+
+
+def _old_rescale_t(x, u):
+    """t -> u*t by the residue of e = m / p^k mod p - 1, with p^k inverted mod p - 1."""
+    p, m = x.p, x.p - 1
+    terms = {}
+    for e, c in x.terms:
+        r = (e.numerator * pow(e.denominator, -1, m)) % m if m > 1 else 0
+        terms[e] = c * pow(u, r, p) % p
+    return TiltElement.from_terms(p, terms)
+
+
+def test_rescale_t_matches_the_inverted_denominator_oracle():
+    rng = random.Random(4409)
+    for p in (2, 3, 5, 7, 11):
+        for s in range(5):
+            for _ in range(4):
+                exponents = {Fraction(rng.randint(0, 4 * p**s), p**s) for _ in range(rng.randint(1, 4))}
+                x = TiltElement.from_terms(p, {e: rng.randint(1, p - 1) for e in exponents})
+                for u in range(1, p):
+                    assert tilt_rescale_t(x, u) == _old_rescale_t(x, u), (x, u)
 
 
 def test_frobenius_by_zero_is_the_element_itself_and_twists_invert():
@@ -380,13 +526,24 @@ def test_bool_exponents_rejected():
             tilt_pow(x, flag)
         with pytest.raises(DomainError):
             tilt_frobenius(x, flag)
+        with pytest.raises(DomainError, match="frame scale"):
+            TiltElement(3, flag, ((1, 1),))
+        with pytest.raises(DomainError, match="numerator"):
+            TiltElement(3, 0, ((flag, 1),))
 
 
 def test_bool_coefficients_rejected():
-    # bool is an int subclass, but True is no residue mod p.
+    # bool is an int subclass, but True is no residue mod p: not as a stored coefficient, an input one, or a unit.
     for flag in (True, False):
         with pytest.raises(DomainError, match="coefficient"):
-            TiltElement(3, ((Fraction(1), flag),))
+            TiltElement(3, 0, ((1, flag),))
+        with pytest.raises(DomainError, match="coefficient"):
+            TiltElement.from_terms(3, {1: flag})
+        with pytest.raises(DomainError, match="coefficient"):
+            TiltElement.monomial(3, 1, coeff=flag)
+        for p in (2, 3):
+            with pytest.raises(DomainError, match="substitution unit"):
+                tilt_rescale_t(TiltElement.monomial(p, 1), flag)
 
 
 def test_bool_exponents_rejected_by_from_terms():
@@ -440,11 +597,19 @@ def test_construction_validation():
     with pytest.raises(DomainError):
         TiltElement.monomial(4, 1)  # composite characteristic
     with pytest.raises(DomainError):
-        TiltElement(2, ((Fraction(1), 0),))  # zero coefficient stored
+        TiltElement(2, 0, ((1, 0),))  # zero coefficient stored
     with pytest.raises(DomainError):
-        TiltElement(3, ((Fraction(2), 1), (Fraction(1), 1)))  # unsorted
+        TiltElement(3, 0, ((2, 1), (1, 1)))  # unsorted
     with pytest.raises(DomainError):
-        TiltElement(3, ((0.5, 1),))  # float exponent
+        TiltElement(3, 0, ((0.5, 1),))  # float exponent numerator
+    with pytest.raises(DomainError, match="negative"):
+        TiltElement(3, 1, ((-1, 1),))
+    for scale in (-1, 0.5, Fraction(1)):
+        with pytest.raises(DomainError, match="frame scale"):
+            TiltElement(3, scale, ((1, 1),))
+    for s, nums in ((1, ()), (1, ((0, 1),)), (2, ((3, 1), (6, 2)))):  # each fits on a smaller frame
+        with pytest.raises(DomainError, match="not minimal"):
+            TiltElement(3, s, nums)
     # Only ints and Fractions are exact: Fraction(0.1) would be 3602879701896397/2^55.
     for inexact in (0.1, 0.5, "1/2", Decimal("0.5")):
         for build in (
@@ -454,18 +619,19 @@ def test_construction_validation():
             with pytest.raises(DomainError, match="must be an int or a Fraction"):
                 build(inexact)
     with pytest.raises(DomainError):
-        TiltElement(3, ((Fraction(1), 4),))  # coefficient not reduced mod 3
+        TiltElement(3, 0, ((1, 4),))  # coefficient not reduced mod 3
     with pytest.raises(DomainError):
-        TiltElement(3, ((Fraction(1), 1), (Fraction(1), 2)))  # repeated exponent
+        TiltElement(3, 0, ((1, 1), (1, 2)))  # repeated exponent
 
 
 def test_records_are_immutable_values():
     assert_immutable_value(lambda: TiltElement.from_terms(3, {Fraction(1, 3): 2, 4: 1}))
     assert_immutable_value(lambda: TiltElement.zero(2))
     # Same field values, different classes: never equal.
-    assert TiltElement(2, ()) != WittExpr(2, ())
-    assert TiltElement(2, ()) != (2, ())
-    assert repr(TiltElement.monomial(2, 1)) == "TiltElement(p=2, terms=((Fraction(1, 1), 1),))"
+    assert TiltElement(2, 0, ()) != WittExpr(2, ())
+    assert TiltElement(2, 0, ()) != (2, 0, ())
+    assert repr(TiltElement.monomial(2, 1)) == "TiltElement(p=2, s=0, nums=((1, 1),))"
+    assert TiltElement.monomial(3, Fraction(4, 9)).terms == ((Fraction(4, 9), 1),)
 
 
 def test_from_terms_reduces_mod_p():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import assert_immutable_value, random_monomial
+from conftest import assert_immutable_value, random_element, random_monomial
 
 from tiltval.errors import DomainError
 from tiltval.tilt import TiltElement, tilt_frobenius, tilt_mul, tilt_val
@@ -113,6 +113,8 @@ def test_primitive_validation():
     with pytest.raises(DomainError):
         PrimitiveDeg1(TiltElement.zero(2))  # v(a) infinite
     with pytest.raises(DomainError):
+        PrimitiveDeg1(TiltElement.from_terms(3, {0: 1, Fraction(1, 3): 1}))  # v(1 + t^(1/3)) = 0, on the frame 3^1
+    with pytest.raises(DomainError):
         primitive_pow_family(_t(3), 3)  # ell equals the characteristic
     with pytest.raises(DomainError):
         primitive_pow_family(_t(2), 9)
@@ -146,6 +148,16 @@ def test_eta_val_additive():
         x = random_monomial(rng, p)
         y = random_monomial(rng, p)
         assert eta_val(prim, tilt_mul(x, y)) == eta_val(prim, x) + eta_val(prim, y)
+
+
+def test_eta_val_is_the_valuation_ratio_randomized():
+    # Oracle: v(x) / v(a) as a quotient of two Fraction valuations, across frames and for zero.
+    rng = random.Random(37)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        prim, x = PrimitiveDeg1(random_monomial(rng, p)), random_element(rng, p)
+        expected = None if x.is_zero else tilt_val(x) / tilt_val(prim.a)
+        assert eta_val(prim, x) == expected, (prim, x)
 
 
 def test_eta_val_is_p_normalized():
