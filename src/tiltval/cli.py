@@ -1,6 +1,7 @@
 """Command-line front end: configured check suites with exact reports.
 
-Subcommands: verify-theta, bound, ansatz, loglink, sweep-ell, all.
+Commands: verify-theta, bound, ansatz, loglink, sweep-ell, all, named by
+one positional argument; the options may come before or after it.
 Configuration comes from an optional JSON file whose rationals are
 "num/den" strings; numeric literals with a decimal point are rejected
 outright, there is no tolerance knob anywhere.  Exit status: 0 when all
@@ -458,17 +459,19 @@ def cmd_all(cfg: RunConfig) -> CombinedReport:
 
 @cache  # built on the first main() call, not at import; parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the command is a positional, so options may come before or after it."""
+    commands = {**_SUITES, "all": "every suite in order"}
     parser = argparse.ArgumentParser(
         prog="tiltval",
         description="Exact verification suites for tilt valuations, theta identities, and log chains.",
+        epilog="commands:\n" + "\n".join(f"  {name:<14}{text}" for name, text in commands.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (*_SUITES.items(), ("all", "every suite in order")):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", metavar="PATH", help="JSON config file")
-        sp.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
-        sp.add_argument("--format", choices=_FORMATS, dest="fmt", help="report format")
-        sp.add_argument("--seed", type=int, help="seed for randomized trials")
+    parser.add_argument("command", choices=tuple(commands), help="the suite to run, listed below")
+    parser.add_argument("--config", metavar="PATH", help="JSON config file")
+    parser.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
+    parser.add_argument("--format", choices=_FORMATS, dest="fmt", help="report format")
+    parser.add_argument("--seed", type=int, help="seed for randomized trials")
     return parser
 
 

@@ -58,6 +58,13 @@ def _unit_level(p: int) -> int:
     return 2 if p == 2 else 1
 
 
+@cache
+def _unit_group(p: int, precision: int) -> tuple[int, int, int]:
+    """For a checked p and N: c = p^_unit_level(p), the draw bound p^N // c and the modulus p^N."""
+    c, modulus = p ** _unit_level(p), p**precision
+    return c, modulus // c, modulus
+
+
 def _require_precision(p: int, precision: int, name: str = "precision") -> None:
     floor = _unit_level(p) + 1
     if precision < floor:
@@ -103,7 +110,7 @@ class PadicUnit(Record):
         return self.p**self.precision
 
     def _check_same(self, other: "PadicUnit") -> None:
-        if (self.p, self.precision) != (other.p, other.precision):
+        if self.p != other.p or self.precision != other.precision:
             raise ConfigError(
                 f"mixed unit groups: ({self.p}, {self.precision}) vs ({other.p}, {other.precision})"
             )
@@ -111,17 +118,19 @@ class PadicUnit(Record):
     # Principal units form a group: products and powers need no validator.
     def mul(self, other: "PadicUnit") -> "PadicUnit":
         self._check_same(other)
-        return PadicUnit._trusted(self.p, self.precision, (self.value * other.value) % self.modulus)
+        p, precision = self.p, self.precision
+        return PadicUnit._trusted(p, precision, self.value * other.value % _unit_group(p, precision)[2])
 
     def pow(self, k: int) -> "PadicUnit":
         """k-th power, any integer k; units are invertible mod p^N."""
-        return PadicUnit._trusted(self.p, self.precision, pow(self.value, k, self.modulus))
+        p, precision = self.p, self.precision
+        return PadicUnit._trusted(p, precision, pow(self.value, k, _unit_group(p, precision)[2]))
 
 
 def _random_unit(rng: random.Random, p: int, precision: int) -> PadicUnit:
     """PadicUnit.random for a checked p and precision; 1 + c*r, c = p^_unit_level(p), is a unit as drawn."""
-    c = p ** _unit_level(p)
-    return PadicUnit._trusted(p, precision, 1 + c * rng.randrange(p**precision // c))
+    c, bound, _ = _unit_group(p, precision)
+    return PadicUnit._trusted(p, precision, 1 + c * rng.randrange(bound))
 
 
 def _floor_log(n: int, p: int) -> int:
@@ -195,7 +204,7 @@ def padic_log(u: PadicUnit) -> int:
     if total % scale:
         raise VerificationError(f"log(u^(p^{m})) is not divisible by p^{m}")
     result = total // scale
-    subgroup = p ** _unit_level(p)
+    subgroup = _unit_group(p, n_prec)[0]
     if result % subgroup:
         raise VerificationError(f"log left the expected subgroup {subgroup}Z/{p}^{n_prec}")
     return result

@@ -200,7 +200,7 @@ def theta_terms(n_max: int, signed: bool = True) -> ThetaSeriesTrunc:
     terms = []
     for n in range(-n_max, n_max + 1):
         sign = (-1) ** (n % 2) if signed else 1
-        terms.append(ThetaTerm(n=n, sign=sign, q_exp=n * (n + 1) // 2, u_exp=2 * n + 1))
+        terms.append(ThetaTerm(n, sign, n * (n + 1) // 2, 2 * n + 1))
     return ThetaSeriesTrunc(n_max=n_max, signed=signed, terms=tuple(terms))
 
 
@@ -255,14 +255,7 @@ def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> InversionCh
     if partner_sign != -tb.sign:
         mismatch = mismatch or f"boundary {n_max}: partner sign {partner_sign} is not {-tb.sign}"
     passed = mismatch is None and pairs == n_max and cancel_at_one
-    return InversionCheck(
-        passed=passed,
-        n_max=n_max,
-        pairs_matched=pairs,
-        boundary_terms=1,
-        pairs_cancel_at_one=cancel_at_one,
-        first_mismatch=mismatch,
-    )
+    return InversionCheck._trusted(passed, n_max, pairs, 1, cancel_at_one, mismatch)
 
 
 class QuasiPeriodicityCheck(Record):
@@ -313,15 +306,7 @@ def _quasi_periodicity(series: ThetaSeriesTrunc, j: int) -> QuasiPeriodicityChec
             )
         else:
             checked += 1
-    return QuasiPeriodicityCheck(
-        passed=mismatch is None,
-        j=j,
-        overlap_lo=lo,
-        overlap_hi=hi,
-        terms_checked=checked,
-        q_shift_doubled=-j * j,
-        first_mismatch=mismatch,
-    )
+    return QuasiPeriodicityCheck._trusted(mismatch is None, j, lo, hi, checked, -j * j, mismatch)
 
 
 def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> QuasiPeriodicityCheck:
@@ -449,13 +434,7 @@ def _laurent_ratio(j: int, k: int, ell: int, n_max: int, base: dict[int, dict[in
         diff[e + shift] = diff.get(e + shift, 0) - tv.sign * c
     coeff_ok = CycloElt.from_root_pows(ell, diff).is_zero
     passed = gap == expected_gap and coeff_ok
-    return LaurentRatioCheck(
-        passed=passed,
-        j=j,
-        s_exponent_gap=gap,
-        expected_gap=expected_gap,
-        coeff_relation_holds=coeff_ok,
-    )
+    return LaurentRatioCheck._trusted(passed, j, gap, expected_gap, coeff_ok)
 
 
 def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> LaurentRatioCheck:

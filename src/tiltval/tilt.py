@@ -115,7 +115,8 @@ class TiltElement(Record):
     increasing and c reduced to 1..p-1, over the minimal scale s (s = 0 or
     some m prime to p); zero is the empty tuple.  ``terms`` gives them with
     Fraction exponents.  Build through :meth:`from_terms`, :meth:`monomial`,
-    :meth:`zero` or :meth:`one`; the validator runs either way.
+    :meth:`zero` or :meth:`one`.  The validating constructor also refuses a
+    ``nums`` that is not a tuple of (m, c) tuples, so equal elements hash alike.
     """
 
     p: int
@@ -127,6 +128,8 @@ class TiltElement(Record):
             raise DomainError(f"coefficient characteristic must be prime, got {p}")
         if isinstance(s, bool) or not isinstance(s, int) or s < 0:
             raise DomainError(f"frame scale must be a nonnegative integer, got {s!r}")
+        if not isinstance(nums, tuple) or not all(isinstance(term, tuple) and len(term) == 2 for term in nums):
+            raise DomainError(f"terms must be a tuple of (numerator, coefficient) tuples, got {nums!r}")
         prev = -1
         for m, coeff in nums:
             if isinstance(m, bool) or not isinstance(m, int) or m < 0:
@@ -146,21 +149,29 @@ class TiltElement(Record):
 
         Coefficients are reduced mod p and zero terms dropped, so any
         integer coefficient is accepted, but not a bool: True is no residue.
+        p is checked first, before any reduction mod p.  The frame built
+        from checked inputs is sorted, reduced and minimal, all that the
+        validator checks, so it is skipped (``_trusted``) and p is tested
+        for primality once per element.
         """
+        if not isinstance(p, int) or not is_prime(p):
+            raise DomainError(f"coefficient characteristic must be prime, got {p!r}")
         collected: dict[Fraction, int] = {}
         for exponent, coeff in terms.items():
             e = _exact(exponent, "exponent")
+            if e < 0:
+                raise DomainError(f"exponent {e} is negative")
             if isinstance(coeff, bool) or not isinstance(coeff, int):
                 raise DomainError(f"coefficient {coeff!r} is not an integer")
             collected[e] = collected.get(e, 0) + coeff
         den = lcm(*[e.denominator for e in collected])
         s, rest = 0, den
-        while p > 1 and rest % p == 0:
+        while rest % p == 0:
             rest, s = rest // p, s + 1
         if rest != 1:
             raise DomainError(f"exponent denominators (lcm {den}) are not powers of {p}")
         nums = sorted((e.numerator * (den // e.denominator), c % p) for e, c in collected.items() if c % p)
-        return cls(p, *_minimal(p, s, nums))
+        return cls._trusted(p, *_minimal(p, s, nums))
 
     @classmethod
     def monomial(cls, p: int, exponent: _RatLike, coeff: int = 1) -> "TiltElement":

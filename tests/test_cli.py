@@ -264,7 +264,25 @@ def test_help_lists_the_six_commands_in_table_order(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
-    assert "{verify-theta,bound,ansatz,loglink,sweep-ell,all}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "{verify-theta,bound,ansatz,loglink,sweep-ell,all}" in out
+    rows = [line.split(None, 1) for line in out.splitlines()]
+    for name, text in (*cli._SUITES.items(), ("all", "every suite in order")):
+        assert [name, text] in rows  # each command's help line is on the page
+
+
+def test_options_may_come_before_the_command(tmp_path, capsys):
+    path = write_config(tmp_path, "s.json", '{"seed": 5}')
+    after = run_cli(capsys, "loglink", "--format", "csv", "--config", path, "--seed", "3")
+    before = run_cli(capsys, "--format", "csv", "--config", path, "--seed", "3", "loglink")
+    between = run_cli(capsys, "--format", "csv", "loglink", "--config", path, "--seed", "3")
+    assert after == before == between and after[0] == 0 and after[1].startswith("suite,check,passed,witness")
+    for argv in (["loglink", "bound"], ["--seed", "3"], ["bogus"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tiltval [-h]") and "\ntiltval: error: " in err
 
 
 def test_commands_reach_each_suite_through_its_module_attribute(monkeypatch, capsys):

@@ -376,6 +376,20 @@ def test_unit_products_and_powers_pass_the_public_constructor_randomized():
             assert results[0] == PadicUnit.of(p, precision, a.value * b.value)
 
 
+def test_unit_products_and_powers_match_the_reducing_constructor_randomized():
+    # mul and pow reduce by the memoised modulus of their group; PadicUnit.of reduces by p^N itself.
+    rng = random.Random(2207)
+    for p in (2, 3, 5, 29):
+        for precision in (3, 14, 80):
+            for _ in range(8):
+                a = PadicUnit.random(rng, p, precision)
+                b = PadicUnit.random(rng, p, precision)
+                assert a.mul(b) == PadicUnit.of(p, precision, a.value * b.value)
+                for k in (0, 1, p, -rng.randint(1, 2 * p)):
+                    expected = a.value**k if k >= 0 else pow(a.value, k, p**precision)
+                    assert a.pow(k) == PadicUnit.of(p, precision, expected), (p, precision, k)
+
+
 def test_mixed_groups_rejected():
     with pytest.raises(ConfigError):
         PadicUnit(3, 5, 4).mul(PadicUnit(3, 4, 4))

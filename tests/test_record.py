@@ -77,6 +77,13 @@ def test_trusted_path_builds_the_validated_record():
     assert type(trusted) is TiltElement and trusted == validated and hash(trusted) == hash(validated)
     assert PadicUnit._trusted(5, 4, 6) == PadicUnit(5, 4, 6)
     assert CycloElt._trusted(5, (1, 0, 0, 0)) == CycloElt.one(5)
+    checks = (CheckRecord("x.y", True, ()),)
+    report = Report._trusted("bound", (), ("gauge",), checks, None)  # the trusted path fills no default
+    assert type(report) is Report and report == Report(suite="bound", config_echo=(), gauges=("gauge",), checks=checks)
+    assert report.wall_ms is None and hash(report) == hash(Report("bound", (), ("gauge",), checks))
+    for values in (("bound", (), ("gauge",), checks), ("bound", (), ("gauge",), checks, None, 7)):
+        with pytest.raises(ValueError, match="Report takes 5 field values"):
+            Report._trusted(*values)
     for name in TiltElement.__slots__:
         with pytest.raises(AttributeError):
             setattr(trusted, name, getattr(validated, name))

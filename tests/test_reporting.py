@@ -79,6 +79,16 @@ def test_synthetic_reports_match_json_dumps():
     assert '"config": {}' in render_report(reports[2], "json")
 
 
+@pytest.mark.parametrize("passed", [True, False, 1, 0, "yes", "", (0,), None])
+def test_make_check_builds_the_keyword_built_record(passed):
+    # make_check fills the record positionally; the generic constructor binds the same fields by name.
+    check = make_check("x.y", passed, margin=Fraction(1, 2), flag=True, pair=(1, Fraction(3)))
+    witness = (("margin", "1/2"), ("flag", "true"), ("pair", "(1, 3/1)"))
+    assert check == CheckRecord(check_id="x.y", passed=bool(passed), witness=witness)
+    assert type(check.passed) is bool and hash(check) == hash(CheckRecord("x.y", bool(passed), witness))
+    assert make_check("x.z", passed) == CheckRecord(check_id="x.z", passed=bool(passed), witness=())
+
+
 def _one_check(suite="bad", check_id="bad.check", witness=()):
     return Report(suite, (), (), (CheckRecord(check_id, True, witness),))
 

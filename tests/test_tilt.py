@@ -634,6 +634,39 @@ def test_records_are_immutable_values():
     assert TiltElement.monomial(3, Fraction(4, 9)).terms == ((Fraction(4, 9), 1),)
 
 
+def test_from_terms_checks_p_before_reducing_mod_p():
+    for p in (0, 1, -3, 4, 3.0):
+        with pytest.raises(DomainError, match="characteristic must be prime"):
+            TiltElement.from_terms(p, {1: 1})
+        with pytest.raises(DomainError, match="characteristic must be prime"):
+            TiltElement.monomial(p, Fraction(1, 2))
+
+
+def test_nums_must_be_a_tuple_of_pairs():
+    for nums in ([(1, 1)], ([1, 1],), ((1, 1, 0),), ((1,),)):
+        with pytest.raises(DomainError, match="tuple of"):
+            TiltElement(3, 0, nums)
+    x = TiltElement.from_terms(3, {Fraction(1, 3): 2, 4: 1})
+    results = (x, tilt_mul(x, x), tilt_pow(x, 4), tilt_frobenius(x, 1), tilt_frobenius(x, -2))
+    for y in results:
+        assert type(y.nums) is tuple and all(type(term) is tuple for term in y.nums)
+        assert hash(y) == hash(TiltElement(y.p, y.s, y.nums))
+    assert len(set(results)) == len(results)
+
+
+def test_from_terms_passes_the_validating_constructor_randomized():
+    # from_terms builds its frame without the validator; the constructor re-checks every field of it.
+    rng = random.Random(733)
+    for p in (2, 3, 5, 7):
+        for _ in range(60):
+            terms = {Fraction(rng.randint(0, 60), p ** rng.randint(0, 3)): rng.randint(-2 * p, 2 * p) for _ in range(5)}
+            x = TiltElement.from_terms(p, terms)
+            assert TiltElement(p, x.s, x.nums) == x
+            negative = {**terms, Fraction(-rng.randint(1, 9), p ** rng.randint(0, 2)): 1}
+            with pytest.raises(DomainError, match="negative"):
+                TiltElement.from_terms(p, negative)
+
+
 def test_from_terms_reduces_mod_p():
     assert TiltElement.from_terms(2, {1: 5}) == TiltElement.monomial(2, 1)
     assert TiltElement.from_terms(2, {1: 2}).is_zero
