@@ -199,29 +199,30 @@ def cmd_verify_theta(cfg: RunConfig) -> Iterator[CheckRecord]:
         raise WindowError(
             f"theta_truncation {n_max} is smaller than ell* = {ell_star}; raise it to cover every shift"
         )
-    inv = check_inversion_antisymmetry(n_max)
+    passed, pairs, cancel_at_one, _ = check_inversion_antisymmetry(n_max)
     yield make_check(
         "theta.inversion_antisymmetry",
-        inv.passed,
-        n_max=inv.n_max,
-        pairs_matched=inv.pairs_matched,
-        boundary_terms=inv.boundary_terms,
-        pairs_cancel_at_one=inv.pairs_cancel_at_one,
+        passed,
+        n_max=n_max,
+        pairs_matched=pairs,
+        boundary_terms=1,
+        pairs_cancel_at_one=cancel_at_one,
     )
-    control = check_inversion_antisymmetry(n_max, signed=False)
+    passed, _, _, mismatch = check_inversion_antisymmetry(n_max, signed=False)
     yield make_check(
         "theta.unsigned_control_fails_antisymmetry",
-        not control.passed,
-        n_max=control.n_max,
-        first_mismatch=control.first_mismatch or "none",
+        not passed,
+        n_max=n_max,
+        first_mismatch=mismatch or "none",
     )
-    for qp in check_quasi_periodicity_upto(min(ell_star, n_max), n_max):
+    shifts = check_quasi_periodicity_upto(min(ell_star, n_max), n_max)
+    for j, (passed, overlap, checked, _) in enumerate(shifts, start=1):
         yield make_check(
-            f"theta.quasi_periodicity.j{qp.j}",
-            qp.passed,
-            overlap=(qp.overlap_lo, qp.overlap_hi),
-            terms_checked=qp.terms_checked,
-            q_shift_doubled=qp.q_shift_doubled,
+            f"theta.quasi_periodicity.j{j}",
+            passed,
+            overlap=overlap,
+            terms_checked=checked,
+            q_shift_doubled=-j * j,
         )
     base = theta_value(1, cfg.ell)
     scaling_ok = True
@@ -237,13 +238,14 @@ def cmd_verify_theta(cfg: RunConfig) -> Iterator[CheckRecord]:
         ell=cfg.ell,
         q_exponents=tuple(exponents),
     )
-    for lr in check_theta_value_laurent_upto(min(ell_star, n_max - 1), 1, cfg.ell, n_max):
+    ratios = check_theta_value_laurent_upto(min(ell_star, n_max - 1), 1, cfg.ell, n_max)
+    for j, (passed, gap, expected_gap, coeff_ok) in enumerate(ratios, start=1):
         yield make_check(
-            f"theta.value_laurent_ratio.j{lr.j}",
-            lr.passed,
-            s_exponent_gap=lr.s_exponent_gap,
-            expected_gap=lr.expected_gap,
-            coeff_relation_holds=lr.coeff_relation_holds,
+            f"theta.value_laurent_ratio.j{j}",
+            passed,
+            s_exponent_gap=gap,
+            expected_gap=expected_gap,
+            coeff_relation_holds=coeff_ok,
         )
 
 

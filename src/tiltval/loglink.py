@@ -66,6 +66,8 @@ def _unit_group(p: int, precision: int) -> tuple[int, int, int]:
 
 
 def _require_precision(p: int, precision: int, name: str = "precision") -> None:
+    if isinstance(precision, bool) or not isinstance(precision, int):
+        raise DomainError(f"{name} must be an integer, got {precision!r}")
     floor = _unit_level(p) + 1
     if precision < floor:
         raise PrecisionError(f"{name} {precision} is below the minimum {floor} for p = {p}", required=floor)

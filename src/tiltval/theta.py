@@ -48,10 +48,6 @@ from .tilt import _require_odd_prime
 
 __all__ = [
     "CycloElt",
-    "InversionCheck",
-    "LaurentRatioCheck",
-    "QuasiPeriodicityCheck",
-    "ThetaSeriesTrunc",
     "ThetaTerm",
     "ThetaValue",
     "check_inversion_antisymmetry",
@@ -100,10 +96,6 @@ class CycloElt(Record):
         if not all(map(isinstance, coeffs, repeat(int))):
             raise DomainError("coefficients must be integers")
         self._assign(ell, coeffs)
-
-    @classmethod
-    def zero(cls, ell: int) -> "CycloElt":
-        return cls(ell, (0,) * (ell - 1))
 
     @classmethod
     def one(cls, ell: int) -> "CycloElt":
@@ -180,60 +172,35 @@ class ThetaTerm(Record):
         self._assign(n, sign, q_exp, u_exp)
 
 
-class ThetaSeriesTrunc(Record):
-    """The terms with |n| <= n_max, in increasing index order."""
-
-    n_max: int
-    signed: bool
-    terms: tuple[ThetaTerm, ...]
-
-    def term_at(self, n: int) -> ThetaTerm:
-        if abs(n) > self.n_max:
-            raise WindowError(f"index {n} outside the window |n| <= {self.n_max}")
-        return self.terms[n + self.n_max]
-
-
-def theta_terms(n_max: int, signed: bool = True) -> ThetaSeriesTrunc:
-    """Descriptor table of the truncation; n_max = 0 gives the single term u."""
+def theta_terms(n_max: int, signed: bool = True) -> tuple[ThetaTerm, ...]:
+    """Descriptor table of the truncation, index n at position n + n_max; n_max = 0 gives the single term u."""
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError(f"truncation radius must be a nonnegative integer, got {n_max!r}")
     terms = []
     for n in range(-n_max, n_max + 1):
         sign = (-1) ** (n % 2) if signed else 1
         terms.append(ThetaTerm(n, sign, n * (n + 1) // 2, 2 * n + 1))
-    return ThetaSeriesTrunc(n_max=n_max, signed=signed, terms=tuple(terms))
+    return tuple(terms)
 
 
-class InversionCheck(Record):
-    """Outcome of the u -> 1/u antisymmetry check on a truncation window.
+def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> tuple[bool, int, bool, str | None]:
+    """Verify that substituting u -> 1/u negates the truncated series.
 
+    Returns (passed, pairs matched, pairs cancel at one, first mismatch).
     The window [-N, N] splits into N pairs (n, -n-1) plus the single
     boundary index n = N whose partner -N-1 lies outside; the pairs are
     compared term against term and the boundary index against the formula
-    its partner would satisfy.  ``pairs_cancel_at_one`` records whether
-    each pair sums to zero at u = 1, which is the truncated form of
-    theta(1) = 0.
+    its partner would satisfy.  Pairs cancel at one when each pair sums to
+    zero at u = 1, which is the truncated form of theta(1) = 0.
     """
-
-    passed: bool
-    n_max: int
-    pairs_matched: int
-    boundary_terms: int
-    pairs_cancel_at_one: bool
-    first_mismatch: str | None
-
-
-def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> InversionCheck:
-    """Verify that substituting u -> 1/u negates the truncated series."""
     if n_max < 1:
         raise DomainError("the check needs at least one pair, so n_max >= 1")
-    series = theta_terms(n_max, signed)
+    terms = theta_terms(n_max, signed)
     mismatch: str | None = None
     pairs = 0
     cancel_at_one = True
     for n in range(0, n_max):
-        tn = series.term_at(n)
-        tm = series.term_at(-n - 1)
+        tn, tm = terms[n_max + n], terms[n_max - n - 1]
         if tm.u_exp != -tn.u_exp:
             mismatch = mismatch or f"pair ({n}, {-n - 1}): u-exponents {tm.u_exp} vs {-tn.u_exp}"
         elif tm.q_exp != tn.q_exp:
@@ -246,7 +213,7 @@ def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> InversionCh
             cancel_at_one = False
     # Boundary index n = N: its partner m = -N-1 left the window, so test the
     # formula that partner would have to satisfy instead of a stored term.
-    tb = series.term_at(n_max)
+    tb = terms[2 * n_max]
     m = -n_max - 1
     partner_q = m * (m + 1) // 2
     partner_sign = (-1) ** (m % 2) if signed else 1
@@ -255,30 +222,12 @@ def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> InversionCh
     if partner_sign != -tb.sign:
         mismatch = mismatch or f"boundary {n_max}: partner sign {partner_sign} is not {-tb.sign}"
     passed = mismatch is None and pairs == n_max and cancel_at_one
-    return InversionCheck._trusted(passed, n_max, pairs, 1, cancel_at_one, mismatch)
+    return passed, pairs, cancel_at_one, mismatch
 
 
-class QuasiPeriodicityCheck(Record):
-    """Outcome of the shift identity at step j on the symmetric overlap window.
-
-    Compares theta(q^(j/2) u) against (-1)^j q^(-j^2/2) u^(-2j) theta(u)
-    term by term for n in [-N + |j|, N - |j|], where the reindexed series
-    is still inside the window.  All q-exponents are doubled so the
-    half-integer shifts stay in integer arithmetic.
-    """
-
-    passed: bool
-    j: int
-    overlap_lo: int
-    overlap_hi: int
-    terms_checked: int
-    q_shift_doubled: int
-    first_mismatch: str | None
-
-
-def _quasi_periodicity(series: ThetaSeriesTrunc, j: int) -> QuasiPeriodicityCheck:
+def _quasi_periodicity(terms: tuple[ThetaTerm, ...], j: int) -> tuple[bool, tuple[int, int], int, str | None]:
     """The shift identity at step j on a prebuilt descriptor table."""
-    n_max = series.n_max
+    n_max = len(terms) // 2
     if n_max < 1:
         raise DomainError("the check needs a window, so n_max >= 1")
     if abs(j) > n_max:
@@ -288,8 +237,8 @@ def _quasi_periodicity(series: ThetaSeriesTrunc, j: int) -> QuasiPeriodicityChec
     mismatch: str | None = None
     checked = 0
     # |j| <= n_max keeps every n and n + j, n in [lo, hi], inside the window.
-    left = series.terms[lo + n_max : hi + n_max + 1]
-    right = series.terms[lo + j + n_max : hi + j + n_max + 1]
+    left = terms[lo + n_max : hi + n_max + 1]
+    right = terms[lo + j + n_max : hi + j + n_max + 1]
     for n, tn, ts in zip(range(lo, hi + 1), left, right):
         # Left side, term n of theta(q^(j/2) u), in doubled q-units.
         lhs_q2 = 2 * tn.q_exp + j * tn.u_exp
@@ -306,18 +255,25 @@ def _quasi_periodicity(series: ThetaSeriesTrunc, j: int) -> QuasiPeriodicityChec
             )
         else:
             checked += 1
-    return QuasiPeriodicityCheck._trusted(mismatch is None, j, lo, hi, checked, -j * j, mismatch)
+    return mismatch is None, (lo, hi), checked, mismatch
 
 
-def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> QuasiPeriodicityCheck:
-    """Verify the shift identity u -> q^(j/2) u at integer step j."""
+def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> tuple[bool, tuple[int, int], int, str | None]:
+    """Verify the shift identity u -> q^(j/2) u at integer step j.
+
+    Returns (passed, (overlap lo, hi), terms checked, first mismatch).
+    Compares theta(q^(j/2) u) against (-1)^j q^(-j^2/2) u^(-2j) theta(u)
+    term by term for n in [-N + |j|, N - |j|], where the reindexed series
+    is still inside the window.  All q-exponents are doubled so the
+    half-integer shifts stay in integer arithmetic.
+    """
     return _quasi_periodicity(theta_terms(n_max, signed), j)
 
 
-def check_quasi_periodicity_upto(j_max: int, n_max: int) -> tuple[QuasiPeriodicityCheck, ...]:
+def check_quasi_periodicity_upto(j_max: int, n_max: int) -> tuple[tuple[bool, tuple[int, int], int, str | None], ...]:
     """The signed shift identity at every step j = 1 .. j_max, on one descriptor table."""
-    series = theta_terms(n_max)
-    return tuple(_quasi_periodicity(series, j) for j in range(1, j_max + 1))
+    terms = theta_terms(n_max)
+    return tuple(_quasi_periodicity(terms, j) for j in range(1, j_max + 1))
 
 
 class ThetaValue(Record):
@@ -399,23 +355,9 @@ def eval_theta_laurent(j: int, k: int, ell: int, n_max: int, signed: bool = True
     return {s_exp: acc[s_exp] for s_exp in sorted(acc) if acc[s_exp]}
 
 
-class LaurentRatioCheck(Record):
-    """Consistency of :func:`theta_value` against truncated evaluation.
-
-    The evaluation at u = s^j zeta^k must sit lower than the one at
-    u = zeta^k by exactly j^2 s-steps, i.e. by q^(-j^2 / 2ell), and the
-    two lowest coefficients must differ by sign * zeta^(-2jk), the
-    reciprocal of the multiplier :func:`theta_value` states.
-    """
-
-    passed: bool
-    j: int
-    s_exponent_gap: int
-    expected_gap: int
-    coeff_relation_holds: bool
-
-
-def _laurent_ratio(j: int, k: int, ell: int, n_max: int, base: dict[int, dict[int, int]]) -> LaurentRatioCheck:
+def _laurent_ratio(
+    j: int, k: int, ell: int, n_max: int, base: dict[int, dict[int, int]]
+) -> tuple[bool, int, int, bool]:
     """The check at (j, k), given the base evaluation at u = zeta^k."""
     tv = theta_value(j, ell)  # validates j and ell
     if k % ell == 0:
@@ -433,16 +375,24 @@ def _laurent_ratio(j: int, k: int, ell: int, n_max: int, base: dict[int, dict[in
     for e, c in base[base_s].items():
         diff[e + shift] = diff.get(e + shift, 0) - tv.sign * c
     coeff_ok = CycloElt.from_root_pows(ell, diff).is_zero
-    passed = gap == expected_gap and coeff_ok
-    return LaurentRatioCheck._trusted(passed, j, gap, expected_gap, coeff_ok)
+    return gap == expected_gap and coeff_ok, gap, expected_gap, coeff_ok
 
 
-def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> LaurentRatioCheck:
-    """Compare the symbolic special value with exact series evaluation."""
+def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> tuple[bool, int, int, bool]:
+    """Compare the symbolic special value with exact series evaluation.
+
+    Returns (passed, s-exponent gap, expected gap, coefficient relation
+    holds).  The evaluation at u = s^j zeta^k must sit lower than the one
+    at u = zeta^k by exactly j^2 s-steps, i.e. by q^(-j^2 / 2ell), and the
+    two lowest coefficients must differ by sign * zeta^(-2jk), the
+    reciprocal of the multiplier :func:`theta_value` states.
+    """
     return _laurent_ratio(j, k, ell, n_max, eval_theta_laurent(0, k, ell, n_max))
 
 
-def check_theta_value_laurent_upto(j_max: int, k: int, ell: int, n_max: int) -> tuple[LaurentRatioCheck, ...]:
+def check_theta_value_laurent_upto(
+    j_max: int, k: int, ell: int, n_max: int
+) -> tuple[tuple[bool, int, int, bool], ...]:
     """The special-value check at every j = 1 .. j_max, against one base evaluation."""
     base = eval_theta_laurent(0, k, ell, n_max) if j_max > 0 else {}
     return tuple(_laurent_ratio(j, k, ell, n_max, base) for j in range(1, j_max + 1))

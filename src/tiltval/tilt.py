@@ -50,8 +50,8 @@ __all__ = [
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; exact for any int, meant for small ones."""
-    if n < 2:
+    """Trial-division primality test; exact for any int, meant for small ones.  No bool or non-int is prime."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         return False
     if n < 4:
         return True
@@ -154,7 +154,7 @@ class TiltElement(Record):
         validator checks, so it is skipped (``_trusted``) and p is tested
         for primality once per element.
         """
-        if not isinstance(p, int) or not is_prime(p):
+        if not is_prime(p):
             raise DomainError(f"coefficient characteristic must be prime, got {p!r}")
         collected: dict[Fraction, int] = {}
         for exponent, coeff in terms.items():

@@ -57,20 +57,21 @@ def test_criterion_02_threshold_is_5_by_two_routes():
 
 
 def test_criterion_03_theta_identities_exact_at_n12():
-    inv = check_inversion_antisymmetry(12)
-    assert inv.passed and inv.pairs_matched == 12 and inv.boundary_terms == 1
-    control = check_inversion_antisymmetry(12, signed=False)
-    assert not control.passed and control.first_mismatch is not None
+    passed, pairs, _, mismatch = check_inversion_antisymmetry(12)
+    assert passed and pairs == 12 and mismatch is None
+    passed, _, _, mismatch = check_inversion_antisymmetry(12, signed=False)
+    assert not passed and mismatch is not None
     for j in range(-12, 13):
-        qp = check_quasi_periodicity(j, 12)
-        assert qp.passed, f"quasi-periodicity failed at j = {j}: {qp.first_mismatch}"
-        assert qp.q_shift_doubled == -j * j
+        passed, overlap, checked, mismatch = check_quasi_periodicity(j, 12)
+        assert passed, f"quasi-periodicity failed at j = {j}: {mismatch}"
+        assert overlap == (-12 + abs(j), 12 - abs(j))
+        assert checked == 2 * (12 - abs(j)) + 1
     for ell in (5, 7, 11):
         for j in range(1, (ell - 1) // 2 + 1):
             for k in (1, 2):
-                lr = check_theta_value_laurent(j, k, ell, 12)
-                assert lr.passed, (ell, j, k)
-                assert lr.s_exponent_gap == lr.expected_gap == -j * j
+                passed, gap, expected_gap, _ = check_theta_value_laurent(j, k, ell, 12)
+                assert passed, (ell, j, k)
+                assert gap == expected_gap == -j * j
 
 
 def test_criterion_04_theta_value_exponent_scaling():
@@ -192,4 +193,11 @@ def test_criterion_10_json_reports_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     blob = first.read_bytes()
     assert blob == second.read_bytes()
-    assert json.loads(blob)["overall"] == "pass"
+    report = json.loads(blob)
+    assert report["overall"] == "pass"
+    # The defaults' theta window (n_max 12, ell 5): one boundary term, doubled q-shift -j^2 at j = 1, 2.
+    witnesses = {check["id"]: check["witness"] for suite in report["suites"] for check in suite["checks"]}
+    inversion = witnesses["theta.inversion_antisymmetry"]
+    assert (inversion["n_max"], inversion["pairs_matched"], inversion["boundary_terms"]) == ("12", "12", "1")
+    shifts = [witnesses[f"theta.quasi_periodicity.j{j}"]["q_shift_doubled"] for j in (1, 2)]
+    assert shifts == ["-1", "-4"] and "theta.quasi_periodicity.j3" not in witnesses

@@ -463,6 +463,41 @@ def test_unsigned_theta_table_fails_quasi_periodicity(monkeypatch, capsys):
     assert verdicts["theta.quasi_periodicity.j2"]
 
 
+def test_failing_theta_witnesses_keep_each_value_in_its_slot(monkeypatch, capsys):
+    # A passing defaults report has n_max = pairs_matched = 12 and s_exponent_gap = expected_gap = -1,
+    # so only failing runs tell swapped witness slots apart.
+    def witnesses():
+        code, out, _ = run_cli(capsys, "verify-theta", "--format", "json")
+        assert code == 1
+        return {check["id"]: list(check["witness"].items()) for check in json.loads(out)["checks"]}
+
+    monkeypatch.setattr("tiltval.theta.theta_terms", lambda n_max, signed=True: theta_terms(n_max, signed=False))
+    unsigned = witnesses()
+    assert unsigned["theta.inversion_antisymmetry"] == [
+        ("n_max", "12"),
+        ("pairs_matched", "0"),
+        ("boundary_terms", "1"),
+        ("pairs_cancel_at_one", "false"),
+    ]
+    assert unsigned["theta.quasi_periodicity.j1"] == [
+        ("overlap", "(-11, 11)"),
+        ("terms_checked", "0"),
+        ("q_shift_doubled", "-1"),
+    ]
+    monkeypatch.undo()
+
+    def quadrupled(j, ell):
+        tv = theta_value(j, ell)
+        return ThetaValue(tv.j, tv.ell, tv.sign, 4 * tv.q_exponent, tv.zeta_exponent)
+
+    monkeypatch.setattr("tiltval.theta.theta_value", quadrupled)
+    assert witnesses()["theta.value_laurent_ratio.j1"] == [
+        ("s_exponent_gap", "-1"),
+        ("expected_gap", "-4"),
+        ("coeff_relation_holds", "true"),
+    ]
+
+
 def test_sweep_witness_takes_the_last_primes_margin(tmp_path, capsys):
     config = write_config(tmp_path, "sweep.json", '{"ell_sweep_max": 100, "v_q": "7/3"}')
     code, out, _ = run_cli(capsys, "sweep-ell", "--format", "json", "--config", config)

@@ -295,6 +295,25 @@ def test_random_unit_checks_the_precision_floor_before_drawing():
     assert rng.getstate() == state
 
 
+_PRECISION_ENTRY_POINTS = {
+    "constructor": lambda rng, precision: PadicUnit(3, precision, 4),
+    "of": lambda rng, precision: PadicUnit.of(3, precision, 4),
+    "random": lambda rng, precision: PadicUnit.random(rng, 3, precision),
+    "run_config": lambda rng, precision: cli.RunConfig(p=3, padic_precision=precision).validate(),
+}
+
+
+@pytest.mark.parametrize("entry", _PRECISION_ENTRY_POINTS)
+def test_precision_must_be_an_int(entry):
+    # A float precision would make float values: PadicUnit(3, 14.0, 4) squared holds 16.0, which padic_log cannot use.
+    rng = random.Random(7)
+    state = rng.getstate()
+    for precision in (14.0, 2.0, True, Fraction(14)):
+        with pytest.raises(DomainError, match="precision must be an integer"):
+            _PRECISION_ENTRY_POINTS[entry](rng, precision)
+    assert rng.getstate() == state
+
+
 def _random_by_of(rng, p, precision):
     """The earlier draw route: one randrange, then the validating PadicUnit.of."""
     if p == 2:

@@ -10,12 +10,14 @@ import pytest
 from conftest import assert_immutable_value, random_element, random_monomial
 
 from tiltval.errors import ConfigError, DomainError
+from tiltval.loglink import PadicUnit
 from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, eta_val, gauss_log_norm, teichmuller
 from tiltval.tilt import (
     _convolve,
     _is_p_power,
     _power_check,
     _powers,
+    _require_odd_prime,
     TiltElement,
     is_prime,
     tilt_frobenius,
@@ -686,3 +688,17 @@ def test_is_prime_small_table():
     assert not is_prime(-7)
     assert is_prime(97)
     assert not is_prime(91)  # 7 * 13
+
+
+def test_only_an_int_is_prime():
+    # 3.0 == 3 and True == 1, but a float or bool p would build float or bool arithmetic into exact models.
+    for n in (3.0, 5.0, 2.0, True, False, Fraction(3), Decimal(5), "3"):
+        assert not is_prime(n), n
+    with pytest.raises(DomainError, match="characteristic must be prime"):
+        TiltElement(3.0, 0, ((1, 1),))
+    with pytest.raises(DomainError, match="p must be prime"):
+        PadicUnit(3.0, 4, 4)
+    with pytest.raises(DomainError, match="residue characteristic must be prime"):
+        WittExpr(3.0, ())
+    with pytest.raises(DomainError, match="ell must be an odd prime"):
+        _require_odd_prime(5.0)
