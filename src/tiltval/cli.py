@@ -7,13 +7,21 @@ Configuration comes from an optional JSON file whose rationals are
 outright, there is no tolerance knob anywhere.  Exit status: 0 when all
 checks pass, 1 when a mathematical check fails, 2 for configuration or
 usage errors.
+
+Importing this module loads only what every command needs: records,
+errors, tilt (which owns the config validators) and reporting, plus
+ansatz and witt, whose ``tilt_pow`` bindings perfbench/selftest.py reads
+right after the import.  Each suite builder imports theta, pilot or
+loglink in its own body, so a process without a bytecode cache compiles
+only the suites its command runs, and a config refused at load compiles
+none of them.  That import reads the home module's attribute on every
+call, so a wrapper set on ``tiltval.<module>.<name>`` reaches the builder.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 import time
@@ -24,27 +32,11 @@ from typing import Callable, Iterator
 from ._record import Record
 from .ansatz import is_member, make_ansatz, valuation_profile, scale_invariance_check
 from .errors import ConfigError, DomainError, PrecisionError, VerificationError, WindowError
-from .loglink import PadicUnit, _random_unit, _require_precision, _unit_level, chain_build, m_of_epsilon, padic_log
-from .pilot import (
-    corollary_c_check,
-    main_bound_check,
-    main_bound_sweep,
-    size_estimate,
-    sum_log_norms,
-    theta_set_sample,
-    threshold_ell_by_root_analysis,
-    threshold_ell_by_sweep,
-)
 from .reporting import (
     GAUGE_NOTES, AnyReport, CheckRecord, CombinedReport, Report, format_exact, make_check, render_report
 )
-from .theta import (
-    check_inversion_antisymmetry,
-    check_quasi_periodicity_upto,
-    check_theta_value_laurent_upto,
-    theta_value,
-)
-from .tilt import TiltElement, _is_p_power, _require_odd_prime, is_prime, tilt_mul, tilt_pow, tilt_rescale_t
+from .tilt import TiltElement, _is_p_power, _require_odd_prime, _require_precision, _unit_level, is_prime
+from .tilt import tilt_mul, tilt_pow, tilt_rescale_t
 from .witt import PrimitiveDeg1, RhoWeight, eta_val
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -193,6 +185,9 @@ def _suite(build: Callable[[RunConfig], Iterator[CheckRecord]]) -> Callable[[Run
 @_suite
 def cmd_verify_theta(cfg: RunConfig) -> Iterator[CheckRecord]:
     """Inversion antisymmetry, quasi-periodicity, and special-value consistency."""
+    from .theta import check_inversion_antisymmetry, check_quasi_periodicity_upto, check_theta_value_laurent_upto
+    from .theta import theta_value
+
     n_max = cfg.theta_truncation
     ell_star = (cfg.ell - 1) // 2
     if n_max < ell_star:
@@ -252,6 +247,8 @@ def cmd_verify_theta(cfg: RunConfig) -> Iterator[CheckRecord]:
 @_suite
 def cmd_bound(cfg: RunConfig) -> Iterator[CheckRecord]:
     """The strict size inequality at (ell, v_q), every identity step shown."""
+    from .pilot import corollary_c_check, main_bound_check
+
     report = main_bound_check(cfg.ell, cfg.v_q)
     for label, value, ok in report.steps:
         yield make_check(f"bound.{label}", ok, value=value)
@@ -283,6 +280,9 @@ def cmd_bound(cfg: RunConfig) -> Iterator[CheckRecord]:
 @_suite
 def cmd_ansatz(cfg: RunConfig) -> Iterator[CheckRecord]:
     """The witness square-power family: profiles, orbits, membership, sizes."""
+    from .pilot import size_estimate, sum_log_norms, theta_set_sample
+    from .theta import theta_value
+
     ell_star = (cfg.ell - 1) // 2
     if not _is_p_power(ell_star, cfg.p):
         raise ConfigError(
@@ -352,6 +352,10 @@ def cmd_ansatz(cfg: RunConfig) -> Iterator[CheckRecord]:
 @_suite
 def cmd_loglink(cfg: RunConfig) -> Iterator[CheckRecord]:
     """Chain structure, epsilon thresholds, and exact log functional equations."""
+    import random
+
+    from .loglink import PadicUnit, _random_unit, chain_build, m_of_epsilon, padic_log
+
     depth = cfg.frobenius_depth
     window = (-depth, depth)
     chain = chain_build(cfg.p, Fraction(1), window)
@@ -428,6 +432,8 @@ def cmd_loglink(cfg: RunConfig) -> Iterator[CheckRecord]:
 @_suite
 def cmd_sweep_ell(cfg: RunConfig) -> Iterator[CheckRecord]:
     """Threshold behavior of the bound over all odd primes up to the limit."""
+    from .pilot import main_bound_check, main_bound_sweep, threshold_ell_by_root_analysis, threshold_ell_by_sweep
+
     report3 = main_bound_check(3, cfg.v_q)
     yield make_check(
         "sweep.ell3_boundary_equality",

@@ -36,8 +36,8 @@ from functools import cache
 from math import isqrt
 
 from ._record import Record
-from .errors import ConfigError, DomainError, PrecisionError, VerificationError
-from .tilt import _require_window, is_prime
+from .errors import ConfigError, DomainError, VerificationError
+from .tilt import _require_precision, _require_prime, _require_window, _unit_level
 
 __all__ = [
     "LogLinkChain",
@@ -48,29 +48,11 @@ __all__ = [
 ]
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
-
-
-def _unit_level(p: int) -> int:
-    """v with principal units 1 + p^v Z_p: 2 at p = 2, else 1."""
-    return 2 if p == 2 else 1
-
-
 @cache
 def _unit_group(p: int, precision: int) -> tuple[int, int, int]:
     """For a checked p and N: c = p^_unit_level(p), the draw bound p^N // c and the modulus p^N."""
     c, modulus = p ** _unit_level(p), p**precision
     return c, modulus // c, modulus
-
-
-def _require_precision(p: int, precision: int, name: str = "precision") -> None:
-    if isinstance(precision, bool) or not isinstance(precision, int):
-        raise DomainError(f"{name} must be an integer, got {precision!r}")
-    floor = _unit_level(p) + 1
-    if precision < floor:
-        raise PrecisionError(f"{name} {precision} is below the minimum {floor} for p = {p}", required=floor)
 
 
 class PadicUnit(Record):

@@ -16,7 +16,6 @@ is not a str, raises VerificationError, so a float reaches no format.
 
 from __future__ import annotations
 
-import csv
 import io
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -169,6 +168,8 @@ def _json(report: AnyReport, pad: str = "") -> str:
 
 
 def _render_csv(report: AnyReport) -> str:
+    import csv  # here, so a json or text run never loads it
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["suite", "check", "passed", "witness"])

@@ -44,7 +44,7 @@ from itertools import repeat
 
 from ._record import Record
 from .errors import DomainError, WindowError
-from .tilt import _require_odd_prime
+from .tilt import _require_int, _require_odd_prime
 
 __all__ = [
     "CycloElt",
@@ -227,6 +227,7 @@ def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> tuple[bool,
 
 def _quasi_periodicity(terms: tuple[ThetaTerm, ...], j: int) -> tuple[bool, tuple[int, int], int, str | None]:
     """The shift identity at step j on a prebuilt descriptor table."""
+    _require_int(j, "j")
     n_max = len(terms) // 2
     if n_max < 1:
         raise DomainError("the check needs a window, so n_max >= 1")
@@ -309,7 +310,7 @@ def theta_value(j: int, ell: int) -> ThetaValue:
     """Special-value multiplier at the j-th shift for an odd prime ell."""
     _require_odd_prime(ell)
     ell_star = (ell - 1) // 2
-    if not isinstance(j, int) or not 1 <= j <= ell_star:
+    if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= ell_star:
         raise DomainError(f"j must lie in 1..{ell_star} for ell = {ell}, got {j!r}")
     # ell and j are validated above; the sign, q-exponent > 0 and reduced zeta exponent hold by construction
     return ThetaValue._trusted(j, ell, (-1) ** (j % 2), Fraction(j * j, 2 * ell), (2 * j) % ell)
@@ -338,6 +339,8 @@ def eval_theta_laurent(j: int, k: int, ell: int, n_max: int, signed: bool = True
     its map, 0 <= e < ell, holding only nonzero c; exponents with a zero
     coefficient are dropped and the rest come in increasing order.
     """
+    _require_int(j, "j")
+    _require_int(k, "k")
     _require_odd_prime(ell)
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError(f"truncation radius must be a nonnegative integer, got {n_max!r}")

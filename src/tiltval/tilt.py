@@ -36,7 +36,7 @@ from math import gcd, isqrt, lcm
 from typing import Callable, Mapping, Union
 
 from ._record import Record
-from .errors import ConfigError, DomainError, TiltvalError
+from .errors import ConfigError, DomainError, PrecisionError, TiltvalError
 
 __all__ = [
     "TiltElement",
@@ -66,9 +66,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
+
+
 def _require_odd_prime(ell: int, error: type[TiltvalError] = DomainError) -> None:
     if not is_prime(ell) or ell == 2:
         raise error(f"ell must be an odd prime, got {ell}")
+
+
+def _unit_level(p: int) -> int:
+    """v with principal units 1 + p^v Z_p: 2 at p = 2, else 1."""
+    return 2 if p == 2 else 1
+
+
+def _require_int(x: object, name: str) -> None:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError(f"{name} must be an integer, got {x!r}")
+
+
+def _require_precision(p: int, precision: int, name: str = "precision") -> None:
+    _require_int(precision, name)
+    floor = _unit_level(p) + 1
+    if precision < floor:
+        raise PrecisionError(f"{name} {precision} is below the minimum {floor} for p = {p}", required=floor)
 
 
 def _require_window(window: tuple[int, int]) -> tuple[int, int]:

@@ -120,6 +120,51 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert result.stdout.strip() == "[]"
 
 
+# ansatz and witt load at import: perfbench/selftest.py reads their tilt_pow right after it.
+_IMPORT_TIME_SUBMODULES = {"_record", "ansatz", "cli", "errors", "reporting", "tilt", "witt"}
+
+
+@pytest.mark.parametrize(
+    "argv, config, loaded",
+    [
+        (None, None, set()),
+        (["all"], '{"ell": 4}', set()),
+        (["verify-theta"], None, {"theta"}),
+        (["bound"], None, {"pilot"}),
+        (["sweep-ell"], None, {"pilot"}),
+        (["loglink"], None, {"loglink"}),
+        (["ansatz"], None, {"theta", "pilot"}),
+        (["all"], None, {"theta", "pilot", "loglink"}),
+    ],
+    ids=["import", "refused", "verify-theta", "bound", "sweep-ell", "loglink", "ansatz", "all"],
+)
+def test_a_command_loads_only_the_suites_it_runs(tmp_path, argv, config, loaded):
+    # A fresh interpreter per case: here pytest has already imported every module.
+    if argv is not None:
+        argv = [*argv, "--format", "json", "--output", str(tmp_path / "report.json")]
+        if config is not None:
+            argv += ["--config", write_config(tmp_path, "c.json", config)]
+    probe = "\n".join(
+        [
+            "import json, sys",
+            "from tiltval.cli import main",
+            "argv = json.loads(sys.argv[1])",
+            "if argv is not None:",
+            "    main(argv)",
+            "print(sorted(m for m in sys.modules if m == 'tiltval' or m.startswith('tiltval.')))",
+        ]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(argv)],
+        env=_env_with_src(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    expected = sorted({"tiltval", *(f"tiltval.{name}" for name in _IMPORT_TIME_SUBMODULES | loaded)})
+    assert result.stdout.strip() == repr(expected), result.stderr
+
+
 def test_load_config_rejections(tmp_path):
     cases = {
         "unknown.json": '{"elll": 7}',
@@ -389,7 +434,7 @@ def test_every_text_line_is_gated(capsys):
 
 def test_non_homomorphic_log_fails_the_log_rules(monkeypatch, capsys):
     # u - 1 lands in the right subgroup but turns no product into a sum.
-    monkeypatch.setattr("tiltval.cli.padic_log", lambda u: (u.value - 1) % u.modulus)
+    monkeypatch.setattr("tiltval.loglink.padic_log", lambda u: (u.value - 1) % u.modulus)
     code, out, _ = run_cli(capsys, "loglink", "--format", "json")
     assert code == 1
     verdicts = {check["id"]: check["passed"] for check in json.loads(out)["checks"]}
@@ -591,7 +636,7 @@ def test_a_broken_bound_identity_fails_its_step(monkeypatch, tmp_path, capsys, s
     assert faulty != source
     namespace = dict(vars(pilot))
     exec(compile(faulty, pilot.__file__, "exec"), namespace)
-    monkeypatch.setattr("tiltval.cli.main_bound_check", namespace["main_bound_check"])
+    monkeypatch.setattr("tiltval.pilot.main_bound_check", namespace["main_bound_check"])
     target = tmp_path / "bound.json"
     code, out, _ = run_cli(capsys, "bound", "--format", "json", "--output", str(target))
     assert code == 1 and out == ""
@@ -620,7 +665,7 @@ def test_a_broken_bound_identity_fails_its_step(monkeypatch, tmp_path, capsys, s
         # A log scaled by p still turns products into sums, but every valuation moves up by one.
         (
             "loglink",
-            "tiltval.cli.padic_log",
+            "tiltval.loglink.padic_log",
             lambda u: padic_log(u) * u.p % u.modulus,
             {"loglink.kummer_shift_telescoping"},
         ),
@@ -667,7 +712,7 @@ def test_a_wrong_power_kernel_is_caught_by_the_orbit_check(monkeypatch, capsys):
 
 
 def test_threshold_route_disagreement_is_a_failed_check(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr("tiltval.cli.threshold_ell_by_root_analysis", lambda limit: 7)
+    monkeypatch.setattr("tiltval.pilot.threshold_ell_by_root_analysis", lambda limit: 7)
     target = tmp_path / "sweep.json"
     code, out, _ = run_cli(capsys, "sweep-ell", "--format", "json", "--output", str(target))
     assert code == 1 and out == ""

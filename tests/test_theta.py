@@ -324,6 +324,22 @@ def test_laurent_ratio_guards():
         eval_theta_laurent(0, 1, 9, 4)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, 1.5, True, False, Fraction(1), "1", None], ids=repr)
+def test_a_step_or_root_index_that_is_not_an_int_is_a_domain_error(bad):
+    # A float j once gave half-integer s-exponents, and True passed as j = 1.
+    calls = [
+        lambda: eval_theta_laurent(bad, 1, 5, 2),
+        lambda: eval_theta_laurent(1, bad, 5, 2),
+        lambda: check_quasi_periodicity(bad, 4),
+        lambda: check_theta_value_laurent(bad, 1, 5, 4),
+        lambda: check_theta_value_laurent(1, bad, 5, 4),
+        lambda: theta_value(bad, 5),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_root_power_shift_matches_ring_product_randomized():
     # The check shifts root powers where the ring route multiplies by zeta^m:
     # zeta^m * sum c x^e = sum c x^(e + 2m).  CycloElt.__mul__ is the oracle.
