@@ -35,7 +35,7 @@ from .errors import ConfigError, DomainError, PrecisionError, VerificationError,
 from .reporting import (
     GAUGE_NOTES, AnyReport, CheckRecord, CombinedReport, Report, format_exact, make_check, render_report
 )
-from .tilt import TiltElement, _is_p_power, _require_odd_prime, _require_precision, _unit_level, is_prime
+from .tilt import TiltElement, _is_p_power, _require_odd_prime, _require_precision, _require_prime, _unit_level
 from .tilt import tilt_mul, tilt_pow, tilt_rescale_t
 from .witt import PrimitiveDeg1, RhoWeight, eta_val
 
@@ -60,8 +60,7 @@ class RunConfig(Record):
     seed: int = 0
 
     def validate(self) -> "RunConfig":
-        if not is_prime(self.p):
-            raise ConfigError(f"p must be prime, got {self.p}")
+        _require_prime(self.p, error=ConfigError)
         _require_odd_prime(self.ell, ConfigError)
         if self.ell == self.p:
             raise ConfigError("ell must differ from p")

@@ -37,7 +37,8 @@ from math import isqrt
 
 from ._record import Record
 from .errors import ConfigError, DomainError, VerificationError
-from .tilt import _require_precision, _require_prime, _require_window, _unit_level
+from .tilt import _is_int, _require_int, _require_positive, _require_precision, _require_prime, _require_window
+from .tilt import _unit_level
 
 __all__ = [
     "LogLinkChain",
@@ -70,7 +71,7 @@ class PadicUnit(Record):
     def __init__(self, p: int, precision: int, value: int):
         _require_prime(p)
         _require_precision(p, precision)
-        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < p**precision:
+        if not _is_int(value) or not 0 <= value < p**precision:
             raise DomainError(f"value must be reduced mod {p}^{precision}")
         congruence = p ** _unit_level(p)
         if value % congruence != 1:
@@ -80,6 +81,7 @@ class PadicUnit(Record):
     @classmethod
     def of(cls, p: int, precision: int, value: int) -> "PadicUnit":
         """Reduce an integer mod p^precision and wrap it."""
+        _require_int(value, "value")
         return cls(p, precision, value % p**precision)
 
     @classmethod
@@ -194,12 +196,6 @@ def padic_log(u: PadicUnit) -> int:
     return result
 
 
-def _require_chain_base(p: int, v0: Fraction) -> None:
-    _require_prime(p)
-    if not isinstance(v0, Fraction) or v0 <= 0:
-        raise DomainError(f"v0 must be a positive Fraction, got {v0!r}")
-
-
 class LogLinkChain(Record):
     """Valuations v_n = v0 * p^n of the same prime along a chain window.
 
@@ -214,7 +210,8 @@ class LogLinkChain(Record):
     entries: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, p: int, v0: Fraction, window: tuple[int, int], entries: tuple[tuple[int, Fraction], ...]):
-        _require_chain_base(p, v0)
+        _require_prime(p)
+        _require_positive(v0, "v0")
         lo, hi = _require_window(window)
         expected_indexes = tuple(range(lo, hi + 1))
         if tuple(n for n, _ in entries) != expected_indexes:
@@ -236,7 +233,8 @@ class LogLinkChain(Record):
 
 def chain_build(p: int, v0: Fraction, window: tuple[int, int]) -> LogLinkChain:
     """Build the chain v_n = v0 * p^n over an inclusive index window."""
-    _require_chain_base(p, v0)
+    _require_prime(p)
+    _require_positive(v0, "v0")
     lo, hi = _require_window(window)
     entries = tuple((n, v0 * Fraction(p) ** n) for n in range(lo, hi + 1))
     return LogLinkChain(p=p, v0=v0, window=(lo, hi), entries=entries)
@@ -249,10 +247,7 @@ def m_of_epsilon(p: int, eps: Fraction) -> int:
     outright; eps <= 0 is meaningless.
     """
     _require_prime(p)
-    if not isinstance(eps, Fraction):
-        raise DomainError(f"eps must be a Fraction, got {eps!r}")
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    _require_positive(eps, "eps")
     if eps >= 1:
         return 0
     m = 1

@@ -30,7 +30,7 @@ from typing import Sequence
 from ._record import Record
 from .ansatz import AnsatzPoint, frobenius_orbit
 from .errors import DomainError, VerificationError
-from .tilt import _require_odd_prime, tilt_frobenius, tilt_val
+from .tilt import _require_count, _require_odd_prime, _require_positive, tilt_frobenius, tilt_val
 from .witt import RhoWeight
 
 __all__ = [
@@ -61,8 +61,7 @@ class PilotTuple(Record):
     lifts: tuple[Fraction, ...]
 
     def __init__(self, ansatz: AnsatzPoint, xi_val_K1: Fraction, lifts: tuple[Fraction, ...]):
-        if xi_val_K1 <= 0:
-            raise DomainError("the reference multiplier valuation must be positive")
+        _require_positive(xi_val_K1, "xi_val_K1")
         if len(lifts) != ansatz.ell_star:
             raise DomainError("one lift per family member")
         n1, d1 = lifts[0].numerator, lifts[0].denominator
@@ -76,8 +75,7 @@ class PilotTuple(Record):
 
 def build_pilot(point: AnsatzPoint, xi_val: Fraction) -> PilotTuple:
     """Lift a point with reference multiplier valuation xi_val > 0."""
-    if not isinstance(xi_val, Fraction) or xi_val <= 0:
-        raise DomainError(f"xi_val must be a positive Fraction, got {xi_val!r}")
+    _require_positive(xi_val, "xi_val")
     v_a = tilt_val(point.a)
     e1 = xi_val * v_a
     n1, d1 = e1.numerator, e1.denominator
@@ -125,8 +123,7 @@ def theta_set_sample(
     """
     if not generators:
         raise DomainError("at least one generator point is required")
-    if not isinstance(depth, int) or depth < 0:
-        raise DomainError(f"depth must be a nonnegative integer, got {depth!r}")
+    _require_count(depth, "depth")
     pilots: list[PilotTuple] = []
     for point in generators:
         prev = None
@@ -187,8 +184,7 @@ def main_bound_check(ell: int, v_q: Fraction) -> BoundReport:
     so a disagreeing route reads ok = False; quantity steps ok = True.
     """
     _require_odd_prime(ell)
-    if not isinstance(v_q, Fraction) or v_q <= 0:
-        raise DomainError(f"v_q must be a positive Fraction, got {v_q!r}")
+    _require_positive(v_q, "v_q")
     ls = (ell - 1) // 2
     square_sum = sum(j * j for j in range(1, ls + 1))
     square_closed = ls * (ls + 1) * (2 * ls + 1) // 6
@@ -289,8 +285,7 @@ def corollary_c_check(report: BoundReport, c: Fraction) -> bool:
     asking below the threshold raises, it does not guess.  Past that, any
     c < 1 contradicts the trivial unit-ball cap, and c >= 1 does not.
     """
-    if not isinstance(c, Fraction) or c <= 0:
-        raise DomainError(f"c must be a positive Fraction, got {c!r}")
+    _require_positive(c, "c")
     if not report.passed:
         raise DomainError(f"bound not established at ell = {report.ell}; the corollary needs it")
     return c < 1

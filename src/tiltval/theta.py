@@ -44,7 +44,7 @@ from itertools import repeat
 
 from ._record import Record
 from .errors import DomainError, WindowError
-from .tilt import _require_int, _require_odd_prime
+from .tilt import _is_int, _require_count, _require_int, _require_odd_prime
 
 __all__ = [
     "CycloElt",
@@ -174,8 +174,7 @@ class ThetaTerm(Record):
 
 def theta_terms(n_max: int, signed: bool = True) -> tuple[ThetaTerm, ...]:
     """Descriptor table of the truncation, index n at position n + n_max; n_max = 0 gives the single term u."""
-    if not isinstance(n_max, int) or n_max < 0:
-        raise DomainError(f"truncation radius must be a nonnegative integer, got {n_max!r}")
+    _require_count(n_max, "truncation radius")
     terms = []
     for n in range(-n_max, n_max + 1):
         sign = (-1) ** (n % 2) if signed else 1
@@ -310,7 +309,7 @@ def theta_value(j: int, ell: int) -> ThetaValue:
     """Special-value multiplier at the j-th shift for an odd prime ell."""
     _require_odd_prime(ell)
     ell_star = (ell - 1) // 2
-    if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= ell_star:
+    if not _is_int(j) or not 1 <= j <= ell_star:
         raise DomainError(f"j must lie in 1..{ell_star} for ell = {ell}, got {j!r}")
     # ell and j are validated above; the sign, q-exponent > 0 and reduced zeta exponent hold by construction
     return ThetaValue._trusted(j, ell, (-1) ** (j % 2), Fraction(j * j, 2 * ell), (2 * j) % ell)
@@ -342,8 +341,7 @@ def eval_theta_laurent(j: int, k: int, ell: int, n_max: int, signed: bool = True
     _require_int(j, "j")
     _require_int(k, "k")
     _require_odd_prime(ell)
-    if not isinstance(n_max, int) or n_max < 0:
-        raise DomainError(f"truncation radius must be a nonnegative integer, got {n_max!r}")
+    _require_count(n_max, "truncation radius")
     # s(n) = s(m) only for m = n or m = -n - 2j - 1, so a coefficient sums at
     # most two root powers x^e, e < ell.  Below degree ell the only relation
     # is Phi_2ell = sum_{i<ell} (-1)^i x^i, which has ell nonzero entries, so

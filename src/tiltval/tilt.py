@@ -27,6 +27,12 @@ of one table of a's powers, remembered by that predicate only.
 A valuation is a plain Fraction, and None stands for the +infinity of
 the zero element.  Fraction exponents are read from the ``terms`` view,
 built on each access.
+
+The package's parameter checks live here too; other modules call them.
+The integer rule is ``_is_int``, an int and not a bool.  ``is_prime``,
+``_exact`` and the integer validators ``_require_int``, ``_require_count``,
+``_require_prime``, ``_require_odd_prime``, ``_require_precision`` and
+``_require_window`` apply it; ``_require_positive`` wants a positive Fraction.
 """
 
 from __future__ import annotations
@@ -49,9 +55,14 @@ __all__ = [
 ]
 
 
+def _is_int(x: object) -> bool:
+    """The one integer rule: an int and not a bool, for True == 1 is no count, index or residue."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def is_prime(n: int) -> bool:
     """Trial-division primality test; exact for any int, meant for small ones.  No bool or non-int is prime."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         return False
     if n < 4:
         return True
@@ -66,9 +77,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> None:
+def _require_prime(p: int, name: str = "p", error: type[TiltvalError] = DomainError) -> None:
     if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
+        raise error(f"{name} must be prime, got {p!r}")
 
 
 def _require_odd_prime(ell: int, error: type[TiltvalError] = DomainError) -> None:
@@ -82,8 +93,18 @@ def _unit_level(p: int) -> int:
 
 
 def _require_int(x: object, name: str) -> None:
-    if isinstance(x, bool) or not isinstance(x, int):
+    if not _is_int(x):
         raise DomainError(f"{name} must be an integer, got {x!r}")
+
+
+def _require_count(x: object, name: str) -> None:
+    if not _is_int(x) or x < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {x!r}")
+
+
+def _require_positive(x: object, name: str) -> None:
+    if not isinstance(x, Fraction) or x <= 0:
+        raise DomainError(f"{name} must be a positive Fraction, got {x!r}")
 
 
 def _require_precision(p: int, precision: int, name: str = "precision") -> None:
@@ -95,13 +116,13 @@ def _require_precision(p: int, precision: int, name: str = "precision") -> None:
 
 def _require_window(window: tuple[int, int]) -> tuple[int, int]:
     lo, hi = window
-    if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
+    if not (_is_int(lo) and _is_int(hi) and lo <= hi):
         raise DomainError(f"window must be an inclusive integer range, got {window!r}")
     return lo, hi
 
 
 def _exact(x: object, what: str) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+    if not (_is_int(x) or isinstance(x, Fraction)):
         raise DomainError(f"{what} must be an int or a Fraction, got {x!r}")
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -146,17 +167,14 @@ class TiltElement(Record):
     nums: _Nums
 
     def __init__(self, p: int, s: int, nums: _Nums):
-        if not is_prime(p):
-            raise DomainError(f"coefficient characteristic must be prime, got {p}")
-        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-            raise DomainError(f"frame scale must be a nonnegative integer, got {s!r}")
+        _require_prime(p, "coefficient characteristic")
+        _require_count(s, "frame scale")
         if not isinstance(nums, tuple) or not all(isinstance(term, tuple) and len(term) == 2 for term in nums):
             raise DomainError(f"terms must be a tuple of (numerator, coefficient) tuples, got {nums!r}")
         prev = -1
         for m, coeff in nums:
-            if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-                raise DomainError(f"exponent numerator {m!r} is not a nonnegative int")
-            if isinstance(coeff, bool) or not isinstance(coeff, int) or not 0 < coeff < p:
+            _require_count(m, "exponent numerator")
+            if not _is_int(coeff) or not 0 < coeff < p:
                 raise DomainError(f"coefficient {coeff!r} is not reduced to 1..{p - 1}")
             if m <= prev:
                 raise DomainError("terms must be strictly increasing in the exponent")
@@ -176,15 +194,13 @@ class TiltElement(Record):
         validator checks, so it is skipped (``_trusted``) and p is tested
         for primality once per element.
         """
-        if not is_prime(p):
-            raise DomainError(f"coefficient characteristic must be prime, got {p!r}")
+        _require_prime(p, "coefficient characteristic")
         collected: dict[Fraction, int] = {}
         for exponent, coeff in terms.items():
             e = _exact(exponent, "exponent")
             if e < 0:
                 raise DomainError(f"exponent {e} is negative")
-            if isinstance(coeff, bool) or not isinstance(coeff, int):
-                raise DomainError(f"coefficient {coeff!r} is not an integer")
+            _require_int(coeff, "coefficient")
             collected[e] = collected.get(e, 0) + coeff
         den = lcm(*[e.denominator for e in collected])
         s, rest = 0, den
@@ -276,8 +292,7 @@ def _powers(base: Mapping[int, int], p: int) -> Callable[[int], Mapping[int, int
 
 def tilt_pow(x: TiltElement, k: int) -> TiltElement:
     """k-th power for k >= 0 by the base-p digits of k (see the module docstring); k = 0 is the empty product."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise DomainError(f"exponent must be a nonnegative integer, got {k!r}")
+    _require_count(k, "exponent")
     return TiltElement._trusted(x.p, *_minimal(x.p, x.s, sorted(_powers(dict(x.nums), x.p)(k).items())))
 
 
@@ -310,8 +325,7 @@ def tilt_frobenius(x: TiltElement, n: int = 1) -> TiltElement:
     inverse.  The scale s drops by n over the same numerators, unless it
     would drop below 0 or phi^-n starts at s = 0.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"Frobenius power must be an integer, got {n!r}")
+    _require_int(n, "Frobenius power")
     if n == 0:
         return x
     p, s = x.p, x.s - n
@@ -332,7 +346,7 @@ def tilt_rescale_t(x: TiltElement, u: int) -> TiltElement:
     Over F_2 the only unit is u = 1.
     """
     p = x.p
-    if isinstance(u, bool) or not isinstance(u, int) or not 0 < u < p:
+    if not _is_int(u) or not 0 < u < p:
         raise DomainError(f"substitution unit must be an integer in 1..{p - 1}, got {u!r}")
     # u is a unit of F_p, so the coefficient stays in 1..p-1; exponents are unchanged
     return TiltElement._trusted(p, x.s, tuple([(m, c * pow(u, m, p) % p) for m, c in x.nums]))

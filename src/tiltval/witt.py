@@ -27,7 +27,7 @@ from typing import Mapping, Union
 
 from ._record import Record
 from .errors import ConfigError, DomainError
-from .tilt import TiltElement, _exact, _require_odd_prime, is_prime
+from .tilt import TiltElement, _exact, _require_count, _require_odd_prime, _require_prime
 from .tilt import tilt_frobenius, tilt_pow, tilt_val
 
 __all__ = [
@@ -82,12 +82,10 @@ class WittExpr(Record):
     terms: tuple[tuple[int, TiltElement], ...]
 
     def __init__(self, p: int, terms: tuple[tuple[int, TiltElement], ...]):
-        if not is_prime(p):
-            raise DomainError(f"residue characteristic must be prime, got {p}")
+        _require_prime(p, "residue characteristic")
         prev = None
         for slot, x in terms:
-            if not isinstance(slot, int) or slot < 0:
-                raise DomainError(f"slot index must be a nonnegative integer, got {slot!r}")
+            _require_count(slot, "slot index")
             if prev is not None and slot <= prev:
                 raise DomainError("slots must be strictly increasing")
             if not isinstance(x, TiltElement) or x.p != p:

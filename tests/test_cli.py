@@ -165,6 +165,30 @@ def test_a_command_loads_only_the_suites_it_runs(tmp_path, argv, config, loaded)
     assert result.stdout.strip() == repr(expected), result.stderr
 
 
+# The error line of each refused config, as every earlier release printed it.
+_REFUSAL_LINES = {
+    '{"p": 4}': "error: p must be prime, got 4",
+    '{"p": 1}': "error: p must be prime, got 1",
+    '{"p": true}': "error: p must be an integer, got True",
+    '{"ell": 2}': "error: ell must be an odd prime, got 2",
+    '{"ell": 9}': "error: ell must be an odd prime, got 9",
+    '{"ell": 5, "p": 5}': "error: ell must differ from p",
+    '{"padic_precision": 1}': "error: padic_precision 1 is below the minimum 3 for p = 2",
+    '{"padic_precision": "14"}': "error: padic_precision must be an integer, got '14'",
+    '{"frobenius_depth": -1}': "error: frobenius_depth must be nonnegative, got -1",
+    '{"theta_truncation": 0}': "error: theta_truncation must be at least 1, got 0",
+    '{"ell_sweep_max": 4}': "error: ell_sweep_max must be at least 5, got 4",
+    '{"v_q": "0/1"}': "error: v_q must be positive, got 0",
+    '{"rho_weight": "-1/2"}': "error: rho_weight must be positive, got -1/2",
+}
+
+
+@pytest.mark.parametrize("payload", list(_REFUSAL_LINES))
+def test_a_refused_config_keeps_its_error_line(tmp_path, capsys, payload):
+    code, out, err = run_cli(capsys, "bound", "--config", write_config(tmp_path, "c.json", payload))
+    assert (code, out, err) == (2, "", _REFUSAL_LINES[payload] + "\n")
+
+
 def test_load_config_rejections(tmp_path):
     cases = {
         "unknown.json": '{"elll": 7}',

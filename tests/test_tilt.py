@@ -1,16 +1,22 @@
 """Valuation model: construction discipline, exact arithmetic, Frobenius."""
 
+import ast
 import copy
 import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import assert_immutable_value, random_element, random_monomial
 
+import tiltval
+from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.errors import ConfigError, DomainError
-from tiltval.loglink import PadicUnit
+from tiltval.loglink import PadicUnit, chain_build
+from tiltval.pilot import PilotTuple, theta_set_sample
+from tiltval.theta import eval_theta_laurent, theta_terms
 from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, eta_val, gauss_log_norm, teichmuller
 from tiltval.tilt import (
     _convolve,
@@ -702,3 +708,77 @@ def test_only_an_int_is_prime():
         WittExpr(3.0, ())
     with pytest.raises(DomainError, match="ell must be an odd prime"):
         _require_odd_prime(5.0)
+
+
+def _probe_point():
+    return make_ansatz(TiltElement.monomial(2, Fraction(1, 4)), 5)
+
+
+# Each probe once returned a value: a bool passed an integer check that tilt's rule did not make.
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("truncation radius", lambda: theta_terms(True), id="theta_terms"),
+        pytest.param("truncation radius", lambda: eval_theta_laurent(1, 1, 5, True), id="eval_theta_laurent"),
+        pytest.param("depth", lambda: theta_set_sample([_probe_point()], Fraction(1, 10), True), id="theta_set_sample"),
+        pytest.param("window", lambda: frobenius_orbit(_probe_point(), (True, True)), id="frobenius_orbit"),
+        pytest.param("window", lambda: chain_build(3, Fraction(1), (False, True)), id="chain_build"),
+        pytest.param("slot index", lambda: WittExpr(3, ((True, TiltElement.monomial(3, 1)),)), id="WittExpr"),
+        pytest.param(
+            "xi_val_K1",
+            lambda: PilotTuple(_probe_point(), True, (Fraction(1, 4), Fraction(1))),
+            id="PilotTuple",
+        ),
+        pytest.param("value", lambda: PadicUnit.of(3, 4, True), id="PadicUnit.of"),
+    ],
+)
+def test_a_bool_is_no_count_index_or_positive_rational(name, call):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        call()
+
+
+# Where a module may still test isinstance against bool or int itself, and why.
+_TYPE_TESTS_ALLOWED = {
+    "reporting": "its writers render a bool leaf as true/false and an int by int.__repr__: output, not a parameter check",
+    "cli.load_config": "JSON type dispatch: a config value must be an int, a rational string or a string by its key",
+    "theta.CycloElt.__mul__": "operator dispatch between an int scalar and a ring element",
+}
+
+
+def _isinstance_against_bool_or_int(tree):
+    """(qualified scope, line) of each isinstance(x, T) call whose T names bool or int."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance"
+                and len(child.args) == 2
+            ):
+                kinds = child.args[1].elts if isinstance(child.args[1], ast.Tuple) else [child.args[1]]
+                if any(isinstance(k, ast.Name) and k.id in ("bool", "int") for k in kinds):
+                    found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_tilt_spells_out_the_integer_rule():
+    # tilt._is_int (an int and not a bool) is the one integer rule; a copy elsewhere is how checks drifted.
+    src = Path(tiltval.__file__).resolve().parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
+        if module == "tilt":
+            continue
+        for scope, line in _isinstance_against_bool_or_int(ast.parse(path.read_text(encoding="utf-8"))):
+            qualified = f"{module}.{scope}" if scope else module
+            if not any(qualified == allowed or qualified.startswith(allowed + ".") for allowed in _TYPE_TESTS_ALLOWED):
+                offenders.append(f"{path.name}:{line} in {qualified}")
+    assert not offenders, offenders
