@@ -35,7 +35,7 @@ from .errors import ConfigError, DomainError, PrecisionError, VerificationError,
 from .reporting import (
     GAUGE_NOTES, AnyReport, CheckRecord, CombinedReport, Report, format_exact, make_check, render_report
 )
-from .tilt import TiltElement, _is_p_power, _require_odd_prime, _require_precision, _require_prime, _unit_level
+from .tilt import TiltElement, _is_int, _is_p_power, _require_odd_prime, _require_precision, _require_prime, _unit_level
 from .tilt import tilt_mul, tilt_pow, tilt_rescale_t
 from .witt import PrimitiveDeg1, RhoWeight, eta_val
 
@@ -43,6 +43,7 @@ __all__ = ["RunConfig", "load_config", "main"]
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 _FORMATS = ("json", "csv", "text")
+_KIND_NAMES = {int: "an integer", Fraction: "a Fraction", str: "a string"}
 
 
 class RunConfig(Record):
@@ -60,6 +61,10 @@ class RunConfig(Record):
     seed: int = 0
 
     def validate(self) -> "RunConfig":
+        for key in self.__slots__:
+            value, kind = getattr(self, key), type(self._defaults[key])  # int, Fraction or str
+            if not (_is_int(value) if kind is int else isinstance(value, kind)):
+                raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
         _require_prime(self.p, error=ConfigError)
         _require_odd_prime(self.ell, ConfigError)
         if self.ell == self.p:
@@ -131,18 +136,13 @@ def load_config(path: str | None) -> RunConfig:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if "schema" in data and (isinstance(data["schema"], bool) or data["schema"] != 1):
+    if "schema" in data and (not _is_int(data["schema"]) or data["schema"] != 1):
         raise ConfigError(f"unsupported config schema {data['schema']!r}")
-    merged: dict = {}
-    for key in RunConfig.__slots__:
-        if key not in data:
-            continue
-        value, kind = data[key], type(RunConfig._defaults[key])  # int, Fraction or str
-        if kind is Fraction:
-            value = parse_rational(value)
-        elif isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a string'}, got {value!r}")
-        merged[key] = value
+    merged = {
+        key: parse_rational(data[key]) if type(RunConfig._defaults[key]) is Fraction else data[key]
+        for key in RunConfig.__slots__
+        if key in data
+    }
     return RunConfig(**merged).validate()
 
 

@@ -5,7 +5,7 @@ The series studied here is
     theta(u) = q^(-1/8) * sum_n (-1)^n q^(n(n+1)/2) u^(2n+1)
 
 truncated to the symmetric window |n| <= N.  Each term is kept as a
-descriptor (sign, q-exponent, u-exponent); the prefactor q^(-1/8) is
+row (n, sign, q-exponent, u-exponent); the prefactor q^(-1/8) is
 absorbed by the identity n(n+1)/2 = (1/2)(n + 1/2)^2 - 1/8, so stored
 q-exponents stay integers.  The sign (-1)^n is forced: it is what makes
 the substitution u -> 1/u negate the series term by term, and what makes
@@ -32,7 +32,7 @@ cached table per (k, ell, N, signed); every evaluation still sums all
 2N + 1 terms.  A check builds one ring element: the lowest shifted
 coefficient minus the base one moved by a root-power shift, since
 zeta^m * sum c x^e is sum c x^(e + 2m), so no ring product is taken.  A
-suite of checks over j = 1 .. j_max builds the descriptor table once and
+suite of checks over j = 1 .. j_max builds the row table once and
 evaluates the base series at zeta^k once.
 """
 
@@ -48,7 +48,6 @@ from .tilt import _is_int, _require_count, _require_int, _require_odd_prime
 
 __all__ = [
     "CycloElt",
-    "ThetaTerm",
     "ThetaValue",
     "check_inversion_antisymmetry",
     "check_quasi_periodicity",
@@ -153,33 +152,12 @@ def zeta_ell_pow(ell: int, k: int) -> CycloElt:
     return CycloElt.root_pow(ell, 2 * k)
 
 
-class ThetaTerm(Record):
-    """One series term: sign * q^(q_exp) * u^(u_exp) at index n."""
-
-    n: int
-    sign: int
-    q_exp: int
-    u_exp: int
-
-    def __init__(self, n: int, sign: int, q_exp: int, u_exp: int):
-        if sign not in (-1, 1):
-            raise DomainError(f"sign must be +-1, got {sign}")
-        if u_exp != 2 * n + 1:
-            raise DomainError(f"u-exponent {u_exp} does not match index {n}")
-        # n(n+1)/2 = ((2n+1)^2 - 1)/8: the absorbed q^(-1/8) prefactor in integer form
-        if 8 * q_exp != u_exp * u_exp - 1:
-            raise DomainError(f"q-exponent {q_exp} does not match index {n}")
-        self._assign(n, sign, q_exp, u_exp)
-
-
-def theta_terms(n_max: int, signed: bool = True) -> tuple[ThetaTerm, ...]:
-    """Descriptor table of the truncation, index n at position n + n_max; n_max = 0 gives the single term u."""
+def theta_terms(n_max: int, signed: bool = True) -> tuple[tuple[int, int, int, int], ...]:
+    """Rows (n, sign, q_exp, u_exp), index n at position n + n_max; n_max = 0 gives the single term u."""
     _require_count(n_max, "truncation radius")
-    terms = []
-    for n in range(-n_max, n_max + 1):
-        sign = (-1) ** (n % 2) if signed else 1
-        terms.append(ThetaTerm(n, sign, n * (n + 1) // 2, 2 * n + 1))
-    return tuple(terms)
+    return tuple(
+        (n, (-1) ** (n % 2) if signed else 1, n * (n + 1) // 2, 2 * n + 1) for n in range(-n_max, n_max + 1)
+    )
 
 
 def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> tuple[bool, int, bool, str | None]:
@@ -199,33 +177,36 @@ def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> tuple[bool,
     pairs = 0
     cancel_at_one = True
     for n in range(0, n_max):
-        tn, tm = terms[n_max + n], terms[n_max - n - 1]
-        if tm.u_exp != -tn.u_exp:
-            mismatch = mismatch or f"pair ({n}, {-n - 1}): u-exponents {tm.u_exp} vs {-tn.u_exp}"
-        elif tm.q_exp != tn.q_exp:
-            mismatch = mismatch or f"pair ({n}, {-n - 1}): q-exponents {tm.q_exp} vs {tn.q_exp}"
-        elif tm.sign != -tn.sign:
-            mismatch = mismatch or f"pair ({n}, {-n - 1}): sign {tm.sign} is not {-tn.sign}"
+        _, sign_n, q_n, u_n = terms[n_max + n]
+        _, sign_m, q_m, u_m = terms[n_max - n - 1]
+        if u_m != -u_n:
+            mismatch = mismatch or f"pair ({n}, {-n - 1}): u-exponents {u_m} vs {-u_n}"
+        elif q_m != q_n:
+            mismatch = mismatch or f"pair ({n}, {-n - 1}): q-exponents {q_m} vs {q_n}"
+        elif sign_m != -sign_n:
+            mismatch = mismatch or f"pair ({n}, {-n - 1}): sign {sign_m} is not {-sign_n}"
         else:
             pairs += 1
-        if tn.sign + tm.sign != 0:
+        if sign_n + sign_m != 0:
             cancel_at_one = False
     # Boundary index n = N: its partner m = -N-1 left the window, so test the
     # formula that partner would have to satisfy instead of a stored term.
-    tb = terms[2 * n_max]
+    _, sign_b, q_b, _ = terms[2 * n_max]
     m = -n_max - 1
     partner_q = m * (m + 1) // 2
     partner_sign = (-1) ** (m % 2) if signed else 1
-    if partner_q != tb.q_exp:
-        mismatch = mismatch or f"boundary {n_max}: partner q-exponent {partner_q} vs {tb.q_exp}"
-    if partner_sign != -tb.sign:
-        mismatch = mismatch or f"boundary {n_max}: partner sign {partner_sign} is not {-tb.sign}"
+    if partner_q != q_b:
+        mismatch = mismatch or f"boundary {n_max}: partner q-exponent {partner_q} vs {q_b}"
+    if partner_sign != -sign_b:
+        mismatch = mismatch or f"boundary {n_max}: partner sign {partner_sign} is not {-sign_b}"
     passed = mismatch is None and pairs == n_max and cancel_at_one
     return passed, pairs, cancel_at_one, mismatch
 
 
-def _quasi_periodicity(terms: tuple[ThetaTerm, ...], j: int) -> tuple[bool, tuple[int, int], int, str | None]:
-    """The shift identity at step j on a prebuilt descriptor table."""
+def _quasi_periodicity(
+    terms: tuple[tuple[int, int, int, int], ...], j: int
+) -> tuple[bool, tuple[int, int], int, str | None]:
+    """The shift identity at step j on a prebuilt row table."""
     _require_int(j, "j")
     n_max = len(terms) // 2
     if n_max < 1:
@@ -239,20 +220,13 @@ def _quasi_periodicity(terms: tuple[ThetaTerm, ...], j: int) -> tuple[bool, tupl
     # |j| <= n_max keeps every n and n + j, n in [lo, hi], inside the window.
     left = terms[lo + n_max : hi + n_max + 1]
     right = terms[lo + j + n_max : hi + j + n_max + 1]
-    for n, tn, ts in zip(range(lo, hi + 1), left, right):
-        # Left side, term n of theta(q^(j/2) u), in doubled q-units.
-        lhs_q2 = 2 * tn.q_exp + j * tn.u_exp
-        lhs_sign = tn.sign
-        lhs_u = tn.u_exp
+    for n, (_, sign_n, q_n, u_n), (_, sign_s, q_s, u_s) in zip(range(lo, hi + 1), left, right):
+        # Left side, term n of theta(q^(j/2) u), as (2q, sign, u): q in doubled units.
+        lhs = (2 * q_n + j * u_n, sign_n, u_n)
         # Right side, term n + j of theta(u) times (-1)^j q^(-j^2/2) u^(-2j).
-        rhs_q2 = 2 * ts.q_exp - j * j
-        rhs_sign = shift_sign * ts.sign
-        rhs_u = ts.u_exp - 2 * j
-        if (lhs_q2, lhs_sign, lhs_u) != (rhs_q2, rhs_sign, rhs_u):
-            mismatch = mismatch or (
-                f"n = {n}: left (2q, sign, u) = {(lhs_q2, lhs_sign, lhs_u)}"
-                f" right {(rhs_q2, rhs_sign, rhs_u)}"
-            )
+        rhs = (2 * q_s - j * j, shift_sign * sign_s, u_s - 2 * j)
+        if lhs != rhs:
+            mismatch = mismatch or f"n = {n}: left (2q, sign, u) = {lhs} right {rhs}"
         else:
             checked += 1
     return mismatch is None, (lo, hi), checked, mismatch
@@ -271,7 +245,7 @@ def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> tuple[bo
 
 
 def check_quasi_periodicity_upto(j_max: int, n_max: int) -> tuple[tuple[bool, tuple[int, int], int, str | None], ...]:
-    """The signed shift identity at every step j = 1 .. j_max, on one descriptor table."""
+    """The signed shift identity at every step j = 1 .. j_max, on one row table."""
     terms = theta_terms(n_max)
     return tuple(_quasi_periodicity(terms, j) for j in range(1, j_max + 1))
 
@@ -291,11 +265,12 @@ class ThetaValue(Record):
     zeta_exponent: int
 
     def __init__(self, j: int, ell: int, sign: int, q_exponent: Fraction, zeta_exponent: int):
+        _require_int(j, "j")
         _require_odd_prime(ell)
         if q_exponent <= 0:
             raise DomainError("the q-exponent of a special value is positive")
-        if sign not in (-1, 1):
-            raise DomainError(f"sign must be +-1, got {sign}")
+        if not (_is_int(sign) and sign in (-1, 1)):
+            raise DomainError(f"sign must be +-1, got {sign!r}")
         if not 0 <= zeta_exponent < ell:
             raise DomainError("zeta exponent must be reduced mod ell")
         self._assign(j, ell, sign, q_exponent, zeta_exponent)

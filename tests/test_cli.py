@@ -219,6 +219,22 @@ def test_load_config_rejections(tmp_path):
         load_config(write_config(tmp_path, "prec.json", '{"padic_precision": 2}'))
 
 
+# Each was once accepted: only load_config checked a field's type, so a RunConfig built in code skipped it.
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("theta_truncation", True, "an integer"),
+        ("frobenius_depth", True, "an integer"),
+        ("seed", True, "an integer"),
+        ("v_q", 0.5, "a Fraction"),
+        ("rho_weight", True, "a Fraction"),
+    ],
+)
+def test_validate_checks_each_fields_type(key, value, kind):
+    with pytest.raises(ConfigError, match=f"^{key} must be {kind}, got {value!r}$"):
+        RunConfig(**{key: value}).validate()
+
+
 def test_bound_passes_by_default(capsys):
     code, out, _ = run_cli(capsys, "bound")
     assert code == 0
@@ -530,6 +546,33 @@ def test_unsigned_theta_table_fails_quasi_periodicity(monkeypatch, capsys):
     verdicts = {check["id"]: check["passed"] for check in json.loads(out)["checks"]}
     assert not verdicts["theta.quasi_periodicity.j1"]
     assert verdicts["theta.quasi_periodicity.j2"]
+
+
+# A broken row table must fail the identities it breaks in a written report, not end the run as a usage error.
+_TABLE_FAULTS = {
+    "q+1": (lambda n, sign, q, u: (n, sign, q + 1, u), {"theta.inversion_antisymmetry"}),
+    "q=n(n-1)/2": (
+        lambda n, sign, q, u: (n, sign, n * (n - 1) // 2, u),
+        {"theta.inversion_antisymmetry", "theta.quasi_periodicity.j1", "theta.quasi_periodicity.j2"},
+    ),
+    "u=2n-1": (
+        lambda n, sign, q, u: (n, sign, q, 2 * n - 1),
+        {"theta.inversion_antisymmetry", "theta.quasi_periodicity.j1", "theta.quasi_periodicity.j2"},
+    ),
+    "sign*2": (lambda n, sign, q, u: (n, 2 * sign, q, u), {"theta.inversion_antisymmetry"}),
+}
+
+
+@pytest.mark.parametrize("fault", list(_TABLE_FAULTS))
+def test_a_broken_theta_table_fails_its_checks(monkeypatch, capsys, fault):
+    broken, failing = _TABLE_FAULTS[fault]
+    monkeypatch.setattr(
+        "tiltval.theta.theta_terms",
+        lambda n_max, signed=True: tuple(broken(*row) for row in theta_terms(n_max, signed)),
+    )
+    code, out, _ = run_cli(capsys, "verify-theta", "--format", "json")
+    assert code == 1
+    assert {check["id"] for check in json.loads(out)["checks"] if not check["passed"]} == failing
 
 
 def test_failing_theta_witnesses_keep_each_value_in_its_slot(monkeypatch, capsys):

@@ -308,8 +308,9 @@ def test_precision_must_be_an_int(entry):
     # A float precision would make float values: PadicUnit(3, 14.0, 4) squared holds 16.0, which padic_log cannot use.
     rng = random.Random(7)
     state = rng.getstate()
+    error = ConfigError if entry == "run_config" else DomainError  # a bad RunConfig field is a config error
     for precision in (14.0, 2.0, True, Fraction(14)):
-        with pytest.raises(DomainError, match="precision must be an integer"):
+        with pytest.raises(error, match="precision must be an integer"):
             _PRECISION_ENTRY_POINTS[entry](rng, precision)
     assert rng.getstate() == state
 

@@ -9,7 +9,6 @@ from conftest import assert_immutable_value
 from tiltval.errors import DomainError, WindowError
 from tiltval.theta import (
     CycloElt,
-    ThetaTerm,
     ThetaValue,
     check_inversion_antisymmetry,
     check_quasi_periodicity,
@@ -77,7 +76,7 @@ def _in_order(value):
 
 
 def _coeff_table(n_max, signed=True):
-    """u-exponent -> (sign, q-exponent), built without the library descriptors."""
+    """u-exponent -> (sign, q-exponent), built without the library rows."""
     table = {}
     for n in range(-n_max, n_max + 1):
         sign = -1 if (signed and n % 2) else 1
@@ -86,31 +85,23 @@ def _coeff_table(n_max, signed=True):
 
 
 def test_terms_frozen_small_window():
-    assert [(t.n, t.sign, t.q_exp, t.u_exp) for t in theta_terms(1)] == [
+    assert theta_terms(1) == (
         (-1, -1, 0, -1),
         (0, 1, 0, 1),
         (1, -1, 1, 3),
-    ]
+    )
     only = theta_terms(0)
-    assert len(only) == 1 and (only[0].sign, only[0].q_exp, only[0].u_exp) == (1, 0, 1)
+    assert len(only) == 1 and only[0][1:] == (1, 0, 1)
 
 
 def test_terms_count_and_window_access():
     series = theta_terms(6)
     assert len(series) == 13
-    assert [t.n for t in series] == list(range(-6, 7))  # index n at position n + 6
-    assert series[0].u_exp == -11
+    assert [row[0] for row in series] == list(range(-6, 7))  # index n at position n + 6
+    assert series[0][3] == -11
+    assert all(type(x) is int for row in series for x in row)  # a row of plain ints: no bool sign
     with pytest.raises(DomainError):
         theta_terms(-1)
-
-
-def test_term_descriptor_validation():
-    with pytest.raises(DomainError):
-        ThetaTerm(n=1, sign=-1, q_exp=0, u_exp=3)  # q-exponent off by one
-    with pytest.raises(DomainError):
-        ThetaTerm(n=1, sign=-1, q_exp=1, u_exp=2)  # even u-exponent
-    with pytest.raises(DomainError):
-        ThetaTerm(n=1, sign=2, q_exp=1, u_exp=3)
 
 
 def test_inversion_against_polynomial_substitution():
@@ -216,9 +207,7 @@ def test_cyclotomic_ring_structure():
 def test_records_are_immutable_values():
     ell = 7
     assert_immutable_value(lambda: zeta_ell_pow(ell, 3))
-    assert_immutable_value(lambda: ThetaTerm(n=-2, sign=1, q_exp=1, u_exp=-3))
     assert_immutable_value(lambda: theta_value(2, ell))
-    assert ThetaTerm(0, 1, 0, 1) == theta_terms(0)[0]
 
 
 def test_eval_cancels_to_boundary_term_at_one():

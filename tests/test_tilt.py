@@ -16,7 +16,7 @@ from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.errors import ConfigError, DomainError
 from tiltval.loglink import PadicUnit, chain_build
 from tiltval.pilot import PilotTuple, theta_set_sample
-from tiltval.theta import eval_theta_laurent, theta_terms
+from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms
 from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, eta_val, gauss_log_norm, teichmuller
 from tiltval.tilt import (
     _convolve,
@@ -730,6 +730,8 @@ def _probe_point():
             id="PilotTuple",
         ),
         pytest.param("value", lambda: PadicUnit.of(3, 4, True), id="PadicUnit.of"),
+        pytest.param("j", lambda: ThetaValue(True, 5, -1, Fraction(1, 10), 2), id="ThetaValue.j"),
+        pytest.param("sign", lambda: ThetaValue(1, 5, True, Fraction(1, 10), 2), id="ThetaValue.sign"),
     ],
 )
 def test_a_bool_is_no_count_index_or_positive_rational(name, call):
@@ -740,7 +742,6 @@ def test_a_bool_is_no_count_index_or_positive_rational(name, call):
 # Where a module may still test isinstance against bool or int itself, and why.
 _TYPE_TESTS_ALLOWED = {
     "reporting": "its writers render a bool leaf as true/false and an int by int.__repr__: output, not a parameter check",
-    "cli.load_config": "JSON type dispatch: a config value must be an int, a rational string or a string by its key",
     "theta.CycloElt.__mul__": "operator dispatch between an int scalar and a ring element",
 }
 
