@@ -89,7 +89,7 @@ class PadicUnit(Record):
         """A uniformly drawn principal unit of Z/p^precision, one draw from rng, after p and N are checked."""
         _require_precision(p, precision)
         _require_prime(p)
-        return _random_unit(rng, p, precision)
+        return _random_units(rng, p, precision, 1)[0]
 
     @property
     def modulus(self) -> int:
@@ -113,10 +113,13 @@ class PadicUnit(Record):
         return PadicUnit._trusted(p, precision, pow(self.value, k, _unit_group(p, precision)[2]))
 
 
-def _random_unit(rng: random.Random, p: int, precision: int) -> PadicUnit:
-    """PadicUnit.random for a checked p and precision; 1 + c*r, c = p^_unit_level(p), is a unit as drawn."""
+def _random_units(rng: random.Random, p: int, precision: int, count: int) -> list[PadicUnit]:
+    """count draws of PadicUnit.random for a checked p and precision, in draw order, with one group lookup.
+
+    1 + c*r, c = p^_unit_level(p), is a unit as drawn.
+    """
     c, bound, _ = _unit_group(p, precision)
-    return PadicUnit._trusted(p, precision, 1 + c * rng.randrange(bound))
+    return [PadicUnit._trusted(p, precision, 1 + c * rng.randrange(bound)) for _ in range(count)]
 
 
 def _floor_log(n: int, p: int) -> int:

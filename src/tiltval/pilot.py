@@ -64,9 +64,11 @@ class PilotTuple(Record):
         _require_positive(xi_val_K1, "xi_val_K1")
         if len(lifts) != ansatz.ell_star:
             raise DomainError("one lift per family member")
+        if not all(isinstance(e, Fraction) for e in lifts):  # the sign and square law below read numerators
+            raise DomainError(f"lifts must be Fractions, got {lifts!r}")
         n1, d1 = lifts[0].numerator, lifts[0].denominator
         for j, e in enumerate(lifts, start=1):
-            if e <= 0:
+            if e.numerator <= 0:
                 raise DomainError(f"lift {j} must be positive, got {e}")
             if e.numerator * d1 != n1 * j * j * e.denominator:
                 raise DomainError(f"lift {j} breaks the square law e_j = j^2 e_1")
@@ -157,7 +159,7 @@ def size_estimate(sample: Sequence[PilotTuple], rho: RhoWeight) -> Fraction:
     sums = [sum_log_norms(pilot, rho) for pilot in sample]
     if rho.at_one:
         for pilot in sample:
-            if any(e < 0 for e in pilot.lifts):
+            if any(e.numerator < 0 for e in pilot.lifts):
                 raise VerificationError("boundary cap violated: negative lift in sample")
     return min(sums)
 

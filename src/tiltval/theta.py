@@ -44,7 +44,7 @@ from itertools import repeat
 
 from ._record import Record
 from .errors import DomainError, WindowError
-from .tilt import _is_int, _require_count, _require_int, _require_odd_prime
+from .tilt import _is_int, _require_count, _require_int, _require_odd_prime, _require_positive
 
 __all__ = [
     "CycloElt",
@@ -267,12 +267,11 @@ class ThetaValue(Record):
     def __init__(self, j: int, ell: int, sign: int, q_exponent: Fraction, zeta_exponent: int):
         _require_int(j, "j")
         _require_odd_prime(ell)
-        if q_exponent <= 0:
-            raise DomainError("the q-exponent of a special value is positive")
+        _require_positive(q_exponent, "q_exponent")
         if not (_is_int(sign) and sign in (-1, 1)):
             raise DomainError(f"sign must be +-1, got {sign!r}")
-        if not 0 <= zeta_exponent < ell:
-            raise DomainError("zeta exponent must be reduced mod ell")
+        if not (_is_int(zeta_exponent) and 0 <= zeta_exponent < ell):
+            raise DomainError(f"zeta_exponent must be an integer in 0..{ell - 1}, got {zeta_exponent!r}")
         self._assign(j, ell, sign, q_exponent, zeta_exponent)
 
     @property

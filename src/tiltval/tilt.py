@@ -22,7 +22,10 @@ integers and make the result's frame minimal once; their results skip
 the validator (``Record._trusted``).  The test "y == phi^n(a^k)"
 (:func:`_power_check`) builds no power as an element: it shifts y's
 numerators into a's frame and compares them, as one dict, with an entry
-of one table of a's powers, remembered by that predicate only.
+of one table of a's powers, remembered by that predicate only.  A one-term
+a = c * t^(m / p^s), as every CLI witness is, needs neither table nor dict:
+y's single (numerator, coefficient) pair, on the shifted frame, must be
+(m * k, c^k mod p).
 
 A valuation is a plain Fraction, and None stands for the +infinity of
 the zero element.  Fraction exponents are read from the ``terms`` view,
@@ -296,11 +299,11 @@ def tilt_pow(x: TiltElement, k: int) -> TiltElement:
     return TiltElement._trusted(x.p, *_minimal(x.p, x.s, sorted(_powers(dict(x.nums), x.p)(k).items())))
 
 
-def _power_check(a: TiltElement) -> Callable[..., bool]:
-    """The predicate (y, k, n=0) -> y == tilt_frobenius(tilt_pow(a, k), n) for ints k >= 0 and n.
+def _table_check(a: TiltElement) -> Callable[..., bool]:
+    """``_power_check``'s predicate read off one ``_powers`` table of a, for a of any term count.
 
     phi^n(a^k) has a^k's numerators over p^(s_a - n), so y's numerators times p^(s_a - n - s_y)
-    must be those of a^k from one ``_powers`` table; no power is built as an element.
+    must be those of a^k; no power is built as an element.
     """
     p, s, power = a.p, a.s, _powers(dict(a.nums), a.p)
 
@@ -314,6 +317,28 @@ def _power_check(a: TiltElement) -> Callable[..., bool]:
             return {m * q: c for m, c in y.nums} == target
         # a remainder: no twisted power of a is this fine
         return not any(m % q for m, _ in y.nums) and {m // q: c for m, c in y.nums} == target
+
+    return check
+
+
+def _power_check(a: TiltElement) -> Callable[..., bool]:
+    """The predicate (y, k, n=0) -> y == tilt_frobenius(tilt_pow(a, k), n) for ints k >= 0 and n.
+
+    A one-term a = c * t^(m / p^s_a) needs no table: y must be one term whose (numerator,
+    coefficient), on the frame shifted by s_a - n - s_y, is (m * k, c^k mod p).  Any other a
+    goes through ``_table_check``.
+    """
+    if len(a.nums) != 1:
+        return _table_check(a)
+    p, s = a.p, a.s
+    (m, c), = a.nums
+
+    def check(y: TiltElement, k: int, n: int = 0) -> bool:
+        if y.p != p or len(y.nums) != 1:
+            return False
+        (my, cy), = y.nums
+        shift = s - n - y.s  # below 0, y's numerator must be p^-shift times a^k's, or y is too fine
+        return (my * p ** max(shift, 0), cy) == (m * k * p ** max(-shift, 0), pow(c, k, p))
 
     return check
 

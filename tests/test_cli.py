@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,11 +12,11 @@ from functools import wraps
 from pathlib import Path
 
 import pytest
-from conftest import assert_immutable_value
+from conftest import assert_immutable_value, random_monomial
 
 import tiltval
 from tiltval import cli, pilot
-from tiltval.ansatz import frobenius_orbit, is_member, make_ansatz
+from tiltval.ansatz import frobenius_orbit, is_member, make_ansatz, valuation_profile
 from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
 from tiltval.errors import ConfigError, PrecisionError, VerificationError
 from tiltval.loglink import _log_series, padic_log
@@ -42,7 +43,8 @@ def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("7") == 7
     assert parse_rational("-2/3") == Fraction(-2, 3)
-    for bad in ("0.5", "1/0", "3/-4", "", "two", 0.5, None, Fraction(1, 2)):
+    # The last three once parsed: \d took other scripts' digits, and $ matched before a final newline.
+    for bad in ("0.5", "1/0", "3/-4", "", "two", 0.5, None, Fraction(1, 2), "1/2\n", "\u0663", "\uff11/\uff12"):
         with pytest.raises(ConfigError):
             parse_rational(bad)
 
@@ -120,7 +122,9 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert result.stdout.strip() == "[]"
 
 
-# ansatz and witt load at import: perfbench/selftest.py reads their tilt_pow right after it.
+# reporting, ansatz and witt load at import: perfbench/tracer.py's install() lists the loaded modules
+# before it imports each target's home, so a home it imports first would go untraced, and a deferred
+# ansatz would keep a tilt_pow wrapper after uninstall().
 _IMPORT_TIME_SUBMODULES = {"_record", "ansatz", "cli", "errors", "reporting", "tilt", "witt"}
 
 
@@ -180,6 +184,9 @@ _REFUSAL_LINES = {
     '{"ell_sweep_max": 4}': "error: ell_sweep_max must be at least 5, got 4",
     '{"v_q": "0/1"}': "error: v_q must be positive, got 0",
     '{"rho_weight": "-1/2"}': "error: rho_weight must be positive, got -1/2",
+    '{"v_q": "1/2\\n"}': "error: rationals must be \"num/den\" strings, got '1/2\\n'",
+    '{"v_q": "\u0663"}': "error: rationals must be \"num/den\" strings, got '\u0663'",
+    '{"v_q": "\uff11/\uff12"}': "error: rationals must be \"num/den\" strings, got '\uff11/\uff12'",
 }
 
 
@@ -776,6 +783,47 @@ def test_a_wrong_power_kernel_is_caught_by_the_orbit_check(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "ansatz", "--format", "json")
     assert code == 1 and out == ""
     assert err.startswith("internal check failed: Frobenius translate") and "left the ansatz" in err
+
+
+def _profile_scales_by_fractions(point, orbit, depth):
+    """The Fraction route the integer check replaced: orbit point n's profile against p^n times point's."""
+    profile = valuation_profile(point)
+    scales = (Fraction(point.a.p) ** n for n in range(-depth, depth + 1))
+    return tuple(valuation_profile(o) for o in orbit) == tuple(tuple(e * s for e in profile) for s in scales)
+
+
+def test_orbit_profile_scaling_matches_the_fraction_route_randomized():
+    rng = random.Random(2719)
+    cases = 0
+    for p in (2, 3, 5):
+        for depth in (0, 1, 3):
+            for _ in range(4):
+                ell = rng.choice((7, 11, 13))
+                a, other = (random_monomial(rng, p, max_pow=3) for _ in range(2))
+                point = make_ansatz(a, ell)
+                orbit = frobenius_orbit(point, (-depth, depth))
+                foreign = frobenius_orbit(make_ansatz(other, ell), (-depth, depth))
+                shorter = make_ansatz(a, 3 if p == 5 else 5)  # fewer members than ell*
+                i = rng.randrange(len(orbit))
+                variants = [
+                    orbit,
+                    orbit[::-1],
+                    orbit[:i] + orbit[i + 1 :],  # a point dropped
+                    orbit[:i] + (foreign[i],) + orbit[i + 1 :],  # a point swapped for another generator's
+                    orbit[:i] + (shorter,) + orbit[i + 1 :],
+                    orbit + orbit[:1],
+                ]
+                if depth:
+                    j = (i + 1) % len(orbit)  # two points exchanged
+                    swapped = list(orbit)
+                    swapped[i], swapped[j] = swapped[j], swapped[i]
+                    variants.append(tuple(swapped))
+                assert cli._orbit_profile_scales(point, orbit, depth)
+                for variant in variants:
+                    expected = _profile_scales_by_fractions(point, variant, depth)
+                    assert cli._orbit_profile_scales(point, variant, depth) == expected, (point, depth, variant)
+                    cases += not expected
+    assert cases > 0
 
 
 def test_threshold_route_disagreement_is_a_failed_check(monkeypatch, tmp_path, capsys):

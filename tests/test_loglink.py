@@ -27,6 +27,7 @@ from tiltval.loglink import (
     _floor_log,
     _log_plan,
     _log_series,
+    _random_units,
     _require_prime,
     chain_build,
     m_of_epsilon,
@@ -283,6 +284,19 @@ def test_random_unit_takes_one_draw_per_unit():
         for _ in range(20):
             u = PadicUnit.random(drawn, p, precision)
             assert u.value == 1 + step * replay.randrange(p**precision // step)
+
+
+def test_a_block_of_units_is_that_many_single_draws_randomized():
+    # cmd_loglink draws each trial block in one call; every unit, and so every report, must stay as drawn one by one.
+    rng = random.Random(2731)
+    for p in (2, 3, 5, 7, 11):
+        for precision in (_precision_floor(p), 5, 17, 64):
+            seed = rng.randrange(2**32)
+            block, single = random.Random(seed), random.Random(seed)
+            for count in (0, 1, 2, rng.randint(3, 40), 200):
+                units = _random_units(block, p, precision, count)
+                assert units == [PadicUnit.random(single, p, precision) for _ in range(count)]
+                assert block.getstate() == single.getstate()
 
 
 def test_random_unit_checks_the_precision_floor_before_drawing():

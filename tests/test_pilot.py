@@ -52,6 +52,10 @@ def test_pilot_square_law_reverified():
     for lifts in ((Fraction(0), Fraction(0)), (Fraction(-1, 4), Fraction(-1)), (Fraction(1, 4), Fraction(-1))):
         with pytest.raises(DomainError, match="must be positive"):
             PilotTuple(ansatz=point, xi_val_K1=Fraction(1), lifts=lifts)
+    # The sign is read off the numerator, so a float lift is refused first, not met with AttributeError.
+    for lifts in ((Fraction(1, 4), 1.0), (Fraction(1, 4), -1.0), (0.25, Fraction(1))):
+        with pytest.raises(DomainError, match="lifts must be Fractions"):
+            PilotTuple(ansatz=point, xi_val_K1=Fraction(1), lifts=lifts)
 
 
 def test_sum_log_norms_catches_a_lift_off_by_one_over_its_denominator():

@@ -23,6 +23,7 @@ from tiltval.tilt import (
     _is_p_power,
     _power_check,
     _powers,
+    _table_check,
     _require_odd_prime,
     TiltElement,
     is_prime,
@@ -337,6 +338,35 @@ def test_power_check_agrees_with_tilt_pow_randomized():
                         near = (*_near_misses(rng, twisted, den * p ** max(-n, 0), p), tilt_frobenius(power, n + 1))
                         for y in near:
                             assert is_power(y, k, n) == (y == twisted), (a, k, n, y)
+
+
+def test_one_term_power_check_agrees_with_the_table_predicate_randomized():
+    # A one-term generator's predicate builds no power dict; the _powers-table predicate is its oracle.
+    rng = random.Random(2707)
+    negative_shifts = 0
+    for p in (2, 3, 5, 7):
+        for i in range(8):
+            # every third generator has an integer exponent (s = 0), and some of those are constants
+            a = random_monomial(rng, p) if i % 3 else TiltElement.monomial(p, rng.randint(0, 3), rng.randint(1, p - 1))
+            is_power, by_table = _power_check(a), _table_check(a)
+            (e, c), = a.terms
+            for k in (0, 1, p - 1, p, p + 1, rng.randint(2, 400)):
+                power = tilt_pow(a, k)
+                for n in range(-3, 4):
+                    twisted = tilt_frobenius(power, n)
+                    exponent = e * k * Fraction(p) ** n
+                    candidates = [
+                        *_near_misses(rng, twisted, p**twisted.s, p),
+                        tilt_frobenius(power, n + 1),
+                        tilt_frobenius(power, n - 1),
+                        TiltElement.one(p),
+                        TiltElement.monomial(p, exponent, pow(c, k, p) % (p - 1) + 1),  # p > 2: another coefficient
+                        TiltElement.monomial(p, exponent + Fraction(1, p ** (twisted.s + 1))),  # finer than phi^n(a^k)
+                    ]
+                    for y in candidates:
+                        negative_shifts += a.s - n - y.s < 0
+                        assert is_power(y, k, n) == by_table(y, k, n) == (y == twisted), (a, k, n, y)
+    assert negative_shifts > 0
 
 
 def _pow_scaled(base, k, p, powers):
@@ -714,7 +744,7 @@ def _probe_point():
     return make_ansatz(TiltElement.monomial(2, Fraction(1, 4)), 5)
 
 
-# Each probe once returned a value: a bool passed an integer check that tilt's rule did not make.
+# Each probe once returned a value: a bool, or the float q_exponent, passed a check that tilt's rules did not make.
 @pytest.mark.parametrize(
     "name, call",
     [
@@ -732,6 +762,10 @@ def _probe_point():
         pytest.param("value", lambda: PadicUnit.of(3, 4, True), id="PadicUnit.of"),
         pytest.param("j", lambda: ThetaValue(True, 5, -1, Fraction(1, 10), 2), id="ThetaValue.j"),
         pytest.param("sign", lambda: ThetaValue(1, 5, True, Fraction(1, 10), 2), id="ThetaValue.sign"),
+        pytest.param("q_exponent", lambda: ThetaValue(1, 5, -1, 0.1, 2), id="ThetaValue.q_exponent"),
+        pytest.param(
+            "zeta_exponent", lambda: ThetaValue(1, 5, -1, Fraction(1, 10), True), id="ThetaValue.zeta_exponent"
+        ),
     ],
 )
 def test_a_bool_is_no_count_index_or_positive_rational(name, call):
