@@ -117,11 +117,11 @@ def _require_precision(p: int, precision: int, name: str = "precision") -> None:
         raise PrecisionError(f"{name} {precision} is below the minimum {floor} for p = {p}", required=floor)
 
 
-def _require_window(window: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = window
-    if not (_is_int(lo) and _is_int(hi) and lo <= hi):
+def _require_window(window: object) -> tuple[int, int]:
+    """An inclusive index window: a tuple of two ints lo <= hi."""
+    if not (isinstance(window, tuple) and len(window) == 2 and all(map(_is_int, window))) or window[0] > window[1]:
         raise DomainError(f"window must be an inclusive integer range, got {window!r}")
-    return lo, hi
+    return window
 
 
 def _exact(x: object, what: str) -> Fraction:

@@ -490,13 +490,33 @@ def test_non_homomorphic_log_fails_the_log_rules(monkeypatch, capsys):
     assert not verdicts["loglink.log_p_power_rule_trials"]
 
 
+# The two plan faults below move log(u) one digit above the valuation v + n that the Kummer shift reads
+# for u = (1 + p^v)^(p^n), so only the log rules can see them.  At the defaults' depth m = 0, a move by
+# p^(w+m) itself would also fail loglink.kummer_shift_telescoping.
+
+
 def _linear_coefficient_off(p, precision):
-    """The (p, N) log plan with its linear coefficient moved by p^(w+m): log(u) moves by u^(p^m) - 1."""
-    m, scale, step, reduced_mod, coefficients = _log_series(p, precision)
-    return m, scale, step, reduced_mod, coefficients[:-1] + ((coefficients[-1] + step * scale) % reduced_mod,)
+    """The (p, N) log plan with its linear coefficient moved by p^(w+b+m+1): log(u) moves by p (u^(p^m) g^(-d) - 1)."""
+    m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients = _log_series(p, precision)
+    coefficients = coefficients[:-1] + ((coefficients[-1] + p * shift * scale) % reduced_mod,)
+    return m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients
 
 
-@pytest.mark.parametrize(
+def _log_g_off(p, precision):
+    """The (p, N) log plan with log(g) moved by p^(w+m+1): log(u) moves by d p^(w+1), d the digits the table clears."""
+    m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients = _log_series(p, precision)
+    log_g = (log_g + p * step * scale) % reduced_mod
+    return m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients
+
+
+def _table_power_off(p, precision):
+    """The (p, N) log plan with its last table power g^(-(p^b - 1)) replaced by g^(-(p^b - 2))."""
+    m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients = _log_series(p, precision)
+    table = (*table[:-1], table[-2])
+    return m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients
+
+
+_LOG_FAULT_CONFIGS = pytest.mark.parametrize(
     "config",
     [
         "{}",
@@ -505,16 +525,42 @@ def _linear_coefficient_off(p, precision):
     ],
     ids=["defaults", "wide", "f3"],
 )
-def test_a_wrong_log_plan_fails_the_log_rules(monkeypatch, tmp_path, capsys, config):
-    monkeypatch.setattr("tiltval.loglink._log_series", _linear_coefficient_off)
+
+
+def _checks_failed_under(monkeypatch, tmp_path, capsys, config, plan):
+    """The ids of the checks `all` fails on config with padic_log reading plan(p, N)."""
+    monkeypatch.setattr("tiltval.loglink._log_series", plan)
     report = tmp_path / "all.json"
     code, out, _ = run_cli(
         capsys, "all", "--format", "json", "--config", write_config(tmp_path, "c.json", config), "--output", str(report)
     )
     assert code == 1 and out == ""
     suites = json.loads(report.read_text(encoding="utf-8"))["suites"]
-    failed = {check["id"] for suite in suites for check in suite["checks"] if not check["passed"]}
+    return {check["id"] for suite in suites for check in suite["checks"] if not check["passed"]}
+
+
+@_LOG_FAULT_CONFIGS
+def test_a_wrong_log_plan_fails_the_log_rules(monkeypatch, tmp_path, capsys, config):
+    failed = _checks_failed_under(monkeypatch, tmp_path, capsys, config, _linear_coefficient_off)
     assert failed == {"loglink.log_product_rule_trials", "loglink.log_p_power_rule_trials"}
+
+
+@_LOG_FAULT_CONFIGS
+def test_a_wrong_log_g_fails_the_log_rules(monkeypatch, tmp_path, capsys, config):
+    failed = _checks_failed_under(monkeypatch, tmp_path, capsys, config, _log_g_off)
+    assert failed == {"loglink.log_product_rule_trials", "loglink.log_p_power_rule_trials"}
+
+
+@_LOG_FAULT_CONFIGS
+def test_a_wrong_table_power_ends_the_run_at_the_digit_guard(monkeypatch, tmp_path, capsys, config):
+    # A unit whose digits pick the wrong power leaves y g^(-d) != 1 mod p^(w+b); no report is written.
+    monkeypatch.setattr("tiltval.loglink._log_series", _table_power_off)
+    report = tmp_path / "all.json"
+    code, out, err = run_cli(
+        capsys, "all", "--format", "json", "--config", write_config(tmp_path, "c.json", config), "--output", str(report)
+    )
+    assert code == 1 and out == "" and not report.exists()
+    assert err.startswith("internal check failed: ") and "a wrong digit table" in err
 
 
 def test_unsigned_evaluation_fails_the_laurent_ratio(monkeypatch, capsys):

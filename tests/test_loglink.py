@@ -163,7 +163,7 @@ def _precision_floor(p: int) -> int:
 
 def test_log_matches_fraction_series_randomized():
     rng = random.Random(4111)
-    for p in (2, 3, 5, 7, 11):
+    for p in (2, 3, 5, 7, 11, 131):
         for precision in chain(range(_precision_floor(p), 17), (24, 32, 48, 64, 96, 128)):
             edge = (1, 1 + p ** (precision - 1))
             units = [PadicUnit(p, precision, value) for value in edge]
@@ -195,9 +195,28 @@ def test_log_matches_the_per_call_series_randomized():
                 assert padic_log(u) == _log_per_call(u), (p, precision, u.value)
 
 
+def _admissible_reductions(p: int, precision: int):
+    """Every (m, b) a plan may take: m in 0 .. isqrt(N), b <= w = m + _unit_level(p) and p^b <= 128."""
+    for m in range(isqrt(precision) + 1):
+        w = m + (2 if p == 2 else 1)
+        for b in range(w + 1):
+            if p**b > 128:
+                break
+            yield m, b
+
+
+def _table_digits(p: int, size: int) -> int:
+    b = 0
+    while p**b < size:
+        b += 1
+    assert p**b == size
+    return b
+
+
 def test_every_reduction_depth_gives_the_same_class(monkeypatch):
+    # b = 0 is the Horner-only route with no digit table, kept reachable as an oracle for the table.
     rng = random.Random(1709)
-    for p in (2, 3, 5, 7, 53):
+    for p in (2, 3, 5, 7, 53, 131):
         step = 4 if p == 2 else p
         for precision in (_precision_floor(p), 14, 48, 80, 96, 128, 300):
             edge = (1 + p ** (precision - 1), (1 - step) % p**precision)
@@ -205,25 +224,36 @@ def test_every_reduction_depth_gives_the_same_class(monkeypatch):
             units += [PadicUnit.random(rng, p, precision) for _ in range(2)]
             expected = [_log_by_fractions(u) for u in units]
             assert [_log_per_call(u) for u in units] == expected, (p, precision)
-            for m in range(isqrt(precision) + 1):
-                monkeypatch.setattr("tiltval.loglink._log_series", lambda p, n, m=m: _log_plan(p, n, m))
-                assert [padic_log(u) for u in units] == expected, (p, precision, m)
+            for m, b in _admissible_reductions(p, precision):
+                plan = _log_plan(p, precision, m, b)
+                monkeypatch.setattr("tiltval.loglink._log_series", lambda p, n, plan=plan: plan)
+                assert [padic_log(u) for u in units] == expected, (p, precision, m, b)
             monkeypatch.undo()
 
 
 def test_the_plan_takes_the_cheapest_depth_up_to_isqrt():
-    chosen = {(2, 14): 1, (2, 128): 8, (3, 96): 4, (5, 80): 4, (5, 48): 2, (23, 14): 0, (53, 14): 0}
-    for (p, precision), m in chosen.items():
-        assert _log_series(p, precision)[0] == m, (p, precision)
-    for p in (2, 3, 5, 7, 53):
+    # (m, b) per (p, N): the 9 deep-precision cells, the 4 wide-ell cells and the defaults.
+    chosen = {
+        (2, 48): (2, 4), (2, 88): (4, 6), (2, 128): (5, 7),
+        (3, 48): (2, 3), (3, 72): (2, 3), (3, 96): (3, 4),
+        (5, 48): (2, 3), (5, 64): (2, 3), (5, 80): (2, 3),
+        (23, 14): (0, 1), (29, 14): (0, 1), (41, 14): (0, 1), (53, 14): (0, 1),
+        (2, 14): (0, 2),
+    }
+    for (p, precision), (m, b) in chosen.items():
+        plan = _log_series(p, precision)
+        assert (plan[0], _table_digits(p, plan[4])) == (m, b), (p, precision)
+    for p in (2, 3, 5, 7, 53, 131):
         for precision in range(_precision_floor(p), 301):
-            m = _log_series(p, precision)[0]
-            assert 0 <= m <= isqrt(precision), (p, precision)
+            plan = _log_series(p, precision)
+            m, b = plan[0], _table_digits(p, plan[4])
+            assert (m, b) in set(_admissible_reductions(p, precision)), (p, precision)
+            assert len(plan[5]) == p**b, (p, precision)
 
 
 def test_no_plan_starts_with_a_zero_coefficient():
     # A leading d_k that is 0 mod p^(N+m) would only spend a Horner step on t = 0.
-    for p in (2, 3, 5, 7, 53):
+    for p in (2, 3, 5, 7, 53, 131):
         for precision in range(_precision_floor(p), 301):
             coefficients = _log_series(p, precision)[-1]
             assert coefficients and coefficients[0], (p, precision)
@@ -237,19 +267,22 @@ def test_a_non_principal_unit_fails_the_valuation_guard():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_the_fraction_oracle_catches_a_plan_without_its_top_term(monkeypatch, p):
-    # At (3, 14), the F_3 config's precision, this plan passes every check of `all`: the
-    # dropped term moves only the top digit, and by an amount additive in u, so both log
-    # rules still hold.  The plan keeps no leading coefficient that is 0 mod p^(N+m), so
-    # the top one is nonzero and dropping it is a fault.
-    plan = _log_series(p, 14)
-    *head, coefficients = plan
-    top = next(i for i, c in enumerate(coefficients) if c)
-    assert top == 0
-    faulty = (*head, coefficients[:top] + coefficients[top + 1 :])
-    monkeypatch.setattr("tiltval.loglink._log_series", lambda p, n: faulty)
+    # In the Horner-only plan (b = 0) at the chosen depth, at the defaults' (2, 14) and the
+    # F_3 config's (3, 14), this fault passes every check of `all`: the dropped term moves
+    # only the top digit, and by an amount additive in u, so both log rules still hold.
+    # With the digit table x' is not additive in u and the log rules fail, but the oracle
+    # must catch it in both plans.  A plan keeps no leading coefficient that is 0 mod
+    # p^(N+m), so the top one is nonzero and dropping it is a fault.
     rng = random.Random(14)
     units = [PadicUnit.random(rng, p, 14) for _ in range(20)]
-    assert any(padic_log(u) != _log_by_fractions(u) for u in units)
+    chosen = _log_series(p, 14)
+    for plan in (chosen, _log_plan(p, 14, chosen[0])):
+        *head, coefficients = plan
+        top = next(i for i, c in enumerate(coefficients) if c)
+        assert top == 0
+        faulty = (*head, coefficients[:top] + coefficients[top + 1 :])
+        monkeypatch.setattr("tiltval.loglink._log_series", lambda p, n, faulty=faulty: faulty)
+        assert any(padic_log(u) != _log_by_fractions(u) for u in units)
 
 
 def test_loglink_run_builds_one_series_plan():

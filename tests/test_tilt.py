@@ -14,7 +14,7 @@ from conftest import assert_immutable_value, random_element, random_monomial
 import tiltval
 from tiltval.ansatz import frobenius_orbit, make_ansatz
 from tiltval.errors import ConfigError, DomainError
-from tiltval.loglink import PadicUnit, chain_build
+from tiltval.loglink import LogLinkChain, PadicUnit, chain_build
 from tiltval.pilot import PilotTuple, theta_set_sample
 from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms
 from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, eta_val, gauss_log_norm, teichmuller
@@ -772,6 +772,34 @@ def test_a_bool_is_no_count_index_or_positive_rational(name, call):
     with pytest.raises(DomainError, match=f"^{name} must be"):
         call()
 
+
+
+def _probe_chain():
+    return chain_build(3, Fraction(1), (0, 2))
+
+
+# Each probe once raised a bare TypeError or ValueError, or returned a value: value_at(True) read index 1.
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("window", lambda: chain_build(3, Fraction(1), 5), id="chain_build-int"),
+        pytest.param("window", lambda: chain_build(3, Fraction(1), (0, 1, 2)), id="chain_build-triple"),
+        pytest.param("window", lambda: frobenius_orbit(_probe_point(), None), id="frobenius_orbit-none"),
+        pytest.param("window", lambda: frobenius_orbit(_probe_point(), (0, 1, 2)), id="frobenius_orbit-triple"),
+        pytest.param("window", lambda: frobenius_orbit(_probe_point(), (0,)), id="frobenius_orbit-single"),
+        pytest.param(
+            "window",
+            lambda: LogLinkChain(p=3, v0=Fraction(1), window=[0, 2], entries=_probe_chain().entries),
+            id="LogLinkChain-list",
+        ),
+        pytest.param("index", lambda: _probe_chain().value_at(True), id="value_at-bool"),
+        pytest.param("index", lambda: _probe_chain().value_at(0.5), id="value_at-float"),
+        pytest.param("index", lambda: _probe_chain().value_at(Fraction(1)), id="value_at-fraction"),
+    ],
+)
+def test_a_malformed_window_or_chain_index_is_a_domain_error(name, call):
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        call()
 
 # Where a module may still test isinstance against bool or int itself, and why.
 _TYPE_TESTS_ALLOWED = {
