@@ -322,7 +322,8 @@ def cmd_ansatz(cfg: RunConfig) -> Iterator[CheckRecord]:
         profile=profile,
     )
     yield make_check("ansatz.witness_top_normalized", profile[-1] == 1, top=profile[-1])
-    t_unit_val = eta_val(point.members[0], TiltElement.monomial(cfg.p, 1))
+    t_mon = TiltElement.monomial(cfg.p, 1)
+    t_unit_val = eta_val(point.members[0], t_mon)
     yield make_check(
         "ansatz.witness_untilt_gauge",
         t_unit_val == ell_star * ell_star,
@@ -338,7 +339,6 @@ def cmd_ansatz(cfg: RunConfig) -> Iterator[CheckRecord]:
     orbit = tuple(t.ansatz for t in sample)
     yield make_check("ansatz.orbit_membership", len(orbit) == 2 * depth + 1, orbit_size=len(orbit))
     yield make_check("ansatz.orbit_profile_scaling", _orbit_profile_scales(point, orbit, depth), depth=depth)
-    t_mon = TiltElement.monomial(cfg.p, 1)
     bad_tail = PrimitiveDeg1(tilt_mul(tilt_pow(point.a, (ell_star + 1) ** 2), t_mon))
     tampered = (*point.members, bad_tail)
     yield make_check(

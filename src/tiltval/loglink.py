@@ -300,7 +300,8 @@ def chain_build(p: int, v0: Fraction, window: tuple[int, int]) -> LogLinkChain:
     _require_positive(v0, "v0")
     lo, hi = _require_window(window)
     entries = tuple((n, v0 * Fraction(p) ** n) for n in range(lo, hi + 1))
-    return LogLinkChain(p=p, v0=v0, window=(lo, hi), entries=entries)
+    # p prime and v0 > 0: the entries cover the window, are positive and step by p, as the constructor checks.
+    return LogLinkChain._trusted(p, v0, (lo, hi), entries)
 
 
 def m_of_epsilon(p: int, eps: Fraction) -> int:

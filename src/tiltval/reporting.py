@@ -87,11 +87,9 @@ class Report(Record):
         return all(check.passed for check in self.checks)
 
     def counts(self) -> tuple[int, int]:
-        good = sum(1 for check in self.checks if check.passed)
-        return good, len(self.checks)
-
-    def check_rows(self) -> list[tuple[str, CheckRecord]]:
-        return [(self.suite, check) for check in self.checks]
+        checks = self.checks
+        good = sum(1 for check in checks if check.passed)
+        return good, len(checks)
 
 
 class CombinedReport(Record):
@@ -103,19 +101,12 @@ class CombinedReport(Record):
     wall_ms: int | None = None
 
     @property
-    def passed(self) -> bool:
-        return all(report.passed for report in self.suites)
+    def checks(self) -> tuple[CheckRecord, ...]:
+        """Every suite's checks, in suite order."""
+        return tuple([check for report in self.suites for check in report.checks])
 
-    def counts(self) -> tuple[int, int]:
-        good = sum(report.counts()[0] for report in self.suites)
-        total = sum(report.counts()[1] for report in self.suites)
-        return good, total
-
-    def check_rows(self) -> list[tuple[str, CheckRecord]]:
-        rows: list[tuple[str, CheckRecord]] = []
-        for report in self.suites:
-            rows.extend(report.check_rows())
-        return rows
+    passed = Report.passed
+    counts = Report.counts
 
 
 AnyReport = Union[Report, CombinedReport]
@@ -173,9 +164,11 @@ def _render_csv(report: AnyReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["suite", "check", "passed", "witness"])
-    for suite, check in report.check_rows():
-        witness = "; ".join(f"{_text(key)}={_text(value)}" for key, value in check.witness)
-        writer.writerow([_text(suite), _text(check.check_id), "true" if check.passed else "false", witness])
+    for sub in report.suites if isinstance(report, CombinedReport) else (report,):
+        suite = _text(sub.suite)
+        for check in sub.checks:
+            witness = "; ".join(f"{_text(key)}={_text(value)}" for key, value in check.witness)
+            writer.writerow([suite, _text(check.check_id), "true" if check.passed else "false", witness])
     return out.getvalue()
 
 

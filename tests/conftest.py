@@ -1,12 +1,15 @@
 """Shared deterministic generators for the test suite."""
 
 import copy
+import os
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tiltval
 from tiltval.tilt import TiltElement
 
 
@@ -49,3 +52,9 @@ def assert_immutable_value(make) -> None:
     assert first == second
     assert copy.copy(first) == copy.deepcopy(first) == first
     assert pickle.loads(pickle.dumps(first)) == first
+
+
+def env_with_src() -> dict:
+    """The environment for a fresh interpreter that imports this tiltval."""
+    src = str(Path(tiltval.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

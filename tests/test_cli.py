@@ -2,24 +2,21 @@
 
 import inspect
 import json
-import os
 import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
 from functools import wraps
-from pathlib import Path
 
 import pytest
-from conftest import assert_immutable_value, random_monomial
+from conftest import assert_immutable_value, env_with_src, random_monomial
 
-import tiltval
-from tiltval import cli, pilot
+from tiltval import cli, loglink, pilot
 from tiltval.ansatz import frobenius_orbit, is_member, make_ansatz, valuation_profile
 from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
 from tiltval.errors import ConfigError, PrecisionError, VerificationError
-from tiltval.loglink import _log_series, padic_log
+from tiltval.loglink import LogLinkChain, _log_series, padic_log
 from tiltval.pilot import _odd_primes_upto, main_bound_check
 from tiltval.reporting import CheckRecord, CombinedReport, Report, make_check
 from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
@@ -103,12 +100,6 @@ def test_report_records_are_immutable_values():
     assert CheckRecord("x.y", True, ()) != CheckRecord("x.y", False, ())
 
 
-def _env_with_src():
-    """The environment for a fresh interpreter that imports this tiltval."""
-    src = str(Path(tiltval.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-
-
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # A fresh interpreter: pytest itself has already imported both here.  Only
     # the modules the import adds count; site set-up may load inspect itself.
@@ -117,7 +108,7 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=_env_with_src(), capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", probe], env=env_with_src(), capture_output=True, text=True, timeout=60, check=True
     )
     assert result.stdout.strip() == "[]"
 
@@ -160,7 +151,7 @@ def test_a_command_loads_only_the_suites_it_runs(tmp_path, argv, config, loaded)
     )
     result = subprocess.run(
         [sys.executable, "-c", probe, json.dumps(argv)],
-        env=_env_with_src(),
+        env=env_with_src(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -337,7 +328,7 @@ def test_repeated_main_calls_match_first_calls(tmp_path, capsys):
     )
     for argv in calls:
         first = subprocess.run(
-            [sys.executable, "-m", "tiltval", *argv], env=_env_with_src(), capture_output=True, timeout=60
+            [sys.executable, "-m", "tiltval", *argv], env=env_with_src(), capture_output=True, timeout=60
         )
         written = target.read_bytes() if target.exists() else None
         target.unlink(missing_ok=True)
@@ -740,6 +731,16 @@ def test_suites_build_their_invariants_once(monkeypatch, tmp_path, capsys):
     assert code == 0 and bounds == [(5, Fraction(1))]
 
 
+def _patch_source(monkeypatch, module, name, original, mutated):
+    """Replace module.name with a copy of its source in which original reads mutated."""
+    source = inspect.getsource(getattr(module, name))
+    faulty = source.replace(original, mutated)
+    assert faulty != source
+    namespace = dict(vars(module))
+    exec(compile(faulty, module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
 @pytest.mark.parametrize(
     "step, original, mutated",
     [
@@ -751,12 +752,7 @@ def test_suites_build_their_invariants_once(monkeypatch, tmp_path, capsys):
     ids=["square_sum_closed_form", "margin_factored", "lhs_closed_form", "rhs_ratio_form"],
 )
 def test_a_broken_bound_identity_fails_its_step(monkeypatch, tmp_path, capsys, step, original, mutated):
-    source = inspect.getsource(pilot.main_bound_check)
-    faulty = source.replace(original, mutated)
-    assert faulty != source
-    namespace = dict(vars(pilot))
-    exec(compile(faulty, pilot.__file__, "exec"), namespace)
-    monkeypatch.setattr("tiltval.pilot.main_bound_check", namespace["main_bound_check"])
+    _patch_source(monkeypatch, pilot, "main_bound_check", original, mutated)
     target = tmp_path / "bound.json"
     code, out, _ = run_cli(capsys, "bound", "--format", "json", "--output", str(target))
     assert code == 1 and out == ""
@@ -796,8 +792,17 @@ def test_a_broken_bound_identity_fails_its_step(monkeypatch, tmp_path, capsys, s
             lambda prim, x: eta_val(prim, x) + 1,
             {"ansatz.untilt_records", "ansatz.witness_untilt_gauge"},
         ),
+        # Entries -v0 p^n still step by p, but they fall as n grows.
+        (
+            "loglink",
+            "tiltval.loglink.chain_build",
+            lambda p, v0, window: LogLinkChain._trusted(
+                p, v0, window, tuple((n, -v0 * Fraction(p) ** n) for n in range(window[0], window[1] + 1))
+            ),
+            {"loglink.chain_strictly_increasing"},
+        ),
     ],
-    ids=["orbit_membership", "orbit_profile_scaling", "kummer_shift", "untilt_records"],
+    ids=["orbit_membership", "orbit_profile_scaling", "kummer_shift", "untilt_records", "chain_increasing"],
 )
 def test_a_kernel_fault_fails_the_check_that_reads_it(monkeypatch, tmp_path, capsys, suite, target, fault, failed):
     monkeypatch.setattr(target, fault)
@@ -806,6 +811,25 @@ def test_a_kernel_fault_fails_the_check_that_reads_it(monkeypatch, tmp_path, cap
     assert code == 1 and out == ""
     verdicts = {check["id"]: check["passed"] for check in json.loads(report.read_text(encoding="utf-8"))["checks"]}
     assert {check_id for check_id, passed in verdicts.items() if not passed} == failed
+
+
+def test_a_wrong_lift_formula_fails_the_square_sum_not_the_config(monkeypatch, capsys):
+    # build_pilot builds through _trusted, so a broken lift is no DomainError (exit 2, a config
+    # fault): the orbit still scales by p, and sum_log_norms's closed form catches it.
+    _patch_source(monkeypatch, pilot, "build_pilot", "Fraction(n1 * j * j, d1)", "Fraction(n1 * j * j + 1, d1)")
+    code, out, err = run_cli(capsys, "ansatz")
+    assert code == 1 and out == ""
+    assert err.startswith("internal check failed: square-sum identity violated")
+
+
+def test_a_wrong_chain_entry_fails_the_ratio_in_a_written_report(monkeypatch, tmp_path, capsys):
+    # chain_build builds through _trusted, so its entries reach the chain checks instead of aborting the run.
+    _patch_source(monkeypatch, loglink, "chain_build", "v0 * Fraction(p) ** n", "v0 * Fraction(p + 1) ** n")
+    target = tmp_path / "loglink.json"
+    code, out, _ = run_cli(capsys, "loglink", "--format", "json", "--output", str(target))
+    assert code == 1 and out == ""
+    verdicts = {check["id"]: check["passed"] for check in json.loads(target.read_text(encoding="utf-8"))["checks"]}
+    assert [check_id for check_id, passed in verdicts.items() if not passed] == ["loglink.chain_ratio_is_p"]
 
 
 def test_mistwisted_frobenius_is_a_verification_failure(monkeypatch, capsys):

@@ -1,0 +1,139 @@
+"""Reach: every src function is entered by a passing `all` run, or is listed with its reason."""
+
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import env_with_src
+
+import tiltval
+
+# The trace starts before `import tiltval.cli`, so code that runs only at import (the record
+# metaclass, the suite decorator) counts as entered.  Each run must pass.
+_TRACE = r"""
+import json, os, sys
+
+entered = set()
+
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+sys.setprofile(hook)
+from tiltval import cli
+
+for config in sys.argv[1:]:
+    for fmt in ("json", "csv", "text"):
+        argv = ["all", "--format", fmt, "--output", os.devnull] + (["--config", config] if config else [])
+        if cli.main(argv) != 0:
+            raise SystemExit(f"{argv} did not pass")
+sys.setprofile(None)
+home = os.path.dirname(os.path.abspath(cli.__file__))
+json.dump(
+    [[os.path.basename(c.co_filename), c.co_firstlineno, c.co_name]
+     for c in entered if os.path.dirname(os.path.abspath(c.co_filename)) == home],
+    sys.stdout,
+)
+"""
+
+# The defaults, CI's wide config and CI's F_3 config.
+_CONFIGS = (
+    None,
+    '{"p": 29, "ell": 59, "theta_truncation": 29}',
+    '{"p": 3, "ell": 19, "frobenius_depth": 5, "v_q": "7/3", "rho_weight": "7/3"}',
+)
+
+_GATE = "gate API: tests/test_acceptance.py calls it, or reaches it through a gate API"
+_CONSTRUCTOR = "validating public constructor: the CLI gets these records from kernels that build through _trusted"
+_RING = "CycloElt ring arithmetic: the theta tests build their oracles on it; the benchmark traces __mul__ as cyclo_mul"
+_VALUE = "frozen-value protocol of every record (equality, hash, repr, copying, refused writes): tests and gate use it"
+_REFUSAL = "refusal path: only a config that exits 2 enters it"
+_MULTI_TERM = "multi-term generator path: the CLI's witness is one term; the generator-family benchmark runs it"
+
+# Functions no passing `all` run enters, each with its reason.  The table may only shrink.
+UNREACHED = {
+    "_record.Record.__delattr__": _VALUE,
+    "_record.Record.__eq__": _VALUE,
+    "_record.Record.__hash__": _VALUE,
+    "_record.Record.__reduce__": _VALUE,
+    "_record.Record.__repr__": _VALUE,
+    "_record.Record.__setattr__": _VALUE,
+    "_record.Record._values": _VALUE,
+    "ansatz.AnsatzPoint.__init__": _CONSTRUCTOR,
+    "cli._reject_float": _REFUSAL,
+    "errors.PrecisionError.__init__": _REFUSAL,
+    "loglink.LogLinkChain.__init__": _CONSTRUCTOR,
+    "loglink.PadicUnit.modulus": "public property: only the tests' log faults read it",
+    "loglink.PadicUnit.random": _GATE,
+    "pilot.PilotTuple.__init__": _CONSTRUCTOR,
+    "pilot.threshold_ell": _GATE,
+    "theta.CycloElt.__add__": _RING,
+    "theta.CycloElt.__mul__": _RING,
+    "theta.CycloElt.__neg__": _RING,
+    "theta.CycloElt.__sub__": _RING,
+    "theta.CycloElt._check_ring": _RING,
+    "theta.CycloElt.one": _RING,
+    "theta.CycloElt.root_pow": _RING,
+    "theta.ThetaValue.__init__": _CONSTRUCTOR,
+    "theta.check_quasi_periodicity": _GATE,
+    "theta.check_theta_value_laurent": _GATE,
+    "theta.zeta_ell_pow": _RING,
+    "tilt.TiltElement.__init__": _CONSTRUCTOR,
+    "tilt.TiltElement.one": _CONSTRUCTOR,
+    "tilt.TiltElement.support": _GATE,
+    "tilt.TiltElement.zero": _CONSTRUCTOR,
+    "tilt._powers.power": _MULTI_TERM,
+    "tilt._table_check": _MULTI_TERM,
+    "tilt._table_check.check": _MULTI_TERM,
+    "witt.RhoWeight.weight": _GATE,
+    "witt.WittExpr.__init__": _GATE,
+    "witt.WittExpr.from_terms": _GATE,
+    "witt.WittExpr.is_zero": _GATE,
+    "witt.gauss_log_norm": _GATE,
+    "witt.teichmuller": _GATE,
+}
+
+
+def _src_functions(home: Path) -> dict:
+    """(file name, first line, name) -> qualified name, for every def in the package.
+
+    A decorated function's code starts at its first decorator, so that line keys it.
+    """
+    functions = {}
+
+    def walk(node, file_name, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                    functions[(file_name, first, child.name)] = name
+                walk(child, file_name, name)
+            else:
+                walk(child, file_name, prefix)
+
+    for path in sorted(home.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.name, path.stem)
+    return functions
+
+
+def test_every_unreached_function_has_a_reason(tmp_path):
+    configs = []
+    for i, payload in enumerate(_CONFIGS):
+        if payload is None:
+            configs.append("")
+            continue
+        path = tmp_path / f"config{i}.json"
+        path.write_text(payload, encoding="utf-8")
+        configs.append(str(path))
+    result = subprocess.run(
+        [sys.executable, "-c", _TRACE, *configs], env=env_with_src(), capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    entered = {tuple(key) for key in json.loads(result.stdout)}
+    functions = _src_functions(Path(tiltval.__file__).resolve().parent)
+    unreached = {name for key, name in functions.items() if key not in entered}
+    assert not unreached - set(UNREACHED), "newly unreached: give each a reason or delete it"
+    assert not set(UNREACHED) - unreached, "now reached or gone: drop it from UNREACHED"
