@@ -107,6 +107,8 @@ def parse_rational(text: object) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ConfigError(f"zero denominator in {text!r}") from exc
+    except ValueError as exc:  # a numerator or denominator past the interpreter's int digit limit
+        raise ConfigError(f"config number too long: {exc}") from exc
 
 
 def _reject_float(literal: str) -> None:
@@ -135,6 +137,10 @@ def load_config(path: str | None) -> RunConfig:
             raise ConfigError(f"config is not UTF-8: {exc}") from exc
         except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except ConfigError:  # a float literal or a duplicate key, refused by the hooks above
+            raise
+        except ValueError as exc:  # an int literal past the interpreter's int digit limit
+            raise ConfigError(f"config number too long: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     known = {"schema", *RunConfig.__slots__}

@@ -18,15 +18,7 @@ class WindowError(DomainError):
 
 
 class PrecisionError(TiltvalError, ValueError):
-    """The requested p-adic precision is too small to be meaningful.
-
-    The ``required`` attribute, when set, holds the smallest precision
-    that would have been accepted.
-    """
-
-    def __init__(self, message: str, required: int | None = None):
-        super().__init__(message)
-        self.required = required
+    """The requested p-adic precision is too small to be meaningful."""
 
 
 class VerificationError(TiltvalError, ArithmeticError):

@@ -107,10 +107,6 @@ class PadicUnit(Record):
         _require_prime(p)
         return _random_units(rng, p, precision, 1)[0]
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.precision
-
     def _check_same(self, other: "PadicUnit") -> None:
         if self.p != other.p or self.precision != other.precision:
             raise ConfigError(

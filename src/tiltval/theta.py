@@ -57,7 +57,6 @@ __all__ = [
     "eval_theta_laurent",
     "theta_terms",
     "theta_value",
-    "zeta_ell_pow",
 ]
 
 
@@ -97,21 +96,12 @@ class CycloElt(Record):
         self._assign(ell, coeffs)
 
     @classmethod
-    def one(cls, ell: int) -> "CycloElt":
-        return cls(ell, (1,) + (0,) * (ell - 2))
-
-    @classmethod
     def from_root_pows(cls, ell: int, pows: dict[int, int]) -> "CycloElt":
         """The class of sum c * x^e over pows = {e: c}, any integer e."""
         row = [0] * (ell - 1)
         for e, c in pows.items():
             _add_root_pow(row, ell, e % (2 * ell), c)
         return cls(ell, tuple(row))
-
-    @classmethod
-    def root_pow(cls, ell: int, k: int) -> "CycloElt":
-        """The class of x^k, any integer k (x has order 2ell)."""
-        return cls.from_root_pows(ell, {k: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -145,11 +135,6 @@ class CycloElt(Record):
         return CycloElt.from_root_pows(self.ell, dict(enumerate(prod)))
 
     __rmul__ = __mul__
-
-
-def zeta_ell_pow(ell: int, k: int) -> CycloElt:
-    """The class of zeta^k for the primitive ell-th root zeta = x^2."""
-    return CycloElt.root_pow(ell, 2 * k)
 
 
 def theta_terms(n_max: int, signed: bool = True) -> tuple[tuple[int, int, int, int], ...]:

@@ -114,7 +114,7 @@ def _require_precision(p: int, precision: int, name: str = "precision") -> None:
     _require_int(precision, name)
     floor = _unit_level(p) + 1
     if precision < floor:
-        raise PrecisionError(f"{name} {precision} is below the minimum {floor} for p = {p}", required=floor)
+        raise PrecisionError(f"{name} {precision} is below the minimum {floor} for p = {p}")
 
 
 def _require_window(window: object) -> tuple[int, int]:
@@ -160,9 +160,9 @@ class TiltElement(Record):
     ``nums`` holds the terms c * t^(m / p^s) as (m, c) pairs, m strictly
     increasing and c reduced to 1..p-1, over the minimal scale s (s = 0 or
     some m prime to p); zero is the empty tuple.  ``terms`` gives them with
-    Fraction exponents.  Build through :meth:`from_terms`, :meth:`monomial`,
-    :meth:`zero` or :meth:`one`.  The validating constructor also refuses a
-    ``nums`` that is not a tuple of (m, c) tuples, so equal elements hash alike.
+    Fraction exponents.  Build through :meth:`from_terms` or :meth:`monomial`.
+    The validating constructor also refuses a ``nums`` that is not a tuple
+    of (m, c) tuples, so equal elements hash alike.
     """
 
     p: int
@@ -217,14 +217,6 @@ class TiltElement(Record):
     @classmethod
     def monomial(cls, p: int, exponent: _RatLike, coeff: int = 1) -> "TiltElement":
         return cls.from_terms(p, {exponent: coeff})
-
-    @classmethod
-    def zero(cls, p: int) -> "TiltElement":
-        return cls(p, 0, ())
-
-    @classmethod
-    def one(cls, p: int) -> "TiltElement":
-        return cls.monomial(p, 0)
 
     @property
     def terms(self) -> tuple[tuple[Fraction, int], ...]:

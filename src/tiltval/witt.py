@@ -23,7 +23,7 @@ flag rather than a zero weight smuggled through the same code path.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Union
 
 from ._record import Record
 from .errors import ConfigError, DomainError
@@ -95,11 +95,6 @@ class WittExpr(Record):
             prev = slot
         self._assign(p, terms)
 
-    @classmethod
-    def from_terms(cls, p: int, terms: Mapping[int, TiltElement]) -> "WittExpr":
-        kept = tuple(sorted((i, x) for i, x in terms.items() if not x.is_zero))
-        return cls(p, kept)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -156,7 +151,6 @@ def primitive_pow_family(a: TiltElement, ell: int) -> tuple[PrimitiveDeg1, ...]:
     cancels below its lowest term.
     """
     _require_family_ell(ell, a.p)
-    PrimitiveDeg1(a)  # validate 0 < v(a) < +inf before powering
     ell_star = (ell - 1) // 2
     return tuple(PrimitiveDeg1(tilt_pow(a, j * j)) for j in range(1, ell_star + 1))
 

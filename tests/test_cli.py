@@ -187,8 +187,11 @@ def test_a_refused_config_keeps_its_error_line(tmp_path, capsys, payload):
     assert (code, out, err) == (2, "", _REFUSAL_LINES[payload] + "\n")
 
 
-def test_load_config_rejections(tmp_path):
+def test_load_config_rejections(tmp_path, capsys):
+    # Numbers past the interpreter's 4,300-digit int limit, bare and inside a rational.
+    too_long = {"longint.json": '{"p": ' + "1" * 5000 + "}", "longrational.json": '{"v_q": "1/' + "1" * 5000 + '"}'}
     cases = {
+        **too_long,
         "unknown.json": '{"elll": 7}',
         "float.json": '{"v_q": 0.5}',
         "constant.json": '{"v_q": NaN}',
@@ -215,6 +218,11 @@ def test_load_config_rejections(tmp_path):
         load_config(str(latin))
     with pytest.raises(PrecisionError):
         load_config(write_config(tmp_path, "prec.json", '{"padic_precision": 2}'))
+    target = tmp_path / "report.json"
+    for name in too_long:
+        code, out, err = run_cli(capsys, "all", "--config", str(tmp_path / name), "--output", str(target))
+        assert (code, out) == (2, "") and err.startswith("error: config number too long") and err.count("\n") == 1
+    assert not target.exists()
 
 
 # Each was once accepted: only load_config checked a field's type, so a RunConfig built in code skipped it.
@@ -472,7 +480,7 @@ def test_every_text_line_is_gated(capsys):
 
 def test_non_homomorphic_log_fails_the_log_rules(monkeypatch, capsys):
     # u - 1 lands in the right subgroup but turns no product into a sum.
-    monkeypatch.setattr("tiltval.loglink.padic_log", lambda u: (u.value - 1) % u.modulus)
+    monkeypatch.setattr("tiltval.loglink.padic_log", lambda u: (u.value - 1) % u.p**u.precision)
     code, out, _ = run_cli(capsys, "loglink", "--format", "json")
     assert code == 1
     verdicts = {check["id"]: check["passed"] for check in json.loads(out)["checks"]}
@@ -782,7 +790,7 @@ def test_a_broken_bound_identity_fails_its_step(monkeypatch, tmp_path, capsys, s
         (
             "loglink",
             "tiltval.loglink.padic_log",
-            lambda u: padic_log(u) * u.p % u.modulus,
+            lambda u: padic_log(u) * u.p % u.p**u.precision,
             {"loglink.kummer_shift_telescoping"},
         ),
         # An eta off by one breaks the j^2 factor of every untilt, and the untilt gauge with it.

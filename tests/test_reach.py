@@ -10,9 +10,9 @@ from conftest import env_with_src
 
 import tiltval
 
-# The trace starts before `import tiltval.cli`, so code that runs only at import (the record
-# metaclass, the suite decorator) counts as entered.  Each run must pass.
-_TRACE = r"""
+# Records every code object entered from here on; dump() writes those of the package to the
+# file named by argv[1].
+_HOOK = r"""
 import json, os, sys
 
 entered = set()
@@ -21,21 +21,41 @@ def hook(frame, event, arg):
     if event == "call":
         entered.add(frame.f_code)
 
+def dump():
+    sys.setprofile(None)
+    import tiltval
+    home = os.path.dirname(os.path.abspath(tiltval.__file__))
+    with open(sys.argv[1], "w", encoding="utf-8") as handle:
+        json.dump(
+            [[os.path.basename(c.co_filename), c.co_firstlineno, c.co_name]
+             for c in entered if os.path.dirname(os.path.abspath(c.co_filename)) == home],
+            handle,
+        )
+
 sys.setprofile(hook)
+"""
+
+# The trace starts before `import tiltval.cli`, so code that runs only at import (the record
+# metaclass, the suite decorator) counts as entered.  Each run must pass.
+_TRACE = _HOOK + r"""
 from tiltval import cli
 
-for config in sys.argv[1:]:
+for config in sys.argv[2:]:
     for fmt in ("json", "csv", "text"):
         argv = ["all", "--format", fmt, "--output", os.devnull] + (["--config", config] if config else [])
         if cli.main(argv) != 0:
             raise SystemExit(f"{argv} did not pass")
-sys.setprofile(None)
-home = os.path.dirname(os.path.abspath(cli.__file__))
-json.dump(
-    [[os.path.basename(c.co_filename), c.co_firstlineno, c.co_name]
-     for c in entered if os.path.dirname(os.path.abspath(c.co_filename)) == home],
-    sys.stdout,
-)
+dump()
+"""
+
+# The acceptance gate, argv[2], under the same hook, which is set before `import pytest`.
+_GATE_TRACE = _HOOK + r"""
+import pytest
+
+code = pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[2]])
+if code != 0:
+    raise SystemExit(f"the gate did not pass: pytest exit {code}")
+dump()
 """
 
 # The defaults, CI's wide config and CI's F_3 config.
@@ -63,9 +83,7 @@ UNREACHED = {
     "_record.Record._values": _VALUE,
     "ansatz.AnsatzPoint.__init__": _CONSTRUCTOR,
     "cli._reject_float": _REFUSAL,
-    "errors.PrecisionError.__init__": _REFUSAL,
     "loglink.LogLinkChain.__init__": _CONSTRUCTOR,
-    "loglink.PadicUnit.modulus": "public property: only the tests' log faults read it",
     "loglink.PadicUnit.random": _GATE,
     "pilot.PilotTuple.__init__": _CONSTRUCTOR,
     "pilot.threshold_ell": _GATE,
@@ -74,22 +92,16 @@ UNREACHED = {
     "theta.CycloElt.__neg__": _RING,
     "theta.CycloElt.__sub__": _RING,
     "theta.CycloElt._check_ring": _RING,
-    "theta.CycloElt.one": _RING,
-    "theta.CycloElt.root_pow": _RING,
     "theta.ThetaValue.__init__": _CONSTRUCTOR,
     "theta.check_quasi_periodicity": _GATE,
     "theta.check_theta_value_laurent": _GATE,
-    "theta.zeta_ell_pow": _RING,
     "tilt.TiltElement.__init__": _CONSTRUCTOR,
-    "tilt.TiltElement.one": _CONSTRUCTOR,
     "tilt.TiltElement.support": _GATE,
-    "tilt.TiltElement.zero": _CONSTRUCTOR,
     "tilt._powers.power": _MULTI_TERM,
     "tilt._table_check": _MULTI_TERM,
     "tilt._table_check.check": _MULTI_TERM,
     "witt.RhoWeight.weight": _GATE,
     "witt.WittExpr.__init__": _GATE,
-    "witt.WittExpr.from_terms": _GATE,
     "witt.WittExpr.is_zero": _GATE,
     "witt.gauss_log_norm": _GATE,
     "witt.teichmuller": _GATE,
@@ -119,6 +131,19 @@ def _src_functions(home: Path) -> dict:
     return functions
 
 
+def _trace(tmp_path, script, *args) -> tuple[set, set]:
+    """Run a trace script in a fresh interpreter; (reached, unreached) src functions by qualified name."""
+    out = tmp_path / "entered.json"
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(out), *args], env=env_with_src(), capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    entered = {tuple(key) for key in json.loads(out.read_text(encoding="utf-8"))}
+    functions = _src_functions(Path(tiltval.__file__).resolve().parent)
+    reached = {name for key, name in functions.items() if key in entered}
+    return reached, {name for key, name in functions.items() if key not in entered}
+
+
 def test_every_unreached_function_has_a_reason(tmp_path):
     configs = []
     for i, payload in enumerate(_CONFIGS):
@@ -128,12 +153,12 @@ def test_every_unreached_function_has_a_reason(tmp_path):
         path = tmp_path / f"config{i}.json"
         path.write_text(payload, encoding="utf-8")
         configs.append(str(path))
-    result = subprocess.run(
-        [sys.executable, "-c", _TRACE, *configs], env=env_with_src(), capture_output=True, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    entered = {tuple(key) for key in json.loads(result.stdout)}
-    functions = _src_functions(Path(tiltval.__file__).resolve().parent)
-    unreached = {name for key, name in functions.items() if key not in entered}
+    _, unreached = _trace(tmp_path, _TRACE, *configs)
     assert not unreached - set(UNREACHED), "newly unreached: give each a reason or delete it"
     assert not set(UNREACHED) - unreached, "now reached or gone: drop it from UNREACHED"
+
+
+def test_the_gate_enters_every_gate_api_function(tmp_path):
+    reached, _ = _trace(tmp_path, _GATE_TRACE, str(Path(__file__).resolve().parent / "test_acceptance.py"))
+    missed = sorted(name for name, reason in UNREACHED.items() if reason == _GATE and name not in reached)
+    assert not missed, f"listed as gate API, but the gate never enters {missed}"

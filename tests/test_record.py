@@ -76,7 +76,7 @@ def test_trusted_path_builds_the_validated_record():
     validated, trusted = TiltElement(3, 1, nums), TiltElement._trusted(3, 1, nums)
     assert type(trusted) is TiltElement and trusted == validated and hash(trusted) == hash(validated)
     assert PadicUnit._trusted(5, 4, 6) == PadicUnit(5, 4, 6)
-    assert CycloElt._trusted(5, (1, 0, 0, 0)) == CycloElt.one(5)
+    assert CycloElt._trusted(5, (1, 0, 0, 0)) == CycloElt.from_root_pows(5, {0: 1})
     checks = (CheckRecord("x.y", True, ()),)
     report = Report._trusted("bound", (), ("gauge",), checks, None)  # the trusted path fills no default
     assert type(report) is Report and report == Report(suite="bound", config_echo=(), gauges=("gauge",), checks=checks)

@@ -18,7 +18,6 @@ from tiltval.theta import (
     eval_theta_laurent,
     theta_terms,
     theta_value,
-    zeta_ell_pow,
 )
 
 
@@ -188,16 +187,17 @@ def test_quasi_periodicity_unsigned_control():
 
 def test_cyclotomic_ring_structure():
     ell = 5
-    x = CycloElt.root_pow
-    assert x(ell, 2 * ell) == CycloElt.one(ell)
-    assert x(ell, ell) == -CycloElt.one(ell)
+    one = CycloElt.from_root_pows(ell, {0: 1})
+    assert CycloElt.from_root_pows(ell, {2 * ell: 1}) == one
+    assert CycloElt.from_root_pows(ell, {ell: 1}) == -one
     # Phi_10 reduction: x^4 = x^3 - x^2 + x - 1.
-    assert x(ell, 4).coeffs == (-1, 1, -1, 1)
+    assert CycloElt.from_root_pows(ell, {4: 1}).coeffs == (-1, 1, -1, 1)
     rng = random.Random(13)
     for _ in range(60):
         a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-        assert zeta_ell_pow(ell, a) * zeta_ell_pow(ell, b) == zeta_ell_pow(ell, a + b)
-    assert zeta_ell_pow(ell, ell) == CycloElt.one(ell)
+        zeta_a, zeta_b = CycloElt.from_root_pows(ell, {2 * a: 1}), CycloElt.from_root_pows(ell, {2 * b: 1})
+        assert zeta_a * zeta_b == CycloElt.from_root_pows(ell, {2 * (a + b): 1})
+    assert CycloElt.from_root_pows(ell, {2 * ell: 1}) == one
     with pytest.raises(DomainError):
         CycloElt(9, (0,) * 8)
     with pytest.raises(DomainError):
@@ -206,7 +206,7 @@ def test_cyclotomic_ring_structure():
 
 def test_records_are_immutable_values():
     ell = 7
-    assert_immutable_value(lambda: zeta_ell_pow(ell, 3))
+    assert_immutable_value(lambda: CycloElt.from_root_pows(ell, {6: 1}))
     assert_immutable_value(lambda: theta_value(2, ell))
 
 
@@ -241,10 +241,11 @@ def test_eval_lowest_terms_frozen():
     # zeta = x^2 and x^5 = -1: zeta^-1 = x^8 = -x^3 and zeta^-3 = x^4.
     base = eval_theta_laurent(0, 1, ell, 6)
     assert next(iter(base.items())) == (0, {2: 1, 3: 1})
-    assert CycloElt.from_root_pows(ell, base[0]) == zeta_ell_pow(ell, 1) - zeta_ell_pow(ell, -1)
+    zeta, zeta_inv = CycloElt.from_root_pows(ell, {2: 1}), CycloElt.from_root_pows(ell, {-2: 1})
+    assert CycloElt.from_root_pows(ell, base[0]) == zeta - zeta_inv
     shifted = eval_theta_laurent(1, 1, ell, 6)
     assert next(iter(shifted.items())) == (-1, {3: 1, 4: 1})
-    expected = -zeta_ell_pow(ell, -1) + zeta_ell_pow(ell, -3)
+    expected = -zeta_inv + CycloElt.from_root_pows(ell, {-6: 1})
     assert CycloElt.from_root_pows(ell, shifted[-1]) == expected
 
 
@@ -344,12 +345,12 @@ def test_root_power_shift_matches_ring_product_randomized():
         base_c = CycloElt.from_root_pows(ell, base_coeff)
         m = k * tv.inverse_zeta_exponent
         by_shift = CycloElt.from_root_pows(ell, {e + 2 * m: tv.sign * c for e, c in base_coeff.items()})
-        by_product = tv.sign * (zeta_ell_pow(ell, m) * base_c)
+        by_product = tv.sign * (CycloElt.from_root_pows(ell, {2 * m: 1}) * base_c)
         case = (ell, j, k, n_max)
         assert by_shift == by_product, case
         for off in (1, rng.randint(2, ell - 1)):
             moved = CycloElt.from_root_pows(ell, {e + 2 * (m + off): c for e, c in base_coeff.items()})
-            assert moved == zeta_ell_pow(ell, m + off) * base_c, case
+            assert moved == CycloElt.from_root_pows(ell, {2 * (m + off): 1}) * base_c, case
             assert moved != tv.sign * by_product, case
         shifted = eval_theta_laurent(j, k, ell, n_max)
         lo_c = CycloElt.from_root_pows(ell, shifted[min(shifted)])
@@ -399,7 +400,7 @@ def test_eval_matches_ring_ops_randomized():
     assert primes[0] == 3 and primes[-1] == 113
     for ell in primes:
         for k in range(-2 * ell, 2 * ell + 1):
-            assert CycloElt.root_pow(ell, k) == _root_pow_by_reduction(ell, k), (ell, k)
+            assert CycloElt.from_root_pows(ell, {k: 1}) == _root_pow_by_reduction(ell, k), (ell, k)
         ell_star = (ell - 1) // 2
         for _ in range(5):
             j = rng.randint(0, ell_star)

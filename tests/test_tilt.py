@@ -37,12 +37,12 @@ from tiltval.tilt import (
 
 def test_monomial_valuation():
     assert tilt_val(TiltElement.monomial(2, Fraction(1, 4))) == Fraction(1, 4)
-    assert tilt_val(TiltElement.one(3)) == 0
+    assert tilt_val(TiltElement.monomial(3, 0)) == 0
     assert tilt_val(TiltElement.monomial(5, 3, coeff=4)) == 3
 
 
 def test_zero_has_infinite_valuation():
-    assert tilt_val(TiltElement.zero(2)) is None
+    assert tilt_val(TiltElement.from_terms(2, {})) is None
 
 
 def test_valuations_stay_fractions():
@@ -63,11 +63,11 @@ def test_valuations_stay_fractions():
                 assert type(tilt_val(y)) is Fraction, (x, y)
         prim = PrimitiveDeg1(random_monomial(rng, p))
         assert type(eta_val(prim, x)) is Fraction
-        two_slots = WittExpr.from_terms(p, {0: x, 1: random_monomial(rng, p)})
+        two_slots = WittExpr(p, ((0, x), (1, random_monomial(rng, p))))
         for rho in (RhoWeight.of(rng.randint(1, 3)), RhoWeight.one()):
             assert type(gauss_log_norm(teichmuller(x), rho)) is Fraction
             assert type(gauss_log_norm(two_slots, rho)) is Fraction
-    zero = TiltElement.zero(3)
+    zero = TiltElement.from_terms(3, {})
     assert eta_val(PrimitiveDeg1(TiltElement.monomial(3, 1)), zero) is None
     assert gauss_log_norm(teichmuller(zero), RhoWeight.of(1)) is None
 
@@ -170,17 +170,17 @@ def test_pow_matches_repeated_mul():
     for _ in range(30):
         p = rng.choice((2, 5))
         x = random_element(rng, p)
-        acc = TiltElement.one(p)
+        acc = TiltElement.monomial(p, 0)
         for k in range(6):
             assert tilt_pow(x, k) == acc
             acc = tilt_mul(acc, x)
     with pytest.raises(DomainError):
-        tilt_pow(TiltElement.one(2), -1)
+        tilt_pow(TiltElement.monomial(2, 0), -1)
 
 
 def _pow_by_squaring(x, k):
     """Reference k-th power by repeated squaring through tilt_mul."""
-    result = TiltElement.one(x.p)
+    result = TiltElement.monomial(x.p, 0)
     base = x
     while k:
         if k & 1:
@@ -285,20 +285,21 @@ def test_kernels_match_the_from_terms_route_randomized():
                 x = _element_up_to_cubes(rng, p, n_terms)
                 y = _element_up_to_cubes(rng, p, rng.randint(1, 5))
                 _assert_kernel_result(tilt_mul(x, y), _mul_by_from_terms(x, y))
-                _assert_kernel_result(tilt_mul(x, TiltElement.zero(p)), TiltElement.zero(p))
+                zero = TiltElement.from_terms(p, {})
+                _assert_kernel_result(tilt_mul(x, zero), zero)
                 for k in (0, 1, p, rng.randint(2, 60)):
                     _assert_kernel_result(tilt_pow(x, k), _pow_by_from_terms(x, k))
                 rescaled = tilt_rescale_t(x, rng.randint(1, p - 1))
                 assert _revalidated(rescaled) == rescaled and rescaled.support() == x.support()
-    _assert_kernel_result(tilt_pow(TiltElement.zero(3), 0), TiltElement.one(3))
-    _assert_kernel_result(tilt_pow(TiltElement.zero(3), 4), TiltElement.zero(3))
+    _assert_kernel_result(tilt_pow(TiltElement.from_terms(3, {}), 0), TiltElement.monomial(3, 0))
+    _assert_kernel_result(tilt_pow(TiltElement.from_terms(3, {}), 4), TiltElement.from_terms(3, {}))
 
 
 def _near_misses(rng, power, den, p):
     """Elements y to hold against a power of a generator whose exponent denominator is den."""
     terms = dict(power.terms)
     yield power
-    yield TiltElement.zero(p)
+    yield TiltElement.from_terms(p, {})
     yield tilt_mul(power, TiltElement.monomial(p, 1))
     yield TiltElement.from_terms(p, {**terms, Fraction(rng.randint(0, 50), den): 1})  # a term added or merged
     other = 3 if p == 2 else 2
@@ -359,7 +360,7 @@ def test_one_term_power_check_agrees_with_the_table_predicate_randomized():
                         *_near_misses(rng, twisted, p**twisted.s, p),
                         tilt_frobenius(power, n + 1),
                         tilt_frobenius(power, n - 1),
-                        TiltElement.one(p),
+                        TiltElement.monomial(p, 0),
                         TiltElement.monomial(p, exponent, pow(c, k, p) % (p - 1) + 1),  # p > 2: another coefficient
                         TiltElement.monomial(p, exponent + Fraction(1, p ** (twisted.s + 1))),  # finer than phi^n(a^k)
                     ]
@@ -513,7 +514,7 @@ def test_frame_edges():
         assert tilt_frobenius(TiltElement.monomial(p, p), -1) == TiltElement.monomial(p, 1)
         two = TiltElement.from_terms(p, {p: 1, p**3: 1})
         assert tilt_frobenius(two, -2) == TiltElement.from_terms(p, {Fraction(1, p): 1, p: 1})
-        assert tilt_frobenius(TiltElement.one(p), -3) == TiltElement.one(p)
+        assert tilt_frobenius(TiltElement.monomial(p, 0), -3) == TiltElement.monomial(p, 0)
         # phi^n with n > s clears the frame; n <= s keeps the numerators, the same tuple
         x = TiltElement.from_terms(p, {Fraction(1, p**2): 1, Fraction(2): 1})
         assert tilt_frobenius(x, 3) == TiltElement.from_terms(p, {p: 1, 2 * p**3: 1}) and tilt_frobenius(x, 3).s == 0
@@ -613,9 +614,9 @@ def test_rescale_t_is_multiplicative_and_preserves_support():
             )
             assert tilt_rescale_t(x, u).support() == x.support()
     with pytest.raises(DomainError):
-        tilt_rescale_t(TiltElement.one(5), 5)
+        tilt_rescale_t(TiltElement.monomial(5, 0), 5)
     with pytest.raises(DomainError):
-        tilt_rescale_t(TiltElement.one(5), 0)
+        tilt_rescale_t(TiltElement.monomial(5, 0), 0)
 
 
 def test_rescale_t_composes_through_unit_product():
@@ -664,7 +665,7 @@ def test_construction_validation():
 
 def test_records_are_immutable_values():
     assert_immutable_value(lambda: TiltElement.from_terms(3, {Fraction(1, 3): 2, 4: 1}))
-    assert_immutable_value(lambda: TiltElement.zero(2))
+    assert_immutable_value(lambda: TiltElement.from_terms(2, {}))
     # Same field values, different classes: never equal.
     assert TiltElement(2, 0, ()) != WittExpr(2, ())
     assert TiltElement(2, 0, ()) != (2, 0, ())
@@ -715,7 +716,7 @@ def test_from_terms_reduces_mod_p():
 
 def test_mixed_characteristic_rejected():
     with pytest.raises(ConfigError):
-        tilt_mul(TiltElement.one(2), TiltElement.one(3))
+        tilt_mul(TiltElement.monomial(2, 0), TiltElement.monomial(3, 0))
 
 
 def test_is_prime_small_table():
