@@ -85,6 +85,13 @@ class RunConfig(Record):
         if self.frobenius_depth < 0:
             raise ConfigError(f"frobenius_depth must be nonnegative, got {self.frobenius_depth}")
         _require_precision(self.p, self.padic_precision, "padic_precision")
+        # No numerator or denominator a suite renders has more bits than this: 14,000 bits is at most 4,215 digits.
+        bits = self.v_q.numerator.bit_length() + self.v_q.denominator.bit_length() + 16
+        bits += self.frobenius_depth * self.p.bit_length() + 4 * max(self.ell, self.ell_sweep_max).bit_length()
+        if bits > 14_000:
+            raise ConfigError(
+                "render budget: bits(v_q) + frobenius_depth * bits(p) + 4 bits(max(ell, ell_sweep_max)) + 16 > 14000"
+            )
         if self.output_format not in _FORMATS:
             raise ConfigError(f"output_format must be one of {_FORMATS}, got {self.output_format!r}")
         return self

@@ -209,6 +209,12 @@ def test_load_config_rejections(tmp_path, capsys):
         "duplicate.json": '{"p": 2, "p": 3}',
         "nested.json": "[" * 100_000,
     }
+    # Each number converts, but the report would hold one past the limit: the chain entry 29^3000, v_q / 6.
+    too_large = {
+        "deepchain.json": '{"p": 29, "frobenius_depth": 3000}',
+        "longden.json": '{"v_q": "1/' + "9" * 4299 + '"}',
+    }
+    cases.update(too_large)
     for name, payload in cases.items():
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, name, payload))
@@ -219,10 +225,30 @@ def test_load_config_rejections(tmp_path, capsys):
     with pytest.raises(PrecisionError):
         load_config(write_config(tmp_path, "prec.json", '{"padic_precision": 2}'))
     target = tmp_path / "report.json"
-    for name in too_long:
-        code, out, err = run_cli(capsys, "all", "--config", str(tmp_path / name), "--output", str(target))
-        assert (code, out) == (2, "") and err.startswith("error: config number too long") and err.count("\n") == 1
+    refusals = [(name, "all", "config number too long") for name in too_long]
+    refusals += [("deepchain.json", "loglink", "render budget"), ("longden.json", "bound", "render budget")]
+    for name, command, message in refusals:
+        code, out, err = run_cli(capsys, command, "--config", str(tmp_path / name), "--output", str(target))
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not target.exists()
+
+
+def test_configs_just_inside_the_render_budget_still_render(tmp_path, capsys):
+    # bits(v_q) + frobenius_depth * bits(p) + 4 * bits(max(ell, ell_sweep_max)) + 16 may reach 14,000, not pass it.
+    den = 2**13951 - 1  # the defaults add 2 * bits(2) + 4 * bits(97) + 16 = 48 and bits(1) = 1: exactly 14,000
+    depth = 697  # bits(1000003) = 20, and 697 * 20 + 2 + 4 * bits(97) + 16 = 13,986
+    wide = {"ell": 257, "v_q": f"1/{2**13943 - 1}"}  # ell* = 2^7; 1 + 13,943 + 2 * bits(2) + 4 * bits(257) + 16 = 14,000
+    for command, inside, outside in (
+        ("all", {"v_q": f"1/{den}"}, {"v_q": f"1/{2 * den + 1}"}),
+        ("loglink", {"p": 1000003, "frobenius_depth": depth}, {"p": 1000003, "frobenius_depth": depth + 1}),
+        ("ansatz", wide, {**wide, "ell_sweep_max": 512}),  # bits(512) = bits(257) + 1
+    ):
+        config = write_config(tmp_path, "inside.json", json.dumps(inside))
+        code, out, err = run_cli(capsys, command, "--format", "json", "--config", config)
+        assert (code, err) == (0, "")
+        assert 4_150 < max(map(len, re.findall(r"[0-9]+", out))) <= 4_215  # 2^14,000 - 1 has 4,215 digits
+        with pytest.raises(ConfigError, match="^render budget"):
+            load_config(write_config(tmp_path, "outside.json", json.dumps(outside)))
 
 
 # Each was once accepted: only load_config checked a field's type, so a RunConfig built in code skipped it.

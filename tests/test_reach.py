@@ -67,7 +67,7 @@ _CONFIGS = (
 
 _GATE = "gate API: tests/test_acceptance.py calls it, or reaches it through a gate API"
 _CONSTRUCTOR = "validating public constructor: the CLI gets these records from kernels that build through _trusted"
-_RING = "CycloElt ring arithmetic: the theta tests build their oracles on it; the benchmark traces __mul__ as cyclo_mul"
+_TRACED = "benchmark trace target: perfbench/tracer.py wraps it as theta.cyclo_mul; the theta tests check it"
 _VALUE = "frozen-value protocol of every record (equality, hash, repr, copying, refused writes): tests and gate use it"
 _REFUSAL = "refusal path: only a config that exits 2 enters it"
 _MULTI_TERM = "multi-term generator path: the CLI's witness is one term; the generator-family benchmark runs it"
@@ -87,11 +87,7 @@ UNREACHED = {
     "loglink.PadicUnit.random": _GATE,
     "pilot.PilotTuple.__init__": _CONSTRUCTOR,
     "pilot.threshold_ell": _GATE,
-    "theta.CycloElt.__add__": _RING,
-    "theta.CycloElt.__mul__": _RING,
-    "theta.CycloElt.__neg__": _RING,
-    "theta.CycloElt.__sub__": _RING,
-    "theta.CycloElt._check_ring": _RING,
+    "theta.CycloElt.__mul__": _TRACED,
     "theta.ThetaValue.__init__": _CONSTRUCTOR,
     "theta.check_quasi_periodicity": _GATE,
     "theta.check_theta_value_laurent": _GATE,

@@ -12,7 +12,7 @@ from tiltval.cli import RunConfig
 from tiltval.errors import DomainError
 from tiltval.loglink import PadicUnit
 from tiltval.reporting import CheckRecord, Report
-from tiltval.theta import CycloElt
+from tiltval.theta import ThetaValue, theta_value
 from tiltval.tilt import TiltElement
 
 RECORDS = sorted(Record.__subclasses__(), key=lambda cls: (cls.__module__, cls.__qualname__))
@@ -76,7 +76,7 @@ def test_trusted_path_builds_the_validated_record():
     validated, trusted = TiltElement(3, 1, nums), TiltElement._trusted(3, 1, nums)
     assert type(trusted) is TiltElement and trusted == validated and hash(trusted) == hash(validated)
     assert PadicUnit._trusted(5, 4, 6) == PadicUnit(5, 4, 6)
-    assert CycloElt._trusted(5, (1, 0, 0, 0)) == CycloElt.from_root_pows(5, {0: 1})
+    assert ThetaValue._trusted(2, 5, 1, Fraction(2, 5), 4) == ThetaValue(2, 5, 1, Fraction(2, 5), 4)
     checks = (CheckRecord("x.y", True, ()),)
     report = Report._trusted("bound", (), ("gauge",), checks, None)  # the trusted path fills no default
     assert type(report) is Report and report == Report(suite="bound", config_echo=(), gauges=("gauge",), checks=checks)
@@ -110,6 +110,6 @@ def test_public_constructors_keep_every_check():
         PadicUnit.random(random.Random(1), 6, 3)
     for ell in (2, 9):
         with pytest.raises(DomainError):
-            CycloElt(ell, (0,) * (ell - 1))
+            ThetaValue(1, ell, -1, Fraction(1, 2 * ell), 2)
         with pytest.raises(DomainError):
-            CycloElt.from_root_pows(ell, {1: 1})
+            theta_value(1, ell)

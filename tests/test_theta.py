@@ -10,6 +10,8 @@ from tiltval.errors import DomainError, WindowError
 from tiltval.theta import (
     CycloElt,
     ThetaValue,
+    _add_root_pow,
+    _root_pows_vanish,
     check_inversion_antisymmetry,
     check_quasi_periodicity,
     check_quasi_periodicity_upto,
@@ -36,21 +38,47 @@ def _reduce_mod_cyclo(ell, coeffs):
     return tuple(out[:deg])
 
 
-def _root_pow_by_reduction(ell, k):
-    """x^k through the full reduction cascade of a length k + 1 list."""
-    return CycloElt(ell, _reduce_mod_cyclo(ell, [0] * (k % (2 * ell)) + [1]))
+# The ring Z[x]/(Phi_2ell(x)) as the oracle: an element is its tuple of ell - 1 coefficients in
+# the basis 1, x, ..., x^(ell-2), reached only through the reduction cascade above.
+
+
+def _from_root_pows(ell, pows):
+    """sum c * x^e over pows = {e: c}, any integer e, through the reduction cascade; x^(2 ell) = 1."""
+    coeffs = [0] * (2 * ell)
+    for e, c in pows.items():
+        coeffs[e % (2 * ell)] += c
+    return _reduce_mod_cyclo(ell, coeffs)
+
+
+def _ring_mul(ell, a, b):
+    """The product of two elements: their convolution, reduced."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _reduce_mod_cyclo(ell, prod)
+
+
+def _scaled(n, a):
+    return tuple(n * x for x in a)
+
+
+def _folded(ell, pows):
+    """sum c * x^e through the library's row fold, the one its zero test reads."""
+    row = [0] * (ell - 1)
+    for e, c in pows.items():
+        _add_root_pow(row, ell, e % (2 * ell), c)
+    return tuple(row)
 
 
 def _eval_by_ring_ops(j, k, ell, n_max, signed=True):
-    """The truncated evaluation as {s: CycloElt}, one ring element per term summed in the ring."""
+    """The truncated evaluation as {s: coefficients}, one ring element per term summed in the ring."""
     acc = {}
     for n in range(-n_max, n_max + 1):
         s_exp = n * (n + 1) + j * (2 * n + 1)
-        coeff = _root_pow_by_reduction(ell, 2 * k * (2 * n + 1))
-        if signed and n % 2:
-            coeff = -coeff
-        acc[s_exp] = acc[s_exp] + coeff if s_exp in acc else coeff
-    return {s_exp: c for s_exp, c in acc.items() if not c.is_zero}
+        coeff = _from_root_pows(ell, {2 * k * (2 * n + 1): -1 if signed and n % 2 else 1})
+        acc[s_exp] = tuple(map(sum, zip(acc[s_exp], coeff))) if s_exp in acc else coeff
+    return {s_exp: c for s_exp, c in acc.items() if any(c)}
 
 
 def _eval_by_terms(j, k, ell, n_max, signed=True):
@@ -187,27 +215,23 @@ def test_quasi_periodicity_unsigned_control():
 
 def test_cyclotomic_ring_structure():
     ell = 5
-    one = CycloElt.from_root_pows(ell, {0: 1})
-    assert CycloElt.from_root_pows(ell, {2 * ell: 1}) == one
-    assert CycloElt.from_root_pows(ell, {ell: 1}) == -one
+    one = (1, 0, 0, 0)
+    assert _from_root_pows(ell, {0: 1}) == _from_root_pows(ell, {2 * ell: 1}) == one
+    assert _from_root_pows(ell, {ell: 1}) == _scaled(-1, one)
     # Phi_10 reduction: x^4 = x^3 - x^2 + x - 1.
-    assert CycloElt.from_root_pows(ell, {4: 1}).coeffs == (-1, 1, -1, 1)
+    assert _from_root_pows(ell, {4: 1}) == _folded(ell, {4: 1}) == (-1, 1, -1, 1)
     rng = random.Random(13)
     for _ in range(60):
         a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-        zeta_a, zeta_b = CycloElt.from_root_pows(ell, {2 * a: 1}), CycloElt.from_root_pows(ell, {2 * b: 1})
-        assert zeta_a * zeta_b == CycloElt.from_root_pows(ell, {2 * (a + b): 1})
-    assert CycloElt.from_root_pows(ell, {2 * ell: 1}) == one
-    with pytest.raises(DomainError):
-        CycloElt(9, (0,) * 8)
-    with pytest.raises(DomainError):
-        CycloElt(5, (1, 0))
+        zeta_a, zeta_b = _from_root_pows(ell, {2 * a: 1}), _from_root_pows(ell, {2 * b: 1})
+        assert _ring_mul(ell, zeta_a, zeta_b) == _from_root_pows(ell, {2 * (a + b): 1})
+    # x^(2 ell) = 1 and x^ell = -1, as the zero test reads them.
+    assert _root_pows_vanish(ell, {2 * ell: 1, 0: -1}) and _root_pows_vanish(ell, {ell: 1, 0: 1})
+    assert not _root_pows_vanish(ell, {ell: 1, 0: -1})
 
 
 def test_records_are_immutable_values():
-    ell = 7
-    assert_immutable_value(lambda: CycloElt.from_root_pows(ell, {6: 1}))
-    assert_immutable_value(lambda: theta_value(2, ell))
+    assert_immutable_value(lambda: theta_value(2, 7))
 
 
 def test_eval_cancels_to_boundary_term_at_one():
@@ -241,12 +265,10 @@ def test_eval_lowest_terms_frozen():
     # zeta = x^2 and x^5 = -1: zeta^-1 = x^8 = -x^3 and zeta^-3 = x^4.
     base = eval_theta_laurent(0, 1, ell, 6)
     assert next(iter(base.items())) == (0, {2: 1, 3: 1})
-    zeta, zeta_inv = CycloElt.from_root_pows(ell, {2: 1}), CycloElt.from_root_pows(ell, {-2: 1})
-    assert CycloElt.from_root_pows(ell, base[0]) == zeta - zeta_inv
+    assert _from_root_pows(ell, base[0]) == _from_root_pows(ell, {2: 1, -2: -1})  # zeta - zeta^-1
     shifted = eval_theta_laurent(1, 1, ell, 6)
     assert next(iter(shifted.items())) == (-1, {3: 1, 4: 1})
-    expected = -zeta_inv + CycloElt.from_root_pows(ell, {-6: 1})
-    assert CycloElt.from_root_pows(ell, shifted[-1]) == expected
+    assert _from_root_pows(ell, shifted[-1]) == _from_root_pows(ell, {-2: -1, -6: 1})  # -zeta^-1 + zeta^-3
 
 
 def test_theta_value_frozen():
@@ -332,7 +354,7 @@ def test_a_step_or_root_index_that_is_not_an_int_is_a_domain_error(bad):
 
 def test_root_power_shift_matches_ring_product_randomized():
     # The check shifts root powers where the ring route multiplies by zeta^m:
-    # zeta^m * sum c x^e = sum c x^(e + 2m).  CycloElt.__mul__ is the oracle.
+    # zeta^m * sum c x^e = sum c x^(e + 2m).  The oracle's reduced product is the ring route.
     rng = random.Random(7321)
     for _ in range(80):
         ell = rng.choice((3, 5, 7, 11, 13, 59, 211))
@@ -342,37 +364,46 @@ def test_root_power_shift_matches_ring_product_randomized():
         tv = theta_value(j, ell)
         base = eval_theta_laurent(0, k, ell, n_max)
         base_coeff = base[min(base)]
-        base_c = CycloElt.from_root_pows(ell, base_coeff)
+        base_c = _from_root_pows(ell, base_coeff)
         m = k * tv.inverse_zeta_exponent
-        by_shift = CycloElt.from_root_pows(ell, {e + 2 * m: tv.sign * c for e, c in base_coeff.items()})
-        by_product = tv.sign * (CycloElt.from_root_pows(ell, {2 * m: 1}) * base_c)
+        by_shift = _from_root_pows(ell, {e + 2 * m: tv.sign * c for e, c in base_coeff.items()})
+        by_product = _scaled(tv.sign, _ring_mul(ell, _from_root_pows(ell, {2 * m: 1}), base_c))
         case = (ell, j, k, n_max)
         assert by_shift == by_product, case
         for off in (1, rng.randint(2, ell - 1)):
-            moved = CycloElt.from_root_pows(ell, {e + 2 * (m + off): c for e, c in base_coeff.items()})
-            assert moved == CycloElt.from_root_pows(ell, {2 * (m + off): 1}) * base_c, case
-            assert moved != tv.sign * by_product, case
+            moved = _from_root_pows(ell, {e + 2 * (m + off): c for e, c in base_coeff.items()})
+            assert moved == _ring_mul(ell, _from_root_pows(ell, {2 * (m + off): 1}), base_c), case
+            assert moved != _scaled(tv.sign, by_product), case
         shifted = eval_theta_laurent(j, k, ell, n_max)
-        lo_c = CycloElt.from_root_pows(ell, shifted[min(shifted)])
+        lo_c = _from_root_pows(ell, shifted[min(shifted)])
         assert check_theta_value_laurent(j, k, ell, n_max)[3] == (lo_c == by_product), case
 
 
-def test_ring_results_pass_the_public_constructor_randomized():
-    rng = random.Random(2687)
-    for _ in range(60):
+def test_root_pow_zero_test_matches_the_ring_oracle_randomized():
+    # Phi_6 = 1 - x + x^2 is zero although no two of its root powers cancel outright.
+    assert _root_pows_vanish(3, {0: 1, 1: -1, 2: 1})
+    assert not _root_pows_vanish(3, {0: 1, 1: -1})
+    rng = random.Random(9173)
+    outcomes = []
+    for _ in range(400):
         ell = rng.choice((3, 5, 7, 11, 13))
-        a = CycloElt(ell, tuple(rng.randint(-9, 9) for _ in range(ell - 1)))
-        b = CycloElt(ell, tuple(rng.randint(-9, 9) for _ in range(ell - 1)))
-        n = rng.randint(-5, 5)
-        for r in (a + b, a - b, -a, a * n, n * a, a * b):
-            assert CycloElt(r.ell, r.coeffs) == r
-        assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-        assert (a - b) + b == a and -(-a) == a and a * n == n * a
-        assert a * n == a * CycloElt.from_root_pows(ell, {0: n})
-    with pytest.raises(DomainError):
-        CycloElt(5, (0,) * 4) + CycloElt(7, (0,) * 6)
-    with pytest.raises(DomainError):
-        CycloElt(5, (0,) * 4) - CycloElt(7, (0,) * 6)
+        pows = {}
+        for _ in range(rng.randint(1, 4)):
+            e = rng.randint(-3 * ell, 3 * ell)
+            pows[e] = pows.get(e, 0) + rng.choice((-2, -1, 1, 2))
+        kind = rng.randrange(3)
+        if kind:  # a sum that is zero: each root power cancelled through x^ell = -1, then maybe c x^m Phi_2ell added
+            for e, c in list(pows.items()):
+                f = e + ell * rng.choice((-3, -1, 1, 3))
+                pows[f] = pows.get(f, 0) + c
+        if kind == 2:
+            m, c = rng.randint(-2 * ell, 2 * ell), rng.choice((-1, 1))
+            for i in range(ell):
+                pows[m + i] = pows.get(m + i, 0) + c * (-1) ** i
+        vanishes = _root_pows_vanish(ell, pows)
+        assert vanishes == (not any(_from_root_pows(ell, pows))), (ell, pows)
+        outcomes.append(vanishes)
+    assert min(outcomes.count(True), outcomes.count(False)) >= 100
 
 
 @pytest.mark.parametrize("ell", (5, 59, 211))
@@ -400,7 +431,7 @@ def test_eval_matches_ring_ops_randomized():
     assert primes[0] == 3 and primes[-1] == 113
     for ell in primes:
         for k in range(-2 * ell, 2 * ell + 1):
-            assert CycloElt.from_root_pows(ell, {k: 1}) == _root_pow_by_reduction(ell, k), (ell, k)
+            assert _folded(ell, {k: 1}) == _reduce_mod_cyclo(ell, [0] * (k % (2 * ell)) + [1]), (ell, k)
         ell_star = (ell - 1) // 2
         for _ in range(5):
             j = rng.randint(0, ell_star)
@@ -412,7 +443,7 @@ def test_eval_matches_ring_ops_randomized():
             assert list(value) == sorted(value), case
             for coeff in value.values():
                 assert 1 <= len(coeff) <= 2 and all(c and 0 <= e < ell for e, c in coeff.items()), case
-            as_ring = {s_exp: CycloElt.from_root_pows(ell, coeff) for s_exp, coeff in value.items()}
+            as_ring = {s_exp: _from_root_pows(ell, coeff) for s_exp, coeff in value.items()}
             assert as_ring == _eval_by_ring_ops(*case), case
 
 
@@ -426,9 +457,15 @@ def test_cyclo_mul_matches_reduction_cascade_randomized():
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
-            expected = CycloElt(ell, _reduce_mod_cyclo(ell, prod))
-            assert CycloElt(ell, a) * CycloElt(ell, b) == expected, (ell, a, b)
-            assert CycloElt(ell, b) * CycloElt(ell, a) == expected, (ell, a, b)
+            # The row fold the zero test reads, against the reduction cascade.
+            expected = _reduce_mod_cyclo(ell, list(prod))
+            assert _folded(ell, dict(enumerate(prod))) == expected == _ring_mul(ell, b, a), (ell, a, b)
+            assert (CycloElt(ell, a) * CycloElt(ell, b)).coeffs == expected, (ell, a, b)
+            diff = dict(enumerate(prod))
+            for i, c in enumerate(expected):
+                diff[i] -= c
+            assert _root_pows_vanish(ell, diff), (ell, a, b)
+            assert _root_pows_vanish(ell, dict(enumerate(prod))) == (not any(expected)), (ell, a, b)
 
 
 @pytest.mark.parametrize("ell", (3, 5, 7, 11, 59))

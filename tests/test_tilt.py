@@ -805,7 +805,6 @@ def test_a_malformed_window_or_chain_index_is_a_domain_error(name, call):
 # Where a module may still test isinstance against bool or int itself, and why.
 _TYPE_TESTS_ALLOWED = {
     "reporting": "its writers render a bool leaf as true/false and an int by int.__repr__: output, not a parameter check",
-    "theta.CycloElt.__mul__": "operator dispatch between an int scalar and a ring element",
 }
 
 
