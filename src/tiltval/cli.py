@@ -220,10 +220,10 @@ def cmd_verify_theta(cfg: RunConfig) -> Iterator[CheckRecord]:
         boundary_terms=1,
         pairs_cancel_at_one=cancel_at_one,
     )
-    passed, _, _, mismatch = check_inversion_antisymmetry(n_max, signed=False)
+    passed, pairs, _, mismatch = check_inversion_antisymmetry(n_max, signed=False)
     yield make_check(
         "theta.unsigned_control_fails_antisymmetry",
-        not passed,
+        not passed and pairs < n_max,  # the boundary sign comes from a formula: only a pair tests the table
         n_max=n_max,
         first_mismatch=mismatch or "none",
     )

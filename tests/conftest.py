@@ -1,15 +1,17 @@
-"""Shared deterministic generators for the test suite."""
+"""Shared deterministic generators and CLI helpers for the test suite."""
 
 import copy
 import os
 import pickle
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tiltval
+from tiltval.cli import main
 from tiltval.tilt import TiltElement
 
 
@@ -58,3 +60,24 @@ def env_with_src() -> dict:
     """The environment for a fresh interpreter that imports this tiltval."""
     src = str(Path(tiltval.__file__).resolve().parent.parent)
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def write_config(tmp_path, name, payload: str):
+    path = tmp_path / name
+    path.write_text(payload, encoding="utf-8")
+    return str(path)
+
+
+def replace_everywhere(monkeypatch, func, replacement):
+    """Replace func under every name a tiltval module binds it to."""
+    for name, module in list(sys.modules.items()):
+        if name == "tiltval" or name.startswith("tiltval."):
+            for key, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, key, replacement)

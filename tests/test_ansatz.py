@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import assert_immutable_value, random_monomial
+from conftest import assert_immutable_value, random_monomial, replace_everywhere
 
 from tiltval.ansatz import (
     AnsatzPoint,
@@ -186,6 +186,16 @@ def test_an_orbit_kernel_fault_is_a_verification_error(monkeypatch, target, faul
         for window in ((-2, 2), (1, 3), (-1, -1)):
             with pytest.raises(VerificationError, match="left the ansatz"):
                 frobenius_orbit(point, window)
+
+
+def test_a_power_kernel_fault_is_a_verification_error(monkeypatch):
+    # Membership computes its powers itself, so a tilt_pow returning a^(k+1) at every import site
+    # builds a family that the orbit constructor refuses.
+    replace_everywhere(monkeypatch, tilt_pow, lambda x, k: tilt_pow(x, k + 1))
+    for p in (2, 3):
+        a = TiltElement.from_terms(p, {Fraction(1, p): 1, 1: 1})
+        with pytest.raises(VerificationError, match="left the ansatz"):
+            frobenius_orbit(make_ansatz(a, 7), (0, 0))
 
 
 def test_scale_invariance():

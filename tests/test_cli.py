@@ -1,6 +1,5 @@
 """Config parsing, exit codes, and report rendering through the real entry point."""
 
-import inspect
 import json
 import random
 import re
@@ -10,31 +9,17 @@ from fractions import Fraction
 from functools import wraps
 
 import pytest
-from conftest import assert_immutable_value, env_with_src, random_monomial
+from conftest import (
+    assert_immutable_value, env_with_src, random_monomial, replace_everywhere, run_cli, write_config
+)
 
-from tiltval import cli, loglink, pilot
+from tiltval import cli
 from tiltval.ansatz import frobenius_orbit, is_member, make_ansatz, valuation_profile
 from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
-from tiltval.errors import ConfigError, PrecisionError, VerificationError
-from tiltval.loglink import LogLinkChain, _log_series, padic_log
-from tiltval.pilot import _odd_primes_upto, main_bound_check
+from tiltval.errors import ConfigError, PrecisionError
+from tiltval.pilot import main_bound_check
 from tiltval.reporting import CheckRecord, CombinedReport, Report, make_check
 from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
-from tiltval.tilt import TiltElement, tilt_pow
-from tiltval.witt import eta_val, primitive_frobenius
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def write_config(tmp_path, name, payload: str):
-    path = tmp_path / name
-    path.write_text(payload, encoding="utf-8")
-    return str(path)
-
 
 def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
@@ -504,155 +489,6 @@ def test_every_text_line_is_gated(capsys):
         assert code == 0 and "wall" not in out and " ms" not in out
 
 
-def test_non_homomorphic_log_fails_the_log_rules(monkeypatch, capsys):
-    # u - 1 lands in the right subgroup but turns no product into a sum.
-    monkeypatch.setattr("tiltval.loglink.padic_log", lambda u: (u.value - 1) % u.p**u.precision)
-    code, out, _ = run_cli(capsys, "loglink", "--format", "json")
-    assert code == 1
-    verdicts = {check["id"]: check["passed"] for check in json.loads(out)["checks"]}
-    assert verdicts["loglink.log_at_one_is_zero"]
-    assert not verdicts["loglink.log_product_rule_trials"]
-    assert not verdicts["loglink.log_p_power_rule_trials"]
-
-
-# The two plan faults below move log(u) one digit above the valuation v + n that the Kummer shift reads
-# for u = (1 + p^v)^(p^n), so only the log rules can see them.  At the defaults' depth m = 0, a move by
-# p^(w+m) itself would also fail loglink.kummer_shift_telescoping.
-
-
-def _linear_coefficient_off(p, precision):
-    """The (p, N) log plan with its linear coefficient moved by p^(w+b+m+1): log(u) moves by p (u^(p^m) g^(-d) - 1)."""
-    m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients = _log_series(p, precision)
-    coefficients = coefficients[:-1] + ((coefficients[-1] + p * shift * scale) % reduced_mod,)
-    return m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients
-
-
-def _log_g_off(p, precision):
-    """The (p, N) log plan with log(g) moved by p^(w+m+1): log(u) moves by d p^(w+1), d the digits the table clears."""
-    m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients = _log_series(p, precision)
-    log_g = (log_g + p * step * scale) % reduced_mod
-    return m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients
-
-
-def _table_power_off(p, precision):
-    """The (p, N) log plan with its last table power g^(-(p^b - 1)) replaced by g^(-(p^b - 2))."""
-    m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients = _log_series(p, precision)
-    table = (*table[:-1], table[-2])
-    return m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients
-
-
-_LOG_FAULT_CONFIGS = pytest.mark.parametrize(
-    "config",
-    [
-        "{}",
-        '{"p": 29, "ell": 59, "theta_truncation": 29}',
-        '{"p": 3, "ell": 19, "frobenius_depth": 5, "v_q": "7/3", "rho_weight": "7/3"}',
-    ],
-    ids=["defaults", "wide", "f3"],
-)
-
-
-def _checks_failed_under(monkeypatch, tmp_path, capsys, config, plan):
-    """The ids of the checks `all` fails on config with padic_log reading plan(p, N)."""
-    monkeypatch.setattr("tiltval.loglink._log_series", plan)
-    report = tmp_path / "all.json"
-    code, out, _ = run_cli(
-        capsys, "all", "--format", "json", "--config", write_config(tmp_path, "c.json", config), "--output", str(report)
-    )
-    assert code == 1 and out == ""
-    suites = json.loads(report.read_text(encoding="utf-8"))["suites"]
-    return {check["id"] for suite in suites for check in suite["checks"] if not check["passed"]}
-
-
-@_LOG_FAULT_CONFIGS
-def test_a_wrong_log_plan_fails_the_log_rules(monkeypatch, tmp_path, capsys, config):
-    failed = _checks_failed_under(monkeypatch, tmp_path, capsys, config, _linear_coefficient_off)
-    assert failed == {"loglink.log_product_rule_trials", "loglink.log_p_power_rule_trials"}
-
-
-@_LOG_FAULT_CONFIGS
-def test_a_wrong_log_g_fails_the_log_rules(monkeypatch, tmp_path, capsys, config):
-    failed = _checks_failed_under(monkeypatch, tmp_path, capsys, config, _log_g_off)
-    assert failed == {"loglink.log_product_rule_trials", "loglink.log_p_power_rule_trials"}
-
-
-@_LOG_FAULT_CONFIGS
-def test_a_wrong_table_power_ends_the_run_at_the_digit_guard(monkeypatch, tmp_path, capsys, config):
-    # A unit whose digits pick the wrong power leaves y g^(-d) != 1 mod p^(w+b); no report is written.
-    monkeypatch.setattr("tiltval.loglink._log_series", _table_power_off)
-    report = tmp_path / "all.json"
-    code, out, err = run_cli(
-        capsys, "all", "--format", "json", "--config", write_config(tmp_path, "c.json", config), "--output", str(report)
-    )
-    assert code == 1 and out == "" and not report.exists()
-    assert err.startswith("internal check failed: ") and "a wrong digit table" in err
-
-
-def test_unsigned_evaluation_fails_the_laurent_ratio(monkeypatch, capsys):
-    # Without (-1)^n the lowest coefficients no longer differ by the sign of xi_j.
-    monkeypatch.setattr(
-        "tiltval.theta.eval_theta_laurent",
-        lambda j, k, ell, n_max, signed=True: eval_theta_laurent(j, k, ell, n_max, signed=False),
-    )
-    code, out, _ = run_cli(capsys, "verify-theta", "--format", "json")
-    assert code == 1
-    verdicts = {check["id"]: check["passed"] for check in json.loads(out)["checks"]}
-    assert not verdicts["theta.value_laurent_ratio.j1"]
-    assert verdicts["theta.inversion_antisymmetry"]
-
-
-def test_wrong_zeta_exponent_fails_the_laurent_ratio(monkeypatch, capsys):
-    # The coefficient relation must take zeta^(-2jk) from the symbolic value.
-    def off_by_one(j, ell):
-        tv = theta_value(j, ell)
-        return ThetaValue(tv.j, tv.ell, tv.sign, tv.q_exponent, (tv.zeta_exponent + 1) % ell)
-
-    monkeypatch.setattr("tiltval.theta.theta_value", off_by_one)
-    code, out, _ = run_cli(capsys, "verify-theta", "--format", "json")
-    assert code == 1
-    checks = {check["id"]: check for check in json.loads(out)["checks"]}
-    assert not checks["theta.value_laurent_ratio.j1"]["passed"]
-    assert checks["theta.value_laurent_ratio.j1"]["witness"]["coeff_relation_holds"] == "false"
-    assert checks["theta.value_q_exponent_scaling"]["passed"]
-
-
-def test_unsigned_theta_table_fails_quasi_periodicity(monkeypatch, capsys):
-    # Without (-1)^n the shift identity loses its (-1)^j factor at every odd step.
-    monkeypatch.setattr("tiltval.theta.theta_terms", lambda n_max, signed=True: theta_terms(n_max, signed=False))
-    code, out, _ = run_cli(capsys, "verify-theta", "--format", "json")
-    assert code == 1
-    verdicts = {check["id"]: check["passed"] for check in json.loads(out)["checks"]}
-    assert not verdicts["theta.quasi_periodicity.j1"]
-    assert verdicts["theta.quasi_periodicity.j2"]
-
-
-# A broken row table must fail the identities it breaks in a written report, not end the run as a usage error.
-_TABLE_FAULTS = {
-    "q+1": (lambda n, sign, q, u: (n, sign, q + 1, u), {"theta.inversion_antisymmetry"}),
-    "q=n(n-1)/2": (
-        lambda n, sign, q, u: (n, sign, n * (n - 1) // 2, u),
-        {"theta.inversion_antisymmetry", "theta.quasi_periodicity.j1", "theta.quasi_periodicity.j2"},
-    ),
-    "u=2n-1": (
-        lambda n, sign, q, u: (n, sign, q, 2 * n - 1),
-        {"theta.inversion_antisymmetry", "theta.quasi_periodicity.j1", "theta.quasi_periodicity.j2"},
-    ),
-    "sign*2": (lambda n, sign, q, u: (n, 2 * sign, q, u), {"theta.inversion_antisymmetry"}),
-}
-
-
-@pytest.mark.parametrize("fault", list(_TABLE_FAULTS))
-def test_a_broken_theta_table_fails_its_checks(monkeypatch, capsys, fault):
-    broken, failing = _TABLE_FAULTS[fault]
-    monkeypatch.setattr(
-        "tiltval.theta.theta_terms",
-        lambda n_max, signed=True: tuple(broken(*row) for row in theta_terms(n_max, signed)),
-    )
-    code, out, _ = run_cli(capsys, "verify-theta", "--format", "json")
-    assert code == 1
-    assert {check["id"] for check in json.loads(out)["checks"] if not check["passed"]} == failing
-
-
 def test_failing_theta_witnesses_keep_each_value_in_its_slot(monkeypatch, capsys):
     # A passing defaults report has n_max = pairs_matched = 12 and s_exponent_gap = expected_gap = -1,
     # so only failing runs tell swapped witness slots apart.
@@ -702,27 +538,6 @@ def test_sweep_witness_takes_the_last_primes_margin(tmp_path, capsys):
     }
 
 
-def test_walk_through_ell3_fails_the_sweep(monkeypatch, capsys):
-    # A prime walk that lets ell = 3 through meets the equality prime, where the strict bound fails.
-    monkeypatch.setattr("tiltval.pilot._odd_primes_upto", lambda limit, start=3: _odd_primes_upto(limit))
-    code, out, _ = run_cli(capsys, "sweep-ell", "--format", "json")
-    assert code == 1
-    checks = {check["id"]: check for check in json.loads(out)["checks"]}
-    swept = checks.pop("sweep.all_primes_from_5_pass")
-    assert not swept["passed"]
-    assert swept["witness"]["failures"] == "(3)" and swept["witness"]["primes_checked"] == "24"
-    assert all(check["passed"] for check in checks.values())
-
-
-def _replace_everywhere(monkeypatch, func, replacement):
-    """Replace func under every name a tiltval module binds it to."""
-    for name, module in list(sys.modules.items()):
-        if name == "tiltval" or name.startswith("tiltval."):
-            for key, value in list(vars(module).items()):
-                if value is func:
-                    monkeypatch.setattr(module, key, replacement)
-
-
 def _count_calls(monkeypatch, func):
     """Replace func under every name a tiltval module binds it to; return the list of calls."""
     calls = []
@@ -732,7 +547,7 @@ def _count_calls(monkeypatch, func):
         calls.append(args)
         return func(*args, **kwargs)
 
-    _replace_everywhere(monkeypatch, func, counted)
+    replace_everywhere(monkeypatch, func, counted)
     return calls
 
 
@@ -763,130 +578,6 @@ def test_suites_build_their_invariants_once(monkeypatch, tmp_path, capsys):
     bounds = _count_calls(monkeypatch, main_bound_check)
     code, _, _ = run_cli(capsys, "bound")
     assert code == 0 and bounds == [(5, Fraction(1))]
-
-
-def _patch_source(monkeypatch, module, name, original, mutated):
-    """Replace module.name with a copy of its source in which original reads mutated."""
-    source = inspect.getsource(getattr(module, name))
-    faulty = source.replace(original, mutated)
-    assert faulty != source
-    namespace = dict(vars(module))
-    exec(compile(faulty, module.__file__, "exec"), namespace)
-    monkeypatch.setattr(module, name, namespace[name])
-
-
-@pytest.mark.parametrize(
-    "step, original, mutated",
-    [
-        ("square_sum_closed_form", "(2 * ls + 1) // 6", "(2 * ls + 1) // 6 + 1"),
-        ("margin_factored", "(2 * ell - 1) * (ell - 3)", "(2 * ell - 1) * (ell - 2)"),
-        ("lhs_closed_form", "Fraction(square_sum, ls * ls * 2 * ell)", "Fraction(square_sum + 1, ls * ls * 2 * ell)"),
-        ("rhs_ratio_form", "Fraction(ls, 2 * ell) * v_q", "Fraction(ls + 1, 2 * ell) * v_q"),
-    ],
-    ids=["square_sum_closed_form", "margin_factored", "lhs_closed_form", "rhs_ratio_form"],
-)
-def test_a_broken_bound_identity_fails_its_step(monkeypatch, tmp_path, capsys, step, original, mutated):
-    _patch_source(monkeypatch, pilot, "main_bound_check", original, mutated)
-    target = tmp_path / "bound.json"
-    code, out, _ = run_cli(capsys, "bound", "--format", "json", "--output", str(target))
-    assert code == 1 and out == ""
-    verdicts = {check["id"]: check["passed"] for check in json.loads(target.read_text(encoding="utf-8"))["checks"]}
-    assert not verdicts.pop(f"bound.{step}")
-    assert all(verdicts.values()) and "bound.strict_inequality" in verdicts
-
-
-@pytest.mark.parametrize(
-    "suite, target, fault, failed",
-    [
-        # Equal sort keys merge every pilot into one, so the sample loses the orbit and its scaling.
-        (
-            "ansatz",
-            "tiltval.pilot._pilot_sort_key",
-            lambda t: (t.ansatz.ell,),
-            {"ansatz.orbit_membership", "ansatz.orbit_profile_scaling"},
-        ),
-        # Descending lifts keep every orbit point but list the orbit from n = depth down.
-        (
-            "ansatz",
-            "tiltval.pilot._pilot_sort_key",
-            lambda t: tuple(-e for e in t.lifts),
-            {"ansatz.orbit_profile_scaling"},
-        ),
-        # A log scaled by p still turns products into sums, but every valuation moves up by one.
-        (
-            "loglink",
-            "tiltval.loglink.padic_log",
-            lambda u: padic_log(u) * u.p % u.p**u.precision,
-            {"loglink.kummer_shift_telescoping"},
-        ),
-        # An eta off by one breaks the j^2 factor of every untilt, and the untilt gauge with it.
-        (
-            "ansatz",
-            "tiltval.cli.eta_val",
-            lambda prim, x: eta_val(prim, x) + 1,
-            {"ansatz.untilt_records", "ansatz.witness_untilt_gauge"},
-        ),
-        # Entries -v0 p^n still step by p, but they fall as n grows.
-        (
-            "loglink",
-            "tiltval.loglink.chain_build",
-            lambda p, v0, window: LogLinkChain._trusted(
-                p, v0, window, tuple((n, -v0 * Fraction(p) ** n) for n in range(window[0], window[1] + 1))
-            ),
-            {"loglink.chain_strictly_increasing"},
-        ),
-    ],
-    ids=["orbit_membership", "orbit_profile_scaling", "kummer_shift", "untilt_records", "chain_increasing"],
-)
-def test_a_kernel_fault_fails_the_check_that_reads_it(monkeypatch, tmp_path, capsys, suite, target, fault, failed):
-    monkeypatch.setattr(target, fault)
-    report = tmp_path / "report.json"
-    code, out, _ = run_cli(capsys, suite, "--format", "json", "--output", str(report))
-    assert code == 1 and out == ""
-    verdicts = {check["id"]: check["passed"] for check in json.loads(report.read_text(encoding="utf-8"))["checks"]}
-    assert {check_id for check_id, passed in verdicts.items() if not passed} == failed
-
-
-def test_a_wrong_lift_formula_fails_the_square_sum_not_the_config(monkeypatch, capsys):
-    # build_pilot builds through _trusted, so a broken lift is no DomainError (exit 2, a config
-    # fault): the orbit still scales by p, and sum_log_norms's closed form catches it.
-    _patch_source(monkeypatch, pilot, "build_pilot", "Fraction(n1 * j * j, d1)", "Fraction(n1 * j * j + 1, d1)")
-    code, out, err = run_cli(capsys, "ansatz")
-    assert code == 1 and out == ""
-    assert err.startswith("internal check failed: square-sum identity violated")
-
-
-def test_a_wrong_chain_entry_fails_the_ratio_in_a_written_report(monkeypatch, tmp_path, capsys):
-    # chain_build builds through _trusted, so its entries reach the chain checks instead of aborting the run.
-    _patch_source(monkeypatch, loglink, "chain_build", "v0 * Fraction(p) ** n", "v0 * Fraction(p + 1) ** n")
-    target = tmp_path / "loglink.json"
-    code, out, _ = run_cli(capsys, "loglink", "--format", "json", "--output", str(target))
-    assert code == 1 and out == ""
-    verdicts = {check["id"]: check["passed"] for check in json.loads(target.read_text(encoding="utf-8"))["checks"]}
-    assert [check_id for check_id, passed in verdicts.items() if not passed] == ["loglink.chain_ratio_is_p"]
-
-
-def test_mistwisted_frobenius_is_a_verification_failure(monkeypatch, capsys):
-    monkeypatch.setattr("tiltval.ansatz.primitive_frobenius", lambda w, n=1: primitive_frobenius(w, n + 1))
-    point = make_ansatz(TiltElement.monomial(2, 1), 5)
-    with pytest.raises(VerificationError):
-        frobenius_orbit(point, (-1, 1))
-    code, out, err = run_cli(capsys, "ansatz")
-    assert code == 1
-    assert out == "" and "internal check failed" in err
-
-
-def test_a_wrong_power_kernel_is_caught_by_the_orbit_check(monkeypatch, capsys):
-    # Membership computes its powers itself, so a tilt_pow returning a^(k+1) at every
-    # import site builds a family that the orbit constructor refuses.
-    _replace_everywhere(monkeypatch, tilt_pow, lambda x, k: tilt_pow(x, k + 1))
-    for p in (2, 3):
-        a = TiltElement.from_terms(p, {Fraction(1, p): 1, 1: 1})
-        with pytest.raises(VerificationError, match="left the ansatz"):
-            frobenius_orbit(make_ansatz(a, 7), (0, 0))
-    code, out, err = run_cli(capsys, "ansatz", "--format", "json")
-    assert code == 1 and out == ""
-    assert err.startswith("internal check failed: Frobenius translate") and "left the ansatz" in err
 
 
 def _profile_scales_by_fractions(point, orbit, depth):
@@ -928,15 +619,3 @@ def test_orbit_profile_scaling_matches_the_fraction_route_randomized():
                     assert cli._orbit_profile_scales(point, variant, depth) == expected, (point, depth, variant)
                     cases += not expected
     assert cases > 0
-
-
-def test_threshold_route_disagreement_is_a_failed_check(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr("tiltval.pilot.threshold_ell_by_root_analysis", lambda limit: 7)
-    target = tmp_path / "sweep.json"
-    code, out, _ = run_cli(capsys, "sweep-ell", "--format", "json", "--output", str(target))
-    assert code == 1 and out == ""
-    checks = {check["id"]: check for check in json.loads(target.read_text(encoding="utf-8"))["checks"]}
-    assert checks["sweep.threshold_by_sweep"]["passed"]
-    assert not checks["sweep.threshold_by_root_analysis"]["passed"]
-    agree = checks["sweep.threshold_routes_agree"]
-    assert not agree["passed"] and agree["witness"] == {"threshold": "5"}

@@ -1,0 +1,280 @@
+"""Every reported check can fail: one table of faults run through the CLI, and a ratchet over the check ids.
+
+A row patches the program, runs one command with --format json --output on each of its configs, and expects
+either the exact set of failing ids in the written report (exit 1, nothing on stdout or stderr) or an abort:
+exit 1, no report, and one `internal check failed: ` line matching the row's pattern.
+"""
+
+import inspect
+import json
+import re
+from fractions import Fraction
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
+
+import pytest
+from conftest import replace_everywhere, run_cli, write_config
+
+from tiltval import loglink, pilot
+from tiltval.ansatz import valuation_profile
+from tiltval.loglink import LogLinkChain, _log_series, m_of_epsilon, padic_log
+from tiltval.pilot import _odd_primes_upto, main_bound_check, size_estimate, sum_log_norms
+from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
+from tiltval.tilt import TiltElement, tilt_pow
+from tiltval.witt import eta_val, primitive_frobenius
+
+# The defaults, CI's wide config, CI's F_3 config and the equality prime.
+CONFIGS = {
+    "defaults": "{}",
+    "wide": '{"p": 29, "ell": 59, "theta_truncation": 29}',
+    "f3": '{"p": 3, "ell": 19, "frobenius_depth": 5, "v_q": "7/3", "rho_weight": "7/3"}',
+    "ell3": '{"ell": 3}',
+}
+THREE = ("defaults", "wide", "f3")
+DEFAULTS = ("defaults",)
+
+
+class Fault(NamedTuple):
+    name: str
+    command: str
+    configs: tuple[str, ...]
+    patch: Callable
+    expect: object  # the failing ids on every config, a {config: ids} map, or the abort message as a regex
+    witness: dict = {}  # {check id: {witness key: value}}, read on every config
+
+
+def _set(target, value):
+    """tiltval.<target> replaced by value."""
+    return lambda monkeypatch: monkeypatch.setattr(f"tiltval.{target}", value)
+
+
+def _source(module, name, original, mutated):
+    """module.name recompiled from its source with original reading mutated."""
+
+    def patch(monkeypatch):
+        source = inspect.getsource(getattr(module, name))
+        assert original in source
+        namespace = dict(vars(module))
+        exec(compile(source.replace(original, mutated), module.__file__, "exec"), namespace)
+        monkeypatch.setattr(module, name, namespace[name])
+
+    return patch
+
+
+_PLAN = "m scale step reduced_mod size table shift log_g subgroup coefficients".split()
+
+
+def _plan(change):
+    """padic_log reading its (p, N) plan with the fields that change(p, plan) returns replaced."""
+
+    def plan(p, precision):
+        fields = dict(zip(_PLAN, _log_series(p, precision)))
+        fields.update(change(p, SimpleNamespace(**fields)))
+        return tuple(fields.values())
+
+    return _set("loglink._log_series", plan)
+
+
+def _table(row):
+    """theta_terms with each row (n, sign, q, u) replaced by row(n, sign, q, u)."""
+    return _set("theta.theta_terms", lambda n, signed=True: tuple(row(*r) for r in theta_terms(n, signed)))
+
+
+def _theta_value(fields):
+    """theta_value with its (sign, q_exponent, zeta_exponent) replaced by fields(j, ell, value)."""
+    return _set("theta.theta_value", lambda j, ell: ThetaValue(j, ell, *fields(j, ell, theta_value(j, ell))))
+
+
+def _laurent(first, last):
+    return {f"theta.value_laurent_ratio.j{j}" for j in range(first, last + 1)}
+
+
+_INVERSION = "theta.inversion_antisymmetry"
+_TABLE_CHECKS = {_INVERSION, "theta.quasi_periodicity.j1", "theta.quasi_periodicity.j2"}
+_BOUND_STEPS = (
+    ("square_sum_closed_form", "(2 * ls + 1) // 6", "(2 * ls + 1) // 6 + 1"),
+    ("margin_factored", "(2 * ell - 1) * (ell - 3)", "(2 * ell - 1) * (ell - 2)"),
+    ("lhs_closed_form", "Fraction(square_sum, ls * ls * 2 * ell)", "Fraction(square_sum + 1, ls * ls * 2 * ell)"),
+    ("rhs_ratio_form", "Fraction(ls, 2 * ell) * v_q", "Fraction(ls + 1, 2 * ell) * v_q"),
+)
+_LOG_AT_ONE = "loglink.log_at_one_is_zero"
+_LOG_RULES = {"loglink.log_product_rule_trials", "loglink.log_p_power_rule_trials"}
+_ORBIT_LEFT = r"Frobenius translate n = -2 left the ansatz: .*"
+
+FAULTS = [
+    # Without (-1)^n the shift identity loses its (-1)^j factor at every odd step.
+    Fault("table_unsigned", "verify-theta", DEFAULTS, _table(lambda n, s, q, u: (n, 1, q, u)),
+          {_INVERSION, "theta.quasi_periodicity.j1"}),
+    # A broken row table fails the identities it breaks in a written report, not as a usage error.
+    Fault("table_q_plus_one", "verify-theta", DEFAULTS, _table(lambda n, s, q, u: (n, s, q + 1, u)), {_INVERSION}),
+    Fault("table_q_n_n_minus_1", "verify-theta", DEFAULTS, _table(lambda n, s, q, u: (n, s, n * (n - 1) // 2, u)),
+          _TABLE_CHECKS),
+    Fault("table_u_2n_minus_1", "verify-theta", DEFAULTS, _table(lambda n, s, q, u: (n, s, q, 2 * n - 1)),
+          _TABLE_CHECKS),
+    Fault("table_sign_doubled", "verify-theta", DEFAULTS, _table(lambda n, s, q, u: (n, 2 * s, q, u)), {_INVERSION}),
+    # The signed table handed out as the unsigned control: only an unmatched pair tells the two apart.
+    Fault("table_ignores_signed", "all", THREE, _set("theta.theta_terms", lambda n, signed=True: theta_terms(n)),
+          {"theta.unsigned_control_fails_antisymmetry"}),
+    # Without (-1)^n the lowest coefficients no longer differ by the sign of xi_j.
+    Fault("laurent_unsigned", "verify-theta", DEFAULTS, _set(
+        "theta.eval_theta_laurent", lambda j, k, ell, n, signed=True: eval_theta_laurent(j, k, ell, n, False)
+    ), {"theta.value_laurent_ratio.j1"}),
+    # The coefficient relation must take zeta^(-2jk) from the symbolic value.
+    Fault("zeta_off_by_one", "verify-theta", DEFAULTS, _theta_value(
+        lambda j, ell, v: (v.sign, v.q_exponent, (v.zeta_exponent + 1) % ell)
+    ), _laurent(1, 2), {"theta.value_laurent_ratio.j1": {"coeff_relation_holds": "false"}}),
+    # A q-exponent of j^3 / (2 ell) agrees with the true j^2 / (2 ell) only at j = 1.
+    Fault("q_exponent_j_cubed", "all", THREE, _theta_value(
+        lambda j, ell, v: (v.sign, Fraction(j**3, 2 * ell), v.zeta_exponent)
+    ), {c: {"theta.value_q_exponent_scaling", *_laurent(2, top)} for c, top in zip(THREE, (2, 28, 9))}),
+    *(Fault(f"bound_{step}", "bound", DEFAULTS, _source(pilot, "main_bound_check", old, new), {f"bound.{step}"})
+      for step, old, new in _BOUND_STEPS),
+    # The equality prime fails the strict bound with nothing patched.
+    Fault("bound_at_ell3", "bound", ("ell3",), lambda monkeypatch: None, {"bound.strict_inequality"}),
+    Fault("profile_doubled", "all", THREE, _set(
+        "cli.valuation_profile", lambda point: tuple(2 * v for v in valuation_profile(point))
+    ), {"ansatz.witness_profile_squares", "ansatz.witness_top_normalized"}),
+    # An eta off by one breaks the j^2 factor of every untilt, and the untilt gauge with it.
+    Fault("eta_plus_one", "ansatz", DEFAULTS, _set("cli.eta_val", lambda prim, x: eta_val(prim, x) + 1),
+          {"ansatz.untilt_records", "ansatz.witness_untilt_gauge"}),
+    # Equal sort keys merge every pilot into one, so the sample loses the orbit and its scaling.
+    Fault("pilots_merged", "ansatz", DEFAULTS, _set("pilot._pilot_sort_key", lambda t: (t.ansatz.ell,)),
+          {"ansatz.orbit_membership", "ansatz.orbit_profile_scaling"}),
+    # Descending lifts keep every orbit point but list the orbit from n = depth down.
+    Fault("pilots_descending", "ansatz", DEFAULTS, _set(
+        "pilot._pilot_sort_key", lambda t: tuple(-e for e in t.lifts)
+    ), {"ansatz.orbit_profile_scaling"}),
+    # frobenius_orbit checks each step once, and refuses a generator twisted one step too far.
+    Fault("frobenius_mistwisted", "ansatz", DEFAULTS, _set(
+        "ansatz.primitive_frobenius", lambda w, n=1: primitive_frobenius(w, n + 1)
+    ), _ORBIT_LEFT),
+    # Membership computes its powers itself, so a tilt_pow returning a^(k+1) at every import site
+    # builds a family that the orbit constructor refuses.
+    Fault("tilt_pow_one_too_many", "ansatz", DEFAULTS, lambda monkeypatch: replace_everywhere(
+        monkeypatch, tilt_pow, lambda x, k: tilt_pow(x, k + 1)
+    ), _ORBIT_LEFT),
+    # build_pilot builds through _trusted, so a broken lift is no DomainError (exit 2, a config fault):
+    # the orbit still scales by p, and sum_log_norms's closed form catches it.
+    Fault("lift_formula", "ansatz", DEFAULTS, _source(
+        pilot, "build_pilot", "Fraction(n1 * j * j, d1)", "Fraction(n1 * j * j + 1, d1)"
+    ), r"square-sum identity violated: .*"),
+    Fault("every_tuple_a_member", "all", THREE, _set("cli.is_member", lambda members: True),
+          {"ansatz.tampered_tuple_rejected"}),
+    # t -> u t scaling each coefficient by u instead of u^m; the only unit over F_2 is u = 1.
+    Fault("rescale_by_u", "all", ("wide", "f3"), _set(
+        "cli.tilt_rescale_t", lambda x, u: TiltElement._trusted(x.p, x.s, tuple((m, c * u % x.p) for m, c in x.nums))
+    ), {"ansatz.scale_invariance"}),
+    Fault("size_estimate_max", "all", THREE, _set(
+        "pilot.size_estimate", lambda sample, rho: max(sum_log_norms(t, rho) for t in sample)
+    ), {"ansatz.sample_size_estimate"}),
+    Fault("size_estimate_negative_at_one", "all", THREE, _set(
+        "pilot.size_estimate", lambda sample, rho: Fraction(-1) if rho.at_one else size_estimate(sample, rho)
+    ), {"ansatz.boundary_cap_nonnegative"}),
+    # chain_build builds through _trusted, so its entries reach the chain checks instead of aborting the run.
+    Fault("chain_base_p_plus_one", "loglink", DEFAULTS, _source(
+        loglink, "chain_build", "v0 * Fraction(p) ** n", "v0 * Fraction(p + 1) ** n"
+    ), {"loglink.chain_ratio_is_p"}),
+    # Entries -v0 p^n still step by p, but they fall as n grows.
+    Fault("chain_falling", "loglink", DEFAULTS, _set("loglink.chain_build", lambda p, v0, w: LogLinkChain._trusted(
+        p, v0, w, tuple((n, -v0 * Fraction(p) ** n) for n in range(w[0], w[1] + 1))
+    )), {"loglink.chain_strictly_increasing"}),
+    Fault("m_of_epsilon_plus_one", "all", THREE, _set("loglink.m_of_epsilon", lambda p, e: m_of_epsilon(p, e) + 1),
+          {"loglink.m_of_epsilon_grid"}),
+    # A log scaled by p still turns products into sums, but every valuation moves up by one.
+    Fault("log_times_p", "loglink", DEFAULTS, _set(
+        "loglink.padic_log", lambda u: padic_log(u) * u.p % u.p**u.precision
+    ), {"loglink.kummer_shift_telescoping"}),
+    Fault("log_of_one_is_p", "all", THREE, _set("loglink.padic_log", lambda u: u.p if u.value == 1 else padic_log(u)),
+          {"defaults": {_LOG_AT_ONE, "loglink.log_product_rule_trials"}, "wide": {_LOG_AT_ONE}, "f3": {_LOG_AT_ONE}}),
+    # u - 1 lands in the right subgroup but turns no product into a sum.
+    Fault("log_u_minus_one", "loglink", DEFAULTS, _set("loglink.padic_log", lambda u: (u.value - 1) % u.p**u.precision),
+          _LOG_RULES),
+    # The plan faults move log(u) one digit above the valuation v + n that the Kummer shift reads for
+    # u = (1 + p^v)^(p^n), so only the log rules see them.  At the defaults' depth m = 0, a move by
+    # p^(w+m) itself would also fail loglink.kummer_shift_telescoping.
+    # The linear coefficient moved by p^(w+b+m+1): log(u) moves by p (u^(p^m) g^(-d) - 1).
+    Fault("plan_linear_coefficient", "all", THREE, _plan(lambda p, f: {
+        "coefficients": (*f.coefficients[:-1], (f.coefficients[-1] + p * f.shift * f.scale) % f.reduced_mod)
+    }), _LOG_RULES),
+    # log(g) moved by p^(w+m+1): log(u) moves by d p^(w+1), d the digits the table clears.
+    Fault("plan_log_g", "all", THREE, _plan(lambda p, f: {"log_g": (f.log_g + p * f.step * f.scale) % f.reduced_mod}),
+          _LOG_RULES),
+    # The last table power g^(-(p^b - 1)) read as g^(-(p^b - 2)): a unit whose digits pick it leaves
+    # y g^(-d) != 1 mod p^(w+b), and the digit guard ends the run.
+    Fault("plan_table_power", "all", THREE, _plan(lambda p, f: {"table": (*f.table[:-1], f.table[-2])}),
+          r".* a wrong digit table"),
+    # A prime walk that lets ell = 3 through meets the equality prime, where the strict bound fails.
+    Fault("sweep_walks_through_ell3", "sweep-ell", DEFAULTS, _set(
+        "pilot._odd_primes_upto", lambda limit, start=3: _odd_primes_upto(limit)
+    ), {"sweep.all_primes_from_5_pass"}, {"sweep.all_primes_from_5_pass": {"failures": "(3)", "primes_checked": "24"}}),
+    # v_q doubled at ell = 3 only: lhs = rhs still holds, but at 2 v_q / 6.
+    Fault("ell3_at_twice_v_q", "all", THREE, _set(
+        "pilot.main_bound_check", lambda ell, v_q: main_bound_check(ell, 2 * v_q if ell == 3 else v_q)
+    ), {"sweep.ell3_boundary_equality"}),
+    Fault("threshold_by_sweep_7", "all", THREE, _set("pilot.threshold_ell_by_sweep", lambda limit: 7),
+          {"sweep.threshold_by_sweep", "sweep.threshold_routes_agree"}),
+    Fault("threshold_by_roots_7", "sweep-ell", DEFAULTS, _set("pilot.threshold_ell_by_root_analysis", lambda limit: 7),
+          {"sweep.threshold_by_root_analysis", "sweep.threshold_routes_agree"},
+          {"sweep.threshold_routes_agree": {"threshold": "5"}}),
+]
+
+# Reported ids that no fault can turn to FAIL, each with its reason.  The table may only shrink.
+_LITERAL = "main_bound_check records this quantity step with a literal True"
+_TAUTOLOGY = "corollary_c_check returns c < 1 once the bound holds, and the check compares that with c < 1"
+CANNOT_FAIL = {
+    "bound.lhs_termwise": _LITERAL,
+    "bound.rhs_product_form": _LITERAL,
+    "bound.margin": _LITERAL,
+    "bound.corollary_c_1_2": _TAUTOLOGY,
+    "bound.corollary_c_1_1": _TAUTOLOGY,
+    "bound.corollary_c_2_1": _TAUTOLOGY,
+}
+
+
+def _expected(fault, config):
+    return fault.expect[config] if isinstance(fault.expect, dict) else fault.expect
+
+
+def _checks(body):
+    """Check id -> check, for a one-suite or an `all` report."""
+    return {check["id"]: check for suite in body.get("suites", [body]) for check in suite["checks"]}
+
+
+def _fold(check_id):
+    return re.sub(r"\.j[0-9]+$", "", check_id)
+
+
+_CASES = [(fault, config) for fault in FAULTS for config in fault.configs]
+
+
+@pytest.mark.parametrize("fault, config", _CASES, ids=[f"{fault.name}-{config}" for fault, config in _CASES])
+def test_a_fault_fails_exactly_its_checks(monkeypatch, tmp_path, capsys, fault, config):
+    fault.patch(monkeypatch)
+    report = tmp_path / "report.json"
+    config_path = write_config(tmp_path, "c.json", CONFIGS[config])
+    argv = (fault.command, "--format", "json", "--config", config_path, "--output", str(report))
+    code, out, err = run_cli(capsys, *argv)
+    expected = _expected(fault, config)
+    if isinstance(expected, str):
+        assert (code, out, report.exists()) == (1, "", False)
+        assert re.fullmatch(f"internal check failed: {expected}\n", err), err
+        return
+    assert (code, out, err) == (1, "", "")
+    checks = _checks(json.loads(report.read_text(encoding="utf-8")))
+    assert {check_id for check_id, check in checks.items() if not check["passed"]} == expected
+    for check_id, witness in fault.witness.items():
+        assert {key: checks[check_id]["witness"][key] for key in witness} == witness
+
+
+def test_every_check_id_has_a_fault(tmp_path, capsys):
+    reported = set()
+    for config in THREE:
+        config_path = write_config(tmp_path, "c.json", CONFIGS[config])
+        code, out, _ = run_cli(capsys, "all", "--format", "json", "--config", config_path)
+        assert code == 0
+        reported |= {_fold(check_id) for check_id in _checks(json.loads(out))}
+    expected = [_expected(fault, config) for fault, config in _CASES]
+    faulted = {_fold(check_id) for ids in expected if not isinstance(ids, str) for check_id in ids}
+    assert not faulted & set(CANNOT_FAIL), "a row FAILs these: drop them from CANNOT_FAIL"
+    assert not reported - faulted - set(CANNOT_FAIL), "nothing FAILs these: add a fault row or a CANNOT_FAIL reason"
+    assert not (faulted | set(CANNOT_FAIL)) - reported, "no longer reported: drop them"

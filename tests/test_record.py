@@ -1,12 +1,14 @@
 """The record base: fields are declared once, as annotations, and bound in that order."""
 
+import importlib
 import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
-import tiltval.cli  # noqa: F401  (imports every module that defines a record)
+import tiltval
 from tiltval._record import Record
 from tiltval.cli import RunConfig
 from tiltval.errors import DomainError
@@ -15,6 +17,9 @@ from tiltval.reporting import CheckRecord, Report
 from tiltval.theta import ThetaValue, theta_value
 from tiltval.tilt import TiltElement
 
+for _module in pkgutil.iter_modules(tiltval.__path__):  # every module that defines a record, in any run order
+    if _module.name != "__main__":
+        importlib.import_module(f"tiltval.{_module.name}")
 RECORDS = sorted(Record.__subclasses__(), key=lambda cls: (cls.__module__, cls.__qualname__))
 
 
