@@ -19,11 +19,19 @@ the only powers multiplied out are the digit powers x^d with d < p.
 
 The product kernels put both operands on the larger frame, multiply
 integers and make the result's frame minimal once; their results skip
-the validator (``Record._trusted``).  The test "y == phi^n(a^k)"
-(:func:`_power_check`) builds no power as an element: it shifts y's
-numerators into a's frame and compares them, as one dict, with an entry
-of one table of a's powers, remembered by that predicate only.  A one-term
-a = c * t^(m / p^s), as every CLI witness is, needs neither table nor dict:
+the validator (``Record._trusted``).  A multi-term power table is
+byte-packed where bytes hold it exactly (``_packing``; Kronecker
+substitution): slot e of the entry for x^k holds the coefficient of
+t^((k * m0 + g * e) / p^s), m0 being x's least numerator and g the gcd of
+its gaps.  phi is one strided copy and a product one multiply of two
+little-endian integers, reduced mod p by one bytes.translate.  Large p and
+sparse x keep the dict table, and so does a power longer than
+``_ENTRY_MAX`` bytes; ``tilt_mul`` keeps ``_convolve``.
+
+The test "y == phi^n(a^k)" (:func:`_power_check`) builds no power as an
+element: y's numerators, shifted into a's frame, are compared with an
+entry of one table of a's powers, remembered by that predicate only.  A
+one-term a = c * t^(m / p^s), as every CLI witness is, needs no table:
 y's single (numerator, coefficient) pair, on the shifted frame, must be
 (m * k, c^k mod p).
 
@@ -41,8 +49,9 @@ The integer rule is ``_is_int``, an int and not a bool.  ``is_prime``,
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, lcm
-from typing import Callable, Mapping, Union
+from typing import Any, Callable, Mapping, Union
 
 from ._record import Record
 from .errors import ConfigError, DomainError, PrecisionError, TiltvalError
@@ -257,80 +266,149 @@ def tilt_mul(x: TiltElement, y: TiltElement) -> TiltElement:
     return TiltElement._trusted(p, *_minimal(p, s, sorted(_convolve(a, b, p).items())))
 
 
-def _powers(base: Mapping[int, int], p: int) -> Callable[[int], Mapping[int, int]]:
-    """k -> base^k on integer exponents by a^k = phi(a^(k // p)) * a^(k mod p), keeping (and sharing) each one built.
+_SLOT_MAX = 255  # a packed slot holds any sum up to this; _packing admits no table where a sum could pass it
+_ENTRY_MAX = 1 << 16  # the longest packed entry in bytes; a longer power of a packed table is a dict entry
+_RESIDUES: dict[int, bytes] = {}  # p -> the 256-byte table v -> v mod p, one bytes.translate per product
 
-    A single term c*t^e needs no digits: its k-th power is c^k t^(ke).
+
+def _packing(nums: _Nums, p: int) -> tuple[int, int] | None:
+    """The byte layout (m0, g) of a's power table, or None where bytes cannot hold it exactly.
+
+    a = t^(m0 / p^s) * b(t^(g / p^s)), m0 its least numerator and g the gcd of its gaps, so b has
+    span + 1 slots.  A digit power b^d = b^(d-1) * b adds at most span + 1 products of two residues
+    in one slot, each at most (p - 1)^2.  A table product phi(h) * b^d meets, in one slot, only the
+    slots of b^d in one residue class mod p, since phi(h) sits on multiples of p: at most
+    ceil((d * span + 1) / p) <= span of them for d < p.  So (span + 1) * (p - 1)^2 <= 255 keeps every
+    slot sum in its byte.  That admits p <= 11; a single term, or a span that is too sparse
+    (t^(1/8) + t^(1/4) + t^1000), keeps the dict table.
     """
-    if len(base) == 1:
-        (e, c), = base.items()
-        return lambda k: {e * k: pow(c, k, p)}
-    digits: list[Mapping[int, int]] = [{0: 1}, base]
-    table: dict[int, Mapping[int, int]] = {}
+    if len(nums) < 2:
+        return None
+    m0 = nums[0][0]
+    g = gcd(*[m - m0 for m, _ in nums])
+    if ((nums[-1][0] - m0) // g + 1) * (p - 1) ** 2 > _SLOT_MAX:
+        return None
+    if p not in _RESIDUES:
+        _RESIDUES[p] = bytes([v % p for v in range(256)])
+    return m0, g
 
-    def power(k: int) -> Mapping[int, int]:
+
+def _table(
+    p: int, digits: list, mul: Callable[[Any, Any], Any], spill: Callable[[int], Any] | None = None
+) -> Callable[[int], Any]:
+    """k -> base^k by base^k = phi(base^(k // p)) * base^(k mod p), keeping (and sharing) each one built.
+
+    digits is [base^0, base], both packed entries or both dicts of numerators to coefficients.  A
+    packed table takes spill, which builds each power longer than ``_ENTRY_MAX`` bytes as a dict.
+    """
+    table: dict[int, Any] = {}
+    k_max = _ENTRY_MAX // (len(digits[1]) - 1) if spill else 0
+
+    def power(k: int) -> Any:
         if k < p:
-            for _ in range(len(digits), k + 1):
-                digits.append(_convolve(digits[-1], base, p))
+            while len(digits) <= k:
+                digits.append(mul(digits[-1], digits[1]))
             return digits[k]
         got = table.get(k)
         if got is None:
-            high, d = divmod(k, p)
-            got = {e * p: c for e, c in power(high).items()}
-            if d:
-                got = _convolve(got, power(d), p)
+            if spill and k > k_max:
+                got = spill(k)
+            else:
+                high, d = divmod(k, p)
+                h = power(high)
+                if isinstance(h, dict):
+                    got = {e * p: c for e, c in h.items()}
+                else:
+                    got = bytearray(p * (len(h) - 1) + 1)
+                    got[::p] = h
+                if d:
+                    got = mul(got, power(d))
             table[k] = got
         return got
 
     return power
 
 
+def _powers(nums: _Nums, p: int) -> tuple[tuple[int, int] | None, Callable[[int], Any]]:
+    """(layout, power): power(k) is a^k for the element with these terms, each power built once.
+
+    With a layout (m0, g) from ``_packing``, an entry of at most ``_ENTRY_MAX`` bytes is the byte
+    string of the module docstring; any other entry is a dict of a^k's numerators, on a's frame, to
+    coefficients.  A longer power is built by a fresh dict table, so it costs what its result
+    holds.  A single term c * t^(m / p^s) needs no table: its k-th power is c^k t^(k * m / p^s).
+    """
+    layout = _packing(nums, p)
+    if len(nums) == 1:
+        (m, c), = nums
+        return None, lambda k: {m * k: pow(c, k, p)}
+    by_dict = lambda: _table(p, [{0: 1}, dict(nums)], lambda x, y: _convolve(x, y, p))
+    if layout is None:
+        return None, by_dict()
+    m0, g = layout
+    slots = bytearray((nums[-1][0] - m0) // g + 1)
+    for m, c in nums:
+        slots[(m - m0) // g] = c
+    mod = _RESIDUES[p]
+    return layout, _table(p, [b"\x01", bytes(slots)], lambda x, y: (
+        (int.from_bytes(x, "little") * int.from_bytes(y, "little")).to_bytes(len(x) + len(y) - 1, "little")
+    ).translate(mod), lambda k: by_dict()(k))
+
+
 def tilt_pow(x: TiltElement, k: int) -> TiltElement:
     """k-th power for k >= 0 by the base-p digits of k (see the module docstring); k = 0 is the empty product."""
     _require_count(k, "exponent")
-    return TiltElement._trusted(x.p, *_minimal(x.p, x.s, sorted(_powers(dict(x.nums), x.p)(k).items())))
-
-
-def _table_check(a: TiltElement) -> Callable[..., bool]:
-    """``_power_check``'s predicate read off one ``_powers`` table of a, for a of any term count.
-
-    phi^n(a^k) has a^k's numerators over p^(s_a - n), so y's numerators times p^(s_a - n - s_y)
-    must be those of a^k; no power is built as an element.
-    """
-    p, s, power = a.p, a.s, _powers(dict(a.nums), a.p)
-
-    def check(y: TiltElement, k: int, n: int = 0) -> bool:
-        target = power(k)
-        if y.p != p or len(y.nums) != len(target):
-            return False
-        shift = s - n - y.s
-        q = p ** abs(shift)
-        if shift >= 0:
-            return {m * q: c for m, c in y.nums} == target
-        # a remainder: no twisted power of a is this fine
-        return not any(m % q for m, _ in y.nums) and {m // q: c for m, c in y.nums} == target
-
-    return check
+    p = x.p
+    layout, power = _powers(x.nums, p)
+    entry = power(k)
+    if isinstance(entry, dict):
+        nums = sorted(entry.items())
+    else:  # unpacked once: the numerators of the nonzero slots, with their coefficients
+        m0, g = layout
+        base = k * m0
+        nums = list(zip(compress(range(base, base + g * len(entry), g), entry), entry.translate(None, b"\0")))
+    return TiltElement._trusted(p, *_minimal(p, x.s, nums))
 
 
 def _power_check(a: TiltElement) -> Callable[..., bool]:
     """The predicate (y, k, n=0) -> y == tilt_frobenius(tilt_pow(a, k), n) for ints k >= 0 and n.
 
-    A one-term a = c * t^(m / p^s_a) needs no table: y must be one term whose (numerator,
-    coefficient), on the frame shifted by s_a - n - s_y, is (m * k, c^k mod p).  Any other a
-    goes through ``_table_check``.
+    phi^n(a^k) has a^k's numerators over p^(s_a - n), so y's numerators times p^(s_a - n - s_y)
+    must be those of a^k; ``up`` and ``down`` keep both sides integers.  A one-term a = c * t^(m / p^s_a)
+    needs no table: y must be the one term (m * k, c^k mod p).  Any other a reads one ``_powers``
+    table, shared by every call: a packed entry by its count of nonzero slots, then y's terms at
+    their slots; a dict entry by its length, then as one dict.
     """
-    if len(a.nums) != 1:
-        return _table_check(a)
-    p, s = a.p, a.s
-    (m, c), = a.nums
+    p, s, nums = a.p, a.s, a.nums
+    if len(nums) == 1:
+        (m, c), = nums
+    else:
+        layout, power = _powers(nums, p)
+        m0, g = layout or (0, 1)  # read only for a packed entry
 
     def check(y: TiltElement, k: int, n: int = 0) -> bool:
-        if y.p != p or len(y.nums) != 1:
+        if y.p != p:
             return False
-        (my, cy), = y.nums
-        shift = s - n - y.s  # below 0, y's numerator must be p^-shift times a^k's, or y is too fine
-        return (my * p ** max(shift, 0), cy) == (m * k * p ** max(-shift, 0), pow(c, k, p))
+        shift = s - n - y.s  # below 0, y's numerators must be p^-shift times a^k's, or y is too fine
+        up, down = (p**shift, 1) if shift >= 0 else (1, p**-shift)
+        if len(nums) == 1:
+            return len(y.nums) == 1 and (y.nums[0][0] * up, y.nums[0][1]) == (m * k * down, pow(c, k, p))
+        entry = power(k)
+        if isinstance(entry, dict):  # keyed by a's numerators
+            if len(y.nums) != len(entry):
+                return False
+            if down == 1:
+                return {my * up: cy for my, cy in y.nums} == entry
+            return not any(my % down for my, _ in y.nums) and {my // down: cy for my, cy in y.nums} == entry
+        if len(y.nums) != len(entry) - entry.count(0):
+            return False
+        start, step = k * m0 * down, g * down
+        if y.nums[0][0] * up < start or y.nums[-1][0] * up - start >= step * len(entry):
+            return False  # y.nums is sorted, so every term of y now lies within the entry's slots
+        for my, cy in y.nums:
+            e = my * up - start
+            if e % step or entry[e // step] != cy:
+                return False
+        return True
 
     return check
 

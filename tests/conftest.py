@@ -1,6 +1,7 @@
 """Shared deterministic generators and CLI helpers for the test suite."""
 
 import copy
+import inspect
 import os
 import pickle
 import random
@@ -81,3 +82,16 @@ def replace_everywhere(monkeypatch, func, replacement):
             for key, value in list(vars(module).items()):
                 if value is func:
                     monkeypatch.setattr(module, key, replacement)
+
+
+def source_patch(module, name, original, mutated):
+    """A patch(monkeypatch) that replaces module.name by its source recompiled with original reading mutated."""
+
+    def patch(monkeypatch):
+        source = inspect.getsource(getattr(module, name))
+        assert original in source
+        namespace = dict(vars(module))
+        exec(compile(source.replace(original, mutated), module.__file__, "exec"), namespace)
+        monkeypatch.setattr(module, name, namespace[name])
+
+    return patch

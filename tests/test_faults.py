@@ -5,7 +5,6 @@ either the exact set of failing ids in the written report (exit 1, nothing on st
 exit 1, no report, and one `internal check failed: ` line matching the row's pattern.
 """
 
-import inspect
 import json
 import re
 from fractions import Fraction
@@ -13,7 +12,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import pytest
-from conftest import replace_everywhere, run_cli, write_config
+from conftest import replace_everywhere, run_cli, source_patch, write_config
 
 from tiltval import loglink, pilot
 from tiltval.ansatz import valuation_profile
@@ -46,19 +45,6 @@ class Fault(NamedTuple):
 def _set(target, value):
     """tiltval.<target> replaced by value."""
     return lambda monkeypatch: monkeypatch.setattr(f"tiltval.{target}", value)
-
-
-def _source(module, name, original, mutated):
-    """module.name recompiled from its source with original reading mutated."""
-
-    def patch(monkeypatch):
-        source = inspect.getsource(getattr(module, name))
-        assert original in source
-        namespace = dict(vars(module))
-        exec(compile(source.replace(original, mutated), module.__file__, "exec"), namespace)
-        monkeypatch.setattr(module, name, namespace[name])
-
-    return patch
 
 
 _PLAN = "m scale step reduced_mod size table shift log_g subgroup coefficients".split()
@@ -127,7 +113,7 @@ FAULTS = [
     Fault("q_exponent_j_cubed", "all", THREE, _theta_value(
         lambda j, ell, v: (v.sign, Fraction(j**3, 2 * ell), v.zeta_exponent)
     ), {c: {"theta.value_q_exponent_scaling", *_laurent(2, top)} for c, top in zip(THREE, (2, 28, 9))}),
-    *(Fault(f"bound_{step}", "bound", DEFAULTS, _source(pilot, "main_bound_check", old, new), {f"bound.{step}"})
+    *(Fault(f"bound_{step}", "bound", DEFAULTS, source_patch(pilot, "main_bound_check", old, new), {f"bound.{step}"})
       for step, old, new in _BOUND_STEPS),
     # The equality prime fails the strict bound with nothing patched.
     Fault("bound_at_ell3", "bound", ("ell3",), lambda monkeypatch: None, {"bound.strict_inequality"}),
@@ -155,7 +141,7 @@ FAULTS = [
     ), _ORBIT_LEFT),
     # build_pilot builds through _trusted, so a broken lift is no DomainError (exit 2, a config fault):
     # the orbit still scales by p, and sum_log_norms's closed form catches it.
-    Fault("lift_formula", "ansatz", DEFAULTS, _source(
+    Fault("lift_formula", "ansatz", DEFAULTS, source_patch(
         pilot, "build_pilot", "Fraction(n1 * j * j, d1)", "Fraction(n1 * j * j + 1, d1)"
     ), r"square-sum identity violated: .*"),
     Fault("every_tuple_a_member", "all", THREE, _set("cli.is_member", lambda members: True),
@@ -171,7 +157,7 @@ FAULTS = [
         "pilot.size_estimate", lambda sample, rho: Fraction(-1) if rho.at_one else size_estimate(sample, rho)
     ), {"ansatz.boundary_cap_nonnegative"}),
     # chain_build builds through _trusted, so its entries reach the chain checks instead of aborting the run.
-    Fault("chain_base_p_plus_one", "loglink", DEFAULTS, _source(
+    Fault("chain_base_p_plus_one", "loglink", DEFAULTS, source_patch(
         loglink, "chain_build", "v0 * Fraction(p) ** n", "v0 * Fraction(p + 1) ** n"
     ), {"loglink.chain_ratio_is_p"}),
     # Entries -v0 p^n still step by p, but they fall as n grows.

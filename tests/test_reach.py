@@ -93,9 +93,8 @@ UNREACHED = {
     "theta.check_theta_value_laurent": _GATE,
     "tilt.TiltElement.__init__": _CONSTRUCTOR,
     "tilt.TiltElement.support": _GATE,
-    "tilt._powers.power": _MULTI_TERM,
-    "tilt._table_check": _MULTI_TERM,
-    "tilt._table_check.check": _MULTI_TERM,
+    "tilt._table": _MULTI_TERM,
+    "tilt._table.power": _MULTI_TERM,
     "witt.RhoWeight.weight": _GATE,
     "witt.WittExpr.__init__": _GATE,
     "witt.WittExpr.is_zero": _GATE,

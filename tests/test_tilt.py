@@ -4,6 +4,7 @@ import ast
 import copy
 import pickle
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 from conftest import assert_immutable_value, random_element, random_monomial
 
 import tiltval
-from tiltval.ansatz import frobenius_orbit, make_ansatz
+from tiltval import tilt
+from tiltval.ansatz import frobenius_orbit, is_member, make_ansatz
 from tiltval.errors import ConfigError, DomainError
 from tiltval.loglink import LogLinkChain, PadicUnit, chain_build
 from tiltval.pilot import PilotTuple, theta_set_sample
@@ -21,9 +23,9 @@ from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, eta_val, gauss_log_
 from tiltval.tilt import (
     _convolve,
     _is_p_power,
+    _packing,
     _power_check,
     _powers,
-    _table_check,
     _require_odd_prime,
     TiltElement,
     is_prime,
@@ -342,14 +344,14 @@ def test_power_check_agrees_with_tilt_pow_randomized():
 
 
 def test_one_term_power_check_agrees_with_the_table_predicate_randomized():
-    # A one-term generator's predicate builds no power dict; the _powers-table predicate is its oracle.
+    # A one-term generator's predicate builds no power dict; the dict-table predicate is its oracle.
     rng = random.Random(2707)
     negative_shifts = 0
     for p in (2, 3, 5, 7):
         for i in range(8):
             # every third generator has an integer exponent (s = 0), and some of those are constants
             a = random_monomial(rng, p) if i % 3 else TiltElement.monomial(p, rng.randint(0, 3), rng.randint(1, p - 1))
-            is_power, by_table = _power_check(a), _table_check(a)
+            is_power, by_table = _power_check(a), _dict_power_check(a)
             (e, c), = a.terms
             for k in (0, 1, p - 1, p, p + 1, rng.randint(2, 400)):
                 power = tilt_pow(a, k)
@@ -386,6 +388,14 @@ def _pow_scaled(base, k, p, powers):
     return result
 
 
+def _entry_terms(layout, entry, k):
+    """A ``_powers`` entry of a^k as the numerator -> coefficient dict on a's frame."""
+    if isinstance(entry, dict):
+        return dict(entry)
+    m0, g = layout
+    return {k * m0 + g * e: c for e, c in enumerate(entry) if c}
+
+
 def test_power_table_and_shared_predicate_match_the_bottom_up_oracle_in_any_order():
     rng = random.Random(2029)
     for p in (2, 3, 5, 7):
@@ -397,13 +407,188 @@ def test_power_table_and_shared_predicate_match_the_bottom_up_oracle_in_any_orde
             oracle = {k: _pow_scaled(base, k, p, digit_powers) for k in ks}
             descending, ascending = sorted(ks, reverse=True), sorted(ks)
             for order in (descending, ascending, ascending + descending + ks):
-                power, is_power = _powers(base, p), _power_check(a)
+                (layout, power), is_power = _powers(a.nums, p), _power_check(a)
                 for k in order:
                     expected = TiltElement.from_terms(p, {Fraction(e, den): c for e, c in oracle[k].items()})
-                    assert power(k) == oracle[k], (a, k)
+                    assert _entry_terms(layout, power(k), k) == oracle[k], (a, k)
                     assert tilt_pow(a, k) == expected, (a, k)
                     assert is_power(expected, k), (a, k)
                     assert not is_power(tilt_mul(expected, TiltElement.monomial(p, 1)), k), (a, k)
+
+
+# The dict power table and its predicate that the byte-packed table replaced, kept as its oracle:
+# a^k on a's integer frame as one numerator -> coefficient dict, top-down by
+# a^k = phi(a^(k // p)) * a^(k mod p), each power built once per table.
+
+
+def _dict_powers(base, p):
+    if len(base) == 1:
+        (e, c), = base.items()
+        return lambda k: {e * k: pow(c, k, p)}
+    digits, table = [{0: 1}, base], {}
+
+    def power(k):
+        if k < p:
+            for _ in range(len(digits), k + 1):
+                digits.append(_convolve(digits[-1], base, p))
+            return digits[k]
+        if k not in table:
+            high, d = divmod(k, p)
+            got = {e * p: c for e, c in power(high).items()}
+            table[k] = _convolve(got, power(d), p) if d else got
+        return table[k]
+
+    return power
+
+
+def _dict_power_check(a):
+    """(y, k, n) -> y == phi^n(a^k): y's numerators times p^(s_a - n - s_y) against one dict table of a."""
+    p, s, power = a.p, a.s, _dict_powers(dict(a.nums), a.p)
+
+    def check(y, k, n=0):
+        target = power(k)
+        if y.p != p or len(y.nums) != len(target):
+            return False
+        shift = s - n - y.s
+        q = p ** abs(shift)
+        if shift >= 0:
+            return {m * q: c for m, c in y.nums} == target
+        return not any(m % q for m, _ in y.nums) and {m // q: c for m, c in y.nums} == target
+
+    return check
+
+
+DIFFERENTIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 257)
+
+
+def _differential_generator(rng, p, n_terms):
+    """n_terms terms c * t^(m / p^i), i in 0..2, over small numerators.
+
+    From p = 11 the numerators are the n_terms least over one denominator: the dict oracle there
+    multiplies out digit powers up to a^(p - 1), so each must stay a few thousand terms.
+    """
+    if p >= 11:
+        den = p ** rng.randint(0, 2)
+        return TiltElement.from_terms(p, {Fraction(m + 1, den): rng.randint(1, p - 1) for m in range(n_terms)})
+    exponents = set()
+    while len(exponents) < n_terms:
+        exponents.add(Fraction(rng.randint(0, 3 * n_terms), p ** rng.randint(0, 2)))
+    return TiltElement.from_terms(p, {e: rng.randint(1, p - 1) for e in exponents})
+
+
+def _dense_generator(p, slots):
+    """(p - 1) * (t^(1/p) + ... + t^(slots/p)): consecutive slots of the largest residue, so b * b sums the most."""
+    return TiltElement.from_terms(p, {Fraction(m, p): p - 1 for m in range(1, slots + 1)})
+
+
+# (p, slots, packed): the byte bound slots * (p - 1)^2 <= 255 at 256 for each p, one slot below, and at 255 for p = 2.
+BOUND_CASES = ((5, 15, True), (5, 16, False), (3, 63, True), (3, 64, False), (2, 255, True), (2, 256, False))
+
+
+def assert_powers_match_the_dict_oracle(primes=DIFFERENTIAL_PRIMES, seed=9011):
+    """tilt_pow and the shared predicate against the dict oracle: seeded generators of 1-6 terms, the
+    zero element, t^0 and the bound cases, at k in {0, 1, p - 1, p, p + 1, p^2 + 1, 400} (the bound
+    cases up to p^2 + 1) and n in -3..3, with near misses.  Returns (packed, dict) table counts."""
+    rng = random.Random(seed)
+    generators = [(TiltElement.from_terms(p, {}), None) for p in primes]
+    generators += [(TiltElement.monomial(p, 0), None) for p in primes]
+    generators += [(_differential_generator(rng, p, n), None) for p in primes for n in range(1, 7)]
+    generators += [(_dense_generator(p, slots), packed) for p, slots, packed in BOUND_CASES if p in primes]
+    kinds = [0, 0]
+    for a, packed in generators:
+        p = a.p
+        layout = _packing(a.nums, p)
+        kinds[layout is None] += 1
+        ks = (0, 1, p - 1, p, p + 1, p * p + 1) + ((400,) if packed is None else ())
+        is_power, oracle_is_power, oracle = _power_check(a), _dict_power_check(a), _dict_powers(dict(a.nums), p)
+        den = p ** a.s
+        for k in ks:
+            power, following = tilt_pow(a, k), tilt_pow(a, k + 1)
+            expected = oracle(k)
+            assert power == TiltElement.from_terms(p, {Fraction(e, den): c for e, c in expected.items()}), (a, k)
+            assert _revalidated(power) == power
+            for n in range(-3, 4):
+                twisted = tilt_frobenius(power, n)
+                near = [twisted, tilt_frobenius(power, n + 1), tilt_frobenius(following, n)]
+                if len(power.nums) <= 300:  # near misses of the largest powers cost seconds to build
+                    near += _near_misses(rng, twisted, p ** twisted.s, p)
+                for y in near:
+                    assert is_power(y, k, n) == oracle_is_power(y, k, n) == (y == twisted), (a, k, n, y)
+        if packed is not None:
+            assert (layout is not None) == packed, (p, len(a.nums))
+    return kinds
+
+
+def test_packed_power_table_matches_the_dict_oracle_randomized():
+    packed, by_dict = assert_powers_match_the_dict_oracle()
+    assert packed >= 15 and by_dict >= 30, (packed, by_dict)
+
+
+@pytest.mark.parametrize(
+    "p, terms",
+    [
+        pytest.param(2, {Fraction(1, 8): 1, 10**6: 1}, id="two-terms-p2"),
+        pytest.param(3, {Fraction(1, 27): 2, 10**6: 1}, id="two-terms-p3"),
+        pytest.param(2, {Fraction(1, 8): 1, Fraction(1, 4): 1, 12500: 1}, id="sparse-three-terms"),
+        pytest.param(257, {Fraction(1, 257): 256, Fraction(2, 257): 3, 1: 7}, id="p257"),
+    ],
+)
+def test_the_table_choice_keeps_the_memory_of_a_family_bounded(p, terms):
+    # Bytes for t^(1/8) + t^(1/4) + t^12500 would take 10^5 slots per power of a; it keeps the dict table.
+    a = TiltElement.from_terms(p, terms)
+    point = make_ansatz(a, 11)
+    orbit = frobenius_orbit(point, (-1, 1))
+    calls = {
+        "tilt_pow": lambda: tilt_pow(a, 25),
+        "make_ansatz": lambda: make_ansatz(a, 11),
+        "frobenius_orbit": lambda: frobenius_orbit(point, (-1, 1)),
+        "is_member": lambda: [is_member(o.members) for o in orbit] == [True] * 3,
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            assert call(), name
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (name, peak)
+
+
+@pytest.mark.parametrize(
+    "p, terms",
+    [
+        pytest.param(2, {0: 1, 1: 1}, id="1+t"),
+        pytest.param(2, {0: 1, Fraction(1, 2): 1, Fraction(3, 2): 1}, id="three-terms-p2"),
+        pytest.param(5, {Fraction(1, 5): 2, Fraction(2, 5): 3, Fraction(3, 5): 4}, id="three-terms-p5"),
+    ],
+)
+def test_a_power_past_the_packed_entry_bound_is_a_dict_entry_and_matches_the_oracle(p, terms):
+    a = TiltElement.from_terms(p, terms)
+    (layout, power), is_power, oracle = _powers(a.nums, p), _power_check(a), _dict_powers(dict(a.nums), p)
+    k_max = tilt._ENTRY_MAX // (len(power(1)) - 1)
+    den = p**a.s
+    for k in (k_max - 1, k_max, k_max + 1):
+        assert isinstance(power(k), dict) == (k > k_max), k
+        expected = tilt_pow(a, k)
+        assert expected == TiltElement.from_terms(p, {Fraction(e, den): c for e, c in oracle(k).items()}), k
+        for n in (-1, 0, 1):
+            twisted = tilt_frobenius(expected, n)
+            for y in (twisted, tilt_frobenius(expected, n + 1), tilt_mul(twisted, TiltElement.monomial(p, 1))):
+                assert is_power(y, k, n) == (y == twisted), (k, n)
+
+
+def test_a_large_power_costs_what_its_result_holds():
+    # (1 + t)^(2^20) = 1 + t^(2^20) over F_2: two terms, so no table of 2^20 slots.
+    a = TiltElement.from_terms(2, {0: 1, 1: 1})
+    tracemalloc.start()
+    try:
+        power = tilt_pow(a, 2**20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert power == TiltElement.from_terms(2, {0: 1, 2**20: 1})
+    assert peak < 1 << 16, peak
+    assert tilt_pow(a, 2**40) == tilt_frobenius(a, 40)
 
 
 # The Fraction-term kernels that the integer frame replaced, kept as oracles.  They take and
@@ -428,7 +613,7 @@ def _old_pow(p, x, k):
         (e, c), = x
         return ((Fraction(e.numerator * k, e.denominator), pow(c, k, p)),)
     den = max((e.denominator for e, _ in x), default=1)
-    return _old_from_scaled(_powers(_old_scaled(x, den), p)(k), den)
+    return _old_from_scaled(_dict_powers(_old_scaled(x, den), p)(k), den)
 
 
 def _old_frobenius(p, x, n):
@@ -439,7 +624,7 @@ def _old_frobenius(p, x, n):
 def _old_power_check(p, a):
     """(y, k, n) -> y == phi^n(a^k) on terms tuples: y's exponents f go into a's frame as f * den / p^n."""
     den = max((e.denominator for e, _ in a), default=1)
-    power = _powers(_old_scaled(a, den), p)
+    power = _dict_powers(_old_scaled(a, den), p)
 
     def check(y, k, n):
         up, down = (den, p**n) if n >= 0 else (den * p**-n, 1)
