@@ -4,7 +4,8 @@ An ansatz point for an odd prime ell != p is the tuple
 
     ( [a^(j^2)] - p )  for j = 1 .. ell* = (ell - 1) / 2
 
-attached to a generator a with 0 < v(a) < +inf.  Membership of a given
+attached to a generator a with 0 < v(a) < +inf; ``make_ansatz`` checks
+ell and forms each member a^(j^2) itself.  Membership of a given
 tuple is decidable exactly: the candidate generator is read off the
 first entry and the remaining entries must equal its j^2-th powers on
 the nose, compared as integer numerators on a's exponent frame (see
@@ -28,9 +29,8 @@ from typing import Callable, Sequence
 
 from ._record import Record
 from .errors import DomainError, VerificationError
-# No code here calls tilt_pow; perfbench/selftest.py checks that its tracer patches this name too.
-from .tilt import TiltElement, _power_check, _require_window, tilt_frobenius, tilt_pow, tilt_val  # noqa: F401
-from .witt import PrimitiveDeg1, _require_family_ell, primitive_frobenius, primitive_pow_family
+from .tilt import TiltElement, _power_check, _require_odd_prime, _require_window, tilt_frobenius, tilt_pow, tilt_val
+from .witt import PrimitiveDeg1, primitive_frobenius
 
 __all__ = [
     "AnsatzPoint",
@@ -40,6 +40,12 @@ __all__ = [
     "valuation_profile",
     "scale_invariance_check",
 ]
+
+
+def _require_family_ell(ell: int, p: int) -> None:
+    _require_odd_prime(ell)
+    if ell == p:
+        raise DomainError(f"ell must differ from the residue characteristic {p}")
 
 
 class AnsatzPoint(Record):
@@ -72,9 +78,11 @@ class AnsatzPoint(Record):
 
 
 def make_ansatz(a: TiltElement, ell: int) -> AnsatzPoint:
-    """Build the family ([a^(j^2)] - p)_j for j = 1 .. (ell - 1)/2."""
-    # primitive_pow_family validates a and ell and forms each a^(j^2): the constructor's check holds.
-    return AnsatzPoint._trusted(a, ell, primitive_pow_family(a, ell))
+    """Build the family ([a^(j^2)] - p)_j for j = 1 .. (ell - 1)/2, ell an odd prime other than p."""
+    _require_family_ell(ell, a.p)
+    # each member is formed as a^(j^2), so the constructor's power check holds
+    members = tuple(PrimitiveDeg1(tilt_pow(a, j * j)) for j in range(1, (ell - 1) // 2 + 1))
+    return AnsatzPoint._trusted(a, ell, members)
 
 
 def is_member(members: Sequence[PrimitiveDeg1]) -> bool:

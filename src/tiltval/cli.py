@@ -99,12 +99,6 @@ class RunConfig(Record):
     def echo(self) -> tuple[tuple[str, str], ...]:
         return tuple((name, format_exact(getattr(self, name))) for name in self.__slots__)
 
-    def override(self, **changes: object) -> "RunConfig":
-        """A copy with the given fields replaced; a change of None keeps the field."""
-        values = {name: getattr(self, name) for name in self.__slots__}
-        values.update((name, value) for name, value in changes.items() if value is not None)
-        return RunConfig(**values)
-
 
 def parse_rational(text: object) -> Fraction:
     """Parse "num/den" (or a bare integer string) into an exact Fraction."""
@@ -131,10 +125,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Defaults overlaid with a JSON config file, strictly validated."""
+def load_config(path: str | None, **flags: object) -> RunConfig:
+    """Defaults overlaid with a JSON config file, then with the flags that are not None, strictly validated."""
+    flags = {key: value for key, value in flags.items() if value is not None}
     if path is None:
-        return RunConfig().validate()
+        return RunConfig(**flags).validate()
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(
@@ -161,7 +156,7 @@ def load_config(path: str | None) -> RunConfig:
         for key in RunConfig.__slots__
         if key in data
     }
-    return RunConfig(**merged).validate()
+    return RunConfig(**{**merged, **flags}).validate()
 
 
 # Suite name -> help text, in the order `all` runs them.  Each runs as the module attribute
@@ -520,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config).override(seed=args.seed, output_format=args.fmt)
+        cfg = load_config(args.config, seed=args.seed, output_format=args.fmt)
         report = _command(args.command)(cfg)
         rendered = render_report(report, cfg.output_format)  # refuses a leaf that is not exact
     except (ConfigError, DomainError, PrecisionError, OSError) as exc:

@@ -150,18 +150,13 @@ def theta_set_sample(
 def size_estimate(sample: Sequence[PilotTuple], rho: RhoWeight) -> Fraction:
     """Infimum of the summed log-norms over the sample.
 
-    This is the log of the supremum of norm products.  At the boundary
-    norm (rho flag at 1) every lift must be nonnegative, the additive
-    form of the integral-elements cap; that is re-verified here.
+    This is the log of the supremum of norm products.  Every lift is
+    positive, which ``PilotTuple`` enforces, so the infimum is positive at
+    every weight, the boundary norm (rho flag at 1) included.
     """
     if not sample:
         raise DomainError("cannot size an empty sample")
-    sums = [sum_log_norms(pilot, rho) for pilot in sample]
-    if rho.at_one:
-        for pilot in sample:
-            if any(e.numerator < 0 for e in pilot.lifts):
-                raise VerificationError("boundary cap violated: negative lift in sample")
-    return min(sums)
+    return min(sum_log_norms(pilot, rho) for pilot in sample)
 
 
 class BoundReport(Record):

@@ -10,7 +10,7 @@ absorbed by the identity n(n+1)/2 = (1/2)(n + 1/2)^2 - 1/8, so stored
 q-exponents stay integers.  The sign (-1)^n is forced: it is what makes
 the substitution u -> 1/u negate the series term by term, and what makes
 the shift u -> q^(j/2) u reproduce the series up to (-1)^j q^(-j^2/2)
-u^(-2j).  The unsigned variant is kept available as a negative control
+u^(-2j).  The unsigned row table is kept available as a negative control
 and fails the first identity.
 
 Checks work on exact integer exponent arithmetic.  Where half-integer
@@ -26,7 +26,7 @@ q-exponent j^2/(2 ell) of :func:`theta_value`.  Each s-coefficient is a
 sparse map {e: c} for sum c x^e, 0 <= e < ell; at most two indices share
 an s-exponent, so dropping zero entries is its whole zero test.  Each
 term's root power and sign do not depend on j, so they come from one
-cached table per (k, ell, N, signed); every evaluation still sums all
+cached table per (k, ell, N); every evaluation still sums all
 2N + 1 terms.  A check moves the base's lowest coefficient by zeta^m,
 which adds 2m to each root power, and subtracts it from the lowest
 shifted one.  That difference of up to four root powers folds into one
@@ -182,7 +182,7 @@ def _quasi_periodicity(
     return mismatch is None, (lo, hi), checked, mismatch
 
 
-def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> tuple[bool, tuple[int, int], int, str | None]:
+def check_quasi_periodicity(j: int, n_max: int) -> tuple[bool, tuple[int, int], int, str | None]:
     """Verify the shift identity u -> q^(j/2) u at integer step j.
 
     Returns (passed, (overlap lo, hi), terms checked, first mismatch).
@@ -191,7 +191,7 @@ def check_quasi_periodicity(j: int, n_max: int, signed: bool = True) -> tuple[bo
     is still inside the window.  All q-exponents are doubled so the
     half-integer shifts stay in integer arithmetic.
     """
-    return _quasi_periodicity(theta_terms(n_max, signed), j)
+    return _quasi_periodicity(theta_terms(n_max), j)
 
 
 def check_quasi_periodicity_upto(j_max: int, n_max: int) -> tuple[tuple[bool, tuple[int, int], int, str | None], ...]:
@@ -240,20 +240,20 @@ def theta_value(j: int, ell: int) -> ThetaValue:
 
 
 @cache
-def _root_terms(k: int, ell: int, n_max: int, signed: bool) -> tuple[tuple[int, int, int, int], ...]:
+def _root_terms(k: int, ell: int, n_max: int) -> tuple[tuple[int, int, int, int], ...]:
     """(n(n+1), 2n+1, e, c) for n = -N .. N: at every shift j, term n is c * x^e times s^(n(n+1) + j(2n+1))."""
     terms = []
     for n in range(-n_max, n_max + 1):
         # zeta = x^2, so zeta^(k(2n+1)) is x^(2k(2n+1)); x^ell = -1 folds it below ell
         e = 2 * k * (2 * n + 1) % (2 * ell)
-        c = -1 if signed and n % 2 else 1
+        c = -1 if n % 2 else 1
         if e >= ell:
             e, c = e - ell, -c
         terms.append((n * (n + 1), 2 * n + 1, e, c))
     return tuple(terms)
 
 
-def eval_theta_laurent(j: int, k: int, ell: int, n_max: int, signed: bool = True) -> dict[int, dict[int, int]]:
+def eval_theta_laurent(j: int, k: int, ell: int, n_max: int) -> dict[int, dict[int, int]]:
     """Exact truncated evaluation at u = s^j zeta^k, as {s_exponent: {e: c}}.
 
     s is a formal square root of the base parameter q^(1/ell), so the
@@ -272,7 +272,7 @@ def eval_theta_laurent(j: int, k: int, ell: int, n_max: int, signed: bool = True
     # a sum of fewer than ell root powers is zero exactly when its entries
     # cancel outright: dropping zero entries is the whole zero test.
     acc: dict[int, dict[int, int]] = {}
-    for s_at_0, s_step, e, c in _root_terms(k, ell, n_max, signed):
+    for s_at_0, s_step, e, c in _root_terms(k, ell, n_max):
         coeff = acc.setdefault(s_at_0 + j * s_step, {})
         c += coeff.pop(e, 0)
         if c:

@@ -29,7 +29,7 @@ def test_make_frozen_families():
     assert tuple(m.a for m in point.members) == (_t(2), _t(2, 4))
     quarter = make_ansatz(_t(2, Fraction(1, 4)), 5)
     assert tuple(m.a for m in quarter.members) == (_t(2, Fraction(1, 4)), _t(2))
-    assert len(make_ansatz(_t(2), 3).members) == 1
+    assert tuple(m.a for m in make_ansatz(_t(2), 3).members) == (_t(2),)
 
 
 def test_profile_frozen():
@@ -55,9 +55,13 @@ def test_make_validation():
     with pytest.raises(DomainError):
         make_ansatz(_t(2), 2)
     with pytest.raises(DomainError):
+        make_ansatz(_t(2), 9)
+    with pytest.raises(DomainError):
         make_ansatz(_t(2), 15)
     with pytest.raises(DomainError):
         make_ansatz(_t(5), 5)  # ell equals the characteristic
+    with pytest.raises(DomainError):
+        make_ansatz(_t(3), 3)  # the same at p = 3
     with pytest.raises(DomainError):
         make_ansatz(TiltElement.monomial(2, 0), 5)  # v(a) = 0
     with pytest.raises(DomainError):
@@ -71,7 +75,7 @@ def test_make_ansatz_forms_each_power_once(monkeypatch):
         calls.append(k)
         return tilt_pow(x, k)
 
-    monkeypatch.setattr("tiltval.witt.tilt_pow", counted)
+    monkeypatch.setattr("tiltval.ansatz.tilt_pow", counted)
     rng = random.Random(811)
     for ell in (5, 7, 11, 13):
         a = tilt_mul(random_monomial(rng, 3), TiltElement.from_terms(3, {0: 1, Fraction(1, 3): 2}))

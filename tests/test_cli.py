@@ -32,22 +32,32 @@ def test_parse_rational():
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
-    assert load_config(None) == RunConfig()
+    assert load_config(None) == RunConfig() == load_config(None, seed=None, output_format=None)
+    assert load_config(None, seed=5, output_format="json") == RunConfig(seed=5, output_format="json")
     path = write_config(tmp_path, "c.json", '{"schema": 1, "p": 3, "ell": 7, "v_q": "3/2", "seed": 9}')
     cfg = load_config(path)
     assert (cfg.p, cfg.ell, cfg.v_q, cfg.seed) == (3, 7, Fraction(3, 2), 9)
     assert cfg.theta_truncation == 12  # untouched default
+    # A flag replaces the file's value; a None flag keeps it.
+    flagged = RunConfig(3, 7, v_q=Fraction(3, 2), seed=4, output_format="csv")
+    assert load_config(path, seed=4, output_format="csv") == flagged
+    assert load_config(path, seed=None, output_format=None) == cfg
+    # The flags pass through the one validation the file's values do.
+    for flags in ({"seed": True}, {"output_format": "xml"}, {"seed": "4"}):
+        for source in (None, path):
+            with pytest.raises(ConfigError):
+                load_config(source, **flags)
+    with pytest.raises(TypeError):
+        load_config(path, elll=7)
+    # The one validation reads the merged values: a file value that a flag replaces is never checked.
+    bad_format = write_config(tmp_path, "x.json", '{"output_format": "xml"}')
+    assert load_config(bad_format, output_format="json") == RunConfig(output_format="json")
 
 
 def test_run_config_is_an_immutable_value():
     assert_immutable_value(RunConfig)
     assert_immutable_value(lambda: RunConfig(p=3, ell=7, v_q=Fraction(3, 2), seed=9))
     assert RunConfig(3) == RunConfig(p=3) != RunConfig()
-    assert RunConfig().override(seed=None, output_format=None) == RunConfig()
-    changed = RunConfig(p=3, ell=7).override(seed=5, output_format="json")
-    assert changed == RunConfig(p=3, ell=7, seed=5, output_format="json")
-    with pytest.raises(TypeError):
-        RunConfig().override(elll=7)
 
 
 def test_config_echo_keeps_field_order():

@@ -14,11 +14,11 @@ from typing import Callable, NamedTuple
 import pytest
 from conftest import replace_everywhere, run_cli, source_patch, write_config
 
-from tiltval import loglink, pilot
+from tiltval import loglink, pilot, theta
 from tiltval.ansatz import valuation_profile
 from tiltval.loglink import LogLinkChain, _log_series, m_of_epsilon, padic_log
 from tiltval.pilot import _odd_primes_upto, main_bound_check, size_estimate, sum_log_norms
-from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
+from tiltval.theta import ThetaValue, theta_terms, theta_value
 from tiltval.tilt import TiltElement, tilt_pow
 from tiltval.witt import eta_val, primitive_frobenius
 
@@ -102,8 +102,8 @@ FAULTS = [
     Fault("table_ignores_signed", "all", THREE, _set("theta.theta_terms", lambda n, signed=True: theta_terms(n)),
           {"theta.unsigned_control_fails_antisymmetry"}),
     # Without (-1)^n the lowest coefficients no longer differ by the sign of xi_j.
-    Fault("laurent_unsigned", "verify-theta", DEFAULTS, _set(
-        "theta.eval_theta_laurent", lambda j, k, ell, n, signed=True: eval_theta_laurent(j, k, ell, n, False)
+    Fault("laurent_unsigned", "verify-theta", DEFAULTS, source_patch(
+        theta, "_root_terms", "c = -1 if n % 2 else 1", "c = 1"
     ), {"theta.value_laurent_ratio.j1"}),
     # The coefficient relation must take zeta^(-2jk) from the symbolic value.
     Fault("zeta_off_by_one", "verify-theta", DEFAULTS, _theta_value(

@@ -257,10 +257,15 @@ def test_bound_sweep_matches_the_per_prime_checks():
 
 
 def test_sieved_primes_match_trial_division_at_every_limit():
+    # Every limit up to 2,000; past it, each limit within 2 of an odd square d^2, where isqrt(limit) steps
+    # and d's marking starts; and the largest limit.
+    near_squares = {d * d + step for d in range(1, 142, 2) for step in range(-2, 3)}
+    limits = sorted({*range(-1, 2_001), *near_squares, 20_000})
+    assert len(limits) == 2_248 and limits[-2] == 141 * 141 + 2
     odd_primes = [n for n in range(3, 20_001, 2) if is_prime(n)]
     for start in (3, 5, 7):
         primes = odd_primes[odd_primes.index(start) :]
-        for limit in range(-1, 20_001):
+        for limit in limits:
             assert list(_odd_primes_upto(limit, start)) == primes[: bisect_right(primes, limit)], (limit, start)
 
 

@@ -1,6 +1,7 @@
 """Reach: every src function is entered by a passing `all` run, or is listed with its reason."""
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -157,3 +158,13 @@ def test_the_gate_enters_every_gate_api_function(tmp_path):
     reached, _ = _trace(tmp_path, _GATE_TRACE, str(Path(__file__).resolve().parent / "test_acceptance.py"))
     missed = sorted(name for name, reason in UNREACHED.items() if reason == _GATE and name not in reached)
     assert not missed, f"listed as gate API, but the gate never enters {missed}"
+
+
+def test_every_exported_name_resolves():
+    # A deletion that leaves its name in __all__ breaks `from tiltval.<module> import *`.
+    for path in sorted(Path(tiltval.__file__).resolve().parent.glob("*.py")):
+        if path.stem.startswith("__"):  # the package and `python -m tiltval`, which runs the CLI on import
+            continue
+        module = importlib.import_module(f"tiltval.{path.stem}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"tiltval.{path.stem}.__all__ lists {missing}, which the module does not define"

@@ -52,7 +52,7 @@ def test_generic_constructor_binds_like_a_signature():
     assert CheckRecord("x.y", passed=True, witness=()) == record
     assert CheckRecord(witness=(), check_id="x.y", passed=True) == record
     assert Report("bound", (), (), ()).wall_ms is None
-    assert RunConfig(3, ell=7) == RunConfig().override(p=3, ell=7)
+    assert RunConfig(3, ell=7) == RunConfig(ell=7, p=3)
     assert RunConfig(3, ell=7).v_q == Fraction(1)
     with pytest.raises(TypeError, match="missing field 'witness'"):
         CheckRecord("x.y", True)
@@ -63,7 +63,7 @@ def test_generic_constructor_binds_like_a_signature():
     with pytest.raises(TypeError, match="multiple values for field 'passed'"):
         CheckRecord("x.y", True, (), passed=False)
     with pytest.raises(TypeError, match="unexpected keyword field 'elll'"):
-        RunConfig().override(elll=7)
+        RunConfig(elll=7)
 
 
 def test_assign_takes_exactly_one_value_per_slot():

@@ -11,6 +11,7 @@ from tiltval.theta import (
     CycloElt,
     ThetaValue,
     _add_root_pow,
+    _quasi_periodicity,
     _root_pows_vanish,
     check_inversion_antisymmetry,
     check_quasi_periodicity,
@@ -71,23 +72,23 @@ def _folded(ell, pows):
     return tuple(row)
 
 
-def _eval_by_ring_ops(j, k, ell, n_max, signed=True):
+def _eval_by_ring_ops(j, k, ell, n_max):
     """The truncated evaluation as {s: coefficients}, one ring element per term summed in the ring."""
     acc = {}
     for n in range(-n_max, n_max + 1):
         s_exp = n * (n + 1) + j * (2 * n + 1)
-        coeff = _from_root_pows(ell, {2 * k * (2 * n + 1): -1 if signed and n % 2 else 1})
+        coeff = _from_root_pows(ell, {2 * k * (2 * n + 1): -1 if n % 2 else 1})
         acc[s_exp] = tuple(map(sum, zip(acc[s_exp], coeff))) if s_exp in acc else coeff
     return {s_exp: c for s_exp, c in acc.items() if any(c)}
 
 
-def _eval_by_terms(j, k, ell, n_max, signed=True):
+def _eval_by_terms(j, k, ell, n_max):
     """The evaluation with every term's root power and sign worked out again for each j."""
     acc = {}
     for n in range(-n_max, n_max + 1):
         # zeta = x^2, so zeta^(k(2n+1)) is x^(2k(2n+1)); x^ell = -1 folds it below ell
         e = 2 * k * (2 * n + 1) % (2 * ell)
-        c = -1 if signed and n % 2 else 1
+        c = -1 if n % 2 else 1
         if e >= ell:
             e, c = e - ell, -c
         coeff = acc.setdefault(n * (n + 1) + j * (2 * n + 1), {})
@@ -207,8 +208,9 @@ def test_quasi_periodicity_frozen_window():
 def test_quasi_periodicity_unsigned_control():
     # Without signs the exponent bookkeeping still matches for even j but the
     # (-1)^j factor breaks every odd shift.
-    assert check_quasi_periodicity(2, 8, signed=False)[0]
-    passed, _, _, mismatch = check_quasi_periodicity(1, 8, signed=False)
+    unsigned = theta_terms(8, signed=False)
+    assert _quasi_periodicity(unsigned, 2)[0]
+    passed, _, _, mismatch = _quasi_periodicity(unsigned, 1)
     assert not passed
     assert "sign" in mismatch or "(2q" in mismatch
 
@@ -437,9 +439,8 @@ def test_eval_matches_ring_ops_randomized():
             j = rng.randint(0, ell_star)
             k = rng.choice((0, ell, -ell, rng.randint(-3 * ell, 3 * ell)))
             n_max = rng.randint(0, 2 * ell)
-            signed = rng.random() < 0.5
-            value = eval_theta_laurent(j, k, ell, n_max, signed)
-            case = (j, k, ell, n_max, signed)
+            case = (j, k, ell, n_max)
+            value = eval_theta_laurent(*case)
             assert list(value) == sorted(value), case
             for coeff in value.values():
                 assert 1 <= len(coeff) <= 2 and all(c and 0 <= e < ell for e, c in coeff.items()), case
@@ -473,15 +474,6 @@ def test_eval_matches_the_per_term_loop(ell):
     # The root-power table is shared by every j; the evaluation must still be the per-term loop's, key order included.
     for n_max in (0, 1, 5, 29):
         for k in (0, 1, 2, ell - 1, ell + 1, -3):
-            for signed in (True, False):
-                for j in range(n_max + 3):
-                    case = (j, k, ell, n_max, signed)
-                    assert _in_order(eval_theta_laurent(*case)) == _in_order(_eval_by_terms(*case)), case
-
-
-def test_signed_and_unsigned_evaluations_do_not_share_a_table():
-    # Same (k, ell, N) in both calls: a table cached without the sign flag would answer the second with the first.
-    for signed in (True, False):
-        case = (2, 4, 13, 9, signed)
-        assert _in_order(eval_theta_laurent(*case)) == _in_order(_eval_by_terms(*case)), case
-    assert eval_theta_laurent(2, 4, 13, 9) != eval_theta_laurent(2, 4, 13, 9, signed=False)
+            for j in range(n_max + 3):
+                case = (j, k, ell, n_max)
+                assert _in_order(eval_theta_laurent(*case)) == _in_order(_eval_by_terms(*case)), case

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import assert_immutable_value, random_element, random_monomial
 
+from tiltval.ansatz import make_ansatz
 from tiltval.errors import DomainError
 from tiltval.tilt import TiltElement, tilt_frobenius, tilt_mul, tilt_val
 from tiltval.witt import (
@@ -15,7 +16,6 @@ from tiltval.witt import (
     eta_val,
     gauss_log_norm,
     primitive_frobenius,
-    primitive_pow_family,
     teichmuller,
 )
 
@@ -100,11 +100,13 @@ def test_teichmuller_norm_multiplicative():
 
 
 def test_primitive_family_frozen():
-    fam = primitive_pow_family(_t(2), 5)
+    # the family ([a^(j^2)] - p)_j as make_ansatz builds it from PrimitiveDeg1
+    fam = make_ansatz(_t(2), 5).members
     assert tuple(m.a for m in fam) == (_t(2), _t(2, 4))
-    fam_q = primitive_pow_family(_t(2, Fraction(1, 4)), 5)
+    assert tuple(eta_val(fam[0], m.a) for m in fam) == (1, 4)  # v scales by j^2
+    fam_q = make_ansatz(_t(2, Fraction(1, 4)), 5).members
     assert tuple(m.a for m in fam_q) == (_t(2, Fraction(1, 4)), _t(2))
-    assert tuple(m.a for m in primitive_pow_family(_t(2), 3)) == (_t(2),)
+    assert tuple(m.a for m in make_ansatz(_t(2), 3).members) == (_t(2),)
 
 
 def test_primitive_validation():
@@ -114,12 +116,6 @@ def test_primitive_validation():
         PrimitiveDeg1(TiltElement.from_terms(2, {}))  # v(a) infinite
     with pytest.raises(DomainError):
         PrimitiveDeg1(TiltElement.from_terms(3, {0: 1, Fraction(1, 3): 1}))  # v(1 + t^(1/3)) = 0, on the frame 3^1
-    with pytest.raises(DomainError):
-        primitive_pow_family(_t(3), 3)  # ell equals the characteristic
-    with pytest.raises(DomainError):
-        primitive_pow_family(_t(2), 9)
-    with pytest.raises(DomainError):
-        primitive_pow_family(_t(2), 2)
 
 
 def test_primitive_frobenius_twists_the_generator():
