@@ -5,8 +5,8 @@ one positional argument; the options may come before or after it.
 Configuration comes from an optional JSON file whose rationals are
 "num/den" strings; numeric literals with a decimal point are rejected
 outright, there is no tolerance knob anywhere.  Exit status: 0 when all
-checks pass, 1 when a mathematical check fails, 2 for configuration or
-usage errors.
+checks pass, 1 when a check fails or a cross-check raises VerificationError,
+2 for a usage error or an input refused with DomainError (or an OSError).
 
 Importing this module loads records, errors and tilt (which owns the
 config validators), plus reporting, ansatz and witt.  Those three load
@@ -36,7 +36,7 @@ from typing import Callable, Iterator
 
 from ._record import Record
 from .ansatz import AnsatzPoint, is_member, make_ansatz, valuation_profile, scale_invariance_check
-from .errors import ConfigError, DomainError, PrecisionError, VerificationError, WindowError
+from .errors import DomainError, VerificationError
 from .reporting import (
     GAUGE_NOTES, AnyReport, CheckRecord, CombinedReport, Report, format_exact, make_check, render_report
 )
@@ -69,31 +69,31 @@ class RunConfig(Record):
         for key in self.__slots__:
             value, kind = getattr(self, key), type(self._defaults[key])  # int, Fraction or str
             if not (_is_int(value) if kind is int else isinstance(value, kind)):
-                raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-        _require_prime(self.p, error=ConfigError)
-        _require_odd_prime(self.ell, ConfigError)
+                raise DomainError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+        _require_prime(self.p)
+        _require_odd_prime(self.ell)
         if self.ell == self.p:
-            raise ConfigError("ell must differ from p")
+            raise DomainError("ell must differ from p")
         if self.ell_sweep_max < 5:
-            raise ConfigError(f"ell_sweep_max must be at least 5, got {self.ell_sweep_max}")
+            raise DomainError(f"ell_sweep_max must be at least 5, got {self.ell_sweep_max}")
         if self.v_q <= 0:
-            raise ConfigError(f"v_q must be positive, got {self.v_q}")
+            raise DomainError(f"v_q must be positive, got {self.v_q}")
         if self.rho_weight <= 0:
-            raise ConfigError(f"rho_weight must be positive, got {self.rho_weight}")
+            raise DomainError(f"rho_weight must be positive, got {self.rho_weight}")
         if self.theta_truncation < 1:
-            raise ConfigError(f"theta_truncation must be at least 1, got {self.theta_truncation}")
+            raise DomainError(f"theta_truncation must be at least 1, got {self.theta_truncation}")
         if self.frobenius_depth < 0:
-            raise ConfigError(f"frobenius_depth must be nonnegative, got {self.frobenius_depth}")
+            raise DomainError(f"frobenius_depth must be nonnegative, got {self.frobenius_depth}")
         _require_precision(self.p, self.padic_precision, "padic_precision")
         # No numerator or denominator a suite renders has more bits than this: 14,000 bits is at most 4,215 digits.
         bits = self.v_q.numerator.bit_length() + self.v_q.denominator.bit_length() + 16
         bits += self.frobenius_depth * self.p.bit_length() + 4 * max(self.ell, self.ell_sweep_max).bit_length()
         if bits > 14_000:
-            raise ConfigError(
+            raise DomainError(
                 "render budget: bits(v_q) + frobenius_depth * bits(p) + 4 bits(max(ell, ell_sweep_max)) + 16 > 14000"
             )
         if self.output_format not in _FORMATS:
-            raise ConfigError(f"output_format must be one of {_FORMATS}, got {self.output_format!r}")
+            raise DomainError(f"output_format must be one of {_FORMATS}, got {self.output_format!r}")
         return self
 
     def echo(self) -> tuple[tuple[str, str], ...]:
@@ -103,24 +103,24 @@ class RunConfig(Record):
 def parse_rational(text: object) -> Fraction:
     """Parse "num/den" (or a bare integer string) into an exact Fraction."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise ConfigError(f'rationals must be "num/den" strings, got {text!r}')
+        raise DomainError(f'rationals must be "num/den" strings, got {text!r}')
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise ConfigError(f"zero denominator in {text!r}") from exc
+        raise DomainError(f"zero denominator in {text!r}") from exc
     except ValueError as exc:  # a numerator or denominator past the interpreter's int digit limit
-        raise ConfigError(f"config number too long: {exc}") from exc
+        raise DomainError(f"config number too long: {exc}") from exc
 
 
 def _reject_float(literal: str) -> None:
-    raise ConfigError(f'float literal {literal!r} is not allowed; use "num/den" strings')
+    raise DomainError(f'float literal {literal!r} is not allowed; use "num/den" strings')
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     data: dict = {}
     for key, value in pairs:
         if key in data:
-            raise ConfigError(f"duplicate config key {key!r}")
+            raise DomainError(f"duplicate config key {key!r}")
         data[key] = value
     return data
 
@@ -136,21 +136,21 @@ def load_config(path: str | None, **flags: object) -> RunConfig:
                 handle, parse_float=_reject_float, parse_constant=_reject_float, object_pairs_hook=_unique_keys
             )
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"config is not UTF-8: {exc}") from exc
+            raise DomainError(f"config is not UTF-8: {exc}") from exc
         except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        except ConfigError:  # a float literal or a duplicate key, refused by the hooks above
+            raise DomainError(f"config is not valid JSON: {exc}") from exc
+        except DomainError:  # a float literal or a duplicate key, refused by the hooks above
             raise
         except ValueError as exc:  # an int literal past the interpreter's int digit limit
-            raise ConfigError(f"config number too long: {exc}") from exc
+            raise DomainError(f"config number too long: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+        raise DomainError("config must be a JSON object")
     known = {"schema", *RunConfig.__slots__}
     unknown = sorted(set(data) - known)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise DomainError(f"unknown config keys: {', '.join(unknown)}")
     if "schema" in data and (not _is_int(data["schema"]) or data["schema"] != 1):
-        raise ConfigError(f"unsupported config schema {data['schema']!r}")
+        raise DomainError(f"unsupported config schema {data['schema']!r}")
     merged = {
         key: parse_rational(data[key]) if type(RunConfig._defaults[key]) is Fraction else data[key]
         for key in RunConfig.__slots__
@@ -203,7 +203,7 @@ def cmd_verify_theta(cfg: RunConfig) -> Iterator[CheckRecord]:
     n_max = cfg.theta_truncation
     ell_star = (cfg.ell - 1) // 2
     if n_max < ell_star:
-        raise WindowError(
+        raise DomainError(
             f"theta_truncation {n_max} is smaller than ell* = {ell_star}; raise it to cover every shift"
         )
     passed, pairs, cancel_at_one, _ = check_inversion_antisymmetry(n_max)
@@ -317,7 +317,7 @@ def cmd_ansatz(cfg: RunConfig) -> Iterator[CheckRecord]:
 
     ell_star = (cfg.ell - 1) // 2
     if not _is_p_power(ell_star, cfg.p):
-        raise ConfigError(
+        raise DomainError(
             f"the witness generator t^(1/{ell_star * ell_star}) needs ell* = {ell_star} to be a"
             f" power of p = {cfg.p}; choose p and ell accordingly"
         )
@@ -518,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, seed=args.seed, output_format=args.fmt)
         report = _command(args.command)(cfg)
         rendered = render_report(report, cfg.output_format)  # refuses a leaf that is not exact
-    except (ConfigError, DomainError, PrecisionError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

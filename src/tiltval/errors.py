@@ -1,27 +1,12 @@
-"""Exception types shared across the package."""
+"""The package's only two exception types, one per failing exit status of the CLI:
+DomainError for a refused input (exit 2), VerificationError for a failed cross-check (exit 1)."""
 
 
-class TiltvalError(Exception):
-    """Base class for every error this package raises on purpose."""
+class DomainError(ValueError):
+    """A refused input: outside an operation's domain, a bad run config, too narrow a window, too low a precision."""
 
 
-class DomainError(TiltvalError, ValueError):
-    """An input lies outside the mathematical domain of an operation."""
-
-
-class ConfigError(TiltvalError, ValueError):
-    """Inconsistent construction data or an invalid run configuration."""
-
-
-class WindowError(DomainError):
-    """A requested index falls outside the truncation or sampling window."""
-
-
-class PrecisionError(TiltvalError, ValueError):
-    """The requested p-adic precision is too small to be meaningful."""
-
-
-class VerificationError(TiltvalError, ArithmeticError):
+class VerificationError(ArithmeticError):
     """An internal cross-check that must hold identically has failed.
 
     Raised only when two independent routes to the same exact quantity

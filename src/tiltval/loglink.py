@@ -52,7 +52,7 @@ from functools import cache
 from math import isqrt
 
 from ._record import Record
-from .errors import ConfigError, DomainError, VerificationError
+from .errors import DomainError, VerificationError
 from .tilt import _is_int, _require_int, _require_positive, _require_precision, _require_prime, _require_window
 from .tilt import _unit_level
 
@@ -109,7 +109,7 @@ class PadicUnit(Record):
 
     def _check_same(self, other: "PadicUnit") -> None:
         if self.p != other.p or self.precision != other.precision:
-            raise ConfigError(
+            raise DomainError(
                 f"mixed unit groups: ({self.p}, {self.precision}) vs ({other.p}, {other.precision})"
             )
 

@@ -209,9 +209,9 @@ def main_bound_sweep(limit: int) -> tuple[tuple[int, ...], int, int | None]:
     Returns the failing primes, how many primes were checked and the last
     one (None for none).  Per ell, in exact integers, a running sum of j^2
     (the termwise lhs) must give 6 sum j^2 = ell ls (ls + 1) with
-    ls = (ell - 1)/2, and the rhs product form (ell - 1)/(4 ell) must equal
-    the ratio form ls/(2 ell), or VerificationError is raised; the strict
-    bound lhs < rhs is (ls + 1) 2 ell < 12 ls^2.
+    ls = (ell - 1)/2, or VerificationError is raised.  The rhs needs no
+    second route: (ell - 1)/(4 ell) is ls/(2 ell) since 2 ls = ell - 1 for
+    odd ell.  The strict bound lhs < rhs is (ls + 1) 2 ell < 12 ls^2.
     """
     # Every side carries the factor v_q > 0, which cancels from each
     # comparison, so the sweep needs no v_q.
@@ -225,8 +225,6 @@ def main_bound_sweep(limit: int) -> tuple[tuple[int, ...], int, int | None]:
         summed_to = ls
         if 6 * square_sum != ell * ls * (ls + 1):
             raise VerificationError(f"lhs routes disagree at ell = {ell}: 6 * {square_sum} != {ell * ls * (ls + 1)}")
-        if (ell - 1) * 2 * ell != ls * 4 * ell:
-            raise VerificationError(f"rhs routes disagree at ell = {ell}")
         if not (ls + 1) * 2 * ell < 12 * ls * ls:
             failures.append(ell)
         checked, last = checked + 1, ell

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cache
 
 from ._record import Record
-from .errors import DomainError, WindowError
+from .errors import DomainError
 from .tilt import _is_int, _require_count, _require_int, _require_odd_prime, _require_positive
 
 __all__ = [
@@ -162,7 +162,7 @@ def _quasi_periodicity(
     if n_max < 1:
         raise DomainError("the check needs a window, so n_max >= 1")
     if abs(j) > n_max:
-        raise WindowError(f"shift step |{j}| exceeds the truncation radius {n_max}")
+        raise DomainError(f"shift step |{j}| exceeds the truncation radius {n_max}")
     lo, hi = -n_max + abs(j), n_max - abs(j)
     shift_sign = (-1) ** (j % 2)
     mismatch: str | None = None
@@ -288,7 +288,7 @@ def _laurent_ratio(
     if k % ell == 0:
         raise DomainError("k must be nonzero mod ell; at zeta^0 the evaluation degenerates")
     if n_max < j + 1:
-        raise WindowError(f"need n_max >= {j + 1} so both lowest indices -j and -j-1 are in window")
+        raise DomainError(f"need n_max >= {j + 1} so both lowest indices -j and -j-1 are in window")
     shifted = eval_theta_laurent(j, k, ell, n_max)
     lo_s, base_s = min(shifted), min(base)
     gap = lo_s - base_s

@@ -54,7 +54,7 @@ from math import gcd, isqrt, lcm
 from typing import Any, Callable, Mapping, Union
 
 from ._record import Record
-from .errors import ConfigError, DomainError, PrecisionError, TiltvalError
+from .errors import DomainError
 
 __all__ = [
     "TiltElement",
@@ -89,14 +89,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _require_prime(p: int, name: str = "p", error: type[TiltvalError] = DomainError) -> None:
+def _require_prime(p: int, name: str = "p") -> None:
     if not is_prime(p):
-        raise error(f"{name} must be prime, got {p!r}")
+        raise DomainError(f"{name} must be prime, got {p!r}")
 
 
-def _require_odd_prime(ell: int, error: type[TiltvalError] = DomainError) -> None:
+def _require_odd_prime(ell: int) -> None:
     if not is_prime(ell) or ell == 2:
-        raise error(f"ell must be an odd prime, got {ell}")
+        raise DomainError(f"ell must be an odd prime, got {ell}")
 
 
 def _unit_level(p: int) -> int:
@@ -123,7 +123,7 @@ def _require_precision(p: int, precision: int, name: str = "precision") -> None:
     _require_int(precision, name)
     floor = _unit_level(p) + 1
     if precision < floor:
-        raise PrecisionError(f"{name} {precision} is below the minimum {floor} for p = {p}")
+        raise DomainError(f"{name} {precision} is below the minimum {floor} for p = {p}")
 
 
 def _require_window(window: object) -> tuple[int, int]:
@@ -261,7 +261,7 @@ def tilt_mul(x: TiltElement, y: TiltElement) -> TiltElement:
     """Exact product; valuations add because F_p is an integral domain."""
     p, s = x.p, max(x.s, y.s)
     if y.p != p:
-        raise ConfigError(f"cannot combine elements over F_{p} and F_{y.p}")
+        raise DomainError(f"cannot combine elements over F_{p} and F_{y.p}")
     a, b = ({m * p ** (s - z.s): c for m, c in z.nums} for z in (x, y))
     return TiltElement._trusted(p, *_minimal(p, s, sorted(_convolve(a, b, p).items())))
 

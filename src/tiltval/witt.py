@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Union
 
 from ._record import Record
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .tilt import TiltElement, _exact, _require_count, _require_prime, tilt_frobenius, tilt_val
 # No code here calls tilt_pow; perfbench/selftest.py checks that its tracer patches this name too.
 from .tilt import tilt_pow  # noqa: F401
@@ -91,7 +91,7 @@ class WittExpr(Record):
             if prev is not None and slot <= prev:
                 raise DomainError("slots must be strictly increasing")
             if not isinstance(x, TiltElement) or x.p != p:
-                raise ConfigError(f"slot {slot} entry is not a tilt element over F_{p}")
+                raise DomainError(f"slot {slot} entry is not a tilt element over F_{p}")
             if x.is_zero:
                 raise DomainError(f"slot {slot} holds zero; drop empty slots instead")
             prev = slot

@@ -16,7 +16,7 @@ from conftest import (
 from tiltval import cli
 from tiltval.ansatz import frobenius_orbit, is_member, make_ansatz, valuation_profile
 from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
-from tiltval.errors import ConfigError, PrecisionError
+from tiltval.errors import DomainError
 from tiltval.pilot import main_bound_check
 from tiltval.reporting import CheckRecord, CombinedReport, Report, make_check
 from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
@@ -27,7 +27,7 @@ def test_parse_rational():
     assert parse_rational("-2/3") == Fraction(-2, 3)
     # The last three once parsed: \d took other scripts' digits, and $ matched before a final newline.
     for bad in ("0.5", "1/0", "3/-4", "", "two", 0.5, None, Fraction(1, 2), "1/2\n", "\u0663", "\uff11/\uff12"):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             parse_rational(bad)
 
 
@@ -45,7 +45,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
     # The flags pass through the one validation the file's values do.
     for flags in ({"seed": True}, {"output_format": "xml"}, {"seed": "4"}):
         for source in (None, path):
-            with pytest.raises(ConfigError):
+            with pytest.raises(DomainError):
                 load_config(source, **flags)
     with pytest.raises(TypeError):
         load_config(path, elll=7)
@@ -211,13 +211,13 @@ def test_load_config_rejections(tmp_path, capsys):
     }
     cases.update(too_large)
     for name, payload in cases.items():
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             load_config(write_config(tmp_path, name, payload))
     latin = tmp_path / "latin.json"
     latin.write_bytes(b"\xff\xfe{")
-    with pytest.raises(ConfigError, match="UTF-8"):
+    with pytest.raises(DomainError, match="UTF-8"):
         load_config(str(latin))
-    with pytest.raises(PrecisionError):
+    with pytest.raises(DomainError, match="^padic_precision 2 is below the minimum 3 for p = 2$"):
         load_config(write_config(tmp_path, "prec.json", '{"padic_precision": 2}'))
     target = tmp_path / "report.json"
     refusals = [(name, "all", "config number too long") for name in too_long]
@@ -242,7 +242,7 @@ def test_configs_just_inside_the_render_budget_still_render(tmp_path, capsys):
         code, out, err = run_cli(capsys, command, "--format", "json", "--config", config)
         assert (code, err) == (0, "")
         assert 4_150 < max(map(len, re.findall(r"[0-9]+", out))) <= 4_215  # 2^14,000 - 1 has 4,215 digits
-        with pytest.raises(ConfigError, match="^render budget"):
+        with pytest.raises(DomainError, match="^render budget"):
             load_config(write_config(tmp_path, "outside.json", json.dumps(outside)))
 
 
@@ -258,7 +258,7 @@ def test_configs_just_inside_the_render_budget_still_render(tmp_path, capsys):
     ],
 )
 def test_validate_checks_each_fields_type(key, value, kind):
-    with pytest.raises(ConfigError, match=f"^{key} must be {kind}, got {value!r}$"):
+    with pytest.raises(DomainError, match=f"^{key} must be {kind}, got {value!r}$"):
         RunConfig(**{key: value}).validate()
 
 
@@ -280,19 +280,31 @@ def test_bound_equality_prime_exits_one(tmp_path, capsys):
     assert "overall: FAIL" in out
 
 
+# The two refusals a suite builder makes after the config loaded, each with the one line it prints.
+_MID_RUN_REFUSALS = {
+    '{"ell": 7, "theta_truncation": 2}': (
+        "verify-theta",
+        "error: theta_truncation 2 is smaller than ell* = 3; raise it to cover every shift",
+    ),
+    '{"p": 3}': (
+        "ansatz",
+        "error: the witness generator t^(1/4) needs ell* = 2 to be a power of p = 3; choose p and ell accordingly",
+    ),
+}
+
+
+@pytest.mark.parametrize("payload", list(_MID_RUN_REFUSALS))
+def test_a_mid_run_refusal_keeps_its_error_line(tmp_path, capsys, payload):
+    command, line = _MID_RUN_REFUSALS[payload]
+    code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, "r.json", payload))
+    assert (code, out, err) == (2, "", line + "\n")
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
-    # truncation window too small to cover every shift
-    path = write_config(tmp_path, "w.json", '{"ell": 7, "theta_truncation": 2}')
-    code, _, err = run_cli(capsys, "verify-theta", "--config", path)
-    assert code == 2 and "theta_truncation" in err
     # composite ell
     path = write_config(tmp_path, "c.json", '{"ell": 4}')
     code, _, err = run_cli(capsys, "bound", "--config", path)
     assert code == 2 and "odd prime" in err
-    # witness exponent not representable over this residue field
-    path = write_config(tmp_path, "p3.json", '{"p": 3}')
-    code, _, err = run_cli(capsys, "ansatz", "--config", path)
-    assert code == 2 and "power of p" in err
     # missing config file
     code, _, err = run_cli(capsys, "bound", "--config", str(tmp_path / "nope.json"))
     assert code == 2 and "error:" in err

@@ -20,7 +20,7 @@ import pytest
 from conftest import assert_immutable_value
 
 from tiltval import cli
-from tiltval.errors import ConfigError, DomainError, PrecisionError, VerificationError
+from tiltval.errors import DomainError, VerificationError
 from tiltval.loglink import (
     LogLinkChain,
     PadicUnit,
@@ -140,14 +140,14 @@ def test_unit_validation():
         PadicUnit(5, 4, 626)  # not reduced
     with pytest.raises(DomainError):
         PadicUnit(4, 3, 1)
-    with pytest.raises(PrecisionError) as info:
+    with pytest.raises(DomainError) as info:
         PadicUnit(3, 1, 1)
     assert "the minimum 2 for" in str(info.value)
-    with pytest.raises(PrecisionError) as info:
+    with pytest.raises(DomainError) as info:
         PadicUnit(2, 2, 1)
     assert "the minimum 3 for" in str(info.value)
     assert PadicUnit.of(5, 4, 631).value == 6
-    with pytest.raises(PrecisionError):
+    with pytest.raises(DomainError):
         PadicUnit.of(5, 0, 1)
 
 
@@ -336,7 +336,7 @@ def test_random_unit_checks_the_precision_floor_before_drawing():
     rng = random.Random(7)
     state = rng.getstate()
     for p, precision, required in ((2, 1, 3), (3, 0, 2)):
-        with pytest.raises(PrecisionError) as info:
+        with pytest.raises(DomainError) as info:
             PadicUnit.random(rng, p, precision)
         assert f"the minimum {required} for" in str(info.value)
     assert rng.getstate() == state
@@ -355,9 +355,8 @@ def test_precision_must_be_an_int(entry):
     # A float precision would make float values: PadicUnit(3, 14.0, 4) squared holds 16.0, which padic_log cannot use.
     rng = random.Random(7)
     state = rng.getstate()
-    error = ConfigError if entry == "run_config" else DomainError  # a bad RunConfig field is a config error
     for precision in (14.0, 2.0, True, Fraction(14)):
-        with pytest.raises(error, match="precision must be an integer"):
+        with pytest.raises(DomainError, match="precision must be an integer"):
             _PRECISION_ENTRY_POINTS[entry](rng, precision)
     assert rng.getstate() == state
 
@@ -458,9 +457,9 @@ def test_unit_products_and_powers_match_the_reducing_constructor_randomized():
 
 
 def test_mixed_groups_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match=r"^mixed unit groups: \(3, 5\) vs \(3, 4\)$"):
         PadicUnit(3, 5, 4).mul(PadicUnit(3, 4, 4))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match=r"^mixed unit groups: \(3, 5\) vs \(5, 5\)$"):
         PadicUnit(3, 5, 4).mul(PadicUnit(5, 5, 6))
 
 

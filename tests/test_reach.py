@@ -168,3 +168,46 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"tiltval.{path.stem}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"tiltval.{path.stem}.__all__ lists {missing}, which the module does not define"
+
+
+# A src raise names one of the two types the CLI maps to an exit status, DomainError (exit 2)
+# or VerificationError (exit 1), or is listed here, keyed by module, top-level definition and type.
+_PROTOCOL = "record value protocol: a bad signature or a write raises what a Python class raises"
+ALLOWED_RAISES = {
+    ("_record", "_RecordMeta", "TypeError"): "a record class declared wrongly: fails at import, before any input",
+    ("_record", "Record", "TypeError"): _PROTOCOL,
+    ("_record", "Record", "ValueError"): "_trusted or _assign given too few or too many values: a caller's bug",
+    ("_record", "Record", "AttributeError"): _PROTOCOL,
+    ("reporting", "format_exact", "TypeError"): "a witness with no exact rendering, a float first: a caller's bug",
+}
+_EXIT_TYPES = {"DomainError", "VerificationError"}
+
+
+def _raises(tree: ast.Module):
+    """(top-level definition, raised type name) per raise; a bare raise names the types its handler catches."""
+    for top in tree.body:
+        handlers = [node for node in ast.walk(top) if isinstance(node, ast.ExceptHandler)]
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Raise):
+                continue
+            if node.exc is None:
+                handler = [h for h in handlers if any(node is inner for inner in ast.walk(h))][-1]  # the innermost
+                caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                names = [ast.unparse(kind) for kind in caught]
+            else:
+                names = [ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)]
+            for name in names:
+                yield top.name, name
+
+
+def test_every_raise_names_an_exit_type_or_is_listed():
+    seen, stray = set(), []
+    for path in sorted(Path(tiltval.__file__).resolve().parent.glob("*.py")):
+        for top, name in _raises(ast.parse(path.read_text(encoding="utf-8"))):
+            if name in _EXIT_TYPES:
+                continue
+            seen.add((path.stem, top, name))
+            if (path.stem, top, name) not in ALLOWED_RAISES:
+                stray.append(f"{path.stem}.{top} raises {name}")
+    assert not stray, f"raise DomainError or VerificationError, or list the raise with its reason: {stray}"
+    assert not set(ALLOWED_RAISES) - seen, "no longer raised: drop it from ALLOWED_RAISES"

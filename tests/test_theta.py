@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import assert_immutable_value
 
-from tiltval.errors import DomainError, WindowError
+from tiltval.errors import DomainError
 from tiltval.theta import (
     CycloElt,
     ThetaValue,
@@ -201,7 +201,7 @@ def test_quasi_periodicity_frozen_window():
     assert overlap == (-3, 3)
     assert checked == 7
     assert check_quasi_periodicity(0, 5)[0]
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match=r"^shift step \|6\| exceeds the truncation radius 5$"):
         check_quasi_periodicity(6, 5)
 
 
@@ -330,7 +330,7 @@ def test_laurent_ratio_consistency():
 
 
 def test_laurent_ratio_guards():
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match="^need n_max >= 3 so both"):
         check_theta_value_laurent(2, 1, 5, n_max=2)  # lowest index -3 not in window
     with pytest.raises(DomainError):
         check_theta_value_laurent(1, 5, 5, n_max=6)  # k = 0 mod ell degenerates
@@ -423,7 +423,7 @@ def test_suite_batches_match_the_per_step_checks(ell):
             assert check_theta_value_laurent_upto(j_max, k, ell, n_max) == per_step
     assert check_quasi_periodicity_upto(0, 4) == ()
     assert check_theta_value_laurent_upto(0, 1, ell, 1) == ()
-    with pytest.raises(WindowError):
+    with pytest.raises(DomainError, match=f"^need n_max >= {ell_star + 1} so both"):
         check_theta_value_laurent_upto(ell_star, 1, ell, ell_star)  # j = ell* needs n_max >= ell* + 1
 
 

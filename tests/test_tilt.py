@@ -15,7 +15,7 @@ from conftest import assert_immutable_value, random_element, random_monomial
 import tiltval
 from tiltval import tilt
 from tiltval.ansatz import frobenius_orbit, is_member, make_ansatz
-from tiltval.errors import ConfigError, DomainError
+from tiltval.errors import DomainError
 from tiltval.loglink import LogLinkChain, PadicUnit, chain_build
 from tiltval.pilot import PilotTuple, theta_set_sample
 from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms
@@ -900,7 +900,7 @@ def test_from_terms_reduces_mod_p():
 
 
 def test_mixed_characteristic_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match="^cannot combine elements over F_2 and F_3$"):
         tilt_mul(TiltElement.monomial(2, 0), TiltElement.monomial(3, 0))
 
 
