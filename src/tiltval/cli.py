@@ -222,7 +222,7 @@ def cmd_verify_theta(cfg: RunConfig) -> Iterator[CheckRecord]:
         n_max=n_max,
         first_mismatch=mismatch or "none",
     )
-    shifts = check_quasi_periodicity_upto(min(ell_star, n_max), n_max)
+    shifts = check_quasi_periodicity_upto(ell_star, n_max)
     for j, (passed, overlap, checked, _) in enumerate(shifts, start=1):
         yield make_check(
             f"theta.quasi_periodicity.j{j}",
@@ -478,7 +478,7 @@ def cmd_sweep_ell(cfg: RunConfig) -> Iterator[CheckRecord]:
         primes_checked=checked,
         limit=cfg.ell_sweep_max,
         failures=failures,
-        last_margin=Fraction(0) if last is None else main_bound_check(last, cfg.v_q).margin,
+        last_margin=main_bound_check(last, cfg.v_q).margin,
     )
     by_sweep = threshold_ell_by_sweep(cfg.ell_sweep_max)
     yield make_check("sweep.threshold_by_sweep", by_sweep == 5, threshold=by_sweep)

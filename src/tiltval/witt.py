@@ -72,10 +72,6 @@ class RhoWeight(Record):
     def one(cls) -> "RhoWeight":
         return cls(Fraction(0), at_one=True)
 
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(0) if self.at_one else self.r
-
 
 class WittExpr(Record):
     """A presentation sum_i [x_i] * p^i with nonzero tilt entries x_i."""
@@ -119,8 +115,7 @@ def gauss_log_norm(w: WittExpr, rho: RhoWeight) -> Fraction | None:
     """
     if w.is_zero:
         return None
-    wt = rho.weight
-    return min(tilt_val(x) + slot * wt for slot, x in w.terms)
+    return min(tilt_val(x) + slot * rho.r for slot, x in w.terms)
 
 
 class PrimitiveDeg1(Record):

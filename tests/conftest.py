@@ -15,6 +15,16 @@ import tiltval
 from tiltval.cli import main
 from tiltval.tilt import TiltElement
 
+# The canonical configs: the defaults; wide ell = 2p + 1 with theta_truncation = p; F_3, with negative
+# Frobenius exponents and lifts whose denominator is not 1; and ell = 3, the equality prime, whose
+# report fails.
+CONFIGS = {
+    "defaults": "{}",
+    "wide": '{"p": 29, "ell": 59, "theta_truncation": 29}',
+    "f3": '{"p": 3, "ell": 19, "frobenius_depth": 5, "v_q": "7/3", "rho_weight": "7/3"}',
+    "ell3": '{"ell": 3}',
+}
+
 
 def random_monomial(rng: random.Random, p: int, max_num: int = 48, max_pow: int = 4) -> TiltElement:
     """A nonzero monomial c * t^(num / p^k) with positive valuation."""

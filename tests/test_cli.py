@@ -170,6 +170,7 @@ _REFUSAL_LINES = {
     '{"ell_sweep_max": 4}': "error: ell_sweep_max must be at least 5, got 4",
     '{"v_q": "0/1"}': "error: v_q must be positive, got 0",
     '{"rho_weight": "-1/2"}': "error: rho_weight must be positive, got -1/2",
+    '{"rho_weight": "0"}': "error: rho_weight must be positive, got 0",
     '{"v_q": "1/2\\n"}': "error: rationals must be \"num/den\" strings, got '1/2\\n'",
     '{"v_q": "\u0663"}': "error: rationals must be \"num/den\" strings, got '\u0663'",
     '{"v_q": "\uff11/\uff12"}': "error: rationals must be \"num/den\" strings, got '\uff11/\uff12'",

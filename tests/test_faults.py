@@ -12,7 +12,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import pytest
-from conftest import replace_everywhere, run_cli, source_patch, write_config
+from conftest import CONFIGS, replace_everywhere, run_cli, source_patch, write_config
 
 from tiltval import loglink, pilot, theta
 from tiltval.ansatz import valuation_profile
@@ -22,13 +22,6 @@ from tiltval.theta import ThetaValue, theta_terms, theta_value
 from tiltval.tilt import TiltElement, tilt_pow
 from tiltval.witt import eta_val, primitive_frobenius
 
-# The defaults, CI's wide config, CI's F_3 config and the equality prime.
-CONFIGS = {
-    "defaults": "{}",
-    "wide": '{"p": 29, "ell": 59, "theta_truncation": 29}',
-    "f3": '{"p": 3, "ell": 19, "frobenius_depth": 5, "v_q": "7/3", "rho_weight": "7/3"}',
-    "ell3": '{"ell": 3}',
-}
 THREE = ("defaults", "wide", "f3")
 DEFAULTS = ("defaults",)
 

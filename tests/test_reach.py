@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import env_with_src
+from conftest import CONFIGS, env_with_src
 
 import tiltval
 
@@ -59,12 +59,8 @@ if code != 0:
 dump()
 """
 
-# The defaults, CI's wide config and CI's F_3 config.
-_CONFIGS = (
-    None,
-    '{"p": 29, "ell": 59, "theta_truncation": 29}',
-    '{"p": 3, "ell": 19, "frobenius_depth": 5, "v_q": "7/3", "rho_weight": "7/3"}',
-)
+# The defaults, with no config file, then the wide and F_3 configs.
+_CONFIGS = (None, CONFIGS["wide"], CONFIGS["f3"])
 
 _GATE = "gate API: tests/test_acceptance.py calls it, or reaches it through a gate API"
 _CONSTRUCTOR = "validating public constructor: the CLI gets these records from kernels that build through _trusted"
@@ -96,7 +92,6 @@ UNREACHED = {
     "tilt.TiltElement.support": _GATE,
     "tilt._table": _MULTI_TERM,
     "tilt._table.power": _MULTI_TERM,
-    "witt.RhoWeight.weight": _GATE,
     "witt.WittExpr.__init__": _GATE,
     "witt.WittExpr.is_zero": _GATE,
     "witt.gauss_log_norm": _GATE,

@@ -4,9 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from conftest import CONFIGS, write_config
 
 from tiltval import cli
-from tiltval.cli import RunConfig
+from tiltval.cli import load_config
 from tiltval.errors import VerificationError
 from tiltval.reporting import GAUGE_NOTES, CheckRecord, CombinedReport, Report, make_check, render_report
 
@@ -31,17 +32,9 @@ def _by_dumps(report):
     return json.dumps(_as_dict(report), indent=2) + "\n"
 
 
-CONFIGS = {
-    "defaults": RunConfig(),
-    "wide": RunConfig(p=29, ell=59, theta_truncation=29),
-    "f3": RunConfig(p=3, ell=19, frobenius_depth=5, v_q=Fraction(7, 3), rho_weight=Fraction(7, 3)),
-    "ell3": RunConfig(ell=3),
-}
-
-
 @pytest.mark.parametrize("name", CONFIGS)
-def test_every_suite_report_matches_json_dumps(name):
-    cfg = CONFIGS[name].validate()
+def test_every_suite_report_matches_json_dumps(tmp_path, name):
+    cfg = load_config(write_config(tmp_path, "c.json", CONFIGS[name]))
     combined = cli.cmd_all(cfg)
     assert combined.passed == (name != "ell3")
     assert render_report(combined, "json") == _by_dumps(combined)

@@ -200,6 +200,7 @@ def test_quasi_periodicity_frozen_window():
     assert passed
     assert overlap == (-3, 3)
     assert checked == 7
+    assert check_quasi_periodicity(1, 1) == (True, (0, 0), 1, None)
     assert check_quasi_periodicity(0, 5)[0]
     with pytest.raises(DomainError, match=r"^shift step \|6\| exceeds the truncation radius 5$"):
         check_quasi_periodicity(6, 5)
