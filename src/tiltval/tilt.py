@@ -15,7 +15,9 @@ elements have equal fields.  phi^n only lowers s by n; it rewrites the
 numerators when s would drop below 0, or to strip factors p when phi^-n
 starts at s = 0.  An integer power follows the base-p digits of its
 exponent, top-down: x^k = phi(x^(k // p)) * x^(k mod p) (``_powers``), so
-the only powers multiplied out are the digit powers x^d with d < p.
+the only powers multiplied out are the digit powers x^d with d < p.  One
+such table serves a whole square-power family (``_power_table``): its
+members share the digit powers and top-down prefixes.
 
 The product kernels put both operands on the larger frame, multiply
 integers and make the result's frame minimal once; their results skip
@@ -30,10 +32,10 @@ sparse x keep the dict table, and so does a power longer than
 
 The test "y == phi^n(a^k)" (:func:`_power_check`) builds no power as an
 element: y's numerators, shifted into a's frame, are compared with an
-entry of one table of a's powers, remembered by that predicate only.  A
-one-term a = c * t^(m / p^s), as every CLI witness is, needs no table:
-y's single (numerator, coefficient) pair, on the shifted frame, must be
-(m * k, c^k mod p).
+entry of one table of a's powers, held by that predicate for every
+member and orbit point it is asked about.  A one-term a = c * t^(m / p^s),
+as every CLI witness is, needs no table: y's single (numerator,
+coefficient) pair, on the shifted frame, must be (m * k, c^k mod p).
 
 A valuation is a plain Fraction, and None stands for the +infinity of
 the zero element.  Fraction exponents are read from the ``terms`` view,
@@ -354,19 +356,27 @@ def _powers(nums: _Nums, p: int) -> tuple[tuple[int, int] | None, Callable[[int]
     ).translate(mod), lambda k: by_dict()(k))
 
 
+def _power_table(x: TiltElement) -> Callable[[int], TiltElement]:
+    """k -> x^k for ints k >= 0, every power read from one ``_powers`` table of x, shared by all k."""
+    layout, power = _powers(x.nums, x.p)
+
+    def element(k: int) -> TiltElement:
+        entry = power(k)
+        if isinstance(entry, dict):
+            nums = sorted(entry.items())
+        else:  # unpacked once: the numerators of the nonzero slots, with their coefficients
+            m0, g = layout
+            base = k * m0
+            nums = list(zip(compress(range(base, base + g * len(entry), g), entry), entry.translate(None, b"\0")))
+        return TiltElement._trusted(x.p, *_minimal(x.p, x.s, nums))
+
+    return element
+
+
 def tilt_pow(x: TiltElement, k: int) -> TiltElement:
     """k-th power for k >= 0 by the base-p digits of k (see the module docstring); k = 0 is the empty product."""
     _require_count(k, "exponent")
-    p = x.p
-    layout, power = _powers(x.nums, p)
-    entry = power(k)
-    if isinstance(entry, dict):
-        nums = sorted(entry.items())
-    else:  # unpacked once: the numerators of the nonzero slots, with their coefficients
-        m0, g = layout
-        base = k * m0
-        nums = list(zip(compress(range(base, base + g * len(entry), g), entry), entry.translate(None, b"\0")))
-    return TiltElement._trusted(p, *_minimal(p, x.s, nums))
+    return _power_table(x)(k)
 
 
 def _power_check(a: TiltElement) -> Callable[..., bool]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import assert_immutable_value, random_monomial, replace_everywhere
 
+from tiltval import tilt
 from tiltval.ansatz import (
     AnsatzPoint,
     frobenius_orbit,
@@ -15,7 +16,7 @@ from tiltval.ansatz import (
     scale_invariance_check,
 )
 from tiltval.errors import DomainError, VerificationError
-from tiltval.tilt import TiltElement, tilt_frobenius, tilt_mul, tilt_pow, tilt_rescale_t
+from tiltval.tilt import TiltElement, _power_table, _powers, tilt_frobenius, tilt_mul, tilt_pow, tilt_rescale_t
 from tiltval.witt import PrimitiveDeg1
 
 
@@ -68,21 +69,36 @@ def test_make_validation():
         make_ansatz(TiltElement.from_terms(2, {}), 5)
 
 
-def test_make_ansatz_forms_each_power_once(monkeypatch):
-    calls = []
-
-    def counted(x, k):
-        calls.append(k)
-        return tilt_pow(x, k)
-
-    monkeypatch.setattr("tiltval.ansatz.tilt_pow", counted)
+def _one_table_families():
+    """(name, generator, ell) for multi-term generators whose families read packed, dict and spilled tables."""
     rng = random.Random(811)
     for ell in (5, 7, 11, 13):
         a = tilt_mul(random_monomial(rng, 3), TiltElement.from_terms(3, {0: 1, Fraction(1, 3): 2}))
-        calls.clear()
+        yield f"packed-p3-ell{ell}", a, ell
+    yield "packed-p2", TiltElement.from_terms(2, {Fraction(1, 2): 1, 1: 1, Fraction(3, 2): 1}), 11
+    yield "packed-p11", TiltElement.from_terms(11, {Fraction(1, 11): 3, Fraction(2, 11): 7}), 13
+    yield "dict-p13", TiltElement.from_terms(13, {Fraction(1, 13): 1, 1: 5}), 7
+    yield "dict-sparse", TiltElement.from_terms(2, {Fraction(1, 8): 1, Fraction(1, 4): 1, 12500: 1}), 11
+    # 255 slots over F_2: a^(j^2) passes _ENTRY_MAX bytes from j = 17, so the top two members spill.
+    yield "spill", TiltElement.from_terms(2, {Fraction(1, 2): 1, 1: 1, Fraction(255, 2): 1}), 37
+
+
+def test_make_ansatz_forms_each_power_once(monkeypatch):
+    tables = []
+    monkeypatch.setattr(tilt, "_powers", lambda nums, p: tables.append(nums) or _powers(nums, p))
+    for name, a, ell in _one_table_families():
+        ell_star = (ell - 1) // 2
+        layout = tilt._packing(a.nums, a.p)
+        assert (layout is not None) == name.startswith(("packed", "spill")), name
+        if name == "spill":
+            assert ell_star**2 > tilt._ENTRY_MAX // ((a.nums[-1][0] - a.nums[0][0]) // layout[1])
+        # the per-member route is the oracle: one tilt_pow, and one table, per member
+        expected = tuple(PrimitiveDeg1(tilt_pow(a, j * j)) for j in range(1, ell_star + 1))
+        tables.clear()
         point = make_ansatz(a, ell)
-        assert calls == [j * j for j in range(1, point.ell_star + 1)]
-        assert point == AnsatzPoint(a=a, ell=ell, members=point.members)  # the public check agrees
+        assert tables == [a.nums], name
+        assert point.members == expected, name
+        assert point == AnsatzPoint(a=a, ell=ell, members=point.members), name  # the public check agrees
 
 
 def test_is_member_frozen():
@@ -193,9 +209,9 @@ def test_an_orbit_kernel_fault_is_a_verification_error(monkeypatch, target, faul
 
 
 def test_a_power_kernel_fault_is_a_verification_error(monkeypatch):
-    # Membership computes its powers itself, so a tilt_pow returning a^(k+1) at every import site
+    # Membership computes its powers itself, so a power table returning a^(k+1) at every import site
     # builds a family that the orbit constructor refuses.
-    replace_everywhere(monkeypatch, tilt_pow, lambda x, k: tilt_pow(x, k + 1))
+    replace_everywhere(monkeypatch, _power_table, lambda x: lambda k, power=_power_table(x): power(k + 1))
     for p in (2, 3):
         a = TiltElement.from_terms(p, {Fraction(1, p): 1, 1: 1})
         with pytest.raises(VerificationError, match="left the ansatz"):
