@@ -7,6 +7,9 @@ Configuration comes from an optional JSON file whose rationals are
 outright, there is no tolerance knob anywhere.  Exit status: 0 when all
 checks pass, 1 when a check fails or a cross-check raises VerificationError,
 2 for a usage error or an input refused with DomainError (or an OSError).
+``main(argv)``, the in-process entry, leaves the garbage collector alone;
+``python -m tiltval`` and the ``tiltval`` command run ``__main__.run``,
+which also freezes it just before the process exits.
 
 Importing this module loads records, errors and tilt (which owns the
 config validators), plus reporting, ansatz and witt.  Those three load
@@ -534,7 +537,3 @@ def main(argv: list[str] | None = None) -> int:
     else:
         sys.stdout.write(rendered)
     return 0 if report.passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

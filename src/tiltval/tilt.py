@@ -296,17 +296,20 @@ def _packing(nums: _Nums, p: int) -> tuple[int, int] | None:
 
 
 def _table(
-    p: int, digits: list, mul: Callable[[Any, Any], Any], spill: Callable[[int], Any] | None = None
+    p: int, digits: list, mul: Callable[[Any, Any], Any], spill: Callable[[], Callable[[int], Any]] | None = None
 ) -> Callable[[int], Any]:
     """k -> base^k by base^k = phi(base^(k // p)) * base^(k mod p), keeping (and sharing) each one built.
 
     digits is [base^0, base], both packed entries or both dicts of numerators to coefficients.  A
-    packed table takes spill, which builds each power longer than ``_ENTRY_MAX`` bytes as a dict.
+    packed table takes spill, which makes the dict table that builds every power longer than
+    ``_ENTRY_MAX`` bytes; it is made once, at the first such power.
     """
     table: dict[int, Any] = {}
     k_max = _ENTRY_MAX // (len(digits[1]) - 1) if spill else 0
+    spilled = None
 
     def power(k: int) -> Any:
+        nonlocal spilled
         if k < p:
             while len(digits) <= k:
                 digits.append(mul(digits[-1], digits[1]))
@@ -314,7 +317,8 @@ def _table(
         got = table.get(k)
         if got is None:
             if spill and k > k_max:
-                got = spill(k)
+                spilled = spilled or spill()
+                got = spilled(k)
             else:
                 high, d = divmod(k, p)
                 h = power(high)
@@ -336,8 +340,9 @@ def _powers(nums: _Nums, p: int) -> tuple[tuple[int, int] | None, Callable[[int]
 
     With a layout (m0, g) from ``_packing``, an entry of at most ``_ENTRY_MAX`` bytes is the byte
     string of the module docstring; any other entry is a dict of a^k's numerators, on a's frame, to
-    coefficients.  A longer power is built by a fresh dict table, so it costs what its result
-    holds.  A single term c * t^(m / p^s) needs no table: its k-th power is c^k t^(k * m / p^s).
+    coefficients.  Every longer power is read from one dict table, built at the first of them, so
+    each costs what its result holds.  A single term c * t^(m / p^s) needs no table: its k-th power
+    is c^k t^(k * m / p^s).
     """
     layout = _packing(nums, p)
     if len(nums) == 1:
@@ -353,7 +358,7 @@ def _powers(nums: _Nums, p: int) -> tuple[tuple[int, int] | None, Callable[[int]
     mod = _RESIDUES[p]
     return layout, _table(p, [b"\x01", bytes(slots)], lambda x, y: (
         (int.from_bytes(x, "little") * int.from_bytes(y, "little")).to_bytes(len(x) + len(y) - 1, "little")
-    ).translate(mod), lambda k: by_dict()(k))
+    ).translate(mod), by_dict)
 
 
 def _power_table(x: TiltElement) -> Callable[[int], TiltElement]:

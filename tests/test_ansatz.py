@@ -79,24 +79,36 @@ def _one_table_families():
     yield "packed-p11", TiltElement.from_terms(11, {Fraction(1, 11): 3, Fraction(2, 11): 7}), 13
     yield "dict-p13", TiltElement.from_terms(13, {Fraction(1, 13): 1, 1: 5}), 7
     yield "dict-sparse", TiltElement.from_terms(2, {Fraction(1, 8): 1, Fraction(1, 4): 1, 12500: 1}), 11
-    # 255 slots over F_2: a^(j^2) passes _ENTRY_MAX bytes from j = 17, so the top two members spill.
-    yield "spill", TiltElement.from_terms(2, {Fraction(1, 2): 1, 1: 1, Fraction(255, 2): 1}), 37
+    # 255 slots over F_2: a^(j^2) passes _ENTRY_MAX bytes from j = 17, so the top two, four and five
+    # members spill at ell 37, 41 and 43.
+    for ell in (37, 41, 43):
+        yield f"spill-ell{ell}", TiltElement.from_terms(2, {Fraction(1, 2): 1, 1: 1, Fraction(255, 2): 1}), ell
 
 
 def test_make_ansatz_forms_each_power_once(monkeypatch):
-    tables = []
+    tables, kinds = [], []
     monkeypatch.setattr(tilt, "_powers", lambda nums, p: tables.append(nums) or _powers(nums, p))
+    table = tilt._table
+
+    def kind_table(p, digits, *more):  # bytes for a packed table, dict for a dict one
+        kinds.append(type(digits[1]))
+        return table(p, digits, *more)
+
+    monkeypatch.setattr(tilt, "_table", kind_table)
     for name, a, ell in _one_table_families():
         ell_star = (ell - 1) // 2
         layout = tilt._packing(a.nums, a.p)
         assert (layout is not None) == name.startswith(("packed", "spill")), name
-        if name == "spill":
+        if name.startswith("spill"):
             assert ell_star**2 > tilt._ENTRY_MAX // ((a.nums[-1][0] - a.nums[0][0]) // layout[1])
         # the per-member route is the oracle: one tilt_pow, and one table, per member
         expected = tuple(PrimitiveDeg1(tilt_pow(a, j * j)) for j in range(1, ell_star + 1))
         tables.clear()
+        kinds.clear()
         point = make_ansatz(a, ell)
         assert tables == [a.nums], name
+        spilled = [dict] if name.startswith("spill") else []  # every spilled member reads one dict table
+        assert kinds == ([dict] if layout is None else [bytes, *spilled]), name
         assert point.members == expected, name
         assert point == AnsatzPoint(a=a, ell=ell, members=point.members), name  # the public check agrees
 

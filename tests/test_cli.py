@@ -1,5 +1,7 @@
 """Config parsing, exit codes, and report rendering through the real entry point."""
 
+import ast
+import gc
 import json
 import random
 import re
@@ -7,10 +9,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import wraps
+from pathlib import Path
 
 import pytest
 from conftest import (
-    assert_immutable_value, env_with_src, random_monomial, replace_everywhere, run_cli, write_config
+    CONFIGS, assert_immutable_value, env_with_src, random_monomial, replace_everywhere, run_cli, write_config
 )
 
 from tiltval import cli
@@ -360,12 +363,15 @@ def test_argparse_usage_exits_two(capsys):
 
 
 def test_repeated_main_calls_match_first_calls(tmp_path, capsys):
-    # main builds its parser once per process; each call must still behave like the first.
+    # main builds its parser once per process; each call must still behave like the first.  The first
+    # call of each is the process entry, so it also exits as main returns, on 0, 1 and 2.
     target = tmp_path / "report.csv"
     calls = (
         ["all", "--format", "json"],
         ["loglink", "--format", "csv"],
         ["bound", "--format", "yaml"],
+        ["all", "--format", "csv", "--config", write_config(tmp_path, "ell3.json", CONFIGS["ell3"])],
+        ["all", "--format", "json", "--config", write_config(tmp_path, "ell4.json", '{"ell": 4}')],
         ["loglink", "--format", "csv", "--seed", "3", "--output", str(target)],
     )
     for argv in calls:
@@ -383,6 +389,55 @@ def test_repeated_main_calls_match_first_calls(tmp_path, capsys):
         assert captured.out.encode() == first.stdout and captured.err.encode() == first.stderr, argv
         assert (target.read_bytes() if target.exists() else None) == written, argv
     assert written  # the last call wrote its report to the file
+
+
+def test_main_leaves_the_collector_alone(tmp_path, capsys):
+    # The in-process entry, which tests and benchmark workers call, neither freezes nor disables it.
+    for payload, code in (("{}", 0), (CONFIGS["ell3"], 1), ('{"ell": 4}', 2)):
+        assert run_cli(capsys, "bound", "--config", write_config(tmp_path, "c.json", payload))[0] == code
+        assert (gc.get_freeze_count(), gc.isenabled()) == (0, True), payload
+
+
+# Runs the process entry as `python -m tiltval` does, on sys.argv[1:], and prints the collector's
+# frozen count before the entry runs and, from an exit hook, after it.
+_FREEZE_PROBE = r"""
+import atexit, gc, runpy, sys
+
+print("before", gc.get_freeze_count())
+atexit.register(lambda: print("at exit", gc.get_freeze_count()))
+sys.argv[0] = "tiltval"
+runpy.run_module("tiltval", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize(
+    "payload, usage, code",
+    [("{}", [], 0), (CONFIGS["ell3"], [], 1), ('{"ell": 4}', [], 2), ("{}", ["--format", "yaml"], 2)],
+    ids=["pass", "fail", "refused", "usage"],
+)
+def test_the_process_entry_freezes_the_heap_before_exit(tmp_path, payload, usage, code):
+    # The heap is frozen before exit on every status, also when argparse exits on a usage error.
+    argv = ["bound", "--config", write_config(tmp_path, "c.json", payload), *usage]
+    result = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, *argv], env=env_with_src(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == code, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "before 0"
+    label, _, frozen = lines[-1].rpartition(" ")
+    assert label == "at exit" and int(frozen) > 0
+
+
+def test_the_installed_command_runs_what_python_m_tiltval_runs():
+    # pyproject.toml is read as text: tomllib is not in Python 3.10.
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.fullmatch(r'tiltval = "([\w.]+):(\w+)"', scripts.strip())
+    entry = Path(cli.__file__).with_name("__main__.py")
+    guard, = (node for node in ast.parse(entry.read_text(encoding="utf-8")).body if isinstance(node, ast.If))
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in guard.body] == [f"{target[2]}()"]
+    assert target[1] == "tiltval.__main__"
 
 
 def test_help_lists_the_six_commands_in_table_order(capsys):

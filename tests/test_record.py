@@ -18,8 +18,7 @@ from tiltval.theta import ThetaValue, theta_value
 from tiltval.tilt import TiltElement
 
 for _module in pkgutil.iter_modules(tiltval.__path__):  # every module that defines a record, in any run order
-    if _module.name != "__main__":
-        importlib.import_module(f"tiltval.{_module.name}")
+    importlib.import_module(f"tiltval.{_module.name}")
 RECORDS = sorted(Record.__subclasses__(), key=lambda cls: (cls.__module__, cls.__qualname__))
 
 
