@@ -12,7 +12,9 @@ checks pass, 1 when a check fails or a cross-check raises VerificationError,
 which also freezes it just before the process exits.
 
 Importing this module loads records, errors and tilt (which owns the
-config validators), plus reporting, ansatz and witt.  Those three load
+config validators), plus reporting, ansatz and witt, but not argparse:
+``main`` reads an argv of the plain form itself, and only any other argv
+(--help, a usage error) imports and builds the parser.  Those three load
 here because perfbench/tracer.py's ``install()`` lists the loaded
 tiltval modules before it imports each target's home module.  A home
 that ``install()`` imports first is patched in no namespace: a deferred
@@ -28,13 +30,12 @@ builder.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 import time
 from fractions import Fraction
-from functools import cache, wraps
+from functools import wraps
 from typing import Callable, Iterator
 
 from ._record import Record
@@ -171,6 +172,9 @@ _SUITES = {
     "loglink": "p-adic log rules, valuation chains, epsilon thresholds",
     "sweep-ell": "bound threshold over all odd primes up to the limit",
 }
+_COMMANDS = {**_SUITES, "all": "every suite in order"}
+_OPTIONS = {"--config": "config", "--output": "output", "--format": "fmt", "--seed": "seed"}
+_SEED_RE = re.compile(r"-?[0-9]+")  # --seed takes a config integer's syntax: ASCII digits after an optional minus
 
 
 def _command(name: str) -> Callable[[RunConfig], AnyReport]:
@@ -497,29 +501,59 @@ def cmd_all(cfg: RunConfig) -> CombinedReport:
     return CombinedReport(suites=suites, config_echo=cfg.echo(), gauges=GAUGE_NOTES, wall_ms=_wall_ms(started))
 
 
-@cache  # built on the first main() call, not at import; parse_args leaves the parser as it was
-def _build_parser() -> argparse.ArgumentParser:
-    """One flat parser: the command is a positional, so options may come before or after it."""
-    commands = {**_SUITES, "all": "every suite in order"}
+def _plain_args(argv: list[str]) -> dict | None:
+    """argv read without argparse: one command and options, each with a valid value not starting "-"; else None."""
+    args = dict.fromkeys(("command", *_OPTIONS.values()))
+    words = iter(argv)
+    for word in words:
+        if word in _OPTIONS and not (value := next(words, "-")).startswith("-"):
+            # argparse checks each value of a repeated option, and the last one wins.  int() converts a seed of 640
+            # digits under any digit limit; argparse reads a longer one, and refuses it past the limit.
+            if word == "--format" and value not in _FORMATS:
+                return None
+            if word == "--seed" and not (len(value) <= 640 and _SEED_RE.fullmatch(value)):
+                return None
+            args[_OPTIONS[word]] = int(value) if word == "--seed" else value
+        elif args["command"] is None and word in _COMMANDS:
+            args["command"] = word
+        else:
+            return None
+    return args if args["command"] else None
+
+
+def _read_argv(argv: list[str] | None) -> dict:
+    """The command and options of argv (sys.argv[1:] when None): read by _plain_args, else by argparse.
+
+    Only an argv outside _plain_args's form (none, -h, --opt=value, an abbreviation, --, a value that starts with
+    "-", a usage error) imports and builds the parser, so help text, error text and exit codes are argparse's.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if (args := _plain_args(argv)) is not None:
+        return args
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tiltval",
         description="Exact verification suites for tilt valuations, theta identities, and log chains.",
-        epilog="commands:\n" + "\n".join(f"  {name:<14}{text}" for name, text in commands.items()),
+        epilog="commands:\n" + "\n".join(f"  {name:<14}{text}" for name, text in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("command", choices=tuple(commands), help="the suite to run, listed below")
+    parser.add_argument("command", choices=tuple(_COMMANDS), help="the suite to run, listed below")
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=_FORMATS, dest="fmt", help="report format")
-    parser.add_argument("--seed", type=int, help="seed for randomized trials")
-    return parser
+    # A failed match raises TypeError, which argparse reports with the type's name: "invalid int value: 'x'".
+    seed = lambda text: int(_SEED_RE.fullmatch(text)[0])
+    seed.__name__ = "int"
+    parser.add_argument("--seed", type=seed, help="seed for randomized trials")
+    return vars(parser.parse_args(argv))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _read_argv(argv)
     try:
-        cfg = load_config(args.config, seed=args.seed, output_format=args.fmt)
-        report = _command(args.command)(cfg)
+        cfg = load_config(args["config"], seed=args["seed"], output_format=args["fmt"])
+        report = _command(args["command"])(cfg)
         rendered = render_report(report, cfg.output_format)  # refuses a leaf that is not exact
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -527,9 +561,9 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
-    if args.output:
+    if args["output"]:
         try:
-            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            with open(args["output"], "w", encoding="utf-8", newline="") as handle:
                 handle.write(rendered)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import itertools
 import json
 import random
 import re
@@ -128,11 +129,14 @@ _IMPORT_TIME_SUBMODULES = {"_record", "ansatz", "cli", "errors", "reporting", "t
         (["loglink"], None, {"loglink"}),
         (["ansatz"], None, {"theta", "pilot"}),
         (["all"], None, {"theta", "pilot", "loglink"}),
+        (["--help"], None, {"argparse"}),
+        (["bogus"], None, {"argparse"}),
     ],
-    ids=["import", "refused", "verify-theta", "bound", "sweep-ell", "loglink", "ansatz", "all"],
+    ids=["import", "refused", "verify-theta", "bound", "sweep-ell", "loglink", "ansatz", "all", "help", "usage"],
 )
 def test_a_command_loads_only_the_suites_it_runs(tmp_path, argv, config, loaded):
-    # A fresh interpreter per case: here pytest has already imported every module.
+    # A fresh interpreter per case: here pytest has already imported every module.  argparse loads
+    # only for an argv that main does not read itself: --help and a usage error here.
     if argv is not None:
         argv = [*argv, "--format", "json", "--output", str(tmp_path / "report.json")]
         if config is not None:
@@ -142,9 +146,13 @@ def test_a_command_loads_only_the_suites_it_runs(tmp_path, argv, config, loaded)
             "import json, sys",
             "from tiltval.cli import main",
             "argv = json.loads(sys.argv[1])",
-            "if argv is not None:",
-            "    main(argv)",
-            "print(sorted(m for m in sys.modules if m == 'tiltval' or m.startswith('tiltval.')))",
+            "try:",
+            "    if argv is not None:",
+            "        main(argv)",
+            "except SystemExit:",
+            "    pass",
+            "names = (m.removeprefix('tiltval.') for m in sys.modules if m.startswith('tiltval.'))",
+            "print(sorted({*names, *({'tiltval', 'argparse'} & set(sys.modules))}))",
         ]
     )
     result = subprocess.run(
@@ -154,8 +162,8 @@ def test_a_command_loads_only_the_suites_it_runs(tmp_path, argv, config, loaded)
         text=True,
         timeout=60,
     )
-    expected = sorted({"tiltval", *(f"tiltval.{name}" for name in _IMPORT_TIME_SUBMODULES | loaded)})
-    assert result.stdout.strip() == repr(expected), result.stderr
+    expected = sorted({"tiltval", *_IMPORT_TIME_SUBMODULES, *loaded})
+    assert result.stdout.splitlines()[-1] == repr(expected), result.stderr  # after --help's page
 
 
 # The error line of each refused config, as every earlier release printed it.
@@ -363,8 +371,9 @@ def test_argparse_usage_exits_two(capsys):
 
 
 def test_repeated_main_calls_match_first_calls(tmp_path, capsys):
-    # main builds its parser once per process; each call must still behave like the first.  The first
-    # call of each is the process entry, so it also exits as main returns, on 0, 1 and 2.
+    # main reads a plain argv itself and builds argparse's parser afresh for any other; each call must
+    # still behave like the first.  The first call of each is the process entry, so it also exits as
+    # main returns, on 0, 1 and 2.
     target = tmp_path / "report.csv"
     calls = (
         ["all", "--format", "json"],
@@ -457,12 +466,95 @@ def test_options_may_come_before_the_command(tmp_path, capsys):
     before = run_cli(capsys, "--format", "csv", "--config", path, "--seed", "3", "loglink")
     between = run_cli(capsys, "--format", "csv", "loglink", "--config", path, "--seed", "3")
     assert after == before == between and after[0] == 0 and after[1].startswith("suite,check,passed,witness")
+    # argparse reads these two spellings of --format csv: the same bytes.
+    joined = run_cli(capsys, "loglink", "--format=csv", "--config", path, "--seed", "3")
+    abbreviated = run_cli(capsys, "loglink", "--form", "csv", "--config", path, "--seed", "3")
+    assert joined == abbreviated == after
     for argv in (["loglink", "bound"], ["--seed", "3"], ["bogus"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: tiltval [-h]") and "\ntiltval: error: " in err
+
+
+@pytest.mark.parametrize(
+    "seed, code",
+    [
+        ("3", 0), ("-3", 0), ("9" * 640, 0), ("9" * 641, 0),
+        ("\u0663", 2), (" 3", 2), ("3_0", 2), ("+3", 2), ("1" * 5000, 2),
+    ],
+    ids=["3", "-3", "640-digits", "641-digits", "arabic-indic", "space", "underscore", "plus", "past-int-limit"],
+)
+def test_seed_takes_the_config_integer_syntax(capsys, seed, code):
+    # ASCII digits after an optional minus, as a config's rationals; int() alone takes " 3", "3_0", "+3"
+    # and other scripts' digits.  A seed past the interpreter's int digit limit is refused as argparse refused it.
+    try:
+        result = run_cli(capsys, "loglink", "--format", "json", "--seed", seed)
+    except SystemExit as exc:
+        result = (exc.code, *capsys.readouterr())
+    if code == 0:
+        assert result[0] == 0 and json.loads(result[1])["config"]["seed"] == seed
+    else:
+        out, err = result[1:]
+        assert (result[0], out) == (2, "") and err.startswith("usage: tiltval [-h]")
+        assert err.endswith(f"\ntiltval: error: argument --seed: invalid int value: {seed!r}\n")
+
+
+# Words an argv is drawn from: commands, the options in their plain, joined and abbreviated
+# spellings, help, the -- separator, and values, odd seeds among them.
+_OPTION_WORDS = ("--config", "--output", "--format", "--seed")
+_ODD_WORDS = ("--format=csv", "--seed=3", "--form", "--conf", "--s", "--", "-h", "--help", "bogus")
+_VALUES = ("c.json", "csv", "json", "text", "xml", "all", "bound", "", "7", "-3", "+3", " 3", "3_0", "\u0663", "-x")
+_VALUES += ("9" * 641,)  # past the plain reader's 640 digits, so argparse reads it
+
+
+def _argv_corpus(rng: random.Random, count: int) -> list[list[str]]:
+    """Every order of the four options around a command, each option repeated twice, then count random argvs."""
+    plain = dict(zip(_OPTION_WORDS, ("c.json", "out.txt", "csv", "7")))
+    corpus = []
+    for order in itertools.permutations(_OPTION_WORDS):
+        words = [[option, plain[option]] for option in order]
+        corpus += [sum(words[:i], []) + ["all"] + sum(words[i:], []) for i in range(len(words) + 1)]
+    again = dict(zip(_OPTION_WORDS, ("d.json", "all", "json", "-3")))  # a repeat: the last value wins
+    corpus += [[option, plain[option], "bound", option, again[option]] for option in _OPTION_WORDS]
+    bad = dict(zip(_OPTION_WORDS, ("", "", "xml", "+3")))  # argparse refuses a bad value that a later one replaces
+    corpus += [[option, bad[option], "bound", option, plain[option]] for option in _OPTION_WORDS]
+    for _ in range(count):
+        argv = []
+        for kind in rng.choices(("command", "option", "bare", "odd"), weights=(2, 4, 1, 1), k=rng.randrange(6)):
+            if kind == "command":
+                argv.append(rng.choice(tuple(cli._COMMANDS)))
+            elif kind == "option":
+                option = rng.choice(_OPTION_WORDS + _ODD_WORDS[:3])
+                argv += [option, plain.get(option, "7") if rng.random() < 0.5 else rng.choice(_VALUES)]
+            elif kind == "bare":
+                argv.append(rng.choice(_OPTION_WORDS))  # an option with no value, unless a word follows
+            else:
+                argv.append(rng.choice(_ODD_WORDS + _VALUES))
+        corpus.append(argv)
+    return corpus
+
+
+def test_the_plain_reader_agrees_with_argparse(monkeypatch, capsys):
+    # argparse is the reference: wherever main reads argv itself, it must read what argparse reads,
+    # and wherever argparse exits, main must hand argv to argparse.
+    plain_args = cli._plain_args
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)  # _read_argv now always asks argparse
+    read = refused = 0
+    for argv in _argv_corpus(random.Random(39), 3000):
+        plain = plain_args(argv)
+        try:
+            reference = cli._read_argv(argv)
+        except SystemExit:
+            assert plain is None, argv
+            refused += 1
+            continue
+        if plain is not None:
+            assert plain == reference, argv
+            read += 1
+    capsys.readouterr()
+    assert read >= 200 and refused >= 200  # the corpus reaches both branches
 
 
 def test_commands_reach_each_suite_through_its_module_attribute(monkeypatch, capsys):
