@@ -9,8 +9,9 @@ ell and forms every member a^(j^2) itself, from one table of a's powers.
 Membership of a given tuple is decidable exactly: the candidate generator
 is read off the first entry and the remaining entries must equal its
 j^2-th powers on the nose, compared as integer numerators on a's exponent
-frame (see ``tilt``), each power of a built once per generator.  No root
-is taken, so no numerical tolerance either.
+frame (see ``tilt``), each power of a built once per generator: the
+table ``make_ansatz`` built serves it.  No root is taken, so no numerical
+tolerance either.
 
 Frobenius acts on a point member by member, and the images must again
 be the square powers of the image generator.  phi^n(a) is a's numerators
@@ -81,7 +82,8 @@ class AnsatzPoint(Record):
 def make_ansatz(a: TiltElement, ell: int) -> AnsatzPoint:
     """Build the family ([a^(j^2)] - p)_j for j = 1 .. (ell - 1)/2, ell an odd prime other than p.
 
-    Every member is formed as a^(j^2), so the constructor's power check holds, all from one table of a's powers."""
+    Every member is formed as a^(j^2), so the constructor's power check holds, all from one table of a's powers;
+    ``tilt._powers`` keeps that table, so the family's orbit and membership checks read it too."""
     _require_family_ell(ell, a.p)
     power = _power_table(a)
     members = tuple(PrimitiveDeg1(power(j * j)) for j in range(1, (ell - 1) // 2 + 1))
@@ -94,7 +96,9 @@ def is_member(members: Sequence[PrimitiveDeg1]) -> bool:
     The only possible generator is the first entry's element, since the
     j = 1 member is a itself; every later entry is then compared against
     the forced power on integer exponents, each power of the generator
-    built once for the whole tuple.  Mismatched ground fields simply fail.
+    built once for the whole tuple, or read from the table that
+    ``make_ansatz`` or an orbit check on the same numerators built.
+    Mismatched ground fields simply fail.
     """
     if not members:
         raise DomainError("membership needs at least one entry")
@@ -108,7 +112,8 @@ def frobenius_orbit(point: AnsatzPoint, window: tuple[int, int]) -> tuple[Ansatz
     Each point's members are the images phi^n([a^(j^2)] - p) of the
     given point's members.  One predicate on a (``_power_check``) makes
     the ``AnsatzPoint`` constructor's comparisons for every n, each
-    a^(j^2) built once for the whole orbit, so every orbit point verifies
+    a^(j^2) read from the one table of a's numerators (the one
+    ``make_ansatz`` built, while the cache holds it), so every orbit point verifies
     that Frobenius commutes with the square powers.  A mismatch there is
     a kernel fault, not bad input, and raises VerificationError.
     """

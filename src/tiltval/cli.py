@@ -561,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
-    if args["output"]:
+    if args["output"] is not None:  # an empty path is refused, as open() refuses it
         try:
             with open(args["output"], "w", encoding="utf-8", newline="") as handle:
                 handle.write(rendered)

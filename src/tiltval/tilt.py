@@ -16,8 +16,10 @@ numerators when s would drop below 0, or to strip factors p when phi^-n
 starts at s = 0.  An integer power follows the base-p digits of its
 exponent, top-down: x^k = phi(x^(k // p)) * x^(k mod p) (``_powers``), so
 the only powers multiplied out are the digit powers x^d with d < p.  One
-such table serves a whole square-power family (``_power_table``): its
-members share the digit powers and top-down prefixes.
+such table serves a whole square-power family (``_power_table``), whose
+members share the digit powers and top-down prefixes, and its Frobenius
+orbit: ``_powers`` caches its last table on (nums, p), and phi^n(a)
+keeps a's numerators.
 
 The product kernels put both operands on the larger frame, multiply
 integers and make the result's frame minimal once; their results skip
@@ -32,8 +34,8 @@ sparse x keep the dict table, and so does a power longer than
 
 The test "y == phi^n(a^k)" (:func:`_power_check`) builds no power as an
 element: y's numerators, shifted into a's frame, are compared with an
-entry of one table of a's powers, held by that predicate for every
-member and orbit point it is asked about.  A one-term a = c * t^(m / p^s),
+entry of a's one cached power table, read for every member and orbit
+point it is asked about.  A one-term a = c * t^(m / p^s),
 as every CLI witness is, needs no table: y's single (numerator,
 coefficient) pair, on the shifted frame, must be (m * k, c^k mod p).
 
@@ -51,6 +53,7 @@ The integer rule is ``_is_int``, an int and not a bool.  ``is_prime``,
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, lcm
 from typing import Any, Callable, Mapping, Union
@@ -296,27 +299,27 @@ def _packing(nums: _Nums, p: int) -> tuple[int, int] | None:
 
 
 def _table(
-    p: int, digits: list, mul: Callable[[Any, Any], Any], spill: Callable[[], Callable[[int], Any]] | None = None
+    p: int, table: dict, mul: Callable[[Any, Any], Any], spill: Callable[[], Callable[[int], Any]] | None = None
 ) -> Callable[[int], Any]:
     """k -> base^k by base^k = phi(base^(k // p)) * base^(k mod p), keeping (and sharing) each one built.
 
-    digits is [base^0, base], both packed entries or both dicts of numerators to coefficients.  A
-    packed table takes spill, which makes the dict table that builds every power longer than
-    ``_ENTRY_MAX`` bytes; it is made once, at the first such power.
+    table is {0: base^0, 1: base}, both packed entries or both dicts of numerators to coefficients; each
+    power built, digit powers too, is stored under its exponent, so the entry for k is the same whatever
+    asked first.  A packed table takes spill, which makes the dict table that builds every power longer
+    than ``_ENTRY_MAX`` bytes; it is made once, at the first such power.
     """
-    table: dict[int, Any] = {}
-    k_max = _ENTRY_MAX // (len(digits[1]) - 1) if spill else 0
+    base = table[1]
+    k_max = _ENTRY_MAX // (len(base) - 1) if spill else 0
     spilled = None
 
     def power(k: int) -> Any:
         nonlocal spilled
-        if k < p:
-            while len(digits) <= k:
-                digits.append(mul(digits[-1], digits[1]))
-            return digits[k]
         got = table.get(k)
         if got is None:
-            if spill and k > k_max:
+            if k < p:  # a digit power: each missing one up to k is built from the one below it
+                for d in range(2, k + 1):
+                    got = table[d] = table.get(d) or mul(table[d - 1], base)
+            elif spill and k > k_max:
                 spilled = spilled or spill()
                 got = spilled(k)
             else:
@@ -335,6 +338,7 @@ def _table(
     return power
 
 
+@lru_cache(maxsize=1)
 def _powers(nums: _Nums, p: int) -> tuple[tuple[int, int] | None, Callable[[int], Any]]:
     """(layout, power): power(k) is a^k for the element with these terms, each power built once.
 
@@ -342,13 +346,15 @@ def _powers(nums: _Nums, p: int) -> tuple[tuple[int, int] | None, Callable[[int]
     string of the module docstring; any other entry is a dict of a^k's numerators, on a's frame, to
     coefficients.  Every longer power is read from one dict table, built at the first of them, so
     each costs what its result holds.  A single term c * t^(m / p^s) needs no table: its k-th power
-    is c^k t^(k * m / p^s).
+    is c^k t^(k * m / p^s).  The last answer is cached on (nums, p), not s, so phi^n(a) reads a's
+    table.  One table is live at a time, as large as the largest power asked of it; the next call
+    on other terms releases it.
     """
     layout = _packing(nums, p)
     if len(nums) == 1:
         (m, c), = nums
         return None, lambda k: {m * k: pow(c, k, p)}
-    by_dict = lambda: _table(p, [{0: 1}, dict(nums)], lambda x, y: _convolve(x, y, p))
+    by_dict = lambda: _table(p, {0: {0: 1}, 1: dict(nums)}, lambda x, y: _convolve(x, y, p))
     if layout is None:
         return None, by_dict()
     m0, g = layout
@@ -356,7 +362,7 @@ def _powers(nums: _Nums, p: int) -> tuple[tuple[int, int] | None, Callable[[int]
     for m, c in nums:
         slots[(m - m0) // g] = c
     mod = _RESIDUES[p]
-    return layout, _table(p, [b"\x01", bytes(slots)], lambda x, y: (
+    return layout, _table(p, {0: b"\x01", 1: bytes(slots)}, lambda x, y: (
         (int.from_bytes(x, "little") * int.from_bytes(y, "little")).to_bytes(len(x) + len(y) - 1, "little")
     ).translate(mod), by_dict)
 
@@ -389,9 +395,10 @@ def _power_check(a: TiltElement) -> Callable[..., bool]:
 
     phi^n(a^k) has a^k's numerators over p^(s_a - n), so y's numerators times p^(s_a - n - s_y)
     must be those of a^k; ``up`` and ``down`` keep both sides integers.  A one-term a = c * t^(m / p^s_a)
-    needs no table: y must be the one term (m * k, c^k mod p).  Any other a reads one ``_powers``
-    table, shared by every call: a packed entry by its count of nonzero slots, then y's terms at
-    their slots; a dict entry by its length, then as one dict.
+    needs no table: y must be the one term (m * k, c^k mod p).  Any other a reads the ``_powers``
+    table of its (nums, p), shared by every call and by every caller on a or phi^n(a) while the
+    cache holds it: a packed entry by its count of nonzero slots, then y's terms at their slots; a
+    dict entry by its length, then as one dict.
     """
     p, s, nums = a.p, a.s, a.nums
     if len(nums) == 1:

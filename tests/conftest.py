@@ -13,7 +13,7 @@ import pytest
 
 import tiltval
 from tiltval.cli import main
-from tiltval.tilt import TiltElement
+from tiltval.tilt import TiltElement, _powers, tilt_pow
 
 # The canonical configs: the defaults; wide ell = 2p + 1 with theta_truncation = p; F_3, with negative
 # Frobenius exponents and lifts whose denominator is not 1; and ell = 3, the equality prime, whose
@@ -24,6 +24,18 @@ CONFIGS = {
     "f3": '{"p": 3, "ell": 19, "frobenius_depth": 5, "v_q": "7/3", "rho_weight": "7/3"}',
     "ell3": '{"ell": 3}',
 }
+
+
+@pytest.fixture(autouse=True)
+def empty_power_cache():
+    """Each test starts with an empty power-table cache, so none reads a table that another test built."""
+    _powers.cache_clear()
+
+
+def fresh_pow(x: TiltElement, k: int) -> TiltElement:
+    """tilt_pow(x, k) from a table of its own, filled for k alone, as if no call had cached one."""
+    _powers.cache_clear()
+    return tilt_pow(x, k)
 
 
 def random_monomial(rng: random.Random, p: int, max_num: int = 48, max_pow: int = 4) -> TiltElement:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import assert_immutable_value, random_monomial, replace_everywhere
+from conftest import assert_immutable_value, fresh_pow, random_monomial, replace_everywhere
 
 from tiltval import tilt
 from tiltval.ansatz import (
@@ -85,24 +85,30 @@ def _one_table_families():
         yield f"spill-ell{ell}", TiltElement.from_terms(2, {Fraction(1, 2): 1, 1: 1, Fraction(255, 2): 1}), ell
 
 
-def test_make_ansatz_forms_each_power_once(monkeypatch):
-    tables, kinds = [], []
-    monkeypatch.setattr(tilt, "_powers", lambda nums, p: tables.append(nums) or _powers(nums, p))
-    table = tilt._table
+def _table_kinds(monkeypatch):
+    """The kinds of the tables built from here on: bytes for a packed table, dict for a dict one."""
+    kinds, table = [], tilt._table
 
-    def kind_table(p, digits, *more):  # bytes for a packed table, dict for a dict one
+    def kind_table(p, digits, *more):
         kinds.append(type(digits[1]))
         return table(p, digits, *more)
 
     monkeypatch.setattr(tilt, "_table", kind_table)
+    return kinds
+
+
+def test_make_ansatz_forms_each_power_once(monkeypatch):
+    tables, kinds = [], _table_kinds(monkeypatch)
+    monkeypatch.setattr(tilt, "_powers", lambda nums, p: tables.append(nums) or _powers(nums, p))
     for name, a, ell in _one_table_families():
         ell_star = (ell - 1) // 2
         layout = tilt._packing(a.nums, a.p)
         assert (layout is not None) == name.startswith(("packed", "spill")), name
         if name.startswith("spill"):
             assert ell_star**2 > tilt._ENTRY_MAX // ((a.nums[-1][0] - a.nums[0][0]) // layout[1])
-        # the per-member route is the oracle: one tilt_pow, and one table, per member
-        expected = tuple(PrimitiveDeg1(tilt_pow(a, j * j)) for j in range(1, ell_star + 1))
+        # the per-member route is the oracle: one tilt_pow, and one fresh table, per member
+        expected = tuple(PrimitiveDeg1(fresh_pow(a, j * j)) for j in range(1, ell_star + 1))
+        _powers.cache_clear()  # the oracle and make_ansatz share no table
         tables.clear()
         kinds.clear()
         point = make_ansatz(a, ell)
@@ -111,6 +117,23 @@ def test_make_ansatz_forms_each_power_once(monkeypatch):
         assert kinds == ([dict] if layout is None else [bytes, *spilled]), name
         assert point.members == expected, name
         assert point == AnsatzPoint(a=a, ell=ell, members=point.members), name  # the public check agrees
+
+
+def test_a_family_check_reads_one_table(monkeypatch):
+    # The generator-family check: make_ansatz, the orbit over phi^-1..phi^1, then is_member on each orbit
+    # point and on the family with a tampered tail.  phi^n(a) keeps a's numerators, so all of it reads the
+    # one table make_ansatz built (with its one dict table for spilled members).
+    kinds = _table_kinds(monkeypatch)
+    for name, a, ell in _one_table_families():
+        _powers.cache_clear()
+        kinds.clear()
+        point = make_ansatz(a, ell)
+        orbit = frobenius_orbit(point, (-1, 1))
+        tail = PrimitiveDeg1(tilt_mul(point.members[-1].a, TiltElement.monomial(a.p, 1)))
+        assert [is_member(o.members) for o in orbit] == [True] * 3, name
+        assert not is_member((*point.members[:-1], tail)), name
+        expected = [dict] if name.startswith("dict") else [bytes, dict] if name.startswith("spill") else [bytes]
+        assert kinds == expected, name
 
 
 def test_is_member_frozen():

@@ -328,6 +328,23 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, plain",
+    [
+        pytest.param(["bound", "--format", "csv", "--output", ""], True, id="output-plain"),
+        pytest.param(["bound", "--format", "csv", "--output="], False, id="output-argparse"),
+        pytest.param(["bound", "--format", "csv", "--config", ""], True, id="config-plain"),
+        pytest.param(["bound", "--format", "csv", "--config="], False, id="config-argparse"),
+    ],
+)
+def test_an_empty_path_is_refused(capsys, argv, plain):
+    # An empty --output names no file it could write, so it is refused as an empty --config is,
+    # not read as "no --output".  Both argv routes read the empty value.
+    assert (cli._plain_args(argv) is not None) == plain
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, (code, out, err)
+
+
+@pytest.mark.parametrize(
     "payload, message",
     [
         ('{"p": 3}', "power of p = 3"),  # verify-theta and bound run, then ansatz refuses

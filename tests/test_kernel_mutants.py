@@ -27,6 +27,11 @@ class Mutant(NamedTuple):
     patch: Callable
     family: tuple[dict, int, int]  # (p, generator terms, ell)
 
+    def apply(self, monkeypatch):
+        """Patch, then empty the power-table cache: a mutant process never holds a table the correct kernel built."""
+        self.patch(monkeypatch)
+        tilt._powers.cache_clear()
+
 
 def _residue_of_p_is_one(monkeypatch):
     # Slot sums equal to p, as 1 + 1 over F_2, no longer reduce to 0.
@@ -50,7 +55,7 @@ MUTANTS = [
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_a_packed_kernel_mutant_fails_the_differential_test(monkeypatch, mutant):
-    mutant.patch(monkeypatch)
+    mutant.apply(monkeypatch)
     with pytest.raises(AssertionError):
         assert_powers_match_the_dict_oracle(PACKED_PRIMES)
 
@@ -60,7 +65,7 @@ def test_a_packed_kernel_mutant_fails_a_family(monkeypatch, mutant):
     p, terms, ell = mutant.family
     point = make_ansatz(TiltElement.from_terms(p, terms), ell)
     assert is_member(point.members) and len(frobenius_orbit(point, (-1, 1))) == 3
-    mutant.patch(monkeypatch)
+    mutant.apply(monkeypatch)
     assert _packing(point.a.nums, p) is not None  # the family's table is packed under the mutant
     assert not is_member(point.members)
     with pytest.raises(VerificationError, match="left the ansatz"):

@@ -4,13 +4,16 @@ import ast
 import copy
 import pickle
 import random
+import sys
+import threading
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import assert_immutable_value, random_element, random_monomial
+from conftest import assert_immutable_value, fresh_pow, random_element, random_monomial
 
 import tiltval
 from tiltval import tilt
@@ -407,11 +410,12 @@ def test_power_table_and_shared_predicate_match_the_bottom_up_oracle_in_any_orde
             oracle = {k: _pow_scaled(base, k, p, digit_powers) for k in ks}
             descending, ascending = sorted(ks, reverse=True), sorted(ks)
             for order in (descending, ascending, ascending + descending + ks):
+                _powers.cache_clear()  # each order fills a table of its own
                 (layout, power), is_power = _powers(a.nums, p), _power_check(a)
                 for k in order:
                     expected = TiltElement.from_terms(p, {Fraction(e, den): c for e, c in oracle[k].items()})
                     assert _entry_terms(layout, power(k), k) == oracle[k], (a, k)
-                    assert tilt_pow(a, k) == expected, (a, k)
+                    assert fresh_pow(a, k) == expected, (a, k)
                     assert is_power(expected, k), (a, k)
                     assert not is_power(tilt_mul(expected, TiltElement.monomial(p, 1)), k), (a, k)
 
@@ -503,7 +507,7 @@ def assert_powers_match_the_dict_oracle(primes=DIFFERENTIAL_PRIMES, seed=9011):
         is_power, oracle_is_power, oracle = _power_check(a), _dict_power_check(a), _dict_powers(dict(a.nums), p)
         den = p ** a.s
         for k in ks:
-            power, following = tilt_pow(a, k), tilt_pow(a, k + 1)
+            power, following = fresh_pow(a, k), fresh_pow(a, k + 1)
             expected = oracle(k)
             assert power == TiltElement.from_terms(p, {Fraction(e, den): c for e, c in expected.items()}), (a, k)
             assert _revalidated(power) == power
@@ -522,6 +526,81 @@ def assert_powers_match_the_dict_oracle(primes=DIFFERENTIAL_PRIMES, seed=9011):
 def test_packed_power_table_matches_the_dict_oracle_randomized():
     packed, by_dict = assert_powers_match_the_dict_oracle()
     assert packed >= 15 and by_dict >= 30, (packed, by_dict)
+
+
+def _sharing_sequence(rng):
+    """Multi-term generators in the order that stresses one shared table: A, B, A again, A's numerators over
+    another p, and phi^n(A) for n in -1..s_A + 1, which keeps A's numerators until the last n clears the frame."""
+    t_half_plus_t = TiltElement.from_terms(2, {Fraction(1, 2): 1, 1: 1})
+    yield t_half_plus_t
+    yield TiltElement(3, 1, t_half_plus_t.nums)  # t^(1/3) + t^(2/3): the same nums over F_3
+    for _ in range(8):
+        p = rng.choice((2, 3, 5))
+        a, b = (_differential_generator(rng, p, rng.randint(2, 4)) for _ in range(2))
+        yield from (a, b, a)
+        for q in (3, 5, 7):
+            if q > p and (a.s == 0 or any(m % q for m, _ in a.nums)):  # coefficients below p stay reduced
+                yield TiltElement(q, a.s, a.nums)
+        assert tilt_frobenius(a, a.s + 1).nums != a.nums  # the last twist clears the frame
+        yield from (tilt_frobenius(a, n) for n in range(-1, a.s + 2))
+
+
+def test_the_shared_table_answers_as_a_fresh_one_randomized():
+    # Each generator's predicate and tilt_pow go through the one cached table; a predicate made earlier is
+    # asked again after later generators took the cache.  Every answer must be the fresh dict oracle's.
+    rng = random.Random(4021)
+    made = []
+    for a in _sharing_sequence(rng):
+        assert len(a.nums) > 1
+        made.append((a, _power_check(a), _dict_power_check(a), _dict_powers(dict(a.nums), a.p)))
+        for a, is_power, oracle_is_power, oracle in (made[-1], rng.choice(made)):
+            p, den = a.p, a.p**a.s
+            for k in (0, 1, 2, p, p + 1, rng.randint(2, 3 * p)):
+                power = tilt_pow(a, k)
+                assert power == TiltElement.from_terms(p, {Fraction(e, den): c for e, c in oracle(k).items()})
+                for n in (-1, 0, 1):
+                    twisted = tilt_frobenius(power, n)
+                    for y in _near_misses(rng, twisted, p**twisted.s, p):
+                        assert is_power(y, k, n) == oracle_is_power(y, k, n) == (y == twisted), (a, k, n, y)
+
+
+def test_threads_sharing_tables_read_what_a_fresh_table_holds(monkeypatch):
+    # Four threads meet at each generator and ask for its powers, each in its own order, through the cache;
+    # a dict table's product yields to the other threads first, so their fills interleave.  A power stored
+    # under the wrong exponent shows as a refusal.
+    rng = random.Random(4051)
+    generators = [_differential_generator(rng, p, rng.randint(2, 4)) for p in (5, 7, 11, 13, 17) for _ in range(4)]
+    expected = {}
+    for a in generators:
+        oracle, den = _dict_powers(dict(a.nums), a.p), a.p**a.s
+        for k in (*range(a.p), a.p + 1, 2 * a.p - 1):
+            expected[a, k] = TiltElement.from_terms(a.p, {Fraction(e, den): c for e, c in oracle(k).items()})
+    meet, refused, finished = threading.Barrier(4), [], []
+    convolve = tilt._convolve
+    monkeypatch.setattr(tilt, "_convolve", lambda x, y, p: time.sleep(0) or convolve(x, y, p))
+
+    def ask(seed):
+        order = random.Random(seed)
+        for a in generators:
+            ks = [k for b, k in expected if b is a]
+            order.shuffle(ks)
+            meet.wait(timeout=60)
+            is_power = _power_check(a)
+            refused.extend((a, k) for k in ks if not is_power(expected[a, k], k))
+        finished.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(finished) == [0, 1, 2, 3] and not any(thread.is_alive() for thread in threads)
+    assert not refused, refused[:3]
 
 
 @pytest.mark.parametrize(
@@ -545,6 +624,7 @@ def test_the_table_choice_keeps_the_memory_of_a_family_bounded(p, terms):
         "is_member": lambda: [is_member(o.members) for o in orbit] == [True] * 3,
     }
     for name, call in calls.items():
+        _powers.cache_clear()  # each call builds its table inside the measured window
         tracemalloc.start()
         try:
             assert call(), name
@@ -569,7 +649,7 @@ def test_a_power_past_the_packed_entry_bound_is_a_dict_entry_and_matches_the_ora
     den = p**a.s
     for k in (k_max - 1, k_max, k_max + 1):
         assert isinstance(power(k), dict) == (k > k_max), k
-        expected = tilt_pow(a, k)
+        expected = fresh_pow(a, k)
         assert expected == TiltElement.from_terms(p, {Fraction(e, den): c for e, c in oracle(k).items()}), k
         for n in (-1, 0, 1):
             twisted = tilt_frobenius(expected, n)
