@@ -427,12 +427,16 @@ def cmd_loglink(cfg: RunConfig) -> Iterator[CheckRecord]:
     )
     p, precision = cfg.p, cfg.padic_precision
     # Kummer shift: u = 1 + p^v at the principal-unit level v has v_p(log u) = v, and each p-th
-    # power of u adds one, so v_p(log(u^(p^n))) = v + n while that stays below N.
+    # power of u adds one, so v_p(log(u^(p^n))) = v + n while that stays below N.  log(1 + x) = x
+    # mod p^(2 v_p(x)), mod 2^(2 v_2(x) - 1) at p = 2, so the first-order term pins log's scale.
     v = _unit_level(p)
     base = PadicUnit.of(p, precision, 1 + p**v)
     shifts = [n for n in sorted({0, 1, depth}) if v + n < precision]  # depth is the window's top
-    logs = [padic_log(base.pow(p**n)) for n in shifts]
+    units = [base.pow(p**n) for n in shifts]
+    logs = [padic_log(u) for u in units]
+    first_order = [p ** min(precision, 2 * (v + n) - (p == 2)) for n in shifts]  # log(u) = u - 1 mod these
     kummer_ok = all(x % p ** (v + n) == 0 and x % p ** (v + n + 1) != 0 for n, x in zip(shifts, logs))
+    kummer_ok &= all((x - u.value + 1) % order == 0 for u, x, order in zip(units, logs, first_order))
     yield make_check("loglink.kummer_shift_telescoping", kummer_ok, window=window)
     modulus = p**precision
     yield make_check(

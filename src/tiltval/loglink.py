@@ -2,25 +2,28 @@
 
 The logarithm is computed in integers, never in rationals.  For a
 principal unit u (u = 1 mod p for odd p, u = 1 mod 4 for p = 2) at
-precision N, the argument is reduced twice before the series runs.
+precision N, the argument is reduced in two ways before the series runs.
 
 First, for a depth m, the power y = u^(p^m) mod p^(N+m) satisfies
 v(y - 1) = v(u - 1) + m, so y - 1 has valuation at least w = m + 1
 (m + 2 for p = 2), and log(y) = p^m log(u) mod p^(N+m).  That bound is
 checked by dividing y - 1 exactly by p^w, which leaves x.
 
-Second, the next b base-p digits d = x mod p^b are cleared in one
-multiply, as libm logarithms do with a table (Tang, ACM TOMS 16(4),
-1990).  With g = 1 + p^w, g^d = 1 + d p^w mod p^(2w), so for b <= w the
-table entry g^(-d) makes y' = y g^(-d) = 1 mod p^(w+b); past b = w the
-square term of g^d would leave digits behind.  That bound is checked by
-a second exact division, of y' - 1 by p^(w+b), which leaves x'.  Then
-log(y) = log(y') + d log(g), with log(g) worked out once.  The table has
-p^b entries, at most 128, so it builds in well under a millisecond; for
-p > 128 that leaves b = 0 and the table (1,).
+Second, the digits of x are cleared in stages, each with a table as in
+libm logarithms (Tang, ACM TOMS 16(4), 1990), level by level (Brent and
+Zimmermann, Modern Computer Arithmetic, 4.4).  Stage i, at level L_i
+(L_0 = w, y = 1 + p^(L_i) x), reads b_i digits d = x mod p^(b_i) and
+multiplies y by g_i^(-d) = (1 - p^(L_i))^d = 1 - d p^(L_i) mod p^(2 L_i),
+so for b_i <= L_i the product is 1 mod p^(L_i + b_i); past L_i the
+square term would leave digits behind.  Its exact division by p^(L_i +
+b_i) checks that bound and leaves the next x, so a stage reads only
+digits whose clearing the stage before has checked.  The level doubles
+while b_i = L_i.  log(y) = log(y') + sum_i d_i log(g_i), each d log(g_i)
+read from the table.  A table has p^(b_i) <= 128 entries; for p > 128
+the plan has no stage.
 
-log(1 + p^s x') = sum_k (-1)^(k+1) (p^s x')^k / k, s = w + b, is the
-integer polynomial sum_k d_k x'^k with d_k = (-1)^(k+1) u_k^-1
+log(1 + p^s x') = sum_k (-1)^(k+1) (p^s x')^k / k, s the last level, is
+the integer polynomial sum_k d_k x'^k with d_k = (-1)^(k+1) u_k^-1
 p^(k*s - v_p(k)), k = p^(v_p(k)) u_k, evaluated mod p^(N+m) in one
 Horner pass.  The k-th term has valuation at least k*s - floor(log_p k),
 and that bound never decreases in k, so the cutoff is the first k where
@@ -29,11 +32,11 @@ the sum is divided exactly by p^m.  Each of these divisions is checked:
 a remainder, or a y that collapses to 1 for u != 1, raises
 VerificationError instead of returning a wrong class.
 
-The class depends on neither m nor b, only the work does.  Once per
-(p, N), the pair with m in 0 .. isqrt(N), b <= w and p^b <= 128 that
-takes the fewest multiplications is chosen: the argument power, 2 for
-the table multiply and d log(g) when b > 0, and the Horner steps.  At
-N = 14 that is m = 0 with b = 1 for 23 <= p < 128, and b = 0 above.
+The class depends on neither m nor the stages, only the work does.  Once
+per (p, N), the depth m <= isqrt(N) and the number of greedy stages that
+take the fewest multiplications are chosen: the argument power, 2 per
+stage for its multiply and division, and the Horner steps.  At N = 14
+that is one table for p = 2, 3 and 13 <= p < 128, two for 5 <= p <= 11.
 
 The result always lands in p Z/p^N (4 Z/2^N for p = 2); that subgroup
 membership is re-checked on every call.  On these subgroups log turns
@@ -49,7 +52,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from itertools import accumulate, repeat
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from ._record import Record
 from .errors import DomainError, VerificationError
@@ -153,84 +158,83 @@ def _log_cutoff(p: int, reduced: int, level: int) -> int:
     return cutoff
 
 
-def _log_terms(p: int, reduced: int, level: int) -> list[int]:
-    """d_k = (-1)^(k+1) p^(k*level) / k mod p^reduced for k = 1 .. cutoff - 1: log(1 + p^level x') = sum_k d_k x'^k."""
-    reduced_mod = p**reduced
-    terms = []
-    for k in range(1, _log_cutoff(p, reduced, level)):
-        unit, v = k, 0
-        while unit % p == 0:
-            unit, v = unit // p, v + 1
-        term = pow(unit, -1, reduced_mod) * p ** (k * level - v)
-        terms.append((term if k % 2 else -term) % reduced_mod)
-    return terms
+def _log_plan(p: int, n_prec: int, m: int, digits: tuple[int, ...] = ()) -> tuple:
+    """padic_log's (p, N) plan at depth m whose stage i reads digits[i] digits, b_i <= L_i < N + m.
 
-
-def _log_plan(p: int, n_prec: int, m: int, b: int = 0) -> tuple:
-    """padic_log's (p, N) plan at depth m reading b digits, for b <= w.
-
-    The tuple holds m, p^m, p^w, p^(N+m), p^b, the table g^(-d) mod
-    p^(N+m) for d = 0 .. p^b - 1 (g = 1 + p^w), p^(w+b), log(g) mod
-    p^(N+m), the subgroup constant p^_unit_level(p), and the series
-    coefficients at level w + b from the top k down.  b = 0 is the
-    Horner-only plan.  One set of level-w terms gives both log(g), their
-    sum at x' = 1, and the level-(w + b) coefficients d_k p^(k*b).
+    The tuple holds m, p^m, p^w, p^(N+m), the stages, p^_unit_level(p)
+    and the last level's series coefficients from the top k down.  Stage
+    i at level L_i holds p^(b_i), the entries g_i^(-d) = (1 - p^(L_i))^d
+    mod p^(N+m) and d log(g_i) for d < p^(b_i), and p^(L_i + b_i).  Every
+    level is a multiple rG of the grain G = gcd(w, b_0, ...), so one list
+    t_j = D p^(jG) / j, D the lcm of 1 .. cutoff(G) - 1 without its
+    p-part, gives every level's D p^(kL) / k = r t_(kr); the terms past
+    its end are 0 mod p^(N+m).  One inverse of D makes them residues.
     """
-    w = m + _unit_level(p)
-    reduced_mod, step, size = p ** (n_prec + m), p**w, p**b
-    g_inverse = pow(1 + step, -1, reduced_mod)
-    table = [1]
-    for _ in range(size - 1):
-        table.append(table[-1] * g_inverse % reduced_mod)
-    terms = _log_terms(p, n_prec + m, w)
-    coefficients = [term * size**k % reduced_mod for k, term in enumerate(terms, start=1)]
+    w, reduced = m + _unit_level(p), n_prec + m
+    reduced_mod, grain = p**reduced, gcd(w, *digits)
+    cutoff = _log_cutoff(p, reduced, grain)
+    denominator = lcm(*range(1, cutoff)) // p ** _floor_log(cutoff - 1, p)
+    inverse, step = pow(denominator, -1, reduced_mod), p**grain
+    base = [power // j for j, power in zip(range(1, cutoff), accumulate(repeat(step), mul, initial=denominator * step))]
+    stages, level = [], w
+    for b in digits:
+        table, factor = [1], 1 - p**level
+        for _ in range(p**b - 1):  # a one-word factor: no table step is a full product
+            table.append(table[-1] * factor % reduced_mod)
+        r = level // grain
+        log_g = r * sum(base[r - 1 :: r]) * inverse % reduced_mod
+        stages.append((p**b, tuple(table), tuple(range(0, p**b * log_g, log_g)), p ** (level + b)))
+        level += b
+    r = level // grain
+    coefficients = [(t if k % 2 else -t) * r * inverse % reduced_mod for k, t in enumerate(base[r - 1 :: r], 1)]
     while coefficients and not coefficients[-1]:
         coefficients.pop()  # a top d_k = 0 mod p^(N+m) leaves t = 0 through its Horner step
-    log_g = sum(terms) % reduced_mod
-    subgroup = p ** _unit_level(p)
-    return m, p**m, step, reduced_mod, size, tuple(table), step * size, log_g, subgroup, tuple(coefficients[::-1])
+    return m, p**m, p**w, reduced_mod, tuple(stages), p ** _unit_level(p), tuple(coefficients[::-1])
 
 
 @cache
 def _log_series(p: int, n_prec: int) -> tuple:
-    """padic_log's plan for (p, N): the depth m and digit count b needing the fewest multiplications.
+    """padic_log's plan for (p, N): the depth m and stages needing the fewest multiplications.
 
-    m runs over 0 .. isqrt(N) and b over 0 .. w with p^b <= _TABLE_CAP.
-    A pair costs bit_length(p^m) + popcount(p^m) - 2 for the argument
-    power, 2 when b > 0 for the table multiply and d log(g), and
-    cutoff - 1 Horner steps.  Ties go to the smaller table, then the
-    smaller m.  Only the cutoffs are compared, so the table and the
-    coefficients are built for the winner alone.
+    m runs over 0 .. isqrt(N).  At each depth the stages are greedy, each
+    reading b_i = min(L_i, log_p _TABLE_CAP) digits, which for a given
+    stage count reaches the highest level.  A plan costs bit_length(p^m)
+    + popcount(p^m) - 2 for the argument power, 2 per stage for its table
+    multiply and its division, and cutoff - 1 Horner steps.  Ties go to
+    fewer stages, then the smaller m.  A depth takes no further stage once
+    its cost before the cutoff already loses, and a cutoff is not walked
+    where ceil((N + m) / L), its floor, already loses.  Only the cutoffs
+    are compared, so the tables and the coefficients are built for the
+    winner alone.
     """
-    candidates = []
+    top, best = _floor_log(_TABLE_CAP, p), (2 * n_prec + 3,)  # no cutoff exceeds 2N
     for m in range(isqrt(n_prec) + 1):
-        power = (p**m).bit_length() + (p**m).bit_count()  # every cost leaves out the same constant -3
-        w = m + _unit_level(p)
-        for b in range(w + 1):
-            if p**b > _TABLE_CAP:
-                break
-            cost = power + 2 * (b > 0) + _log_cutoff(p, n_prec + m, w + b)
-            candidates.append((cost, p**b, m, b))
-    *_, m, b = min(candidates)
-    return _log_plan(p, n_prec, m, b)
+        cost, level, digits, reduced = (p**m).bit_length() + (p**m).bit_count(), m + _unit_level(p), (), n_prec + m
+        while cost < best[0]:  # the cutoff is at least 1; every cost leaves out the same constant -3
+            if (cost - (-reduced // level), len(digits)) < best:  # ceil((N + m) / L) <= cutoff
+                best = min(best, (cost + _log_cutoff(p, reduced, level), len(digits), m, digits))
+            b = min(level, top)  # 0 above p = 128: the cost still climbs, and no such stage can win
+            digits, level, cost = (*digits, b), level + b, cost + 2
+    return _log_plan(p, n_prec, *best[2:])
 
 
 def padic_log(u: PadicUnit) -> int:
     """log(u) mod p^precision as a reduced integer in p Z/p^N (4 Z/2^N).
 
-    With the (p, N) plan's depth m and digit count b, y = u^(p^m) mod
-    p^(N+m) must satisfy y = 1 mod p^w.  The digits d = (y - 1) / p^w mod
-    p^b pick the table entry g^(-d), and y' = y g^(-d) must satisfy
-    y' = 1 mod p^(w+b), the bound the cutoff rests on.  One Horner pass
-    t = (t + d_k) * x' mod p^(N+m) over the coefficients, x' = (y' - 1) /
-    p^(w+b), gives log(y'); adding d log(g) gives log(u^(p^m)) = p^m
-    log(u), which is divided by p^m exactly.  A division that leaves a
-    remainder raises VerificationError.
+    With the (p, N) plan's depth m, y = u^(p^m) mod p^(N+m) must satisfy
+    y = 1 mod p^w.  Each stage reads the digits d = (y - 1) / p^L mod
+    p^b at its level L, multiplies y by its table entry g^(-d) and adds
+    its d log(g); the new y must satisfy y = 1 mod p^(L+b), the bound the
+    next stage and the cutoff rest on.  One Horner pass t = (t + d_k) *
+    x' mod p^(N+m) over the coefficients, x' = (y - 1) / p^L at the last
+    level L, gives the rest of log(u^(p^m)) = p^m log(u), which is
+    divided by p^m exactly.  A division that leaves a remainder raises
+    VerificationError.
     """
     p, n_prec = u.p, u.precision
     if u.value == 1:
         return 0
-    m, scale, step, reduced_mod, size, table, shift, log_g, subgroup, coefficients = _log_series(p, n_prec)
+    m, scale, step, reduced_mod, stages, subgroup, coefficients = _log_series(p, n_prec)
     y = pow(u.value, scale, reduced_mod)
     if y == 1:
         # v(u^(p^m) - 1) = v(u - 1) + m < N + m for u != 1.
@@ -238,14 +242,17 @@ def padic_log(u: PadicUnit) -> int:
     x, rest = divmod(y - 1, step)
     if rest:
         raise VerificationError(f"u^(p^{m}) - 1 is not divisible by {step}: u is not a principal unit")
-    digits = x % size
-    x, rest = divmod(y * table[digits] % reduced_mod - 1, shift)
-    if rest:
-        raise VerificationError(f"u^(p^{m}) g^-{digits} - 1 is not divisible by {shift}: a wrong digit table")
     total = 0
+    for size, table, cleared, shift in stages:
+        digits = x % size
+        y, total = y * table[digits] % reduced_mod, total + cleared[digits]
+        x, rest = divmod(y - 1, shift)
+        if rest:
+            raise VerificationError(f"y g^-{digits} - 1 is not divisible by {shift}: a wrong digit table")
+    series = 0
     for coefficient in coefficients:
-        total = (total + coefficient) * x % reduced_mod
-    total = (total + digits * log_g) % reduced_mod
+        series = (series + coefficient) * x % reduced_mod
+    total = (total + series) % reduced_mod
     if total % scale:
         raise VerificationError(f"log(u^(p^{m})) is not divisible by p^{m}")
     result = total // scale

@@ -24,6 +24,9 @@ from tiltval.witt import eta_val, primitive_frobenius
 
 THREE = ("defaults", "wide", "f3")
 DEFAULTS = ("defaults",)
+# At N = 48 the defaults' log plan has two stages (tables of 8 and 64 entries), so a fault can
+# tell its first stage from its last; every canonical config's plan has one.
+_CONFIG_TEXTS = {**CONFIGS, "deep": '{"padic_precision": 48}'}
 
 
 class Fault(NamedTuple):
@@ -40,7 +43,8 @@ def _set(target, value):
     return lambda monkeypatch: monkeypatch.setattr(f"tiltval.{target}", value)
 
 
-_PLAN = "m scale step reduced_mod size table shift log_g subgroup coefficients".split()
+_PLAN = "m scale step reduced_mod stages subgroup coefficients".split()
+_STAGE = "size table cleared shift".split()
 
 
 def _plan(change):
@@ -52,6 +56,22 @@ def _plan(change):
         return tuple(fields.values())
 
     return _set("loglink._log_series", plan)
+
+
+def _stage(index, change):
+    """padic_log reading its plan with stage `index`'s fields that change(p, plan, stage) returns replaced."""
+
+    def stages(p, f):
+        fields = dict(zip(_STAGE, f.stages[index]))
+        fields.update(change(p, f, SimpleNamespace(**fields)))
+        return {"stages": tuple(tuple(fields.values()) if s is f.stages[index] else s for s in f.stages)}
+
+    return _plan(stages)
+
+
+def _log_scaled(c):
+    """padic_log times c, reduced: every log rule still holds, and only the first-order term can see it."""
+    return _set("loglink.padic_log", lambda u: c(u.p) * padic_log(u) % u.p**u.precision)
 
 
 def _table(row):
@@ -78,6 +98,7 @@ _BOUND_STEPS = (
 )
 _LOG_AT_ONE = "loglink.log_at_one_is_zero"
 _LOG_RULES = {"loglink.log_product_rule_trials", "loglink.log_p_power_rule_trials"}
+_KUMMER_AND_RULES = {"loglink.kummer_shift_telescoping", *_LOG_RULES}
 _ORBIT_LEFT = r"Frobenius translate n = -2 left the ansatz: .*"
 
 FAULTS = [
@@ -173,20 +194,31 @@ FAULTS = [
     # u - 1 lands in the right subgroup but turns no product into a sum.
     Fault("log_u_minus_one", "loglink", DEFAULTS, _set("loglink.padic_log", lambda u: (u.value - 1) % u.p**u.precision),
           _LOG_RULES),
-    # The plan faults move log(u) one digit above the valuation v + n that the Kummer shift reads for
-    # u = (1 + p^v)^(p^n), so only the log rules see them.  At the defaults' depth m = 0, a move by
-    # p^(w+m) itself would also fail loglink.kummer_shift_telescoping.
-    # The linear coefficient moved by p^(w+b+m+1): log(u) moves by p (u^(p^m) g^(-d) - 1).
-    Fault("plan_linear_coefficient", "all", THREE, _plan(lambda p, f: {
-        "coefficients": (*f.coefficients[:-1], (f.coefficients[-1] + p * f.shift * f.scale) % f.reduced_mod)
-    }), _LOG_RULES),
-    # log(g) moved by p^(w+m+1): log(u) moves by d p^(w+1), d the digits the table clears.
-    Fault("plan_log_g", "all", THREE, _plan(lambda p, f: {"log_g": (f.log_g + p * f.step * f.scale) % f.reduced_mod}),
-          _LOG_RULES),
-    # The last table power g^(-(p^b - 1)) read as g^(-(p^b - 2)): a unit whose digits pick it leaves
-    # y g^(-d) != 1 mod p^(w+b), and the digit guard ends the run.
-    Fault("plan_table_power", "all", THREE, _plan(lambda p, f: {"table": (*f.table[:-1], f.table[-2])}),
-          r".* a wrong digit table"),
+    # c log passes both log rules and the Kummer valuations for every unit c, but log(1 + x) = x mod
+    # p^(2 v(x)) holds for it only where c = 1 mod p^(v(x)) (p^(v(x) - 1) at p = 2); -1, 3 and 1 + p
+    # each miss that at the Kummer shift's unit with v(x) = v + 1.
+    *(Fault(name, "all", THREE, _log_scaled(c), {"loglink.kummer_shift_telescoping"}) for name, c in (
+        ("neg_log", lambda p: -1), ("three_log", lambda p: 3), ("one_plus_p_log", lambda p: 1 + p),
+    )),
+    # The plan faults below move log(u) by a multiple of p^(L+1), L a stage's level.  The log rules
+    # see every one of them; the Kummer shift's first-order check sees a move only where it lands
+    # below 2 v(u - 1) (2 v(u - 1) - 1 at p = 2) for one of its units, which depends on the plan.
+    # The linear coefficient moved by p^(L+m+1), L the last level: log(u) moves by p (y' - 1), y' the
+    # last stage's product.
+    Fault("plan_linear_coefficient", "all", (*THREE, "deep"), _plan(lambda p, f: {
+        "coefficients": (*f.coefficients[:-1], (f.coefficients[-1] + p * f.stages[-1][3] * f.scale) % f.reduced_mod)
+    }), {"defaults": _KUMMER_AND_RULES, "wide": _KUMMER_AND_RULES, "f3": _KUMMER_AND_RULES, "deep": _LOG_RULES}),
+    # log(g_i) moved by p^(L_i+m+1): log(u) moves by d p^(L_i+1), d the digits stage i clears.
+    # plan_log_g moves the first stage's, plan_log_g_last the last stage's.
+    *(Fault(name, "all", (*THREE, "deep"), _stage(index, lambda p, f, s: {
+        "cleared": tuple(c + d * p * (s.shift // s.size) * f.scale for d, c in enumerate(s.cleared))
+    }), {"defaults": _KUMMER_AND_RULES, "wide": _LOG_RULES, "f3": _LOG_RULES, "deep": deep})
+      for name, index, deep in (("plan_log_g", 0, _KUMMER_AND_RULES), ("plan_log_g_last", -1, _LOG_RULES))),
+    # A stage's last table power g^(-(p^b - 1)) read as g^(-(p^b - 2)): a unit whose digits pick it
+    # leaves y g^(-d) != 1 mod p^(L+b), and the digit guard ends the run.  plan_table_power breaks the
+    # first stage's table, plan_table_power_last the last stage's.
+    *(Fault(name, "all", (*THREE, "deep"), _stage(index, lambda p, f, s: {"table": (*s.table[:-1], s.table[-2])}),
+            r".* a wrong digit table") for name, index in (("plan_table_power", 0), ("plan_table_power_last", -1))),
     # A prime walk that lets ell = 3 through meets the equality prime, where the strict bound fails.
     Fault("sweep_walks_through_ell3", "sweep-ell", DEFAULTS, _set(
         "pilot._odd_primes_upto", lambda limit, start=3: _odd_primes_upto(limit)
@@ -235,7 +267,7 @@ _CASES = [(fault, config) for fault in FAULTS for config in fault.configs]
 def test_a_fault_fails_exactly_its_checks(monkeypatch, tmp_path, capsys, fault, config):
     fault.patch(monkeypatch)
     report = tmp_path / "report.json"
-    config_path = write_config(tmp_path, "c.json", CONFIGS[config])
+    config_path = write_config(tmp_path, "c.json", _CONFIG_TEXTS[config])
     argv = (fault.command, "--format", "json", "--config", config_path, "--output", str(report))
     code, out, err = run_cli(capsys, *argv)
     expected = _expected(fault, config)

@@ -13,7 +13,7 @@ p^(v_p(k)), and every (p, N) quantity worked out afresh on each call.
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, takewhile
 from math import isqrt
 
 import pytest
@@ -195,14 +195,47 @@ def test_log_matches_the_per_call_series_randomized():
                 assert padic_log(u) == _log_per_call(u), (p, precision, u.value)
 
 
-def _admissible_reductions(p: int, precision: int):
-    """Every (m, b) a plan may take: m in 0 .. isqrt(N), b <= w = m + _unit_level(p) and p^b <= 128."""
-    for m in range(isqrt(precision) + 1):
-        w = m + (2 if p == 2 else 1)
-        for b in range(w + 1):
-            if p**b > 128:
-                break
-            yield m, b
+def _stage_tuples(p: int, precision: int, m: int):
+    """Every stage tuple at depth m: b_i <= L_i < N + m and p^b_i <= 128, with L_0 = w and L_(i+1) = L_i + b_i.
+
+    The empty tuple is the Horner-only plan.
+    """
+    reduced, top = precision + m, _floor_log(128, p)
+
+    def walk(level, digits):
+        yield digits
+        for b in range(1, min(level, top) + 1) if level < reduced else ():
+            yield from walk(level + b, (*digits, b))
+
+    return walk(m + (2 if p == 2 else 1), ())
+
+
+def _drawn_stage_tuple(rng: random.Random, p: int, precision: int, m: int) -> tuple[int, ...]:
+    """One stage tuple at depth m from rng: after each stage, one more with chance 4/5 while L_i < N + m."""
+    level, digits, top = m + (2 if p == 2 else 1), (), _floor_log(128, p)
+    while level < precision + m and top and rng.random() < 0.8:
+        b = rng.randint(1, min(level, top))
+        level, digits = level + b, (*digits, b)
+    return digits
+
+
+def _greedy_tuples(p: int, precision: int, m: int):
+    """The stage tuples _log_series weighs at depth m: each stage reads min(L_i, log_p 128) digits."""
+    level, digits, top = m + (2 if p == 2 else 1), (), _floor_log(128, p)
+    while True:
+        yield digits
+        if level >= precision + m or not top:
+            return
+        digits, level = (*digits, min(level, top)), level + min(level, top)
+
+
+def _plan_cost(p: int, precision: int, m: int, digits: tuple[int, ...]) -> int:
+    """A plan's multiplications as _log_series counts them: the argument power, 2 per stage, the Horner steps."""
+    level, reduced = m + (2 if p == 2 else 1) + sum(digits), precision + m
+    cutoff = -(-reduced // level)  # no smaller k has k * level >= N + m
+    while cutoff * level - _floor_log(cutoff, p) < reduced:
+        cutoff += 1
+    return (p**m).bit_length() + (p**m).bit_count() - 2 + 2 * len(digits) + cutoff - 1
 
 
 def _table_digits(p: int, size: int) -> int:
@@ -213,42 +246,70 @@ def _table_digits(p: int, size: int) -> int:
     return b
 
 
+def _plan_shape(plan: tuple) -> tuple:
+    """(m, the stage table sizes, the Horner steps) of a plan."""
+    return plan[0], [stage[0] for stage in plan[4]], len(plan[-1])
+
+
 def test_every_reduction_depth_gives_the_same_class(monkeypatch):
-    # b = 0 is the Horner-only route with no digit table, kept reachable as an oracle for the table.
+    # Up to N = 8 every admissible (m, stage tuple) is tried, the greedy ones _log_series weighs and
+    # every other.  Above that, at every m, the Horner-only route (the empty tuple, kept reachable as
+    # an oracle), every one-stage tuple b <= min(w, log_p 128) and the greedy tuples of up to three
+    # stages; then the chosen plan and 6 drawn tuples per (p, N).
     rng = random.Random(1709)
     for p in (2, 3, 5, 7, 53, 131):
         step = 4 if p == 2 else p
-        for precision in (_precision_floor(p), 14, 48, 80, 96, 128, 300):
+        for precision in sorted({_precision_floor(p), 6, 8, 14, 48, 80, 96, 128, 300}):
             edge = (1 + p ** (precision - 1), (1 - step) % p**precision)
             units = [PadicUnit(p, precision, value) for value in edge]
             units += [PadicUnit.random(rng, p, precision) for _ in range(2)]
             expected = [_log_by_fractions(u) for u in units]
             assert [_log_per_call(u) for u in units] == expected, (p, precision)
-            for m, b in _admissible_reductions(p, precision):
-                plan = _log_plan(p, precision, m, b)
+            chosen = _log_series(p, precision)
+            plans = {(chosen[0], tuple(_table_digits(p, stage[0]) for stage in chosen[4]))}
+            for m in range(isqrt(precision) + 1):
+                w = m + (2 if p == 2 else 1)
+                plans |= {(m, (b,)) for b in range(1, min(w, _floor_log(128, p)) + 1)}
+                if precision <= 8:
+                    plans |= {(m, digits) for digits in _stage_tuples(p, precision, m)}
+                else:
+                    plans |= {(m, digits) for digits in _greedy_tuples(p, precision, m) if len(digits) <= 3}
+            m = rng.randrange(isqrt(precision) + 1)
+            plans |= {(m, _drawn_stage_tuple(rng, p, precision, m)) for _ in range(6)}
+            for m, digits in sorted(plans):
+                plan = _log_plan(p, precision, m, digits)
                 monkeypatch.setattr("tiltval.loglink._log_series", lambda p, n, plan=plan: plan)
-                assert [padic_log(u) for u in units] == expected, (p, precision, m, b)
+                assert [padic_log(u) for u in units] == expected, (p, precision, m, digits)
             monkeypatch.undo()
 
 
 def test_the_plan_takes_the_cheapest_depth_up_to_isqrt():
-    # (m, b) per (p, N): the 9 deep-precision cells, the 4 wide-ell cells and the defaults.
+    # (m, table sizes, Horner steps) per (p, N): the 9 deep-precision cells, the 4 wide-ell cells and the defaults.
     chosen = {
-        (2, 48): (2, 4), (2, 88): (4, 6), (2, 128): (5, 7),
-        (3, 48): (2, 3), (3, 72): (2, 3), (3, 96): (3, 4),
-        (5, 48): (2, 3), (5, 64): (2, 3), (5, 80): (2, 3),
-        (23, 14): (0, 1), (29, 14): (0, 1), (41, 14): (0, 1), (53, 14): (0, 1),
-        (2, 14): (0, 2),
+        (2, 48): (1, [8, 64], 4), (2, 88): (0, [4, 16, 128], 5), (2, 128): (1, [8, 64, 128], 6),
+        (3, 48): (1, [9, 81], 6), (3, 72): (1, [9, 81, 81], 6), (3, 96): (1, [9, 81, 81], 8),
+        (5, 48): (0, [5, 25, 125], 6), (5, 64): (0, [5, 25, 125, 125], 6), (5, 80): (0, [5, 25, 125, 125], 7),
+        (23, 14): (0, [23], 6), (29, 14): (0, [29], 6), (41, 14): (0, [41], 6), (53, 14): (0, [53], 6),
+        (2, 14): (0, [4], 3),
     }
-    for (p, precision), (m, b) in chosen.items():
-        plan = _log_series(p, precision)
-        assert (plan[0], _table_digits(p, plan[4])) == (m, b), (p, precision)
+    for (p, precision), shape in chosen.items():
+        assert _plan_shape(_log_series(p, precision)) == shape, (p, precision)
+    # Every plan is admissible, and no greedy plan at any depth, weighed without pruning, costs less
+    # or ties it with fewer stages or at a smaller depth.
     for p in (2, 3, 5, 7, 53, 131):
         for precision in range(_precision_floor(p), 301):
             plan = _log_series(p, precision)
-            m, b = plan[0], _table_digits(p, plan[4])
-            assert (m, b) in set(_admissible_reductions(p, precision)), (p, precision)
-            assert len(plan[5]) == p**b, (p, precision)
+            m, digits = plan[0], tuple(_table_digits(p, stage[0]) for stage in plan[4])
+            level = m + (2 if p == 2 else 1)
+            for b, (size, table, cleared, shift) in zip(digits, plan[4]):
+                assert 1 <= b <= level < precision + m and size <= 128, (p, precision)
+                assert len(table) == len(cleared) == size and shift == p ** (level + b), (p, precision)
+                level += b
+            key = (_plan_cost(p, precision, m, digits), len(digits), m)
+            assert key == min(  # a plan of k stages costs at least 2k
+                (_plan_cost(p, precision, depth, d), len(d), depth) for depth in range(isqrt(precision) + 1)
+                for d in takewhile(lambda d: 2 * len(d) <= key[0], _greedy_tuples(p, precision, depth))
+            ), (p, precision)
 
 
 def test_no_plan_starts_with_a_zero_coefficient():
@@ -267,10 +328,10 @@ def test_a_non_principal_unit_fails_the_valuation_guard():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_the_fraction_oracle_catches_a_plan_without_its_top_term(monkeypatch, p):
-    # In the Horner-only plan (b = 0) at the chosen depth, at the defaults' (2, 14) and the
+    # In the Horner-only plan (no stage) at the chosen depth, at the defaults' (2, 14) and the
     # F_3 config's (3, 14), this fault passes every check of `all`: the dropped term moves
     # only the top digit, and by an amount additive in u, so both log rules still hold.
-    # With the digit table x' is not additive in u and the log rules fail, but the oracle
+    # With a digit table x' is not additive in u and the log rules fail, but the oracle
     # must catch it in both plans.  A plan keeps no leading coefficient that is 0 mod
     # p^(N+m), so the top one is nonzero and dropping it is a fault.
     rng = random.Random(14)
@@ -420,6 +481,24 @@ def test_log_is_a_homomorphism():
             a = PadicUnit.random(rng, p, precision)
             b = PadicUnit.random(rng, p, precision)
             assert padic_log(a.mul(b)) == (padic_log(a) + padic_log(b)) % modulus
+
+
+def test_log_is_a_homomorphism_at_random_precisions():
+    # (p, N) drawn with p among the first 12 primes and 131 and N from the floor to 300, half the
+    # draws below 40: whatever plan _log_series picks there, products go to sums and p-th powers to
+    # p times the log, and below N = 40 every unit's log equals the fraction series'.
+    rng = random.Random(4127)
+    for _ in range(160):
+        p = rng.choice((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 131))
+        precision = rng.randint(_precision_floor(p), rng.choice((40, 300)))
+        modulus = p**precision
+        for _ in range(3):
+            u, w = PadicUnit.random(rng, p, precision), PadicUnit.random(rng, p, precision)
+            log_u = padic_log(u)
+            assert padic_log(u.mul(w)) == (log_u + padic_log(w)) % modulus, (p, precision, u.value, w.value)
+            assert padic_log(u.pow(p)) == p * log_u % modulus, (p, precision, u.value)
+            if precision <= 40:
+                assert log_u == _log_by_fractions(u), (p, precision, u.value)
 
 
 def test_log_power_law():
