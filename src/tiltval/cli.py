@@ -362,9 +362,10 @@ def cmd_ansatz(cfg: RunConfig) -> Iterator[CheckRecord]:
         tampered_length=len(tampered),
     )
     unit = cfg.p - 1 if cfg.p > 2 else 1
-    yield make_check(
+    yield make_check(  # t -> u*t must move t itself, or the identity would pass
         "ansatz.scale_invariance",
-        scale_invariance_check(point, lambda x: tilt_rescale_t(x, unit)),
+        scale_invariance_check(point, lambda x: tilt_rescale_t(x, unit))
+        and tilt_rescale_t(t_mon, unit).terms == ((1, unit),),
         substitution_unit=unit,
     )
     # The untilt of member j sees the parameter at v_q times v(a^(j^2)) / v(a) = j^2.

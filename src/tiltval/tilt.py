@@ -33,11 +33,8 @@ sparse x keep the dict table, and so does a power longer than
 ``_ENTRY_MAX`` bytes; ``tilt_mul`` keeps ``_convolve``.
 
 The test "y == phi^n(a^k)" (:func:`_power_check`) builds no power as an
-element: y's numerators, shifted into a's frame, are compared with an
-entry of a's one cached power table, read for every member and orbit
-point it is asked about.  A one-term a = c * t^(m / p^s),
-as every CLI witness is, needs no table: y's single (numerator,
-coefficient) pair, on the shifted frame, must be (m * k, c^k mod p).
+element: y's numerators, shifted into a's frame, are compared with a^k's
+terms as ``_powers`` hands them out, decoded once from a's cached table.
 
 A valuation is a plain Fraction, and None stands for the +infinity of
 the zero element.  Fraction exponents are read from the ``terms`` view,
@@ -339,49 +336,54 @@ def _table(
 
 
 @lru_cache(maxsize=1)
-def _powers(nums: _Nums, p: int) -> tuple[tuple[int, int] | None, Callable[[int], Any]]:
-    """(layout, power): power(k) is a^k for the element with these terms, each power built once.
+def _powers(nums: _Nums, p: int) -> Callable[[int], _Nums]:
+    """power: k -> a^k's terms, sorted (numerator, coefficient) pairs on a's frame, for the element with these terms.
 
-    With a layout (m0, g) from ``_packing``, an entry of at most ``_ENTRY_MAX`` bytes is the byte
-    string of the module docstring; any other entry is a dict of a^k's numerators, on a's frame, to
-    coefficients.  Every longer power is read from one dict table, built at the first of them, so
-    each costs what its result holds.  A single term c * t^(m / p^s) needs no table: its k-th power
-    is c^k t^(k * m / p^s).  The last answer is cached on (nums, p), not s, so phi^n(a) reads a's
-    table.  One table is live at a time, as large as the largest power asked of it; the next call
-    on other terms releases it.
+    The only reader of the table's entries.  With a layout (m0, g) from ``_packing``, an entry of at most
+    ``_ENTRY_MAX`` bytes is the byte string of the module docstring; any other entry is a dict of a^k's
+    numerators to coefficients.  Every longer power is read from one dict table, built at the first of
+    them, so each costs what its result holds.  A single term c * t^(m / p^s) needs no table: its k-th
+    entry is the dict {m * k: c^k mod p}.  Each k asked is decoded once, and its terms are kept beside
+    the table.  The last answer is cached on (nums, p), not s, so phi^n(a) reads a's table.  One table
+    is live at a time, as large as the largest power asked of it; the next call on other terms releases it.
     """
     layout = _packing(nums, p)
+    by_dict = lambda: _table(p, {0: {0: 1}, 1: dict(nums)}, lambda x, y: _convolve(x, y, p))
     if len(nums) == 1:
         (m, c), = nums
-        return None, lambda k: {m * k: pow(c, k, p)}
-    by_dict = lambda: _table(p, {0: {0: 1}, 1: dict(nums)}, lambda x, y: _convolve(x, y, p))
-    if layout is None:
-        return None, by_dict()
-    m0, g = layout
-    slots = bytearray((nums[-1][0] - m0) // g + 1)
-    for m, c in nums:
-        slots[(m - m0) // g] = c
-    mod = _RESIDUES[p]
-    return layout, _table(p, {0: b"\x01", 1: bytes(slots)}, lambda x, y: (
-        (int.from_bytes(x, "little") * int.from_bytes(y, "little")).to_bytes(len(x) + len(y) - 1, "little")
-    ).translate(mod), by_dict)
+        entry = lambda k: {m * k: pow(c, k, p)}
+    elif layout is None:
+        entry = by_dict()
+    else:
+        m0, g = layout
+        slots = bytearray((nums[-1][0] - m0) // g + 1)
+        for m, c in nums:
+            slots[(m - m0) // g] = c
+        mod = _RESIDUES[p]
+        entry = _table(p, {0: b"\x01", 1: bytes(slots)}, lambda x, y: (
+            (int.from_bytes(x, "little") * int.from_bytes(y, "little")).to_bytes(len(x) + len(y) - 1, "little")
+        ).translate(mod), by_dict)
+    decoded: dict[int, _Nums] = {}
+
+    def power(k: int) -> _Nums:
+        terms = decoded.get(k)
+        if terms is None:
+            got = entry(k)
+            if isinstance(got, dict):
+                terms = tuple(sorted(got.items()))
+            else:  # the numerators of the nonzero slots, with their coefficients
+                base = k * m0
+                terms = tuple(zip(compress(range(base, base + g * len(got), g), got), got.translate(None, b"\0")))
+            decoded[k] = terms
+        return terms
+
+    return power
 
 
 def _power_table(x: TiltElement) -> Callable[[int], TiltElement]:
     """k -> x^k for ints k >= 0, every power read from one ``_powers`` table of x, shared by all k."""
-    layout, power = _powers(x.nums, x.p)
-
-    def element(k: int) -> TiltElement:
-        entry = power(k)
-        if isinstance(entry, dict):
-            nums = sorted(entry.items())
-        else:  # unpacked once: the numerators of the nonzero slots, with their coefficients
-            m0, g = layout
-            base = k * m0
-            nums = list(zip(compress(range(base, base + g * len(entry), g), entry), entry.translate(None, b"\0")))
-        return TiltElement._trusted(x.p, *_minimal(x.p, x.s, nums))
-
-    return element
+    p, s, power = x.p, x.s, _powers(x.nums, x.p)
+    return lambda k: TiltElement._trusted(p, *_minimal(p, s, power(k)))
 
 
 def tilt_pow(x: TiltElement, k: int) -> TiltElement:
@@ -394,43 +396,20 @@ def _power_check(a: TiltElement) -> Callable[..., bool]:
     """The predicate (y, k, n=0) -> y == tilt_frobenius(tilt_pow(a, k), n) for ints k >= 0 and n.
 
     phi^n(a^k) has a^k's numerators over p^(s_a - n), so y's numerators times p^(s_a - n - s_y)
-    must be those of a^k; ``up`` and ``down`` keep both sides integers.  A one-term a = c * t^(m / p^s_a)
-    needs no table: y must be the one term (m * k, c^k mod p).  Any other a reads the ``_powers``
-    table of its (nums, p), shared by every call and by every caller on a or phi^n(a) while the
-    cache holds it: a packed entry by its count of nonzero slots, then y's terms at their slots; a
-    dict entry by its length, then as one dict.
+    must be those of a^k; ``up`` and ``down`` keep both sides integers.  a^k's terms come from the
+    ``_powers`` table of a's (nums, p), shared by every call and by every caller on a or phi^n(a)
+    while the cache holds it.
     """
-    p, s, nums = a.p, a.s, a.nums
-    if len(nums) == 1:
-        (m, c), = nums
-    else:
-        layout, power = _powers(nums, p)
-        m0, g = layout or (0, 1)  # read only for a packed entry
+    p, s, power = a.p, a.s, _powers(a.nums, a.p)
 
     def check(y: TiltElement, k: int, n: int = 0) -> bool:
-        if y.p != p:
+        terms, shift = power(k), s - n - y.s  # below 0, y's numerators must be p^-shift times a^k's
+        if y.p != p or len(y.nums) != len(terms):
             return False
-        shift = s - n - y.s  # below 0, y's numerators must be p^-shift times a^k's, or y is too fine
-        up, down = (p**shift, 1) if shift >= 0 else (1, p**-shift)
-        if len(nums) == 1:
-            return len(y.nums) == 1 and (y.nums[0][0] * up, y.nums[0][1]) == (m * k * down, pow(c, k, p))
-        entry = power(k)
-        if isinstance(entry, dict):  # keyed by a's numerators
-            if len(y.nums) != len(entry):
-                return False
-            if down == 1:
-                return {my * up: cy for my, cy in y.nums} == entry
-            return not any(my % down for my, _ in y.nums) and {my // down: cy for my, cy in y.nums} == entry
-        if len(y.nums) != len(entry) - entry.count(0):
-            return False
-        start, step = k * m0 * down, g * down
-        if y.nums[0][0] * up < start or y.nums[-1][0] * up - start >= step * len(entry):
-            return False  # y.nums is sorted, so every term of y now lies within the entry's slots
-        for my, cy in y.nums:
-            e = my * up - start
-            if e % step or entry[e // step] != cy:
-                return False
-        return True
+        if shift == 0:
+            return y.nums == terms
+        up, down = (p**shift, 1) if shift > 0 else (1, p**-shift)
+        return [(m * up, c) for m, c in y.nums] == [(m * down, c) for m, c in terms]
 
     return check
 

@@ -164,6 +164,9 @@ FAULTS = [
     Fault("rescale_by_u", "all", ("wide", "f3"), _set(
         "cli.tilt_rescale_t", lambda x, u: TiltElement._trusted(x.p, x.s, tuple((m, c * u % x.p) for m, c in x.nums))
     ), {"ansatz.scale_invariance"}),
+    # The identity keeps every member a member, but t is not u*t; over F_2 the identity is the substitution.
+    Fault("rescale_identity", "all", ("wide", "f3"), _set("cli.tilt_rescale_t", lambda x, u: x),
+          {"ansatz.scale_invariance"}),
     Fault("size_estimate_max", "all", THREE, _set(
         "pilot.size_estimate", lambda sample, rho: max(sum_log_norms(t, rho) for t in sample)
     ), {"ansatz.sample_size_estimate"}),

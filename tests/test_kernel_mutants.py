@@ -1,4 +1,4 @@
-"""Kernel mutants: each mutant of a fast kernel fails the kernel's oracle test and a family built on it.
+"""Kernel mutants: each mutant of a fast kernel or its decode fails the kernel's oracle test and a family built on it.
 
 A row names a mutant, the patch that makes it and a family (generator, ell) that the mutant must
 break.  Under the patch, the differential test against the kernel's oracle must fail, and so must
@@ -50,6 +50,10 @@ MUTANTS = [
     # 16 slots of 4 over F_5: b^2 sums 16 products of 16 in its middle slot, 256, which carries.
     Mutant("bound_admits_256", lambda monkeypatch: monkeypatch.setattr(tilt, "_SLOT_MAX", 256),
            (5, {Fraction(m, 5): 4 for m in range(1, 17)}, 7)),
+    # The one decode that make_ansatz and the checks share reads every power past a itself one slot high.
+    Mutant("decode_off_by_one_slot",
+           source_patch(tilt, "_powers", "base = k * m0", "base = k * m0 + (g if k > 1 else 0)"),
+           (2, {Fraction(1, 2): 1, 1: 1}, 5)),
 ]
 
 

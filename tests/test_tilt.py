@@ -391,14 +391,6 @@ def _pow_scaled(base, k, p, powers):
     return result
 
 
-def _entry_terms(layout, entry, k):
-    """A ``_powers`` entry of a^k as the numerator -> coefficient dict on a's frame."""
-    if isinstance(entry, dict):
-        return dict(entry)
-    m0, g = layout
-    return {k * m0 + g * e: c for e, c in enumerate(entry) if c}
-
-
 def test_power_table_and_shared_predicate_match_the_bottom_up_oracle_in_any_order():
     rng = random.Random(2029)
     for p in (2, 3, 5, 7):
@@ -411,10 +403,10 @@ def test_power_table_and_shared_predicate_match_the_bottom_up_oracle_in_any_orde
             descending, ascending = sorted(ks, reverse=True), sorted(ks)
             for order in (descending, ascending, ascending + descending + ks):
                 _powers.cache_clear()  # each order fills a table of its own
-                (layout, power), is_power = _powers(a.nums, p), _power_check(a)
+                power, is_power = _powers(a.nums, p), _power_check(a)
                 for k in order:
                     expected = TiltElement.from_terms(p, {Fraction(e, den): c for e, c in oracle[k].items()})
-                    assert _entry_terms(layout, power(k), k) == oracle[k], (a, k)
+                    assert power(k) == tuple(sorted(oracle[k].items())), (a, k)
                     assert fresh_pow(a, k) == expected, (a, k)
                     assert is_power(expected, k), (a, k)
                     assert not is_power(tilt_mul(expected, TiltElement.monomial(p, 1)), k), (a, k)
@@ -642,13 +634,22 @@ def test_the_table_choice_keeps_the_memory_of_a_family_bounded(p, terms):
         pytest.param(5, {Fraction(1, 5): 2, Fraction(2, 5): 3, Fraction(3, 5): 4}, id="three-terms-p5"),
     ],
 )
-def test_a_power_past_the_packed_entry_bound_is_a_dict_entry_and_matches_the_oracle(p, terms):
+def test_a_power_past_the_packed_entry_bound_is_a_dict_entry_and_matches_the_oracle(monkeypatch, p, terms):
     a = TiltElement.from_terms(p, terms)
-    (layout, power), is_power, oracle = _powers(a.nums, p), _power_check(a), _dict_powers(dict(a.nums), p)
-    k_max = tilt._ENTRY_MAX // (len(power(1)) - 1)
+    builds, table = [], tilt._table
+    monkeypatch.setattr(tilt, "_table", lambda *args: builds.append(args[1][1]) or table(*args))
+    m0, g = _packing(a.nums, p)
+    k_max = tilt._ENTRY_MAX // ((a.nums[-1][0] - m0) // g)  # the packed entry of a^k has k * span + 1 slots
+    ks = (k_max - 1, k_max, k_max + 1)
+    power, is_power, oracle = _powers(a.nums, p), _power_check(a), _dict_powers(dict(a.nums), p)
+    builds_after = []
+    for k in ks:
+        assert power(k) == tuple(sorted(oracle(k).items())), k
+        builds_after.append(len(builds))
+    # one build for the packed table, then a second, the dict table, at the first spilled power
+    assert builds_after == [1, 1, 2] and isinstance(builds[0], bytes) and isinstance(builds[1], dict), builds_after
     den = p**a.s
-    for k in (k_max - 1, k_max, k_max + 1):
-        assert isinstance(power(k), dict) == (k > k_max), k
+    for k in ks:
         expected = fresh_pow(a, k)
         assert expected == TiltElement.from_terms(p, {Fraction(e, den): c for e, c in oracle(k).items()}), k
         for n in (-1, 0, 1):
