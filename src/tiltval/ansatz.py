@@ -66,6 +66,8 @@ class AnsatzPoint(Record):
     def __init__(self, a: TiltElement, ell: int, members: tuple[PrimitiveDeg1, ...]):
         _require_family_ell(ell, a.p)
         ell_star = (ell - 1) // 2
+        if not isinstance(members, tuple):
+            raise DomainError(f"members must be a tuple, got {members!r}")  # a list would leave the point unhashable
         if len(members) != ell_star:
             raise DomainError(f"expected {ell_star} members for ell = {ell}")
         is_power = _power_check(a)

@@ -266,7 +266,8 @@ class LogLinkChain(Record):
 
     Moving one step toward smaller n divides the valuation by p: the
     chain records how the normalization of v(p) drifts, entry by entry,
-    with no operation that would identify different indices.
+    with no operation that would identify different indices.  The
+    constructor refuses all entries but ``_chain_entries``'s.
     """
 
     p: int
@@ -278,16 +279,10 @@ class LogLinkChain(Record):
         _require_prime(p)
         _require_positive(v0, "v0")
         lo, hi = _require_window(window)
-        expected_indexes = tuple(range(lo, hi + 1))
-        if tuple(n for n, _ in entries) != expected_indexes:
-            raise DomainError("entries must cover the window exactly once, in order")
-        for n, value in entries:
-            if value <= 0:
-                raise DomainError(f"valuation at index {n} must be positive")
-        for (_, prev), (_, cur) in zip(entries, entries[1:]):
-            if cur != prev * p:
-                raise VerificationError("adjacent chain entries must differ by a factor of p")
-        self._assign(p, v0, window, entries)
+        expected = _chain_entries(p, v0, lo, hi)
+        if entries != expected:  # a list, a missing index or a value off v0 * p^n
+            raise DomainError(f"entries must be (n, v0 * p^n) for n = {lo} .. {hi}, got {entries!r}")
+        self._assign(p, v0, window, expected)
 
     def value_at(self, n: int) -> Fraction:
         _require_int(n, "index")
@@ -297,14 +292,17 @@ class LogLinkChain(Record):
         return self.entries[n - lo][1]
 
 
+def _chain_entries(p: int, v0: Fraction, lo: int, hi: int) -> tuple[tuple[int, Fraction], ...]:
+    """The entries (n, v0 * p^n), n = lo .. hi: positive for v0 > 0, each p times the one before."""
+    return tuple((n, v0 * Fraction(p) ** n) for n in range(lo, hi + 1))
+
+
 def chain_build(p: int, v0: Fraction, window: tuple[int, int]) -> LogLinkChain:
     """Build the chain v_n = v0 * p^n over an inclusive index window."""
     _require_prime(p)
     _require_positive(v0, "v0")
     lo, hi = _require_window(window)
-    entries = tuple((n, v0 * Fraction(p) ** n) for n in range(lo, hi + 1))
-    # p prime and v0 > 0: the entries cover the window, are positive and step by p, as the constructor checks.
-    return LogLinkChain._trusted(p, v0, (lo, hi), entries)
+    return LogLinkChain._trusted(p, v0, (lo, hi), _chain_entries(p, v0, lo, hi))
 
 
 def m_of_epsilon(p: int, eps: Fraction) -> int:

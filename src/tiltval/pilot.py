@@ -52,8 +52,8 @@ __all__ = [
 class PilotTuple(Record):
     """An ansatz point with the log-norms of its lifted members.
 
-    lifts[j-1] = e_j = xi_val_K1 * v(a) * j^2 > 0; the quadratic law is
-    re-verified on construction.
+    lifts[j-1] = e_j = xi_val_K1 * v(a) * j^2 > 0, from ``_lifts``; the
+    constructor refuses any other lifts.
     """
 
     ansatz: AnsatzPoint
@@ -62,28 +62,24 @@ class PilotTuple(Record):
 
     def __init__(self, ansatz: AnsatzPoint, xi_val_K1: Fraction, lifts: tuple[Fraction, ...]):
         _require_positive(xi_val_K1, "xi_val_K1")
-        if len(lifts) != ansatz.ell_star:
-            raise DomainError("one lift per family member")
-        if not all(isinstance(e, Fraction) for e in lifts):  # the sign and square law below read numerators
-            raise DomainError(f"lifts must be Fractions, got {lifts!r}")
-        n1, d1 = lifts[0].numerator, lifts[0].denominator
-        for j, e in enumerate(lifts, start=1):
-            if e.numerator <= 0:
-                raise DomainError(f"lift {j} must be positive, got {e}")
-            if e.numerator * d1 != n1 * j * j * e.denominator:
-                raise DomainError(f"lift {j} breaks the square law e_j = j^2 e_1")
+        if not (isinstance(lifts, tuple) and all(isinstance(e, Fraction) for e in lifts)):
+            raise DomainError(f"lifts must be Fractions in a tuple, got {lifts!r}")  # 0.25 == Fraction(1, 4)
+        if lifts != _lifts(ansatz, xi_val_K1):
+            raise DomainError(f"lifts must be e_j = xi_val_K1 * v(a) * j^2, got {lifts}")
         self._assign(ansatz, xi_val_K1, lifts)
+
+
+def _lifts(point: AnsatzPoint, xi: Fraction) -> tuple[Fraction, ...]:
+    """The lifts e_j = xi * v(a) * j^2, j = 1 .. ell*, of a point; v(a) > 0 makes each a positive Fraction."""
+    e1 = xi * tilt_val(point.a)
+    n1, d1 = e1.numerator, e1.denominator
+    return tuple([Fraction(n1 * j * j, d1) for j in range(1, point.ell_star + 1)])
 
 
 def build_pilot(point: AnsatzPoint, xi_val: Fraction) -> PilotTuple:
     """Lift a point with reference multiplier valuation xi_val > 0."""
     _require_positive(xi_val, "xi_val")
-    v_a = tilt_val(point.a)
-    e1 = xi_val * v_a
-    n1, d1 = e1.numerator, e1.denominator
-    lifts = tuple([Fraction(n1 * j * j, d1) for j in range(1, point.ell_star + 1)])
-    # v(a) > 0 for an AnsatzPoint, so each j^2 e_1 is a positive Fraction: the constructor's checks hold.
-    return PilotTuple._trusted(point, xi_val, lifts)
+    return PilotTuple._trusted(point, xi_val, _lifts(point, xi_val))
 
 
 def sum_log_norms(pilot: PilotTuple, rho: RhoWeight) -> Fraction:

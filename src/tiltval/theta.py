@@ -205,7 +205,7 @@ class ThetaValue(Record):
 
     This is the multiplier xi_j with theta(q^(j/2) zeta^k) = theta(zeta^k) / xi_j
     on the nose; the reciprocal's zeta exponent is ``inverse_zeta_exponent``.
-    Only 1 <= j <= (ell - 1) / 2 is meaningful.
+    The constructor refuses all but :func:`theta_value`'s fields, so 1 <= j <= (ell - 1) / 2.
     """
 
     j: int
@@ -216,12 +216,12 @@ class ThetaValue(Record):
 
     def __init__(self, j: int, ell: int, sign: int, q_exponent: Fraction, zeta_exponent: int):
         _require_int(j, "j")
-        _require_odd_prime(ell)
+        _require_int(sign, "sign")
         _require_positive(q_exponent, "q_exponent")
-        if not (_is_int(sign) and sign in (-1, 1)):
-            raise DomainError(f"sign must be +-1, got {sign!r}")
-        if not (_is_int(zeta_exponent) and 0 <= zeta_exponent < ell):
-            raise DomainError(f"zeta_exponent must be an integer in 0..{ell - 1}, got {zeta_exponent!r}")
+        _require_int(zeta_exponent, "zeta_exponent")
+        derived = theta_value(j, ell)._values()[2:]
+        if (sign, q_exponent, zeta_exponent) != derived:
+            raise DomainError(f"(sign, q_exponent, zeta_exponent) must be {derived} at j = {j}, ell = {ell}")
         self._assign(j, ell, sign, q_exponent, zeta_exponent)
 
     @property
@@ -230,12 +230,11 @@ class ThetaValue(Record):
 
 
 def theta_value(j: int, ell: int) -> ThetaValue:
-    """Special-value multiplier at the j-th shift for an odd prime ell."""
+    """Special-value multiplier at the j-th shift for an odd prime ell: the one formula for its fields."""
     _require_odd_prime(ell)
     ell_star = (ell - 1) // 2
     if not _is_int(j) or not 1 <= j <= ell_star:
         raise DomainError(f"j must lie in 1..{ell_star} for ell = {ell}, got {j!r}")
-    # ell and j are validated above; the sign, q-exponent > 0 and reduced zeta exponent hold by construction
     return ThetaValue._trusted(j, ell, (-1) ** (j % 2), Fraction(j * j, 2 * ell), (2 * j) % ell)
 
 

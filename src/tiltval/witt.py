@@ -74,13 +74,15 @@ class RhoWeight(Record):
 
 
 class WittExpr(Record):
-    """A presentation sum_i [x_i] * p^i with nonzero tilt entries x_i."""
+    """A presentation sum_i [x_i] * p^i with nonzero tilt entries x_i, as a tuple of (i, x_i) tuples."""
 
     p: int
     terms: tuple[tuple[int, TiltElement], ...]
 
     def __init__(self, p: int, terms: tuple[tuple[int, TiltElement], ...]):
         _require_prime(p, "residue characteristic")
+        if not isinstance(terms, tuple) or not all(isinstance(term, tuple) and len(term) == 2 for term in terms):
+            raise DomainError(f"terms must be a tuple of (slot, entry) tuples, got {terms!r}")  # or hash() fails
         prev = None
         for slot, x in terms:
             _require_count(slot, "slot index")

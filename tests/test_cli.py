@@ -701,7 +701,7 @@ def test_failing_theta_witnesses_keep_each_value_in_its_slot(monkeypatch, capsys
 
     def quadrupled(j, ell):
         tv = theta_value(j, ell)
-        return ThetaValue(tv.j, tv.ell, tv.sign, 4 * tv.q_exponent, tv.zeta_exponent)
+        return ThetaValue._trusted(tv.j, tv.ell, tv.sign, 4 * tv.q_exponent, tv.zeta_exponent)  # refused publicly
 
     monkeypatch.setattr("tiltval.theta.theta_value", quadrupled)
     assert witnesses()["theta.value_laurent_ratio.j1"] == [

@@ -80,8 +80,11 @@ def _table(row):
 
 
 def _theta_value(fields):
-    """theta_value with its (sign, q_exponent, zeta_exponent) replaced by fields(j, ell, value)."""
-    return _set("theta.theta_value", lambda j, ell: ThetaValue(j, ell, *fields(j, ell, theta_value(j, ell))))
+    """theta_value with its (sign, q_exponent, zeta_exponent) replaced by fields(j, ell, value).
+
+    The constructor refuses every field but theta_value's own, so the faulty value is built through _trusted.
+    """
+    return _set("theta.theta_value", lambda j, ell: ThetaValue._trusted(j, ell, *fields(j, ell, theta_value(j, ell))))
 
 
 def _laurent(first, last):
@@ -153,10 +156,10 @@ FAULTS = [
     Fault("tilt_pow_one_too_many", "ansatz", DEFAULTS, lambda monkeypatch: replace_everywhere(
         monkeypatch, _power_table, lambda x: lambda k, power=_power_table(x): power(k + 1)
     ), _ORBIT_LEFT),
-    # build_pilot builds through _trusted, so a broken lift is no DomainError (exit 2, a config fault):
-    # the orbit still scales by p, and sum_log_norms's closed form catches it.
+    # build_pilot builds through _trusted, so a broken lift formula is no DomainError (exit 2, a config
+    # fault): the orbit still scales by p, and sum_log_norms's closed form catches it.
     Fault("lift_formula", "ansatz", DEFAULTS, source_patch(
-        pilot, "build_pilot", "Fraction(n1 * j * j, d1)", "Fraction(n1 * j * j + 1, d1)"
+        pilot, "_lifts", "Fraction(n1 * j * j, d1)", "Fraction(n1 * j * j + 1, d1)"
     ), r"square-sum identity violated: .*"),
     Fault("every_tuple_a_member", "all", THREE, _set("cli.is_member", lambda members: True),
           {"ansatz.tampered_tuple_rejected"}),
@@ -173,9 +176,10 @@ FAULTS = [
     Fault("size_estimate_negative_at_one", "all", THREE, _set(
         "pilot.size_estimate", lambda sample, rho: Fraction(-1) if rho.at_one else size_estimate(sample, rho)
     ), {"ansatz.boundary_cap_nonnegative"}),
-    # chain_build builds through _trusted, so its entries reach the chain checks instead of aborting the run.
+    # chain_build builds through _trusted, so a broken entry formula reaches the chain checks instead of
+    # aborting the run.
     Fault("chain_base_p_plus_one", "loglink", DEFAULTS, source_patch(
-        loglink, "chain_build", "v0 * Fraction(p) ** n", "v0 * Fraction(p + 1) ** n"
+        loglink, "_chain_entries", "v0 * Fraction(p) ** n", "v0 * Fraction(p + 1) ** n"
     ), {"loglink.chain_ratio_is_p"}),
     # Entries -v0 p^n still step by p, but they fall as n grows.
     Fault("chain_falling", "loglink", DEFAULTS, _set("loglink.chain_build", lambda p, v0, w: LogLinkChain._trusted(

@@ -577,10 +577,19 @@ def test_chain_validation():
     with pytest.raises(DomainError):
         chain_build(2, None, (0, 1))
     good = chain_build(3, Fraction(1, 3), (0, 2)).entries
-    with pytest.raises(VerificationError):
-        LogLinkChain(p=3, v0=Fraction(1, 3), window=(0, 2), entries=(good[0], (1, Fraction(2, 3)), good[2]))
-    with pytest.raises(DomainError):
-        LogLinkChain(p=3, v0=Fraction(1, 3), window=(0, 2), entries=good[:2])
+    assert LogLinkChain(p=3, v0=Fraction(1, 3), window=(0, 2), entries=good) == chain_build(3, Fraction(1, 3), (0, 2))
+    # A bad chain is bad input (exit 2), not two internal routes that disagree.
+    bad = (
+        (good[0], (1, Fraction(2, 3)), good[2]),  # off the ratio p
+        good[:2],  # short of the window
+        ((0, Fraction(5)), (1, Fraction(15)), (2, Fraction(45))),  # steps by p, but ignores v0
+        tuple((n, -v) for n, v in good),  # steps by p, but falls
+        list(good),  # a list would leave the chain unhashable
+        tuple(list(entry) for entry in good),
+    )
+    for entries in bad:
+        with pytest.raises(DomainError, match="entries must be"):
+            LogLinkChain(p=3, v0=Fraction(1, 3), window=(0, 2), entries=entries)
 
 
 def test_m_of_epsilon_frozen():

@@ -4,18 +4,22 @@ import importlib
 import inspect
 import pkgutil
 import random
+import typing
 from fractions import Fraction
 
 import pytest
 
 import tiltval
 from tiltval._record import Record
+from tiltval.ansatz import AnsatzPoint, make_ansatz
 from tiltval.cli import RunConfig
 from tiltval.errors import DomainError
-from tiltval.loglink import PadicUnit
+from tiltval.loglink import LogLinkChain, PadicUnit, chain_build
+from tiltval.pilot import PilotTuple, build_pilot
 from tiltval.reporting import CheckRecord, Report
 from tiltval.theta import ThetaValue, theta_value
 from tiltval.tilt import TiltElement
+from tiltval.witt import WittExpr
 
 for _module in pkgutil.iter_modules(tiltval.__path__):  # every module that defines a record, in any run order
     importlib.import_module(f"tiltval.{_module.name}")
@@ -117,3 +121,42 @@ def test_public_constructors_keep_every_check():
             ThetaValue(1, ell, -1, Fraction(1, 2 * ell), 2)
         with pytest.raises(DomainError):
             theta_value(1, ell)
+
+
+def _tuple_fields(cls):
+    """The fields of a record class whose annotation, with aliases resolved, is a tuple[...]."""
+    hints = typing.get_type_hints(cls)
+    return [name for name in cls.__slots__ if typing.get_origin(hints[name]) is tuple]
+
+
+def _point():
+    return make_ansatz(TiltElement.monomial(2, Fraction(1, 4)), 5)
+
+
+# Every validating record (one with its own __init__) that has a tuple field, with a valid sample.
+# A list in such a field would make a "frozen value" whose hash() raises TypeError.
+TUPLE_RECORDS = {
+    TiltElement: lambda: TiltElement.monomial(3, Fraction(1, 3)),
+    WittExpr: lambda: WittExpr(2, ((0, TiltElement.monomial(2, 1)), (2, TiltElement.monomial(2, 3)))),
+    AnsatzPoint: _point,
+    LogLinkChain: lambda: chain_build(3, Fraction(1, 3), (-1, 2)),
+    PilotTuple: lambda: build_pilot(_point(), Fraction(1, 10)),
+}
+
+
+def test_every_validating_record_with_a_tuple_field_is_in_the_table():
+    validating = {cls for cls in RECORDS if "__init__" in vars(cls) and _tuple_fields(cls)}
+    assert validating == set(TUPLE_RECORDS), "add each validating record with a tuple field to TUPLE_RECORDS"
+
+
+_TUPLE_CASES = [(cls, name) for cls in TUPLE_RECORDS for name in _tuple_fields(cls)]
+
+
+@pytest.mark.parametrize("cls, name", _TUPLE_CASES, ids=[f"{cls.__name__}.{name}" for cls, name in _TUPLE_CASES])
+def test_a_list_in_a_tuple_field_is_a_domain_error(cls, name):
+    sample = TUPLE_RECORDS[cls]()
+    values = dict(zip(cls.__slots__, sample._values()))
+    assert cls(**values) == sample and hash(cls(**values)) == hash(sample)  # the sample itself is accepted
+    values[name] = list(values[name])
+    with pytest.raises(DomainError):
+        cls(**values)

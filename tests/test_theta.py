@@ -307,6 +307,10 @@ def test_theta_value_equals_the_validating_constructor():
     for fields in ((9, -1, Fraction(1, 18), 2), (5, 0, Fraction(1, 10), 2), (5, -1, 0, 2), (5, -1, Fraction(1, 10), 5)):
         with pytest.raises(DomainError):
             ThetaValue(1, *fields)
+    # j past ell* = 2, a sign of +-1 but not (-1)^j, a zeta exponent below ell but not 2j mod ell.
+    for fields in ((3, 5, -1, Fraction(9, 10), 1), (1, 5, 1, Fraction(1, 10), 2), (2, 5, 1, Fraction(2, 5), 3)):
+        with pytest.raises(DomainError):
+            ThetaValue(*fields)
 
 
 def test_theta_value_square_scaling():

@@ -1,19 +1,42 @@
-"""Every ansatz witness against the paper's closed forms, read from the CLI's own json.
+"""Every ansatz, bound and sweep witness against the paper's closed forms, read from the CLI's own json.
 
 The CLI runs as a subprocess on the defaults, wide and F_3 configs.  The config is read back from the
 report's echo, and each witness is derived from it in plain int/Fraction arithmetic, with nothing
 imported from tiltval: the witness generator is a = t^(1/ell*^2), so v(a^(j^2)) = j^2/ell*^2, and the
-sample's lifts scale by p^n over the orbit n = -depth..depth.  A kernel that moves a witness while its
-check still passes fails here.
+sample's lifts scale by p^n over the orbit n = -depth..depth.  The bound's sides and margin are
+closed forms in ell, and the sweep's primes are counted by trial division.  A kernel that moves a
+witness while its check still passes fails here.
 """
 
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from functools import cache
+from math import isqrt
+from pathlib import Path
 
 import pytest
 from conftest import CONFIGS, env_with_src
+
+
+@cache
+def _report(config):
+    """The `all --format json` report of a canonical config, run once per config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(CONFIGS[config], encoding="utf-8")
+        argv = [sys.executable, "-m", "tiltval", "all", "--format", "json", "--config", str(path)]
+        result = subprocess.run(argv, env=env_with_src(), capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    return json.loads(result.stdout)
+
+
+def _witnesses(report, suites):
+    """Check id -> witness, as the report's strings, for the named suites."""
+    return {check["id"]: check["witness"] for suite in report["suites"] if suite["suite"] in suites
+            for check in suite["checks"]}
 
 
 def _expected(cfg):
@@ -47,14 +70,63 @@ def _value(text):
     return Fraction(text)
 
 
+def _q(x):
+    """A rational as the report writes it: n/d, with d = 1 kept."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _margin(ell, v_q):
+    """rhs - lhs of the size bound, in factored form: v_q (2 ell - 1)(ell - 3) / (12 ell (ell - 1))."""
+    return v_q * (2 * ell - 1) * (ell - 3) / (12 * ell * (ell - 1))
+
+
+def _expected_bound_and_sweep(cfg):
+    """Check id -> {witness key: string} for the bound and sweep suites of the config cfg (the report's echo)."""
+    ell, v_q, limit = int(cfg["ell"]), Fraction(cfg["v_q"]), int(cfg["ell_sweep_max"])
+    ls = (ell - 1) // 2
+    lhs = v_q * (ell + 1) / (12 * (ell - 1))  # (1/12)(1 + 1/ell*) v_q
+    rhs = v_q * (ell - 1) / (4 * ell)
+    margin = _margin(ell, v_q)
+    assert rhs - lhs == margin > 0  # every canonical config lies past the threshold
+    primes = [n for n in range(5, limit + 1) if _is_prime(n)]
+    sides = {"lhs_log": _q(v_q / 6), "rhs_log": _q(v_q / 6)}  # at ell = 3: ell* = 1, lhs = rhs = v_q / 6
+    return {
+        "bound.square_sum_closed_form": {"value": _q(ls * (ls + 1) * (2 * ls + 1) // 6)},  # Faulhaber
+        "bound.lhs_termwise": {"value": _q(lhs)},
+        "bound.lhs_closed_form": {"value": _q(lhs)},
+        "bound.rhs_product_form": {"value": _q(rhs)},
+        "bound.rhs_ratio_form": {"value": _q(rhs)},
+        "bound.margin": {"value": _q(margin)},
+        "bound.margin_factored": {"value": _q(margin)},
+        "bound.strict_inequality": {
+            "lhs_log": _q(lhs), "rhs_log": _q(rhs), "margin": _q(margin), "comparison": "lhs < rhs (strict)",
+        },
+        **{f"bound.corollary_c_{c.numerator}_{c.denominator}": {"c": _q(c), "contradiction": str(c < 1).lower()}
+           for c in (Fraction(1, 2), Fraction(1), Fraction(2))},
+        "sweep.ell3_boundary_equality": {**sides, "diagnostic": "lhs == rhs (equality)"},
+        "sweep.all_primes_from_5_pass": {
+            "primes_checked": str(len(primes)), "limit": str(limit), "failures": "()",
+            "last_margin": _q(_margin(primes[-1], v_q)),
+        },
+        **{f"sweep.threshold_{route}": {"threshold": "5"}
+           for route in ("by_sweep", "by_root_analysis", "routes_agree")},
+    }
+
+
 @pytest.mark.parametrize("config", ("defaults", "wide", "f3"))
-def test_every_ansatz_witness_is_its_closed_form(tmp_path, config):
-    path = tmp_path / "c.json"
-    path.write_text(CONFIGS[config], encoding="utf-8")
-    argv = [sys.executable, "-m", "tiltval", "all", "--format", "json", "--config", str(path)]
-    result = subprocess.run(argv, env=env_with_src(), capture_output=True, text=True, timeout=120)
-    assert (result.returncode, result.stderr) == (0, ""), result.stderr
-    report = json.loads(result.stdout)
-    (suite,) = [suite for suite in report["suites"] if suite["suite"] == "ansatz"]
-    witnesses = {check["id"]: {key: _value(v) for key, v in check["witness"].items()} for check in suite["checks"]}
+def test_every_ansatz_witness_is_its_closed_form(config):
+    report = _report(config)
+    witnesses = {check_id: {key: _value(v) for key, v in witness.items()}
+                 for check_id, witness in _witnesses(report, ("ansatz",)).items()}
     assert witnesses == _expected(report["config"])
+
+
+@pytest.mark.parametrize("config", ("defaults", "wide", "f3"))
+def test_every_bound_and_sweep_witness_is_its_closed_form(config):
+    report = _report(config)
+    assert _witnesses(report, ("bound", "sweep-ell")) == _expected_bound_and_sweep(report["config"])

@@ -85,6 +85,9 @@ def test_witt_expr_validation():
         WittExpr(2, ((-1, _t(2)),))
     with pytest.raises(DomainError):
         WittExpr(2, ((1, _t(2)), (0, _t(2))))  # unsorted slots
+    for terms in ([(0, _t(2))], ([0, _t(2)],), ((0, _t(2), 1),)):  # a list would leave the presentation unhashable
+        with pytest.raises(DomainError, match="terms must be a tuple"):
+            WittExpr(2, terms)
 
 
 def test_teichmuller_norm_multiplicative():
