@@ -5,13 +5,14 @@ An ansatz point for an odd prime ell != p is the tuple
     ( [a^(j^2)] - p )  for j = 1 .. ell* = (ell - 1) / 2
 
 attached to a generator a with 0 < v(a) < +inf; ``make_ansatz`` checks
-ell and forms every member a^(j^2) itself, from one table of a's powers.
-Membership of a given tuple is decidable exactly: the candidate generator
-is read off the first entry and the remaining entries must equal its
-j^2-th powers on the nose, compared as integer numerators on a's exponent
-frame (see ``tilt``), each power of a built once per generator: the
-table ``make_ansatz`` built serves it.  No root is taken, so no numerical
-tolerance either.
+ell and forms every member a^(j^2) itself, from one table of a's powers,
+and the ``AnsatzPoint`` constructor calls it and compares.  Membership of
+a given tuple is decidable exactly: the candidate generator is read off
+the first entry and the remaining entries must equal its j^2-th powers on
+the nose, compared as integer numerators on a's exponent frame by
+``tilt._power_check``, which reads the table ``make_ansatz`` built.  No
+root is taken, so no numerical tolerance either.  A point or member of
+the wrong type is a DomainError.
 
 Frobenius acts on a point member by member, and the images must again
 be the square powers of the image generator.  phi^n(a) is a's numerators
@@ -53,10 +54,10 @@ def _require_family_ell(ell: int, p: int) -> None:
 class AnsatzPoint(Record):
     """A generator a together with its square-power family for ell.
 
-    The constructor re-derives every member from ``a`` and refuses
-    anything that is not exactly the j^2-th power, so an AnsatzPoint can
-    be trusted wherever it came from.  The powers are compared on integer
-    exponents, each power of a built once for all j (``_power_check``).
+    The constructor calls ``make_ansatz(a, ell)`` and refuses any members
+    but the ones it builds, so an AnsatzPoint can be trusted wherever it
+    came from; one tuple equality refuses a list, a wrong length, an entry
+    that is not a ``PrimitiveDeg1`` and a wrong power.
     """
 
     a: TiltElement
@@ -64,16 +65,8 @@ class AnsatzPoint(Record):
     members: tuple[PrimitiveDeg1, ...]
 
     def __init__(self, a: TiltElement, ell: int, members: tuple[PrimitiveDeg1, ...]):
-        _require_family_ell(ell, a.p)
-        ell_star = (ell - 1) // 2
-        if not isinstance(members, tuple):
-            raise DomainError(f"members must be a tuple, got {members!r}")  # a list would leave the point unhashable
-        if len(members) != ell_star:
-            raise DomainError(f"expected {ell_star} members for ell = {ell}")
-        is_power = _power_check(a)
-        for j, member in enumerate(members, start=1):
-            if not is_power(member.a, j * j):
-                raise DomainError(f"member {j} is not the {j * j}-th power of the generator")
+        if members != make_ansatz(a, ell).members:
+            raise DomainError(f"members must be the tuple ([a^(j^2)] - p) for j = 1 .. (ell - 1)/2, got {members!r}")
         self._assign(a, ell, members)
 
     @property
@@ -84,12 +77,19 @@ class AnsatzPoint(Record):
 def make_ansatz(a: TiltElement, ell: int) -> AnsatzPoint:
     """Build the family ([a^(j^2)] - p)_j for j = 1 .. (ell - 1)/2, ell an odd prime other than p.
 
-    Every member is formed as a^(j^2), so the constructor's power check holds, all from one table of a's powers;
-    ``tilt._powers`` keeps that table, so the family's orbit and membership checks read it too."""
+    The one formula for a point's members, which ``AnsatzPoint`` compares against: each a^(j^2), from one
+    table of a's powers that ``tilt._powers`` keeps for the family's orbit and membership checks."""
+    if not isinstance(a, TiltElement):
+        raise DomainError(f"the generator must be a TiltElement, got {a!r}")
     _require_family_ell(ell, a.p)
     power = _power_table(a)
     members = tuple(PrimitiveDeg1(power(j * j)) for j in range(1, (ell - 1) // 2 + 1))
     return AnsatzPoint._trusted(a, ell, members)
+
+
+def _require_point(point: object) -> None:
+    if not isinstance(point, AnsatzPoint):
+        raise DomainError(f"expected an AnsatzPoint, got {point!r}")
 
 
 def is_member(members: Sequence[PrimitiveDeg1]) -> bool:
@@ -100,10 +100,12 @@ def is_member(members: Sequence[PrimitiveDeg1]) -> bool:
     the forced power on integer exponents, each power of the generator
     built once for the whole tuple, or read from the table that
     ``make_ansatz`` or an orbit check on the same numerators built.
-    Mismatched ground fields simply fail.
+    Mismatched ground fields simply fail; a non-PrimitiveDeg1 entry raises.
     """
     if not members:
         raise DomainError("membership needs at least one entry")
+    if not all(isinstance(member, PrimitiveDeg1) for member in members):
+        raise DomainError("every entry of a family must be a PrimitiveDeg1")
     is_power = _power_check(members[0].a)
     return all(is_power(member.a, j * j) for j, member in enumerate(members, start=1))
 
@@ -112,13 +114,14 @@ def frobenius_orbit(point: AnsatzPoint, window: tuple[int, int]) -> tuple[Ansatz
     """The points over phi^n(a) for n in the inclusive window.
 
     Each point's members are the images phi^n([a^(j^2)] - p) of the
-    given point's members.  One predicate on a (``_power_check``) makes
-    the ``AnsatzPoint`` constructor's comparisons for every n, each
+    given point's members.  One predicate on a (``_power_check``) checks
+    them for every n in place of the ``AnsatzPoint`` constructor, each
     a^(j^2) read from the one table of a's numerators (the one
     ``make_ansatz`` built, while the cache holds it), so every orbit point verifies
     that Frobenius commutes with the square powers.  A mismatch there is
     a kernel fault, not bad input, and raises VerificationError.
     """
+    _require_point(point)
     lo, hi = _require_window(window)
     is_twisted_power = _power_check(point.a)
     orbit = []
@@ -135,6 +138,7 @@ def frobenius_orbit(point: AnsatzPoint, window: tuple[int, int]) -> tuple[Ansatz
 
 def valuation_profile(point: AnsatzPoint) -> tuple[Fraction, ...]:
     """The tuple (v(a^(j^2)))_j = (j^2 * v(a))_j in tilt units."""
+    _require_point(point)
     return tuple(tilt_val(m.a) for m in point.members)
 
 
@@ -149,10 +153,11 @@ def scale_invariance_check(
     valuation is the lowest exponent.  Returns True when the substituted
     tuple is still a member; the generator is the first member.
     """
+    _require_point(point)
     new_members = []
     for member in point.members:
-        sub = substitution(member.a)
-        if (sub.s, [m for m, _ in sub.nums]) != (member.a.s, [m for m, _ in member.a.nums]):  # the support, on frames
+        sub = PrimitiveDeg1(substitution(member.a))  # refuses an image that is not a TiltElement
+        if (sub.a.s, [m for m, _ in sub.a.nums]) != (member.a.s, [m for m, _ in member.a.nums]):  # the support
             raise DomainError("substitution does not preserve the exponent support")
-        new_members.append(PrimitiveDeg1(sub))
+        new_members.append(sub)
     return is_member(new_members)

@@ -267,7 +267,7 @@ class LogLinkChain(Record):
     Moving one step toward smaller n divides the valuation by p: the
     chain records how the normalization of v(p) drifts, entry by entry,
     with no operation that would identify different indices.  The
-    constructor refuses all entries but ``_chain_entries``'s.
+    constructor calls ``chain_build`` and refuses all entries but its.
     """
 
     p: int
@@ -276,12 +276,9 @@ class LogLinkChain(Record):
     entries: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, p: int, v0: Fraction, window: tuple[int, int], entries: tuple[tuple[int, Fraction], ...]):
-        _require_prime(p)
-        _require_positive(v0, "v0")
-        lo, hi = _require_window(window)
-        expected = _chain_entries(p, v0, lo, hi)
+        expected = chain_build(p, v0, window).entries
         if entries != expected:  # a list, a missing index or a value off v0 * p^n
-            raise DomainError(f"entries must be (n, v0 * p^n) for n = {lo} .. {hi}, got {entries!r}")
+            raise DomainError(f"entries must be (n, v0 * p^n) for n = {window[0]} .. {window[1]}, got {entries!r}")
         self._assign(p, v0, window, expected)
 
     def value_at(self, n: int) -> Fraction:
@@ -292,17 +289,13 @@ class LogLinkChain(Record):
         return self.entries[n - lo][1]
 
 
-def _chain_entries(p: int, v0: Fraction, lo: int, hi: int) -> tuple[tuple[int, Fraction], ...]:
-    """The entries (n, v0 * p^n), n = lo .. hi: positive for v0 > 0, each p times the one before."""
-    return tuple((n, v0 * Fraction(p) ** n) for n in range(lo, hi + 1))
-
-
 def chain_build(p: int, v0: Fraction, window: tuple[int, int]) -> LogLinkChain:
-    """Build the chain v_n = v0 * p^n over an inclusive index window."""
+    """Build the chain v_n = v0 * p^n over an inclusive index window: the one formula for the entries
+    (n, v0 * p^n), which ``LogLinkChain`` compares against, positive for v0 > 0, each p times the last."""
     _require_prime(p)
     _require_positive(v0, "v0")
     lo, hi = _require_window(window)
-    return LogLinkChain._trusted(p, v0, (lo, hi), _chain_entries(p, v0, lo, hi))
+    return LogLinkChain._trusted(p, v0, (lo, hi), tuple((n, v0 * Fraction(p) ** n) for n in range(lo, hi + 1)))
 
 
 def m_of_epsilon(p: int, eps: Fraction) -> int:

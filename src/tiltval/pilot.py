@@ -28,7 +28,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from ._record import Record
-from .ansatz import AnsatzPoint, frobenius_orbit
+from .ansatz import AnsatzPoint, _require_point, frobenius_orbit
 from .errors import DomainError, VerificationError
 from .tilt import _require_count, _require_odd_prime, _require_positive, tilt_val
 from .witt import RhoWeight
@@ -52,8 +52,8 @@ __all__ = [
 class PilotTuple(Record):
     """An ansatz point with the log-norms of its lifted members.
 
-    lifts[j-1] = e_j = xi_val_K1 * v(a) * j^2 > 0, from ``_lifts``; the
-    constructor refuses any other lifts.
+    lifts[j-1] = e_j = xi_val_K1 * v(a) * j^2 > 0; the constructor calls
+    ``build_pilot`` and refuses any other lifts.
     """
 
     ansatz: AnsatzPoint
@@ -64,22 +64,19 @@ class PilotTuple(Record):
         _require_positive(xi_val_K1, "xi_val_K1")
         if not (isinstance(lifts, tuple) and all(isinstance(e, Fraction) for e in lifts)):
             raise DomainError(f"lifts must be Fractions in a tuple, got {lifts!r}")  # 0.25 == Fraction(1, 4)
-        if lifts != _lifts(ansatz, xi_val_K1):
+        if lifts != build_pilot(ansatz, xi_val_K1).lifts:
             raise DomainError(f"lifts must be e_j = xi_val_K1 * v(a) * j^2, got {lifts}")
         self._assign(ansatz, xi_val_K1, lifts)
 
 
-def _lifts(point: AnsatzPoint, xi: Fraction) -> tuple[Fraction, ...]:
-    """The lifts e_j = xi * v(a) * j^2, j = 1 .. ell*, of a point; v(a) > 0 makes each a positive Fraction."""
-    e1 = xi * tilt_val(point.a)
-    n1, d1 = e1.numerator, e1.denominator
-    return tuple([Fraction(n1 * j * j, d1) for j in range(1, point.ell_star + 1)])
-
-
 def build_pilot(point: AnsatzPoint, xi_val: Fraction) -> PilotTuple:
-    """Lift a point with reference multiplier valuation xi_val > 0."""
+    """Lift a point with reference multiplier valuation xi_val > 0: the one formula for the lifts
+    e_j = xi_val * v(a) * j^2, j = 1 .. ell*, which ``PilotTuple`` compares against, all positive."""
+    _require_point(point)
     _require_positive(xi_val, "xi_val")
-    return PilotTuple._trusted(point, xi_val, _lifts(point, xi_val))
+    e1 = xi_val * tilt_val(point.a)
+    n1, d1 = e1.numerator, e1.denominator
+    return PilotTuple._trusted(point, xi_val, tuple([Fraction(n1 * j * j, d1) for j in range(1, point.ell_star + 1)]))
 
 
 def sum_log_norms(pilot: PilotTuple, rho: RhoWeight) -> Fraction:

@@ -123,16 +123,16 @@ def gauss_log_norm(w: WittExpr, rho: RhoWeight) -> Fraction | None:
 class PrimitiveDeg1(Record):
     """Generator data [a] - p of a degree-one prime, with 0 < v(a) < +inf.
 
-    Only ``a`` is stored; the constructor enforces that a is a nonzero
-    element of the open unit disk, which is exactly the condition for
-    [a] - p to be primitive of degree one.
+    Only ``a`` is stored; the constructor refuses (DomainError) all but a
+    nonzero TiltElement of the open unit disk, which is exactly the
+    condition for [a] - p to be primitive of degree one.
     """
 
     a: TiltElement
 
     def __init__(self, a: TiltElement):
-        if a.is_zero or not a.nums[0][0]:  # v(a) is the lowest numerator over p^s
-            raise DomainError("generator must satisfy 0 < v(a) < +inf")
+        if not isinstance(a, TiltElement) or a.is_zero or not a.nums[0][0]:  # v(a): the lowest numerator over p^s
+            raise DomainError(f"generator must be a TiltElement with 0 < v(a) < +inf, got {a!r}")
         self._assign(a)
 
 
@@ -146,8 +146,10 @@ def eta_val(prim: PrimitiveDeg1, x: TiltElement) -> Fraction | None:
     """Valuation of the image of [x] in the untilt cut out by [a] - p.
 
     Normalized so that v(p) = 1 there; concretely v(x) / v(a).  The zero
-    element maps to None, meaning +infinity.
+    element maps to None, meaning +infinity; other types are a DomainError.
     """
+    if not (isinstance(prim, PrimitiveDeg1) and isinstance(x, TiltElement)):
+        raise DomainError(f"eta_val takes a PrimitiveDeg1 and a TiltElement, got {prim!r} and {x!r}")
     if x.is_zero:
         return None
     a = prim.a  # (m_x / p^s_x) / (m_a / p^s_a), built as one Fraction

@@ -69,6 +69,28 @@ def test_make_validation():
         make_ansatz(TiltElement.from_terms(2, {}), 5)
 
 
+_A = TiltElement.monomial(2, Fraction(1, 4))
+_WRONG_TYPES = {  # each is bad input (DomainError), not an AttributeError
+    "point_of_bare_elements": lambda: AnsatzPoint(_A, 5, (_A, _A)),
+    "point_of_none": lambda: AnsatzPoint(None, 5, ()),
+    "family_of_none": lambda: make_ansatz(None, 5),
+    "family_of_generator_data": lambda: make_ansatz(PrimitiveDeg1(_A), 5),
+    "member_bare_element": lambda: is_member((_A,)),
+    "member_bare_tail": lambda: is_member((*make_ansatz(_A, 5).members, _A)),
+    "orbit_of_none": lambda: frobenius_orbit(None, (0, 0)),
+    "orbit_of_a_member": lambda: frobenius_orbit(make_ansatz(_A, 5).members[0], (0, 0)),
+    "profile_of_none": lambda: valuation_profile(None),
+    "scale_invariance_of_none": lambda: scale_invariance_check(None, lambda x: x),
+    "scale_invariance_to_none": lambda: scale_invariance_check(make_ansatz(_A, 5), lambda x: None),
+}
+
+
+@pytest.mark.parametrize("probe", _WRONG_TYPES.values(), ids=_WRONG_TYPES.keys())
+def test_a_wrong_typed_point_or_member_is_a_domain_error(probe):
+    with pytest.raises(DomainError):
+        probe()
+
+
 def _one_table_families():
     """(name, generator, ell) for multi-term generators whose families read packed, dict and spilled tables."""
     rng = random.Random(811)
@@ -116,7 +138,7 @@ def test_make_ansatz_forms_each_power_once(monkeypatch):
         spilled = [dict] if name.startswith("spill") else []  # every spilled member reads one dict table
         assert kinds == ([dict] if layout is None else [bytes, *spilled]), name
         assert point.members == expected, name
-        assert point == AnsatzPoint(a=a, ell=ell, members=point.members), name  # the public check agrees
+        assert is_member(point.members), name  # the _power_check predicate agrees with the power table
 
 
 def test_a_family_check_reads_one_table(monkeypatch):

@@ -159,7 +159,7 @@ FAULTS = [
     # build_pilot builds through _trusted, so a broken lift formula is no DomainError (exit 2, a config
     # fault): the orbit still scales by p, and sum_log_norms's closed form catches it.
     Fault("lift_formula", "ansatz", DEFAULTS, source_patch(
-        pilot, "_lifts", "Fraction(n1 * j * j, d1)", "Fraction(n1 * j * j + 1, d1)"
+        pilot, "build_pilot", "Fraction(n1 * j * j, d1)", "Fraction(n1 * j * j + 1, d1)"
     ), r"square-sum identity violated: .*"),
     Fault("every_tuple_a_member", "all", THREE, _set("cli.is_member", lambda members: True),
           {"ansatz.tampered_tuple_rejected"}),
@@ -179,7 +179,7 @@ FAULTS = [
     # chain_build builds through _trusted, so a broken entry formula reaches the chain checks instead of
     # aborting the run.
     Fault("chain_base_p_plus_one", "loglink", DEFAULTS, source_patch(
-        loglink, "_chain_entries", "v0 * Fraction(p) ** n", "v0 * Fraction(p + 1) ** n"
+        loglink, "chain_build", "v0 * Fraction(p) ** n", "v0 * Fraction(p + 1) ** n"
     ), {"loglink.chain_ratio_is_p"}),
     # Entries -v0 p^n still step by p, but they fall as n grows.
     Fault("chain_falling", "loglink", DEFAULTS, _set("loglink.chain_build", lambda p, v0, w: LogLinkChain._trusted(

@@ -43,6 +43,20 @@ def test_build_pilot_frozen():
         build_pilot(_point(), Fraction(-1, 3))
 
 
+_WRONG_TYPES = {  # each is bad input (DomainError), not an AttributeError
+    "pilot_of_none": lambda: PilotTuple(None, Fraction(1), (Fraction(1, 4), Fraction(1))),
+    "pilot_of_a_generator": lambda: PilotTuple(_point().a, Fraction(1), (Fraction(1, 4), Fraction(1))),
+    "build_of_none": lambda: build_pilot(None, Fraction(1)),
+    "sample_of_none": lambda: theta_set_sample([None], Fraction(1), 0),
+}
+
+
+@pytest.mark.parametrize("probe", _WRONG_TYPES.values(), ids=_WRONG_TYPES.keys())
+def test_a_wrong_typed_point_is_a_domain_error(probe):
+    with pytest.raises(DomainError):
+        probe()
+
+
 def test_pilot_square_law_reverified():
     point = _point()  # v(a) = 1/4 at ell = 5: xi = 1 lifts to (1/4, 1)
     assert PilotTuple(ansatz=point, xi_val_K1=Fraction(1), lifts=(Fraction(1, 4), Fraction(1))) == build_pilot(

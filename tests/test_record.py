@@ -19,7 +19,7 @@ from tiltval.pilot import PilotTuple, build_pilot
 from tiltval.reporting import CheckRecord, Report
 from tiltval.theta import ThetaValue, theta_value
 from tiltval.tilt import TiltElement
-from tiltval.witt import WittExpr
+from tiltval.witt import PrimitiveDeg1, WittExpr
 
 for _module in pkgutil.iter_modules(tiltval.__path__):  # every module that defines a record, in any run order
     importlib.import_module(f"tiltval.{_module.name}")
@@ -160,3 +160,47 @@ def test_a_list_in_a_tuple_field_is_a_domain_error(cls, name):
     values[name] = list(values[name])
     with pytest.raises(DomainError):
         cls(**values)
+
+
+def _record_class(hint):
+    """The Record class a field annotation names, itself or as tuple[Cls, ...]; None for any other annotation."""
+    if typing.get_origin(hint) is tuple and typing.get_args(hint)[1:] == (Ellipsis,):
+        hint = typing.get_args(hint)[0]
+    return hint if isinstance(hint, type) and issubclass(hint, Record) else None
+
+
+def _record_fields(cls):
+    """The fields of a record class annotated with a Record class or a tuple of one, with aliases resolved."""
+    hints = typing.get_type_hints(cls)
+    return [name for name in cls.__slots__ if _record_class(hints[name])]
+
+
+# Every validating record with a field that holds records, with a valid sample.  Such a field given None or a
+# record of another class must be refused as bad input, not end in an AttributeError.
+RECORD_FIELD_RECORDS = {
+    PrimitiveDeg1: lambda: PrimitiveDeg1(TiltElement.monomial(2, Fraction(1, 4))),
+    AnsatzPoint: _point,
+    PilotTuple: lambda: build_pilot(_point(), Fraction(1, 10)),
+}
+
+
+def test_every_validating_record_with_a_record_field_is_in_the_table():
+    validating = {cls for cls in RECORDS if "__init__" in vars(cls) and _record_fields(cls)}
+    assert validating == set(RECORD_FIELD_RECORDS), "add each validating record with a record field to the table"
+
+
+_RECORD_CASES = [(cls, name) for cls in RECORD_FIELD_RECORDS for name in _record_fields(cls)]
+
+
+@pytest.mark.parametrize("cls, name", _RECORD_CASES, ids=[f"{cls.__name__}.{name}" for cls, name in _RECORD_CASES])
+def test_a_wrong_record_in_a_record_field_is_a_domain_error(cls, name):
+    sample = RECORD_FIELD_RECORDS[cls]()
+    values = dict(zip(cls.__slots__, sample._values()))
+    assert cls(**values) == sample  # the sample itself is accepted
+    hint = typing.get_type_hints(cls)[name]
+    # t^(1/4) over F_2 as a bare element and as generator data: one of them is of another class than the field's
+    foreign = next(x for x in (TiltElement.monomial(2, Fraction(1, 4)), RECORD_FIELD_RECORDS[PrimitiveDeg1]())
+                   if not isinstance(x, _record_class(hint)))
+    for wrong in (None, foreign if typing.get_origin(hint) is not tuple else (foreign,) * len(values[name])):
+        with pytest.raises(DomainError):
+            cls(**{**values, name: wrong})

@@ -1,10 +1,11 @@
-"""Every ansatz, bound and sweep witness against the paper's closed forms, read from the CLI's own json.
+"""Every ansatz, bound, sweep and loglink witness against the paper's closed forms, read from the CLI's own json.
 
 The CLI runs as a subprocess on the defaults, wide and F_3 configs.  The config is read back from the
 report's echo, and each witness is derived from it in plain int/Fraction arithmetic, with nothing
 imported from tiltval: the witness generator is a = t^(1/ell*^2), so v(a^(j^2)) = j^2/ell*^2, and the
 sample's lifts scale by p^n over the orbit n = -depth..depth.  The bound's sides and margin are
-closed forms in ell, and the sweep's primes are counted by trial division.  A kernel that moves a
+closed forms in ell, and the sweep's primes are counted by trial division.  The log chain has v0 = 1,
+so its entries are p^n, and each m(eps) is the least m with p^-m < eps.  A kernel that moves a
 witness while its check still passes fails here.
 """
 
@@ -116,6 +117,35 @@ def _expected_bound_and_sweep(cfg):
         **{f"sweep.threshold_{route}": {"threshold": "5"}
            for route in ("by_sweep", "by_root_analysis", "routes_agree")},
     }
+
+
+def _tuple(items):
+    """A tuple as the report writes it."""
+    return "(" + ", ".join(map(str, items)) + ")"
+
+
+def _expected_loglink(cfg):
+    """Check id -> {witness key: string} for the loglink suite of the config cfg (the report's echo)."""
+    p, depth, precision = int(cfg["p"]), int(cfg["frobenius_depth"]), cfg["padic_precision"]
+    window = _tuple((-depth, depth))
+    eps = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 10))
+    m = [next(m for m in range(64) if Fraction(1, p**m) < e) for e in eps]  # the least m with p^-m < eps
+    trials = {"trials": "100", "failures": "0"}
+    return {
+        "loglink.chain_ratio_is_p": {"entries": _tuple(_q(Fraction(p) ** n) for n in range(-depth, depth + 1))},
+        "loglink.chain_strictly_increasing": {"window": window},
+        "loglink.m_of_epsilon_grid": {"eps": _tuple(map(_q, eps)), "m": _tuple(m)},
+        "loglink.kummer_shift_telescoping": {"window": window},
+        "loglink.log_at_one_is_zero": {"precision": precision},
+        "loglink.log_product_rule_trials": trials,
+        "loglink.log_p_power_rule_trials": trials,
+    }
+
+
+@pytest.mark.parametrize("config", ("defaults", "wide", "f3"))
+def test_every_loglink_witness_is_its_closed_form(config):
+    report = _report(config)
+    assert _witnesses(report, ("loglink",)) == _expected_loglink(report["config"])
 
 
 @pytest.mark.parametrize("config", ("defaults", "wide", "f3"))

@@ -121,6 +121,22 @@ def test_primitive_validation():
         PrimitiveDeg1(TiltElement.from_terms(3, {0: 1, Fraction(1, 3): 1}))  # v(1 + t^(1/3)) = 0, on the frame 3^1
 
 
+_WRONG_TYPES = {  # each is bad input (DomainError), not an AttributeError
+    "generator_none": lambda: PrimitiveDeg1(None),
+    "generator_fraction": lambda: PrimitiveDeg1(Fraction(1, 2)),
+    "generator_data_twice": lambda: PrimitiveDeg1(PrimitiveDeg1(_t(2))),
+    "eta_of_none": lambda: eta_val(None, _t(2)),
+    "eta_of_a_bare_element": lambda: eta_val(_t(2), _t(2)),
+    "eta_at_none": lambda: eta_val(PrimitiveDeg1(_t(2)), None),
+}
+
+
+@pytest.mark.parametrize("probe", _WRONG_TYPES.values(), ids=_WRONG_TYPES.keys())
+def test_a_wrong_typed_generator_is_a_domain_error(probe):
+    with pytest.raises(DomainError):
+        probe()
+
+
 def test_primitive_frobenius_twists_the_generator():
     prim = PrimitiveDeg1(_t(2))
     assert primitive_frobenius(prim, 1).a == _t(2, 2)
