@@ -41,9 +41,7 @@ from typing import Callable, Iterator
 from ._record import Record
 from .ansatz import AnsatzPoint, is_member, make_ansatz, valuation_profile, scale_invariance_check
 from .errors import DomainError, VerificationError
-from .reporting import (
-    GAUGE_NOTES, AnyReport, CheckRecord, CombinedReport, Report, format_exact, make_check, render_report
-)
+from .reporting import AnyReport, CheckRecord, CombinedReport, Report, format_exact, make_check, render_report
 from .tilt import TiltElement, _is_int, _is_p_power, _require_odd_prime, _require_precision, _require_prime, _unit_level
 from .tilt import tilt_mul, tilt_pow, tilt_rescale_t
 from .witt import PrimitiveDeg1, RhoWeight, eta_val
@@ -196,7 +194,7 @@ def _suite(build: Callable[[RunConfig], Iterator[CheckRecord]]) -> Callable[[Run
     def run(cfg: RunConfig) -> Report:
         started = time.perf_counter()
         checks = tuple(build(cfg))
-        return Report(suite=name, config_echo=cfg.echo(), gauges=GAUGE_NOTES, checks=checks, wall_ms=_wall_ms(started))
+        return Report(suite=name, config_echo=cfg.echo(), checks=checks, wall_ms=_wall_ms(started))
 
     return run
 
@@ -503,7 +501,7 @@ def cmd_all(cfg: RunConfig) -> CombinedReport:
     """Every suite in order under one configuration."""
     started = time.perf_counter()
     suites = tuple(_command(name)(cfg) for name in _SUITES)
-    return CombinedReport(suites=suites, config_echo=cfg.echo(), gauges=GAUGE_NOTES, wall_ms=_wall_ms(started))
+    return CombinedReport(suites=suites, config_echo=cfg.echo(), wall_ms=_wall_ms(started))
 
 
 def _plain_args(argv: list[str]) -> dict | None:

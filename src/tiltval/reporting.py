@@ -12,6 +12,7 @@ indent, {} and [] when empty, strings escaped as ``json.dumps`` escapes
 them (ASCII only), ints by ``int.__repr__``, bools as true/false.  Any
 other json leaf, and any csv or text name, config value or witness that
 is not a str, raises VerificationError, so a float reaches no format.
+json and text print the constant ``GAUGE_NOTES`` after the config echo.
 """
 
 from __future__ import annotations
@@ -74,11 +75,10 @@ def make_check(check_id: str, passed: bool, **witness: object) -> CheckRecord:
 
 
 class Report(Record):
-    """A suite run: configuration echo, gauge notes, ordered checks."""
+    """A suite run: configuration echo and ordered checks."""
 
     suite: str
     config_echo: tuple[tuple[str, str], ...]
-    gauges: tuple[str, ...]
     checks: tuple[CheckRecord, ...]
     wall_ms: int | None = None
 
@@ -97,7 +97,6 @@ class CombinedReport(Record):
 
     suites: tuple[Report, ...]
     config_echo: tuple[tuple[str, str], ...]
-    gauges: tuple[str, ...]
     wall_ms: int | None = None
 
     @property
@@ -149,7 +148,7 @@ def _json(report: AnyReport, pad: str = "") -> str:
             items.append(_block([f'"id": {_leaf(c.check_id)}', f'"passed": {_leaf(c.passed)}', witness], inner + "  "))
     fields = ['"schema": 1', f'"suite": {_leaf(name)}']
     if not pad:
-        gauges = _block([_leaf(g) for g in report.gauges], inner, "[]")
+        gauges = _block([_quote(g) for g in GAUGE_NOTES], inner, "[]")
         fields += ['"config": ' + _pairs(report.config_echo, inner), '"gauges": ' + gauges]
     good, total = report.counts()
     counts = _block([f'"total": {total}', f'"passed": {good}', f'"failed": {total - good}'], inner)
@@ -177,7 +176,7 @@ def _render_text(report: AnyReport) -> str:
     lines = [
         f"suite: {'all' if combined else _text(report.suite)}",
         "config: " + "  ".join(f"{_text(k)}={_text(v)}" for k, v in report.config_echo),
-        *(f"gauge: {_text(note)}" for note in report.gauges),
+        *(f"gauge: {note}" for note in GAUGE_NOTES),
     ]
     for sub in report.suites if combined else (report,):
         if combined:

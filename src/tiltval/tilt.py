@@ -44,7 +44,8 @@ The package's parameter checks live here too; other modules call them.
 The integer rule is ``_is_int``, an int and not a bool.  ``is_prime``,
 ``_exact`` and the integer validators ``_require_int``, ``_require_count``,
 ``_require_prime``, ``_require_odd_prime``, ``_require_precision`` and
-``_require_window`` apply it; ``_require_positive`` wants a positive Fraction.
+``_require_window`` apply it; ``_require_positive`` wants a positive Fraction
+and ``_require_bool`` a bool.
 """
 
 from __future__ import annotations
@@ -111,6 +112,11 @@ def _require_int(x: object, name: str) -> None:
         raise DomainError(f"{name} must be an integer, got {x!r}")
 
 
+def _require_bool(x: object, name: str) -> None:
+    if not isinstance(x, bool):
+        raise DomainError(f"{name} must be a bool, got {x!r}")
+
+
 def _require_count(x: object, name: str) -> None:
     if not _is_int(x) or x < 0:
         raise DomainError(f"{name} must be a nonnegative integer, got {x!r}")
@@ -172,8 +178,8 @@ class TiltElement(Record):
     increasing and c reduced to 1..p-1, over the minimal scale s (s = 0 or
     some m prime to p); zero is the empty tuple.  ``terms`` gives them with
     Fraction exponents.  Build through :meth:`from_terms` or :meth:`monomial`.
-    The validating constructor also refuses a ``nums`` that is not a tuple
-    of (m, c) tuples, so equal elements hash alike.
+    The validating constructor refuses any frame but ``from_terms``'s, and a
+    ``nums`` that is not a tuple of (m, c) tuples, so equal elements hash alike.
     """
 
     p: int
@@ -185,16 +191,12 @@ class TiltElement(Record):
         _require_count(s, "frame scale")
         if not isinstance(nums, tuple) or not all(isinstance(term, tuple) and len(term) == 2 for term in nums):
             raise DomainError(f"terms must be a tuple of (numerator, coefficient) tuples, got {nums!r}")
-        prev = -1
-        for m, coeff in nums:
-            _require_count(m, "exponent numerator")
-            if not _is_int(coeff) or not 0 < coeff < p:
-                raise DomainError(f"coefficient {coeff!r} is not reduced to 1..{p - 1}")
-            if m <= prev:
-                raise DomainError("terms must be strictly increasing in the exponent")
-            prev = m
-        if s and not any(m % p for m, _ in nums):
-            raise DomainError(f"frame {p}^{s} is not minimal: no numerator is prime to {p}")
+        for m, _ in nums:
+            _require_count(m, "exponent numerator")  # a bool or negative m would pass Fraction(m, p**s)
+        built = TiltElement.from_terms(p, {Fraction(m, p**s): c for m, c in nums})
+        if (built.s, built.nums) != (s, nums):
+            raise DomainError(f"frame {p}^{s} with terms {nums!r}: m not strictly increasing, a coefficient outside"
+                              f" 1..{p - 1}, or not minimal; from_terms gives {p}^{built.s} with {built.nums!r}")
         self._assign(p, s, nums)
 
     @classmethod
@@ -203,10 +205,9 @@ class TiltElement(Record):
 
         Coefficients are reduced mod p and zero terms dropped, so any
         integer coefficient is accepted, but not a bool: True is no residue.
-        p is checked first, before any reduction mod p.  The frame built
-        from checked inputs is sorted, reduced and minimal, all that the
-        validator checks, so it is skipped (``_trusted``) and p is tested
-        for primality once per element.
+        p is checked first, before any reduction mod p.  The frame built is
+        sorted, reduced and minimal, the one frame the validating constructor
+        accepts, so it is built through ``_trusted``.
         """
         _require_prime(p, "coefficient characteristic")
         collected: dict[Fraction, int] = {}

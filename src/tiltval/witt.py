@@ -29,7 +29,7 @@ from typing import Union
 
 from ._record import Record
 from .errors import DomainError
-from .tilt import TiltElement, _exact, _require_count, _require_prime, tilt_frobenius, tilt_val
+from .tilt import TiltElement, _exact, _require_bool, _require_count, _require_prime, tilt_frobenius, tilt_val
 # No code here calls tilt_pow; perfbench/selftest.py checks that its tracer patches this name too.
 from .tilt import tilt_pow  # noqa: F401
 
@@ -48,7 +48,7 @@ class RhoWeight(Record):
     """Weight r selecting the Gauss norm with rho = |t|^r.
 
     Interior points of the relevant disk have r > 0; the boundary norm at
-    rho = 1 is selected by ``at_one`` with the weight pinned to 0.
+    rho = 1 is selected by ``at_one``, a bool, with the weight pinned to 0.
     """
 
     r: Fraction
@@ -57,10 +57,10 @@ class RhoWeight(Record):
     def __init__(self, r: Fraction, at_one: bool = False):
         if not isinstance(r, Fraction):
             raise DomainError("weight must be a Fraction")
-        if at_one:
-            if r != 0:
-                raise DomainError("the boundary norm carries weight 0")
-        elif r <= 0:
+        _require_bool(at_one, "at_one")  # 1 or "yes" would make a boundary weight unequal to RhoWeight.one()
+        if at_one and r != 0:
+            raise DomainError("the boundary norm carries weight 0")
+        if not at_one and r <= 0:
             raise DomainError(f"interior weight must be positive, got {r}")
         self._assign(r, at_one)
 

@@ -93,9 +93,9 @@ def test_report_records_are_immutable_values():
     assert_immutable_value(lambda: make_check("x.y", True, value=Fraction(1, 2)))
     run = cmd_all(RunConfig())  # wall times differ between runs, so both copies come from one
     bound = run.suites[1]
-    assert_immutable_value(lambda: Report(bound.suite, bound.config_echo, bound.gauges, bound.checks, bound.wall_ms))
-    assert_immutable_value(lambda: CombinedReport(run.suites, run.config_echo, run.gauges, wall_ms=run.wall_ms))
-    assert Report("bound", (), (), ()) == Report("bound", (), (), (), wall_ms=None)
+    assert_immutable_value(lambda: Report(bound.suite, bound.config_echo, bound.checks, bound.wall_ms))
+    assert_immutable_value(lambda: CombinedReport(run.suites, run.config_echo, wall_ms=run.wall_ms))
+    assert Report("bound", (), ()) == Report("bound", (), (), wall_ms=None)
     assert CheckRecord("x.y", True, ()) != CheckRecord("x.y", False, ())
 
 

@@ -2,7 +2,8 @@
 
 A row patches the program, runs one command with --format json --output on each of its configs, and expects
 either the exact set of failing ids in the written report (exit 1, nothing on stdout or stderr) or an abort:
-exit 1, no report, and one `internal check failed: ` line matching the row's pattern.
+exit 1, no report, and one `internal check failed: ` line matching the row's pattern.  The `BLIND` rows are
+wrong programs that no check sees yet: each still exits 0 with every check passing.
 """
 
 import json
@@ -16,9 +17,9 @@ from conftest import CONFIGS, replace_everywhere, run_cli, source_patch, write_c
 
 from tiltval import loglink, pilot, theta
 from tiltval.ansatz import valuation_profile
-from tiltval.loglink import LogLinkChain, _log_series, m_of_epsilon, padic_log
-from tiltval.pilot import _odd_primes_upto, main_bound_check, size_estimate, sum_log_norms
-from tiltval.theta import ThetaValue, theta_terms, theta_value
+from tiltval.loglink import LogLinkChain, _log_series, chain_build, m_of_epsilon, padic_log
+from tiltval.pilot import _odd_primes_upto, main_bound_check, size_estimate, sum_log_norms, theta_set_sample
+from tiltval.theta import ThetaValue, _root_terms, theta_terms, theta_value
 from tiltval.tilt import TiltElement, _power_table
 from tiltval.witt import eta_val, primitive_frobenius
 
@@ -253,6 +254,39 @@ CANNOT_FAIL = {
     "bound.corollary_c_2_1": _TAUTOLOGY,
 }
 
+# Wrong programs that the report cannot see: under `all`, each exits 0 with every check passing on its configs.
+# The table may only shrink: a row leaves when a check FAILs it (its closing ROADMAP item) and moves to FAULTS, or
+# by a written equivalence argument.  One such argument: the identity tilt_rescale_t on the defaults is no row,
+# because at p = 2 the only unit is 1 and the identity is the substitution t -> 1 * t itself.
+
+
+class Blind(NamedTuple):
+    name: str
+    configs: tuple[str, ...]
+    patch: Callable
+    closed_by: str  # the ROADMAP item whose check would FAIL it
+
+
+BLIND = [
+    # xi enters the pilots' lifts only, and no check compares the sample's size with the bound's lhs.
+    Blind("xi_doubled", THREE, _set(
+        "pilot.theta_set_sample", lambda points, xi, depth: theta_set_sample(points, 2 * xi, depth)
+    ), "item 3"),
+    Blind("bound_two_vq", THREE, _set(
+        "pilot.main_bound_check", lambda ell, v_q: main_bound_check(ell, v_q if ell == 3 else 2 * v_q)
+    ), "item 3 (or 6)"),
+    # The chain checks read only ratios and order, and cmd_loglink passes v0 = 1 as a literal.
+    Blind("chain_two_v0", THREE, _set("loglink.chain_build", lambda p, v0, w: chain_build(p, 2 * v0, w)), "none yet"),
+    # The Kummer shift sees c = 1 + p^3 only at depth 5: F_3 FAILs loglink.kummer_shift_telescoping.
+    Blind("log_one_plus_p3", ("defaults", "wide"), _log_scaled(lambda p: 1 + p**3), "item 5"),
+    Blind("log_one_plus_p_n_minus_2", THREE, _set(
+        "loglink.padic_log", lambda u: (1 + u.p ** (u.precision - 2)) * padic_log(u) % u.p**u.precision
+    ), "item 5"),
+    # Every theta check evaluates at the root of unity zeta^1 only.
+    Blind("theta_k_dropped", THREE, _set("theta._root_terms", lambda k, ell, n_max: _root_terms(1, ell, n_max)),
+          "item 7"),
+]
+
 
 def _expected(fault, config):
     return fault.expect[config] if isinstance(fault.expect, dict) else fault.expect
@@ -267,16 +301,21 @@ def _fold(check_id):
     return re.sub(r"\.j[0-9]+$", "", check_id)
 
 
+def _drive(monkeypatch, tmp_path, capsys, patch, command, config):
+    """Apply patch and run command on config, the report written to a file: (code, out, err, report path)."""
+    patch(monkeypatch)
+    report = tmp_path / "report.json"
+    config_path = write_config(tmp_path, "c.json", _CONFIG_TEXTS[config])
+    argv = (command, "--format", "json", "--config", config_path, "--output", str(report))
+    return (*run_cli(capsys, *argv), report)
+
+
 _CASES = [(fault, config) for fault in FAULTS for config in fault.configs]
 
 
 @pytest.mark.parametrize("fault, config", _CASES, ids=[f"{fault.name}-{config}" for fault, config in _CASES])
 def test_a_fault_fails_exactly_its_checks(monkeypatch, tmp_path, capsys, fault, config):
-    fault.patch(monkeypatch)
-    report = tmp_path / "report.json"
-    config_path = write_config(tmp_path, "c.json", _CONFIG_TEXTS[config])
-    argv = (fault.command, "--format", "json", "--config", config_path, "--output", str(report))
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err, report = _drive(monkeypatch, tmp_path, capsys, fault.patch, fault.command, config)
     expected = _expected(fault, config)
     if isinstance(expected, str):
         assert (code, out, report.exists()) == (1, "", False)
@@ -287,6 +326,22 @@ def test_a_fault_fails_exactly_its_checks(monkeypatch, tmp_path, capsys, fault, 
     assert {check_id for check_id, check in checks.items() if not check["passed"]} == expected
     for check_id, witness in fault.witness.items():
         assert {key: checks[check_id]["witness"][key] for key in witness} == witness
+
+
+_BLIND_CASES = [(blind, config) for blind in BLIND for config in blind.configs]
+
+
+@pytest.mark.parametrize("blind, config", _BLIND_CASES, ids=[f"{row.name}-{config}" for row, config in _BLIND_CASES])
+def test_a_blind_mutant_still_passes_every_check(monkeypatch, tmp_path, capsys, blind, config):
+    code, out, err, report = _drive(monkeypatch, tmp_path, capsys, blind.patch, "all", config)
+    failing = []
+    if report.exists():
+        checks = _checks(json.loads(report.read_text(encoding="utf-8")))
+        failing = sorted(check_id for check_id, check in checks.items() if not check["passed"])
+    assert (code, failing) == (0, []), (
+        f"{blind.name} on {config}: exit {code}, FAILs {failing}, {err!r}: now caught: move it to `FAULTS`"
+    )
+    assert (out, err) == ("", "")
 
 
 def test_every_check_id_has_a_fault(tmp_path, capsys):

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+import sys
 import typing
 from fractions import Fraction
 
@@ -54,7 +55,7 @@ def test_generic_constructor_binds_like_a_signature():
     record = CheckRecord("x.y", True, ())
     assert CheckRecord("x.y", passed=True, witness=()) == record
     assert CheckRecord(witness=(), check_id="x.y", passed=True) == record
-    assert Report("bound", (), (), ()).wall_ms is None
+    assert Report("bound", (), ()).wall_ms is None
     assert RunConfig(3, ell=7) == RunConfig(ell=7, p=3)
     assert RunConfig(3, ell=7).v_q == Fraction(1)
     with pytest.raises(TypeError, match="missing field 'witness'"):
@@ -86,11 +87,11 @@ def test_trusted_path_builds_the_validated_record():
     assert PadicUnit._trusted(5, 4, 6) == PadicUnit(5, 4, 6)
     assert ThetaValue._trusted(2, 5, 1, Fraction(2, 5), 4) == ThetaValue(2, 5, 1, Fraction(2, 5), 4)
     checks = (CheckRecord("x.y", True, ()),)
-    report = Report._trusted("bound", (), ("gauge",), checks, None)  # the trusted path fills no default
-    assert type(report) is Report and report == Report(suite="bound", config_echo=(), gauges=("gauge",), checks=checks)
-    assert report.wall_ms is None and hash(report) == hash(Report("bound", (), ("gauge",), checks))
-    for values in (("bound", (), ("gauge",), checks), ("bound", (), ("gauge",), checks, None, 7)):
-        with pytest.raises(ValueError, match="Report takes 5 field values"):
+    report = Report._trusted("bound", (), checks, None)  # the trusted path fills no default
+    assert type(report) is Report and report == Report(suite="bound", config_echo=(), checks=checks)
+    assert report.wall_ms is None and hash(report) == hash(Report("bound", (), checks))
+    for values in (("bound", (), checks), ("bound", (), checks, None, 7)):
+        with pytest.raises(ValueError, match="Report takes 4 field values"):
             Report._trusted(*values)
     for name in TiltElement.__slots__:
         with pytest.raises(AttributeError):
@@ -204,3 +205,55 @@ def test_a_wrong_record_in_a_record_field_is_a_domain_error(cls, name):
     for wrong in (None, foreign if typing.get_origin(hint) is not tuple else (foreign,) * len(values[name])):
         with pytest.raises(DomainError):
             cls(**{**values, name: wrong})
+
+
+def _builders(cls):
+    """The builders of a record class: each public classmethod of it, and each function in its module's __all__,
+    annotated to return that class, that takes no argument of that class and makes its result through _trusted."""
+    module = sys.modules[cls.__module__]
+    candidates = [(name, getattr(cls, name)) for name, value in vars(cls).items()
+                  if isinstance(value, classmethod) and not name.startswith("_")]
+    candidates += [(name, getattr(module, name)) for name in module.__all__]
+    candidates = [(name, func) for name, func in candidates if inspect.isfunction(func) or inspect.ismethod(func)]
+    found = set()
+    for name, func in candidates:
+        hints = typing.get_type_hints(func)
+        if hints.pop("return", None) is cls and cls not in hints.values() and "._trusted(" in inspect.getsource(func):
+            found.add(name)
+    return found
+
+
+# Every validating record that has a builder, with the builder's name and a valid sample.  A builder's result
+# skips the validator, so the validator must call the builder and compare, or the record's rule is written twice.
+BUILDERS = {
+    TiltElement: ("from_terms", TUPLE_RECORDS[TiltElement]),
+    ThetaValue: ("theta_value", lambda: theta_value(2, 7)),
+    AnsatzPoint: ("make_ansatz", _point),
+    PilotTuple: ("build_pilot", TUPLE_RECORDS[PilotTuple]),
+    LogLinkChain: ("chain_build", TUPLE_RECORDS[LogLinkChain]),
+}
+
+
+def test_every_validating_record_with_a_builder_is_in_the_table():
+    found = {(cls, name) for cls in RECORDS if "__init__" in vars(cls) for name in _builders(cls)}
+    assert found == {(cls, row[0]) for cls, row in BUILDERS.items()}, "add each validating record's builder to BUILDERS"
+
+
+class _BuilderCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
+def test_a_validating_constructor_calls_its_builder(monkeypatch, cls):
+    name, sample = BUILDERS[cls]
+    values = sample()._values()
+
+    def builder(*args):
+        raise _BuilderCalled(name)
+
+    if name in vars(cls):
+        monkeypatch.setattr(cls, name, classmethod(builder))
+    else:
+        monkeypatch.setattr(sys.modules[cls.__module__], name, builder)
+    with pytest.raises(_BuilderCalled):
+        cls(*values)

@@ -18,7 +18,7 @@ def _as_dict(report, include_config=True):
     body = {"schema": 1, "suite": "all" if isinstance(report, CombinedReport) else report.suite}
     if include_config:
         body["config"] = dict(report.config_echo)
-        body["gauges"] = list(report.gauges)
+        body["gauges"] = list(GAUGE_NOTES)
     if isinstance(report, CombinedReport):
         body["suites"] = [_as_dict(sub, include_config=False) for sub in report.suites]
     else:
@@ -51,10 +51,10 @@ def _synthetic():
         CheckRecord("synthetic.int_witness", True, (("count", 7), ("flag", False), ("kéy \\ \"", "v"))),
     )
     return (
-        Report("synthetic", (("p", "2"), ("text", hard)), GAUGE_NOTES, checks),
-        Report("no-checks", (("p", "2"),), GAUGE_NOTES, ()),
-        Report("bare", (), (), ()),
-        Report("bare-check", (), (), (make_check("only.check", False),)),
+        Report("synthetic", (("p", "2"), ("text", hard)), checks),
+        Report("no-checks", (("p", "2"),), ()),
+        Report("bare", (), ()),
+        Report("bare-check", (), (make_check("only.check", False),)),
     )
 
 
@@ -64,9 +64,9 @@ def test_synthetic_reports_match_json_dumps():
     for report in reports:
         assert render_report(report, "json") == _by_dumps(report), report.suite
     for suites in (reports, reports[1:2], ()):
-        combined = CombinedReport(suites, (("seed", "0"),), GAUGE_NOTES)
+        combined = CombinedReport(suites, (("seed", "0"),))
         assert render_report(combined, "json") == _by_dumps(combined)
-    empty = CombinedReport((), (), ())
+    empty = CombinedReport((), ())
     assert render_report(empty, "json") == _by_dumps(empty)
     assert '"checks": []' in render_report(reports[1], "json")
     assert '"config": {}' in render_report(reports[2], "json")
@@ -83,7 +83,7 @@ def test_make_check_builds_the_keyword_built_record(passed):
 
 
 def _one_check(suite="bad", check_id="bad.check", witness=()):
-    return Report(suite, (), (), (CheckRecord(check_id, True, witness),))
+    return Report(suite, (), (CheckRecord(check_id, True, witness),))
 
 
 @pytest.mark.parametrize(
@@ -97,20 +97,19 @@ def test_a_leaf_that_is_not_exact_is_refused(leaf, shown):
         _one_check(witness=((leaf, "1"),)),
         _one_check(check_id=leaf),
         _one_check(suite=leaf),
-        CombinedReport((_one_check(witness=(("margin", leaf),)),), (), ()),
+        CombinedReport((_one_check(witness=(("margin", leaf),)),), ()),
     ):
         for fmt in ("json", "csv", "text"):
             with pytest.raises(VerificationError, match=refused):
                 render_report(report, fmt)
-    config_leaves = (Report("bad", (("p", leaf),), (), ()), Report("bad", ((leaf, "2"),), (), ()))
-    for report in (*config_leaves, Report("bad", (), (leaf,), ())):  # csv has no config or gauges
+    for report in (Report("bad", (("p", leaf),), ()), Report("bad", ((leaf, "2"),), ())):  # csv has no config
         for fmt in ("json", "text"):
             with pytest.raises(VerificationError, match=refused):
                 render_report(report, fmt)
 
 
 def test_csv_takes_only_str_cells_where_json_takes_ints():
-    counted = Report("ints", (), (), (CheckRecord("ints.count", True, (("count", 7),)),))
+    counted = Report("ints", (), (CheckRecord("ints.count", True, (("count", 7),)),))
     assert '"count": 7' in render_report(counted, "json")
     for fmt in ("csv", "text"):
         with pytest.raises(VerificationError, match="^int 7 reached the serializer$"):

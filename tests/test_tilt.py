@@ -959,6 +959,63 @@ def test_nums_must_be_a_tuple_of_pairs():
     assert len(set(results)) == len(results)
 
 
+
+def _count(x):
+    return tilt._is_int(x) and x >= 0
+
+
+def _frame_oracle(p, s, nums):
+    """True when the constructor's own canonical-frame rules, as written out before it called from_terms, accept.
+
+    The replaced route, kept as the oracle: strictly increasing m, each c in 1..p-1, s = 0 or some m prime to p.
+    """
+    if not (is_prime(p) and _count(s) and isinstance(nums, tuple)):
+        return False
+    if not all(isinstance(term, tuple) and len(term) == 2 for term in nums):
+        return False
+    prev = -1
+    for m, c in nums:
+        if not (_count(m) and _count(c) and 0 < c < p) or m <= prev:
+            return False
+        prev = m
+    return not s or any(m % p for m, _ in nums)
+
+
+def _frames(rng, p):
+    """(kind, (p, s, nums)) over one valid element: the element itself and each kind of invalid frame."""
+    x = tilt_frobenius(random_element(rng, p, max_terms=5), -rng.randint(0, 2))
+    s, nums = x.s, x.nums
+    yield "valid", (p, s, nums)
+    yield "empty on s > 0", (p, rng.randint(1, 3), ())
+    yield "t^0 alone on s > 0", (p, rng.randint(1, 3), ((0, rng.randint(1, p - 1)),))
+    if not nums:
+        return
+    i = rng.randrange(len(nums))
+    m, c = nums[i]
+    yield "not minimal", (p, s + 1, tuple((n * p, d) for n, d in nums))
+    yield "repeated m", (p, s, (*nums[: i + 1], (m, rng.randint(1, p - 1)), *nums[i + 1 :]))
+    for kind, bad in (("c = 0", 0), ("c >= p", rng.randint(p, 3 * p)), ("c < 0", -rng.randint(1, 2 * p))):
+        yield kind, (p, s, (*nums[:i], (m, bad), *nums[i + 1 :]))
+    if len(nums) > 1:
+        yield "unsorted", (p, s, (*nums[1:], nums[0]))
+
+
+def test_the_constructor_accepts_what_the_replaced_frame_rules_accept():
+    rng = random.Random(4607)
+    kinds = {}
+    for p in (2, 3, 5):
+        for _ in range(60):
+            for kind, (q, s, nums) in _frames(rng, p):
+                kinds[kind] = kinds.get(kind, 0) + 1
+                accepted = _frame_oracle(q, s, nums)
+                assert accepted == (kind == "valid"), (kind, q, s, nums)
+                if accepted:
+                    assert TiltElement(q, s, nums) == TiltElement._trusted(q, s, nums)
+                    continue
+                with pytest.raises(DomainError, match="coefficient.* not minimal"):
+                    TiltElement(q, s, nums)
+    assert len(kinds) == 9 and min(kinds.values()) >= 50, kinds
+
 def test_from_terms_passes_the_validating_constructor_randomized():
     # from_terms builds its frame without the validator; the constructor re-checks every field of it.
     rng = random.Random(733)

@@ -59,6 +59,10 @@ def test_rho_weight_validation():
         RhoWeight.of(Fraction(-1, 2))
     with pytest.raises(DomainError):
         RhoWeight(Fraction(1), at_one=True)  # the boundary flag pins the weight to 0
+    # The boundary flag is a bool: "yes" at weight 0 would be a boundary weight unequal to RhoWeight.one().
+    for r, at_one in ((Fraction(0), "yes"), (Fraction(0), 1), (Fraction(1), 0)):
+        with pytest.raises(DomainError, match="^at_one must be a bool"):
+            RhoWeight(r, at_one)
     for inexact in (0.3, 0.5, "1/2"):  # RhoWeight.of(0.3) would weigh over 2^54
         with pytest.raises(DomainError, match="must be an int or a Fraction"):
             RhoWeight.of(inexact)
