@@ -11,20 +11,21 @@ class-body annotations a plain ordered dict on every supported Python.
 
 A record that only carries its fields writes no constructor: the generic
 one takes the fields by position or by name, fills defaults, and raises
-TypeError for a missing, unknown or doubled field.  A record that
-validates writes its own ``__init__`` with the fields, in order, as its
-parameters; it validates first and then hands every field value, in
-field order, to ``self._assign(...)``, which stores them through the slot
-descriptors captured once per class; a call with one value too few or too
-many raises ValueError before any field is set.  ``Cls._trusted(*values)``
+TypeError for a missing, unknown or doubled field.  A validating record
+writes its own ``__init__`` with the fields, in order, as its parameters,
+and hands the field values, in order, to ``self._assign(...)``, which
+stores them through the slot descriptors captured once per class (one too
+few or too many is a ValueError).  A validator with a builder checks only
+what the builder call needs and passes the builder's record as ``built``:
+``_assign`` owns the compare, refuses the first field whose value or type
+differs from it (DomainError) and stores its values.  ``Cls._trusted``
 skips ``__init__``: it makes the instance with ``object.__new__`` and
-fills the slots through the same setters itself, with the same
-ValueError on a wrong value count, and fills no default.  Only the
-module that owns a record may use it: for kernel results computed from
-validated operands that meet the invariant by construction, and to build
-a record that has no validator (a check outcome) by position.
-Everything else goes through the public constructors, which keep every
-check.
+fills the slots through the same setters, with the same ValueError on a
+wrong value count, and fills no default.  Only the module that owns a
+record may use it: for kernel results computed from validated operands
+that meet the invariant by construction, and to build a record that has
+no validator (a check outcome) by position.  Everything else goes through
+the public constructors, which keep every check.
 This class supplies the rest of a frozen value:
 
 * equality by field values, between instances of the same class only;
@@ -38,6 +39,8 @@ derives from :class:`Record` directly.
 """
 
 from __future__ import annotations
+
+from .errors import DomainError
 
 __all__ = ["Record"]
 
@@ -86,10 +89,19 @@ class Record(metaclass=_RecordMeta):
             i += 1
         return record
 
-    def _assign(self, *values: object) -> None:
+    def _assign(self, *values: object, built: Record | None = None) -> None:
         setters = self._setters
         if len(values) != len(setters):  # measured faster than zip(..., strict=True)
             raise ValueError(f"{type(self).__name__} takes {len(setters)} field values, got {len(values)}")
+        if built is not None:  # True == 1 and 0.5 == Fraction(1, 2), so the type must match too
+            for name, value, want in zip(self.__slots__, values, built._values()):
+                if type(value) is not type(want) or value != want:
+                    try:
+                        problem = f"{name} must be {want!r}, got {value!r}"
+                    except ValueError:  # an int past the digit limit of int-to-str conversion
+                        problem = f"{name} is not the value its builder makes"
+                    raise DomainError(problem)
+            values = built._values()
         for setter, value in zip(setters, values):
             setter(self, value)
 

@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 
 from ._record import Record
 from .errors import DomainError, VerificationError
-from .tilt import TiltElement, _power_check, _power_table, _require_odd_prime, _require_window, tilt_frobenius, tilt_val
+from .tilt import TiltElement, _power_check, _power_table, _require_odd_prime, _require_record, _require_window
+from .tilt import tilt_frobenius, tilt_val
 from .tilt import tilt_pow  # noqa: F401  unused here; perfbench/selftest.py checks that its tracer patches it
 from .witt import PrimitiveDeg1, primitive_frobenius
 
@@ -54,10 +55,9 @@ def _require_family_ell(ell: int, p: int) -> None:
 class AnsatzPoint(Record):
     """A generator a together with its square-power family for ell.
 
-    The constructor calls ``make_ansatz(a, ell)`` and refuses any members
-    but the ones it builds, so an AnsatzPoint can be trusted wherever it
-    came from; one tuple equality refuses a list, a wrong length, an entry
-    that is not a ``PrimitiveDeg1`` and a wrong power.
+    The constructor hands ``make_ansatz(a, ell)`` to ``_assign``, which
+    refuses a list, a wrong length, an entry that is not a ``PrimitiveDeg1``
+    and a wrong power, so an AnsatzPoint can be trusted wherever it came from.
     """
 
     a: TiltElement
@@ -65,9 +65,7 @@ class AnsatzPoint(Record):
     members: tuple[PrimitiveDeg1, ...]
 
     def __init__(self, a: TiltElement, ell: int, members: tuple[PrimitiveDeg1, ...]):
-        if members != make_ansatz(a, ell).members:
-            raise DomainError(f"members must be the tuple ([a^(j^2)] - p) for j = 1 .. (ell - 1)/2, got {members!r}")
-        self._assign(a, ell, members)
+        self._assign(a, ell, members, built=make_ansatz(a, ell))
 
     @property
     def ell_star(self) -> int:
@@ -79,17 +77,11 @@ def make_ansatz(a: TiltElement, ell: int) -> AnsatzPoint:
 
     The one formula for a point's members, which ``AnsatzPoint`` compares against: each a^(j^2), from one
     table of a's powers that ``tilt._powers`` keeps for the family's orbit and membership checks."""
-    if not isinstance(a, TiltElement):
-        raise DomainError(f"the generator must be a TiltElement, got {a!r}")
+    _require_record(a, TiltElement, "the generator")
     _require_family_ell(ell, a.p)
     power = _power_table(a)
     members = tuple(PrimitiveDeg1(power(j * j)) for j in range(1, (ell - 1) // 2 + 1))
     return AnsatzPoint._trusted(a, ell, members)
-
-
-def _require_point(point: object) -> None:
-    if not isinstance(point, AnsatzPoint):
-        raise DomainError(f"expected an AnsatzPoint, got {point!r}")
 
 
 def is_member(members: Sequence[PrimitiveDeg1]) -> bool:
@@ -100,12 +92,13 @@ def is_member(members: Sequence[PrimitiveDeg1]) -> bool:
     the forced power on integer exponents, each power of the generator
     built once for the whole tuple, or read from the table that
     ``make_ansatz`` or an orbit check on the same numerators built.
-    Mismatched ground fields simply fail; a non-PrimitiveDeg1 entry raises.
+    Mismatched ground fields simply fail; anything but a nonempty tuple or
+    list of PrimitiveDeg1 entries is a DomainError.
     """
-    if not members:
-        raise DomainError("membership needs at least one entry")
-    if not all(isinstance(member, PrimitiveDeg1) for member in members):
-        raise DomainError("every entry of a family must be a PrimitiveDeg1")
+    if not (isinstance(members, (tuple, list)) and members):
+        raise DomainError(f"a family must be a nonempty tuple or list, got {type(members).__name__}")
+    for member in members:
+        _require_record(member, PrimitiveDeg1, "every entry of a family")
     is_power = _power_check(members[0].a)
     return all(is_power(member.a, j * j) for j, member in enumerate(members, start=1))
 
@@ -121,7 +114,7 @@ def frobenius_orbit(point: AnsatzPoint, window: tuple[int, int]) -> tuple[Ansatz
     that Frobenius commutes with the square powers.  A mismatch there is
     a kernel fault, not bad input, and raises VerificationError.
     """
-    _require_point(point)
+    _require_record(point, AnsatzPoint, "the point")
     lo, hi = _require_window(window)
     is_twisted_power = _power_check(point.a)
     orbit = []
@@ -138,7 +131,7 @@ def frobenius_orbit(point: AnsatzPoint, window: tuple[int, int]) -> tuple[Ansatz
 
 def valuation_profile(point: AnsatzPoint) -> tuple[Fraction, ...]:
     """The tuple (v(a^(j^2)))_j = (j^2 * v(a))_j in tilt units."""
-    _require_point(point)
+    _require_record(point, AnsatzPoint, "the point")
     return tuple(tilt_val(m.a) for m in point.members)
 
 
@@ -153,7 +146,7 @@ def scale_invariance_check(
     valuation is the lowest exponent.  Returns True when the substituted
     tuple is still a member; the generator is the first member.
     """
-    _require_point(point)
+    _require_record(point, AnsatzPoint, "the point")
     new_members = []
     for member in point.members:
         sub = PrimitiveDeg1(substitution(member.a))  # refuses an image that is not a TiltElement

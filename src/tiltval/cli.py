@@ -558,19 +558,15 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args["config"], seed=args["seed"], output_format=args["fmt"])
         report = _command(args["command"])(cfg)
         rendered = render_report(report, cfg.output_format)  # refuses a leaf that is not exact
+        if args["output"] is not None:  # an empty path is refused, as open() refuses it
+            with open(args["output"], "w", encoding="utf-8", newline="") as handle:
+                handle.write(rendered)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
-    if args["output"] is not None:  # an empty path is refused, as open() refuses it
-        try:
-            with open(args["output"], "w", encoding="utf-8", newline="") as handle:
-                handle.write(rendered)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
+    if args["output"] is None:
         sys.stdout.write(rendered)
     return 0 if report.passed else 1

@@ -276,10 +276,7 @@ class LogLinkChain(Record):
     entries: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, p: int, v0: Fraction, window: tuple[int, int], entries: tuple[tuple[int, Fraction], ...]):
-        expected = chain_build(p, v0, window).entries
-        if entries != expected:  # a list, a missing index or a value off v0 * p^n
-            raise DomainError(f"entries must be (n, v0 * p^n) for n = {window[0]} .. {window[1]}, got {entries!r}")
-        self._assign(p, v0, window, expected)
+        self._assign(p, v0, window, entries, built=chain_build(p, v0, window))
 
     def value_at(self, n: int) -> Fraction:
         _require_int(n, "index")

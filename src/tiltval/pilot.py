@@ -28,9 +28,9 @@ from operator import itemgetter
 from typing import Sequence
 
 from ._record import Record
-from .ansatz import AnsatzPoint, _require_point, frobenius_orbit
+from .ansatz import AnsatzPoint, frobenius_orbit
 from .errors import DomainError, VerificationError
-from .tilt import _require_count, _require_odd_prime, _require_positive, tilt_val
+from .tilt import _require_count, _require_odd_prime, _require_positive, _require_record, tilt_val
 from .witt import RhoWeight
 
 __all__ = [
@@ -61,18 +61,15 @@ class PilotTuple(Record):
     lifts: tuple[Fraction, ...]
 
     def __init__(self, ansatz: AnsatzPoint, xi_val_K1: Fraction, lifts: tuple[Fraction, ...]):
-        _require_positive(xi_val_K1, "xi_val_K1")
         if not (isinstance(lifts, tuple) and all(isinstance(e, Fraction) for e in lifts)):
             raise DomainError(f"lifts must be Fractions in a tuple, got {lifts!r}")  # 0.25 == Fraction(1, 4)
-        if lifts != build_pilot(ansatz, xi_val_K1).lifts:
-            raise DomainError(f"lifts must be e_j = xi_val_K1 * v(a) * j^2, got {lifts}")
-        self._assign(ansatz, xi_val_K1, lifts)
+        self._assign(ansatz, xi_val_K1, lifts, built=build_pilot(ansatz, xi_val_K1))
 
 
 def build_pilot(point: AnsatzPoint, xi_val: Fraction) -> PilotTuple:
     """Lift a point with reference multiplier valuation xi_val > 0: the one formula for the lifts
     e_j = xi_val * v(a) * j^2, j = 1 .. ell*, which ``PilotTuple`` compares against, all positive."""
-    _require_point(point)
+    _require_record(point, AnsatzPoint, "the point")
     _require_positive(xi_val, "xi_val")
     e1 = xi_val * tilt_val(point.a)
     n1, d1 = e1.numerator, e1.denominator

@@ -44,7 +44,7 @@ from functools import cache
 
 from ._record import Record
 from .errors import DomainError
-from .tilt import _is_int, _require_count, _require_int, _require_odd_prime, _require_positive
+from .tilt import _is_int, _require_count, _require_int, _require_odd_prime
 
 __all__ = [
     "ThetaValue",
@@ -215,14 +215,7 @@ class ThetaValue(Record):
     zeta_exponent: int
 
     def __init__(self, j: int, ell: int, sign: int, q_exponent: Fraction, zeta_exponent: int):
-        _require_int(j, "j")
-        _require_int(sign, "sign")
-        _require_positive(q_exponent, "q_exponent")
-        _require_int(zeta_exponent, "zeta_exponent")
-        derived = theta_value(j, ell)._values()[2:]
-        if (sign, q_exponent, zeta_exponent) != derived:
-            raise DomainError(f"(sign, q_exponent, zeta_exponent) must be {derived} at j = {j}, ell = {ell}")
-        self._assign(j, ell, sign, q_exponent, zeta_exponent)
+        self._assign(j, ell, sign, q_exponent, zeta_exponent, built=theta_value(j, ell))
 
     @property
     def inverse_zeta_exponent(self) -> int:

@@ -44,8 +44,8 @@ The package's parameter checks live here too; other modules call them.
 The integer rule is ``_is_int``, an int and not a bool.  ``is_prime``,
 ``_exact`` and the integer validators ``_require_int``, ``_require_count``,
 ``_require_prime``, ``_require_odd_prime``, ``_require_precision`` and
-``_require_window`` apply it; ``_require_positive`` wants a positive Fraction
-and ``_require_bool`` a bool.
+``_require_window`` apply it; ``_require_positive`` wants a positive Fraction,
+``_require_bool`` a bool and ``_require_record`` a record of one class.
 """
 
 from __future__ import annotations
@@ -127,6 +127,11 @@ def _require_positive(x: object, name: str) -> None:
         raise DomainError(f"{name} must be a positive Fraction, got {x!r}")
 
 
+def _require_record(x: object, cls: type, what: str) -> None:
+    if not isinstance(x, cls):  # the type's name only: a wrong record's repr may pass the int digit limit
+        raise DomainError(f"{what} must be of type {cls.__name__}, got {type(x).__name__}")
+
+
 def _require_precision(p: int, precision: int, name: str = "precision") -> None:
     _require_int(precision, name)
     floor = _unit_level(p) + 1
@@ -147,12 +152,16 @@ def _exact(x: object, what: str) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _split(n: int, p: int) -> tuple[int, int]:
+    """(k, n / p^k) for the largest k with p^k | n > 0; n / p = (p^2)^j * r gives k in O(log k) divisions."""
+    if n % p:
+        return 0, n
+    j, r = _split(n // p, p * p)
+    return (2 * j + 2, r // p) if r % p == 0 else (2 * j + 1, r)
+
+
 def _is_p_power(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return n >= 1 and _split(n, p)[1] == 1
 
 
 _RatLike = Union[Fraction, int]
@@ -161,12 +170,8 @@ _Nums = tuple[tuple[int, int], ...]
 
 def _minimal(p: int, s: int, nums: list[tuple[int, int]] | _Nums) -> tuple[int, _Nums]:
     """(s, nums) for sorted, reduced, nonzero terms c * t^(m / p^s), moved to the minimal frame."""
-    k = 0
-    if s:
-        g = gcd(*[m for m, _ in nums])
-        while k < s and g % p == 0:  # g = 0 (no terms, or t^0 alone) strips the whole frame
-            g //= p
-            k += 1
+    g = gcd(*[m for m, _ in nums]) if s else 1
+    k = min(s, _split(g, p)[0]) if g else s  # g = 0 (no terms, or t^0 alone) strips the whole frame
     q = p**k
     return s - k, tuple([(m // q, c) for m, c in nums] if k else nums)
 
@@ -193,11 +198,7 @@ class TiltElement(Record):
             raise DomainError(f"terms must be a tuple of (numerator, coefficient) tuples, got {nums!r}")
         for m, _ in nums:
             _require_count(m, "exponent numerator")  # a bool or negative m would pass Fraction(m, p**s)
-        built = TiltElement.from_terms(p, {Fraction(m, p**s): c for m, c in nums})
-        if (built.s, built.nums) != (s, nums):
-            raise DomainError(f"frame {p}^{s} with terms {nums!r}: m not strictly increasing, a coefficient outside"
-                              f" 1..{p - 1}, or not minimal; from_terms gives {p}^{built.s} with {built.nums!r}")
-        self._assign(p, s, nums)
+        self._assign(p, s, nums, built=TiltElement.from_terms(p, {Fraction(m, p**s): c for m, c in nums}))
 
     @classmethod
     def from_terms(cls, p: int, terms: Mapping[_RatLike, int]) -> "TiltElement":
@@ -218,9 +219,7 @@ class TiltElement(Record):
             _require_int(coeff, "coefficient")
             collected[e] = collected.get(e, 0) + coeff
         den = lcm(*[e.denominator for e in collected])
-        s, rest = 0, den
-        while rest % p == 0:
-            rest, s = rest // p, s + 1
+        s, rest = _split(den, p)
         if rest != 1:
             raise DomainError(f"exponent denominators (lcm {den}) are not powers of {p}")
         nums = sorted((e.numerator * (den // e.denominator), c % p) for e, c in collected.items() if c % p)

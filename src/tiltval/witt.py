@@ -29,7 +29,8 @@ from typing import Union
 
 from ._record import Record
 from .errors import DomainError
-from .tilt import TiltElement, _exact, _require_bool, _require_count, _require_prime, tilt_frobenius, tilt_val
+from .tilt import TiltElement, _exact, _require_bool, _require_count, _require_prime, _require_record, tilt_frobenius
+from .tilt import tilt_val
 # No code here calls tilt_pow; perfbench/selftest.py checks that its tracer patches this name too.
 from .tilt import tilt_pow  # noqa: F401
 
@@ -148,8 +149,8 @@ def eta_val(prim: PrimitiveDeg1, x: TiltElement) -> Fraction | None:
     Normalized so that v(p) = 1 there; concretely v(x) / v(a).  The zero
     element maps to None, meaning +infinity; other types are a DomainError.
     """
-    if not (isinstance(prim, PrimitiveDeg1) and isinstance(x, TiltElement)):
-        raise DomainError(f"eta_val takes a PrimitiveDeg1 and a TiltElement, got {prim!r} and {x!r}")
+    _require_record(prim, PrimitiveDeg1, "eta_val's generator data")
+    _require_record(x, TiltElement, "eta_val's element")
     if x.is_zero:
         return None
     a = prim.a  # (m_x / p^s_x) / (m_a / p^s_a), built as one Fraction

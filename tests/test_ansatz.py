@@ -77,6 +77,8 @@ _WRONG_TYPES = {  # each is bad input (DomainError), not an AttributeError
     "family_of_generator_data": lambda: make_ansatz(PrimitiveDeg1(_A), 5),
     "member_bare_element": lambda: is_member((_A,)),
     "member_bare_tail": lambda: is_member((*make_ansatz(_A, 5).members, _A)),
+    "family_of_an_int": lambda: is_member(5),
+    "family_of_an_iterator": lambda: is_member(iter(make_ansatz(_A, 5).members)),
     "orbit_of_none": lambda: frobenius_orbit(None, (0, 0)),
     "orbit_of_a_member": lambda: frobenius_orbit(make_ansatz(_A, 5).members[0], (0, 0)),
     "profile_of_none": lambda: valuation_profile(None),

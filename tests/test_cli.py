@@ -345,6 +345,23 @@ def test_an_empty_path_is_refused(capsys, argv, plain):
 
 
 @pytest.mark.parametrize(
+    "target",
+    [
+        pytest.param("directory", id="directory"),
+        pytest.param(
+            "/dev/full", id="full-device",
+            marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this platform"),
+        ),
+    ],
+)
+def test_an_unwritable_output_exits_two(tmp_path, capsys, target):
+    # Opening a directory fails; /dev/full opens, but every write to it fails with ENOSPC.
+    path = str(tmp_path) if target == "directory" else target
+    code, out, err = run_cli(capsys, "bound", "--format", "json", "--output", path)
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, (code, out, err)
+
+
+@pytest.mark.parametrize(
     "payload, message",
     [
         ('{"p": 3}', "power of p = 3"),  # verify-theta and bound run, then ansatz refuses

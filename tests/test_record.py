@@ -124,6 +124,21 @@ def test_public_constructors_keep_every_check():
             theta_value(1, ell)
 
 
+def test_assign_refuses_the_first_field_that_differs_from_built():
+    with pytest.raises(DomainError, match=r"^sign must be -1, got True$"):
+        ThetaValue(1, 5, True, Fraction(1, 10), 2)
+    for sign in (True, 1.0):  # each equals the sign 1 that j = 2 gives, so only its type refuses it
+        with pytest.raises(DomainError, match=rf"^sign must be 1, got {sign}$"):
+            ThetaValue(2, 5, sign, Fraction(2, 5), 4)
+    # A value past the int digit limit of int-to-str conversion is named, not printed.
+    limited = hasattr(sys, "get_int_max_str_digits")
+    with pytest.raises(DomainError, match="^nums is not the value its builder makes$" if limited else "^nums must be"):
+        TiltElement(2, 20_000, ((1, 1), (3 * 2**20_000, 3)))
+    # The stored values are built's: a float entry equal to v0 * p^n is kept as the builder's Fraction.
+    chain = LogLinkChain(3, Fraction(1), (0, 1), ((0, 1.0), (1, 3.0)))
+    assert chain == chain_build(3, Fraction(1), (0, 1)) and all(type(v) is Fraction for _, v in chain.entries)
+
+
 def _tuple_fields(cls):
     """The fields of a record class whose annotation, with aliases resolved, is a tuple[...]."""
     hints = typing.get_type_hints(cls)
@@ -257,3 +272,31 @@ def test_a_validating_constructor_calls_its_builder(monkeypatch, cls):
         monkeypatch.setattr(sys.modules[cls.__module__], name, builder)
     with pytest.raises(_BuilderCalled):
         cls(*values)
+
+
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
+def test_a_validating_constructor_hands_its_builders_record_to_assign(monkeypatch, cls):
+    # Record._assign owns the compare: the constructor passes the record its builder returned, as built.
+    name, sample = BUILDERS[cls]
+    record = sample()
+    module = sys.modules[cls.__module__]
+    builder = getattr(cls, name) if name in vars(cls) else getattr(module, name)
+    assign = Record._assign
+    returned, handed = [], []
+
+    def spy_builder(*args):
+        returned.append(builder(*args))
+        return returned[-1]
+
+    def spy_assign(self, *values, **kwargs):
+        if type(self) is cls:
+            handed.append(kwargs.get("built"))
+        return assign(self, *values, **kwargs)
+
+    if name in vars(cls):
+        monkeypatch.setattr(cls, name, classmethod(lambda _, *args: spy_builder(*args)))
+    else:
+        monkeypatch.setattr(module, name, spy_builder)
+    monkeypatch.setattr(Record, "_assign", spy_assign)
+    assert cls(*record._values()) == record
+    assert len(returned) == len(handed) == 1 and handed[0] is returned[0]
