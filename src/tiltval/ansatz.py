@@ -46,12 +46,6 @@ __all__ = [
 ]
 
 
-def _require_family_ell(ell: int, p: int) -> None:
-    _require_odd_prime(ell)
-    if ell == p:
-        raise DomainError(f"ell must differ from the residue characteristic {p}")
-
-
 class AnsatzPoint(Record):
     """A generator a together with its square-power family for ell.
 
@@ -78,7 +72,7 @@ def make_ansatz(a: TiltElement, ell: int) -> AnsatzPoint:
     The one formula for a point's members, which ``AnsatzPoint`` compares against: each a^(j^2), from one
     table of a's powers that ``tilt._powers`` keeps for the family's orbit and membership checks."""
     _require_record(a, TiltElement, "the generator")
-    _require_family_ell(ell, a.p)
+    _require_odd_prime(ell, a.p)
     power = _power_table(a)
     members = tuple(PrimitiveDeg1(power(j * j)) for j in range(1, (ell - 1) // 2 + 1))
     return AnsatzPoint._trusted(a, ell, members)

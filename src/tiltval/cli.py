@@ -42,8 +42,8 @@ from ._record import Record
 from .ansatz import AnsatzPoint, is_member, make_ansatz, valuation_profile, scale_invariance_check
 from .errors import DomainError, VerificationError
 from .reporting import AnyReport, CheckRecord, CombinedReport, Report, format_exact, make_check, render_report
-from .tilt import TiltElement, _is_int, _is_p_power, _require_odd_prime, _require_precision, _require_prime, _unit_level
-from .tilt import tilt_mul, tilt_pow, tilt_rescale_t
+from .tilt import TiltElement, _is_int, _is_p_power, _require_int, _require_odd_prime, _require_positive, _shown
+from .tilt import _require_precision, _require_prime, _unit_level, tilt_mul, tilt_pow, tilt_rescale_t
 from .witt import PrimitiveDeg1, RhoWeight, eta_val
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -71,21 +71,14 @@ class RunConfig(Record):
         for key in self.__slots__:
             value, kind = getattr(self, key), type(self._defaults[key])  # int, Fraction or str
             if not (_is_int(value) if kind is int else isinstance(value, kind)):
-                raise DomainError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+                raise DomainError(f"{key} must be {_KIND_NAMES[kind]}, got {_shown(value)}")
         _require_prime(self.p)
-        _require_odd_prime(self.ell)
-        if self.ell == self.p:
-            raise DomainError("ell must differ from p")
-        if self.ell_sweep_max < 5:
-            raise DomainError(f"ell_sweep_max must be at least 5, got {self.ell_sweep_max}")
-        if self.v_q <= 0:
-            raise DomainError(f"v_q must be positive, got {self.v_q}")
-        if self.rho_weight <= 0:
-            raise DomainError(f"rho_weight must be positive, got {self.rho_weight}")
-        if self.theta_truncation < 1:
-            raise DomainError(f"theta_truncation must be at least 1, got {self.theta_truncation}")
-        if self.frobenius_depth < 0:
-            raise DomainError(f"frobenius_depth must be nonnegative, got {self.frobenius_depth}")
+        _require_odd_prime(self.ell, self.p)
+        _require_int(self.ell_sweep_max, "ell_sweep_max", 5)
+        _require_positive(self.v_q, "v_q")
+        _require_positive(self.rho_weight, "rho_weight")
+        _require_int(self.theta_truncation, "theta_truncation", 1)
+        _require_int(self.frobenius_depth, "frobenius_depth", 0)
         _require_precision(self.p, self.padic_precision, "padic_precision")
         # No numerator or denominator a suite renders has more bits than this: 14,000 bits is at most 4,215 digits.
         bits = self.v_q.numerator.bit_length() + self.v_q.denominator.bit_length() + 16
@@ -95,7 +88,7 @@ class RunConfig(Record):
                 "render budget: bits(v_q) + frobenius_depth * bits(p) + 4 bits(max(ell, ell_sweep_max)) + 16 > 14000"
             )
         if self.output_format not in _FORMATS:
-            raise DomainError(f"output_format must be one of {_FORMATS}, got {self.output_format!r}")
+            raise DomainError(f"output_format must be one of {_FORMATS}, got {_shown(self.output_format)}")
         return self
 
     def echo(self) -> tuple[tuple[str, str], ...]:
@@ -105,24 +98,24 @@ class RunConfig(Record):
 def parse_rational(text: object) -> Fraction:
     """Parse "num/den" (or a bare integer string) into an exact Fraction."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise DomainError(f'rationals must be "num/den" strings, got {text!r}')
+        raise DomainError(f'rationals must be "num/den" strings, got {_shown(text)}')
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise DomainError(f"zero denominator in {text!r}") from exc
+        raise DomainError(f"zero denominator in {_shown(text)}") from exc
     except ValueError as exc:  # a numerator or denominator past the interpreter's int digit limit
         raise DomainError(f"config number too long: {exc}") from exc
 
 
 def _reject_float(literal: str) -> None:
-    raise DomainError(f'float literal {literal!r} is not allowed; use "num/den" strings')
+    raise DomainError(f'float literal {_shown(literal)} is not allowed; use "num/den" strings')
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     data: dict = {}
     for key, value in pairs:
         if key in data:
-            raise DomainError(f"duplicate config key {key!r}")
+            raise DomainError(f"duplicate config key {_shown(key)}")
         data[key] = value
     return data
 
@@ -152,7 +145,7 @@ def load_config(path: str | None, **flags: object) -> RunConfig:
     if unknown:
         raise DomainError(f"unknown config keys: {', '.join(unknown)}")
     if "schema" in data and (not _is_int(data["schema"]) or data["schema"] != 1):
-        raise DomainError(f"unsupported config schema {data['schema']!r}")
+        raise DomainError(f"unsupported config schema {_shown(data['schema'])}")
     merged = {
         key: parse_rational(data[key]) if type(RunConfig._defaults[key]) is Fraction else data[key]
         for key in RunConfig.__slots__

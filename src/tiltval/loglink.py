@@ -58,7 +58,7 @@ from operator import mul
 
 from ._record import Record
 from .errors import DomainError, VerificationError
-from .tilt import _is_int, _require_int, _require_positive, _require_precision, _require_prime, _require_window
+from .tilt import _is_int, _require_int, _require_positive, _require_precision, _require_prime, _require_window, _shown
 from .tilt import _unit_level
 
 __all__ = [
@@ -96,7 +96,7 @@ class PadicUnit(Record):
             raise DomainError(f"value must be reduced mod {p}^{precision}")
         congruence = p ** _unit_level(p)
         if value % congruence != 1:
-            raise DomainError(f"not a principal unit: {value} != 1 mod {congruence}")
+            raise DomainError(f"not a principal unit: {_shown(value, str)} != 1 mod {congruence}")
         self._assign(p, precision, value)
 
     @classmethod
@@ -279,10 +279,8 @@ class LogLinkChain(Record):
         self._assign(p, v0, window, entries, built=chain_build(p, v0, window))
 
     def value_at(self, n: int) -> Fraction:
-        _require_int(n, "index")
         lo, hi = self.window
-        if not lo <= n <= hi:
-            raise DomainError(f"index {n} outside the chain window [{lo}, {hi}]")
+        _require_int(n, "index", lo, hi)
         return self.entries[n - lo][1]
 
 

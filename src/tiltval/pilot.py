@@ -30,7 +30,7 @@ from typing import Sequence
 from ._record import Record
 from .ansatz import AnsatzPoint, frobenius_orbit
 from .errors import DomainError, VerificationError
-from .tilt import _require_count, _require_odd_prime, _require_positive, _require_record, tilt_val
+from .tilt import _require_int, _require_odd_prime, _require_positive, _require_record, _shown, tilt_val
 from .witt import RhoWeight
 
 __all__ = [
@@ -62,7 +62,7 @@ class PilotTuple(Record):
 
     def __init__(self, ansatz: AnsatzPoint, xi_val_K1: Fraction, lifts: tuple[Fraction, ...]):
         if not (isinstance(lifts, tuple) and all(isinstance(e, Fraction) for e in lifts)):
-            raise DomainError(f"lifts must be Fractions in a tuple, got {lifts!r}")  # 0.25 == Fraction(1, 4)
+            raise DomainError(f"lifts must be Fractions in a tuple, got {_shown(lifts)}")  # 0.25 == Fraction(1, 4)
         self._assign(ansatz, xi_val_K1, lifts, built=build_pilot(ansatz, xi_val_K1))
 
 
@@ -117,7 +117,7 @@ def theta_set_sample(
     """
     if not generators:
         raise DomainError("at least one generator point is required")
-    _require_count(depth, "depth")
+    _require_int(depth, "depth", 0)
     pilots: list[PilotTuple] = []
     for point in generators:
         prev = None

@@ -44,7 +44,7 @@ from functools import cache
 
 from ._record import Record
 from .errors import DomainError
-from .tilt import _is_int, _require_count, _require_int, _require_odd_prime
+from .tilt import _require_int, _require_odd_prime
 
 __all__ = [
     "ThetaValue",
@@ -104,7 +104,7 @@ class CycloElt(Record):
 
 def theta_terms(n_max: int, signed: bool = True) -> tuple[tuple[int, int, int, int], ...]:
     """Rows (n, sign, q_exp, u_exp), index n at position n + n_max; n_max = 0 gives the single term u."""
-    _require_count(n_max, "truncation radius")
+    _require_int(n_max, "truncation radius", 0)
     return tuple(
         (n, (-1) ** (n % 2) if signed else 1, n * (n + 1) // 2, 2 * n + 1) for n in range(-n_max, n_max + 1)
     )
@@ -120,8 +120,7 @@ def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> tuple[bool,
     its partner would satisfy.  Pairs cancel at one when each pair sums to
     zero at u = 1, which is the truncated form of theta(1) = 0.
     """
-    if n_max < 1:
-        raise DomainError("the check needs at least one pair, so n_max >= 1")
+    _require_int(n_max, "truncation radius", 1)
     terms = theta_terms(n_max, signed)
     mismatch: str | None = None
     pairs = 0
@@ -157,12 +156,9 @@ def _quasi_periodicity(
     terms: tuple[tuple[int, int, int, int], ...], j: int
 ) -> tuple[bool, tuple[int, int], int, str | None]:
     """The shift identity at step j on a prebuilt row table."""
-    _require_int(j, "j")
     n_max = len(terms) // 2
-    if n_max < 1:
-        raise DomainError("the check needs a window, so n_max >= 1")
-    if abs(j) > n_max:
-        raise DomainError(f"shift step |{j}| exceeds the truncation radius {n_max}")
+    _require_int(n_max, "truncation radius", 1)
+    _require_int(j, "shift step", -n_max, n_max)
     lo, hi = -n_max + abs(j), n_max - abs(j)
     shift_sign = (-1) ** (j % 2)
     mismatch: str | None = None
@@ -225,9 +221,7 @@ class ThetaValue(Record):
 def theta_value(j: int, ell: int) -> ThetaValue:
     """Special-value multiplier at the j-th shift for an odd prime ell: the one formula for its fields."""
     _require_odd_prime(ell)
-    ell_star = (ell - 1) // 2
-    if not _is_int(j) or not 1 <= j <= ell_star:
-        raise DomainError(f"j must lie in 1..{ell_star} for ell = {ell}, got {j!r}")
+    _require_int(j, "j", 1, (ell - 1) // 2)
     return ThetaValue._trusted(j, ell, (-1) ** (j % 2), Fraction(j * j, 2 * ell), (2 * j) % ell)
 
 
@@ -257,7 +251,7 @@ def eval_theta_laurent(j: int, k: int, ell: int, n_max: int) -> dict[int, dict[i
     _require_int(j, "j")
     _require_int(k, "k")
     _require_odd_prime(ell)
-    _require_count(n_max, "truncation radius")
+    _require_int(n_max, "truncation radius", 0)
     # s(n) = s(m) only for m = n or m = -n - 2j - 1, so a coefficient sums at
     # most two root powers x^e, e < ell.  Below degree ell the only relation
     # is Phi_2ell = sum_{i<ell} (-1)^i x^i, which has ell nonzero entries, so
@@ -279,8 +273,7 @@ def _laurent_ratio(
     tv = theta_value(j, ell)  # validates j and ell
     if k % ell == 0:
         raise DomainError("k must be nonzero mod ell; at zeta^0 the evaluation degenerates")
-    if n_max < j + 1:
-        raise DomainError(f"need n_max >= {j + 1} so both lowest indices -j and -j-1 are in window")
+    _require_int(n_max, "truncation radius", j + 1)  # both lowest indices -j and -j-1 in the window
     shifted = eval_theta_laurent(j, k, ell, n_max)
     lo_s, base_s = min(shifted), min(base)
     gap = lo_s - base_s

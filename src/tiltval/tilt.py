@@ -40,12 +40,13 @@ A valuation is a plain Fraction, and None stands for the +infinity of
 the zero element.  Fraction exponents are read from the ``terms`` view,
 built on each access.
 
-The package's parameter checks live here too; other modules call them.
-The integer rule is ``_is_int``, an int and not a bool.  ``is_prime``,
-``_exact`` and the integer validators ``_require_int``, ``_require_count``,
-``_require_prime``, ``_require_odd_prime``, ``_require_precision`` and
-``_require_window`` apply it; ``_require_positive`` wants a positive Fraction,
-``_require_bool`` a bool and ``_require_record`` a record of one class.
+The package's parameter checks live here too; other modules call them.  The
+integer rule is ``_is_int``, an int and not a bool; the one range rule is
+``_require_int(x, name, lo=None, hi=None)``, lo <= x <= hi with None open.
+``is_prime``, ``_exact``, ``_require_prime``, ``_require_odd_prime(ell, p=None)``
+(ell != p), ``_require_precision`` and ``_require_window`` apply them, and
+``_require_positive``, ``_require_bool`` and ``_require_record`` want a positive
+Fraction, a bool and a record of one class.  Refusals show values by ``_shown``.
 """
 
 from __future__ import annotations
@@ -92,14 +93,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _shown(x: object, form: Callable[[object], str] = repr) -> str:
+    """form(x) for a refusal message (repr, or str for a number out of range), or x's type name where the
+    int-to-str digit limit makes form raise ValueError, so that a refusal stays a one-line DomainError."""
+    try:
+        return form(x)
+    except ValueError:
+        return type(x).__name__
+
+
 def _require_prime(p: int, name: str = "p") -> None:
     if not is_prime(p):
-        raise DomainError(f"{name} must be prime, got {p!r}")
+        raise DomainError(f"{name} must be prime, got {_shown(p)}")
 
 
-def _require_odd_prime(ell: int) -> None:
+def _require_odd_prime(ell: int, p: int | None = None) -> None:
     if not is_prime(ell) or ell == 2:
-        raise DomainError(f"ell must be an odd prime, got {ell}")
+        raise DomainError(f"ell must be an odd prime, got {_shown(ell, str)}")
+    if ell == p:
+        raise DomainError("ell must differ from p")
 
 
 def _unit_level(p: int) -> int:
@@ -107,24 +119,27 @@ def _unit_level(p: int) -> int:
     return 2 if p == 2 else 1
 
 
-def _require_int(x: object, name: str) -> None:
+def _require_int(x: object, name: str, lo: int | None = None, hi: int | None = None) -> None:
+    """x an int with lo <= x <= hi; a bound of None is open, and hi comes with lo."""
     if not _is_int(x):
-        raise DomainError(f"{name} must be an integer, got {x!r}")
+        raise DomainError(f"{name} must be an integer, got {_shown(x)}")
+    if (lo is not None and x < lo) or (hi is not None and x > hi):
+        raise DomainError(f"{name} must " + (
+            f"lie in {_shown(lo, str)}..{_shown(hi, str)}" if hi is not None
+            else "be nonnegative" if lo == 0 else f"be at least {_shown(lo, str)}"
+        ) + f", got {_shown(x, str)}")
 
 
 def _require_bool(x: object, name: str) -> None:
     if not isinstance(x, bool):
-        raise DomainError(f"{name} must be a bool, got {x!r}")
-
-
-def _require_count(x: object, name: str) -> None:
-    if not _is_int(x) or x < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {x!r}")
+        raise DomainError(f"{name} must be a bool, got {_shown(x)}")
 
 
 def _require_positive(x: object, name: str) -> None:
-    if not isinstance(x, Fraction) or x <= 0:
-        raise DomainError(f"{name} must be a positive Fraction, got {x!r}")
+    if not isinstance(x, Fraction):
+        raise DomainError(f"{name} must be a Fraction, got {_shown(x)}")
+    if x <= 0:
+        raise DomainError(f"{name} must be positive, got {_shown(x, str)}")
 
 
 def _require_record(x: object, cls: type, what: str) -> None:
@@ -136,19 +151,21 @@ def _require_precision(p: int, precision: int, name: str = "precision") -> None:
     _require_int(precision, name)
     floor = _unit_level(p) + 1
     if precision < floor:
-        raise DomainError(f"{name} {precision} is below the minimum {floor} for p = {p}")
+        raise DomainError(
+            f"{name} {_shown(precision, str)} is below the minimum {_shown(floor, str)} for p = {_shown(p, str)}"
+        )
 
 
 def _require_window(window: object) -> tuple[int, int]:
     """An inclusive index window: a tuple of two ints lo <= hi."""
     if not (isinstance(window, tuple) and len(window) == 2 and all(map(_is_int, window))) or window[0] > window[1]:
-        raise DomainError(f"window must be an inclusive integer range, got {window!r}")
+        raise DomainError(f"window must be an inclusive integer range, got {_shown(window)}")
     return window
 
 
 def _exact(x: object, what: str) -> Fraction:
     if not (_is_int(x) or isinstance(x, Fraction)):
-        raise DomainError(f"{what} must be an int or a Fraction, got {x!r}")
+        raise DomainError(f"{what} must be an int or a Fraction, got {_shown(x)}")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -193,11 +210,11 @@ class TiltElement(Record):
 
     def __init__(self, p: int, s: int, nums: _Nums):
         _require_prime(p, "coefficient characteristic")
-        _require_count(s, "frame scale")
+        _require_int(s, "frame scale", 0)
         if not isinstance(nums, tuple) or not all(isinstance(term, tuple) and len(term) == 2 for term in nums):
-            raise DomainError(f"terms must be a tuple of (numerator, coefficient) tuples, got {nums!r}")
+            raise DomainError(f"terms must be a tuple of (numerator, coefficient) tuples, got {_shown(nums)}")
         for m, _ in nums:
-            _require_count(m, "exponent numerator")  # a bool or negative m would pass Fraction(m, p**s)
+            _require_int(m, "exponent numerator", 0)  # a bool or negative m would pass Fraction(m, p**s)
         self._assign(p, s, nums, built=TiltElement.from_terms(p, {Fraction(m, p**s): c for m, c in nums}))
 
     @classmethod
@@ -215,13 +232,13 @@ class TiltElement(Record):
         for exponent, coeff in terms.items():
             e = _exact(exponent, "exponent")
             if e < 0:
-                raise DomainError(f"exponent {e} is negative")
+                raise DomainError(f"exponent {_shown(e, str)} is negative")
             _require_int(coeff, "coefficient")
             collected[e] = collected.get(e, 0) + coeff
         den = lcm(*[e.denominator for e in collected])
         s, rest = _split(den, p)
         if rest != 1:
-            raise DomainError(f"exponent denominators (lcm {den}) are not powers of {p}")
+            raise DomainError(f"exponent denominators (lcm {_shown(den, str)}) are not powers of {p}")
         nums = sorted((e.numerator * (den // e.denominator), c % p) for e, c in collected.items() if c % p)
         return cls._trusted(p, *_minimal(p, s, nums))
 
@@ -388,7 +405,7 @@ def _power_table(x: TiltElement) -> Callable[[int], TiltElement]:
 
 def tilt_pow(x: TiltElement, k: int) -> TiltElement:
     """k-th power for k >= 0 by the base-p digits of k (see the module docstring); k = 0 is the empty product."""
-    _require_count(k, "exponent")
+    _require_int(k, "exponent", 0)
     return _power_table(x)(k)
 
 
@@ -442,7 +459,6 @@ def tilt_rescale_t(x: TiltElement, u: int) -> TiltElement:
     Over F_2 the only unit is u = 1.
     """
     p = x.p
-    if not _is_int(u) or not 0 < u < p:
-        raise DomainError(f"substitution unit must be an integer in 1..{p - 1}, got {u!r}")
+    _require_int(u, "substitution unit", 1, p - 1)
     # u is a unit of F_p, so the coefficient stays in 1..p-1; exponents are unchanged
     return TiltElement._trusted(p, x.s, tuple([(m, c * pow(u, m, p) % p) for m, c in x.nums]))

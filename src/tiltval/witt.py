@@ -29,8 +29,8 @@ from typing import Union
 
 from ._record import Record
 from .errors import DomainError
-from .tilt import TiltElement, _exact, _require_bool, _require_count, _require_prime, _require_record, tilt_frobenius
-from .tilt import tilt_val
+from .tilt import TiltElement, _exact, _require_bool, _require_int, _require_positive, _require_prime, _require_record
+from .tilt import _shown, tilt_frobenius, tilt_val
 # No code here calls tilt_pow; perfbench/selftest.py checks that its tracer patches this name too.
 from .tilt import tilt_pow  # noqa: F401
 
@@ -56,13 +56,11 @@ class RhoWeight(Record):
     at_one: bool
 
     def __init__(self, r: Fraction, at_one: bool = False):
-        if not isinstance(r, Fraction):
-            raise DomainError("weight must be a Fraction")
         _require_bool(at_one, "at_one")  # 1 or "yes" would make a boundary weight unequal to RhoWeight.one()
-        if at_one and r != 0:
-            raise DomainError("the boundary norm carries weight 0")
-        if not at_one and r <= 0:
-            raise DomainError(f"interior weight must be positive, got {r}")
+        if not at_one:
+            _require_positive(r, "interior weight")
+        elif not (isinstance(r, Fraction) and r == 0):
+            raise DomainError("the boundary norm carries weight Fraction(0)")
         self._assign(r, at_one)
 
     @classmethod
@@ -83,16 +81,14 @@ class WittExpr(Record):
     def __init__(self, p: int, terms: tuple[tuple[int, TiltElement], ...]):
         _require_prime(p, "residue characteristic")
         if not isinstance(terms, tuple) or not all(isinstance(term, tuple) and len(term) == 2 for term in terms):
-            raise DomainError(f"terms must be a tuple of (slot, entry) tuples, got {terms!r}")  # or hash() fails
-        prev = None
+            raise DomainError(f"terms must be a tuple of (slot, entry) tuples, got {_shown(terms)}")  # or hash() fails
+        prev = -1
         for slot, x in terms:
-            _require_count(slot, "slot index")
-            if prev is not None and slot <= prev:
-                raise DomainError("slots must be strictly increasing")
+            _require_int(slot, "slot index", prev + 1)  # slots strictly increasing from 0
             if not isinstance(x, TiltElement) or x.p != p:
-                raise DomainError(f"slot {slot} entry is not a tilt element over F_{p}")
+                raise DomainError(f"slot {_shown(slot, str)} entry is not a tilt element over F_{p}")
             if x.is_zero:
-                raise DomainError(f"slot {slot} holds zero; drop empty slots instead")
+                raise DomainError(f"slot {_shown(slot, str)} holds zero; drop empty slots instead")
             prev = slot
         self._assign(p, terms)
 
@@ -133,7 +129,7 @@ class PrimitiveDeg1(Record):
 
     def __init__(self, a: TiltElement):
         if not isinstance(a, TiltElement) or a.is_zero or not a.nums[0][0]:  # v(a): the lowest numerator over p^s
-            raise DomainError(f"generator must be a TiltElement with 0 < v(a) < +inf, got {a!r}")
+            raise DomainError(f"generator must be a TiltElement with 0 < v(a) < +inf, got {_shown(a)}")
         self._assign(a)
 
 

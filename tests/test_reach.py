@@ -95,6 +95,7 @@ UNREACHED = {
     "theta.check_theta_value_laurent": _GATE,
     "tilt.TiltElement.__init__": _CONSTRUCTOR,
     "tilt.TiltElement.support": _GATE,
+    "tilt._shown": _REFUSAL,
     "tilt._table": _MULTI_TERM,
     "tilt._table.power": _MULTI_TERM,
     "witt.WittExpr.__init__": _GATE,

@@ -19,10 +19,11 @@ from conftest import assert_immutable_value, fresh_pow, random_element, random_m
 import tiltval
 from tiltval import tilt
 from tiltval.ansatz import frobenius_orbit, is_member, make_ansatz
+from tiltval.cli import RunConfig
 from tiltval.errors import DomainError
 from tiltval.loglink import LogLinkChain, PadicUnit, chain_build
 from tiltval.pilot import PilotTuple, theta_set_sample
-from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms
+from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
 from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, eta_val, gauss_log_norm, teichmuller
 from tiltval.tilt import (
     _convolve,
@@ -1224,3 +1225,147 @@ def test_only_tilt_spells_out_the_integer_rule():
             if not any(qualified == allowed or qualified.startswith(allowed + ".") for allowed in _TYPE_TESTS_ALLOWED):
                 offenders.append(f"{path.name}:{line} in {qualified}")
     assert not offenders, offenders
+
+
+def _domain_error_messages(tree):
+    """(enclosing function, message node) of each ``raise DomainError(message, ...)`` in a module."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child)
+                continue
+            exc = child.exc if isinstance(child, ast.Raise) else None
+            if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name) and exc.func.id == "DomainError" and exc.args:
+                found.append((function, exc.args[0]))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def _unshown_parts(node, label):
+    """Lines of the parts of a message that show a value neither through _shown nor as the label argument.
+
+    A message is string constants and f-strings, joined by + and chosen by if-else.  An f-string may
+    format a ``_shown(...)`` call, the label, or a type's ``__name__``, which the digit limit cannot stop.
+    """
+    if isinstance(node, ast.Constant):
+        return []
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _unshown_parts(node.left, label) + _unshown_parts(node.right, label)
+    if isinstance(node, ast.IfExp):
+        return _unshown_parts(node.body, label) + _unshown_parts(node.orelse, label)
+    if not isinstance(node, ast.JoinedStr):
+        return [node.lineno]
+    lines = []
+    for part in node.values:
+        if isinstance(part, ast.FormattedValue):
+            value = part.value
+            shown = isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "_shown"
+            named = isinstance(value, ast.Attribute) and value.attr == "__name__"
+            if not (shown or named or (isinstance(value, ast.Name) and value.id == label)):
+                lines.append(part.lineno)
+    return lines
+
+
+def test_only_tilt_shown_formats_a_refused_value():
+    # repr or str of an int past the interpreter's digit limit raises ValueError, so a refusal that
+    # formats a caller's value itself can end in ValueError; tilt._shown names the type there instead.
+    src = Path(tiltval.__file__).resolve().parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for function, message in _domain_error_messages(ast.parse(path.read_text(encoding="utf-8"))):
+            offenders += [
+                f"{path.name}:{node.lineno} formats with !r"
+                for node in ast.walk(message)
+                if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+            ]
+            if path.stem == "tilt" and function is not None and (
+                function.name.startswith("_require_") or function.name == "_exact"
+            ):  # a validator: every value it shows goes through _shown, and its label is shown as given
+                label = next((a.arg for a in function.args.args if a.arg in ("name", "what")), None)
+                offenders += [f"{path.name}:{line} in {function.name}" for line in _unshown_parts(message, label)]
+    assert not offenders, offenders
+
+
+_BIG = 10**5000  # past the interpreter's 4,300-digit limit on int-to-str conversion
+_TINY = Fraction(1, 2**20000)  # a 20,000-bit denominator: 6,021 digits
+
+
+# Each refusal once formatted the value itself, and repr or str past the digit limit ends in a bare ValueError.
+# The _require_record, WittExpr-order, RhoWeight-int and PadicUnit-range rows printed no value already.
+@pytest.mark.parametrize(
+    "call",
+    [
+        *[
+            pytest.param(lambda v=v, check=check: check(v), id=f"{name}-{kind}")
+            for name, check in (
+                ("_require_prime", tilt._require_prime),
+                ("_require_odd_prime", tilt._require_odd_prime),
+                ("_require_int", lambda v: tilt._require_int(v, "x", 0)),
+                ("_require_bool", lambda v: tilt._require_bool(v, "x")),
+                ("_require_positive", lambda v: tilt._require_positive(v, "x")),
+                ("_require_record", lambda v: tilt._require_record(v, TiltElement, "x")),
+                ("_require_precision", lambda v: tilt._require_precision(2, v)),
+                ("_require_window", tilt._require_window),
+            )
+            for kind, v in (("int", -_BIG), ("fraction", -_TINY), ("tuple", (_BIG,)))
+        ],
+        pytest.param(lambda: tilt._require_int(_BIG, "x", 0, 1), id="_require_int-above-hi"),
+        pytest.param(lambda: tilt._require_int(0, "x", _BIG), id="_require_int-below-big-lo"),
+        pytest.param(lambda: tilt._require_int(Fraction(_BIG, 3), "x"), id="_require_int-big-fraction"),
+        pytest.param(lambda: tilt._require_positive(_BIG, "x"), id="_require_positive-positive-int"),
+        pytest.param(lambda: tilt._require_precision(_BIG, 1), id="_require_precision-big-p"),
+        pytest.param(lambda: tilt._require_window((_BIG, 0)), id="_require_window-reversed"),
+        pytest.param(lambda: tilt._exact((_BIG,), "x"), id="_exact-tuple"),
+        pytest.param(lambda: TiltElement.from_terms(2, {Fraction(1, 3 * 2**20000): 1}), id="from_terms-lcm"),
+        pytest.param(lambda: TiltElement.from_terms(2, {-_TINY: 1}), id="from_terms-negative"),
+        pytest.param(lambda: TiltElement.from_terms(2, {0: (_BIG,)}), id="from_terms-coefficient"),
+        pytest.param(lambda: TiltElement(2, 0, [(_BIG, 1)]), id="TiltElement-list"),
+        pytest.param(lambda: TiltElement(2, 0, ((_BIG, 1, 1),)), id="TiltElement-triple"),
+        pytest.param(lambda: TiltElement(2, -_BIG, ()), id="TiltElement-scale"),
+        pytest.param(lambda: TiltElement(2, 0, ((-_BIG, 1),)), id="TiltElement-numerator"),
+        pytest.param(lambda: WittExpr(2, [(_BIG, TiltElement.monomial(2, 1))]), id="WittExpr-list"),
+        pytest.param(lambda: WittExpr(2, ((-_BIG, TiltElement.monomial(2, 1)),)), id="WittExpr-slot"),
+        pytest.param(
+            lambda: WittExpr(2, ((_BIG, TiltElement.monomial(2, 1)), (0, TiltElement.monomial(2, 1)))),
+            id="WittExpr-order",
+        ),
+        pytest.param(lambda: WittExpr(2, ((_BIG, "x"),)), id="WittExpr-entry"),
+        pytest.param(lambda: WittExpr(2, ((_BIG, TiltElement.from_terms(2, {})),)), id="WittExpr-zero"),
+        *[pytest.param(lambda v=v: PrimitiveDeg1(v), id=f"PrimitiveDeg1-{kind}") for kind, v in (
+            ("int", _BIG), ("fraction", _TINY), ("tuple", (_BIG,)),
+            ("unit-valuation", TiltElement.from_terms(2, {0: 1, _BIG: 1})),
+        )],
+        pytest.param(lambda: RhoWeight(_BIG), id="RhoWeight-int"),
+        pytest.param(lambda: RhoWeight(-_TINY), id="RhoWeight-fraction"),
+        pytest.param(lambda: RhoWeight(Fraction(-_BIG)), id="RhoWeight-big-fraction"),
+        pytest.param(lambda: RhoWeight(Fraction(1), _BIG), id="RhoWeight-at_one"),
+        pytest.param(lambda: PilotTuple(_probe_point(), Fraction(1, 4), (_BIG,)), id="PilotTuple-int-lift"),
+        pytest.param(lambda: PilotTuple(_probe_point(), Fraction(1, 4), [_TINY]), id="PilotTuple-list-lifts"),
+        pytest.param(lambda: PilotTuple(_probe_point(), -_TINY, (_TINY, _TINY)), id="PilotTuple-xi"),
+        pytest.param(lambda: PadicUnit(3, 4, _BIG), id="PadicUnit-range"),
+        pytest.param(lambda: PadicUnit(3, 4, _TINY), id="PadicUnit-fraction"),
+        pytest.param(lambda: PadicUnit(2, 16700, _BIG + 2), id="PadicUnit-principal"),
+        pytest.param(lambda: PadicUnit(3, -_BIG, 1), id="PadicUnit-precision"),
+        pytest.param(lambda: PadicUnit(_BIG, 4, 1), id="PadicUnit-prime"),
+        *[pytest.param(lambda j=j, ell=ell: theta_value(j, ell), id=f"theta_value-{kind}") for kind, j, ell in (
+            ("big-j", _BIG, 5), ("big-ell", 1, _BIG), ("fraction", _TINY, 5), ("tuple", (_BIG,), 5),
+        )],
+        *[pytest.param(lambda v=v: _probe_chain().value_at(v), id=f"value_at-{kind}") for kind, v in (
+            ("int", _BIG), ("negative", -_BIG), ("fraction", _TINY), ("tuple", (_BIG,)),
+        )],
+        *[pytest.param(lambda v=v: tilt_rescale_t(TiltElement.monomial(3, 1), v), id=f"tilt_rescale_t-{kind}")
+          for kind, v in (("int", _BIG), ("fraction", _TINY), ("tuple", (_BIG,)))],
+        *[pytest.param(lambda key=key, v=v: RunConfig(**{key: v}).validate(), id=f"RunConfig-{key}") for key, v in (
+            ("ell", _BIG), ("p", _BIG), ("ell_sweep_max", -_BIG), ("frobenius_depth", -_BIG),
+            ("theta_truncation", (_BIG,)), ("v_q", -_TINY), ("padic_precision", -_BIG),
+        )],
+    ],
+)
+def test_an_oversized_value_is_refused_with_a_one_line_domain_error(call):
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert "\n" not in str(refused.value)
