@@ -143,7 +143,7 @@ def load_config(path: str | None, **flags: object) -> RunConfig:
     known = {"schema", *RunConfig.__slots__}
     unknown = sorted(set(data) - known)
     if unknown:
-        raise DomainError(f"unknown config keys: {', '.join(unknown)}")
+        raise DomainError(f"unknown config keys: {', '.join(k if k.isprintable() else _shown(k) for k in unknown)}")
     if "schema" in data and (not _is_int(data["schema"]) or data["schema"] != 1):
         raise DomainError(f"unsupported config schema {_shown(data['schema'])}")
     merged = {

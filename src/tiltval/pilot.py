@@ -85,7 +85,8 @@ def sum_log_norms(pilot: PilotTuple, rho: RhoWeight) -> Fraction:
     lift denominators, must equal e_1 * ell*(ell* + 1)(2 ell* + 1)/6
     exactly or something is broken.
     """
-    del rho  # slot-zero lifts are weight independent; see docstring
+    _require_record(pilot, PilotTuple, "the pilot")
+    _require_record(rho, RhoWeight, "the weight")  # slot-zero lifts are weight independent; see docstring
     lifts, ls = pilot.lifts, pilot.ansatz.ell_star
     den = lcm(*[e.denominator for e in lifts])
     direct = sum([e.numerator * (den // e.denominator) for e in lifts])

@@ -46,14 +46,14 @@ def format_exact(value: object) -> str:
     """Render a value exactly; floats are a hard error, not a format."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (tuple, list)):
         return "(" + ", ".join(format_exact(v) for v in value) + ")"
+    if isinstance(value, Fraction):  # last: Fraction is an ABC, so a test of any other value runs ABCMeta's check
+        return f"{value.numerator}/{value.denominator}"
     raise TypeError(f"no exact rendering for {type(value).__name__}")
 
 

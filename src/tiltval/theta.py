@@ -20,21 +20,27 @@ square root.
 Special values live at u = q^(j/2) zeta^k for a primitive ell-th root of
 unity zeta (ell an odd prime), written x^2 for a root x of Phi_2ell, so
 -1 is x^ell.  Evaluation runs in a parameter s with s^2 = q^(1/ell), the
-base parameter in which the leading-exponent drop of theta(q^(j/2) zeta^k)
-against theta(zeta^k) is exactly -j^2 for every j, matching the symbolic
-q-exponent j^2/(2 ell) of :func:`theta_value`.  Each s-coefficient is a
-sparse map {e: c} for sum c x^e, 0 <= e < ell; at most two indices share
-an s-exponent, so dropping zero entries is its whole zero test.  Each
-term's root power and sign do not depend on j, so they come from one
-cached table per (k, ell, N); every evaluation still sums all
-2N + 1 terms.  A check moves the base's lowest coefficient by zeta^m,
-which adds 2m to each root power, and subtracts it from the lowest
-shifted one.  That difference of up to four root powers folds into one
-row of ell - 1 integers in the canonical basis 1, x, ..., x^(ell-2), and
-is zero exactly when the row is: at ell = 3 three root powers cancel
-through Phi_6 with no two cancelling outright.  A suite of checks over
-j = 1 .. j_max builds the row table once and evaluates the base series at
-zeta^k once.
+base parameter in which the leading-exponent drop of theta(q^(j/2)
+zeta^k) against theta(zeta^k) is exactly -j^2 for every j, matching the
+symbolic q-exponent j^2/(2 ell) of :func:`theta_value`.  Each
+s-coefficient is a sparse map {e: c} for sum c x^e, 0 <= e < ell.
+Indices n = -j + d and -j - 1 - d share the s-exponent d(d+1) - j^2 and
+no other two do; two root powers below degree ell sum to zero only by
+cancelling outright (Phi_2ell has ell terms), so dropping zero entries
+is the whole zero test.  Root powers and signs do not depend on j and
+come from one cached table per (k, ell, N).  An evaluation reads all
+2N + 1 rows, in pairs out from the vertex d = 0 and then the longer side's
+tail, so exponents come in increasing order with no sort.  Each exponent
+is read from its row; a pair that disagrees, an exponent not above the
+last, a zero coefficient or a vertex outside the window sends the whole
+evaluation down the general route: accumulate, then sort.  A check moves
+the base's lowest coefficient by zeta^m, which adds 2m to each root
+power, and subtracts it from the lowest shifted one.  That difference of
+up to four root powers folds into one row of ell - 1 integers in the
+canonical basis 1, x, ..., x^(ell-2), and is zero exactly when the row
+is: at ell = 3 three root powers cancel through Phi_6 with no two
+cancelling outright.  A suite of checks over j = 1 .. j_max builds the
+row table once and evaluates the base series at zeta^k once.
 """
 
 from __future__ import annotations
@@ -167,14 +173,13 @@ def _quasi_periodicity(
     left = terms[lo + n_max : hi + n_max + 1]
     right = terms[lo + j + n_max : hi + j + n_max + 1]
     for n, (_, sign_n, q_n, u_n), (_, sign_s, q_s, u_s) in zip(range(lo, hi + 1), left, right):
-        # Left side, term n of theta(q^(j/2) u), as (2q, sign, u): q in doubled units.
-        lhs = (2 * q_n + j * u_n, sign_n, u_n)
-        # Right side, term n + j of theta(u) times (-1)^j q^(-j^2/2) u^(-2j).
-        rhs = (2 * q_s - j * j, shift_sign * sign_s, u_s - 2 * j)
-        if lhs != rhs:
-            mismatch = mismatch or f"n = {n}: left (2q, sign, u) = {lhs} right {rhs}"
-        else:
+        # Term n of theta(q^(j/2) u) against term n + j of theta(u) times (-1)^j q^(-j^2/2) u^(-2j),
+        # each as (2q, sign, u): q in doubled units.  The tuples are built only for the first mismatch.
+        if 2 * q_n + j * u_n == 2 * q_s - j * j and sign_n == shift_sign * sign_s and u_n == u_s - 2 * j:
             checked += 1
+        elif mismatch is None:
+            lhs, rhs = (2 * q_n + j * u_n, sign_n, u_n), (2 * q_s - j * j, shift_sign * sign_s, u_s - 2 * j)
+            mismatch = f"n = {n}: left (2q, sign, u) = {lhs} right {rhs}"
     return mismatch is None, (lo, hi), checked, mismatch
 
 
@@ -252,13 +257,11 @@ def eval_theta_laurent(j: int, k: int, ell: int, n_max: int) -> dict[int, dict[i
     _require_int(k, "k")
     _require_odd_prime(ell)
     _require_int(n_max, "truncation radius", 0)
-    # s(n) = s(m) only for m = n or m = -n - 2j - 1, so a coefficient sums at
-    # most two root powers x^e, e < ell.  Below degree ell the only relation
-    # is Phi_2ell = sum_{i<ell} (-1)^i x^i, which has ell nonzero entries, so
-    # a sum of fewer than ell root powers is zero exactly when its entries
-    # cancel outright: dropping zero entries is the whole zero test.
+    rows = _root_terms(k, ell, n_max)
+    if -n_max <= j < n_max and (out := _vertex_walk(rows, n_max - j, j)) is not None:  # n = -j - 1, -j in the window
+        return out
     acc: dict[int, dict[int, int]] = {}
-    for s_at_0, s_step, e, c in _root_terms(k, ell, n_max):
+    for s_at_0, s_step, e, c in rows:
         coeff = acc.setdefault(s_at_0 + j * s_step, {})
         c += coeff.pop(e, 0)
         if c:
@@ -266,23 +269,41 @@ def eval_theta_laurent(j: int, k: int, ell: int, n_max: int) -> dict[int, dict[i
     return {s_exp: acc[s_exp] for s_exp in sorted(acc) if acc[s_exp]}
 
 
+def _vertex_walk(rows: tuple[tuple[int, int, int, int], ...], vertex: int, j: int) -> dict[int, dict[int, int]] | None:
+    """The evaluation out from rows[vertex] (n = -j) and the row below, equal to the general route's, or None."""
+    up, down = rows[vertex:], rows[vertex - 1 :: -1]
+    out, last = {}, down[0][0] + j * down[0][1] - 1
+    for (s_at_0, s_step, e, c), (t_at_0, t_step, f, b) in zip(up, down):
+        if (s_exp := s_at_0 + j * s_step) != t_at_0 + j * t_step or s_exp <= last or not (b and c):
+            return None
+        last = s_exp
+        if e != f:
+            out[s_exp] = {f: b, e: c}  # the lower index's root power first, as the general route has it
+        elif b + c:
+            out[s_exp] = {e: b + c}
+    for s_at_0, s_step, e, c in up[len(down) :] or down[len(up) :]:  # the longer side's tail
+        if (s_exp := s_at_0 + j * s_step) <= last or not c:
+            return None
+        last, out[s_exp] = s_exp, {e: c}
+    return out
+
+
 def _laurent_ratio(
-    j: int, k: int, ell: int, n_max: int, base: dict[int, dict[int, int]]
+    j: int, k: int, ell: int, n_max: int, base_s: int, base_lowest: dict[int, int]
 ) -> tuple[bool, int, int, bool]:
-    """The check at (j, k), given the base evaluation at u = zeta^k."""
+    """The check at (j, k), given the lowest s-exponent and coefficient of the base evaluation at u = zeta^k."""
     tv = theta_value(j, ell)  # validates j and ell
     if k % ell == 0:
         raise DomainError("k must be nonzero mod ell; at zeta^0 the evaluation degenerates")
     _require_int(n_max, "truncation radius", j + 1)  # both lowest indices -j and -j-1 in the window
-    shifted = eval_theta_laurent(j, k, ell, n_max)
-    lo_s, base_s = min(shifted), min(base)
+    lo_s, lowest = next(iter(eval_theta_laurent(j, k, ell, n_max).items()))  # exponents come in increasing order
     gap = lo_s - base_s
     # 2*ell times the symbolic q-exponent j^2/(2*ell) is the integer j^2.
     expected_gap = -(2 * ell * tv.q_exponent.numerator) // tv.q_exponent.denominator
     # zeta^m = x^(2m) shifts every root power of the base coefficient by 2m; one row holds the difference.
     shift = 2 * k * tv.inverse_zeta_exponent
-    diff = dict(shifted[lo_s])
-    for e, c in base[base_s].items():
+    diff = dict(lowest)
+    for e, c in base_lowest.items():
         diff[e + shift] = diff.get(e + shift, 0) - tv.sign * c
     coeff_ok = _root_pows_vanish(ell, diff)
     return gap == expected_gap and coeff_ok, gap, expected_gap, coeff_ok
@@ -297,12 +318,12 @@ def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> tuple[boo
     two lowest coefficients must differ by sign * zeta^(-2jk), the
     reciprocal of the multiplier :func:`theta_value` states.
     """
-    return _laurent_ratio(j, k, ell, n_max, eval_theta_laurent(0, k, ell, n_max))
+    return _laurent_ratio(j, k, ell, n_max, *next(iter(eval_theta_laurent(0, k, ell, n_max).items())))
 
 
 def check_theta_value_laurent_upto(
     j_max: int, k: int, ell: int, n_max: int
 ) -> tuple[tuple[bool, int, int, bool], ...]:
     """The special-value check at every j = 1 .. j_max, against one base evaluation."""
-    base = eval_theta_laurent(0, k, ell, n_max) if j_max > 0 else {}
-    return tuple(_laurent_ratio(j, k, ell, n_max, base) for j in range(1, j_max + 1))
+    base = next(iter(eval_theta_laurent(0, k, ell, n_max).items())) if j_max > 0 else None
+    return tuple(_laurent_ratio(j, k, ell, n_max, *base) for j in range(1, j_max + 1))

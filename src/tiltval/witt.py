@@ -99,6 +99,7 @@ class WittExpr(Record):
 
 def teichmuller(x: TiltElement) -> WittExpr:
     """The single-slot presentation [x]; zero maps to the empty presentation."""
+    _require_record(x, TiltElement, "the element")
     if x.is_zero:
         return WittExpr(x.p, ())
     return WittExpr(x.p, ((0, x),))
@@ -112,6 +113,8 @@ def gauss_log_norm(w: WittExpr, rho: RhoWeight) -> Fraction | None:
     Teichmuller terms, an upper bound for the denoted element otherwise;
     see the module docstring.
     """
+    _require_record(w, WittExpr, "the presentation")
+    _require_record(rho, RhoWeight, "the weight")
     if w.is_zero:
         return None
     return min(tilt_val(x) + slot * rho.r for slot, x in w.terms)

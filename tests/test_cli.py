@@ -194,6 +194,18 @@ def test_a_refused_config_keeps_its_error_line(tmp_path, capsys, payload):
     assert (code, out, err) == (2, "", _REFUSAL_LINES[payload] + "\n")
 
 
+@pytest.mark.parametrize("payload, line", [
+    ('{"a\\nb": 1}', "error: unknown config keys: 'a\\nb'"),
+    ('{"x\\ty": 1}', "error: unknown config keys: 'x\\ty'"),
+    ('{"elll": 7, "a\\u2028b": 1, "colour": 1}', "error: unknown config keys: 'a\\u2028b', colour, elll"),
+])
+def test_an_unprintable_unknown_key_is_quoted_on_the_one_error_line(tmp_path, capsys, payload, line):
+    # A key that fails str.isprintable() is shown by its repr; a printable one stays raw, as it always was.
+    code, out, err = run_cli(capsys, "bound", "--config", write_config(tmp_path, "c.json", payload))
+    assert (code, out, err) == (2, "", line + "\n")
+    assert len(err.splitlines()) == 1
+
+
 def test_load_config_rejections(tmp_path, capsys):
     # Numbers past the interpreter's 4,300-digit int limit, bare and inside a rational.
     too_long = {"longint.json": '{"p": ' + "1" * 5000 + "}", "longrational.json": '{"v_q": "1/' + "1" * 5000 + '"}'}

@@ -16,11 +16,11 @@ from tiltval.ansatz import AnsatzPoint, make_ansatz
 from tiltval.cli import RunConfig
 from tiltval.errors import DomainError
 from tiltval.loglink import LogLinkChain, PadicUnit, chain_build
-from tiltval.pilot import PilotTuple, build_pilot
+from tiltval.pilot import PilotTuple, build_pilot, size_estimate, sum_log_norms
 from tiltval.reporting import CheckRecord, Report
 from tiltval.theta import ThetaValue, theta_value
 from tiltval.tilt import TiltElement
-from tiltval.witt import PrimitiveDeg1, WittExpr
+from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, gauss_log_norm, teichmuller
 
 for _module in pkgutil.iter_modules(tiltval.__path__):  # every module that defines a record, in any run order
     importlib.import_module(f"tiltval.{_module.name}")
@@ -220,6 +220,31 @@ def test_a_wrong_record_in_a_record_field_is_a_domain_error(cls, name):
     for wrong in (None, foreign if typing.get_origin(hint) is not tuple else (foreign,) * len(values[name])):
         with pytest.raises(DomainError):
             cls(**{**values, name: wrong})
+
+
+# Public functions off the hot kernels that take records, with valid arguments.  Each record argument given None
+# or a record of another class (inside the sample for size_estimate) must be refused as bad input, not end in an
+# AttributeError.  tilt_val, tilt_mul, tilt_pow, tilt_frobenius and padic_log run per member or per log, unchecked.
+RECORD_ARGUMENTS = {
+    sum_log_norms: lambda: (build_pilot(_point(), Fraction(1, 10)), RhoWeight.of(Fraction(1, 2))),
+    size_estimate: lambda: ([build_pilot(_point(), Fraction(1, 10))], RhoWeight.one()),
+    teichmuller: lambda: (TiltElement.monomial(2, Fraction(1, 4)),),
+    gauss_log_norm: lambda: (TUPLE_RECORDS[WittExpr](), RhoWeight.of(Fraction(1, 2))),
+}
+
+
+@pytest.mark.parametrize("func", RECORD_ARGUMENTS, ids=lambda func: func.__name__)
+def test_a_wrong_record_argument_is_a_domain_error(func):
+    args = RECORD_ARGUMENTS[func]()
+    func(*args)  # the valid arguments are accepted
+    for i, arg in enumerate(args):
+        sample = arg[0] if isinstance(arg, list) else arg
+        foreign = next(x for x in (TiltElement.monomial(2, 1), RhoWeight.one()) if type(x) is not type(sample))
+        for wrong in (None, foreign):
+            bad = [wrong] if isinstance(arg, list) else wrong
+            refused = f"must be of type {type(sample).__name__}, got {type(wrong).__name__}$"
+            with pytest.raises(DomainError, match=refused):
+                func(*args[:i], bad, *args[i + 1 :])
 
 
 def _builders(cls):

@@ -1,6 +1,7 @@
 """The json emitter against json.dumps, and the refusal of inexact leaves."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from conftest import CONFIGS, write_config
 from tiltval import cli
 from tiltval.cli import load_config
 from tiltval.errors import VerificationError
-from tiltval.reporting import GAUGE_NOTES, CheckRecord, CombinedReport, Report, make_check, render_report
+from tiltval.reporting import GAUGE_NOTES, CheckRecord, CombinedReport, Report, format_exact, make_check, render_report
 
 
 def _as_dict(report, include_config=True):
@@ -80,6 +81,47 @@ def test_make_check_builds_the_keyword_built_record(passed):
     assert check == CheckRecord(check_id="x.y", passed=bool(passed), witness=witness)
     assert type(check.passed) is bool and hash(check) == hash(CheckRecord("x.y", bool(passed), witness))
     assert make_check("x.z", passed) == CheckRecord(check_id="x.z", passed=bool(passed), witness=())
+
+
+def _format_fraction_first(value):
+    """format_exact with Fraction tested second, as it was before the ABC check moved last: the oracle."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (tuple, list)):
+        return "(" + ", ".join(_format_fraction_first(v) for v in value) + ")"
+    raise TypeError(f"no exact rendering for {type(value).__name__}")
+
+
+class _Half(Fraction):
+    pass
+
+
+_EXACT = [
+    (True, "true"), (False, "false"), (0, "0"), (-73, "-73"), (10**30, "1" + "0" * 30),
+    ("", ""), ("1/2 (x)", "1/2 (x)"), (Fraction(-3, 4), "-3/4"), (Fraction(6, 2), "3/1"), (_Half(1, 2), "1/2"),
+    ((), "()"), ([], "()"), ((1, Fraction(1, 2), True, "s"), "(1, 1/2, true, s)"),
+    ((0, (Fraction(2), [False, ("a", -1)]), ()), "(0, (2/1, (false, (a, -1))), ())"),
+]
+
+
+@pytest.mark.parametrize("value, shown", _EXACT, ids=repr)
+def test_format_exact_renders_every_exact_type_as_the_fraction_first_order_did(value, shown):
+    assert format_exact(value) == shown == _format_fraction_first(value)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, Decimal("0.5"), Decimal(1), 1j, None, (1, 0.5), [Fraction(1), None]],
+                         ids=repr)
+def test_format_exact_refuses_an_inexact_value(value):
+    name = next(type(v).__name__ for v in (value if isinstance(value, (tuple, list)) else (value,))
+                if not isinstance(v, (int, Fraction)))
+    with pytest.raises(TypeError, match=f"^no exact rendering for {name}$"):
+        format_exact(value)
 
 
 def _one_check(suite="bad", check_id="bad.check", witness=()):

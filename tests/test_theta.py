@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import assert_immutable_value
 
+from tiltval import theta
 from tiltval.errors import DomainError
 from tiltval.theta import (
     CycloElt,
@@ -482,3 +483,111 @@ def test_eval_matches_the_per_term_loop(ell):
             for j in range(n_max + 3):
                 case = (j, k, ell, n_max)
                 assert _in_order(eval_theta_laurent(*case)) == _in_order(_eval_by_terms(*case)), case
+
+
+# The routes the vertex walk and the integer compare replaced, kept as oracles: each evaluation accumulated
+# row by row and sorted, each quasi-periodicity term compared as two (2q, sign, u) tuples, and each special-value
+# check reading its lowest exponents by min().
+
+
+def _eval_accumulate_and_sort(j, k, ell, n_max):
+    """The evaluation from whatever table theta._root_terms hands out: accumulate every row, then sort."""
+    acc = {}
+    for s_at_0, s_step, e, c in theta._root_terms(k, ell, n_max):
+        coeff = acc.setdefault(s_at_0 + j * s_step, {})
+        c += coeff.pop(e, 0)
+        if c:
+            coeff[e] = c
+    return {s_exp: acc[s_exp] for s_exp in sorted(acc) if acc[s_exp]}
+
+
+def _laurent_by_min(j, k, ell, n_max):
+    tv = theta_value(j, ell)
+    shifted, base = _eval_accumulate_and_sort(j, k, ell, n_max), _eval_accumulate_and_sort(0, k, ell, n_max)
+    lo_s, base_s = min(shifted), min(base)
+    shift = 2 * k * tv.inverse_zeta_exponent
+    diff = dict(shifted[lo_s])
+    for e, c in base[base_s].items():
+        diff[e + shift] = diff.get(e + shift, 0) - tv.sign * c
+    coeff_ok = _root_pows_vanish(ell, diff)
+    return lo_s - base_s == -j * j and coeff_ok, lo_s - base_s, -j * j, coeff_ok
+
+
+def _quasi_by_tuples(terms, j):
+    """The shift identity at step j, |j| <= N, with both sides built as tuples for every term."""
+    n_max = len(terms) // 2
+    lo, hi = -n_max + abs(j), n_max - abs(j)
+    mismatch, checked = None, 0
+    for n in range(lo, hi + 1):
+        _, sign_n, q_n, u_n = terms[n + n_max]
+        _, sign_s, q_s, u_s = terms[n + j + n_max]
+        lhs = (2 * q_n + j * u_n, sign_n, u_n)
+        rhs = (2 * q_s - j * j, (-1) ** (j % 2) * sign_s, u_s - 2 * j)
+        if lhs != rhs:
+            mismatch = mismatch or f"n = {n}: left (2q, sign, u) = {lhs} right {rhs}"
+        else:
+            checked += 1
+    return mismatch is None, (lo, hi), checked, mismatch
+
+
+def _tampered(rows, rng, coeff_field):
+    """rows with one fault: +-1 or +-2 on any field of a row, a zeroed coefficient, two rows swapped, or two rows
+    swapped along with their partners at j = 0, indices i and 2N - 1 - i, so that two whole pairs trade places."""
+    rows = [list(row) for row in rows]
+    i, m = rng.randrange(len(rows)), rng.randrange(len(rows))
+    kind = rng.randrange(4)
+    if kind == 0:
+        rows[i][rng.randrange(4)] += rng.choice((-2, -1, 1, 2))
+    elif kind == 1:
+        rows[i][coeff_field] = 0
+    else:
+        rows[i], rows[m] = rows[m], rows[i]
+        top = len(rows) - 2
+        if kind == 3 and top >= 0 and max(i, m) <= top:
+            rows[top - i], rows[top - m] = rows[top - m], rows[top - i]
+    return tuple(tuple(row) for row in rows)
+
+
+def test_eval_and_special_values_match_the_replaced_routes_on_tampered_tables(monkeypatch):
+    rng = random.Random(4931)
+    real = theta._root_terms
+    walked, general, differs = 0, 0, 0
+    for ell in (3, 5, 7, 13):
+        for n_max in (0, 1, 2, 3, 6, 9):
+            for k in (0, ell, -rng.randint(1, 2 * ell), rng.randint(1, 3 * ell)):
+                rows = real(k, ell, n_max)
+                for table in (rows, *(_tampered(rows, rng, 3) for _ in range(6))):
+                    monkeypatch.setattr(theta, "_root_terms", lambda *_: table)
+                    for j in range(-n_max - 2, n_max + 3):
+                        case = (j, k, ell, n_max, table)
+                        value = eval_theta_laurent(j, k, ell, n_max)
+                        assert _in_order(value) == _in_order(_eval_accumulate_and_sort(j, k, ell, n_max)), case
+                        if table != rows:
+                            if 0 < n_max - j <= 2 * n_max and theta._vertex_walk(table, n_max - j, j) is not None:
+                                walked += 1
+                            else:
+                                general += 1
+                            differs += value != _eval_by_terms(j, k, ell, n_max)
+                        if 1 <= j <= (ell - 1) // 2 and n_max > j and k % ell:
+                            by_min = _laurent_by_min(j, k, ell, n_max)
+                            assert check_theta_value_laurent(j, k, ell, n_max) == by_min, case
+    # Both routes ran on tampered tables, and most faults moved the evaluation.
+    assert min(walked, general) >= 500 and differs >= (walked + general) // 2, (walked, general, differs)
+
+
+def test_quasi_periodicity_matches_the_tuple_loop_on_tampered_tables():
+    rng = random.Random(4933)
+    outcomes = []
+    for n_max in (0, 1, 2, 3, 6, 9):
+        for signed in (True, False):
+            rows = theta_terms(n_max, signed)
+            for table in (rows, *(_tampered(rows, rng, 1) for _ in range(12))):
+                for j in range(-n_max - 2, n_max + 3):
+                    if n_max == 0 or abs(j) > n_max:
+                        with pytest.raises(DomainError):
+                            _quasi_periodicity(table, j)
+                        continue
+                    result = _quasi_periodicity(table, j)
+                    assert result == _quasi_by_tuples(table, j), (j, table)
+                    outcomes.append(result[0])
+    assert min(outcomes.count(True), outcomes.count(False)) >= 100
