@@ -15,10 +15,10 @@ TypeError for a missing, unknown or doubled field.  A validating record
 writes its own ``__init__`` with the fields, in order, as its parameters,
 and hands the field values, in order, to ``self._assign(...)``, which
 stores them through the slot descriptors captured once per class (one too
-few or too many is a ValueError).  A validator with a builder checks only
-what the builder call needs and passes the builder's record as ``built``:
-``_assign`` owns the compare, refuses the first field whose value or type
-differs from it (DomainError) and stores its values.  ``Cls._trusted``
+few or too many is a ValueError).  A validator with a builder passes the
+builder's record as ``built``: ``_assign`` owns the one compare, refuses
+the first field whose value or type differs from it at any depth of
+nested tuples (DomainError), and stores its values.  ``Cls._trusted``
 skips ``__init__``: it makes the instance with ``object.__new__`` and
 fills the slots through the same setters, with the same ValueError on a
 wrong value count, and fills no default.  Only the module that owns a
@@ -43,6 +43,13 @@ from __future__ import annotations
 from .errors import DomainError
 
 __all__ = ["Record"]
+
+
+def _same(a: object, b: object) -> bool:
+    """a == b, with a and b of one type at every depth of nested tuples, since True == 1 and 0.5 == Fraction(1, 2)."""
+    if type(a) is tuple is type(b):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
 
 
 class _RecordMeta(type):
@@ -93,9 +100,9 @@ class Record(metaclass=_RecordMeta):
         setters = self._setters
         if len(values) != len(setters):  # measured faster than zip(..., strict=True)
             raise ValueError(f"{type(self).__name__} takes {len(setters)} field values, got {len(values)}")
-        if built is not None:  # True == 1 and 0.5 == Fraction(1, 2), so the type must match too
+        if built is not None:
             for name, value, want in zip(self.__slots__, values, built._values()):
-                if type(value) is not type(want) or value != want:
+                if not _same(value, want):
                     try:
                         problem = f"{name} must be {want!r}, got {value!r}"
                     except ValueError:  # an int past the digit limit of int-to-str conversion

@@ -58,7 +58,7 @@ from operator import mul
 
 from ._record import Record
 from .errors import DomainError, VerificationError
-from .tilt import _is_int, _require_int, _require_positive, _require_precision, _require_prime, _require_window, _shown
+from .tilt import _require_int, _require_positive, _require_precision, _require_prime, _require_window, _shown
 from .tilt import _unit_level
 
 __all__ = [
@@ -78,11 +78,11 @@ def _unit_group(p: int, precision: int) -> tuple[int, int, int]:
 
 
 class PadicUnit(Record):
-    """A principal unit of Z/p^N: value = 1 mod p (mod 4 when p = 2).
+    """A principal unit of Z/p^N: value = 1 mod p (mod 4 when p = 2), reduced mod p^N.
 
     ``precision`` is N.  The floor N >= 2 for odd p and N >= 3 for p = 2
-    keeps log and its inverse honest at this precision; below that the
-    congruence classes carry no information.
+    keeps log and its inverse honest; below it the congruence classes
+    carry no information.  The constructor refuses any value but ``of``'s.
     """
 
     p: int
@@ -90,20 +90,18 @@ class PadicUnit(Record):
     value: int
 
     def __init__(self, p: int, precision: int, value: int):
-        _require_prime(p)
-        _require_precision(p, precision)
-        if not _is_int(value) or not 0 <= value < p**precision:
-            raise DomainError(f"value must be reduced mod {p}^{precision}")
-        congruence = p ** _unit_level(p)
-        if value % congruence != 1:
-            raise DomainError(f"not a principal unit: {_shown(value, str)} != 1 mod {congruence}")
-        self._assign(p, precision, value)
+        self._assign(p, precision, value, built=PadicUnit.of(p, precision, value))
 
     @classmethod
     def of(cls, p: int, precision: int, value: int) -> "PadicUnit":
-        """Reduce an integer mod p^precision and wrap it."""
+        """Wrap an integer that is 1 mod p (mod 4 for p = 2), reduced mod p^precision: the one unit rule."""
+        _require_prime(p)
+        _require_precision(p, precision)
         _require_int(value, "value")
-        return cls(p, precision, value % p**precision)
+        congruence, _, modulus = _unit_group(p, precision)
+        if value % congruence != 1:
+            raise DomainError(f"not a principal unit: {_shown(value, str)} != 1 mod {congruence}")
+        return cls._trusted(p, precision, value % modulus)
 
     @classmethod
     def random(cls, rng: random.Random, p: int, precision: int) -> "PadicUnit":
@@ -112,16 +110,11 @@ class PadicUnit(Record):
         _require_prime(p)
         return _random_units(rng, p, precision, 1)[0]
 
-    def _check_same(self, other: "PadicUnit") -> None:
-        if self.p != other.p or self.precision != other.precision:
-            raise DomainError(
-                f"mixed unit groups: ({self.p}, {self.precision}) vs ({other.p}, {other.precision})"
-            )
-
     # Principal units form a group: products and powers need no validator.
     def mul(self, other: "PadicUnit") -> "PadicUnit":
-        self._check_same(other)
         p, precision = self.p, self.precision
+        if p != other.p or precision != other.precision:
+            raise DomainError(f"mixed unit groups: ({p}, {precision}) vs ({other.p}, {other.precision})")
         return PadicUnit._trusted(p, precision, self.value * other.value % _unit_group(p, precision)[2])
 
     def pow(self, k: int) -> "PadicUnit":

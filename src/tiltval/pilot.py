@@ -30,7 +30,7 @@ from typing import Sequence
 from ._record import Record
 from .ansatz import AnsatzPoint, frobenius_orbit
 from .errors import DomainError, VerificationError
-from .tilt import _require_int, _require_odd_prime, _require_positive, _require_record, _shown, tilt_val
+from .tilt import _require_int, _require_odd_prime, _require_positive, _require_record, tilt_val
 from .witt import RhoWeight
 
 __all__ = [
@@ -61,8 +61,6 @@ class PilotTuple(Record):
     lifts: tuple[Fraction, ...]
 
     def __init__(self, ansatz: AnsatzPoint, xi_val_K1: Fraction, lifts: tuple[Fraction, ...]):
-        if not (isinstance(lifts, tuple) and all(isinstance(e, Fraction) for e in lifts)):
-            raise DomainError(f"lifts must be Fractions in a tuple, got {_shown(lifts)}")  # 0.25 == Fraction(1, 4)
         self._assign(ansatz, xi_val_K1, lifts, built=build_pilot(ansatz, xi_val_K1))
 
 

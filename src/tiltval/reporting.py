@@ -23,7 +23,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Union
 
 from ._record import Record
-from .errors import VerificationError
+from .errors import DomainError, VerificationError
+from .tilt import _shown
 
 __all__ = [
     "GAUGE_NOTES",
@@ -201,4 +202,4 @@ def render_report(report: AnyReport, output_format: str) -> str:
         return _render_csv(report)
     if output_format == "text":
         return _render_text(report)
-    raise VerificationError(f"unknown output format {output_format!r}")
+    raise DomainError(f"unknown output format {_shown(output_format)}")

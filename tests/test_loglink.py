@@ -33,6 +33,7 @@ from tiltval.loglink import (
     m_of_epsilon,
     padic_log,
 )
+from tiltval.tilt import _is_int, is_prime
 
 
 def exp_mod(p: int, precision: int, y: int) -> int:
@@ -127,8 +128,47 @@ def _log_per_call(u: PadicUnit) -> int:
 def test_unit_value_refuses_bool():
     # PadicUnit(3, 4, True) would pass the congruence check, since True % 3 == 1.
     for flag in (True, False):
-        with pytest.raises(DomainError, match="value must be reduced"):
+        with pytest.raises(DomainError, match="value must be an integer"):
             PadicUnit(3, 4, flag)
+
+
+def test_unit_builder_checks_the_group_before_it_computes_p_to_the_n():
+    # None ** 5 and 2 ** None would end in a bare TypeError; a refusal is one DomainError line.
+    for p, precision in ((None, 5), ("5", 5), (True, 5), (False, 5), (2, None)):
+        with pytest.raises(DomainError, match=r"^(p must be prime|precision must be an integer), got [^\n]*$"):
+            PadicUnit.of(p, precision, 1)
+
+
+def _unit_oracle(p, precision, value) -> bool:
+    """True when PadicUnit's own rules, as written out before it called PadicUnit.of, accept.
+
+    The replaced route, kept as the oracle: a prime p, a precision at its floor, and an int value, not a bool,
+    reduced mod p^N and 1 mod p (mod 4 for p = 2).
+    """
+    if not is_prime(p) or not _is_int(precision) or precision < _precision_floor(p):
+        return False
+    return _is_int(value) and 0 <= value < p**precision and value % (4 if p == 2 else p) == 1
+
+
+def test_the_constructor_accepts_what_the_replaced_unit_rules_accept():
+    rng = random.Random(5323)
+    accepted = refused = 0
+    for p in (2, 3, 5):
+        step = 4 if p == 2 else p
+        for precision in range(_precision_floor(p) - 1, 21):
+            modulus = p**precision
+            values = [True, False, -modulus, -1, 0, 1, modulus - 1, modulus, modulus + 1, 2 * modulus]
+            values += [rng.randrange(-modulus, 2 * modulus) for _ in range(8)]
+            values += [1 + step * rng.randrange(-modulus // step, 2 * modulus // step) for _ in range(8)]  # units
+            for value in values:
+                if _unit_oracle(p, precision, value):
+                    accepted += 1
+                    assert PadicUnit(p, precision, value) == PadicUnit.of(p, precision, value), (p, precision, value)
+                    continue
+                refused += 1
+                with pytest.raises(DomainError):
+                    PadicUnit(p, precision, value)
+    assert accepted >= 150 and refused >= 500, (accepted, refused)
 
 
 def test_unit_validation():

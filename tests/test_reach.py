@@ -68,7 +68,7 @@ dump()
 _CONFIGS = (None, CONFIGS["wide"], CONFIGS["f3"])
 
 _GATE = "gate API: tests/test_acceptance.py calls it, or reaches it through a gate API"
-_CONSTRUCTOR = "validating public constructor: the CLI gets these records from kernels that build through _trusted"
+_CONSTRUCTOR = "validating public constructor or its compare: the CLI gets these records through _trusted builders"
 _TRACED = "benchmark trace target: perfbench/tracer.py wraps it as theta.cyclo_mul; the theta tests check it"
 _VALUE = "frozen-value protocol of every record (equality, hash, repr, copying, refused writes): tests and gate use it"
 _REFUSAL = "refusal path: only a config that exits 2 enters it"
@@ -83,9 +83,11 @@ UNREACHED = {
     "_record.Record.__repr__": _VALUE,
     "_record.Record.__setattr__": _VALUE,
     "_record.Record._values": _VALUE,
+    "_record._same": _CONSTRUCTOR,
     "ansatz.AnsatzPoint.__init__": _CONSTRUCTOR,
     "cli._reject_float": _REFUSAL,
     "loglink.LogLinkChain.__init__": _CONSTRUCTOR,
+    "loglink.PadicUnit.__init__": _CONSTRUCTOR,
     "loglink.PadicUnit.random": _GATE,
     "pilot.PilotTuple.__init__": _CONSTRUCTOR,
     "pilot.threshold_ell": _GATE,

@@ -134,9 +134,10 @@ def test_assign_refuses_the_first_field_that_differs_from_built():
     limited = hasattr(sys, "get_int_max_str_digits")
     with pytest.raises(DomainError, match="^nums is not the value its builder makes$" if limited else "^nums must be"):
         TiltElement(2, 20_000, ((1, 1), (3 * 2**20_000, 3)))
-    # The stored values are built's: a float entry equal to v0 * p^n is kept as the builder's Fraction.
-    chain = LogLinkChain(3, Fraction(1), (0, 1), ((0, 1.0), (1, 3.0)))
-    assert chain == chain_build(3, Fraction(1), (0, 1)) and all(type(v) is Fraction for _, v in chain.entries)
+    # The compare reaches every depth: a float entry or a True index is refused as the float sign 1.0 is above.
+    for entries in (((0, 1.0), (1, 3.0)), ((0, Fraction(1)), (True, Fraction(3)))):
+        with pytest.raises(DomainError, match=r"^entries must be \(\(0, Fraction\(1, 1\)\), \(1, "):
+            LogLinkChain(3, Fraction(1), (0, 1), entries)
 
 
 def _tuple_fields(cls):
@@ -271,6 +272,7 @@ BUILDERS = {
     AnsatzPoint: ("make_ansatz", _point),
     PilotTuple: ("build_pilot", TUPLE_RECORDS[PilotTuple]),
     LogLinkChain: ("chain_build", TUPLE_RECORDS[LogLinkChain]),
+    PadicUnit: ("of", lambda: PadicUnit.of(5, 4, 631)),
 }
 
 
@@ -325,3 +327,48 @@ def test_a_validating_constructor_hands_its_builders_record_to_assign(monkeypatc
     monkeypatch.setattr(Record, "_assign", spy_assign)
     assert cls(*record._values()) == record
     assert len(returned) == len(handed) == 1 and handed[0] is returned[0]
+
+
+class _Ratio(Fraction):
+    """A Fraction subclass: equal to its Fraction, but of another type than the one a builder makes."""
+
+
+def _twins(leaf):
+    """Values equal to an int or Fraction leaf but of another type: a Fraction subclass, a Fraction for an int,
+    True or False for 1 or 0, and a float where one equals the leaf."""
+    if type(leaf) is Fraction:
+        twins = [_Ratio(leaf)]
+    elif type(leaf) is int:
+        twins = [_Ratio(leaf), Fraction(leaf)] + ([bool(leaf)] if leaf in (0, 1) else [])
+    else:
+        return []
+    return twins + ([float(leaf)] if float(leaf) == leaf else [])
+
+
+def _leaf_swaps(value):
+    """Copies of a nested tuple value, each with one leaf replaced by one of its twins."""
+    if type(value) is not tuple:
+        yield from _twins(value)
+        return
+    for i, item in enumerate(value):
+        for swapped in _leaf_swaps(item):
+            yield (*value[:i], swapped, *value[i + 1 :])
+
+
+# The tuple fields of every record in BUILDERS whose leaves are numbers, not records.  TiltElement checks each
+# numerator before it calls from_terms, and from_terms each coefficient, so those refusals name the leaf.
+_LEAF_CASES = [(cls, name) for cls in BUILDERS for name in _tuple_fields(cls)
+               if not _record_class(typing.get_type_hints(cls)[name])]
+_LEAF_REFUSALS = {(TiltElement, "nums"): "^(exponent numerator|coefficient) must be an integer, got "}
+
+
+@pytest.mark.parametrize("cls, name", _LEAF_CASES, ids=[f"{cls.__name__}.{name}" for cls, name in _LEAF_CASES])
+def test_an_equal_leaf_of_another_type_is_refused_at_any_depth(cls, name):
+    # True == 1, 1.0 == 1 and a Fraction subclass equals its Fraction, so only the type of a leaf refuses it.
+    values = dict(zip(cls.__slots__, BUILDERS[cls][1]()._values()))
+    swaps = list(_leaf_swaps(values[name]))
+    assert swaps, "the sample has no int or Fraction leaf in this field"
+    for swapped in swaps:
+        assert swapped == values[name]
+        with pytest.raises(DomainError, match=_LEAF_REFUSALS.get((cls, name), f"^{name} must be ")):
+            cls(**{**values, name: swapped})

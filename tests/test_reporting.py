@@ -1,6 +1,7 @@
 """The json emitter against json.dumps, and the refusal of inexact leaves."""
 
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from conftest import CONFIGS, write_config
 
 from tiltval import cli
 from tiltval.cli import load_config
-from tiltval.errors import VerificationError
+from tiltval.errors import DomainError, VerificationError
 from tiltval.reporting import GAUGE_NOTES, CheckRecord, CombinedReport, Report, format_exact, make_check, render_report
 
 
@@ -126,6 +127,13 @@ def test_format_exact_refuses_an_inexact_value(value):
 
 def _one_check(suite="bad", check_id="bad.check", witness=()):
     return Report(suite, (), (CheckRecord(check_id, True, witness),))
+
+
+@pytest.mark.parametrize("output_format", ["xml", "", None])
+def test_an_unknown_format_is_refused_as_bad_input(output_format):
+    # A refused value exits 2; VerificationError (exit 1) is kept for a failed cross-check.
+    with pytest.raises(DomainError, match=f"^unknown output format {re.escape(repr(output_format))}$"):
+        render_report(_one_check(), output_format)
 
 
 @pytest.mark.parametrize(
