@@ -2,41 +2,36 @@
 
 The logarithm is computed in integers, never in rationals.  For a
 principal unit u (u = 1 mod p for odd p, u = 1 mod 4 for p = 2) at
-precision N, the argument is reduced in two ways before the series runs.
+precision N, u - 1 has valuation at least w = 1 (2 for p = 2).  That
+bound is checked by dividing u - 1 exactly by p^w, which leaves x.
 
-First, for a depth m, the power y = u^(p^m) mod p^(N+m) satisfies
-v(y - 1) = v(u - 1) + m, so y - 1 has valuation at least w = m + 1
-(m + 2 for p = 2), and log(y) = p^m log(u) mod p^(N+m).  That bound is
-checked by dividing y - 1 exactly by p^w, which leaves x.
-
-Second, the digits of x are cleared in stages, each with a table as in
-libm logarithms (Tang, ACM TOMS 16(4), 1990), level by level (Brent and
-Zimmermann, Modern Computer Arithmetic, 4.4).  Stage i, at level L_i
-(L_0 = w, y = 1 + p^(L_i) x), reads b_i digits d = x mod p^(b_i) and
-multiplies y by g_i^(-d) = (1 - p^(L_i))^d = 1 - d p^(L_i) mod p^(2 L_i),
-so for b_i <= L_i the product is 1 mod p^(L_i + b_i); past L_i the
-square term would leave digits behind.  Its exact division by p^(L_i +
-b_i) checks that bound and leaves the next x, so a stage reads only
-digits whose clearing the stage before has checked.  The level doubles
-while b_i = L_i.  log(y) = log(y') + sum_i d_i log(g_i), each d log(g_i)
-read from the table.  A table has p^(b_i) <= 128 entries; for p > 128
-the plan has no stage.
+The argument is then reduced one way: the digits of x are cleared in
+stages, each with a table as in libm logarithms (Tang, ACM TOMS 16(4),
+1990), level by level (Brent and Zimmermann, Modern Computer
+Arithmetic, 4.4).  Stage i, at level L_i (L_0 = w, y = 1 + p^(L_i) x),
+reads b_i digits d = x mod p^(b_i) and multiplies y by g_i^(-d) =
+(1 - p^(L_i))^d = 1 - d p^(L_i) mod p^(2 L_i), so for b_i <= L_i the
+product is 1 mod p^(L_i + b_i); past L_i the square term would leave
+digits behind.  Its exact division by p^(L_i + b_i) checks that bound
+and leaves the next x, so a stage reads only digits whose clearing the
+stage before has checked.  The level doubles while b_i = L_i.  log(u) =
+log(y') + sum_i d_i log(g_i), each d log(g_i) read from the table.  A
+table has p^(b_i) <= 128 entries; for p > 128 the plan has no stage.
 
 log(1 + p^s x') = sum_k (-1)^(k+1) (p^s x')^k / k, s the last level, is
 the integer polynomial sum_k d_k x'^k with d_k = (-1)^(k+1) u_k^-1
-p^(k*s - v_p(k)), k = p^(v_p(k)) u_k, evaluated mod p^(N+m) in one
-Horner pass.  The k-th term has valuation at least k*s - floor(log_p k),
-and that bound never decreases in k, so the cutoff is the first k where
-it reaches N + m; every dropped term is divisible by p^(N+m).  Finally
-the sum is divided exactly by p^m.  Each of these divisions is checked:
-a remainder, or a y that collapses to 1 for u != 1, raises
-VerificationError instead of returning a wrong class.
+p^(k*s - v_p(k)), k = p^(v_p(k)) u_k, evaluated mod p^N in one Horner
+pass.  The k-th term has valuation at least k*s - floor(log_p k), and
+that bound never decreases in k, so the cutoff is the first k where it
+reaches N; every dropped term is divisible by p^N.  Each division is
+checked: a remainder raises VerificationError instead of returning a
+wrong class.
 
-The class depends on neither m nor the stages, only the work does.  Once
-per (p, N), the depth m <= isqrt(N) and the number of greedy stages that
-take the fewest multiplications are chosen: the argument power, 2 per
-stage for its multiply and division, and the Horner steps.  At N = 14
-that is one table for p = 2, 3 and 13 <= p < 128, two for 5 <= p <= 11.
+The class does not depend on the stages, only the work does.  Once per
+(p, N), the number of greedy stages that takes the fewest
+multiplications is chosen: 2 per stage for its multiply and division,
+and the Horner steps.  At N = 14 that is one table for p = 2 and
+13 <= p < 128, two for 3 <= p <= 11.
 
 The result always lands in p Z/p^N (4 Z/2^N for p = 2); that subgroup
 membership is re-checked on every call.  On these subgroups log turns
@@ -53,13 +48,13 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 
 from ._record import Record
 from .errors import DomainError, VerificationError
-from .tilt import _require_int, _require_positive, _require_precision, _require_prime, _require_window, _shown
-from .tilt import _unit_level
+from .tilt import _require_int, _require_positive, _require_precision, _require_prime, _require_record, _require_window
+from .tilt import _shown, _unit_level
 
 __all__ = [
     "LogLinkChain",
@@ -110,8 +105,9 @@ class PadicUnit(Record):
         _require_prime(p)
         return _random_units(rng, p, precision, 1)[0]
 
-    # Principal units form a group: products and powers need no validator.
+    # Principal units form a group: a product or a power checks its argument's type, not its value.
     def mul(self, other: "PadicUnit") -> "PadicUnit":
+        _require_record(other, PadicUnit, "the other unit")
         p, precision = self.p, self.precision
         if p != other.p or precision != other.precision:
             raise DomainError(f"mixed unit groups: ({p}, {precision}) vs ({other.p}, {other.precision})")
@@ -119,6 +115,7 @@ class PadicUnit(Record):
 
     def pow(self, k: int) -> "PadicUnit":
         """k-th power, any integer k; units are invertible mod p^N."""
+        _require_int(k, "exponent")
         p, precision = self.p, self.precision
         return PadicUnit._trusted(p, precision, pow(self.value, k, _unit_group(p, precision)[2]))
 
@@ -143,114 +140,103 @@ def _floor_log(n: int, p: int) -> int:
 _TABLE_CAP = 128
 
 
-def _log_cutoff(p: int, reduced: int, level: int) -> int:
-    """The first k with k*level - floor(log_p k) >= reduced: the series cutoff for v(x) >= level mod p^reduced."""
-    cutoff = -(-reduced // level)  # no smaller k reaches the bound even before floor(log_p k) is taken off
-    while cutoff * level - _floor_log(cutoff, p) < reduced:
+def _log_cutoff(p: int, n_prec: int, level: int) -> int:
+    """The first k with k*level - floor(log_p k) >= N: the series cutoff for v(x) >= level mod p^N."""
+    cutoff = -(-n_prec // level)  # no smaller k reaches the bound even before floor(log_p k) is taken off
+    while cutoff * level - _floor_log(cutoff, p) < n_prec:
         cutoff += 1
     return cutoff
 
 
-def _log_plan(p: int, n_prec: int, m: int, digits: tuple[int, ...] = ()) -> tuple:
-    """padic_log's (p, N) plan at depth m whose stage i reads digits[i] digits, b_i <= L_i < N + m.
+def _log_plan(p: int, n_prec: int, digits: tuple[int, ...] = ()) -> tuple:
+    """padic_log's (p, N) plan whose stage i reads digits[i] digits, b_i <= L_i < N.
 
-    The tuple holds m, p^m, p^w, p^(N+m), the stages, p^_unit_level(p)
-    and the last level's series coefficients from the top k down.  Stage
-    i at level L_i holds p^(b_i), the entries g_i^(-d) = (1 - p^(L_i))^d
-    mod p^(N+m) and d log(g_i) for d < p^(b_i), and p^(L_i + b_i).  Every
-    level is a multiple rG of the grain G = gcd(w, b_0, ...), so one list
-    t_j = D p^(jG) / j, D the lcm of 1 .. cutoff(G) - 1 without its
-    p-part, gives every level's D p^(kL) / k = r t_(kr); the terms past
-    its end are 0 mod p^(N+m).  One inverse of D makes them residues.
+    The tuple holds p^w, p^N, the stages and the last level's series
+    coefficients from the top k down.  Stage i at level L_i holds
+    p^(b_i), the entries g_i^(-d) = (1 - p^(L_i))^d mod p^N and
+    d log(g_i) for d < p^(b_i), and p^(L_i + b_i).  Every level is a
+    multiple rG of the grain G = gcd(w, b_0, ...), so one list t_j =
+    D p^(jG) / j, D the lcm of 1 .. cutoff(G) - 1 without its p-part,
+    gives every level's D p^(kL) / k = r t_(kr); the terms past its end
+    are 0 mod p^N.  One inverse of D makes them residues.
     """
-    w, reduced = m + _unit_level(p), n_prec + m
-    reduced_mod, grain = p**reduced, gcd(w, *digits)
-    cutoff = _log_cutoff(p, reduced, grain)
+    w, modulus = _unit_level(p), p**n_prec
+    grain = gcd(w, *digits)
+    cutoff = _log_cutoff(p, n_prec, grain)
     denominator = lcm(*range(1, cutoff)) // p ** _floor_log(cutoff - 1, p)
-    inverse, step = pow(denominator, -1, reduced_mod), p**grain
+    inverse, step = pow(denominator, -1, modulus), p**grain
     base = [power // j for j, power in zip(range(1, cutoff), accumulate(repeat(step), mul, initial=denominator * step))]
     stages, level = [], w
     for b in digits:
         table, factor = [1], 1 - p**level
         for _ in range(p**b - 1):  # a one-word factor: no table step is a full product
-            table.append(table[-1] * factor % reduced_mod)
+            table.append(table[-1] * factor % modulus)
         r = level // grain
-        log_g = r * sum(base[r - 1 :: r]) * inverse % reduced_mod
+        log_g = r * sum(base[r - 1 :: r]) * inverse % modulus
         stages.append((p**b, tuple(table), tuple(range(0, p**b * log_g, log_g)), p ** (level + b)))
         level += b
     r = level // grain
-    coefficients = [(t if k % 2 else -t) * r * inverse % reduced_mod for k, t in enumerate(base[r - 1 :: r], 1)]
+    coefficients = [(t if k % 2 else -t) * r * inverse % modulus for k, t in enumerate(base[r - 1 :: r], 1)]
     while coefficients and not coefficients[-1]:
-        coefficients.pop()  # a top d_k = 0 mod p^(N+m) leaves t = 0 through its Horner step
-    return m, p**m, p**w, reduced_mod, tuple(stages), p ** _unit_level(p), tuple(coefficients[::-1])
+        coefficients.pop()  # a top d_k = 0 mod p^N leaves t = 0 through its Horner step
+    return p**w, modulus, tuple(stages), tuple(coefficients[::-1])
 
 
 @cache
 def _log_series(p: int, n_prec: int) -> tuple:
-    """padic_log's plan for (p, N): the depth m and stages needing the fewest multiplications.
+    """padic_log's plan for (p, N): the stages needing the fewest multiplications.
 
-    m runs over 0 .. isqrt(N).  At each depth the stages are greedy, each
-    reading b_i = min(L_i, log_p _TABLE_CAP) digits, which for a given
-    stage count reaches the highest level.  A plan costs bit_length(p^m)
-    + popcount(p^m) - 2 for the argument power, 2 per stage for its table
-    multiply and its division, and cutoff - 1 Horner steps.  Ties go to
-    fewer stages, then the smaller m.  A depth takes no further stage once
-    its cost before the cutoff already loses, and a cutoff is not walked
-    where ceil((N + m) / L), its floor, already loses.  Only the cutoffs
-    are compared, so the tables and the coefficients are built for the
-    winner alone.
+    The stages are greedy, each reading b_i = min(L_i, log_p _TABLE_CAP)
+    digits, which for a given stage count reaches the highest level.  A
+    plan costs 2 per stage for its table multiply and its division, and
+    cutoff - 1 Horner steps.  Ties go to fewer stages.  No further stage
+    is taken once the cost before the cutoff already loses, and a cutoff
+    is not walked where ceil(N / L), its floor, already loses.  Only the
+    cutoffs are compared, so the tables and the coefficients are built
+    for the winner alone.
     """
-    top, best = _floor_log(_TABLE_CAP, p), (2 * n_prec + 3,)  # no cutoff exceeds 2N
-    for m in range(isqrt(n_prec) + 1):
-        cost, level, digits, reduced = (p**m).bit_length() + (p**m).bit_count(), m + _unit_level(p), (), n_prec + m
-        while cost < best[0]:  # the cutoff is at least 1; every cost leaves out the same constant -3
-            if (cost - (-reduced // level), len(digits)) < best:  # ceil((N + m) / L) <= cutoff
-                best = min(best, (cost + _log_cutoff(p, reduced, level), len(digits), m, digits))
-            b = min(level, top)  # 0 above p = 128: the cost still climbs, and no such stage can win
-            digits, level, cost = (*digits, b), level + b, cost + 2
-    return _log_plan(p, n_prec, *best[2:])
+    top, best = _floor_log(_TABLE_CAP, p), (2 * n_prec + 1,)  # no cutoff exceeds 2N
+    cost, level, digits = 0, _unit_level(p), ()
+    while cost < best[0]:  # the cutoff is at least 1; every cost leaves out the same constant -1
+        if (cost - (-n_prec // level), len(digits)) < best:  # ceil(N / L) <= cutoff
+            best = min(best, (cost + _log_cutoff(p, n_prec, level), len(digits), digits))
+        b = min(level, top)  # 0 above p = 128: the cost still climbs, and no such stage can win
+        digits, level, cost = (*digits, b), level + b, cost + 2
+    return _log_plan(p, n_prec, best[2])
 
 
 def padic_log(u: PadicUnit) -> int:
     """log(u) mod p^precision as a reduced integer in p Z/p^N (4 Z/2^N).
 
-    With the (p, N) plan's depth m, y = u^(p^m) mod p^(N+m) must satisfy
-    y = 1 mod p^w.  Each stage reads the digits d = (y - 1) / p^L mod
-    p^b at its level L, multiplies y by its table entry g^(-d) and adds
-    its d log(g); the new y must satisfy y = 1 mod p^(L+b), the bound the
-    next stage and the cutoff rest on.  One Horner pass t = (t + d_k) *
-    x' mod p^(N+m) over the coefficients, x' = (y - 1) / p^L at the last
-    level L, gives the rest of log(u^(p^m)) = p^m log(u), which is
-    divided by p^m exactly.  A division that leaves a remainder raises
-    VerificationError.
+    u must satisfy u = 1 mod p^w.  Each stage of the (p, N) plan reads
+    the digits d = (y - 1) / p^L mod p^b at its level L, multiplies y by
+    its table entry g^(-d) and adds its d log(g); the new y must satisfy
+    y = 1 mod p^(L+b), the bound the next stage and the cutoff rest on.
+    One Horner pass t = (t + d_k) * x' mod p^N over the coefficients,
+    x' = (y - 1) / p^L at the last level L, gives the rest of log(u).
+    A division that leaves a remainder raises VerificationError.
     """
-    p, n_prec = u.p, u.precision
-    if u.value == 1:
-        return 0
-    m, scale, step, reduced_mod, stages, subgroup, coefficients = _log_series(p, n_prec)
-    y = pow(u.value, scale, reduced_mod)
+    _require_record(u, PadicUnit, "the unit")
+    y = u.value
     if y == 1:
-        # v(u^(p^m) - 1) = v(u - 1) + m < N + m for u != 1.
-        raise VerificationError(f"u^(p^{m}) collapsed to 1 mod {p}^{n_prec + m} for u != 1")
+        return 0
+    step, modulus, stages, coefficients = _log_series(u.p, u.precision)
     x, rest = divmod(y - 1, step)
     if rest:
-        raise VerificationError(f"u^(p^{m}) - 1 is not divisible by {step}: u is not a principal unit")
+        raise VerificationError(f"u - 1 is not divisible by {step}: u is not a principal unit")
     total = 0
     for size, table, cleared, shift in stages:
         digits = x % size
-        y, total = y * table[digits] % reduced_mod, total + cleared[digits]
+        y, total = y * table[digits] % modulus, total + cleared[digits]
         x, rest = divmod(y - 1, shift)
         if rest:
             raise VerificationError(f"y g^-{digits} - 1 is not divisible by {shift}: a wrong digit table")
     series = 0
     for coefficient in coefficients:
-        series = (series + coefficient) * x % reduced_mod
-    total = (total + series) % reduced_mod
-    if total % scale:
-        raise VerificationError(f"log(u^(p^{m})) is not divisible by p^{m}")
-    result = total // scale
-    if result % subgroup:
-        raise VerificationError(f"log left the expected subgroup {subgroup}Z/{p}^{n_prec}")
+        series = (series + coefficient) * x % modulus
+    result = (total + series) % modulus
+    if result % step:
+        raise VerificationError(f"log left the expected subgroup {step}Z/{u.p}^{u.precision}")
     return result
 
 

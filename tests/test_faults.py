@@ -25,8 +25,9 @@ from tiltval.witt import eta_val, primitive_frobenius
 
 THREE = ("defaults", "wide", "f3")
 DEFAULTS = ("defaults",)
-# At N = 48 the defaults' log plan has two stages (tables of 8 and 64 entries), so a fault can
-# tell its first stage from its last; every canonical config's plan has one.
+# At N = 48 the defaults' log plan has three stages (tables of 4, 16 and 128 entries), and the F_3
+# config's has two (3 and 9), so a fault can tell a first stage from a last; the defaults' and wide's
+# plans have one.
 _CONFIG_TEXTS = {**CONFIGS, "deep": '{"padic_precision": 48}'}
 
 
@@ -44,7 +45,7 @@ def _set(target, value):
     return lambda monkeypatch: monkeypatch.setattr(f"tiltval.{target}", value)
 
 
-_PLAN = "m scale step reduced_mod stages subgroup coefficients".split()
+_PLAN = "step reduced_mod stages coefficients".split()
 _STAGE = "size table cleared shift".split()
 
 
@@ -211,17 +212,18 @@ FAULTS = [
     # The plan faults below move log(u) by a multiple of p^(L+1), L a stage's level.  The log rules
     # see every one of them; the Kummer shift's first-order check sees a move only where it lands
     # below 2 v(u - 1) (2 v(u - 1) - 1 at p = 2) for one of its units, which depends on the plan.
-    # The linear coefficient moved by p^(L+m+1), L the last level: log(u) moves by p (y' - 1), y' the
+    # The linear coefficient moved by p^(L+1), L the last level: log(u) moves by p (y' - 1), y' the
     # last stage's product.
     Fault("plan_linear_coefficient", "all", (*THREE, "deep"), _plan(lambda p, f: {
-        "coefficients": (*f.coefficients[:-1], (f.coefficients[-1] + p * f.stages[-1][3] * f.scale) % f.reduced_mod)
+        "coefficients": (*f.coefficients[:-1], (f.coefficients[-1] + p * f.stages[-1][3]) % f.reduced_mod)
     }), {"defaults": _KUMMER_AND_RULES, "wide": _KUMMER_AND_RULES, "f3": _KUMMER_AND_RULES, "deep": _LOG_RULES}),
-    # log(g_i) moved by p^(L_i+m+1): log(u) moves by d p^(L_i+1), d the digits stage i clears.
+    # log(g_i) moved by p^(L_i+1): log(u) moves by d p^(L_i+1), d the digits stage i clears.
     # plan_log_g moves the first stage's, plan_log_g_last the last stage's.
     *(Fault(name, "all", (*THREE, "deep"), _stage(index, lambda p, f, s: {
-        "cleared": tuple(c + d * p * (s.shift // s.size) * f.scale for d, c in enumerate(s.cleared))
-    }), {"defaults": _KUMMER_AND_RULES, "wide": _LOG_RULES, "f3": _LOG_RULES, "deep": deep})
-      for name, index, deep in (("plan_log_g", 0, _KUMMER_AND_RULES), ("plan_log_g_last", -1, _LOG_RULES))),
+        "cleared": tuple(c + d * p * (s.shift // s.size) for d, c in enumerate(s.cleared))
+    }), {"defaults": _KUMMER_AND_RULES, "wide": _LOG_RULES, "f3": f3, "deep": deep}) for name, index, f3, deep in (
+        ("plan_log_g", 0, _LOG_RULES, _KUMMER_AND_RULES), ("plan_log_g_last", -1, _KUMMER_AND_RULES, _LOG_RULES),
+    )),
     # A stage's last table power g^(-(p^b - 1)) read as g^(-(p^b - 2)): a unit whose digits pick it
     # leaves y g^(-d) != 1 mod p^(L+b), and the digit guard ends the run.  plan_table_power breaks the
     # first stage's table, plan_table_power_last the last stage's.

@@ -6,9 +6,10 @@ exp_mod(p, N, padic_log(u)) == u.value is a roundtrip through two
 different series with separately justified cutoffs.  _log_by_fractions
 is the plain log series summed as an exact Fraction with no argument
 reduction, which padic_log must match class for class.  _log_per_call
-is the integer series padic_log ran before its Horner plan: a fixed
-depth m = isqrt(N), one power of x per term divided exactly by
-p^(v_p(k)), and every (p, N) quantity worked out afresh on each call.
+is the integer series padic_log ran before its Horner plan: the argument
+power u^(p^m) at a fixed depth m = isqrt(N), one power of x per term
+divided exactly by p^(v_p(k)), and every (p, N) quantity worked out
+afresh on each call.
 """
 
 import random
@@ -235,47 +236,47 @@ def test_log_matches_the_per_call_series_randomized():
                 assert padic_log(u) == _log_per_call(u), (p, precision, u.value)
 
 
-def _stage_tuples(p: int, precision: int, m: int):
-    """Every stage tuple at depth m: b_i <= L_i < N + m and p^b_i <= 128, with L_0 = w and L_(i+1) = L_i + b_i.
+def _stage_tuples(p: int, precision: int):
+    """Every stage tuple: b_i <= L_i < N and p^b_i <= 128, with L_0 = w and L_(i+1) = L_i + b_i.
 
     The empty tuple is the Horner-only plan.
     """
-    reduced, top = precision + m, _floor_log(128, p)
+    top = _floor_log(128, p)
 
     def walk(level, digits):
         yield digits
-        for b in range(1, min(level, top) + 1) if level < reduced else ():
+        for b in range(1, min(level, top) + 1) if level < precision else ():
             yield from walk(level + b, (*digits, b))
 
-    return walk(m + (2 if p == 2 else 1), ())
+    return walk(2 if p == 2 else 1, ())
 
 
-def _drawn_stage_tuple(rng: random.Random, p: int, precision: int, m: int) -> tuple[int, ...]:
-    """One stage tuple at depth m from rng: after each stage, one more with chance 4/5 while L_i < N + m."""
-    level, digits, top = m + (2 if p == 2 else 1), (), _floor_log(128, p)
-    while level < precision + m and top and rng.random() < 0.8:
+def _drawn_stage_tuple(rng: random.Random, p: int, precision: int) -> tuple[int, ...]:
+    """One stage tuple from rng: after each stage, one more with chance 4/5 while L_i < N."""
+    level, digits, top = 2 if p == 2 else 1, (), _floor_log(128, p)
+    while level < precision and top and rng.random() < 0.8:
         b = rng.randint(1, min(level, top))
         level, digits = level + b, (*digits, b)
     return digits
 
 
-def _greedy_tuples(p: int, precision: int, m: int):
-    """The stage tuples _log_series weighs at depth m: each stage reads min(L_i, log_p 128) digits."""
-    level, digits, top = m + (2 if p == 2 else 1), (), _floor_log(128, p)
+def _greedy_tuples(p: int, precision: int):
+    """The stage tuples _log_series weighs: each stage reads min(L_i, log_p 128) digits."""
+    level, digits, top = 2 if p == 2 else 1, (), _floor_log(128, p)
     while True:
         yield digits
-        if level >= precision + m or not top:
+        if level >= precision or not top:
             return
         digits, level = (*digits, min(level, top)), level + min(level, top)
 
 
-def _plan_cost(p: int, precision: int, m: int, digits: tuple[int, ...]) -> int:
-    """A plan's multiplications as _log_series counts them: the argument power, 2 per stage, the Horner steps."""
-    level, reduced = m + (2 if p == 2 else 1) + sum(digits), precision + m
-    cutoff = -(-reduced // level)  # no smaller k has k * level >= N + m
-    while cutoff * level - _floor_log(cutoff, p) < reduced:
+def _plan_cost(p: int, precision: int, digits: tuple[int, ...]) -> int:
+    """A plan's multiplications as _log_series counts them: 2 per stage and the Horner steps."""
+    level = (2 if p == 2 else 1) + sum(digits)
+    cutoff = -(-precision // level)  # no smaller k has k * level >= N
+    while cutoff * level - _floor_log(cutoff, p) < precision:
         cutoff += 1
-    return (p**m).bit_length() + (p**m).bit_count() - 2 + 2 * len(digits) + cutoff - 1
+    return 2 * len(digits) + cutoff - 1
 
 
 def _table_digits(p: int, size: int) -> int:
@@ -287,15 +288,16 @@ def _table_digits(p: int, size: int) -> int:
 
 
 def _plan_shape(plan: tuple) -> tuple:
-    """(m, the stage table sizes, the Horner steps) of a plan."""
-    return plan[0], [stage[0] for stage in plan[4]], len(plan[-1])
+    """(the stage table sizes, the Horner steps) of a plan."""
+    return [stage[0] for stage in plan[2]], len(plan[-1])
 
 
 def test_every_reduction_depth_gives_the_same_class(monkeypatch):
-    # Up to N = 8 every admissible (m, stage tuple) is tried, the greedy ones _log_series weighs and
-    # every other.  Above that, at every m, the Horner-only route (the empty tuple, kept reachable as
-    # an oracle), every one-stage tuple b <= min(w, log_p 128) and the greedy tuples of up to three
-    # stages; then the chosen plan and 6 drawn tuples per (p, N).
+    # Up to N = 8 every admissible stage tuple is tried, the greedy ones _log_series weighs and
+    # every other.  Above that, the Horner-only route (the empty tuple, kept reachable as an
+    # oracle), every one-stage tuple b <= min(w, log_p 128) and the greedy tuples of up to three
+    # stages; then the chosen plan and 6 drawn tuples per (p, N).  _log_per_call, which reduces
+    # by the argument power u^(p^m) at depth m = isqrt(N) instead, agrees on every unit.
     rng = random.Random(1709)
     for p in (2, 3, 5, 7, 53, 131):
         step = 4 if p == 2 else p
@@ -306,54 +308,52 @@ def test_every_reduction_depth_gives_the_same_class(monkeypatch):
             expected = [_log_by_fractions(u) for u in units]
             assert [_log_per_call(u) for u in units] == expected, (p, precision)
             chosen = _log_series(p, precision)
-            plans = {(chosen[0], tuple(_table_digits(p, stage[0]) for stage in chosen[4]))}
-            for m in range(isqrt(precision) + 1):
-                w = m + (2 if p == 2 else 1)
-                plans |= {(m, (b,)) for b in range(1, min(w, _floor_log(128, p)) + 1)}
-                if precision <= 8:
-                    plans |= {(m, digits) for digits in _stage_tuples(p, precision, m)}
-                else:
-                    plans |= {(m, digits) for digits in _greedy_tuples(p, precision, m) if len(digits) <= 3}
-            m = rng.randrange(isqrt(precision) + 1)
-            plans |= {(m, _drawn_stage_tuple(rng, p, precision, m)) for _ in range(6)}
-            for m, digits in sorted(plans):
-                plan = _log_plan(p, precision, m, digits)
+            plans = {tuple(_table_digits(p, stage[0]) for stage in chosen[2])}
+            plans |= {(b,) for b in range(1, min(2 if p == 2 else 1, _floor_log(128, p)) + 1)}
+            if precision <= 8:
+                plans |= set(_stage_tuples(p, precision))
+            else:
+                plans |= {digits for digits in _greedy_tuples(p, precision) if len(digits) <= 3}
+            plans |= {_drawn_stage_tuple(rng, p, precision) for _ in range(6)}
+            for digits in sorted(plans):
+                plan = _log_plan(p, precision, digits)
                 monkeypatch.setattr("tiltval.loglink._log_series", lambda p, n, plan=plan: plan)
-                assert [padic_log(u) for u in units] == expected, (p, precision, m, digits)
+                assert [padic_log(u) for u in units] == expected, (p, precision, digits)
             monkeypatch.undo()
 
 
-def test_the_plan_takes_the_cheapest_depth_up_to_isqrt():
-    # (m, table sizes, Horner steps) per (p, N): the 9 deep-precision cells, the 4 wide-ell cells and the defaults.
+def test_the_plan_takes_the_cheapest_stage_count():
+    # (table sizes, Horner steps) per (p, N): the 9 deep-precision cells, the 4 wide-ell cells, the
+    # defaults and the F_3 config.
     chosen = {
-        (2, 48): (1, [8, 64], 4), (2, 88): (0, [4, 16, 128], 5), (2, 128): (1, [8, 64, 128], 6),
-        (3, 48): (1, [9, 81], 6), (3, 72): (1, [9, 81, 81], 6), (3, 96): (1, [9, 81, 81], 8),
-        (5, 48): (0, [5, 25, 125], 6), (5, 64): (0, [5, 25, 125, 125], 6), (5, 80): (0, [5, 25, 125, 125], 7),
-        (23, 14): (0, [23], 6), (29, 14): (0, [29], 6), (41, 14): (0, [41], 6), (53, 14): (0, [53], 6),
-        (2, 14): (0, [4], 3),
+        (2, 48): ([4, 16, 128], 3), (2, 88): ([4, 16, 128], 5), (2, 128): ([4, 16, 128, 128], 5),
+        (3, 48): ([3, 9, 81], 6), (3, 72): ([3, 9, 81, 81], 6), (3, 96): ([3, 9, 81, 81], 7),
+        (5, 48): ([5, 25, 125], 6), (5, 64): ([5, 25, 125, 125], 6), (5, 80): ([5, 25, 125, 125], 7),
+        (23, 14): ([23], 6), (29, 14): ([29], 6), (41, 14): ([41], 6), (53, 14): ([53], 6),
+        (2, 14): ([4], 3), (3, 14): ([3, 9], 3),
     }
     for (p, precision), shape in chosen.items():
         assert _plan_shape(_log_series(p, precision)) == shape, (p, precision)
-    # Every plan is admissible, and no greedy plan at any depth, weighed without pruning, costs less
-    # or ties it with fewer stages or at a smaller depth.
+    # Every plan is admissible, and no greedy plan, weighed without pruning, costs less or ties it
+    # with fewer stages.
     for p in (2, 3, 5, 7, 53, 131):
         for precision in range(_precision_floor(p), 301):
             plan = _log_series(p, precision)
-            m, digits = plan[0], tuple(_table_digits(p, stage[0]) for stage in plan[4])
-            level = m + (2 if p == 2 else 1)
-            for b, (size, table, cleared, shift) in zip(digits, plan[4]):
-                assert 1 <= b <= level < precision + m and size <= 128, (p, precision)
+            digits = tuple(_table_digits(p, stage[0]) for stage in plan[2])
+            level = 2 if p == 2 else 1
+            for b, (size, table, cleared, shift) in zip(digits, plan[2]):
+                assert 1 <= b <= level < precision and size <= 128, (p, precision)
                 assert len(table) == len(cleared) == size and shift == p ** (level + b), (p, precision)
                 level += b
-            key = (_plan_cost(p, precision, m, digits), len(digits), m)
+            key = (_plan_cost(p, precision, digits), len(digits))
             assert key == min(  # a plan of k stages costs at least 2k
-                (_plan_cost(p, precision, depth, d), len(d), depth) for depth in range(isqrt(precision) + 1)
-                for d in takewhile(lambda d: 2 * len(d) <= key[0], _greedy_tuples(p, precision, depth))
+                (_plan_cost(p, precision, d), len(d))
+                for d in takewhile(lambda d: 2 * len(d) <= key[0], _greedy_tuples(p, precision))
             ), (p, precision)
 
 
 def test_no_plan_starts_with_a_zero_coefficient():
-    # A leading d_k that is 0 mod p^(N+m) would only spend a Horner step on t = 0.
+    # A leading d_k that is 0 mod p^N would only spend a Horner step on t = 0.
     for p in (2, 3, 5, 7, 53, 131):
         for precision in range(_precision_floor(p), 301):
             coefficients = _log_series(p, precision)[-1]
@@ -361,23 +361,22 @@ def test_no_plan_starts_with_a_zero_coefficient():
 
 
 def test_a_non_principal_unit_fails_the_valuation_guard():
-    # 2 = -1 mod 3, so u^(3^m) - 1 = 1 mod 3 at every depth: x falls short of v(x) >= w.
+    # 2 = -1 mod 3, so u - 1 = 1 mod 3: x falls short of v(x) >= w.
     with pytest.raises(VerificationError, match="not a principal unit"):
         padic_log(PadicUnit._trusted(3, 10, 2))
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_the_fraction_oracle_catches_a_plan_without_its_top_term(monkeypatch, p):
-    # In the Horner-only plan (no stage) at the chosen depth, at the defaults' (2, 14) and the
-    # F_3 config's (3, 14), this fault passes every check of `all`: the dropped term moves
-    # only the top digit, and by an amount additive in u, so both log rules still hold.
-    # With a digit table x' is not additive in u and the log rules fail, but the oracle
-    # must catch it in both plans.  A plan keeps no leading coefficient that is 0 mod
-    # p^(N+m), so the top one is nonzero and dropping it is a fault.
+    # In the Horner-only plan (no stage), at the defaults' (2, 14) and the F_3 config's
+    # (3, 14), this fault passes every check of `all`: the dropped term moves only the top
+    # digit, and by an amount additive in u, so both log rules still hold.  With a digit
+    # table x' is not additive in u and the log rules fail, but the oracle must catch it
+    # in both plans.  A plan keeps no leading coefficient that is 0 mod p^N, so the top
+    # one is nonzero and dropping it is a fault.
     rng = random.Random(14)
     units = [PadicUnit.random(rng, p, 14) for _ in range(20)]
-    chosen = _log_series(p, 14)
-    for plan in (chosen, _log_plan(p, 14, chosen[0])):
+    for plan in (_log_series(p, 14), _log_plan(p, 14)):
         *head, coefficients = plan
         top = next(i for i, c in enumerate(coefficients) if c)
         assert top == 0
@@ -580,6 +579,19 @@ def test_mixed_groups_rejected():
         PadicUnit(3, 5, 4).mul(PadicUnit(3, 4, 4))
     with pytest.raises(DomainError, match=r"^mixed unit groups: \(3, 5\) vs \(5, 5\)$"):
         PadicUnit(3, 5, 4).mul(PadicUnit(5, 5, 6))
+
+
+@pytest.mark.parametrize("call, refused", [
+    (lambda u: u.mul(None), "the other unit must be of type PadicUnit, got NoneType"),
+    (lambda u: u.pow(None), "exponent must be an integer, got None"),
+    (lambda u: u.pow(1.5), "exponent must be an integer, got 1.5"),
+    (lambda u: u.pow(True), "exponent must be an integer, got True"),
+    (lambda u: padic_log(u.value), "the unit must be of type PadicUnit, got int"),
+], ids=["mul_none", "pow_none", "pow_float", "pow_bool", "log_int"])
+def test_a_wrong_typed_unit_or_exponent_is_a_domain_error(call, refused):
+    # padic_log of None or of another record is a row of RECORD_ARGUMENTS in test_record.py.
+    with pytest.raises(DomainError, match=f"^{refused}$"):
+        call(PadicUnit(5, 4, 6))
 
 
 def test_records_are_immutable_values():

@@ -173,6 +173,29 @@ def test_every_exported_name_resolves():
         assert not missing, f"tiltval.{path.stem}.__all__ lists {missing}, which the module does not define"
 
 
+_SELFTEST = "tilt_pow re-export: perfbench/selftest.py reads it, to check that its tracer patches every namespace"
+# Imported names a src module neither reads nor exports, keyed by module and name, each with its reason.
+UNREAD_IMPORTS = {(module, "tilt_pow"): _SELFTEST for module in ("__init__", "ansatz", "witt")}
+
+
+def test_every_imported_name_is_read():
+    # A deletion that leaves its import behind: each name a src module imports is read there (an annotation
+    # counts, a string one too) or listed in its __all__.  No linter is installed, so the ast decides.
+    unread = set()
+    for path in sorted(Path(tiltval.__file__).resolve().parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = {
+            alias.asname or alias.name.partition(".")[0] for node in nodes if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__" for alias in node.names
+        }
+        read = {node.id for node in nodes if isinstance(node, ast.Name)}
+        read |= {node.value for node in nodes if isinstance(node, ast.Constant)}  # a quoted annotation
+        module = tiltval if path.stem == "__init__" else importlib.import_module(f"tiltval.{path.stem}")
+        unread |= {(path.stem, name) for name in imported - read - set(getattr(module, "__all__", ()))}
+    wrong = sorted(unread ^ set(UNREAD_IMPORTS))
+    assert not wrong, f"unread and unlisted, or listed and read: {wrong}"
+
+
 # A src raise names one of the two types the CLI maps to an exit status, DomainError (exit 2)
 # or VerificationError (exit 1), or is listed here, keyed by module, top-level definition and type.
 _PROTOCOL = "record value protocol: a bad signature or a write raises what a Python class raises"

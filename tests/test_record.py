@@ -15,7 +15,7 @@ from tiltval._record import Record
 from tiltval.ansatz import AnsatzPoint, make_ansatz
 from tiltval.cli import RunConfig
 from tiltval.errors import DomainError
-from tiltval.loglink import LogLinkChain, PadicUnit, chain_build
+from tiltval.loglink import LogLinkChain, PadicUnit, chain_build, padic_log
 from tiltval.pilot import PilotTuple, build_pilot, size_estimate, sum_log_norms
 from tiltval.reporting import CheckRecord, Report
 from tiltval.theta import ThetaValue, theta_value
@@ -225,12 +225,13 @@ def test_a_wrong_record_in_a_record_field_is_a_domain_error(cls, name):
 
 # Public functions off the hot kernels that take records, with valid arguments.  Each record argument given None
 # or a record of another class (inside the sample for size_estimate) must be refused as bad input, not end in an
-# AttributeError.  tilt_val, tilt_mul, tilt_pow, tilt_frobenius and padic_log run per member or per log, unchecked.
+# AttributeError.  tilt_val, tilt_mul, tilt_pow and tilt_frobenius run per member, unchecked.
 RECORD_ARGUMENTS = {
     sum_log_norms: lambda: (build_pilot(_point(), Fraction(1, 10)), RhoWeight.of(Fraction(1, 2))),
     size_estimate: lambda: ([build_pilot(_point(), Fraction(1, 10))], RhoWeight.one()),
     teichmuller: lambda: (TiltElement.monomial(2, Fraction(1, 4)),),
     gauss_log_norm: lambda: (TUPLE_RECORDS[WittExpr](), RhoWeight.of(Fraction(1, 2))),
+    padic_log: lambda: (PadicUnit(5, 4, 6),),
 }
 
 
