@@ -384,7 +384,7 @@ def cmd_loglink(cfg: RunConfig) -> Iterator[CheckRecord]:
     """Chain structure, epsilon thresholds, and exact log functional equations."""
     import random
 
-    from .loglink import PadicUnit, _random_units, chain_build, m_of_epsilon, padic_log
+    from .loglink import PadicUnit, _logs, _unit_draws, chain_build, m_of_epsilon, padic_log
 
     depth = cfg.frobenius_depth
     window = (-depth, depth)
@@ -438,27 +438,14 @@ def cmd_loglink(cfg: RunConfig) -> Iterator[CheckRecord]:
     )
     rng = random.Random(cfg.seed)  # validate() proved p prime and the precision at its floor or above
     trials = 100
-    product_failures = 0
-    pairs = _random_units(rng, p, precision, 2 * trials)  # trial i takes draws 2i and 2i + 1, as drawn one by one
-    for u, w in zip(pairs[::2], pairs[1::2]):
-        if padic_log(u.mul(w)) != (padic_log(u) + padic_log(w)) % modulus:
-            product_failures += 1
-    yield make_check(
-        "loglink.log_product_rule_trials",
-        product_failures == 0,
-        trials=trials,
-        failures=product_failures,
-    )
-    power_failures = 0
-    for u in _random_units(rng, p, precision, trials):
-        if padic_log(u.pow(p)) != (p * padic_log(u)) % modulus:
-            power_failures += 1
-    yield make_check(
-        "loglink.log_p_power_rule_trials",
-        power_failures == 0,
-        trials=trials,
-        failures=power_failures,
-    )
+    draws = _unit_draws(rng, p, precision, 3 * trials)  # pair i: draws 2i, 2i + 1; power i: 2 trials + i
+    us, ws, vs = draws[: 2 * trials : 2], draws[1 : 2 * trials : 2], draws[2 * trials :]
+    pair_logs = [_logs(p, precision, xs) for xs in (us, ws, [u * w % modulus for u, w in zip(us, ws)])]
+    product_failures = sum(uw != (u + w) % modulus for u, w, uw in zip(*pair_logs))
+    yield make_check("loglink.log_product_rule_trials", product_failures == 0, trials=trials, failures=product_failures)
+    power_logs = [_logs(p, precision, xs) for xs in (vs, [pow(v, p, modulus) for v in vs])]
+    power_failures = sum(vp != p * v % modulus for v, vp in zip(*power_logs))
+    yield make_check("loglink.log_p_power_rule_trials", power_failures == 0, trials=trials, failures=power_failures)
 
 
 @_suite

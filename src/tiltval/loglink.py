@@ -33,8 +33,8 @@ multiplications is chosen: 2 per stage for its multiply and division,
 and the Horner steps.  At N = 14 that is one table for p = 2 and
 13 <= p < 128, two for 3 <= p <= 11.
 
-The result always lands in p Z/p^N (4 Z/2^N for p = 2); that subgroup
-membership is re-checked on every call.  On these subgroups log turns
+The one kernel, ``_logs``, logs a batch of residues and re-checks that
+each lands in p Z/p^N (4 Z/2^N for p = 2).  On these subgroups log turns
 products into sums and p-th powers into multiplication by p, which is
 the mechanism the valuation chains below quantify: one step of the
 chain rescales v(p) by p, no step crosses between chain indices, and
@@ -100,10 +100,11 @@ class PadicUnit(Record):
 
     @classmethod
     def random(cls, rng: random.Random, p: int, precision: int) -> "PadicUnit":
-        """A uniformly drawn principal unit of Z/p^precision, one draw from rng, after p and N are checked."""
+        """A uniformly drawn principal unit of Z/p^precision, one draw from rng, after rng, p and N are checked."""
+        _require_record(rng, random.Random, "rng")
         _require_precision(p, precision)
         _require_prime(p)
-        return _random_units(rng, p, precision, 1)[0]
+        return cls.of(p, precision, _unit_draws(rng, p, precision, 1)[0])
 
     # Principal units form a group: a product or a power checks its argument's type, not its value.
     def mul(self, other: "PadicUnit") -> "PadicUnit":
@@ -120,13 +121,13 @@ class PadicUnit(Record):
         return PadicUnit._trusted(p, precision, pow(self.value, k, _unit_group(p, precision)[2]))
 
 
-def _random_units(rng: random.Random, p: int, precision: int, count: int) -> list[PadicUnit]:
-    """count draws of PadicUnit.random for a checked p and precision, in draw order, with one group lookup.
+def _unit_draws(rng: random.Random, p: int, precision: int, count: int) -> list[int]:
+    """The values of count PadicUnit.random draws for a checked p and precision, in draw order.
 
-    1 + c*r, c = p^_unit_level(p), is a unit as drawn.
+    1 + c*r, c = p^_unit_level(p), is a reduced principal unit as drawn.
     """
     c, bound, _ = _unit_group(p, precision)
-    return [PadicUnit._trusted(p, precision, 1 + c * rng.randrange(bound)) for _ in range(count)]
+    return [1 + c * rng.randrange(bound) for _ in range(count)]
 
 
 def _floor_log(n: int, p: int) -> int:
@@ -205,39 +206,41 @@ def _log_series(p: int, n_prec: int) -> tuple:
     return _log_plan(p, n_prec, best[2])
 
 
-def padic_log(u: PadicUnit) -> int:
-    """log(u) mod p^precision as a reduced integer in p Z/p^N (4 Z/2^N).
+def _logs(p: int, n_prec: int, residues: list[int]) -> list[int]:
+    """log(y) mod p^N in p Z/p^N (4 Z/2^N) for each reduced residue y = 1 mod p^w, by one read of the plan.
 
-    u must satisfy u = 1 mod p^w.  Each stage of the (p, N) plan reads
-    the digits d = (y - 1) / p^L mod p^b at its level L, multiplies y by
-    its table entry g^(-d) and adds its d log(g); the new y must satisfy
-    y = 1 mod p^(L+b), the bound the next stage and the cutoff rest on.
-    One Horner pass t = (t + d_k) * x' mod p^N over the coefficients,
-    x' = (y - 1) / p^L at the last level L, gives the rest of log(u).
-    A division that leaves a remainder raises VerificationError.
+    Each stage reads the digits d = (y - 1) / p^L mod p^b at its level L, multiplies y by g^(-d) and adds
+    d log(g); the new y must be 1 mod p^(L+b), which the next stage and the cutoff rest on.  One Horner pass
+    t = (t + d_k) * x' mod p^N, x' = (y - 1) / p^L at the last level L, gives the rest of log(y).  A division
+    that leaves a remainder, or a log outside the subgroup, raises VerificationError.
     """
-    _require_record(u, PadicUnit, "the unit")
-    y = u.value
-    if y == 1:
-        return 0
-    step, modulus, stages, coefficients = _log_series(u.p, u.precision)
-    x, rest = divmod(y - 1, step)
-    if rest:
-        raise VerificationError(f"u - 1 is not divisible by {step}: u is not a principal unit")
-    total = 0
-    for size, table, cleared, shift in stages:
-        digits = x % size
-        y, total = y * table[digits] % modulus, total + cleared[digits]
-        x, rest = divmod(y - 1, shift)
+    step, modulus, stages, coefficients = _log_series(p, n_prec)
+    logs = []
+    for y in residues:
+        x, rest = divmod(y - 1, step)
         if rest:
-            raise VerificationError(f"y g^-{digits} - 1 is not divisible by {shift}: a wrong digit table")
-    series = 0
-    for coefficient in coefficients:
-        series = (series + coefficient) * x % modulus
-    result = (total + series) % modulus
-    if result % step:
-        raise VerificationError(f"log left the expected subgroup {step}Z/{u.p}^{u.precision}")
-    return result
+            raise VerificationError(f"u - 1 is not divisible by {step}: u is not a principal unit")
+        total = 0
+        for size, table, cleared, shift in stages:
+            digits = x % size
+            y, total = y * table[digits] % modulus, total + cleared[digits]
+            x, rest = divmod(y - 1, shift)
+            if rest:
+                raise VerificationError(f"y g^-{digits} - 1 is not divisible by {shift}: a wrong digit table")
+        series = 0
+        for coefficient in coefficients:
+            series = (series + coefficient) * x % modulus
+        result = (total + series) % modulus
+        if result % step:
+            raise VerificationError(f"log left the expected subgroup {step}Z/{p}^{n_prec}")
+        logs.append(result)
+    return logs
+
+
+def padic_log(u: PadicUnit) -> int:
+    """log(u) mod p^precision as a reduced integer in p Z/p^N (4 Z/2^N), through the kernel ``_logs``."""
+    _require_record(u, PadicUnit, "the unit")
+    return _logs(u.p, u.precision, [u.value])[0]
 
 
 class LogLinkChain(Record):

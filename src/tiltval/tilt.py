@@ -278,6 +278,8 @@ def _convolve(a: Mapping[int, int], b: Mapping[int, int], p: int) -> dict[int, i
 
 def tilt_mul(x: TiltElement, y: TiltElement) -> TiltElement:
     """Exact product; valuations add because F_p is an integral domain."""
+    _require_record(x, TiltElement, "the left factor")
+    _require_record(y, TiltElement, "the right factor")
     p, s = x.p, max(x.s, y.s)
     if y.p != p:
         raise DomainError(f"cannot combine elements over F_{p} and F_{y.p}")
@@ -405,6 +407,7 @@ def _power_table(x: TiltElement) -> Callable[[int], TiltElement]:
 
 def tilt_pow(x: TiltElement, k: int) -> TiltElement:
     """k-th power for k >= 0 by the base-p digits of k (see the module docstring); k = 0 is the empty product."""
+    _require_record(x, TiltElement, "the base")
     _require_int(k, "exponent", 0)
     return _power_table(x)(k)
 
@@ -458,6 +461,7 @@ def tilt_rescale_t(x: TiltElement, u: int) -> TiltElement:
     and u^(p - 1) = 1, it is u^m.  Exponents, hence valuations, are kept.
     Over F_2 the only unit is u = 1.
     """
+    _require_record(x, TiltElement, "the element")
     p = x.p
     _require_int(u, "substitution unit", 1, p - 1)
     # u is a unit of F_p, so the coefficient stays in 1..p-1; exponents are unchanged

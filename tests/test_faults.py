@@ -17,7 +17,7 @@ from conftest import CONFIGS, replace_everywhere, run_cli, source_patch, write_c
 
 from tiltval import loglink, pilot, theta
 from tiltval.ansatz import valuation_profile
-from tiltval.loglink import LogLinkChain, _log_series, chain_build, m_of_epsilon, padic_log
+from tiltval.loglink import LogLinkChain, _log_series, _logs, chain_build, m_of_epsilon
 from tiltval.pilot import _odd_primes_upto, main_bound_check, size_estimate, sum_log_norms, theta_set_sample
 from tiltval.theta import ThetaValue, _root_terms, theta_terms, theta_value
 from tiltval.tilt import TiltElement, _power_table
@@ -50,7 +50,7 @@ _STAGE = "size table cleared shift".split()
 
 
 def _plan(change):
-    """padic_log reading its (p, N) plan with the fields that change(p, plan) returns replaced."""
+    """The log kernel reading its (p, N) plan with the fields that change(p, plan) returns replaced."""
 
     def plan(p, precision):
         fields = dict(zip(_PLAN, _log_series(p, precision)))
@@ -61,7 +61,7 @@ def _plan(change):
 
 
 def _stage(index, change):
-    """padic_log reading its plan with stage `index`'s fields that change(p, plan, stage) returns replaced."""
+    """The log kernel reading its plan with stage `index`'s fields that change(p, plan, stage) returns replaced."""
 
     def stages(p, f):
         fields = dict(zip(_STAGE, f.stages[index]))
@@ -71,9 +71,14 @@ def _stage(index, change):
     return _plan(stages)
 
 
+def _log(fault):
+    """The log kernel with each log x of a residue y replaced by fault(p, N, y, x): padic_log runs it too."""
+    return _set("loglink._logs", lambda p, n, ys: [fault(p, n, y, x) for y, x in zip(ys, _logs(p, n, ys))])
+
+
 def _log_scaled(c):
-    """padic_log times c, reduced: every log rule still holds, and only the first-order term can see it."""
-    return _set("loglink.padic_log", lambda u: c(u.p) * padic_log(u) % u.p**u.precision)
+    """log times c, reduced: every log rule still holds, and only the first-order term can see it."""
+    return _log(lambda p, n, y, x: c(p) * x % p**n)
 
 
 def _table(row):
@@ -195,14 +200,12 @@ FAULTS = [
         loglink, "m_of_epsilon", "Fraction(1, p**m) >= eps", "Fraction(1, p**m) > eps"
     ), {"loglink.m_of_epsilon_grid"}),
     # A log scaled by p still turns products into sums, but every valuation moves up by one.
-    Fault("log_times_p", "loglink", DEFAULTS, _set(
-        "loglink.padic_log", lambda u: padic_log(u) * u.p % u.p**u.precision
-    ), {"loglink.kummer_shift_telescoping"}),
-    Fault("log_of_one_is_p", "all", THREE, _set("loglink.padic_log", lambda u: u.p if u.value == 1 else padic_log(u)),
+    Fault("log_times_p", "loglink", DEFAULTS, _log(lambda p, n, y, x: x * p % p**n),
+          {"loglink.kummer_shift_telescoping"}),
+    Fault("log_of_one_is_p", "all", THREE, _log(lambda p, n, y, x: p if y == 1 else x),
           {"defaults": {_LOG_AT_ONE, "loglink.log_product_rule_trials"}, "wide": {_LOG_AT_ONE}, "f3": {_LOG_AT_ONE}}),
     # u - 1 lands in the right subgroup but turns no product into a sum.
-    Fault("log_u_minus_one", "loglink", DEFAULTS, _set("loglink.padic_log", lambda u: (u.value - 1) % u.p**u.precision),
-          _LOG_RULES),
+    Fault("log_u_minus_one", "loglink", DEFAULTS, _log(lambda p, n, y, x: (y - 1) % p**n), _LOG_RULES),
     # c log passes both log rules and the Kummer valuations for every unit c, but log(1 + x) = x mod
     # p^(2 v(x)) holds for it only where c = 1 mod p^(v(x)) (p^(v(x) - 1) at p = 2); -1, 3 and 1 + p
     # each miss that at the Kummer shift's unit with v(x) = v + 1.
@@ -281,9 +284,7 @@ BLIND = [
     Blind("chain_two_v0", THREE, _set("loglink.chain_build", lambda p, v0, w: chain_build(p, 2 * v0, w)), "none yet"),
     # The Kummer shift sees c = 1 + p^3 only at depth 5: F_3 FAILs loglink.kummer_shift_telescoping.
     Blind("log_one_plus_p3", ("defaults", "wide"), _log_scaled(lambda p: 1 + p**3), "item 5"),
-    Blind("log_one_plus_p_n_minus_2", THREE, _set(
-        "loglink.padic_log", lambda u: (1 + u.p ** (u.precision - 2)) * padic_log(u) % u.p**u.precision
-    ), "item 5"),
+    Blind("log_one_plus_p_n_minus_2", THREE, _log(lambda p, n, y, x: (1 + p ** (n - 2)) * x % p**n), "item 5"),
     # Every theta check evaluates at the root of unity zeta^1 only.
     Blind("theta_k_dropped", THREE, _set("theta._root_terms", lambda k, ell, n_max: _root_terms(1, ell, n_max)),
           "item 7"),

@@ -9,18 +9,21 @@ reduction, which padic_log must match class for class.  _log_per_call
 is the integer series padic_log ran before its Horner plan: the argument
 power u^(p^m) at a fixed depth m = isqrt(N), one power of x per term
 divided exactly by p^(v_p(k)), and every (p, N) quantity worked out
-afresh on each call.
+afresh on each call.  At the suite's level, _trials_unit_by_unit is
+cmd_loglink's log-rule trials as they ran before the batched kernel:
+PadicUnit records, one padic_log call per log.
 """
 
 import random
 from fractions import Fraction
 from itertools import chain, takewhile
 from math import isqrt
+from types import SimpleNamespace
 
 import pytest
-from conftest import assert_immutable_value
+from conftest import CONFIGS, assert_immutable_value, run_cli, write_config
 
-from tiltval import cli
+from tiltval import cli, loglink
 from tiltval.errors import DomainError, VerificationError
 from tiltval.loglink import (
     LogLinkChain,
@@ -28,8 +31,9 @@ from tiltval.loglink import (
     _floor_log,
     _log_plan,
     _log_series,
-    _random_units,
+    _logs,
     _require_prime,
+    _unit_draws,
     chain_build,
     m_of_epsilon,
     padic_log,
@@ -390,13 +394,13 @@ def test_loglink_run_builds_one_series_plan():
     report = cli.cmd_loglink(cli.RunConfig(p=7, ell=5, padic_precision=61).validate())
     assert all(check.passed for check in report.checks)
     info = _log_series.cache_info()
-    # Every log but that of 1 reads the plan: the Kummer shift takes three (n = 0, 1 and the
-    # default depth 2), 100 product trials three each, 100 power trials two each.
-    assert (info.misses, info.hits) == (1, 502)
+    # Each kernel call reads the plan once: the Kummer shift's three padic_log calls (n = 0, 1 and
+    # the default depth 2), log(1), and the five trial batches (u, w, u w, v and v^p).
+    assert (info.misses, info.hits) == (1, 8)
 
 
 def test_loglink_run_checks_p_a_few_times(monkeypatch, capsys):
-    # The config validator proved p prime, so the 200 random units are drawn without re-checking it.
+    # The config validator proved p prime, so the 300 trial residues are drawn without re-checking it.
     calls = []
 
     def counted(p):
@@ -407,6 +411,121 @@ def test_loglink_run_checks_p_a_few_times(monkeypatch, capsys):
     assert cli.main(["loglink"]) == 0
     capsys.readouterr()
     assert 0 < len(calls) <= 7
+
+
+def _trials_unit_by_unit(p: int, precision: int, seed: int):
+    """cmd_loglink's log-rule trials as they ran before the batched kernel, kept as an oracle.
+
+    Units come from PadicUnit.random, one at a time: 100 pairs, then 100 units for the power rule.
+    Each log is one padic_log call on a record, of u.mul(w) and u.pow(p) too.  Returns the product
+    and power failure counts and {value: log} of every unit logged.
+    """
+    rng, modulus, logged = random.Random(seed), p**precision, {}
+
+    def log(u):
+        logged[u.value] = padic_log(u)
+        return logged[u.value]
+
+    product_failures = power_failures = 0
+    for _ in range(100):
+        u, w = PadicUnit.random(rng, p, precision), PadicUnit.random(rng, p, precision)
+        if log(u.mul(w)) != (log(u) + log(w)) % modulus:
+            product_failures += 1
+    for _ in range(100):
+        u = PadicUnit.random(rng, p, precision)
+        if log(u.pow(p)) != (p * log(u)) % modulus:
+            power_failures += 1
+    return product_failures, power_failures, logged
+
+
+def _spy_logs(monkeypatch) -> list:
+    """Wrap the current loglink._logs (a fault row's patch included): each call's (residues, logs) goes to the list."""
+    calls, kernel = [], loglink._logs
+
+    def spy(p, precision, residues):
+        logs = kernel(p, precision, residues)
+        calls.append((list(residues), logs))
+        return logs
+
+    monkeypatch.setattr(loglink, "_logs", spy)
+    return calls
+
+
+def _assert_suite_matches_unit_by_unit(monkeypatch, p, precision, seed):
+    failures, power_failures, logged = _trials_unit_by_unit(p, precision, seed)
+    calls = _spy_logs(monkeypatch)
+    ell = 7 if p == 5 else 5
+    report = cli.cmd_loglink(cli.RunConfig(p=p, ell=ell, padic_precision=precision, seed=seed).validate())
+    witness = {check.check_id: dict(check.witness) for check in report.checks}
+    assert witness["loglink.log_product_rule_trials"]["failures"] == str(failures), (p, precision, seed)
+    assert witness["loglink.log_p_power_rule_trials"]["failures"] == str(power_failures), (p, precision, seed)
+    batches = [(residues, logs) for residues, logs in calls if len(residues) == 100]
+    assert len(batches) == 5, (p, precision, seed)
+    assert {y: x for residues, logs in batches for y, x in zip(residues, logs)} == logged, (p, precision, seed)
+    return logged
+
+
+_TRIAL_GRID = [(p, precision) for p in (2, 3, 5, 29) for precision in (3, 14, 48, 128)]
+
+
+@pytest.mark.parametrize("p, precision", _TRIAL_GRID, ids=[f"p{p}-N{n}" for p, n in _TRIAL_GRID])
+def test_the_batched_trials_match_the_unit_by_unit_route(monkeypatch, p, precision):
+    # The same draws, failure counts and logs, residue by residue, on seeds 0 to 3.
+    for seed in range(4):
+        with monkeypatch.context() as patch:
+            _assert_suite_matches_unit_by_unit(patch, p, precision, seed)
+
+
+def _log_fault_rows():
+    """The rows of tests/test_faults.py that patch the log kernel or its plan and keep a written report."""
+    from test_faults import BLIND, FAULTS
+
+    names = ("log_times_p", "log_of_one_is_p", "log_u_minus_one", "neg_log", "three_log", "one_plus_p_log",
+             "plan_linear_coefficient", "plan_log_g", "plan_log_g_last", "log_one_plus_p3", "log_one_plus_p_n_minus_2")
+    rows = {row.name: row.patch for row in (*FAULTS, *BLIND) if row.name in names}
+    assert sorted(rows) == sorted(names)
+    return rows
+
+
+_LOG_FAULTS = _log_fault_rows()
+
+
+@pytest.mark.parametrize("name", _LOG_FAULTS)
+def test_the_batched_trials_match_the_unit_by_unit_route_under_a_log_fault(monkeypatch, name):
+    # Both routes log through the faulty kernel, so they must count the same failures from the same logs.
+    # A plan row changes a stage, so it runs only where the plan has one.
+    grid = [(p, precision) for p, precision in _TRIAL_GRID if _log_series(p, precision)[2] or "plan" not in name]
+    _LOG_FAULTS[name](monkeypatch)
+    runs = []
+    for p, precision in grid:
+        with monkeypatch.context() as patch:
+            runs.append((p, precision, _assert_suite_matches_unit_by_unit(patch, p, precision, 0)))
+    monkeypatch.undo()
+    moved = [(p, precision) for p, precision, logged in runs if _logs(p, precision, list(logged)) != [*logged.values()]]
+    assert moved, f"{name} moved no trial log: it no longer patches the kernel both routes run"
+
+
+_RUN_CONFIGS = {"defaults": "{}", "wide": CONFIGS["wide"], "deep": '{"p": 2, "ell": 5, "padic_precision": 128}'}
+
+
+@pytest.mark.parametrize("config", _RUN_CONFIGS)
+def test_a_loglink_run_logs_504_residues_with_one_plan(monkeypatch, tmp_path, capsys, config):
+    # 3 Kummer shifts, log(1) and 500 trial logs: 100 pairs u, w with their products and 100 units v
+    # with their p-th powers.  The 300 drawn residues are those of 300 PadicUnit.random draws.
+    calls = _spy_logs(monkeypatch)
+    _log_series.cache_clear()
+    path = write_config(tmp_path, "c.json", _RUN_CONFIGS[config])
+    code, _, err = run_cli(capsys, "loglink", "--config", path)
+    assert (code, err) == (0, "")
+    assert sum(len(residues) for residues, _ in calls) == 504
+    assert _log_series.cache_info().misses == 1
+    cfg = cli.load_config(path)
+    p, precision, modulus = cfg.p, cfg.padic_precision, cfg.p**cfg.padic_precision
+    rng = random.Random(cfg.seed)
+    draws = [PadicUnit.random(rng, p, precision).value for _ in range(300)]
+    us, ws, vs = draws[:200:2], draws[1:200:2], draws[200:]
+    expected = [us, ws, [u * w % modulus for u, w in zip(us, ws)], vs, [pow(v, p, modulus) for v in vs]]
+    assert sorted(residues for residues, _ in calls if len(residues) == 100) == sorted(expected)
 
 
 def test_random_unit_takes_one_draw_per_unit():
@@ -420,15 +539,15 @@ def test_random_unit_takes_one_draw_per_unit():
 
 
 def test_a_block_of_units_is_that_many_single_draws_randomized():
-    # cmd_loglink draws each trial block in one call; every unit, and so every report, must stay as drawn one by one.
+    # cmd_loglink draws its 300 trial residues in one call; each, and so every report, must stay as drawn one by one.
     rng = random.Random(2731)
     for p in (2, 3, 5, 7, 11):
         for precision in (_precision_floor(p), 5, 17, 64):
             seed = rng.randrange(2**32)
             block, single = random.Random(seed), random.Random(seed)
             for count in (0, 1, 2, rng.randint(3, 40), 200):
-                units = _random_units(block, p, precision, count)
-                assert units == [PadicUnit.random(single, p, precision) for _ in range(count)]
+                values = _unit_draws(block, p, precision, count)
+                assert values == [PadicUnit.random(single, p, precision).value for _ in range(count)]
                 assert block.getstate() == single.getstate()
 
 
@@ -581,13 +700,21 @@ def test_mixed_groups_rejected():
         PadicUnit(3, 5, 4).mul(PadicUnit(5, 5, 6))
 
 
+def _no_draw(bound):
+    raise AssertionError("a refused rng was drawn from")
+
+
 @pytest.mark.parametrize("call, refused", [
     (lambda u: u.mul(None), "the other unit must be of type PadicUnit, got NoneType"),
     (lambda u: u.pow(None), "exponent must be an integer, got None"),
     (lambda u: u.pow(1.5), "exponent must be an integer, got 1.5"),
     (lambda u: u.pow(True), "exponent must be an integer, got True"),
     (lambda u: padic_log(u.value), "the unit must be of type PadicUnit, got int"),
-], ids=["mul_none", "pow_none", "pow_float", "pow_bool", "log_int"])
+    (lambda u: PadicUnit.random(None, u.p, u.precision), "rng must be of type Random, got NoneType"),
+    # An object that could draw is still refused, before it draws.
+    (lambda u: PadicUnit.random(SimpleNamespace(randrange=_no_draw), u.p, u.precision),
+     "rng must be of type Random, got SimpleNamespace"),
+], ids=["mul_none", "pow_none", "pow_float", "pow_bool", "log_int", "random_none", "random_duck"])
 def test_a_wrong_typed_unit_or_exponent_is_a_domain_error(call, refused):
     # padic_log of None or of another record is a row of RECORD_ARGUMENTS in test_record.py.
     with pytest.raises(DomainError, match=f"^{refused}$"):

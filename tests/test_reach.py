@@ -88,6 +88,7 @@ UNREACHED = {
     "cli._reject_float": _REFUSAL,
     "loglink.LogLinkChain.__init__": _CONSTRUCTOR,
     "loglink.PadicUnit.__init__": _CONSTRUCTOR,
+    "loglink.PadicUnit.mul": _GATE,
     "loglink.PadicUnit.random": _GATE,
     "pilot.PilotTuple.__init__": _CONSTRUCTOR,
     "pilot.threshold_ell": _GATE,

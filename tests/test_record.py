@@ -19,7 +19,7 @@ from tiltval.loglink import LogLinkChain, PadicUnit, chain_build, padic_log
 from tiltval.pilot import PilotTuple, build_pilot, size_estimate, sum_log_norms
 from tiltval.reporting import CheckRecord, Report
 from tiltval.theta import ThetaValue, theta_value
-from tiltval.tilt import TiltElement
+from tiltval.tilt import TiltElement, tilt_mul, tilt_pow, tilt_rescale_t
 from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, gauss_log_norm, teichmuller
 
 for _module in pkgutil.iter_modules(tiltval.__path__):  # every module that defines a record, in any run order
@@ -225,8 +225,11 @@ def test_a_wrong_record_in_a_record_field_is_a_domain_error(cls, name):
 
 # Public functions off the hot kernels that take records, with valid arguments.  Each record argument given None
 # or a record of another class (inside the sample for size_estimate) must be refused as bad input, not end in an
-# AttributeError.  tilt_val, tilt_mul, tilt_pow and tilt_frobenius run per member, unchecked.
+# AttributeError; an int argument keeps its own range rule.  tilt_val and tilt_frobenius run per member, unchecked.
 RECORD_ARGUMENTS = {
+    tilt_mul: lambda: (TiltElement.monomial(3, Fraction(1, 3)), TiltElement.monomial(3, 2, 2)),
+    tilt_pow: lambda: (TiltElement.monomial(3, Fraction(1, 3)), 2),
+    tilt_rescale_t: lambda: (TiltElement.monomial(3, Fraction(1, 3), 2), 2),
     sum_log_norms: lambda: (build_pilot(_point(), Fraction(1, 10)), RhoWeight.of(Fraction(1, 2))),
     size_estimate: lambda: ([build_pilot(_point(), Fraction(1, 10))], RhoWeight.one()),
     teichmuller: lambda: (TiltElement.monomial(2, Fraction(1, 4)),),
@@ -241,6 +244,8 @@ def test_a_wrong_record_argument_is_a_domain_error(func):
     func(*args)  # the valid arguments are accepted
     for i, arg in enumerate(args):
         sample = arg[0] if isinstance(arg, list) else arg
+        if not isinstance(sample, Record):
+            continue
         foreign = next(x for x in (TiltElement.monomial(2, 1), RhoWeight.one()) if type(x) is not type(sample))
         for wrong in (None, foreign):
             bad = [wrong] if isinstance(arg, list) else wrong
