@@ -1,12 +1,13 @@
-"""Every ansatz, bound, sweep and loglink witness against the paper's closed forms, read from the CLI's own json.
+"""Every theta, ansatz, bound, sweep and loglink witness against the paper's closed forms, from the CLI's own json.
 
 The CLI runs as a subprocess on the defaults, wide and F_3 configs.  The config is read back from the
 report's echo, and each witness is derived from it in plain int/Fraction arithmetic, with nothing
 imported from tiltval: the witness generator is a = t^(1/ell*^2), so v(a^(j^2)) = j^2/ell*^2, and the
 sample's lifts scale by p^n over the orbit n = -depth..depth.  The bound's sides and margin are
 closed forms in ell, and the sweep's primes are counted by trial division.  The log chain has v0 = 1,
-so its entries are p^n, and each m(eps) is the least m with p^-m < eps.  A kernel that moves a
-witness while its check still passes fails here.
+so its entries are p^n, and each m(eps) is the least m with p^-m < eps.  The theta witnesses are the window
+formulas of the truncated series, each shift's j range read from the config.  A kernel that moves a witness
+while its check still passes fails here.
 """
 
 import json
@@ -140,6 +141,57 @@ def _expected_loglink(cfg):
         "loglink.log_product_rule_trials": trials,
         "loglink.log_p_power_rule_trials": trials,
     }
+
+
+# Check id, with .j<k> folded, -> its witness at (ell, N, j), N = theta_truncation; j is None for an id
+# reported once.  The shift identity at u -> q^(j/2) u compares term n with term n + j over the window
+# n = -N + j .. N - j, and the special value's lowest s-exponent drops by j^2 from the base's.
+THETA_WITNESSES = {
+    "theta.inversion_antisymmetry": lambda ell, n, j: {
+        "n_max": str(n), "pairs_matched": str(n), "boundary_terms": "1", "pairs_cancel_at_one": "true",
+    },
+    "theta.unsigned_control_fails_antisymmetry": lambda ell, n, j: {
+        "n_max": str(n), "first_mismatch": "pair (0, -1): sign 1 is not -1",
+    },
+    "theta.quasi_periodicity": lambda ell, n, j: {
+        "overlap": _tuple((-n + j, n - j)), "terms_checked": str(2 * (n - j) + 1), "q_shift_doubled": str(-j * j),
+    },
+    "theta.value_q_exponent_scaling": lambda ell, n, j: {
+        "ell": str(ell), "q_exponents": _tuple(_q(Fraction(i * i, 2 * ell)) for i in range(1, (ell - 1) // 2 + 1)),
+    },
+    "theta.value_laurent_ratio": lambda ell, n, j: {
+        "s_exponent_gap": str(-j * j), "expected_gap": str(-j * j), "coeff_relation_holds": "true",
+    },
+}
+
+
+def _theta_steps(ell, n):
+    """Folded id -> the shifts j it is reported at: every j to ell* = (ell - 1) / 2, and for the special value
+    only those whose lowest indices -j and -j - 1 both lie in the window, j <= N - 1."""
+    ls = (ell - 1) // 2
+    return {"theta.quasi_periodicity": range(1, ls + 1), "theta.value_laurent_ratio": range(1, min(ls, n - 1) + 1)}
+
+
+def _expected_theta(cfg):
+    """Check id -> {witness key: string} for the theta suite of the config cfg (the report's echo)."""
+    ell, n = int(cfg["ell"]), int(cfg["theta_truncation"])
+    steps = _theta_steps(ell, n)
+    return {f"{folded}.j{j}" if folded in steps else folded: witness(ell, n, j)
+            for folded, witness in THETA_WITNESSES.items() for j in steps.get(folded, (None,))}
+
+
+@pytest.mark.parametrize("config", ("defaults", "wide", "f3"))
+def test_every_theta_witness_is_its_closed_form(config):
+    report = _report(config)
+    assert _witnesses(report, ("verify-theta",)) == _expected_theta(report["config"])
+
+
+def test_the_theta_steps_come_from_the_config():
+    # Wide (ell 59, N 29) reports the top shift j = 29 = ell* without its special value.
+    steps = _theta_steps(59, 29)
+    assert (len(steps["theta.quasi_periodicity"]), len(steps["theta.value_laurent_ratio"])) == (29, 28)
+    assert [len(r) for r in _theta_steps(19, 12).values()] == [9, 9]
+    assert [len(r) for r in _theta_steps(3, 1).values()] == [1, 0]
 
 
 @pytest.mark.parametrize("config", ("defaults", "wide", "f3"))
