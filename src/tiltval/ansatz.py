@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 from ._record import Record
 from .errors import DomainError, VerificationError
 from .tilt import TiltElement, _power_check, _power_table, _require_odd_prime, _require_record, _require_window
-from .tilt import tilt_frobenius, tilt_val
+from .tilt import _val, tilt_frobenius
 from .tilt import tilt_pow  # noqa: F401  unused here; perfbench/selftest.py checks that its tracer patches it
 from .witt import PrimitiveDeg1, primitive_frobenius
 
@@ -126,7 +126,7 @@ def frobenius_orbit(point: AnsatzPoint, window: tuple[int, int]) -> tuple[Ansatz
 def valuation_profile(point: AnsatzPoint) -> tuple[Fraction, ...]:
     """The tuple (v(a^(j^2)))_j = (j^2 * v(a))_j in tilt units."""
     _require_record(point, AnsatzPoint, "the point")
-    return tuple(tilt_val(m.a) for m in point.members)
+    return tuple(_val(m.a) for m in point.members)
 
 
 def scale_invariance_check(

@@ -195,8 +195,7 @@ def _suite(build: Callable[[RunConfig], Iterator[CheckRecord]]) -> Callable[[Run
 @_suite
 def cmd_verify_theta(cfg: RunConfig) -> Iterator[CheckRecord]:
     """Inversion antisymmetry, quasi-periodicity, and special-value consistency."""
-    from .theta import check_inversion_antisymmetry, check_quasi_periodicity_upto, check_theta_value_laurent_upto
-    from .theta import theta_value
+    from .theta import check_inversion_antisymmetry, check_shifts
 
     n_max = cfg.theta_truncation
     ell_star = (cfg.ell - 1) // 2
@@ -220,7 +219,7 @@ def cmd_verify_theta(cfg: RunConfig) -> Iterator[CheckRecord]:
         n_max=n_max,
         first_mismatch=mismatch or "none",
     )
-    shifts = check_quasi_periodicity_upto(ell_star, n_max)
+    values, shifts, ratios = check_shifts(1, cfg.ell, n_max)
     for j, (passed, overlap, checked, _) in enumerate(shifts, start=1):
         yield make_check(
             f"theta.quasi_periodicity.j{j}",
@@ -229,21 +228,13 @@ def cmd_verify_theta(cfg: RunConfig) -> Iterator[CheckRecord]:
             terms_checked=checked,
             q_shift_doubled=-j * j,
         )
-    base = theta_value(1, cfg.ell)
-    scaling_ok = True
-    exponents = []
-    for j in range(1, ell_star + 1):
-        tv = theta_value(j, cfg.ell)
-        exponents.append(tv.q_exponent)
-        if tv.q_exponent != j * j * base.q_exponent:
-            scaling_ok = False
+    base = values[0].q_exponent
     yield make_check(
         "theta.value_q_exponent_scaling",
-        scaling_ok,
+        all(tv.q_exponent == tv.j * tv.j * base for tv in values),
         ell=cfg.ell,
-        q_exponents=tuple(exponents),
+        q_exponents=tuple(tv.q_exponent for tv in values),
     )
-    ratios = check_theta_value_laurent_upto(min(ell_star, n_max - 1), 1, cfg.ell, n_max)
     for j, (passed, gap, expected_gap, coeff_ok) in enumerate(ratios, start=1):
         yield make_check(
             f"theta.value_laurent_ratio.j{j}",

@@ -5,13 +5,15 @@ The series studied here is
     theta(u) = q^(-1/8) * sum_n (-1)^n q^(n(n+1)/2) u^(2n+1)
 
 truncated to the symmetric window |n| <= N.  Each term is kept as a
-row (n, sign, q-exponent, u-exponent); the prefactor q^(-1/8) is
-absorbed by the identity n(n+1)/2 = (1/2)(n + 1/2)^2 - 1/8, so stored
-q-exponents stay integers.  The sign (-1)^n is forced: it is what makes
-the substitution u -> 1/u negate the series term by term, and what makes
-the shift u -> q^(j/2) u reproduce the series up to (-1)^j q^(-j^2/2)
-u^(-2j).  The unsigned row table is kept available as a negative control
-and fails the first identity.
+row (n, sign, q-exponent, u-exponent), and each row field has one
+formula, held as integer coefficients in n: the doubled q-exponent
+2Q(n) = n^2 + n, the u-exponent U(n) = 2n + 1 and the sign's parity n.
+The prefactor q^(-1/8) is absorbed by the identity n(n+1)/2 =
+(1/2)(n + 1/2)^2 - 1/8, so stored q-exponents stay integers.  The sign
+(-1)^n is forced: it is what makes the substitution u -> 1/u negate the
+series term by term, and what makes the shift u -> q^(j/2) u reproduce
+the series up to (-1)^j q^(-j^2/2) u^(-2j).  The unsigned row table is
+kept available as a negative control and fails the first identity.
 
 Checks work on exact integer exponent arithmetic.  Where half-integer
 q-shifts appear the comparison runs in doubled q-units, never through a
@@ -28,25 +30,30 @@ Indices n = -j + d and -j - 1 - d share the s-exponent d(d+1) - j^2 and
 no other two do; two root powers below degree ell sum to zero only by
 cancelling outright (Phi_2ell has ell terms), so dropping zero entries
 is the whole zero test.  Root powers and signs do not depend on j and
-come from one cached table per (k, ell, N).  An evaluation reads all
-2N + 1 rows, in pairs out from the vertex d = 0 and then the longer side's
-tail, so exponents come in increasing order with no sort.  Each exponent
-is read from its row; a pair that disagrees, an exponent not above the
-last, a zero coefficient or a vertex outside the window sends the whole
-evaluation down the general route: accumulate, then sort.  A check moves
-the base's lowest coefficient by zeta^m, which adds 2m to each root
-power, and subtracts it from the lowest shifted one.  That difference of
-up to four root powers folds into one row of ell - 1 integers in the
-canonical basis 1, x, ..., x^(ell-2), and is zero exactly when the row
-is: at ell = 3 three root powers cancel through Phi_6 with no two
-cancelling outright.  A suite of checks over j = 1 .. j_max builds the
-row table once and evaluates the base series at zeta^k once.
+come from one cached table per (k, ell, N); an evaluation accumulates
+every row, then sorts.  A check moves the base's lowest coefficient by
+zeta^m, which adds 2m to each root power, and subtracts it from the
+lowest shifted one; the difference is zero exactly when, folded below
+x^ell, it is an integer multiple of Phi_2ell (at ell = 3 three root
+powers cancel so, no two outright).
+
+The suite's shift checks (:func:`check_shifts`) read each row table
+once.  If every row equals its formulas, and the formulas satisfy in
+Z[n, j] the shift identity 2Q(n) + j U(n) = 2Q(n + j) - j^2, U(n) =
+U(n + j) - 2j, n = j + (n + j) mod 2, and the inversion identities
+Q(-n - 1) = Q(n), U(-n - 1) = -U(n) (the functional equation of the
+Jacobi theta series; D. Mumford, Tata Lectures on Theta I, ch. I, sec.
+1), proved once per process by exact expansion, then each shift's result
+costs O(1): the identity holds on the whole window, and the lowest term
+at shift j sits on the two vertex rows n = -j and -j - 1, which the
+check reads.  On any other table every shift takes the pointwise route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from operator import add
 
 from ._record import Record
 from .errors import DomainError
@@ -56,37 +63,88 @@ __all__ = [
     "ThetaValue",
     "check_inversion_antisymmetry",
     "check_quasi_periodicity",
-    "check_quasi_periodicity_upto",
+    "check_shifts",
     "check_theta_value_laurent",
-    "check_theta_value_laurent_upto",
     "eval_theta_laurent",
     "theta_terms",
     "theta_value",
 ]
 
+# Each row field's one formula, as integer coefficients in n, constant first: the doubled q-exponent
+# 2Q(n) = n^2 + n, the u-exponent U(n) = 2n + 1 and the parity n of the sign (-1)^n.
+_Q2, _U, _PARITY = (0, 1, 1), (1, 2), (0, 1)
 
-def _add_root_pow(row: list[int], ell: int, e: int, c: int) -> None:
-    """Add c * x^e to a length ell - 1 coefficient row, for 0 <= e < 2 ell.
 
-    x^ell = -1 folds e into 0 .. ell - 1, and only e = ell - 1 leaves the
-    basis: x^(ell-1) = -sum_{i<ell-1} (-1)^i x^i touches every entry.
+def _horner(coeffs: tuple[int, ...], xs, one=1) -> list:
+    """sum c_i x^i at each x of xs: ints with one = 1, or polynomials with one their unit."""
+    values = [0 * one] * len(xs)
+    for c in reversed(coeffs):
+        values = [v * x + c * one for v, x in zip(values, xs)]
+    return values
+
+
+class _Poly(dict):
+    """An integer polynomial as {exponent tuple: nonzero int}, with +, - and * by a polynomial or an int."""
+
+    def __add__(self, other: _Poly) -> _Poly:
+        out = dict(self)
+        for e, c in other.items():
+            out[e] = out.get(e, 0) + c
+        return _Poly({e: c for e, c in out.items() if c})
+
+    def __sub__(self, other: _Poly) -> _Poly:
+        return self + -1 * other
+
+    def __mul__(self, other: _Poly | int) -> _Poly:
+        if not isinstance(other, _Poly):
+            return _Poly({e: c * other for e, c in self.items() if other})
+        out = _Poly()
+        for e, c in self.items():
+            out += _Poly({tuple(map(add, e, f)): c * d for f, d in other.items()})
+        return out
+
+    __rmul__ = __mul__
+
+
+def _shift_sides(q2_n, u_n, q2_s, u_s, j):
+    """Both sides of the shift identity at step j, term n of theta(q^(j/2) u) against term s = n + j of
+    theta(u): (2q + j u, u) at n and (2q - j^2, u - 2j) at s, for row values and for the formulas alike."""
+    return (q2_n + j * u_n, u_n), (q2_s - j * j, u_s - 2 * j)
+
+
+@cache
+def _proved(q2: tuple[int, ...], u: tuple[int, ...], parity: tuple[int, ...], sides) -> bool:
+    """Whether the row formulas satisfy the identities the suite's shortcut reads, by expansion in Z[n, j].
+
+    They are: the two sides of ``sides`` agree under n -> n + j, whose first part is also the s-exponent's
+    identity 2Q(n) + j U(n) = d(d + 1) - j^2 at d = n + j; n - j - (n + j) has even coefficients only, so
+    the signs agree up to (-1)^j; 2Q(-n - 1) = 2Q(n) and U(-n - 1) = -U(n); and 2Q is a quadratic with a
+    positive leading coefficient, which with its symmetry about -1/2 takes its least integer value at 0 and
+    -1 and nowhere else.  The cache is keyed by all the proof reads, so a changed formula is proved anew.
     """
-    if e >= ell:
-        e -= ell
-        c = -c
-    if e < ell - 1:
-        row[e] += c
-    else:
-        row[0::2] = [v - c for v in row[0::2]]
-        row[1::2] = [v + c for v in row[1::2]]
+    one, n, j = _Poly({(0, 0): 1}), _Poly({(1, 0): 1}), _Poly({(0, 1): 1})
+    at = (n, n + j, -1 * n - one)  # n, its shift and its mirror
+    (q_n, q_s, q_m), (u_n, u_s, u_m), (p_n, p_s, _) = (_horner(f, at, one) for f in (q2, u, parity))
+    left, right = sides(q_n, u_n, q_s, u_s, j)
+    even = all(c % 2 == 0 for c in (p_n - j - p_s).values())
+    return left == right and even and q_m == q_n and u_m == -1 * u_n and len(q2) == 3 and q2[2] > 0
 
 
 def _root_pows_vanish(ell: int, pows: dict[int, int]) -> bool:
-    """Whether sum c * x^e over pows = {e: c}, any integer e, is zero in Z[x]/(Phi_2ell(x))."""
-    row = [0] * (ell - 1)
+    """Whether sum c * x^e over pows = {e: c}, any integer e, is zero in Z[x]/(Phi_2ell(x)).
+
+    x^ell = -1 folds each power below ell, and x^ell + 1 = (x + 1) Phi_2ell, so a sum below degree ell is
+    zero exactly when it is m Phi_2ell = m sum_{i<ell} (-1)^i x^i for an integer m: with the coefficient of
+    x^i times (-1)^i, every one of the ell is m.  The cost is one step per root power, not ell.
+    """
+    folded: dict[int, int] = {}
     for e, c in pows.items():
-        _add_root_pow(row, ell, e % (2 * ell), c)
-    return not any(row)
+        e %= 2 * ell
+        if e >= ell:
+            e, c = e - ell, -c
+        folded[e] = folded.get(e, 0) + (-c if e % 2 else c)
+    signed = set(folded.values())
+    return signed <= {0} or (len(folded) == ell and len(signed) == 1)
 
 
 class CycloElt(Record):
@@ -101,19 +159,28 @@ class CycloElt(Record):
     coeffs: tuple[int, ...]
 
     def __mul__(self, other: "CycloElt") -> "CycloElt":
-        row = [0] * (self.ell - 1)
+        ell = self.ell
+        row = [0] * ell  # x^0 .. x^(ell-1): x^ell = -1 folds each product power below ell
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                _add_root_pow(row, self.ell, i + j, a * b)
-        return CycloElt(self.ell, tuple(row))
+                if i + j < ell:
+                    row[i + j] += a * b
+                else:
+                    row[i + j - ell] -= a * b
+        top = row.pop()  # x^(ell-1) = -sum_{i<ell-1} (-1)^i x^i
+        return CycloElt(ell, tuple(v + top if i % 2 else v - top for i, v in enumerate(row)))
+
+
+def _theta_rows(ns, signed: bool = True) -> tuple[tuple[int, int, int, int], ...]:
+    """The rows (n, sign, q_exp, u_exp) of theta_terms at each index n of ns, from the formulas."""
+    signs = [-1 if parity % 2 else 1 for parity in _horner(_PARITY, ns)] if signed else [1] * len(ns)
+    return tuple(zip(ns, signs, [q2 // 2 for q2 in _horner(_Q2, ns)], _horner(_U, ns)))
 
 
 def theta_terms(n_max: int, signed: bool = True) -> tuple[tuple[int, int, int, int], ...]:
     """Rows (n, sign, q_exp, u_exp), index n at position n + n_max; n_max = 0 gives the single term u."""
     _require_int(n_max, "truncation radius", 0)
-    return tuple(
-        (n, (-1) ** (n % 2) if signed else 1, n * (n + 1) // 2, 2 * n + 1) for n in range(-n_max, n_max + 1)
-    )
+    return _theta_rows(range(-n_max, n_max + 1), signed)
 
 
 def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> tuple[bool, int, bool, str | None]:
@@ -147,9 +214,7 @@ def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> tuple[bool,
     # Boundary index n = N: its partner m = -N-1 left the window, so test the
     # formula that partner would have to satisfy instead of a stored term.
     _, sign_b, q_b, _ = terms[2 * n_max]
-    m = -n_max - 1
-    partner_q = m * (m + 1) // 2
-    partner_sign = (-1) ** (m % 2) if signed else 1
+    _, partner_sign, partner_q, _ = _theta_rows((-n_max - 1,), signed)[0]
     if partner_q != q_b:
         mismatch = mismatch or f"boundary {n_max}: partner q-exponent {partner_q} vs {q_b}"
     if partner_sign != -sign_b:
@@ -159,13 +224,15 @@ def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> tuple[bool,
 
 
 def _quasi_periodicity(
-    terms: tuple[tuple[int, int, int, int], ...], j: int
+    terms: tuple[tuple[int, int, int, int], ...], j: int, proved: bool = False
 ) -> tuple[bool, tuple[int, int], int, str | None]:
-    """The shift identity at step j on a prebuilt row table."""
+    """The shift identity at step j on a prebuilt row table; on a proved table, its result without a compare."""
     n_max = len(terms) // 2
     _require_int(n_max, "truncation radius", 1)
     _require_int(j, "shift step", -n_max, n_max)
     lo, hi = -n_max + abs(j), n_max - abs(j)
+    if proved:
+        return True, (lo, hi), hi - lo + 1, None
     shift_sign = (-1) ** (j % 2)
     mismatch: str | None = None
     checked = 0
@@ -175,10 +242,11 @@ def _quasi_periodicity(
     for n, (_, sign_n, q_n, u_n), (_, sign_s, q_s, u_s) in zip(range(lo, hi + 1), left, right):
         # Term n of theta(q^(j/2) u) against term n + j of theta(u) times (-1)^j q^(-j^2/2) u^(-2j),
         # each as (2q, sign, u): q in doubled units.  The tuples are built only for the first mismatch.
-        if 2 * q_n + j * u_n == 2 * q_s - j * j and sign_n == shift_sign * sign_s and u_n == u_s - 2 * j:
+        (q_left, u_left), (q_right, u_right) = _shift_sides(2 * q_n, u_n, 2 * q_s, u_s, j)
+        if q_left == q_right and sign_n == shift_sign * sign_s and u_left == u_right:
             checked += 1
         elif mismatch is None:
-            lhs, rhs = (2 * q_n + j * u_n, sign_n, u_n), (2 * q_s - j * j, shift_sign * sign_s, u_s - 2 * j)
+            lhs, rhs = (q_left, sign_n, u_left), (q_right, shift_sign * sign_s, u_right)
             mismatch = f"n = {n}: left (2q, sign, u) = {lhs} right {rhs}"
     return mismatch is None, (lo, hi), checked, mismatch
 
@@ -193,12 +261,6 @@ def check_quasi_periodicity(j: int, n_max: int) -> tuple[bool, tuple[int, int], 
     half-integer shifts stay in integer arithmetic.
     """
     return _quasi_periodicity(theta_terms(n_max), j)
-
-
-def check_quasi_periodicity_upto(j_max: int, n_max: int) -> tuple[tuple[bool, tuple[int, int], int, str | None], ...]:
-    """The signed shift identity at every step j = 1 .. j_max, on one row table."""
-    terms = theta_terms(n_max)
-    return tuple(_quasi_periodicity(terms, j) for j in range(1, j_max + 1))
 
 
 class ThetaValue(Record):
@@ -223,25 +285,31 @@ class ThetaValue(Record):
         return (-self.zeta_exponent) % self.ell
 
 
+def _multiplier(j: int, ell: int) -> tuple[int, Fraction, int]:
+    """The fields (sign, q_exponent, zeta_exponent) of xi_j, for j and ell already checked: the one formula."""
+    return (-1) ** (j % 2), Fraction(j * j, 2 * ell), (2 * j) % ell
+
+
 def theta_value(j: int, ell: int) -> ThetaValue:
-    """Special-value multiplier at the j-th shift for an odd prime ell: the one formula for its fields."""
+    """Special-value multiplier at the j-th shift for an odd prime ell."""
     _require_odd_prime(ell)
     _require_int(j, "j", 1, (ell - 1) // 2)
-    return ThetaValue._trusted(j, ell, (-1) ** (j % 2), Fraction(j * j, 2 * ell), (2 * j) % ell)
+    return ThetaValue._trusted(j, ell, *_multiplier(j, ell))
 
 
-@cache
-def _root_terms(k: int, ell: int, n_max: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(n(n+1), 2n+1, e, c) for n = -N .. N: at every shift j, term n is c * x^e times s^(n(n+1) + j(2n+1))."""
-    terms = []
-    for n in range(-n_max, n_max + 1):
-        # zeta = x^2, so zeta^(k(2n+1)) is x^(2k(2n+1)); x^ell = -1 folds it below ell
-        e = 2 * k * (2 * n + 1) % (2 * ell)
-        c = -1 if n % 2 else 1
+def _root_rows(k: int, ell: int, n_max: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(2Q(n), U(n), e, c) for n = -N .. N: at every shift j, term n is c * x^e times s^(2Q(n) + j U(n))."""
+    rows = []
+    for _, c, q, u in _theta_rows(range(-n_max, n_max + 1)):
+        # zeta = x^2, so zeta^(k U(n)) is x^(2k U(n)); x^ell = -1 folds it below ell
+        e = 2 * k * u % (2 * ell)
         if e >= ell:
             e, c = e - ell, -c
-        terms.append((n * (n + 1), 2 * n + 1, e, c))
-    return tuple(terms)
+        rows.append((2 * q, u, e, c))
+    return tuple(rows)
+
+
+_root_terms = cache(_root_rows)  # one table per (k, ell, N), shared by every evaluation
 
 
 def eval_theta_laurent(j: int, k: int, ell: int, n_max: int) -> dict[int, dict[int, int]]:
@@ -257,11 +325,8 @@ def eval_theta_laurent(j: int, k: int, ell: int, n_max: int) -> dict[int, dict[i
     _require_int(k, "k")
     _require_odd_prime(ell)
     _require_int(n_max, "truncation radius", 0)
-    rows = _root_terms(k, ell, n_max)
-    if -n_max <= j < n_max and (out := _vertex_walk(rows, n_max - j, j)) is not None:  # n = -j - 1, -j in the window
-        return out
     acc: dict[int, dict[int, int]] = {}
-    for s_at_0, s_step, e, c in rows:
+    for s_at_0, s_step, e, c in _root_terms(k, ell, n_max):
         coeff = acc.setdefault(s_at_0 + j * s_step, {})
         c += coeff.pop(e, 0)
         if c:
@@ -269,38 +334,29 @@ def eval_theta_laurent(j: int, k: int, ell: int, n_max: int) -> dict[int, dict[i
     return {s_exp: acc[s_exp] for s_exp in sorted(acc) if acc[s_exp]}
 
 
-def _vertex_walk(rows: tuple[tuple[int, int, int, int], ...], vertex: int, j: int) -> dict[int, dict[int, int]] | None:
-    """The evaluation out from rows[vertex] (n = -j) and the row below, equal to the general route's, or None."""
-    up, down = rows[vertex:], rows[vertex - 1 :: -1]
-    out, last = {}, down[0][0] + j * down[0][1] - 1
-    for (s_at_0, s_step, e, c), (t_at_0, t_step, f, b) in zip(up, down):
-        if (s_exp := s_at_0 + j * s_step) != t_at_0 + j * t_step or s_exp <= last or not (b and c):
-            return None
-        last = s_exp
-        if e != f:
-            out[s_exp] = {f: b, e: c}  # the lower index's root power first, as the general route has it
-        elif b + c:
-            out[s_exp] = {e: b + c}
-    for s_at_0, s_step, e, c in up[len(down) :] or down[len(up) :]:  # the longer side's tail
-        if (s_exp := s_at_0 + j * s_step) <= last or not c:
-            return None
-        last, out[s_exp] = s_exp, {e: c}
-    return out
-
-
 def _laurent_ratio(
-    j: int, k: int, ell: int, n_max: int, base_s: int, base_lowest: dict[int, int]
+    tv: ThetaValue, k: int, n_max: int, base_s: int, base_lowest: dict[int, int], rows: tuple | None = None
 ) -> tuple[bool, int, int, bool]:
-    """The check at (j, k), given the lowest s-exponent and coefficient of the base evaluation at u = zeta^k."""
-    tv = theta_value(j, ell)  # validates j and ell
+    """The check at (tv.j, k), given the lowest s-exponent and coefficient of the base evaluation at u = zeta^k.
+
+    The shifted lowest term comes from a full evaluation or, given the proved root table, from its vertex
+    rows n = -j - 1 and -j: term n sits at s^(d(d + 1) - j^2), d = n + j, least at d = -1 and 0 only, and
+    those two root powers differ for k != 0 mod ell, so they never cancel.
+    """
+    j, ell = tv.j, tv.ell
     if k % ell == 0:
         raise DomainError("k must be nonzero mod ell; at zeta^0 the evaluation degenerates")
     _require_int(n_max, "truncation radius", j + 1)  # both lowest indices -j and -j-1 in the window
-    lo_s, lowest = next(iter(eval_theta_laurent(j, k, ell, n_max).items()))  # exponents come in increasing order
+    if rows is None:
+        lo_s, lowest = next(iter(eval_theta_laurent(j, k, ell, n_max).items()))  # exponents come in increasing order
+    else:
+        lowest = {}
+        for s_at_0, s_step, e, c in rows[n_max - j - 1 : n_max - j + 1]:
+            lo_s, lowest[e] = s_at_0 + j * s_step, lowest.get(e, 0) + c
     gap = lo_s - base_s
     # 2*ell times the symbolic q-exponent j^2/(2*ell) is the integer j^2.
     expected_gap = -(2 * ell * tv.q_exponent.numerator) // tv.q_exponent.denominator
-    # zeta^m = x^(2m) shifts every root power of the base coefficient by 2m; one row holds the difference.
+    # zeta^m = x^(2m) shifts every root power of the base coefficient by 2m; the difference is folded once.
     shift = 2 * k * tv.inverse_zeta_exponent
     diff = dict(lowest)
     for e, c in base_lowest.items():
@@ -318,12 +374,25 @@ def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> tuple[boo
     two lowest coefficients must differ by sign * zeta^(-2jk), the
     reciprocal of the multiplier :func:`theta_value` states.
     """
-    return _laurent_ratio(j, k, ell, n_max, *next(iter(eval_theta_laurent(0, k, ell, n_max).items())))
+    base = next(iter(eval_theta_laurent(0, k, ell, n_max).items()))
+    return _laurent_ratio(theta_value(j, ell), k, n_max, *base)
 
 
-def check_theta_value_laurent_upto(
-    j_max: int, k: int, ell: int, n_max: int
-) -> tuple[tuple[bool, int, int, bool], ...]:
-    """The special-value check at every j = 1 .. j_max, against one base evaluation."""
-    base = next(iter(eval_theta_laurent(0, k, ell, n_max).items())) if j_max > 0 else None
-    return tuple(_laurent_ratio(j, k, ell, n_max, *base) for j in range(1, j_max + 1))
+def check_shifts(k: int, ell: int, n_max: int) -> tuple[tuple[ThetaValue, ...], tuple[tuple, ...], tuple[tuple, ...]]:
+    """The suite's checks at every shift, ell checked once: the multipliers xi_j for j = 1 .. ell*, the shift
+    identity at each of those j as :func:`check_quasi_periodicity` gives it, and the special value at u =
+    q^(j/2) zeta^k for j = 1 .. min(ell*, N - 1) as :func:`check_theta_value_laurent` gives it.
+
+    Each j costs O(1) when every row of both tables equals its formulas and ``_proved`` holds; otherwise
+    every j takes the pointwise route."""
+    base = next(iter(eval_theta_laurent(0, k, ell, n_max).items()))  # checks k, ell and N >= 0
+    ell_star = (ell - 1) // 2
+    _require_int(n_max, "truncation radius", ell_star)
+    terms, rows = theta_terms(n_max), _root_terms(k, ell, n_max)
+    proved = _proved(_Q2, _U, _PARITY, _shift_sides) and terms == _theta_rows(range(-n_max, n_max + 1))
+    proved = proved and rows == _root_rows(k, ell, n_max)
+    values = tuple(ThetaValue._trusted(j, ell, *_multiplier(j, ell)) for j in range(1, ell_star + 1))
+    shifts = tuple(_quasi_periodicity(terms, j, proved) for j in range(1, ell_star + 1))
+    # values[j - 1] is xi_j, and the special value needs j <= N - 1
+    ratios = tuple(_laurent_ratio(tv, k, n_max, *base, rows if proved else None) for tv in values[: n_max - 1])
+    return values, shifts, ratios

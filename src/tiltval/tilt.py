@@ -263,6 +263,12 @@ class TiltElement(Record):
 
 def tilt_val(x: TiltElement) -> Fraction | None:
     """Gauss valuation with v(t) = 1; None for the zero element, whose valuation is +infinity."""
+    _require_record(x, TiltElement, "the element")
+    return _val(x)
+
+
+def _val(x: TiltElement) -> Fraction | None:
+    """tilt_val past its record check, for the family kernels, which hold checked records."""
     return Fraction(x.nums[0][0], x.p**x.s) if x.nums else None
 
 
@@ -441,6 +447,12 @@ def tilt_frobenius(x: TiltElement, n: int = 1) -> TiltElement:
     inverse.  The scale s drops by n over the same numerators, unless it
     would drop below 0 or phi^-n starts at s = 0.
     """
+    _require_record(x, TiltElement, "the element")
+    return _frobenius(x, n)
+
+
+def _frobenius(x: TiltElement, n: int = 1) -> TiltElement:
+    """tilt_frobenius past its record check, for the family kernels, which hold checked records."""
     _require_int(n, "Frobenius power")
     if n == 0:
         return x

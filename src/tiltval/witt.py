@@ -30,7 +30,7 @@ from typing import Union
 from ._record import Record
 from .errors import DomainError
 from .tilt import TiltElement, _exact, _require_bool, _require_int, _require_positive, _require_prime, _require_record
-from .tilt import _shown, tilt_frobenius, tilt_val
+from .tilt import _frobenius, _shown, _val
 # No code here calls tilt_pow; perfbench/selftest.py checks that its tracer patches this name too.
 from .tilt import tilt_pow  # noqa: F401
 
@@ -117,7 +117,7 @@ def gauss_log_norm(w: WittExpr, rho: RhoWeight) -> Fraction | None:
     _require_record(rho, RhoWeight, "the weight")
     if w.is_zero:
         return None
-    return min(tilt_val(x) + slot * rho.r for slot, x in w.terms)
+    return min(_val(x) + slot * rho.r for slot, x in w.terms)
 
 
 class PrimitiveDeg1(Record):
@@ -139,7 +139,7 @@ class PrimitiveDeg1(Record):
 def primitive_frobenius(w: PrimitiveDeg1, n: int = 1) -> PrimitiveDeg1:
     """Frobenius on generator data: [a] - p maps to [a^(p^n)] - p."""
     # Frobenius scales the valuation by p^n > 0, so 0 < v < +inf still holds
-    return PrimitiveDeg1._trusted(tilt_frobenius(w.a, n))
+    return PrimitiveDeg1._trusted(_frobenius(w.a, n))
 
 
 def eta_val(prim: PrimitiveDeg1, x: TiltElement) -> Fraction | None:

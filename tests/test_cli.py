@@ -17,13 +17,13 @@ from conftest import (
     CONFIGS, assert_immutable_value, env_with_src, random_monomial, replace_everywhere, run_cli, write_config
 )
 
-from tiltval import cli
+from tiltval import cli, theta
 from tiltval.ansatz import frobenius_orbit, is_member, make_ansatz, valuation_profile
 from tiltval.cli import RunConfig, cmd_all, load_config, main, parse_rational
 from tiltval.errors import DomainError
 from tiltval.pilot import main_bound_check
 from tiltval.reporting import CheckRecord, CombinedReport, Report, make_check
-from tiltval.theta import ThetaValue, eval_theta_laurent, theta_terms, theta_value
+from tiltval.theta import eval_theta_laurent, theta_terms
 
 def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
@@ -728,11 +728,12 @@ def test_failing_theta_witnesses_keep_each_value_in_its_slot(monkeypatch, capsys
     ]
     monkeypatch.undo()
 
-    def quadrupled(j, ell):
-        tv = theta_value(j, ell)
-        return ThetaValue._trusted(tv.j, tv.ell, tv.sign, 4 * tv.q_exponent, tv.zeta_exponent)  # refused publicly
+    def quadrupled(j, ell):  # the multiplier's fields with q^(4 j^2 / 2ell): refused publicly
+        sign, q_exponent, zeta_exponent = multiplier(j, ell)
+        return sign, 4 * q_exponent, zeta_exponent
 
-    monkeypatch.setattr("tiltval.theta.theta_value", quadrupled)
+    multiplier = theta._multiplier
+    monkeypatch.setattr(theta, "_multiplier", quadrupled)
     assert witnesses()["theta.value_laurent_ratio.j1"] == [
         ("s_exponent_gap", "-1"),
         ("expected_gap", "-4"),
@@ -779,9 +780,8 @@ def test_suites_build_their_invariants_once(monkeypatch, tmp_path, capsys):
     assert len(laurent) == 5 and sum(i.startswith("theta.quasi_periodicity.") for i in ids) == 5
     # Signed and unsigned inversion take one table each; every shift shares the third.
     assert len(tables) == 3
-    # One evaluation per shift plus one base evaluation for every shift.
-    assert len(evaluations) == len(laurent) + 1
-    assert sum(call[0] == 0 for call in evaluations) == 1
+    # One base evaluation for every shift; each shift reads its two vertex rows instead of evaluating.
+    assert [call[0] for call in evaluations] == [0]
     assert not orbits
     # The orbit is checked once, by its constructor; only the tampered tuple and the
     # substituted family go through is_member, at any depth.

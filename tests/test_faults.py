@@ -9,6 +9,7 @@ wrong programs that no check sees yet: each still exits 0 with every check passi
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -19,7 +20,7 @@ from tiltval import loglink, pilot, theta
 from tiltval.ansatz import valuation_profile
 from tiltval.loglink import LogLinkChain, _log_series, _logs, chain_build, m_of_epsilon
 from tiltval.pilot import _odd_primes_upto, main_bound_check, size_estimate, sum_log_norms, theta_set_sample
-from tiltval.theta import ThetaValue, _root_terms, theta_terms, theta_value
+from tiltval.theta import ThetaValue, _multiplier, _root_terms, theta_terms
 from tiltval.tilt import TiltElement, _power_table
 from tiltval.witt import eta_val, primitive_frobenius
 
@@ -87,15 +88,44 @@ def _table(row):
 
 
 def _theta_value(fields):
-    """theta_value with its (sign, q_exponent, zeta_exponent) replaced by fields(j, ell, value).
+    """The multiplier xi_j's one formula, theta._multiplier, with its (sign, q_exponent, zeta_exponent) replaced by
+    fields(j, ell, value), value the true xi_j.  Every value theta_value and the suite build is the faulty one.
 
     The constructor refuses every field but theta_value's own, so the faulty value is built through _trusted.
     """
-    return _set("theta.theta_value", lambda j, ell: ThetaValue._trusted(j, ell, *fields(j, ell, theta_value(j, ell))))
+    return _set("theta._multiplier", lambda j, ell: fields(j, ell, ThetaValue._trusted(j, ell, *_multiplier(j, ell))))
+
+
+def _root_table(patch):
+    """patch, then a root-table cache of its own over theta._root_rows, so that the table follows the patch and no
+    other test reads a table built under it."""
+
+    def both(monkeypatch):
+        patch(monkeypatch)
+        monkeypatch.setattr(theta, "_root_terms", cache(theta._root_rows))
+
+    return both
+
+
+def _last_root_row_lowered(monkeypatch):
+    """The root table with its last row, n = N, at s-exponent -1 at j = 0: below the base's true lowest, 0."""
+    def table(k, ell, n_max):
+        rows = _root_terms(k, ell, n_max)
+        return (*rows[:-1], (-1, *rows[-1][1:]))
+
+    monkeypatch.setattr(theta, "_root_terms", table)
 
 
 def _laurent(first, last):
     return {f"theta.value_laurent_ratio.j{j}" for j in range(first, last + 1)}
+
+
+def _every_shift(*families):
+    """Config -> every id of the given folded families: quasi-periodicity at j = 1 .. ell*, the special value at
+    j = 1 .. min(ell*, N - 1)."""
+    tops = {"theta.quasi_periodicity": (2, 29, 9), "theta.value_laurent_ratio": (2, 28, 9)}
+    return {config: {f"{family}.j{j}" for family in families for j in range(1, tops[family][i] + 1)}
+            for i, config in enumerate(THREE)}
 
 
 _INVERSION = "theta.inversion_antisymmetry"
@@ -126,13 +156,33 @@ FAULTS = [
     Fault("table_ignores_signed", "all", THREE, _set("theta.theta_terms", lambda n, signed=True: theta_terms(n)),
           {"theta.unsigned_control_fails_antisymmetry"}),
     # Without (-1)^n the lowest coefficients no longer differ by the sign of xi_j.
-    Fault("laurent_unsigned", "verify-theta", DEFAULTS, source_patch(
-        theta, "_root_terms", "c = -1 if n % 2 else 1", "c = 1"
-    ), {"theta.value_laurent_ratio.j1"}),
+    Fault("laurent_unsigned", "verify-theta", DEFAULTS, _root_table(source_patch(
+        theta, "_root_rows", "_theta_rows(range(-n_max, n_max + 1))", "_theta_rows(range(-n_max, n_max + 1), False)"
+    )), {"theta.value_laurent_ratio.j1"}),
     # The coefficient relation must take zeta^(-2jk) from the symbolic value.
     Fault("zeta_off_by_one", "verify-theta", DEFAULTS, _theta_value(
         lambda j, ell, v: (v.sign, v.q_exponent, (v.zeta_exponent + 1) % ell)
     ), _laurent(1, 2), {"theta.value_laurent_ratio.j1": {"coeff_relation_holds": "false"}}),
+    # The suite's shortcut.  U(n) = 2n - 1 in the one formula: both tables follow it, so they pass the row compare,
+    # but the proof refuses it, and on the pointwise route every term pair is 2j off in its doubled q-exponent,
+    # each pair (n, -n - 1) is 4 off in its u-exponent, and every lowest term sits 2j too low.
+    Fault("formula_u_2n_minus_1", "verify-theta", THREE, _root_table(_set("theta._U", (-1, 2))), {
+        c: {_INVERSION, *ids} for c, ids in _every_shift("theta.quasi_periodicity", "theta.value_laurent_ratio").items()
+    }),
+    # The shift identity stated without its -j^2: the proof refuses the true formulas, and every term pair fails
+    # the same statement on the pointwise route.
+    Fault("shift_drops_j_squared", "verify-theta", THREE, source_patch(
+        theta, "_shift_sides", "q2_s - j * j", "q2_s"
+    ), _every_shift("theta.quasi_periodicity")),
+    # A row compare that skips the last row passes a root table whose last row is wrong; the base evaluation still
+    # reads that row, so every special value's gap is one short.
+    Fault("row_compare_skips_last", "verify-theta", THREE, lambda monkeypatch: (source_patch(
+        theta, "check_shifts", "rows == _root_rows(k, ell, n_max)", "rows[:-1] == _root_rows(k, ell, n_max)[:-1]"
+    )(monkeypatch), _last_root_row_lowered(monkeypatch)), _every_shift("theta.value_laurent_ratio")),
+    # The vertex read one row up, n = -j and -j + 1: the two exponents differ, and the lowest moves up by 2.
+    Fault("vertex_read_one_off", "verify-theta", THREE, source_patch(
+        theta, "_laurent_ratio", "rows[n_max - j - 1 : n_max - j + 1]", "rows[n_max - j : n_max - j + 2]"
+    ), _every_shift("theta.value_laurent_ratio")),
     # A q-exponent of j^3 / (2 ell) agrees with the true j^2 / (2 ell) only at j = 1.
     Fault("q_exponent_j_cubed", "all", THREE, _theta_value(
         lambda j, ell, v: (v.sign, Fraction(j**3, 2 * ell), v.zeta_exponent)

@@ -19,7 +19,7 @@ from tiltval.loglink import LogLinkChain, PadicUnit, chain_build, padic_log
 from tiltval.pilot import PilotTuple, build_pilot, size_estimate, sum_log_norms
 from tiltval.reporting import CheckRecord, Report
 from tiltval.theta import ThetaValue, theta_value
-from tiltval.tilt import TiltElement, tilt_mul, tilt_pow, tilt_rescale_t
+from tiltval.tilt import TiltElement, tilt_frobenius, tilt_mul, tilt_pow, tilt_rescale_t, tilt_val
 from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, gauss_log_norm, teichmuller
 
 for _module in pkgutil.iter_modules(tiltval.__path__):  # every module that defines a record, in any run order
@@ -230,6 +230,8 @@ RECORD_ARGUMENTS = {
     tilt_mul: lambda: (TiltElement.monomial(3, Fraction(1, 3)), TiltElement.monomial(3, 2, 2)),
     tilt_pow: lambda: (TiltElement.monomial(3, Fraction(1, 3)), 2),
     tilt_rescale_t: lambda: (TiltElement.monomial(3, Fraction(1, 3), 2), 2),
+    tilt_val: lambda: (TiltElement.monomial(3, Fraction(1, 3)),),
+    tilt_frobenius: lambda: (TiltElement.monomial(3, Fraction(1, 3)), -1),
     sum_log_norms: lambda: (build_pilot(_point(), Fraction(1, 10)), RhoWeight.of(Fraction(1, 2))),
     size_estimate: lambda: ([build_pilot(_point(), Fraction(1, 10))], RhoWeight.one()),
     teichmuller: lambda: (TiltElement.monomial(2, Fraction(1, 4)),),

@@ -1,5 +1,6 @@
 """Theta truncations: identity checks against independent polynomial routes."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,14 +12,12 @@ from tiltval.errors import DomainError
 from tiltval.theta import (
     CycloElt,
     ThetaValue,
-    _add_root_pow,
     _quasi_periodicity,
     _root_pows_vanish,
     check_inversion_antisymmetry,
     check_quasi_periodicity,
-    check_quasi_periodicity_upto,
+    check_shifts,
     check_theta_value_laurent,
-    check_theta_value_laurent_upto,
     eval_theta_laurent,
     theta_terms,
     theta_value,
@@ -63,14 +62,6 @@ def _ring_mul(ell, a, b):
 
 def _scaled(n, a):
     return tuple(n * x for x in a)
-
-
-def _folded(ell, pows):
-    """sum c * x^e through the library's row fold, the one its zero test reads."""
-    row = [0] * (ell - 1)
-    for e, c in pows.items():
-        _add_root_pow(row, ell, e % (2 * ell), c)
-    return tuple(row)
 
 
 def _eval_by_ring_ops(j, k, ell, n_max):
@@ -223,7 +214,7 @@ def test_cyclotomic_ring_structure():
     assert _from_root_pows(ell, {0: 1}) == _from_root_pows(ell, {2 * ell: 1}) == one
     assert _from_root_pows(ell, {ell: 1}) == _scaled(-1, one)
     # Phi_10 reduction: x^4 = x^3 - x^2 + x - 1.
-    assert _from_root_pows(ell, {4: 1}) == _folded(ell, {4: 1}) == (-1, 1, -1, 1)
+    assert _from_root_pows(ell, {4: 1}) == (-1, 1, -1, 1)
     rng = random.Random(13)
     for _ in range(60):
         a, b = rng.randint(-9, 9), rng.randint(-9, 9)
@@ -416,21 +407,23 @@ def test_root_pow_zero_test_matches_the_ring_oracle_randomized():
 
 @pytest.mark.parametrize("ell", (5, 59, 211))
 def test_suite_batches_match_the_per_step_checks(ell):
-    # One descriptor table and one base evaluation must give the same outcomes
-    # as the public per-step checks, which rebuild both for every j.
+    # One row table, one root table and one base evaluation must give the same outcomes
+    # as the public per-step checks, which rebuild each of them for every j.
     ell_star = (ell - 1) // 2
     for n_max in (ell_star, ell_star + 3):
-        j_max = min(ell_star, n_max)
-        per_step = tuple(check_quasi_periodicity(j, n_max) for j in range(1, j_max + 1))
-        assert check_quasi_periodicity_upto(j_max, n_max) == per_step
         for k in (1, ell - 2):
+            values, shifts, ratios = check_shifts(k, ell, n_max)
+            assert values == tuple(theta_value(j, ell) for j in range(1, ell_star + 1))
+            assert shifts == tuple(check_quasi_periodicity(j, n_max) for j in range(1, ell_star + 1))
             j_max = min(ell_star, n_max - 1)
-            per_step = tuple(check_theta_value_laurent(j, k, ell, n_max) for j in range(1, j_max + 1))
-            assert check_theta_value_laurent_upto(j_max, k, ell, n_max) == per_step
-    assert check_quasi_periodicity_upto(0, 4) == ()
-    assert check_theta_value_laurent_upto(0, 1, ell, 1) == ()
-    with pytest.raises(DomainError, match=f"^truncation radius must be at least {ell_star + 1}, got {ell_star}$"):
-        check_theta_value_laurent_upto(ell_star, 1, ell, ell_star)  # j = ell* needs n_max >= ell* + 1
+            assert ratios == tuple(check_theta_value_laurent(j, k, ell, n_max) for j in range(1, j_max + 1))
+    assert check_shifts(1, 3, 1) == ((theta_value(1, 3),), (check_quasi_periodicity(1, 1),), ())
+    with pytest.raises(DomainError, match=f"^truncation radius must be at least {ell_star}, got {ell_star - 1}$"):
+        check_shifts(1, ell, ell_star - 1)  # a shift j = ell* needs the window to reach it
+    with pytest.raises(DomainError, match="^k must be nonzero mod ell"):
+        check_shifts(ell, ell, ell_star + 1)
+    with pytest.raises(DomainError, match="^ell must be an odd prime"):
+        check_shifts(1, 3 * ell, ell_star + 1)
 
 
 def test_eval_matches_ring_ops_randomized():
@@ -438,8 +431,6 @@ def test_eval_matches_ring_ops_randomized():
     primes = [ell for ell in range(3, 114, 2) if all(ell % d for d in range(3, ell, 2))]
     assert primes[0] == 3 and primes[-1] == 113
     for ell in primes:
-        for k in range(-2 * ell, 2 * ell + 1):
-            assert _folded(ell, {k: 1}) == _reduce_mod_cyclo(ell, [0] * (k % (2 * ell)) + [1]), (ell, k)
         ell_star = (ell - 1) // 2
         for _ in range(5):
             j = rng.randint(0, ell_star)
@@ -464,9 +455,8 @@ def test_cyclo_mul_matches_reduction_cascade_randomized():
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
-            # The row fold the zero test reads, against the reduction cascade.
             expected = _reduce_mod_cyclo(ell, list(prod))
-            assert _folded(ell, dict(enumerate(prod))) == expected == _ring_mul(ell, b, a), (ell, a, b)
+            assert expected == _ring_mul(ell, b, a), (ell, a, b)
             assert (CycloElt(ell, a) * CycloElt(ell, b)).coeffs == expected, (ell, a, b)
             diff = dict(enumerate(prod))
             for i, c in enumerate(expected):
@@ -485,9 +475,9 @@ def test_eval_matches_the_per_term_loop(ell):
                 assert _in_order(eval_theta_laurent(*case)) == _in_order(_eval_by_terms(*case)), case
 
 
-# The routes the vertex walk and the integer compare replaced, kept as oracles: each evaluation accumulated
-# row by row and sorted, each quasi-periodicity term compared as two (2q, sign, u) tuples, and each special-value
-# check reading its lowest exponents by min().
+# The pointwise routes, kept as oracles for the suite's shortcut and for the routes it falls back to: each
+# evaluation accumulated row by row and sorted, each quasi-periodicity term compared as two (2q, sign, u) tuples,
+# and each special-value check evaluating both sides in full and reading their lowest exponents by min().
 
 
 def _eval_accumulate_and_sort(j, k, ell, n_max):
@@ -551,7 +541,7 @@ def _tampered(rows, rng, coeff_field):
 def test_eval_and_special_values_match_the_replaced_routes_on_tampered_tables(monkeypatch):
     rng = random.Random(4931)
     real = theta._root_terms
-    walked, general, differs = 0, 0, 0
+    tampered, differs = 0, 0
     for ell in (3, 5, 7, 13):
         for n_max in (0, 1, 2, 3, 6, 9):
             for k in (0, ell, -rng.randint(1, 2 * ell), rng.randint(1, 3 * ell)):
@@ -563,16 +553,13 @@ def test_eval_and_special_values_match_the_replaced_routes_on_tampered_tables(mo
                         value = eval_theta_laurent(j, k, ell, n_max)
                         assert _in_order(value) == _in_order(_eval_accumulate_and_sort(j, k, ell, n_max)), case
                         if table != rows:
-                            if 0 < n_max - j <= 2 * n_max and theta._vertex_walk(table, n_max - j, j) is not None:
-                                walked += 1
-                            else:
-                                general += 1
+                            tampered += 1
                             differs += value != _eval_by_terms(j, k, ell, n_max)
                         if 1 <= j <= (ell - 1) // 2 and n_max > j and k % ell:
                             by_min = _laurent_by_min(j, k, ell, n_max)
                             assert check_theta_value_laurent(j, k, ell, n_max) == by_min, case
-    # Both routes ran on tampered tables, and most faults moved the evaluation.
-    assert min(walked, general) >= 500 and differs >= (walked + general) // 2, (walked, general, differs)
+    # Most faults moved the evaluation.
+    assert tampered >= 1000 and differs >= tampered // 2, (tampered, differs)
 
 
 def test_quasi_periodicity_matches_the_tuple_loop_on_tampered_tables():
@@ -591,3 +578,110 @@ def test_quasi_periodicity_matches_the_tuple_loop_on_tampered_tables():
                     assert result == _quasi_by_tuples(table, j), (j, table)
                     outcomes.append(result[0])
     assert min(outcomes.count(True), outcomes.count(False)) >= 100
+
+
+def _odd_primes(limit):
+    return [n for n in range(3, limit + 1, 2) if all(n % d for d in range(3, n, 2) if d * d <= n)]
+
+
+def _spied_evaluations(monkeypatch):
+    """The calls the suite makes to eval_theta_laurent, as their shift j."""
+    calls, real = [], theta.eval_theta_laurent
+    monkeypatch.setattr(theta, "eval_theta_laurent", lambda j, *rest: calls.append(j) or real(j, *rest))
+    return calls
+
+
+def test_the_shortcut_matches_the_pointwise_route_at_every_small_prime(monkeypatch):
+    # The shortcut reads two vertex rows per special value and no row per shift; with the proof refused, the same
+    # suite compares every term pair and evaluates every shift in full.  Both must give the same results.
+    primes = _odd_primes(200)
+    assert (primes[0], primes[-1], len(primes)) == (3, 199, 45)
+    proved = theta._proved
+    for ell in primes:
+        ell_star = (ell - 1) // 2
+        for n_max in sorted({ell_star, ell_star + 1, 2 * ell_star}):
+            j_max = min(ell_star, n_max - 1)
+            monkeypatch.setattr(theta, "_proved", proved)
+            calls = _spied_evaluations(monkeypatch)
+            fast = check_shifts(1, ell, n_max)
+            assert calls == [0], (ell, n_max)  # one base evaluation, no shifted one
+            monkeypatch.setattr(theta, "_proved", lambda *_: False)
+            calls = _spied_evaluations(monkeypatch)
+            assert check_shifts(1, ell, n_max) == fast, (ell, n_max)
+            assert calls == list(range(j_max + 1)), (ell, n_max)
+            if ell <= 31:  # the test's own routes, which cost ell* * N per suite
+                assert fast[1] == tuple(_quasi_by_tuples(theta_terms(n_max), j) for j in range(1, ell_star + 1))
+                assert fast[2] == tuple(_laurent_by_min(j, 1, ell, n_max) for j in range(1, j_max + 1))
+
+
+def test_the_shortcut_matches_the_pointwise_routes_on_tampered_tables(monkeypatch):
+    # A table with one fault fails the row compare, and the whole suite takes the pointwise route; a table left
+    # whole (a swap of a row with itself) keeps the shortcut.  Either way the results are the oracles'.
+    rng = random.Random(4937)
+    real = theta._root_terms
+    outcomes, shortcuts = [], 0
+    for ell in (3, 5, 7, 13):
+        ell_star = (ell - 1) // 2
+        for n_max in (1, 2, 3, 6, 9):
+            if n_max < ell_star:
+                continue
+            for k in (1, rng.randint(1, ell - 1) + ell * rng.randint(-2, 2)):
+                terms, rows = theta_terms(n_max), real(k, ell, n_max)
+                cases = [(terms, rows)]
+                cases += [(_tampered(terms, rng, 1), rows) for _ in range(6)]
+                cases += [(terms, _tampered(rows, rng, 3)) for _ in range(6)]
+                for table, root in cases:
+                    monkeypatch.setattr(theta, "theta_terms", lambda n, signed=True: table)
+                    monkeypatch.setattr(theta, "_root_terms", lambda *_: root)
+                    calls = _spied_evaluations(monkeypatch)
+                    _, shifts, ratios = check_shifts(k, ell, n_max)
+                    case = (k, ell, n_max, table, root)
+                    assert shifts == tuple(_quasi_by_tuples(table, j) for j in range(1, ell_star + 1)), case
+                    j_max = min(ell_star, n_max - 1)
+                    assert ratios == tuple(_laurent_by_min(j, k, ell, n_max) for j in range(1, j_max + 1)), case
+                    if j_max:  # the shortcut makes the base evaluation only
+                        assert (len(calls) == 1) == ((table, root) == (terms, rows)), case
+                        shortcuts += len(calls) == 1
+                    outcomes += [result[0] for result in shifts + ratios]
+    assert shortcuts >= 20 and min(outcomes.count(True), outcomes.count(False)) >= 100, shortcuts
+
+
+def _poly_at(poly, point):
+    return sum(c * math.prod(x**a for x, a in zip(point, e)) for e, c in poly.items())
+
+
+def test_polynomial_arithmetic_matches_evaluation_randomized():
+    # A nonzero polynomial of total degree d vanishes at a point drawn from S^2 with probability at most d / |S|
+    # (Schwartz, Zippel), so a wrong product, sum or sign shows at a few seeded points.
+    rng = random.Random(5527)
+    for _ in range(200):
+        f, g = ({(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-5, 5) for _ in range(rng.randint(0, 4))}
+                for _ in range(2))
+        f, g = (theta._Poly({e: c for e, c in h.items() if c}) for h in (f, g))
+        m = rng.randint(-3, 3)
+        for point in ((rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(4)):
+            assert _poly_at(f * g, point) == _poly_at(f, point) * _poly_at(g, point)
+            assert _poly_at(f + g, point) == _poly_at(f, point) + _poly_at(g, point)
+            assert _poly_at(f - g, point) == _poly_at(f, point) - _poly_at(g, point)
+            assert _poly_at(m * f, point) == m * _poly_at(f, point)
+        assert all((f * g).values()) and all((f + g).values()) and all((0 * f).values()) and not 0 * f
+    one, n = theta._Poly({(0, 0): 1}), theta._Poly({(1, 0): 1})
+    assert theta._horner((0, 1, 1), (n,), one) == [n * n + n]
+    assert theta._horner((0, 1, 1), range(-2, 3)) == [2, 0, 0, 2, 6]
+
+
+def test_the_identities_are_proved_by_expansion():
+    formulas = (theta._Q2, theta._U, theta._PARITY, theta._shift_sides)
+    assert theta._proved(*formulas)
+    dropped = lambda q2_n, u_n, q2_s, u_s, j: ((q2_n + j * u_n, u_n), (q2_s, u_s - 2 * j))  # no -j^2
+    wrong = [
+        ((0, 1, 1), (-1, 2), (0, 1)),  # U(n) = 2n - 1
+        ((0, -1, 1), (1, 2), (0, 1)),  # 2Q(n) = n^2 - n
+        ((0, 1, 1), (1, 2), (0, 1, 1)),  # parity n^2 + n: even everywhere, but no sign flip per step
+        ((0, 1, 1, 0), (1, 2), (0, 1)),  # not a quadratic as written
+        ((0, -1, -1), (-1, -2), (0, 1)),  # the mirror image: every identity holds, but the vertex is a maximum
+    ]
+    for q2, u, parity in wrong:
+        assert not theta._proved(q2, u, parity, theta._shift_sides), (q2, u, parity)
+    assert not theta._proved(*formulas[:3], dropped)
+    assert theta._proved((0, 1, 1), (1, 2), (1, 1), theta._shift_sides)  # signs (-1)^(n+1): the series negated
