@@ -5,37 +5,27 @@ The series studied here is
     theta(u) = q^(-1/8) * sum_n (-1)^n q^(n(n+1)/2) u^(2n+1)
 
 truncated to the symmetric window |n| <= N.  Each term is kept as a
-row (n, sign, q-exponent, u-exponent), and each row field has one
-formula, held as integer coefficients in n: the doubled q-exponent
-2Q(n) = n^2 + n, the u-exponent U(n) = 2n + 1 and the sign's parity n.
-The prefactor q^(-1/8) is absorbed by the identity n(n+1)/2 =
-(1/2)(n + 1/2)^2 - 1/8, so stored q-exponents stay integers.  The sign
-(-1)^n is forced: it is what makes the substitution u -> 1/u negate the
-series term by term, and what makes the shift u -> q^(j/2) u reproduce
-the series up to (-1)^j q^(-j^2/2) u^(-2j).  The unsigned row table is
-kept available as a negative control and fails the first identity.
-
-Checks work on exact integer exponent arithmetic.  Where half-integer
-q-shifts appear the comparison runs in doubled q-units, never through a
-square root.
+row (n, sign, q-exponent, u-exponent), each field from one formula held
+as integer coefficients in n.  The prefactor q^(-1/8) is absorbed by
+n(n+1)/2 = (1/2)(n + 1/2)^2 - 1/8, so stored q-exponents stay integers.
+The sign (-1)^n is forced: it is what makes u -> 1/u negate the series
+term by term, and u -> q^(j/2) u reproduce it up to (-1)^j q^(-j^2/2)
+u^(-2j).  The unsigned row table is kept as a negative control and
+fails the first identity.  Half-integer q-shifts are compared in doubled
+q-units, never through a square root.
 
 Special values live at u = q^(j/2) zeta^k for a primitive ell-th root of
 unity zeta (ell an odd prime), written x^2 for a root x of Phi_2ell, so
--1 is x^ell.  Evaluation runs in a parameter s with s^2 = q^(1/ell), the
-base parameter in which the leading-exponent drop of theta(q^(j/2)
-zeta^k) against theta(zeta^k) is exactly -j^2 for every j, matching the
-symbolic q-exponent j^2/(2 ell) of :func:`theta_value`.  Each
-s-coefficient is a sparse map {e: c} for sum c x^e, 0 <= e < ell.
-Indices n = -j + d and -j - 1 - d share the s-exponent d(d+1) - j^2 and
-no other two do; two root powers below degree ell sum to zero only by
-cancelling outright (Phi_2ell has ell terms), so dropping zero entries
-is the whole zero test.  Root powers and signs do not depend on j and
-come from one cached table per (k, ell, N); an evaluation accumulates
-every row, then sorts.  A check moves the base's lowest coefficient by
-zeta^m, which adds 2m to each root power, and subtracts it from the
-lowest shifted one; the difference is zero exactly when, folded below
-x^ell, it is an integer multiple of Phi_2ell (at ell = 3 three root
-powers cancel so, no two outright).
+-1 is x^ell.  Evaluation runs in a parameter s with s^2 = q^(1/ell), in
+which the lowest exponent of theta(q^(j/2) zeta^k) sits exactly j^2
+below that of theta(zeta^k), matching the symbolic q-exponent j^2/(2 ell)
+of :func:`theta_value`.  Each s-coefficient is a sparse map {e: c} for
+sum c x^e, 0 <= e < ell; indices n = -j + d and -j - 1 - d share the
+s-exponent d(d+1) - j^2 and no other two do.  An evaluation accumulates
+the rows of one cached table per (k, ell, N), then sorts.  A check
+compares the lowest shifted coefficient with the base's times the
+multiplier's root of unity: the difference, folded below x^ell, is zero
+exactly when it is an integer multiple of Phi_2ell.
 
 The suite's shift checks (:func:`check_shifts`) read each row table
 once.  If every row equals its formulas, and the formulas satisfy in
@@ -77,9 +67,11 @@ _Q2, _U, _PARITY = (0, 1, 1), (1, 2), (0, 1)
 
 def _horner(coeffs: tuple[int, ...], xs, one=1) -> list:
     """sum c_i x^i at each x of xs: ints with one = 1, or polynomials with one their unit."""
-    values = [0 * one] * len(xs)
-    for c in reversed(coeffs):
-        values = [v * x + c * one for v, x in zip(values, xs)]
+    *rest, top = coeffs
+    values = [top * one] * len(xs)
+    for c in reversed(rest):
+        c *= one
+        values = [v * x + c for v, x in zip(values, xs)]
     return values
 
 
@@ -114,14 +106,12 @@ def _shift_sides(q2_n, u_n, q2_s, u_s, j):
 
 @cache
 def _proved(q2: tuple[int, ...], u: tuple[int, ...], parity: tuple[int, ...], sides) -> bool:
-    """Whether the row formulas satisfy the identities the suite's shortcut reads, by expansion in Z[n, j].
+    """Whether the formulas satisfy, by expansion in Z[n, j], the identities the suite's shortcut reads.
 
-    They are: the two sides of ``sides`` agree under n -> n + j, whose first part is also the s-exponent's
-    identity 2Q(n) + j U(n) = d(d + 1) - j^2 at d = n + j; n - j - (n + j) has even coefficients only, so
-    the signs agree up to (-1)^j; 2Q(-n - 1) = 2Q(n) and U(-n - 1) = -U(n); and 2Q is a quadratic with a
-    positive leading coefficient, which with its symmetry about -1/2 takes its least integer value at 0 and
-    -1 and nowhere else.  The cache is keyed by all the proof reads, so a changed formula is proved anew.
-    """
+    The sides of ``sides`` agree under n -> n + j (the first is also the s-exponent's 2Q(n) + j U(n) =
+    d(d + 1) - j^2, d = n + j); n - j - (n + j) has even coefficients; 2Q(-n - 1) = 2Q(n), U(-n - 1) = -U(n);
+    and 2Q is a quadratic with a positive leading coefficient, so least at n = 0 and -1 only.  The cache key
+    is all the proof reads, so a changed formula or statement is proved anew."""
     one, n, j = _Poly({(0, 0): 1}), _Poly({(1, 0): 1}), _Poly({(0, 1): 1})
     at = (n, n + j, -1 * n - one)  # n, its shift and its mirror
     (q_n, q_s, q_m), (u_n, u_s, u_m), (p_n, p_s, _) = (_horner(f, at, one) for f in (q2, u, parity))
@@ -131,12 +121,10 @@ def _proved(q2: tuple[int, ...], u: tuple[int, ...], parity: tuple[int, ...], si
 
 
 def _root_pows_vanish(ell: int, pows: dict[int, int]) -> bool:
-    """Whether sum c * x^e over pows = {e: c}, any integer e, is zero in Z[x]/(Phi_2ell(x)).
+    """Whether sum c * x^e over pows = {e: c}, any integer e, is zero in Z[x]/(Phi_2ell(x)), in one step per pair.
 
-    x^ell = -1 folds each power below ell, and x^ell + 1 = (x + 1) Phi_2ell, so a sum below degree ell is
-    zero exactly when it is m Phi_2ell = m sum_{i<ell} (-1)^i x^i for an integer m: with the coefficient of
-    x^i times (-1)^i, every one of the ell is m.  The cost is one step per root power, not ell.
-    """
+    x^ell = -1 folds each power below ell, and x^ell + 1 = (x + 1) Phi_2ell, so a sum below degree ell is zero
+    exactly when it is m Phi_2ell = m sum_{i<ell} (-1)^i x^i: each of the ell coefficients times (-1)^i is m."""
     folded: dict[int, int] = {}
     for e, c in pows.items():
         e %= 2 * ell
@@ -163,10 +151,7 @@ class CycloElt(Record):
         row = [0] * ell  # x^0 .. x^(ell-1): x^ell = -1 folds each product power below ell
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                if i + j < ell:
-                    row[i + j] += a * b
-                else:
-                    row[i + j - ell] -= a * b
+                row[(i + j) % ell] += a * b if i + j < ell else -a * b
         top = row.pop()  # x^(ell-1) = -sum_{i<ell-1} (-1)^i x^i
         return CycloElt(ell, tuple(v + top if i % 2 else v - top for i, v in enumerate(row)))
 
@@ -299,14 +284,9 @@ def theta_value(j: int, ell: int) -> ThetaValue:
 
 def _root_rows(k: int, ell: int, n_max: int) -> tuple[tuple[int, int, int, int], ...]:
     """(2Q(n), U(n), e, c) for n = -N .. N: at every shift j, term n is c * x^e times s^(2Q(n) + j U(n))."""
-    rows = []
-    for _, c, q, u in _theta_rows(range(-n_max, n_max + 1)):
-        # zeta = x^2, so zeta^(k U(n)) is x^(2k U(n)); x^ell = -1 folds it below ell
-        e = 2 * k * u % (2 * ell)
-        if e >= ell:
-            e, c = e - ell, -c
-        rows.append((2 * q, u, e, c))
-    return tuple(rows)
+    # zeta = x^2, so zeta^(k U(n)) is x^(2k U(n)); x^ell = -1 folds it below ell
+    rows = ((2 * q, u, 2 * k * u % (2 * ell), c) for _, c, q, u in _theta_rows(range(-n_max, n_max + 1)))
+    return tuple((q2, u, e - ell, -c) if e >= ell else (q2, u, e, c) for q2, u, e, c in rows)
 
 
 _root_terms = cache(_root_rows)  # one table per (k, ell, N), shared by every evaluation
@@ -339,10 +319,9 @@ def _laurent_ratio(
 ) -> tuple[bool, int, int, bool]:
     """The check at (tv.j, k), given the lowest s-exponent and coefficient of the base evaluation at u = zeta^k.
 
-    The shifted lowest term comes from a full evaluation or, given the proved root table, from its vertex
-    rows n = -j - 1 and -j: term n sits at s^(d(d + 1) - j^2), d = n + j, least at d = -1 and 0 only, and
-    those two root powers differ for k != 0 mod ell, so they never cancel.
-    """
+    The shifted lowest term comes from a full evaluation or, on the proved root table, from its vertex rows
+    n = -j - 1 and -j alone: term n sits at s^(d(d + 1) - j^2), d = n + j, and for k != 0 mod ell the two
+    root powers at d = -1 and 0 differ, so they never cancel."""
     j, ell = tv.j, tv.ell
     if k % ell == 0:
         raise DomainError("k must be nonzero mod ell; at zeta^0 the evaluation degenerates")
@@ -381,10 +360,8 @@ def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> tuple[boo
 def check_shifts(k: int, ell: int, n_max: int) -> tuple[tuple[ThetaValue, ...], tuple[tuple, ...], tuple[tuple, ...]]:
     """The suite's checks at every shift, ell checked once: the multipliers xi_j for j = 1 .. ell*, the shift
     identity at each of those j as :func:`check_quasi_periodicity` gives it, and the special value at u =
-    q^(j/2) zeta^k for j = 1 .. min(ell*, N - 1) as :func:`check_theta_value_laurent` gives it.
-
-    Each j costs O(1) when every row of both tables equals its formulas and ``_proved`` holds; otherwise
-    every j takes the pointwise route."""
+    q^(j/2) zeta^k for j = 1 .. min(ell*, N - 1) as :func:`check_theta_value_laurent` gives it.  Each j costs
+    O(1) when every row of both tables equals its formulas and ``_proved`` holds, else the pointwise route's."""
     base = next(iter(eval_theta_laurent(0, k, ell, n_max).items()))  # checks k, ell and N >= 0
     ell_star = (ell - 1) // 2
     _require_int(n_max, "truncation radius", ell_star)
