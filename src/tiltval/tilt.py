@@ -268,7 +268,7 @@ def tilt_val(x: TiltElement) -> Fraction | None:
 
 
 def _val(x: TiltElement) -> Fraction | None:
-    """tilt_val past its record check, for the family kernels, which hold checked records."""
+    """tilt_val past its record check, for callers that hold a checked TiltElement."""
     return Fraction(x.nums[0][0], x.p**x.s) if x.nums else None
 
 
@@ -452,7 +452,7 @@ def tilt_frobenius(x: TiltElement, n: int = 1) -> TiltElement:
 
 
 def _frobenius(x: TiltElement, n: int = 1) -> TiltElement:
-    """tilt_frobenius past its record check, for the family kernels, which hold checked records."""
+    """tilt_frobenius past its record check, for callers that hold a checked TiltElement."""
     _require_int(n, "Frobenius power")
     if n == 0:
         return x
