@@ -175,7 +175,7 @@ FAULTS = [
         theta, "_shift_sides", "q2_s - j * j", "q2_s"
     ), _every_shift("theta.quasi_periodicity")),
     # A row compare that skips the last row passes a root table whose last row is wrong; the base evaluation still
-    # reads that row, so every special value's gap is one short.
+    # reads that row, so every special value's gap is off by one.
     Fault("row_compare_skips_last", "verify-theta", THREE, lambda monkeypatch: (source_patch(
         theta, "check_shifts", "rows == _root_rows(k, ell, n_max)", "rows[:-1] == _root_rows(k, ell, n_max)[:-1]"
     )(monkeypatch), _last_root_row_lowered(monkeypatch)), _every_shift("theta.value_laurent_ratio")),
