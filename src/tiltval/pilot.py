@@ -269,6 +269,7 @@ def corollary_c_check(report: BoundReport, c: Fraction) -> bool:
     asking below the threshold raises, it does not guess.  Past that, any
     c < 1 contradicts the trivial unit-ball cap, and c >= 1 does not.
     """
+    _require_record(report, BoundReport, "the report")
     _require_positive(c, "c")
     if not report.passed:
         raise DomainError(f"bound not established at ell = {report.ell}; the corollary needs it")

@@ -196,6 +196,8 @@ def _render_text(report: AnyReport) -> str:
 
 def render_report(report: AnyReport, output_format: str) -> str:
     """Render to one of json, csv, text; json and csv are byte-stable."""
+    if not isinstance(report, (Report, CombinedReport)):  # the type's name only, as tilt._require_record shows it
+        raise DomainError(f"the report must be of type Report or CombinedReport, got {type(report).__name__}")
     if output_format == "json":
         return _json(report) + "\n"
     if output_format == "csv":

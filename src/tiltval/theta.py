@@ -5,14 +5,13 @@ The series studied here is
     theta(u) = q^(-1/8) * sum_n (-1)^n q^(n(n+1)/2) u^(2n+1)
 
 truncated to the symmetric window |n| <= N.  Each term is kept as a
-row (n, sign, q-exponent, u-exponent), each field from one formula held
-as integer coefficients in n.  The prefactor q^(-1/8) is absorbed by
-n(n+1)/2 = (1/2)(n + 1/2)^2 - 1/8, so stored q-exponents stay integers.
-The sign (-1)^n is forced: it is what makes u -> 1/u negate the series
-term by term, and u -> q^(j/2) u reproduce it up to (-1)^j q^(-j^2/2)
-u^(-2j).  The unsigned row table is kept as a negative control and
-fails the first identity.  Half-integer q-shifts are compared in doubled
-q-units, never through a square root.
+row (n, sign, q-exponent, u-exponent), each field from one formula.  The
+prefactor q^(-1/8) is absorbed by n(n+1)/2 = (1/2)(n + 1/2)^2 - 1/8, so
+stored q-exponents stay integers.  The sign (-1)^n is forced: it is what
+makes u -> 1/u negate the series term by term, and u -> q^(j/2) u
+reproduce it up to (-1)^j q^(-j^2/2) u^(-2j).  The unsigned row table is
+kept as a negative control and fails the first identity.  Half-integer
+q-shifts are compared in doubled q-units, never through a square root.
 
 Special values live at u = q^(j/2) zeta^k for a primitive ell-th root of
 unity zeta (ell an odd prime), written x^2 for a root x of Phi_2ell, so
@@ -27,23 +26,23 @@ compares the lowest shifted coefficient with the base's times the
 multiplier's root of unity: the difference, folded below x^ell, is zero
 exactly when it is an integer multiple of Phi_2ell.
 
-The suite's shift checks (:func:`check_shifts`) read each row table
-once.  If every row equals its formulas, and the formulas satisfy in
-Z[n, j] the shift identity 2Q(n) + j U(n) = 2Q(n + j) - j^2, U(n) =
-U(n + j) - 2j, n = j + (n + j) mod 2, and the inversion identities
-Q(-n - 1) = Q(n), U(-n - 1) = -U(n) (the functional equation of the
-Jacobi theta series; D. Mumford, Tata Lectures on Theta I, ch. I, sec.
-1), proved once per process by exact expansion, then each shift's result
-costs O(1): the identity holds on the whole window, and the lowest term
-at shift j sits on the two vertex rows n = -j and -j - 1, which the
-check reads.  On any other table every shift takes the pointwise route.
+The suite's shift checks (:func:`check_shifts`) check the tables they
+read, and each shift then costs O(1); 2Q and U are a row's doubled
+q-exponent and its u-exponent.  Quasi-periodicity: step 1 runs term by
+term on the shared row table.  Its sum over n .. n + j - 1 is step j (U
+grows by 2j, 2Q by j U(n) + j^2, the sign flips j times), so when step 1
+holds on its whole window, every j >= 2 holds on its own.  Special
+values: if on the root table 2Q steps by U + 1, U steps by 2 from
+U(-1) = -1, neighbouring root powers differ and no coefficient is zero,
+then 2Q(n) + j U(n) steps by 2(n + j + 1), so at every j the rows
+n = -j - 1 and -j are the unique lowest terms, and the check reads them.
+A table that fails a check takes the pointwise route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from operator import add
 
 from ._record import Record
 from .errors import DomainError
@@ -59,66 +58,6 @@ __all__ = [
     "theta_terms",
     "theta_value",
 ]
-
-# Each row field's one formula, as integer coefficients in n, constant first: the doubled q-exponent
-# 2Q(n) = n^2 + n, the u-exponent U(n) = 2n + 1 and the parity n of the sign (-1)^n.
-_Q2, _U, _PARITY = (0, 1, 1), (1, 2), (0, 1)
-
-
-def _horner(coeffs: tuple[int, ...], xs, one=1) -> list:
-    """sum c_i x^i at each x of xs: ints with one = 1, or polynomials with one their unit."""
-    *rest, top = coeffs
-    values = [top * one] * len(xs)
-    for c in reversed(rest):
-        c *= one
-        values = [v * x + c for v, x in zip(values, xs)]
-    return values
-
-
-class _Poly(dict):
-    """An integer polynomial as {exponent tuple: nonzero int}, with +, - and * by a polynomial or an int."""
-
-    def __add__(self, other: _Poly) -> _Poly:
-        out = dict(self)
-        for e, c in other.items():
-            out[e] = out.get(e, 0) + c
-        return _Poly({e: c for e, c in out.items() if c})
-
-    def __sub__(self, other: _Poly) -> _Poly:
-        return self + -1 * other
-
-    def __mul__(self, other: _Poly | int) -> _Poly:
-        if not isinstance(other, _Poly):
-            return _Poly({e: c * other for e, c in self.items() if other})
-        out = _Poly()
-        for e, c in self.items():
-            out += _Poly({tuple(map(add, e, f)): c * d for f, d in other.items()})
-        return out
-
-    __rmul__ = __mul__
-
-
-def _shift_sides(q2_n, u_n, q2_s, u_s, j):
-    """Both sides of the shift identity at step j, term n of theta(q^(j/2) u) against term s = n + j of
-    theta(u): (2q + j u, u) at n and (2q - j^2, u - 2j) at s, for row values and for the formulas alike."""
-    return (q2_n + j * u_n, u_n), (q2_s - j * j, u_s - 2 * j)
-
-
-@cache
-def _proved(q2: tuple[int, ...], u: tuple[int, ...], parity: tuple[int, ...], sides) -> bool:
-    """Whether the formulas satisfy, by expansion in Z[n, j], the identities the suite's shortcut reads.
-
-    The sides of ``sides`` agree under n -> n + j (the first is also the s-exponent's 2Q(n) + j U(n) =
-    d(d + 1) - j^2, d = n + j); n - j - (n + j) has even coefficients; 2Q(-n - 1) = 2Q(n), U(-n - 1) = -U(n);
-    and 2Q is a quadratic with a positive leading coefficient, so least at n = 0 and -1 only.  The cache key
-    is all the proof reads, so a changed formula or statement is proved anew."""
-    one, n, j = _Poly({(0, 0): 1}), _Poly({(1, 0): 1}), _Poly({(0, 1): 1})
-    at = (n, n + j, -1 * n - one)  # n, its shift and its mirror
-    (q_n, q_s, q_m), (u_n, u_s, u_m), (p_n, p_s, _) = (_horner(f, at, one) for f in (q2, u, parity))
-    left, right = sides(q_n, u_n, q_s, u_s, j)
-    even = all(c % 2 == 0 for c in (p_n - j - p_s).values())
-    return left == right and even and q_m == q_n and u_m == -1 * u_n and len(q2) == 3 and q2[2] > 0
-
 
 def _root_pows_vanish(ell: int, pows: dict[int, int]) -> bool:
     """Whether sum c * x^e over pows = {e: c}, any integer e, is zero in Z[x]/(Phi_2ell(x)), in one step per pair.
@@ -157,9 +96,8 @@ class CycloElt(Record):
 
 
 def _theta_rows(ns, signed: bool = True) -> tuple[tuple[int, int, int, int], ...]:
-    """The rows (n, sign, q_exp, u_exp) of theta_terms at each index n of ns, from the formulas."""
-    signs = [-1 if parity % 2 else 1 for parity in _horner(_PARITY, ns)] if signed else [1] * len(ns)
-    return tuple(zip(ns, signs, [q2 // 2 for q2 in _horner(_Q2, ns)], _horner(_U, ns)))
+    """The rows (n, sign, q_exp, u_exp) of theta_terms at each index n of ns: each field's one formula."""
+    return tuple((n, -1 if signed and n % 2 else 1, n * (n + 1) // 2, 2 * n + 1) for n in ns)
 
 
 def theta_terms(n_max: int, signed: bool = True) -> tuple[tuple[int, int, int, int], ...]:
@@ -209,14 +147,15 @@ def check_inversion_antisymmetry(n_max: int, signed: bool = True) -> tuple[bool,
 
 
 def _quasi_periodicity(
-    terms: tuple[tuple[int, int, int, int], ...], j: int, proved: bool = False
+    terms: tuple[tuple[int, int, int, int], ...], j: int, stepwise: bool = False
 ) -> tuple[bool, tuple[int, int], int, str | None]:
-    """The shift identity at step j on a prebuilt row table; on a proved table, its result without a compare."""
+    """The shift identity at step j on a prebuilt row table.  With stepwise, step 1 holds on the table's whole
+    window, and its sum over n .. n + j - 1 is step j for j >= 1, so the result needs no compare."""
     n_max = len(terms) // 2
     _require_int(n_max, "truncation radius", 1)
     _require_int(j, "shift step", -n_max, n_max)
     lo, hi = -n_max + abs(j), n_max - abs(j)
-    if proved:
+    if stepwise:
         return True, (lo, hi), hi - lo + 1, None
     shift_sign = (-1) ** (j % 2)
     mismatch: str | None = None
@@ -227,11 +166,10 @@ def _quasi_periodicity(
     for n, (_, sign_n, q_n, u_n), (_, sign_s, q_s, u_s) in zip(range(lo, hi + 1), left, right):
         # Term n of theta(q^(j/2) u) against term n + j of theta(u) times (-1)^j q^(-j^2/2) u^(-2j),
         # each as (2q, sign, u): q in doubled units.  The tuples are built only for the first mismatch.
-        (q_left, u_left), (q_right, u_right) = _shift_sides(2 * q_n, u_n, 2 * q_s, u_s, j)
-        if q_left == q_right and sign_n == shift_sign * sign_s and u_left == u_right:
+        if 2 * q_n + j * u_n == 2 * q_s - j * j and sign_n == shift_sign * sign_s and u_n == u_s - 2 * j:
             checked += 1
         elif mismatch is None:
-            lhs, rhs = (q_left, sign_n, u_left), (q_right, shift_sign * sign_s, u_right)
+            lhs, rhs = (2 * q_n + j * u_n, sign_n, u_n), (2 * q_s - j * j, shift_sign * sign_s, u_s - 2 * j)
             mismatch = f"n = {n}: left (2q, sign, u) = {lhs} right {rhs}"
     return mismatch is None, (lo, hi), checked, mismatch
 
@@ -292,6 +230,15 @@ def _root_rows(k: int, ell: int, n_max: int) -> tuple[tuple[int, int, int, int],
 _root_terms = cache(_root_rows)  # one table per (k, ell, N), shared by every evaluation
 
 
+def _vertex_lowest(rows: tuple[tuple[int, int, int, int], ...], n_max: int) -> bool:
+    """Whether at every shift j the rows n = -j - 1 and -j of a root table alone hold its evaluation's lowest term,
+    as the module docstring argues; the two root powers differ and neither coefficient is zero, so both stay."""
+    return rows[n_max - 1][1] == -1 and rows[-1][3] != 0 and all(
+        q2_next == q2 + u + 1 and u_next == u + 2 and e_next != e and c
+        for (q2, u, e, c), (q2_next, u_next, e_next, _) in zip(rows, rows[1:])
+    )
+
+
 def eval_theta_laurent(j: int, k: int, ell: int, n_max: int) -> dict[int, dict[int, int]]:
     """Exact truncated evaluation at u = s^j zeta^k, as {s_exponent: {e: c}}.
 
@@ -319,9 +266,8 @@ def _laurent_ratio(
 ) -> tuple[bool, int, int, bool]:
     """The check at (tv.j, k), given the lowest s-exponent and coefficient of the base evaluation at u = zeta^k.
 
-    The shifted lowest term comes from a full evaluation or, on the proved root table, from its vertex rows
-    n = -j - 1 and -j alone: term n sits at s^(d(d + 1) - j^2), d = n + j, and for k != 0 mod ell the two
-    root powers at d = -1 and 0 differ, so they never cancel."""
+    The shifted lowest term comes from a full evaluation or, given rows that pass ``_vertex_lowest``, from their
+    vertex rows n = -j - 1 and -j alone."""
     j, ell = tv.j, tv.ell
     if k % ell == 0:
         raise DomainError("k must be nonzero mod ell; at zeta^0 the evaluation degenerates")
@@ -360,16 +306,17 @@ def check_theta_value_laurent(j: int, k: int, ell: int, n_max: int) -> tuple[boo
 def check_shifts(k: int, ell: int, n_max: int) -> tuple[tuple[ThetaValue, ...], tuple[tuple, ...], tuple[tuple, ...]]:
     """The suite's checks at every shift, ell checked once: the multipliers xi_j for j = 1 .. ell*, the shift
     identity at each of those j as :func:`check_quasi_periodicity` gives it, and the special value at u =
-    q^(j/2) zeta^k for j = 1 .. min(ell*, N - 1) as :func:`check_theta_value_laurent` gives it.  Each j costs
-    O(1) when every row of both tables equals its formulas and ``_proved`` holds, else the pointwise route's."""
+    q^(j/2) zeta^k for j = 1 .. min(ell*, N - 1) as :func:`check_theta_value_laurent` gives it.  Step 1 runs term
+    by term, and each later step costs O(1) when it holds; each special value reads two rows when the root table
+    passes ``_vertex_lowest``.  Otherwise each takes the pointwise route."""
     base = next(iter(eval_theta_laurent(0, k, ell, n_max).items()))  # checks k, ell and N >= 0
     ell_star = (ell - 1) // 2
     _require_int(n_max, "truncation radius", ell_star)
     terms, rows = theta_terms(n_max), _root_terms(k, ell, n_max)
-    proved = _proved(_Q2, _U, _PARITY, _shift_sides) and terms == _theta_rows(range(-n_max, n_max + 1))
-    proved = proved and rows == _root_rows(k, ell, n_max)
     values = tuple(ThetaValue._trusted(j, ell, *_multiplier(j, ell)) for j in range(1, ell_star + 1))
-    shifts = tuple(_quasi_periodicity(terms, j, proved) for j in range(1, ell_star + 1))
+    step = _quasi_periodicity(terms, 1)
+    shifts = (step, *(_quasi_periodicity(terms, j, step[0]) for j in range(2, ell_star + 1)))
+    vertex = rows if _vertex_lowest(rows, n_max) else None
     # values[j - 1] is xi_j, and the special value needs j <= N - 1
-    ratios = tuple(_laurent_ratio(tv, k, n_max, *base, rows if proved else None) for tv in values[: n_max - 1])
+    ratios = tuple(_laurent_ratio(tv, k, n_max, *base, vertex) for tv in values[: n_max - 1])
     return values, shifts, ratios

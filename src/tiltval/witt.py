@@ -138,6 +138,7 @@ class PrimitiveDeg1(Record):
 
 def primitive_frobenius(w: PrimitiveDeg1, n: int = 1) -> PrimitiveDeg1:
     """Frobenius on generator data: [a] - p maps to [a^(p^n)] - p."""
+    _require_record(w, PrimitiveDeg1, "the generator data")
     # Frobenius scales the valuation by p^n > 0, so 0 < v < +inf still holds
     return PrimitiveDeg1._trusted(_frobenius(w.a, n))
 

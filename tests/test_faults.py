@@ -163,21 +163,23 @@ FAULTS = [
     Fault("zeta_off_by_one", "verify-theta", DEFAULTS, _theta_value(
         lambda j, ell, v: (v.sign, v.q_exponent, (v.zeta_exponent + 1) % ell)
     ), _laurent(1, 2), {"theta.value_laurent_ratio.j1": {"coeff_relation_holds": "false"}}),
-    # The suite's shortcut.  U(n) = 2n - 1 in the one formula: both tables follow it, so they pass the row compare,
-    # but the proof refuses it, and on the pointwise route every term pair is 2j off in its doubled q-exponent,
-    # each pair (n, -n - 1) is 4 off in its u-exponent, and every lowest term sits 2j too low.
-    Fault("formula_u_2n_minus_1", "verify-theta", THREE, _root_table(_set("theta._U", (-1, 2))), {
+    # The suite's shortcut.  U(n) = 2n - 1 in the one formula: both tables follow it.  Step 1 fails, and so does
+    # the root-table pass, so every shift takes the pointwise route: every term pair is 2j off in its doubled
+    # q-exponent, each pair (n, -n - 1) is 4 off in its u-exponent, and every lowest term sits 2j too low.
+    Fault("formula_u_2n_minus_1", "verify-theta", THREE, _root_table(source_patch(
+        theta, "_theta_rows", "2 * n + 1", "2 * n - 1"
+    )), {
         c: {_INVERSION, *ids} for c, ids in _every_shift("theta.quasi_periodicity", "theta.value_laurent_ratio").items()
     }),
-    # The shift identity stated without its -j^2: the proof refuses the true formulas, and every term pair fails
-    # the same statement on the pointwise route.
+    # The shift identity stated without its -j^2: step 1 fails on the true table, so every step takes the pointwise
+    # route, where every term pair fails the same statement.
     Fault("shift_drops_j_squared", "verify-theta", THREE, source_patch(
-        theta, "_shift_sides", "q2_s - j * j", "q2_s"
+        theta, "_quasi_periodicity", "2 * q_s - j * j", "2 * q_s"
     ), _every_shift("theta.quasi_periodicity")),
-    # A row compare that skips the last row passes a root table whose last row is wrong; the base evaluation still
+    # A root-table pass that skips its last pair passes a table whose last row is wrong; the base evaluation still
     # reads that row, so every special value's gap is off by one.
     Fault("row_compare_skips_last", "verify-theta", THREE, lambda monkeypatch: (source_patch(
-        theta, "check_shifts", "rows == _root_rows(k, ell, n_max)", "rows[:-1] == _root_rows(k, ell, n_max)[:-1]"
+        theta, "_vertex_lowest", "zip(rows, rows[1:])", "zip(rows, rows[1:-1])"
     )(monkeypatch), _last_root_row_lowered(monkeypatch)), _every_shift("theta.value_laurent_ratio")),
     # The vertex read one row up, n = -j and -j + 1: the two exponents differ, and the lowest moves up by 2.
     Fault("vertex_read_one_off", "verify-theta", THREE, source_patch(

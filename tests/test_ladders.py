@@ -60,7 +60,11 @@ class Ladder(NamedTuple):
 LADDERS = [
     # verify-theta at N = ell*: one pass over each row table and O(1) per shift, so the count grows as ell.
     Ladder("verify-theta", "verify-theta", (23, 47, 97, 193),
-           lambda ell: {"ell": ell, "theta_truncation": (ell - 1) // 2}, 1.15, 45_000),
+           lambda ell: {"ell": ell, "theta_truncation": (ell - 1) // 2}, 1.15, 34_000),
+    # loglink up its precision N: each log's series and digit stages grow far slower than N.
+    Ladder("loglink", "loglink", (16, 32, 64, 128), lambda n: {"padic_precision": n}, 0.4, 26_000),
+    # sweep-ell up its limit: one sieve and one running sum over the primes, so at most linear in the limit.
+    Ladder("sweep-ell", "sweep-ell", (200, 400, 800, 1600), lambda limit: {"ell_sweep_max": limit}, 1.0, 6_100),
 ]
 
 

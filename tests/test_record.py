@@ -1,26 +1,31 @@
 """The record base: fields are declared once, as annotations, and bound in that order."""
 
+import collections.abc
 import importlib
 import inspect
 import pkgutil
 import random
 import sys
+import types
 import typing
 from fractions import Fraction
 
 import pytest
 
 import tiltval
+from tiltval import ansatz, loglink, pilot, reporting, theta, tilt, witt
 from tiltval._record import Record
-from tiltval.ansatz import AnsatzPoint, make_ansatz
+from tiltval.ansatz import AnsatzPoint, frobenius_orbit, is_member, make_ansatz, scale_invariance_check
+from tiltval.ansatz import valuation_profile
 from tiltval.cli import RunConfig
 from tiltval.errors import DomainError
 from tiltval.loglink import LogLinkChain, PadicUnit, chain_build, padic_log
-from tiltval.pilot import PilotTuple, build_pilot, size_estimate, sum_log_norms
-from tiltval.reporting import CheckRecord, Report
+from tiltval.pilot import PilotTuple, build_pilot, corollary_c_check, main_bound_check, size_estimate, sum_log_norms
+from tiltval.pilot import theta_set_sample
+from tiltval.reporting import CheckRecord, Report, render_report
 from tiltval.theta import ThetaValue, theta_value
 from tiltval.tilt import TiltElement, tilt_frobenius, tilt_mul, tilt_pow, tilt_rescale_t, tilt_val
-from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, gauss_log_norm, teichmuller
+from tiltval.witt import PrimitiveDeg1, RhoWeight, WittExpr, eta_val, gauss_log_norm, primitive_frobenius, teichmuller
 
 for _module in pkgutil.iter_modules(tiltval.__path__):  # every module that defines a record, in any run order
     importlib.import_module(f"tiltval.{_module.name}")
@@ -179,17 +184,18 @@ def test_a_list_in_a_tuple_field_is_a_domain_error(cls, name):
         cls(**values)
 
 
-def _record_class(hint):
-    """The Record class a field annotation names, itself or as tuple[Cls, ...]; None for any other annotation."""
-    if typing.get_origin(hint) is tuple and typing.get_args(hint)[1:] == (Ellipsis,):
+def _record_classes(hint):
+    """The Record classes an annotation names: itself, a Union of them, or a tuple or Sequence of one; () if none."""
+    if typing.get_origin(hint) in (tuple, collections.abc.Sequence):
         hint = typing.get_args(hint)[0]
-    return hint if isinstance(hint, type) and issubclass(hint, Record) else None
+    options = typing.get_args(hint) if typing.get_origin(hint) in (typing.Union, types.UnionType) else (hint,)
+    return tuple(cls for cls in options if isinstance(cls, type) and issubclass(cls, Record))
 
 
 def _record_fields(cls):
     """The fields of a record class annotated with a Record class or a tuple of one, with aliases resolved."""
     hints = typing.get_type_hints(cls)
-    return [name for name in cls.__slots__ if _record_class(hints[name])]
+    return [name for name in cls.__slots__ if _record_classes(hints[name])]
 
 
 # Every validating record with a field that holds records, with a valid sample.  Such a field given None or a
@@ -217,15 +223,15 @@ def test_a_wrong_record_in_a_record_field_is_a_domain_error(cls, name):
     hint = typing.get_type_hints(cls)[name]
     # t^(1/4) over F_2 as a bare element and as generator data: one of them is of another class than the field's
     foreign = next(x for x in (TiltElement.monomial(2, Fraction(1, 4)), RECORD_FIELD_RECORDS[PrimitiveDeg1]())
-                   if not isinstance(x, _record_class(hint)))
+                   if not isinstance(x, _record_classes(hint)))
     for wrong in (None, foreign if typing.get_origin(hint) is not tuple else (foreign,) * len(values[name])):
         with pytest.raises(DomainError):
             cls(**{**values, name: wrong})
 
 
-# Public functions off the hot kernels that take records, with valid arguments.  Each record argument given None
-# or a record of another class (inside the sample for size_estimate) must be refused as bad input, not end in an
-# AttributeError; an int argument keeps its own range rule.  tilt_val and tilt_frobenius run per member, unchecked.
+# Every public function with a record parameter, with valid arguments.  Each record argument given None or a
+# record of another class (inside the list for a sequence) must be refused as bad input, not end in an
+# AttributeError; any other argument keeps its own rule.
 RECORD_ARGUMENTS = {
     tilt_mul: lambda: (TiltElement.monomial(3, Fraction(1, 3)), TiltElement.monomial(3, 2, 2)),
     tilt_pow: lambda: (TiltElement.monomial(3, Fraction(1, 3)), 2),
@@ -234,25 +240,49 @@ RECORD_ARGUMENTS = {
     tilt_frobenius: lambda: (TiltElement.monomial(3, Fraction(1, 3)), -1),
     sum_log_norms: lambda: (build_pilot(_point(), Fraction(1, 10)), RhoWeight.of(Fraction(1, 2))),
     size_estimate: lambda: ([build_pilot(_point(), Fraction(1, 10))], RhoWeight.one()),
+    build_pilot: lambda: (_point(), Fraction(1, 10)),
+    theta_set_sample: lambda: ([_point()], Fraction(1, 10), 1),
+    corollary_c_check: lambda: (main_bound_check(5, Fraction(1)), Fraction(1, 2)),
     teichmuller: lambda: (TiltElement.monomial(2, Fraction(1, 4)),),
     gauss_log_norm: lambda: (TUPLE_RECORDS[WittExpr](), RhoWeight.of(Fraction(1, 2))),
+    eta_val: lambda: (RECORD_FIELD_RECORDS[PrimitiveDeg1](), TiltElement.monomial(2, 3)),
+    primitive_frobenius: lambda: (RECORD_FIELD_RECORDS[PrimitiveDeg1](), 2),
+    make_ansatz: lambda: (TiltElement.monomial(2, Fraction(1, 4)), 5),
+    is_member: lambda: (list(_point().members),),
+    frobenius_orbit: lambda: (_point(), (-1, 1)),
+    valuation_profile: lambda: (_point(),),
+    scale_invariance_check: lambda: (_point(), lambda x: x),
     padic_log: lambda: (PadicUnit(5, 4, 6),),
+    render_report: lambda: (Report("bound", (), (CheckRecord("x.y", True, ()),)), "json"),
 }
+
+
+def _record_parameters(func):
+    """Parameter index -> the Record classes its annotation names, for each parameter of func that names one."""
+    hints = typing.get_type_hints(func)
+    named = ((i, _record_classes(hints.get(name))) for i, name in enumerate(inspect.signature(func).parameters))
+    return {i: classes for i, classes in named if classes}
+
+
+def test_every_public_function_with_a_record_parameter_is_in_the_table():
+    missing = [f"{module.__name__}.{name}" for module in (tilt, witt, pilot, ansatz, loglink, theta, reporting)
+               for name in module.__all__ if inspect.isfunction(func := getattr(module, name))
+               and _record_parameters(func) and func not in RECORD_ARGUMENTS]
+    assert not missing, "add each public function with a record parameter to RECORD_ARGUMENTS"
 
 
 @pytest.mark.parametrize("func", RECORD_ARGUMENTS, ids=lambda func: func.__name__)
 def test_a_wrong_record_argument_is_a_domain_error(func):
     args = RECORD_ARGUMENTS[func]()
     func(*args)  # the valid arguments are accepted
-    for i, arg in enumerate(args):
-        sample = arg[0] if isinstance(arg, list) else arg
-        if not isinstance(sample, Record):
-            continue
-        foreign = next(x for x in (TiltElement.monomial(2, 1), RhoWeight.one()) if type(x) is not type(sample))
+    parameters = _record_parameters(func)
+    assert parameters and max(parameters) < len(args), "a row gives every record argument"
+    for i, classes in parameters.items():
+        foreign = next(x for x in (TiltElement.monomial(2, 1), RhoWeight.one()) if type(x) not in classes)
         for wrong in (None, foreign):
-            bad = [wrong] if isinstance(arg, list) else wrong
-            refused = f"must be of type {type(sample).__name__}, got {type(wrong).__name__}$"
-            with pytest.raises(DomainError, match=refused):
+            bad = [wrong] if isinstance(args[i], list) else wrong
+            names = " or ".join(cls.__name__ for cls in classes)
+            with pytest.raises(DomainError, match=f"must be of type {names}, got {type(wrong).__name__}$"):
                 func(*args[:i], bad, *args[i + 1 :])
 
 
@@ -366,7 +396,7 @@ def _leaf_swaps(value):
 # The tuple fields of every record in BUILDERS whose leaves are numbers, not records.  TiltElement checks each
 # numerator before it calls from_terms, and from_terms each coefficient, so those refusals name the leaf.
 _LEAF_CASES = [(cls, name) for cls in BUILDERS for name in _tuple_fields(cls)
-               if not _record_class(typing.get_type_hints(cls)[name])]
+               if not _record_classes(typing.get_type_hints(cls)[name])]
 _LEAF_REFUSALS = {(TiltElement, "nums"): "^(exponent numerator|coefficient) must be an integer, got "}
 
 

@@ -1,6 +1,5 @@
 """Theta truncations: identity checks against independent polynomial routes."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -591,23 +590,43 @@ def _spied_evaluations(monkeypatch):
     return calls
 
 
+def _spied_shifts(monkeypatch):
+    """The calls the suite makes to _quasi_periodicity, as (j, stepwise)."""
+    calls, real = [], theta._quasi_periodicity
+
+    def spy(terms, j, stepwise=False):
+        calls.append((j, stepwise))
+        return real(terms, j, stepwise)
+
+    monkeypatch.setattr(theta, "_quasi_periodicity", spy)
+    return calls
+
+
+def _pointwise(monkeypatch):
+    """Both of the suite's table checks refused: every shift compares its term pairs and evaluates in full."""
+    real = theta._quasi_periodicity
+    monkeypatch.setattr(theta, "_quasi_periodicity", lambda terms, j, stepwise=False: real(terms, j))
+    monkeypatch.setattr(theta, "_vertex_lowest", lambda rows, n_max: False)
+
+
 def test_the_shortcut_matches_the_pointwise_route_at_every_small_prime(monkeypatch):
-    # The shortcut reads two vertex rows per special value and no row per shift; with the proof refused, the same
-    # suite compares every term pair and evaluates every shift in full.  Both must give the same results.
+    # The shortcut compares the term pairs of step 1 only and reads two vertex rows per special value; with both
+    # table checks refused, the same suite compares every term pair and evaluates every shift in full.
     primes = _odd_primes(200)
     assert (primes[0], primes[-1], len(primes)) == (3, 199, 45)
-    proved = theta._proved
     for ell in primes:
         ell_star = (ell - 1) // 2
         for n_max in sorted({ell_star, ell_star + 1, 2 * ell_star}):
             j_max = min(ell_star, n_max - 1)
-            monkeypatch.setattr(theta, "_proved", proved)
-            calls = _spied_evaluations(monkeypatch)
-            fast = check_shifts(1, ell, n_max)
+            with monkeypatch.context() as patched:
+                shifts, calls = _spied_shifts(patched), _spied_evaluations(patched)
+                fast = check_shifts(1, ell, n_max)
             assert calls == [0], (ell, n_max)  # one base evaluation, no shifted one
-            monkeypatch.setattr(theta, "_proved", lambda *_: False)
-            calls = _spied_evaluations(monkeypatch)
-            assert check_shifts(1, ell, n_max) == fast, (ell, n_max)
+            assert shifts == [(1, False)] + [(j, True) for j in range(2, ell_star + 1)], (ell, n_max)
+            with monkeypatch.context() as patched:
+                _pointwise(patched)
+                calls = _spied_evaluations(patched)
+                assert check_shifts(1, ell, n_max) == fast, (ell, n_max)
             assert calls == list(range(j_max + 1)), (ell, n_max)
             if ell <= 31:  # the test's own routes, which cost ell* * N per suite
                 assert fast[1] == tuple(_quasi_by_tuples(theta_terms(n_max), j) for j in range(1, ell_star + 1))
@@ -615,11 +634,12 @@ def test_the_shortcut_matches_the_pointwise_route_at_every_small_prime(monkeypat
 
 
 def test_the_shortcut_matches_the_pointwise_routes_on_tampered_tables(monkeypatch):
-    # A table with one fault fails the row compare, and the whole suite takes the pointwise route; a table left
-    # whole (a swap of a row with itself) keeps the shortcut.  Either way the results are the oracles'.
+    # A row table keeps the quasi-periodicity shortcut exactly when step 1 holds on it, and a root table keeps the
+    # special-value shortcut exactly when it passes the vertex check; some tampered tables keep it.  Either way
+    # the results are the oracles'.
     rng = random.Random(4937)
     real = theta._root_terms
-    outcomes, shortcuts = [], 0
+    outcomes, shortcuts, tampered_shortcuts = [], 0, 0
     for ell in (3, 5, 7, 13):
         ell_star = (ell - 1) // 2
         for n_max in (1, 2, 3, 6, 9):
@@ -633,55 +653,74 @@ def test_the_shortcut_matches_the_pointwise_routes_on_tampered_tables(monkeypatc
                 for table, root in cases:
                     monkeypatch.setattr(theta, "theta_terms", lambda n, signed=True: table)
                     monkeypatch.setattr(theta, "_root_terms", lambda *_: root)
-                    calls = _spied_evaluations(monkeypatch)
-                    _, shifts, ratios = check_shifts(k, ell, n_max)
+                    with monkeypatch.context() as patched:
+                        steps, calls = _spied_shifts(patched), _spied_evaluations(patched)
+                        _, shifts, ratios = check_shifts(k, ell, n_max)
                     case = (k, ell, n_max, table, root)
                     assert shifts == tuple(_quasi_by_tuples(table, j) for j in range(1, ell_star + 1)), case
+                    step_one = _quasi_by_tuples(table, 1)[0]
+                    assert steps == [(1, False)] + [(j, step_one) for j in range(2, ell_star + 1)], case
                     j_max = min(ell_star, n_max - 1)
                     assert ratios == tuple(_laurent_by_min(j, k, ell, n_max) for j in range(1, j_max + 1)), case
                     if j_max:  # the shortcut makes the base evaluation only
-                        assert (len(calls) == 1) == ((table, root) == (terms, rows)), case
+                        assert (len(calls) == 1) == theta._vertex_lowest(root, n_max), case
                         shortcuts += len(calls) == 1
+                        tampered_shortcuts += len(calls) == 1 and root != rows
                     outcomes += [result[0] for result in shifts + ratios]
-    assert shortcuts >= 20 and min(outcomes.count(True), outcomes.count(False)) >= 100, shortcuts
+    assert shortcuts >= 20 and tampered_shortcuts >= 5, (shortcuts, tampered_shortcuts)
+    assert min(outcomes.count(True), outcomes.count(False)) >= 100
 
 
-def _poly_at(poly, point):
-    return sum(c * math.prod(x**a for x, a in zip(point, e)) for e, c in poly.items())
+def _root_rows_with(rows, n_max, changes):
+    """rows with the fields of row n set as changes = {(n, field): value} says."""
+    return tuple(
+        tuple(changes.get((i - n_max, f), x) for f, x in enumerate(row)) for i, row in enumerate(rows)
+    )
 
 
-def test_polynomial_arithmetic_matches_evaluation_randomized():
-    # A nonzero polynomial of total degree d vanishes at a point drawn from S^2 with probability at most d / |S|
-    # (Schwartz, Zippel), so a wrong product, sum or sign shows at a few seeded points.
-    rng = random.Random(5527)
-    for _ in range(200):
-        f, g = ({(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-5, 5) for _ in range(rng.randint(0, 4))}
-                for _ in range(2))
-        f, g = (theta._Poly({e: c for e, c in h.items() if c}) for h in (f, g))
-        m = rng.randint(-3, 3)
-        for point in ((rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(4)):
-            assert _poly_at(f * g, point) == _poly_at(f, point) * _poly_at(g, point)
-            assert _poly_at(f + g, point) == _poly_at(f, point) + _poly_at(g, point)
-            assert _poly_at(f - g, point) == _poly_at(f, point) - _poly_at(g, point)
-            assert _poly_at(m * f, point) == m * _poly_at(f, point)
-        assert all((f * g).values()) and all((f + g).values()) and all((0 * f).values()) and not 0 * f
-    one, n = theta._Poly({(0, 0): 1}), theta._Poly({(1, 0): 1})
-    assert theta._horner((0, 1, 1), (n,), one) == [n * n + n]
-    assert theta._horner((0, 1, 1), range(-2, 3)) == [2, 0, 0, 2, 6]
+def test_the_vertex_check_holds_on_every_root_table_and_refuses_each_broken_rule():
+    for ell in (3, 5, 7, 13, 59):
+        for n_max in range(1, 10):
+            for k in {1, 2, ell - 1, ell + 2, -ell - 1} - {ell}:
+                assert theta._vertex_lowest(theta._root_terms(k, ell, n_max), n_max), (k, ell, n_max)
+            assert not theta._vertex_lowest(theta._root_terms(ell, ell, n_max), n_max)  # zeta^0: one root power
+    ell, n_max = 7, 6
+    rows = theta._root_terms(1, ell, n_max)
+    window = range(-n_max, n_max + 1)
+    fields = lambda q2, u: {change for n in window for change in (((n, 0), q2(n)), ((n, 1), u(n)))}
+    wrong = {
+        "U = 2n - 1": fields(lambda n: n * n + n, lambda n: 2 * n - 1),
+        "2Q = n^2 - n": fields(lambda n: n * n - n, lambda n: 2 * n + 1),
+        "the mirror image": fields(lambda n: -n * n - n, lambda n: -2 * n - 1),  # the vertex is a maximum
+        "U(-1) = 1": fields(lambda n: n * n + 3 * n, lambda n: 2 * n + 3),  # every step holds, the vertex moves
+        # 2Q steps by U + 1 and U(-1) = -1, but U steps by 0 from n = -2 to -1: at j = 1 three rows tie lowest
+        "U steps by 0 once": fields(lambda n: n * n + n if n >= -1 else (n + 1) * (n + 2),
+                                    lambda n: 2 * n + 1 if n >= -1 else 2 * n + 3),
+        "equal neighbour root powers": {((2, 2), rows[n_max + 1][2])},
+        "a zero coefficient": {((3, 3), 0)},
+        "a zero last coefficient": {((n_max, 3), 0)},
+        "a zero first coefficient": {((-n_max, 3), 0)},
+    }
+    for name, changes in wrong.items():
+        table = _root_rows_with(rows, n_max, dict(changes))
+        assert table != rows and not theta._vertex_lowest(table, n_max), name
+    assert _root_rows_with(rows, n_max, dict(fields(lambda n: n * n + n, lambda n: 2 * n + 1))) == rows
+    # A table off by a constant in every s-exponent, or with another root power or coefficient on one row, passes.
+    for changes in (fields(lambda n: n * n + n + 4, lambda n: 2 * n + 1), {((2, 2), 5)}, {((-3, 3), -5)}):
+        assert theta._vertex_lowest(_root_rows_with(rows, n_max, dict(changes)), n_max), changes
 
 
-def test_the_identities_are_proved_by_expansion():
-    formulas = (theta._Q2, theta._U, theta._PARITY, theta._shift_sides)
-    assert theta._proved(*formulas)
-    dropped = lambda q2_n, u_n, q2_s, u_s, j: ((q2_n + j * u_n, u_n), (q2_s, u_s - 2 * j))  # no -j^2
-    wrong = [
-        ((0, 1, 1), (-1, 2), (0, 1)),  # U(n) = 2n - 1
-        ((0, -1, 1), (1, 2), (0, 1)),  # 2Q(n) = n^2 - n
-        ((0, 1, 1), (1, 2), (0, 1, 1)),  # parity n^2 + n: even everywhere, but no sign flip per step
-        ((0, 1, 1, 0), (1, 2), (0, 1)),  # not a quadratic as written
-        ((0, -1, -1), (-1, -2), (0, 1)),  # the mirror image: every identity holds, but the vertex is a maximum
-    ]
-    for q2, u, parity in wrong:
-        assert not theta._proved(q2, u, parity, theta._shift_sides), (q2, u, parity)
-    assert not theta._proved(*formulas[:3], dropped)
-    assert theta._proved((0, 1, 1), (1, 2), (1, 1), theta._shift_sides)  # signs (-1)^(n+1): the series negated
+def test_a_row_table_failing_step_one_sends_every_shift_pointwise(monkeypatch):
+    ell, n_max = 17, 8
+    true = theta_terms(n_max)
+    last_q_off = (*true[:-1], (n_max, true[-1][1], true[-1][2] + 1, true[-1][3]))
+    for table, stepwise in ((true, True), (theta_terms(n_max, signed=False), False), (last_q_off, False)):
+        monkeypatch.setattr(theta, "theta_terms", lambda n, signed=True: table)
+        with monkeypatch.context() as patched:
+            calls = _spied_shifts(patched)
+            _, shifts, _ = check_shifts(1, ell, n_max)
+        assert calls == [(1, False)] + [(j, stepwise) for j in range(2, n_max + 1)]
+        assert shifts == tuple(_quasi_by_tuples(table, j) for j in range(1, n_max + 1))
+        # The unsigned table passes every even step on the pointwise route; the last row's q fails every step.
+        assert [passed for passed, *_ in shifts] == [stepwise or (table != last_q_off and j % 2 == 0)
+                                                     for j in range(1, n_max + 1)]
